@@ -9,9 +9,9 @@ reporting retry/corruption counters and degraded-answer rates
 (``--workers`` applies here too).  The ``chaos`` mode sweeps
 *persistent* dead-page fractions (kill-list faults that never
 recover) and reports availability, storage-degraded rates, quarantine
-activity and engine health — the degraded-mode execution contract.  The ``kernels`` mode compares the
-dict reference kernels against the flat CSR kernels (micro +
-end-to-end) and the ``landmarks`` mode runs the fig10 k-sweep with
+activity and engine health — the degraded-mode execution contract.  The ``kernels`` mode times the
+dict reference kernels against the heap CSR and bucketed frontier
+kernels (micro rows) and the ``landmarks`` mode runs the fig10 k-sweep with
 ALT landmark pruning on vs off; the ``shard`` mode asserts the tiled
 :class:`~repro.shard.ShardedEngine` answers identically to the
 monolithic engine, times parallel-vs-serial tile warm-up and runs a

@@ -813,48 +813,25 @@ def kernels(
     density: float = 6.0,
     num_anchors: int | None = None,
     num_targets: int | None = None,
-    num_queries: int | None = None,
     repeats: int = 3,
     out: str | None = None,
 ) -> dict:
-    """Not a paper figure: the CSR kernel family measured against the
-    dict reference kernels it replaced.
+    """Not a paper figure: the search kernels measured against the dict
+    reference kernels they replaced.
 
-    Table 1 (micro) times the three search shapes on the pathnet-level
-    network: the multi-source kernel against one reference Dijkstra
-    per (anchor, target) pair and against the per-anchor multi-target
-    loop; a full single-source sweep; and single-target A* against
-    single-target Dijkstra.  Every comparison first asserts the values
-    are identical — a speedup over different answers would be
-    meaningless.
-
-    Table 2 (end-to-end) runs the same ``engine.query`` workload on
-    two fresh engines, one per kernel mode, and pins results,
-    intervals and logical page reads to be identical before reporting
-    wall clock.
-
-    Table 3 (frontier end-to-end) runs the fig10 k-sweep under
-    reference kernels (no landmarks) and under the frontier bucket
-    kernels with lazily built landmark bounds; the lazy build happens
-    inside the timed query phase, so the reported speedup is fully
-    amortized.  Neighbour sets and degraded flags are asserted
-    identical.  When ``out`` is set, the full document is written
-    there as ``repro.bench/v1`` JSON (the checked-in
-    ``BENCH_GEODESIC.json``).
+    Times the three search shapes on the pathnet-level network, each
+    as the dict reference (the oracle), the heap CSR kernel and the
+    bucketed frontier kernel: the multi-source kernel against one
+    reference Dijkstra per (anchor, target) pair and against the
+    per-anchor multi-target loop; a full single-source sweep; and
+    single-target A* against single-target Dijkstra.  Every comparison
+    first asserts the values are identical — a speedup over different
+    answers would be meaningless.  When ``out`` is set, the rows are
+    merged into the ``repro.bench/v1`` JSON document there (the
+    checked-in ``BENCH_GEODESIC.json``).
     """
-    import json
-
-    from repro.core.engine import SurfaceKNNEngine
-    from repro.geodesic import use_kernel_mode
-    from repro.geodesic.csr import (
-        astar_csr,
-        dijkstra_csr,
-        multi_source_dijkstra_csr,
-        use_reference_kernels,
-    )
-    from repro.geodesic.dijkstra import (
-        dijkstra_reference,
-    )
+    from repro.geodesic.csr import astar_csr, dijkstra_csr, multi_source_heap
+    from repro.geodesic.dijkstra import dijkstra_reference
     from repro.geodesic.frontier import (
         astar_frontier,
         dijkstra_frontier,
@@ -868,8 +845,6 @@ def kernels(
         num_anchors = 4 if quick else 8
     if num_targets is None:
         num_targets = 8 if quick else 16
-    if num_queries is None:
-        num_queries = 4 if quick else 8
 
     engine = build_engine("BH", size=size, density=density, with_storage=False)
     network = engine.dmtm.extract_network(RESOLUTION_PATHNET, charge_io=False)
@@ -925,7 +900,7 @@ def kernels(
         return best
 
     def csr_multi_source():
-        found = multi_source_dijkstra_csr(csr, sources, targets=set(target_ids))
+        found = multi_source_heap(csr, sources, targets=set(target_ids))
         return {tid: found.value[tid] for tid in target_ids if tid in found.value}
 
     def frontier_multi_source():
@@ -1061,143 +1036,6 @@ def kernels(
         },
     ]
 
-    # End-to-end: identical query sequence under both modes, answers
-    # pinned identical.  Vertex queries run single-anchor; embedded
-    # point queries add the multi-anchor ranking path the multi-source
-    # kernel exists for.  CPU time, best of two passes on fresh
-    # engines (no warm bound caches leak across modes or passes).
-    e2e_size = 17 if quick else 25
-    e2e_mesh = mesh_for("BH", e2e_size)
-    qvs = query_vertices(e2e_mesh, num_queries, seed=9)
-    rng = np.random.default_rng(17)
-    bounds = e2e_mesh.xy_bounds()
-    lo, hi = np.asarray(bounds.lo), np.asarray(bounds.hi)
-    points = [
-        tuple(lo + (hi - lo) * rng.uniform(0.25, 0.75, size=2))
-        for _ in range(max(2, num_queries // 2))
-    ]
-
-    def run_mode() -> tuple[list, float]:
-        best = float("inf")
-        answers: list = []
-        for _ in range(2):
-            eng = SurfaceKNNEngine(e2e_mesh, density=density, seed=3)
-            t0 = time.process_time()
-            out = []
-            for qv in qvs:
-                result = eng.query(qv, 4, step_length=2)
-                out.append(
-                    (
-                        tuple(result.object_ids),
-                        tuple(result.intervals),
-                        result.metrics.logical_reads,
-                    )
-                )
-            for x, y in points:
-                result = eng.query_point(float(x), float(y), 4)
-                out.append(
-                    (
-                        tuple(result.object_ids),
-                        tuple(result.intervals),
-                        result.metrics.logical_reads,
-                    )
-                )
-            best = min(best, time.process_time() - t0)
-            answers = out
-        return answers, best
-
-    csr_answers, csr_wall = run_mode()
-    with use_reference_kernels():
-        ref_answers, ref_wall = run_mode()
-    same_results = [a[0] == b[0] for a, b in zip(csr_answers, ref_answers)]
-    same_intervals = [a[1] == b[1] for a, b in zip(csr_answers, ref_answers)]
-    same_reads = [a[2] == b[2] for a, b in zip(csr_answers, ref_answers)]
-    if not (all(same_results) and all(same_intervals) and all(same_reads)):
-        raise AssertionError(
-            "kernel divergence: end-to-end answers differ between modes"
-        )
-    num_e2e = len(qvs) + len(points)
-    e2e_rows = [
-        {
-            "mode": "reference",
-            "queries": num_e2e,
-            "cpu_seconds": ref_wall,
-            "speedup_vs_reference": 1.0,
-            "identical_results": True,
-            "identical_intervals": True,
-            "identical_logical_reads": True,
-        },
-        {
-            "mode": "csr",
-            "queries": num_e2e,
-            "cpu_seconds": csr_wall,
-            "speedup_vs_reference": ref_wall / csr_wall if csr_wall > 0 else None,
-            "identical_results": True,
-            "identical_intervals": True,
-            "identical_logical_reads": True,
-        },
-    ]
-
-    # Frontier end-to-end: the fig10 k-sweep (the paper's headline
-    # workload) under reference kernels with no landmarks vs frontier
-    # kernels with lazily built landmarks.  The lazy landmark rows are
-    # built *inside* the timed query phase (ensure_progress on the
-    # ranking path), so the frontier side's wall clock already charges
-    # the full amortized table-build cost — the ratio is what a cold
-    # process gains end to end.  Neighbour sets and degraded flags are
-    # asserted identical; intervals may tighten under landmark
-    # pruning, so they are not pinned here.
-    f_size = 33 if quick else 49
-    f_ks = (3, 9, 15) if quick else tuple(range(3, 31, 3))
-    f_qpk = 1 if quick else 2
-    f_count = 8
-    f_density = 4.0
-    f_mesh = mesh_for("BH", f_size)
-    f_qvs = query_vertices(f_mesh, f_qpk, seed=9)
-    f_workload = [(qv, k) for k in f_ks for qv in f_qvs]
-
-    def run_fig10(mode: str, lm=None, lazy: bool = False):
-        with use_kernel_mode(mode):
-            eng = SurfaceKNNEngine(
-                f_mesh, density=f_density, seed=3,
-                landmarks=lm, lazy_landmarks=lazy,
-            )
-            t0 = time.process_time()
-            answers = []
-            for qv, k in f_workload:
-                result = eng.query(qv, k, step_length=2)
-                answers.append(
-                    (tuple(sorted(result.object_ids)), bool(result.degraded))
-                )
-            wall = time.process_time() - t0
-        return answers, wall
-
-    fro_answers, fro_wall = run_fig10("frontier", lm=f_count, lazy=True)
-    frf_answers, frf_wall = run_fig10("reference")
-    if fro_answers != frf_answers:
-        raise AssertionError(
-            "kernel divergence: frontier+landmark neighbour sets or "
-            "degraded flags differ from reference kernels"
-        )
-    frontier_e2e_rows = [
-        {
-            "mode": "reference",
-            "queries": len(f_workload),
-            "cpu_seconds": frf_wall,
-            "speedup_vs_reference": 1.0,
-            "identical_results": True,
-            "identical_degraded": True,
-        },
-        {
-            "mode": f"frontier+landmarks-{f_count}",
-            "queries": len(f_workload),
-            "cpu_seconds": fro_wall,
-            "speedup_vs_reference": frf_wall / fro_wall if fro_wall > 0 else None,
-            "identical_results": True,
-            "identical_degraded": True,
-        },
-    ]
-
     tables = [
         format_table(
             f"Kernels (micro) — pathnet network, BH {size}x{size}, "
@@ -1205,32 +1043,8 @@ def kernels(
             ["comparison", "kernel", "searches", "seconds", "speedup", "identical"],
             kernel_rows,
         ),
-        format_table(
-            f"Kernels (end-to-end) — engine.query, BH {e2e_size}x{e2e_size}, "
-            f"{len(qvs)} vertex + {len(points)} embedded queries (k=4, s=2)",
-            [
-                "mode", "queries", "cpu_seconds", "speedup_vs_reference",
-                "identical_results", "identical_intervals",
-                "identical_logical_reads",
-            ],
-            e2e_rows,
-        ),
-        format_table(
-            f"Frontier (fig10 k-sweep) — BH {f_size}x{f_size}, "
-            f"k in {list(f_ks)}, {f_qpk}/k (o={f_density:g}, s=2, "
-            f"L={f_count} lazy)",
-            [
-                "mode", "queries", "cpu_seconds", "speedup_vs_reference",
-                "identical_results", "identical_degraded",
-            ],
-            frontier_e2e_rows,
-        ),
     ]
-    rows = {
-        "kernels": kernel_rows,
-        "end_to_end": e2e_rows,
-        "frontier_end_to_end": frontier_e2e_rows,
-    }
+    rows = {"kernels": kernel_rows}
     if out:
         document = _load_bench_document(out)
         document["figure"] = "kernels"
@@ -1239,21 +1053,11 @@ def kernels(
             {
                 "dataset": "BH",
                 "micro_size": size,
-                "e2e_size": e2e_size,
                 "density": density,
                 "num_anchors": len(sources),
                 "num_targets": len(target_ids),
-                "num_vertex_queries": len(qvs),
-                "num_point_queries": len(points),
                 "repeats": repeats,
                 "quick": quick,
-                "frontier_sweep": {
-                    "size": f_size,
-                    "ks": list(f_ks),
-                    "queries_per_k": f_qpk,
-                    "density": f_density,
-                    "landmarks": f_count,
-                },
             }
         )
         document["rows"].update(rows)

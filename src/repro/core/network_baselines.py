@@ -25,8 +25,7 @@ the quantified version of the paper's motivation.
 from __future__ import annotations
 
 from repro.errors import QueryError
-from repro.geodesic.csr import csr_from_adjacency, dijkstra_csr, kernel_mode
-from repro.geodesic.dijkstra import dijkstra
+from repro.geodesic.csr import csr_from_adjacency, dijkstra_csr
 from repro.spatial.rtree import RTree
 
 
@@ -42,40 +41,25 @@ def ine_knn(mesh, objects, query_vertex: int, k: int) -> list[tuple[int, float]]
     vertex_to_objects: dict[int, list[int]] = {}
     for obj in range(len(objects)):
         vertex_to_objects.setdefault(objects.vertex_of(obj), []).append(obj)
-    adj = mesh.edge_network()
-
     # Expand until k objects are settled — the paper's
-    # expansion-until-found behaviour, on flat CSR arrays by default.
+    # expansion-until-found behaviour, on flat CSR arrays.
     import heapq
 
+    indptr, indices, weights = csr_from_adjacency(mesh.edge_network()).lists()
+    visited = bytearray(mesh.num_vertices)
     heap: list[tuple[float, int]] = [(0.0, query_vertex)]
     found: list[tuple[int, float]] = []
-    if kernel_mode() != "reference":
-        indptr, indices, weights = csr_from_adjacency(adj).lists()
-        visited = bytearray(len(adj))
-        while heap and len(found) < k:
-            d, u = heapq.heappop(heap)
-            if visited[u]:
-                continue
-            visited[u] = 1
-            for obj in vertex_to_objects.get(u, ()):
-                found.append((obj, d))
-            for e in range(indptr[u], indptr[u + 1]):
-                v = indices[e]
-                if not visited[v]:
-                    heapq.heappush(heap, (d + weights[e], v))
-    else:
-        dist: dict[int, float] = {}
-        while heap and len(found) < k:
-            d, u = heapq.heappop(heap)
-            if u in dist:
-                continue
-            dist[u] = d
-            for obj in vertex_to_objects.get(u, ()):
-                found.append((obj, d))
-            for v, w in adj[u]:
-                if v not in dist:
-                    heapq.heappush(heap, (d + w, v))
+    while heap and len(found) < k:
+        d, u = heapq.heappop(heap)
+        if visited[u]:
+            continue
+        visited[u] = 1
+        for obj in vertex_to_objects.get(u, ()):
+            found.append((obj, d))
+        for e in range(indptr[u], indptr[u + 1]):
+            v = indices[e]
+            if not visited[v]:
+                heapq.heappush(heap, (d + weights[e], v))
     found.sort(key=lambda t: (t[1], t[0]))
     return found[:k]
 
@@ -97,20 +81,16 @@ def ier_knn(mesh, objects, query_vertex: int, k: int) -> list[tuple[int, float]]
     for obj in range(len(objects)):
         tree.insert_point(objects.position_of(obj)[:2], obj)
 
-    adj = mesh.edge_network()
     # One growing single-source search would be cheating in IER's
     # favour; the algorithm recomputes per candidate (bounded by the
     # current kth network distance, its own optimisation).  The CSR
     # form is compiled once and reused by every per-candidate search.
-    csr = csr_from_adjacency(adj) if kernel_mode() != "reference" else None
+    csr = csr_from_adjacency(mesh.edge_network())
     best: list[tuple[float, int]] = []  # (dN, obj) heap-ish list
 
     def network_distance(obj: int, cap: float | None) -> float | None:
         target = objects.vertex_of(obj)
-        if csr is not None:
-            result = dijkstra_csr(csr, query_vertex, targets={target}, max_dist=cap)
-        else:
-            result = dijkstra(adj, query_vertex, targets={target}, max_dist=cap)
+        result = dijkstra_csr(csr, query_vertex, targets={target}, max_dist=cap)
         return result.get(target)
 
     browser = tree.nearest_iter(q_pos[:2])

@@ -26,11 +26,7 @@ from repro.geodesic.csr import (
     csr_from_adjacency,
     dijkstra_csr,
     dijkstra_csr_with_parents,
-    kernel_mode,
     multi_source_dijkstra_csr,
-    set_kernel_mode,
-    use_kernel_mode,
-    use_reference_kernels,
 )
 from repro.geodesic.frontier import (
     astar_frontier,
@@ -65,10 +61,6 @@ __all__ = [
     "multi_source_dijkstra_csr",
     "astar_csr",
     "csr_from_adjacency",
-    "kernel_mode",
-    "set_kernel_mode",
-    "use_kernel_mode",
-    "use_reference_kernels",
     "dijkstra_frontier",
     "dijkstra_frontier_with_parents",
     "multi_source_frontier",

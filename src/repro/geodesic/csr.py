@@ -17,31 +17,40 @@ Three search shapes cover every caller:
   parents and early-exit behaviour (same heap tuple ordering);
 * :func:`multi_source_dijkstra_csr` — all anchors of a ranking level
   settle in ONE search.  Each source carries an additive offset; the
-  priority is recomposed as ``offset + raw`` at every relaxation so
-  reported values match the reference's per-anchor composition
-  ``fl(offset ⊕ raw_distance)`` bit for bit, and the heap tuple
-  ``(value, node, rank, parent, raw)`` breaks cross-anchor value ties
-  toward the lowest-ranked source — the reference's strict-<
-  first-anchor-wins rule;
+  priority is recomposed as ``offset + raw`` at every relaxation, and
+  the heap tuple ``(value, node, rank, parent, raw)`` breaks
+  cross-anchor value ties toward the lowest-ranked source — the
+  per-anchor loop's strict-< first-anchor-wins rule.  Values equal
+  that loop's ``fl(offset ⊕ distance)`` up to rounding: where two
+  anchors' labels meet at a node, the winner's continuation can sum
+  an ulp above the loser's (see :func:`multi_source_heap`);
 * :func:`astar_csr` — single-target A* with the admissible (and
   consistent) straight-line-distance heuristic, for value-only bound
   refinement; it may realise a different same-length path than
   Dijkstra on tie-heavy meshes, so it is only wired where the path is
   not consumed.
 
-Kernel selection is a process-wide mode switch: ``"csr"`` (default),
-``"reference"`` (the dict kernels, kept as ``dijkstra_reference``) or
-``"frontier"`` (the numpy frontier-batched kernels in
-:mod:`repro.geodesic.frontier`).  :func:`use_kernel_mode` flips it
-for a ``with`` block — the differential tests and ``bench kernels``
-run the same queries under every mode and assert identical answers.
+Which kernel a search runs is fixed by the graph, never by process
+state (:func:`graph_dijkstra`, :func:`multi_source_dijkstra_csr`):
+
+* a :class:`~repro.geodesic.graph.KeyedGraph` nobody compiled runs
+  the dict kernel — compile-then-search loses on a graph searched
+  once;
+* a compiled graph below
+  :data:`~repro.geodesic.frontier.MIN_FRONTIER_NODES` nodes (or with a
+  zero-weight edge) runs the heap CSR kernel;
+* anything larger runs the bucketed numpy kernels of
+  :mod:`repro.geodesic.frontier`.
+
+All three return identical answers; the dict kernels
+(``dijkstra_reference``) double as the differential oracle the tests
+call directly.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,50 +64,6 @@ from repro.geodesic.deadline import (
 from repro.obs.context import active_profiler
 from repro.obs.metrics import get_registry
 from repro.obs.profile import kernel_phase
-
-# ----------------------------------------------------------------------
-# kernel mode
-# ----------------------------------------------------------------------
-
-_MODES = ("csr", "reference", "frontier")
-_kernel_mode = "csr"
-
-
-def kernel_mode() -> str:
-    """The process-wide kernel selection: ``"csr"``, ``"reference"``
-    or ``"frontier"``."""
-    return _kernel_mode
-
-
-def set_kernel_mode(mode: str) -> None:
-    """Select the search kernels used by graph-backed call sites.
-
-    Process-wide (not thread-scoped): flip it around single-threaded
-    sections only, e.g. via :func:`use_kernel_mode`.
-    """
-    global _kernel_mode
-    if mode not in _MODES:
-        raise GeodesicError(f"unknown kernel mode {mode!r}; use one of {_MODES}")
-    _kernel_mode = mode
-
-
-@contextmanager
-def use_kernel_mode(mode: str):
-    """Run a block under an explicit kernel mode (differential tests,
-    per-mode timings in ``bench kernels``)."""
-    previous = _kernel_mode
-    set_kernel_mode(mode)
-    try:
-        yield
-    finally:
-        set_kernel_mode(previous)
-
-
-def use_reference_kernels():
-    """Run a block on the dict reference kernels (differential tests,
-    reference timings in ``bench kernels``)."""
-    return use_kernel_mode("reference")
-
 
 # ----------------------------------------------------------------------
 # CSR representation
@@ -403,7 +368,6 @@ class MultiSourceResult:
         return path
 
 
-@kernel_phase
 def multi_source_dijkstra_csr(
     csr: CSRGraph,
     sources: list[tuple[int, float]],
@@ -414,13 +378,40 @@ def multi_source_dijkstra_csr(
     many ``(node, offset)`` sources.
 
     Replaces one-reference-Dijkstra-per-anchor: with M anchors and N
-    targets, one wavefront serves all M·N pairs.  The priority is
-    recomposed as ``offsets[rank] + raw`` at every relaxation (not
-    accumulated), so each settled value equals the reference
-    expression ``fl(offset ⊕ raw_distance)`` bitwise; ties between
-    equal values from different sources settle the lowest rank first,
-    matching the strict-< first-anchor-wins minimum the ranking loop
-    applies over per-anchor results.
+    targets, one wavefront serves all M·N pairs.  Graphs of
+    ``MIN_FRONTIER_NODES`` nodes or more run the bucketed twin
+    :func:`repro.geodesic.frontier.multi_source_frontier`, smaller
+    ones the heap kernel :func:`multi_source_heap`; both return the
+    same labels.
+    """
+    from repro.geodesic import frontier
+
+    if csr.num_nodes >= frontier.MIN_FRONTIER_NODES:
+        return frontier.multi_source_frontier(csr, sources, targets, max_dist)
+    return multi_source_heap(csr, sources, targets, max_dist)
+
+
+@kernel_phase
+def multi_source_heap(
+    csr: CSRGraph,
+    sources: list[tuple[int, float]],
+    targets: set[int] | None = None,
+    max_dist: float | None = None,
+) -> MultiSourceResult:
+    """Heap kernel behind :func:`multi_source_dijkstra_csr`.
+
+    The priority is recomposed as ``offsets[rank] + raw`` at every
+    relaxation (not accumulated), so each settled value is
+    ``fl(offset ⊕ raw)`` with ``raw`` the float length of the path
+    the search followed; ties between equal values from different
+    sources settle the lowest rank first, matching the strict-<
+    first-anchor-wins minimum the ranking loop applies over
+    per-anchor results.  The one difference from one search per
+    anchor: when anchor B's label beats anchor A's at a node only
+    through rounding, A's shorter continuation through that node is
+    never composed, and a target can settle an ulp above
+    ``offset_A + d_A``.  The value is still the offset plus the
+    length of a real path.
     """
     n = csr.num_nodes
     if not sources:
@@ -461,7 +452,7 @@ def multi_source_dijkstra_csr(
             and time.perf_counter() >= deadline
         ):
             raise DeadlineExceeded(
-                f"multi_source_dijkstra_csr passed its deadline after "
+                f"multi_source_heap passed its deadline after "
                 f"{len(value)} settled nodes"
             )
         if p >= 0:
@@ -558,47 +549,38 @@ def astar_csr(
 
 
 # ----------------------------------------------------------------------
-# mode-dispatching helpers for KeyedGraph call sites
+# dispatchers for KeyedGraph call sites
 # ----------------------------------------------------------------------
 
 
 def graph_dijkstra(graph, source, targets=None, max_dist=None) -> dict[int, float]:
-    """Mode dispatcher with the compile-on-reuse rule.
+    """Single-source search under the fixed kernel rule.
 
-    In CSR and frontier modes the flat kernels run only when the graph
-    already carries a compiled CSR form (a cached network view, or a
-    graph an explicit ``csr()`` caller compiled): all kernels return
-    identical answers, but compile-then-search loses to the dict
-    kernel on a graph searched once, and pathnet refinement builds
-    lots of throwaway graphs.  Reference mode always takes the dict
-    kernel.
+    A graph nobody compiled runs the dict kernel: compile-then-search
+    loses to it on a graph searched once.  A compiled graph (a cached
+    network view, an array-built pathnet) runs
+    :func:`repro.geodesic.frontier.dijkstra_frontier`, which keeps
+    graphs below ``MIN_FRONTIER_NODES`` on the heap CSR kernel.
     """
-    if _kernel_mode != "reference":
-        csr = graph.csr_if_compiled()
-        if csr is not None:
-            if _kernel_mode == "frontier":
-                from repro.geodesic.frontier import dijkstra_frontier
+    csr = graph.csr_if_compiled()
+    if csr is None:
+        from repro.geodesic.dijkstra import dijkstra_reference
 
-                return dijkstra_frontier(csr, source, targets, max_dist)
-            return dijkstra_csr(csr, source, targets, max_dist)
-    from repro.geodesic.dijkstra import dijkstra_reference
+        return dijkstra_reference(graph.adjacency, source, targets, max_dist)
+    from repro.geodesic.frontier import dijkstra_frontier
 
-    return dijkstra_reference(graph.adjacency, source, targets, max_dist)
+    return dijkstra_frontier(csr, source, targets, max_dist)
 
 
 def graph_dijkstra_with_parents(
     graph, source, targets=None, max_dist=None
 ) -> tuple[dict[int, float], dict[int, int]]:
-    """Mode dispatcher for the with-parents variant (same
-    compile-on-reuse rule as :func:`graph_dijkstra`)."""
-    if _kernel_mode != "reference":
-        csr = graph.csr_if_compiled()
-        if csr is not None:
-            if _kernel_mode == "frontier":
-                from repro.geodesic.frontier import dijkstra_frontier_with_parents
+    """With-parents variant of :func:`graph_dijkstra` (same rule)."""
+    csr = graph.csr_if_compiled()
+    if csr is None:
+        from repro.geodesic.dijkstra import dijkstra_with_parents
 
-                return dijkstra_frontier_with_parents(csr, source, targets, max_dist)
-            return dijkstra_csr_with_parents(csr, source, targets, max_dist)
-    from repro.geodesic.dijkstra import dijkstra_with_parents
+        return dijkstra_with_parents(graph.adjacency, source, targets, max_dist)
+    from repro.geodesic.frontier import dijkstra_frontier_with_parents
 
-    return dijkstra_with_parents(graph.adjacency, source, targets, max_dist)
+    return dijkstra_frontier_with_parents(csr, source, targets, max_dist)

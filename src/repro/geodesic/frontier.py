@@ -26,23 +26,25 @@ cutoffs.  Ties resolve by emulating the reference heap tuples —
 ``(d, u)``, ``(d, u, p)``, ``(value, node, rank, parent, raw)`` — as
 lexicographic minima over the batched candidate columns, and values
 compose with the same float operations (``raw + w`` then
-``offset + raw``), so the testkit differential matrix stays the
-identity oracle across all three kernel modes.  The reference's
+``offset + raw``), so the heap twins stay their identity oracles.
+The reference's
 early-exit settled set is a prefix of the ``(value, node)``-sorted
 pop order; the kernels compute buckets until every target settles,
 then cut the output at the last target's ``(value, node)`` pair.
 
 **When the heap kernels still win.**  Graphs with a zero-weight edge
 (no positive window exists) delegate to the heap twin, as do searches
-on graphs too small to amortise numpy call overhead — and the mode
-dispatchers keep the compile-on-reuse rule, so throwaway dict graphs
-searched once never pay an array compile.
+on graphs too small to amortise numpy call overhead — and the
+dispatchers in :mod:`repro.geodesic.csr` keep the compile-on-reuse
+rule, so throwaway dict graphs searched once never pay an array
+compile.
 
-:func:`build_pathnet_arrays` is the companion construction kernel: it
-builds the Steiner pathnet of
-:func:`repro.geodesic.pathnet.build_pathnet` as flat arrays (node
-first-encounter order, per-face pair expansion and adjacency order
-all identical to the Python builder), bit-identical weights included.
+:func:`build_pathnet_arrays` is the companion construction kernel
+behind :func:`repro.geodesic.pathnet.build_pathnet`: the Steiner
+pathnet as flat arrays, in the node first-encounter order, per-face
+pair expansion and adjacency order of the per-face Python loop kept
+as the oracle :func:`repro.testkit.reference.build_pathnet_reference`,
+bit-identical weights included.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from repro.geodesic.csr import (
     astar_csr,
     dijkstra_csr,
     dijkstra_csr_with_parents,
-    multi_source_dijkstra_csr,
+    multi_source_heap,
 )
 from repro.geodesic.deadline import DeadlineExceeded, current_deadline
 from repro.obs.context import active_profiler
@@ -317,7 +319,7 @@ def multi_source_frontier(
     max_dist: float | None = None,
 ) -> MultiSourceResult:
     """Bucketed multi-source relaxation, bit-identical to
-    :func:`repro.geodesic.csr.multi_source_dijkstra_csr`.
+    :func:`repro.geodesic.csr.multi_source_heap`.
 
     Labels carry the full reference heap tuple — ``(value, rank,
     parent, raw)`` per node — and every update takes the
@@ -331,7 +333,7 @@ def multi_source_frontier(
         return MultiSourceResult({}, {}, {}, {})
     (indptr, indices, weights), wmin = _frontier_state(csr)
     if n < MIN_FRONTIER_NODES or not wmin > 0.0:
-        return multi_source_dijkstra_csr(csr, sources, targets, max_dist)
+        return multi_source_heap(csr, sources, targets, max_dist)
 
     offsets = np.empty(len(sources))
     value = np.full(n, np.inf)
@@ -666,18 +668,18 @@ def build_pathnet_arrays(
     faces: np.ndarray | None = None,
     forbidden_faces=None,
 ):
-    """Flat-array twin of :func:`repro.geodesic.pathnet.build_pathnet`.
+    """The pathnet of :func:`repro.geodesic.pathnet.build_pathnet` as
+    flat arrays.
 
     Returns ``(codes, positions, csr)`` — ``codes`` the integer point
     codes (``vid`` for vertices, ``V + eid * spe + (j - 1)`` for
-    Steiner points) in the exact node-id order the Python builder
-    assigns (first encounter in face scan order), ``positions`` the
-    ``(N, 3)`` point coordinates, ``csr`` the compiled
-    :class:`~repro.geodesic.csr.CSRGraph` with per-node adjacency in
-    the exact order the Python builder's edge appends produce.
-    Returns ``None`` for degenerate meshes (a face with fewer than
-    three distinct vertices) — callers fall back to the Python
-    builder there.
+    Steiner points) in first-encounter order over the face scan,
+    ``positions`` the ``(N, 3)`` point coordinates, ``csr`` the
+    compiled :class:`~repro.geodesic.csr.CSRGraph` with per-node
+    adjacency in the order per-face pair appends produce.  Raises
+    :class:`~repro.errors.GeodesicError` on a degenerate face (fewer
+    than three distinct vertices), which a validated
+    :class:`~repro.terrain.mesh.TriangleMesh` never has.
     """
     spe = int(steiner_per_edge)
     if spe < 0:
@@ -703,7 +705,7 @@ def build_pathnet_arrays(
     face_edges = mesh.face_edges[face_ids]  # (F, 3)
     ends = mesh.edge_vertices[face_edges]  # (F, 3, 2)
     # Point-code matrix: for each face, slot-major, endpoints first
-    # then Steiner points — the Python builder's per-face scan order.
+    # then Steiner points — the reference builder's per-face scan order.
     codes = np.empty((nfaces, ncols), dtype=np.int64)
     codes[:, 0::per_edge] = ends[:, :, 0]
     codes[:, 1::per_edge] = ends[:, :, 1]
@@ -721,7 +723,11 @@ def build_pathnet_arrays(
             valid[:, cj] &= codes[:, ci] != codes[:, cj]
     counts_valid = valid.sum(axis=1)
     if not (counts_valid == 3 + 3 * spe).all():
-        return None  # degenerate face: fall back to the Python builder
+        bad = int(face_ids[np.argmax(counts_valid != 3 + 3 * spe)])
+        raise GeodesicError(
+            f"face {bad} has fewer than three distinct vertices; "
+            "pathnets need a validated mesh"
+        )
     per_face_valid = 3 + 3 * spe
 
     # Node ids in first-encounter order over the row-major valid scan.
@@ -733,7 +739,7 @@ def build_pathnet_arrays(
     lookup[node_codes] = np.arange(nnodes, dtype=np.int64)
 
     # Positions: mesh vertices for vertex codes, the interpolated
-    # points (bit-identical to the Python builder's pu + t * (pw - pu))
+    # points (bit-identical to the reference builder's pu + t * (pw - pu))
     # for Steiner codes.
     positions = np.empty((nnodes, 3))
     is_vertex = node_codes < num_vertices
@@ -748,7 +754,7 @@ def build_pathnet_arrays(
         positions[~is_vertex] = pu + t * (pw - pu)
 
     # Pair expansion: itertools.combinations over each face's valid
-    # point sequence, faces outer — the Python builder's edge order.
+    # point sequence, faces outer — the reference builder's edge order.
     pv = per_face_valid
     dense = lookup[codes[valid]].reshape(nfaces, pv)
     ii, jj = np.triu_indices(pv, k=1)
@@ -758,7 +764,7 @@ def build_pathnet_arrays(
     pair_b = dense[:, jj].ravel()
     delta = positions[pair_a] - positions[pair_b]
     # Explicit composition (dx*dx + dy*dy) + dz*dz, matching the
-    # Python builder's scalar arithmetic bit for bit.
+    # reference builder's scalar arithmetic bit for bit.
     pair_w = np.sqrt(
         delta[:, 0] * delta[:, 0]
         + delta[:, 1] * delta[:, 1]

@@ -38,8 +38,8 @@ class KeyedGraph:
 
         ``keys[i]`` is node i's key, ``positions`` an ``(n, 3)`` array
         (or None).  The Python adjacency mirror is reconstructed
-        lazily from the CSR arrays — only reference-mode searches and
-        post-hoc mutation ever need it.
+        lazily from the CSR arrays — only oracle searches, adjacency
+        readers and post-hoc mutation ever need it.
         """
         graph = cls.__new__(cls)
         graph._keys = list(keys)
@@ -148,7 +148,7 @@ class KeyedGraph:
 
     def csr_if_compiled(self):
         """The memoized CSR form, or None when it was never compiled
-        (or was invalidated).  The mode dispatchers use this to apply
+        (or was invalidated).  The kernel dispatchers use this to apply
         the compile-on-reuse rule: a graph searched once is cheaper on
         the dict kernel than on compile-then-search."""
         return self._csr

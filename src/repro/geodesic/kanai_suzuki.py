@@ -18,21 +18,18 @@ from repro.geodesic.pathnet import (
     build_pathnet,
     vertex_key,
 )
-from repro.geodesic.csr import graph_dijkstra_with_parents, kernel_mode
+from repro.geodesic.csr import graph_dijkstra_with_parents
 
 
 def _round0_pathnet(mesh):
-    """The bare edge network (pathnet with 0 Steiner points).
+    """The bare edge network (pathnet with 0 Steiner points), cached
+    on the mesh.
 
-    In frontier mode the graph is cached on the mesh: round 0 spans
-    the WHOLE mesh and is identical for every (source, target) pair,
-    and the polish loop calls this once per boundary candidate.  The
-    graph is never mutated after construction (searches only), so the
-    cache is safe; heap modes keep the per-call rebuild so their
-    compile-on-reuse behaviour stays exactly as measured.
+    Round 0 spans the WHOLE mesh and is identical for every (source,
+    target) pair, and the polish loop calls this once per boundary
+    candidate.  The graph is only searched after construction, so
+    concurrent first touches at worst build it twice.
     """
-    if kernel_mode() != "frontier":
-        return build_pathnet(mesh, steiner_per_edge=0)
     cached = getattr(mesh, "_round0_pathnet", None)
     if cached is None:
         cached = build_pathnet(mesh, steiner_per_edge=0)
@@ -65,8 +62,8 @@ def _corridor_faces(mesh, node_keys, rings: int = 1) -> np.ndarray:
 
 def _route(graph, source_key, target_key) -> tuple[float, list[tuple]]:
     # The route's keys seed the next round's refined corridor, so this
-    # stays on (CSR) Dijkstra rather than A*: both kernels realise the
-    # same tie-broken shortest-path tree as the dict reference.
+    # stays on Dijkstra rather than A*: every Dijkstra kernel realises
+    # the same tie-broken shortest-path tree as the dict reference.
     s = graph.node_id(source_key)
     t = graph.node_id(target_key)
     dist, parent = graph_dijkstra_with_parents(graph, s, targets={t})

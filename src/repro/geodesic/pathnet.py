@@ -14,18 +14,11 @@ its "200 % resolution" level, where it treats ``dN`` as ``dS``.
 
 from __future__ import annotations
 
-import math
-from itertools import combinations
-
 import numpy as np
 
 from repro.errors import GeodesicError
-from repro.geodesic.csr import (
-    astar_csr,
-    graph_dijkstra,
-    graph_dijkstra_with_parents,
-    kernel_mode,
-)
+from repro.geodesic.csr import graph_dijkstra_with_parents
+from repro.geodesic.frontier import astar_frontier, build_pathnet_arrays
 from repro.geodesic.graph import KeyedGraph
 
 # Node keys: ("v", vertex_id) for original vertices,
@@ -38,18 +31,6 @@ def vertex_key(vid: int) -> tuple:
 
 def steiner_key(edge_id: int, j: int) -> tuple:
     return ("s", int(edge_id), int(j))
-
-
-def _edge_point_keys(mesh, edge_id: int, steiner_per_edge: int):
-    """Keys and 3D positions of all points on an edge, endpoints first."""
-    u, w = mesh.edge_vertices[edge_id]
-    pu = mesh.vertices[u]
-    pw = mesh.vertices[w]
-    items = [(vertex_key(u), pu), (vertex_key(w), pw)]
-    for j in range(1, steiner_per_edge + 1):
-        t = j / (steiner_per_edge + 1)
-        items.append((steiner_key(edge_id, j), pu + t * (pw - pu)))
-    return items
 
 
 def build_pathnet(
@@ -68,58 +49,15 @@ def build_pathnet(
     extension the paper lists as future work (steep slopes, water,
     no-go zones): no passageway is created through them, so every
     returned distance is realised by a path avoiding them.
+
+    The graph is built as flat arrays
+    (:func:`repro.geodesic.frontier.build_pathnet_arrays`) and comes
+    back compiled, with node positions for the A* heuristic.  Raises
+    :class:`~repro.errors.GeodesicError` on a degenerate face.
     """
-    if steiner_per_edge < 0:
-        raise GeodesicError("steiner_per_edge must be >= 0")
-    if kernel_mode() == "frontier":
-        graph = _build_pathnet_frontier(
-            mesh, steiner_per_edge, faces, forbidden_faces
-        )
-        if graph is not None:
-            return graph
-    forbidden = frozenset(int(f) for f in forbidden_faces) if forbidden_faces else frozenset()
-    graph = KeyedGraph()
-    face_ids = range(mesh.num_faces) if faces is None else faces
-    for fi in face_ids:
-        fi = int(fi)
-        if fi in forbidden:
-            continue
-        points: list[tuple[tuple, np.ndarray]] = []
-        seen: set[tuple] = set()
-        for slot in range(3):
-            edge_id = int(mesh.face_edges[fi, slot])
-            for key, pos in _edge_point_keys(mesh, edge_id, steiner_per_edge):
-                if key not in seen:
-                    seen.add(key)
-                    points.append((key, pos))
-                    # Position enables the A* heuristic on the
-                    # compiled CSR graph.
-                    graph.add_node(key, position=pos)
-        for (ka, pa), (kb, pb) in combinations(points, 2):
-            graph.add_edge(ka, kb, _segment_length(pa, pb))
-    return graph
-
-
-def _segment_length(pa, pb) -> float:
-    """Straight-segment weight, composed as ``(dx² + dy²) + dz²``
-    under the radical — the exact float expression the vectorised
-    builder evaluates columnwise, so both builders produce
-    bit-identical weights."""
-    dx = float(pa[0]) - float(pb[0])
-    dy = float(pa[1]) - float(pb[1])
-    dz = float(pa[2]) - float(pb[2])
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
-
-
-def _build_pathnet_frontier(mesh, steiner_per_edge, faces, forbidden_faces):
-    """Array-built pathnet for frontier mode (None on degenerate
-    meshes, where the Python builder takes over)."""
-    from repro.geodesic.frontier import build_pathnet_arrays
-
-    built = build_pathnet_arrays(mesh, steiner_per_edge, faces, forbidden_faces)
-    if built is None:
-        return None
-    codes, positions, csr = built
+    codes, positions, csr = build_pathnet_arrays(
+        mesh, steiner_per_edge, faces, forbidden_faces
+    )
     num_vertices = int(mesh.vertices.shape[0])
     spe = int(steiner_per_edge)
     keys = []
@@ -141,9 +79,8 @@ def pathnet_distance(
     landmarks=None,
 ) -> float:
     """Approximate ``dS`` between two vertices via pathnet search —
-    A* with the straight-line heuristic on the CSR kernels (the
-    distance is all that is returned, so the goal-directed search is
-    safe), plain Dijkstra in reference mode.
+    A* with the straight-line heuristic (the distance is all that is
+    returned, so the goal-directed search is safe).
 
     ``landmarks`` optionally supplies a
     :class:`repro.geodesic.landmarks.LandmarkIndex` whose ALT
@@ -158,21 +95,12 @@ def pathnet_distance(
         raise GeodesicError("source or target vertex missing from pathnet region")
     s = graph.node_id(src_key)
     t = graph.node_id(dst_key)
-    mode = kernel_mode()
-    if mode == "reference":
-        d = graph_dijkstra(graph, s, targets={t}).get(t)
-    else:
-        heuristic = (
-            landmarks.pathnet_heuristic(graph, target)
-            if landmarks is not None
-            else None
-        )
-        if mode == "frontier":
-            from repro.geodesic.frontier import astar_frontier
-
-            d = astar_frontier(graph.csr(), s, t, heuristic=heuristic)
-        else:
-            d = astar_csr(graph.csr(), s, t, heuristic=heuristic)
+    heuristic = (
+        landmarks.pathnet_heuristic(graph, target)
+        if landmarks is not None
+        else None
+    )
+    d = astar_frontier(graph.csr(), s, t, heuristic=heuristic)
     if d is None:
         raise GeodesicError(f"no pathnet route from {source} to {target}")
     return d

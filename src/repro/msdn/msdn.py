@@ -32,12 +32,9 @@ from repro.msdn.crossing import (
     plane_positions,
     supersample_polyline,
 )
-from repro.geodesic.csr import kernel_mode
 from repro.msdn.sdn import (
     SdnChunk,
-    _boxes_to_boxes,
     build_sdn_chunks,
-    lower_bound_via_planes,
     lower_bound_via_planes_arrays,
 )
 from repro.storage.locator import LocatorStore
@@ -156,17 +153,16 @@ class MSDN:
                     for chunks in per_plane
                 ]
         self._store: LocatorStore | None = None
-        # Lazy caches: per-(axis, resolution) 3D chunk-MBR arrays for
-        # the frontier-mode array DP, the per-resolution key → chunk
-        # index for corridor_from_path, per-plane page-id arrays for
-        # vectorized I/O charging, and full plane-pair hop matrices
-        # for the DP (entries are per-(row, col) independent, so a
-        # sliced cached matrix is bit-identical to one computed on
-        # the kept subsets).
+        # Lazy caches, built on first touch and only read afterwards
+        # (concurrent first touches at worst build one twice):
+        # per-(axis, resolution) 3D chunk-MBR arrays for the DP, the
+        # per-resolution key → chunk index for corridor_from_path and
+        # per-plane page-id arrays for I/O charging.  Hop matrices are
+        # not cached: whole-plane-pair matrices would cost far more
+        # memory than recomputing each hop on the kept chunks.
         self._chunk_boxes3d: dict[tuple[int, float], list] = {}
         self._corridor_index: dict[float, dict[tuple, SdnChunk]] = {}
         self._chunk_pages: dict[tuple[int, float], list[np.ndarray]] = {}
-        self._hop_cache: dict[tuple[int, float, int, int], np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # storage
@@ -184,21 +180,11 @@ class MSDN:
         self._store = LocatorStore(items, pages, page_class=PAGE_CLASS_MSDN)
         self._chunk_pages.clear()
 
-    def _touch(self, chunks: list[SdnChunk], resolution: float) -> None:
-        if self._store is None:
-            return
-        ids = [
-            ("chunk", c.axis, round(resolution * 1000), c.plane_index, c.first)
-            for c in chunks
-        ]
-        self._store.touch(ids)
-
     def _plane_pages(self, axis: int, resolution: float) -> list[np.ndarray]:
         """Per-plane arrays of the page id backing each chunk, aligned
         with ``self._chunks[(axis, resolution)]`` rows — resolves the
-        record-id → page mapping once so the frontier-mode hot path
-        charges I/O by page array instead of rebuilding record-id
-        tuples per call."""
+        record-id → page mapping once so the hot path charges I/O by
+        page array instead of rebuilding record-id tuples per call."""
         key = (axis, resolution)
         cached = self._chunk_pages.get(key)
         if cached is None:
@@ -245,52 +231,34 @@ class MSDN:
         dy = abs(float(point_b[1]) - float(point_a[1]))
         return 0 if dx >= dy else 1
 
-    def _layers_between(
-        self, axis: int, resolution: float, lo: float, hi: float, stride: int
-    ) -> list[tuple[list[SdnChunk], np.ndarray]]:
+    def _planes_between(
+        self, axis: int, lo: float, hi: float, stride: int
+    ) -> list[int]:
+        """Indices of the planes strictly between ``lo`` and ``hi``,
+        thinned by ``stride``, in ascending order."""
         planes = self._planes[axis]
-        # Vectorized strict-interval selection (same planes, same
-        # order, same post-filter stride as the scalar loop it
-        # replaces).
-        idxs = np.nonzero((planes > lo) & (planes < hi))[0][:: max(1, stride)]
-        per_plane = self._chunks[(axis, resolution)]
-        bounds = self._chunk_xy[(axis, resolution)]
-        return [(per_plane[int(i)], bounds[int(i)]) for i in idxs]
+        inside = np.nonzero((planes > lo) & (planes < hi))[0]
+        return inside[:: max(1, stride)].tolist()
 
     def touch_region(self, resolution: float, roi=None, axes=(0, 1)) -> None:
         """Charge page I/O for the chunks a lower-bound estimation
         over ``roi`` would fetch (integrated I/O regions call this
         once per merged region, then estimate with
-        ``charge_io=False``)."""
+        ``charge_io=False``).  Each plane reads its distinct pages in
+        ascending order."""
+        store = self._store
+        if store is None:
+            return
         resolution = self.nearest_resolution(resolution)
         roi = _roi_list(roi)
-        if kernel_mode() == "frontier" and self._store is not None:
-            # Page-array fast path: same distinct pages read per
-            # plane, in the same ascending order, without building
-            # per-chunk record-id tuples.
-            store = self._store
-            for axis in axes:
-                bounds = self._chunk_xy[(axis, resolution)]
-                pages = self._plane_pages(axis, resolution)
-                for xy, page_arr in zip(bounds, pages):
-                    if roi is None:
-                        plane_pages = page_arr
-                    else:
-                        plane_pages = page_arr[_box_mask(xy, roi)]
-                    if plane_pages.size:
-                        store.touch_pages(plane_pages)
-            return
         for axis in axes:
-            layers = self._chunks[(axis, resolution)]
             bounds = self._chunk_xy[(axis, resolution)]
-            for layer, xy in zip(layers, bounds):
-                if roi is None:
-                    chunks = layer
-                else:
-                    mask = _box_mask(xy, roi)
-                    chunks = [layer[j] for j in np.nonzero(mask)[0]]
-                if chunks:
-                    self._touch(chunks, resolution)
+            pages = self._plane_pages(axis, resolution)
+            for xy, page_arr in zip(bounds, pages):
+                if roi is not None:
+                    page_arr = page_arr[_box_mask(xy, roi)]
+                if page_arr.size:
+                    store.touch_pages(page_arr)
 
     def lower_bound(
         self,
@@ -368,8 +336,8 @@ class MSDN:
 
     def _boxes3d(self, axis: int, resolution: float) -> list:
         """Cached per-plane 3D chunk-MBR ``(lo, hi)`` row arrays —
-        the frontier-mode DP input, built once per (axis, resolution)
-        instead of rebuilt from chunk objects on every estimation."""
+        the DP input, built once per (axis, resolution) instead of
+        rebuilt from chunk objects on every estimation."""
         key = (axis, resolution)
         cached = self._chunk_boxes3d.get(key)
         if cached is None:
@@ -386,145 +354,60 @@ class MSDN:
     def _lower_bound_at(
         self, pa, pb, resolution: float, roi, corridor_boxes, charge_io: bool
     ) -> LowerBoundResult:
-        """Shared implementation: arguments already normalized."""
+        """Shared implementation: arguments already normalized.
+
+        Index-filters the cached per-plane box arrays, charges each
+        kept plane's pages and runs
+        :func:`repro.msdn.sdn.lower_bound_via_planes_arrays`, which is
+        bit-identical to the object-walk DP
+        :func:`repro.msdn.sdn.lower_bound_via_planes`."""
         axis = self.choose_axis(pa, pb)
         lo = min(pa[axis], pb[axis])
         hi = max(pa[axis], pb[axis])
         if pa[axis] > pb[axis]:
             pa, pb = pb, pa
-        stride = self.plane_stride(resolution)
-        layers = self._layers_between(axis, resolution, lo, hi, stride)
-        if kernel_mode() == "frontier":
-            return self._lower_bound_arrays(
-                pa, pb, axis, resolution, layers, roi, corridor_boxes, charge_io
-            )
-
-        filtered: list[list[SdnChunk]] = []
-        used = 0
-        for layer, xy in layers:
-            if roi is None and corridor_boxes is None:
-                keep = layer
-            else:
-                mask = np.ones(xy.shape[0], dtype=bool)
-                if roi is not None:
-                    mask &= _box_mask(xy, roi)
-                if corridor_boxes is not None:
-                    mask &= _box_mask(xy, corridor_boxes)
-                keep = [layer[j] for j in np.nonzero(mask)[0]]
-            if keep:  # dropping an empty plane only loosens the bound
-                filtered.append(keep)
-                used += len(keep)
-        if charge_io:
-            for layer in filtered:
-                self._touch(layer, resolution)
-        value, path_keys = lower_bound_via_planes(pa, pb, filtered)
-        return LowerBoundResult(
-            value=value,
-            path_keys=path_keys,
-            resolution=resolution,
-            chunks_used=used,
-        )
-
-    def _hops_for(
-        self, axis, resolution, plane_indices, keep_idxs
-    ) -> list[np.ndarray] | None:
-        """Consecutive-layer hop matrices sliced from the per-plane-
-        pair cache (full-plane matrices computed once, reused by every
-        estimation that crosses the same pair)."""
-        if len(plane_indices) < 2:
-            return None
-        boxes3d = self._boxes3d(axis, resolution)
-        hops: list[np.ndarray] = []
-        for (pi, ki), (pj, kj) in zip(
-            zip(plane_indices, keep_idxs),
-            zip(plane_indices[1:], keep_idxs[1:]),
-        ):
-            key = (axis, resolution, pi, pj)
-            full = self._hop_cache.get(key)
-            if full is None:
-                lo_u, hi_u = boxes3d[pi]
-                lo_l, hi_l = boxes3d[pj]
-                full = _boxes_to_boxes(lo_u, hi_u, lo_l, hi_l)
-                self._hop_cache[key] = full
-            if ki is None and kj is None:
-                hop = full
-            elif ki is None:
-                hop = full[:, kj]
-            elif kj is None:
-                hop = full[ki, :]
-            else:
-                hop = full[np.ix_(ki, kj)]
-            hops.append(hop)
-        return hops
-
-    def _lower_bound_arrays(
-        self, pa, pb, axis, resolution, layers, roi, corridor_boxes, charge_io
-    ) -> LowerBoundResult:
-        """Frontier-mode estimation over the cached 3D box arrays —
-        index-filtered slices instead of per-call object walks; the
-        DP is bit-identical to :func:`lower_bound_via_planes`."""
-        boxes3d = self._boxes3d(axis, resolution)
         per_plane = self._chunks[(axis, resolution)]
+        bounds = self._chunk_xy[(axis, resolution)]
+        boxes3d = self._boxes3d(axis, resolution)
         pages = (
             self._plane_pages(axis, resolution)
             if charge_io and self._store is not None
             else None
         )
-        kept_layers: list = []  # (chunk_list, kept_row_indices)
-        plane_indices: list[int] = []
+        kept: list = []  # (chunk_list, kept_row_indices or None)
         layer_boxes: list[tuple[np.ndarray, np.ndarray]] = []
         used = 0
-        for layer, xy in layers:
-            if not layer:
+        for pi in self._planes_between(
+            axis, lo, hi, self.plane_stride(resolution)
+        ):
+            layer = per_plane[pi]
+            if not layer:  # dropping an empty plane only loosens the bound
                 continue
-            # chunk.plane_index is the row in self._chunks[(axis, res)]
-            # (planes are built in self._planes[axis] order).
-            plane_index = layer[0].plane_index
-            lo3, hi3 = boxes3d[plane_index]
-            if roi is None and corridor_boxes is None:
-                keep_idx = None
-                kept_lo, kept_hi = lo3, hi3
-                count = len(layer)
-            else:
-                mask = np.ones(xy.shape[0], dtype=bool)
+            lo3, hi3 = boxes3d[pi]
+            keep_idx = None
+            if roi is not None or corridor_boxes is not None:
+                mask = np.ones(len(layer), dtype=bool)
                 if roi is not None:
-                    mask &= _box_mask(xy, roi)
+                    mask &= _box_mask(bounds[pi], roi)
                 if corridor_boxes is not None:
-                    mask &= _box_mask(xy, corridor_boxes)
+                    mask &= _box_mask(bounds[pi], corridor_boxes)
                 keep_idx = np.nonzero(mask)[0]
-                count = int(keep_idx.size)
-                if count == 0:
+                if keep_idx.size == 0:
                     continue
-                kept_lo = lo3[keep_idx]
-                kept_hi = hi3[keep_idx]
-            kept_layers.append((layer, keep_idx))
-            plane_indices.append(plane_index)
-            layer_boxes.append((kept_lo, kept_hi))
-            used += count
-            if charge_io:
-                if pages is not None:
-                    page_arr = pages[plane_index]
-                    self._store.touch_pages(
-                        page_arr if keep_idx is None else page_arr[keep_idx]
-                    )
-                else:
-                    chunks = (
-                        layer
-                        if keep_idx is None
-                        else [layer[j] for j in keep_idx]
-                    )
-                    self._touch(chunks, resolution)
-        hops = self._hops_for(
-            axis, resolution, plane_indices,
-            [idx for _layer, idx in kept_layers],
-        )
-        value, picks = lower_bound_via_planes_arrays(
-            pa, pb, layer_boxes, hops=hops
-        )
-        path_keys = []
-        for (layer, keep_idx), row in zip(kept_layers, picks):
-            chunk = layer[row] if keep_idx is None else layer[int(keep_idx[row])]
-            path_keys.append(chunk.key)
+                lo3, hi3 = lo3[keep_idx], hi3[keep_idx]
+            kept.append((layer, keep_idx))
+            layer_boxes.append((lo3, hi3))
+            used += lo3.shape[0]
+            if pages is not None:
+                page_arr = pages[pi]
+                self._store.touch_pages(
+                    page_arr if keep_idx is None else page_arr[keep_idx]
+                )
+        value, picks = lower_bound_via_planes_arrays(pa, pb, layer_boxes)
+        path_keys = [
+            layer[row if keep_idx is None else int(keep_idx[row])].key
+            for (layer, keep_idx), row in zip(kept, picks)
+        ]
         return LowerBoundResult(
             value=value,
             path_keys=path_keys,

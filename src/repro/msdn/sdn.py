@@ -184,23 +184,20 @@ def lower_bound_via_planes_arrays(
     point_a,
     point_b,
     layer_boxes: list[tuple[np.ndarray, np.ndarray]],
-    hops: list[np.ndarray] | None = None,
 ) -> tuple[float, list[int]]:
     """Array-input twin of :func:`lower_bound_via_planes`.
 
     ``layer_boxes`` holds each selected plane's chunk MBRs as
     ``(lo, hi)`` row arrays — pre-sliced from cached per-plane arrays
-    instead of rebuilt from chunk objects per call (the frontier-mode
-    hot path).  The min-plus dynamic program runs the exact float
+    instead of rebuilt from chunk objects per call (the MSDN hot
+    path).  The min-plus dynamic program runs the exact float
     operations of the object-input twin, so the bound is
     bit-identical; the backtrack returns one *row index per layer*
     (into the given arrays) for the caller to map back to chunk keys.
 
-    ``hops`` (optional) supplies the consecutive-layer min-distance
-    matrices, one per layer pair, typically sliced from a per-plane-
-    pair cache.  Each hop entry depends only on its own row/col boxes,
-    so a sliced cached matrix is bit-identical to one computed on the
-    kept subsets.
+    Each hop matrix is computed on the kept subsets only.  An entry
+    depends on nothing but its own row and column boxes, so this
+    equals slicing a matrix over whole planes, without holding one.
     """
     pa = np.asarray(point_a, dtype=float)
     pb = np.asarray(point_b, dtype=float)
@@ -213,13 +210,8 @@ def lower_bound_via_planes_arrays(
     lo0, hi0 = layer_boxes[0]
     dist = _point_to_boxes(pa, lo0, hi0)
     choices: list[np.ndarray] = []
-    for li, ((lo_u, hi_u), (lo_l, hi_l)) in enumerate(
-        zip(layer_boxes, layer_boxes[1:])
-    ):
-        if hops is not None:
-            hop = hops[li]
-        else:
-            hop = _boxes_to_boxes(lo_u, hi_u, lo_l, hi_l)
+    for (lo_u, hi_u), (lo_l, hi_l) in zip(layer_boxes, layer_boxes[1:]):
+        hop = _boxes_to_boxes(lo_u, hi_u, lo_l, hi_l)
         total = dist[:, np.newaxis] + hop
         picks = np.argmin(total, axis=0)
         choices.append(picks)

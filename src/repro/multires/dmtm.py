@@ -25,8 +25,8 @@ import numpy as np
 
 from repro.errors import MultiresError
 from repro.geodesic.csr import (
+    CSRGraph,
     graph_dijkstra_with_parents,
-    kernel_mode,
     multi_source_dijkstra_csr,
 )
 from repro.geodesic.graph import KeyedGraph
@@ -98,8 +98,8 @@ class DMTM:
         self.steiner_per_edge = steiner_per_edge
         self._node_store: LocatorStore | None = None
         self._face_store: LocatorStore | None = None
-        # Frontier-mode I/O fast path: record-id → page resolved once
-        # per store (same pages read, same order, no per-call tuples).
+        # Record-id → page resolved once per store on first touch
+        # (same pages read, same order, no per-call tuples).
         self._node_pages: np.ndarray | None = None
         self._face_pages: np.ndarray | None = None
 
@@ -200,36 +200,23 @@ class DMTM:
         store = self._node_store
         if store is None:
             return
-        if kernel_mode() == "frontier":
-            if self._node_pages is None:
-                self._node_pages = np.array(
-                    [
-                        store.page_of(node.node_id)
-                        for node in self.ddm.history.nodes
-                    ],
-                    dtype=np.int64,
-                )
-            store.touch_pages(
-                self._node_pages[np.asarray(node_ids, dtype=np.int64)]
+        if self._node_pages is None:
+            self._node_pages = np.array(
+                [store.page_of(node.node_id) for node in self.ddm.history.nodes],
+                dtype=np.int64,
             )
-            return
-        store.touch(node_ids)
+        store.touch_pages(self._node_pages[np.asarray(node_ids, dtype=np.int64)])
 
     def _touch_faces(self, face_ids) -> None:
         store = self._face_store
         if store is None:
             return
-        if kernel_mode() == "frontier":
-            if self._face_pages is None:
-                self._face_pages = np.array(
-                    [store.page_of(fi) for fi in range(self.mesh.num_faces)],
-                    dtype=np.int64,
-                )
-            store.touch_pages(
-                self._face_pages[np.asarray(list(face_ids), dtype=np.int64)]
+        if self._face_pages is None:
+            self._face_pages = np.array(
+                [store.page_of(fi) for fi in range(self.mesh.num_faces)],
+                dtype=np.int64,
             )
-            return
-        store.touch(int(fi) for fi in face_ids)
+        store.touch_pages(self._face_pages[np.asarray(face_ids, dtype=np.int64)])
 
     # ------------------------------------------------------------------
     # extraction
@@ -246,8 +233,7 @@ class DMTM:
         roi = _roi_list(roi)
         if resolution <= 1.0:
             step = self.ddm.step_for_fraction(resolution)
-            cut = [int(n) for n in self.ddm.cut_node_ids(step, roi)]
-            self._touch_nodes(cut)
+            self._touch_nodes(self.ddm.cut_node_ids(step, roi))
         else:
             self._touch_faces(self._faces_in_roi(roi))
 
@@ -267,35 +253,13 @@ class DMTM:
         return self._extract_pathnet(resolution, roi, charge_io)
 
     def _extract_cut(self, resolution: float, roi, charge_io: bool) -> NetworkView:
+        """The cut's recorded edges, selected and compiled to CSR with
+        array operations.  Node set, edge set and weights are those of
+        one ``add_edge`` per :meth:`DistanceDirectMesh.cut_edges` edge
+        (same first-occurrence dedupe — see DDM.cut_edge_arrays), so
+        every search returns the same distances."""
         step = self.ddm.step_for_fraction(resolution)
         cut_ids = self.ddm.cut_node_ids(step, roi)
-        if kernel_mode() == "frontier" and cut_ids.size:
-            return self._extract_cut_arrays(resolution, step, cut_ids, charge_io)
-        cut = [int(n) for n in cut_ids]
-        if charge_io:
-            self._touch_nodes(cut)
-        graph = KeyedGraph()
-        for node_id in cut:
-            graph.add_node(
-                ("n", node_id), position=self.ddm.node_position(node_id)
-            )
-        for u, w, d in self.ddm.cut_edges(cut):
-            graph.add_edge(("n", u), ("n", w), d)
-        return NetworkView(
-            graph=graph, resolution=resolution, records_used=len(cut), step=step
-        )
-
-    def _extract_cut_arrays(
-        self, resolution: float, step: int, cut_ids: np.ndarray, charge_io: bool
-    ) -> NetworkView:
-        """Frontier-mode cut extraction: the cut's recorded edges are
-        selected and compiled to CSR with array operations instead of
-        per-edge ``add_edge`` calls.  The node set, edge set and edge
-        weights are exactly those of the object path (same
-        first-occurrence dedupe — see DDM.cut_edge_arrays), so
-        searches over either build return the same distances."""
-        from repro.geodesic.csr import CSRGraph
-
         if charge_io:
             self._touch_nodes(cut_ids)
         u, w, d = self.ddm.cut_edge_arrays(cut_ids)
@@ -508,17 +472,18 @@ class DMTM:
         unreachable targets — the contract of
         ``DistanceRanker._combined_ubs``.
 
-        At the pathnet level with the CSR kernels this settles every
-        anchor and every candidate in ONE multi-source search instead
-        of one Dijkstra per anchor; the multi-source priority is
-        recomposed as ``offset + raw`` per relaxation, which is the
-        same float expression the per-anchor path evaluates, so the
-        values (and tie-broken paths) are unchanged.  Cut levels keep
-        the per-anchor composition ``offset_a + (off_s + off_t + d)``
+        At the pathnet level this settles every anchor and every
+        candidate in ONE multi-source search instead of one Dijkstra
+        per anchor; the multi-source priority is recomposed as
+        ``offset + raw`` per relaxation, the float expression the
+        per-anchor path evaluates, so values agree with one search per
+        anchor up to an ulp where anchors' labels meet (see
+        :func:`repro.geodesic.csr.multi_source_heap`).  Cut levels keep the
+        per-anchor composition ``offset_a + (off_s + off_t + d)``
         whose float rounding a folded search could not reproduce, so
-        they run one (CSR) multi-target search per anchor.
+        they run one multi-target search per anchor.
         """
-        if kernel_mode() != "reference" and network.resolution > 1.0:
+        if network.resolution > 1.0:
             return self._upper_bounds_multi_pathnet(
                 anchors, target_vertices, network
             )
@@ -552,16 +517,9 @@ class DMTM:
             for v in target_vertices
             if vertex_key(v) in graph
         }
-        if kernel_mode() == "frontier":
-            from repro.geodesic.frontier import multi_source_frontier
-
-            found = multi_source_frontier(
-                network.csr(), sources, targets=set(target_ids)
-            )
-        else:
-            found = multi_source_dijkstra_csr(
-                network.csr(), sources, targets=set(target_ids)
-            )
+        found = multi_source_dijkstra_csr(
+            network.csr(), sources, targets=set(target_ids)
+        )
         best: dict[int, tuple[float, list]] = {}
         for v in target_vertices:
             key_v = vertex_key(v)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import TerrainError
-from repro.geodesic.csr import csr_from_adjacency, dijkstra_csr, kernel_mode
-from repro.geodesic.dijkstra import dijkstra
+from repro.geodesic.csr import csr_from_adjacency, dijkstra_csr
 from repro.geometry.vectors import dist
 
 
@@ -30,9 +29,8 @@ def surface_to_euclid_ratio(mesh, num_pairs: int = 32, seed: int = 0) -> float:
     if num_pairs < 1:
         raise TerrainError("num_pairs must be >= 1")
     rng = np.random.default_rng(seed)
-    adj = mesh.edge_network()
     # One CSR compile serves every sampled pair below.
-    csr = csr_from_adjacency(adj) if kernel_mode() != "reference" else None
+    csr = csr_from_adjacency(mesh.edge_network())
     ratios: list[float] = []
     attempts = 0
     while len(ratios) < num_pairs and attempts < num_pairs * 4:
@@ -43,10 +41,7 @@ def surface_to_euclid_ratio(mesh, num_pairs: int = 32, seed: int = 0) -> float:
         euclid = float(dist(mesh.vertices[a], mesh.vertices[b]))
         if euclid == 0.0:
             continue
-        if csr is not None:
-            network = dijkstra_csr(csr, int(a), targets={int(b)}).get(int(b))
-        else:
-            network = dijkstra(adj, int(a), targets={int(b)}).get(int(b))
+        network = dijkstra_csr(csr, int(a), targets={int(b)}).get(int(b))
         if network is None:
             continue
         ratios.append(network / euclid)

@@ -7,10 +7,12 @@ pair's identity (or bound) is asserted:
 ==================  =================================================
 pair                contract
 ==================  =================================================
-CSR vs reference    bit-identical results, intervals and logical
-kernels             page reads (PR 4's kernel transparency)
-frontier vs CSR     the bucketed numpy kernels carry the same
-kernels             bit-identity contract, logical reads included
+components vs       the array pathnet builder, the compiled-graph
+oracles             search kernels and MSDN lower bounds agree
+                    exactly with the reference implementations
+                    (:mod:`repro.testkit.reference`, dict kernels)
+                    on the scenario's terrain, queries and objects
+                    (``component_identity``)
 batch w=N vs        bit-identical per-query results, intervals and
 sequential          logical reads (PR 2's bound-cache transparency)
 faulted + retry     identical answers to the clean engine; fault
@@ -22,8 +24,8 @@ exhaustive          a tripped budget still satisfies every oracle
 landmarks on vs     identical neighbour ids and degraded reporting,
 off                 landmark bounds admissible vs exact geodesics
                     (``landmark_admissible``); the landmarks-on run
-                    itself stays bit-identical across the kernel and
-                    batch axes (PR 7)
+                    itself stays bit-identical across the batch axis
+                    (PR 7)
 persistent          queries never crash: every answer is exact or
 (kill-list) vs      ``degraded=True`` with ``degraded_reason=
 clean               "storage"`` and sound intervals; quarantined
@@ -32,8 +34,8 @@ clean               "storage"`` and sound intervals; quarantined
 sharded vs          identical answer sets and degraded/budget flags,
 monolithic          rewritten intervals stay sound
                     (``shard_consistency``); the sharded run itself
-                    keeps its identity across the kernel, frontier,
-                    batch and transient-fault axes (tentpole PR)
+                    keeps its identity across the batch and
+                    transient-fault axes (PR 10)
 ==================  =================================================
 
 Every mode's results additionally run the full invariant-oracle
@@ -54,12 +56,20 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from repro.core.baseline import exact_knn
 from repro.core.batch import BatchQueryExecutor
 from repro.core.budget import QueryBudget
 from repro.errors import QueryError
-from repro.geodesic import use_kernel_mode
-from repro.geodesic.csr import use_reference_kernels
+from repro.geometry.primitives import BoundingBox
+from repro.geodesic.csr import (
+    graph_dijkstra_with_parents,
+    multi_source_dijkstra_csr,
+    multi_source_heap,
+)
+from repro.geodesic.dijkstra import dijkstra_reference, dijkstra_with_parents_reference
+from repro.geodesic.pathnet import build_pathnet, vertex_key
 from repro.testkit.generators import (
     Scenario,
     build_engine,
@@ -68,8 +78,17 @@ from repro.testkit.generators import (
     resolve_queries,
 )
 from repro.testkit.oracles import OracleContext, Violation, run_oracles
+from repro.testkit.reference import (
+    build_pathnet_reference,
+    msdn_lower_bound_reference,
+)
 
 EPS = 1e-6
+
+#: Relative tolerance between a multi-source label and the per-anchor
+#: dict composition: about 4500 float64 ulps, above the rounding of any
+#: pathnet path sum, far below any bound gap the ranking acts on.
+MULTI_SOURCE_RTOL = 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -214,6 +233,93 @@ def _compare(mode, index, base, other, findings, *, logical=True) -> None:
 
 
 # ----------------------------------------------------------------------
+# component oracles
+# ----------------------------------------------------------------------
+
+
+def component_mismatches(engine, query_vertices) -> list[tuple[int, str]]:
+    """Production components vs their reference twins on one engine.
+
+    Checks the pathnet builder once, then per query vertex: full and
+    early-exit single-source searches on the pathnet, a two-anchor
+    multi-source search toward the objects, and the MSDN lower bound
+    to every object at every resolution, without and with an ROI box.
+    Returns ``(query_index, message)`` pairs; ``-1`` for the builder.
+    """
+    mesh = engine.mesh
+    spe = engine.dmtm.steiner_per_edge
+    out: list[tuple[int, str]] = []
+    graph = build_pathnet(mesh, spe)
+    ref = build_pathnet_reference(mesh, spe)
+    if len(graph) != len(ref) or any(
+        graph.key_of(i) != ref.key_of(i)
+        or tuple(graph.position_of(i)) != tuple(ref.position_of(i))
+        for i in range(len(ref))
+    ) or graph.adjacency != ref.adjacency:
+        out.append((-1, "array pathnet builder diverged from the reference"))
+        return out
+    adjacency = ref.adjacency
+    object_vertices = sorted(
+        {engine.objects.vertex_of(o) for o in range(len(engine.objects))}
+    )
+    targets = {graph.node_id(vertex_key(v)) for v in object_vertices}
+    edge_network = mesh.edge_network()
+    msdn = engine.msdn
+    for index, qv in enumerate(query_vertices):
+        src = graph.node_id(vertex_key(qv))
+        if graph_dijkstra_with_parents(graph, src) != (
+            dijkstra_with_parents_reference(adjacency, src)
+        ):
+            out.append((index, "single-source sweep diverged"))
+        if graph_dijkstra_with_parents(graph, src, targets=set(targets)) != (
+            dijkstra_with_parents_reference(adjacency, src, targets=set(targets))
+        ):
+            out.append((index, "early-exit single-source search diverged"))
+        # Second anchor: a mesh neighbour offset by the edge length
+        # (an embedded point's multi-anchor shape).
+        sources = [(src, 0.0)] + [
+            (graph.node_id(vertex_key(v)), float(w))
+            for v, w in edge_network[qv][:1]
+        ]
+        found = multi_source_dijkstra_csr(graph.csr(), sources, set(targets))
+        heap = multi_source_heap(graph.csr(), sources, set(targets))
+        if found != heap:
+            out.append((index, "multi-source kernels diverged"))
+        # Against one dict search per anchor the values agree up to
+        # rounding only: where two anchors' labels meet at a node, the
+        # winner's path can sum an ulp above the loser's continuation.
+        want: dict[int, float] = {}
+        for node, offset in sources:
+            dist = dijkstra_reference(adjacency, node, targets=set(targets))
+            for t in targets:
+                if t in dist and (t not in want or offset + dist[t] < want[t]):
+                    want[t] = offset + dist[t]
+        if set(want) != (targets & set(found.value)) or any(
+            not math.isclose(found.value[t], v, rel_tol=MULTI_SOURCE_RTOL)
+            for t, v in want.items()
+        ):
+            out.append((index, "multi-source values left the per-anchor "
+                               "composition"))
+        pq = mesh.vertices[qv]
+        for ov in object_vertices:
+            po = mesh.vertices[ov]
+            box = BoundingBox.of_points(np.array([pq[:2], po[:2]]))
+            for res in msdn.resolutions:
+                for roi in (None, box):
+                    got = msdn.lower_bound(pq, po, res, roi=roi, charge_io=False)
+                    ref_lb = msdn_lower_bound_reference(
+                        msdn, pq, po, res, roi=roi, charge_io=False
+                    )
+                    if got != ref_lb:
+                        out.append(
+                            (index, f"MSDN lower bound to vertex {ov} at "
+                                    f"r={res} (roi={roi is not None}) "
+                                    f"diverged: {got} != {ref_lb}")
+                        )
+    return out
+
+
+# ----------------------------------------------------------------------
 # the runner
 # ----------------------------------------------------------------------
 
@@ -265,7 +371,7 @@ def run_scenario(
             )
 
     # ------------------------------------------------------------------
-    # baseline: sequential, CSR kernels, clean storage, unbudgeted
+    # baseline: sequential, clean storage, unbudgeted
     # ------------------------------------------------------------------
     baseline = []
     report.modes_run.append("baseline")
@@ -277,34 +383,22 @@ def run_scenario(
         check("baseline", index, result)
 
     # ------------------------------------------------------------------
-    # CSR vs reference kernels: bit-identity on the same engine
+    # components vs oracles: the array data path against the reference
+    # implementations it replaced, on this scenario's terrain
     # ------------------------------------------------------------------
-    if active("kernel"):
-        report.modes_run.append("kernel")
-        with use_reference_kernels():
-            for index, q in enumerate(queries):
-                result = mutate(
-                    engine.query(q.vertex, q.k, step_length=q.step_length)
+    if active("oracle"):
+        report.modes_run.append("oracle")
+        for index, message in component_mismatches(
+            engine, [q.vertex for q in queries]
+        ):
+            report.findings.append(
+                Finding(
+                    mode="oracle", query_index=index,
+                    violation=Violation(
+                        oracle="component_identity", message=message
+                    ),
                 )
-                check("kernel", index, result)
-                _compare("kernel", index, baseline[index], result,
-                         report.findings)
-
-    # ------------------------------------------------------------------
-    # frontier vs CSR kernels: bit-identity on the same engine (the
-    # bucketed numpy kernels share the CSR kernels' full contract,
-    # logical page reads included)
-    # ------------------------------------------------------------------
-    if active("frontier"):
-        report.modes_run.append("frontier")
-        with use_kernel_mode("frontier"):
-            for index, q in enumerate(queries):
-                result = mutate(
-                    engine.query(q.vertex, q.k, step_length=q.step_length)
-                )
-                check("frontier", index, result)
-                _compare("frontier", index, baseline[index], result,
-                         report.findings)
+            )
 
     # ------------------------------------------------------------------
     # batch w=N vs sequential: bit-identity through the executor
@@ -342,8 +436,8 @@ def run_scenario(
 
     # ------------------------------------------------------------------
     # landmarks on vs off: same answers, admissible bounds — and the
-    # landmark run must itself stay bit-identical across the kernel
-    # and batch axes (the landmarks-on/off axis composes with both)
+    # landmark run must itself stay bit-identical across the batch
+    # axis (the landmarks-on/off axis composes with it)
     # ------------------------------------------------------------------
     if active("landmarks"):
         report.modes_run.append("landmarks")
@@ -364,13 +458,6 @@ def run_scenario(
                 object_vertices=object_vertices,
                 baseline=baseline[index],
             )
-        with use_reference_kernels():
-            for index, q in enumerate(queries):
-                result = mutate(
-                    lm_engine.query(q.vertex, q.k, step_length=q.step_length)
-                )
-                _compare("landmarks+kernel", index, lm_results[index],
-                         result, report.findings)
         executor = BatchQueryExecutor(
             lm_engine, workers=max(1, scenario.batch_workers)
         )
@@ -518,8 +605,8 @@ def run_scenario(
 
     # ------------------------------------------------------------------
     # sharded vs monolithic: identical answer sets and flags, sound
-    # rewritten intervals — composed with the kernel, frontier, batch
-    # and transient-fault axes (budget and kill-list legs stay
+    # rewritten intervals — composed with the batch and
+    # transient-fault axes (budget and kill-list legs stay
     # monolithic: budget accounting and dead-page schedules are
     # whole-store properties a tile split deliberately changes)
     # ------------------------------------------------------------------
@@ -535,24 +622,6 @@ def run_scenario(
             check(
                 "shards", index, result, shard_baseline=baseline[index]
             )
-        with use_reference_kernels():
-            for index, q in enumerate(queries):
-                result = mutate(
-                    sharded.query(q.vertex, q.k, step_length=q.step_length)
-                )
-                check(
-                    "shards+kernel", index, result,
-                    shard_baseline=baseline[index],
-                )
-        with use_kernel_mode("frontier"):
-            for index, q in enumerate(queries):
-                result = mutate(
-                    sharded.query(q.vertex, q.k, step_length=q.step_length)
-                )
-                check(
-                    "shards+frontier", index, result,
-                    shard_baseline=baseline[index],
-                )
         executor = BatchQueryExecutor(
             sharded, workers=max(1, scenario.batch_workers)
         )

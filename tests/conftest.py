@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.batch import shared_bound_cache
 from repro.core.engine import SurfaceKNNEngine
-from repro.geodesic.csr import set_kernel_mode
 from repro.obs.context import ObsContext
 from repro.terrain.mesh import TriangleMesh
 from repro.testkit.generators import standard_engine, standard_mesh
@@ -22,10 +21,9 @@ from repro.testkit.generators import standard_engine, standard_mesh
 def _reset_shared_state():
     """Process-wide state must not leak between test modules.
 
-    Guards the two pieces of genuinely global state: the shared batch
-    bound cache and the geodesic kernel mode.  Reset runs before AND
-    after each module, so a module that crashes mid-test cannot
-    poison its successors either way.
+    Guards the one piece of genuinely global state: the shared batch
+    bound cache.  Reset runs before AND after each module, so a module
+    that crashes mid-test cannot poison its successors either way.
 
     The metrics registry is deliberately NOT reset here: tests that
     read counters run inside a scoped :class:`repro.obs.ObsContext`
@@ -33,13 +31,9 @@ def _reset_shared_state():
     registry's contents.
     """
 
-    def reset():
-        shared_bound_cache().clear()
-        set_kernel_mode("csr")
-
-    reset()
+    shared_bound_cache().clear()
     yield
-    reset()
+    shared_bound_cache().clear()
 
 
 @pytest.fixture

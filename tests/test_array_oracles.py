@@ -1,0 +1,186 @@
+"""The array data path pinned against the reference implementations.
+
+MSDN lower bounds, MSDN region charging and DMTM cut extraction run
+on cached arrays; :mod:`repro.testkit.reference` keeps the object
+walks they replaced.  Results must agree exactly — bound value, path
+keys, chunk count, graph — and both sides must read the same pages in
+the same order.  The pathnet builder and the search kernels have
+their own oracle suites (test_geodesic_frontier, test_geodesic_csr);
+here only the builder's degenerate-face error is pinned.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.errors import GeodesicError
+from repro.geodesic.csr import graph_dijkstra_with_parents
+from repro.geodesic.dijkstra import dijkstra_with_parents_reference
+from repro.geodesic.pathnet import build_pathnet
+from repro.geometry.primitives import BoundingBox
+from repro.terrain.mesh import TriangleMesh
+from repro.testkit.generators import standard_engine
+from repro.testkit.reference import (
+    build_pathnet_reference,
+    dmtm_cut_reference,
+    msdn_lower_bound_reference,
+    msdn_touch_region_reference,
+)
+
+
+@pytest.fixture(scope="module", params=["BH", "EP"])
+def engine(request):
+    return standard_engine(request.param, 17, density=10.0, seed=3)
+
+
+@pytest.fixture
+def page_log(engine, monkeypatch):
+    """Every page id the engine's structures read, in order."""
+    log: list[int] = []
+    read = engine.pages.read
+
+    def logged(page_id):
+        log.append(page_id)
+        return read(page_id)
+
+    monkeypatch.setattr(engine.pages, "read", logged)
+    return log
+
+
+def _pairs(engine):
+    """Query/object point pairs across the terrain, both plane axes."""
+    mesh = engine.mesh
+    n = mesh.num_vertices
+    vertices = [0, n // 3, n // 2, n - 1, 17, n - 18]
+    return [
+        (mesh.vertices[a], mesh.vertices[b])
+        for a in vertices
+        for b in vertices
+        if a != b
+    ]
+
+
+def _boxes(pa, pb, spacing):
+    """An ROI around the pair and a thin corridor along it."""
+    roi = BoundingBox.of_points(np.array([pa[:2], pb[:2]])).expanded(spacing)
+    mid = (np.asarray(pa[:2]) + np.asarray(pb[:2])) / 2.0
+    corridor = [BoundingBox(tuple(mid - spacing), tuple(mid + spacing))]
+    return roi, corridor
+
+
+class TestMSDNLowerBound:
+    @pytest.mark.parametrize("charge_io", [False, True])
+    def test_matches_object_walk(self, engine, page_log, charge_io):
+        msdn = engine.msdn
+        for pa, pb in _pairs(engine):
+            roi, corridor = _boxes(pa, pb, 2.0 * msdn.spacing)
+            for res in msdn.resolutions:
+                for kwargs in ({}, {"roi": roi}, {"corridor": corridor},
+                               {"roi": roi, "corridor": corridor}):
+                    page_log.clear()
+                    got = msdn.lower_bound(pa, pb, res, charge_io=charge_io,
+                                           **kwargs)
+                    got_pages = list(page_log)
+                    page_log.clear()
+                    want = msdn_lower_bound_reference(
+                        msdn, pa, pb, res, charge_io=charge_io, **kwargs
+                    )
+                    assert got.value == want.value
+                    assert got.path_keys == want.path_keys
+                    assert got.chunks_used == want.chunks_used
+                    assert got == want
+                    assert got_pages == page_log
+                    assert bool(got_pages) == (charge_io and got.chunks_used > 0)
+
+    def test_batch_matches_object_walk(self, engine, page_log):
+        msdn = engine.msdn
+        pairs = _pairs(engine)[:8]
+        source = pairs[0][0]
+        targets = [pb for _pa, pb in pairs]
+        rois = [_boxes(source, pb, msdn.spacing)[0] for pb in targets]
+        for res in msdn.resolutions:
+            for roi_list in (None, rois):
+                page_log.clear()
+                got = msdn.lower_bound_batch(
+                    source, targets, res, rois=roi_list, charge_io=True
+                )
+                got_pages = list(page_log)
+                page_log.clear()
+                want = [
+                    msdn_lower_bound_reference(
+                        msdn, source, pb, res,
+                        roi=None if roi_list is None else roi_list[i],
+                        charge_io=True,
+                    )
+                    for i, pb in enumerate(targets)
+                ]
+                assert got == want
+                assert got_pages == page_log
+
+
+class TestMSDNTouchRegion:
+    def test_matches_record_id_charging(self, engine, page_log):
+        msdn = engine.msdn
+        mesh = engine.mesh
+        box = BoundingBox.of_points(mesh.vertices[[0, mesh.num_vertices // 2], :2])
+        for res in msdn.resolutions:
+            for roi in (None, box, [box, box.expanded(msdn.spacing)]):
+                for axes in ((0, 1), (0,), (1,)):
+                    page_log.clear()
+                    msdn.touch_region(res, roi, axes=axes)
+                    got_pages = list(page_log)
+                    page_log.clear()
+                    msdn_touch_region_reference(msdn, res, roi, axes=axes)
+                    assert got_pages == page_log
+                    assert got_pages
+
+
+class TestDMTMCut:
+    @pytest.mark.parametrize("resolution", [0.005, 0.25, 0.5, 1.0])
+    def test_matches_add_edge_build(self, engine, page_log, resolution):
+        dmtm = engine.dmtm
+        mesh = engine.mesh
+        box = BoundingBox.of_points(mesh.vertices[[0, mesh.num_vertices // 2], :2])
+        for roi in (None, box):
+            page_log.clear()
+            got = dmtm.extract_network(resolution, roi)
+            got_pages = list(page_log)
+            page_log.clear()
+            want = dmtm_cut_reference(dmtm, resolution, roi)
+            assert got_pages == page_log
+            assert (got.step, got.records_used) == (want.step, want.records_used)
+            g, w = got.graph, want.graph
+            assert [g.key_of(i) for i in range(len(g))] == [
+                w.key_of(i) for i in range(len(w))
+            ]
+            for i in range(len(w)):
+                assert tuple(g.position_of(i)) == tuple(w.position_of(i))
+            assert sorted(map(sorted, g.adjacency)) == sorted(
+                map(sorted, w.adjacency)
+            )
+            for source in range(0, len(w), max(1, len(w) // 4)):
+                dist, _ = graph_dijkstra_with_parents(g, source)
+                want_dist, _ = dijkstra_with_parents_reference(w.adjacency, source)
+                assert dist == want_dist
+
+    def test_empty_cut(self, engine, page_log):
+        far = BoundingBox((-1e9, -1e9), (-1e9 + 1.0, -1e9 + 1.0))
+        got = engine.dmtm.extract_network(0.5, far)
+        want = dmtm_cut_reference(engine.dmtm, 0.5, far)
+        assert len(got.graph) == len(want.graph) == 0
+        assert got.records_used == want.records_used == 0
+        assert page_log == []
+
+
+class TestPathnetBuilder:
+    def test_degenerate_face_raises(self):
+        vertices = np.array(
+            [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0.5]], dtype=float
+        )
+        faces = np.array([[0, 1, 2], [1, 3, 1]])
+        mesh = TriangleMesh(vertices, faces, validate=False)
+        with pytest.raises(GeodesicError, match="face 1"):
+            build_pathnet(mesh, 1)
+        # The reference loop tolerates it: the oracle is not a gate.
+        assert len(build_pathnet_reference(mesh, 1)) > 0

@@ -2,9 +2,9 @@
 
 The CSR kernels are a pure performance change: every search shape
 must return exactly (``==``, not approx) what the dict reference
-kernels return — distances, parents, tie-broken winners — and the
-end-to-end query surface (results, intervals, logical page counts,
-golden trace records) must be bit-identical between kernel modes.
+kernels return — distances, parents, tie-broken winners.  The
+dispatchers pick a kernel from the graph alone (dict kernel for an
+uncompiled graph, compiled kernels otherwise).
 """
 
 from __future__ import annotations
@@ -23,16 +23,14 @@ from repro.geodesic.csr import (
     dijkstra_csr_with_parents,
     graph_dijkstra,
     graph_dijkstra_with_parents,
-    kernel_mode,
     multi_source_dijkstra_csr,
-    set_kernel_mode,
-    use_reference_kernels,
 )
 from repro.geodesic.dijkstra import (
     dijkstra_reference,
     dijkstra_with_parents_reference,
 )
 from repro.geodesic.graph import KeyedGraph
+from test_trace_golden import reference_components
 
 
 def random_geometric_graph(rng, n=None):
@@ -234,20 +232,6 @@ class TestDifferentialAStar:
         assert astar_csr(csr, 0, 1) is None
 
 
-class TestKernelMode:
-    def test_default_is_csr(self):
-        assert kernel_mode() == "csr"
-
-    def test_context_manager_restores(self):
-        with use_reference_kernels():
-            assert kernel_mode() == "reference"
-        assert kernel_mode() == "csr"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(GeodesicError, match="unknown kernel mode"):
-            set_kernel_mode("simd")
-
-
 class TestKeyedGraphMemoization:
     def _graph(self):
         g = KeyedGraph()
@@ -354,9 +338,32 @@ class TestDispatchers:
         compiled = graph_dijkstra(g, g.node_id("a"))
         assert fresh == compiled
         d1, p1 = graph_dijkstra_with_parents(g, g.node_id("a"))
-        with use_reference_kernels():
-            d2, p2 = graph_dijkstra_with_parents(g, g.node_id("a"))
+        d2, p2 = dijkstra_with_parents_reference(g.adjacency, g.node_id("a"))
         assert (d1, p1) == (d2, p2)
+
+    def test_compiled_kernel_follows_graph_size(self, obs_context, monkeypatch):
+        """Compiled graphs below MIN_FRONTIER_NODES run the heap
+        kernels, larger ones the bucket kernels — same answers."""
+        from repro.geodesic import frontier
+
+        buckets = obs_context.registry.counter("geodesic.frontier.buckets")
+        g = KeyedGraph()
+        for i in range(7):
+            g.add_edge(i, i + 1, 1.0 + 0.25 * i)
+        csr = g.csr()
+        before = buckets.value
+        small = (
+            graph_dijkstra_with_parents(g, 0),
+            multi_source_dijkstra_csr(csr, [(0, 0.0), (7, 2.0)]),
+        )
+        assert buckets.value == before
+        monkeypatch.setattr(frontier, "MIN_FRONTIER_NODES", 2)
+        large = (
+            graph_dijkstra_with_parents(g, 0),
+            multi_source_dijkstra_csr(csr, [(0, 0.0), (7, 2.0)]),
+        )
+        assert buckets.value > before
+        assert small == large
 
 
 class TestCounters:
@@ -372,7 +379,8 @@ class TestCounters:
 
 
 class TestEndToEndIdentity:
-    """The whole query surface must not notice the kernel swap."""
+    """The whole query surface must not notice whether the array data
+    path or the reference implementations compute it."""
 
     @pytest.fixture(scope="class")
     def both_modes(self):
@@ -381,7 +389,7 @@ class TestEndToEndIdentity:
         mesh = standard_mesh("BH", 13)
 
         def run():
-            # fresh=True: each mode must rebuild its own structures.
+            # fresh=True: each side must rebuild its own structures.
             engine = standard_engine("BH", 13, density=8.0, seed=3, fresh=True)
             out = []
             for qv in (10, 40, 88):
@@ -407,7 +415,7 @@ class TestEndToEndIdentity:
             return out
 
         csr_answers = run()
-        with use_reference_kernels():
+        with reference_components():
             ref_answers = run()
         return csr_answers, ref_answers
 
@@ -425,12 +433,12 @@ class TestEndToEndIdentity:
 
     def test_golden_trace_identical_across_modes(self):
         """The pinned golden query produces the same normalized trace
-        record under both kernel modes — the goldens in tests/golden
-        hold whichever kernels run."""
+        record on both sides — the goldens in tests/golden hold
+        whichever implementation runs."""
         from repro.obs.export import normalize_record, query_record
         from test_trace_golden import _golden_result
 
         csr_record = normalize_record(query_record(_golden_result()))
-        with use_reference_kernels():
+        with reference_components():
             ref_record = normalize_record(query_record(_golden_result()))
         assert csr_record == ref_record

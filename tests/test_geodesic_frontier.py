@@ -5,8 +5,8 @@ performance change with the same contract as the CSR kernels: every
 search shape must return exactly (``==``, not approx) what the dict
 reference kernels return — distances, parents, tie-broken winners,
 early-exit settled sets — across 200 random-graph seeds.  The
-vectorised pathnet builder must likewise reproduce the Python
-builder's graph node for node, edge for edge, bit for bit.
+vectorised pathnet builder must likewise reproduce the reference
+per-face builder's graph node for node, edge for edge, bit for bit.
 
 The dispatchable entry points delegate to the heap kernels below
 ``MIN_FRONTIER_NODES`` (and on zero-weight graphs), so these tests
@@ -23,11 +23,10 @@ import numpy as np
 import pytest
 
 from repro.geodesic import frontier as frontier_mod
-from repro.geodesic import use_kernel_mode
 from repro.geodesic.csr import (
     astar_csr,
     csr_from_adjacency,
-    multi_source_dijkstra_csr,
+    multi_source_heap,
 )
 from repro.geodesic.dijkstra import (
     dijkstra_reference,
@@ -43,6 +42,7 @@ from repro.geodesic.frontier import (
 )
 from repro.geodesic.pathnet import build_pathnet
 from repro.testkit.generators import standard_mesh
+from repro.testkit.reference import build_pathnet_reference
 
 
 @pytest.fixture(autouse=True)
@@ -161,7 +161,7 @@ class TestMultiSource:
             csr, sources,
             targets=set(targets) if targets else None, max_dist=max_dist,
         )
-        want = multi_source_dijkstra_csr(
+        want = multi_source_heap(
             csr, sources,
             targets=set(targets) if targets else None, max_dist=max_dist,
         )
@@ -208,26 +208,24 @@ class TestDispatchDelegation:
 
 
 class TestBuilderEquivalence:
-    """The vectorised pathnet builder vs the Python builder: same
+    """The vectorised pathnet builder vs the reference builder: same
     node-id order, same keys, bit-identical positions and weights,
     same adjacency order."""
 
     def assert_same_graph(self, mesh, spe, faces=None, forbidden=None):
-        py = build_pathnet(
+        ref = build_pathnet_reference(
             mesh, steiner_per_edge=spe, faces=faces, forbidden_faces=forbidden
         )
-        with use_kernel_mode("frontier"):
-            arr = build_pathnet(
-                mesh, steiner_per_edge=spe, faces=faces,
-                forbidden_faces=forbidden,
-            )
-        assert len(arr) == len(py)
-        for nid in range(len(py)):
-            assert arr.key_of(nid) == py.key_of(nid)
-            pa, pb = arr.position_of(nid), py.position_of(nid)
+        arr = build_pathnet(
+            mesh, steiner_per_edge=spe, faces=faces, forbidden_faces=forbidden
+        )
+        assert len(arr) == len(ref)
+        for nid in range(len(ref)):
+            assert arr.key_of(nid) == ref.key_of(nid)
+            pa, pb = arr.position_of(nid), ref.position_of(nid)
             assert pa is not None and pb is not None
             assert tuple(pa) == tuple(pb)
-        assert arr.adjacency == py.adjacency
+        assert arr.adjacency == ref.adjacency
 
     @pytest.mark.parametrize("spe", [0, 1, 2])
     def test_full_mesh(self, spe):
@@ -252,17 +250,18 @@ class TestBuilderEquivalence:
 
 
 class TestSearchViaDispatchers:
-    """The engine-facing dispatchers ride the frontier kernels under
-    ``use_kernel_mode("frontier")`` and stay bit-identical."""
+    """The engine-facing pathnet search rides the frontier kernels and
+    matches a dict Dijkstra over the reference-built pathnet."""
 
     @pytest.mark.parametrize("spe", [1, 2])
     def test_pathnet_distance_identical(self, spe):
-        from repro.geodesic.pathnet import pathnet_distance
+        from repro.geodesic.pathnet import pathnet_distance, vertex_key
 
         mesh = standard_mesh("BH", 9)
+        ref = build_pathnet_reference(mesh, steiner_per_edge=spe)
         pairs = [(0, mesh.num_vertices - 1), (3, mesh.num_vertices // 2)]
         for s, t in pairs:
-            base = pathnet_distance(mesh, s, t, steiner_per_edge=spe)
-            with use_kernel_mode("frontier"):
-                fro = pathnet_distance(mesh, s, t, steiner_per_edge=spe)
-            assert fro == base
+            sid = ref.node_id(vertex_key(s))
+            tid = ref.node_id(vertex_key(t))
+            want = dijkstra_reference(ref.adjacency, sid, targets={tid})[tid]
+            assert pathnet_distance(mesh, s, t, steiner_per_edge=spe) == want

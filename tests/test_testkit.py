@@ -167,9 +167,28 @@ class TestDifferentialRunner:
         report = run_scenario(generate_scenario(CHEAP_SEED))
         assert report.ok
         assert "baseline" in report.modes_run
-        assert "kernel" in report.modes_run
+        assert "oracle" in report.modes_run
         assert "batch" in report.modes_run
         assert report.queries_run >= 1
+
+    def test_oracle_leg_catches_a_component_bug(self, monkeypatch):
+        """An MSDN bound one ulp off its reference twin must surface
+        as a component_identity finding."""
+        from dataclasses import replace
+
+        import numpy as np
+
+        from repro.msdn.msdn import MSDN
+
+        exact = MSDN._lower_bound_at
+
+        def one_ulp_high(self, *args):
+            result = exact(self, *args)
+            return replace(result, value=float(np.nextafter(result.value, np.inf)))
+
+        monkeypatch.setattr(MSDN, "_lower_bound_at", one_ulp_high)
+        report = run_scenario(generate_scenario(CHEAP_SEED), modes={"oracle"})
+        assert "component_identity" in {f.violation.oracle for f in report.findings}
 
     def test_modes_filter(self):
         report = run_scenario(

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from repro.core.engine import SurfaceKNNEngine
-from repro.geodesic.csr import set_kernel_mode
 from repro.obs.export import normalize_record, query_record
 from repro.obs.tracing import Tracer
 from repro.testkit.generators import standard_mesh
@@ -47,14 +47,55 @@ def _golden_result():
     return engine.query(qv, 3, step_length=2)
 
 
+@contextmanager
+def reference_components():
+    """Run a block with the engine's bound layers on the reference
+    implementations of :mod:`repro.testkit.reference`: per-face
+    pathnet builds (Kanai–Suzuki's round 0 rebuilt per call),
+    ``add_edge`` cut networks, record-id page charging, object-walk
+    MSDN bounds and one upper-bound search per anchor.  None of those
+    graphs is compiled, so every search takes the dict kernel.
+
+    Patches classes and modules for the whole process while the block
+    runs, so it is for single-threaded tests only."""
+    from repro.geodesic import kanai_suzuki
+    from repro.msdn.msdn import MSDN
+    from repro.multires import dmtm
+    from repro.testkit import reference as ref
+
+    patch = pytest.MonkeyPatch()
+    try:
+        patch.setattr(dmtm, "build_pathnet", ref.build_pathnet_reference)
+        patch.setattr(kanai_suzuki, "build_pathnet", ref.build_pathnet_reference)
+        patch.setattr(
+            kanai_suzuki, "_round0_pathnet",
+            lambda mesh: ref.build_pathnet_reference(mesh, 0),
+        )
+        patch.setattr(dmtm.DMTM, "_extract_cut", ref.dmtm_cut_reference)
+        patch.setattr(dmtm.DMTM, "_touch_nodes", ref.dmtm_touch_nodes_reference)
+        patch.setattr(dmtm.DMTM, "_touch_faces", ref.dmtm_touch_faces_reference)
+        patch.setattr(
+            dmtm.DMTM, "upper_bounds_multi",
+            ref.dmtm_upper_bounds_multi_reference,
+        )
+        patch.setattr(MSDN, "_lower_bound_at", ref.msdn_lower_bound_reference)
+        patch.setattr(MSDN, "touch_region", ref.msdn_touch_region_reference)
+        yield
+    finally:
+        patch.undo()
+
+
 @pytest.fixture(scope="module", params=["csr", "reference"])
 def kernel(request):
-    """Every golden must reproduce under BOTH geodesic kernel modes —
-    the flat CSR kernels are a pure performance change (PR 4), so the
-    goldens hold whichever kernels run."""
-    set_kernel_mode(request.param)
-    yield request.param
-    set_kernel_mode("csr")
+    """Every golden must reproduce on the production path (``csr``:
+    array-built, compiled graphs) AND with the bound layers on the
+    reference implementations (``reference``, see
+    :func:`reference_components`)."""
+    if request.param == "reference":
+        with reference_components():
+            yield request.param
+    else:
+        yield request.param
 
 
 @pytest.fixture(scope="module")
