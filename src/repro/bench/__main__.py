@@ -11,8 +11,10 @@ reporting retry/corruption counters and degraded-answer rates
 recover) and reports availability, storage-degraded rates, quarantine
 activity and engine health — the degraded-mode execution contract.  The ``kernels`` mode times the
 dict reference kernels against the heap CSR and bucketed frontier
-kernels (micro rows) and the ``landmarks`` mode runs the fig10 k-sweep with
-ALT landmark pruning on vs off; the ``shard`` mode asserts the tiled
+kernels, and the broadcast MSDN lower-bound DP against the
+per-coordinate hop kernel (micro rows); the ``landmarks`` mode runs
+the fig10 k-sweep with ALT landmark pruning on vs off; the ``shard``
+mode asserts the tiled
 :class:`~repro.shard.ShardedEngine` answers identically to the
 monolithic engine, times parallel-vs-serial tile warm-up and runs a
 sharded-only scale sweep (257x257, 1e4 objects).  All three merge

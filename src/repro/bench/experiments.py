@@ -824,11 +824,15 @@ def kernels(
     bucketed frontier kernel: the multi-source kernel against one
     reference Dijkstra per (anchor, target) pair and against the
     per-anchor multi-target loop; a full single-source sweep; and
-    single-target A* against single-target Dijkstra.  Every comparison
-    first asserts the values are identical — a speedup over different
-    answers would be meaningless.  When ``out`` is set, the rows are
-    merged into the ``repro.bench/v1`` JSON document there (the
-    checked-in ``BENCH_GEODESIC.json``).
+    single-target A* against single-target Dijkstra.  A fourth
+    comparison, ``msdn dp``, times the MSDN lower-bound DP with
+    broadcast hop matrices (the oracle) against the per-coordinate hop
+    kernel on the layers of a fixed set of lower-bound calls (see
+    :func:`_msdn_dp_calls`).  Every comparison first asserts the
+    values are identical — a speedup over different answers would be
+    meaningless.  When ``out`` is set, the rows are merged into the
+    ``repro.bench/v1`` JSON document there (the checked-in
+    ``BENCH_GEODESIC.json``).
     """
     from repro.geodesic.csr import astar_csr, dijkstra_csr, multi_source_heap
     from repro.geodesic.dijkstra import dijkstra_reference
@@ -838,6 +842,8 @@ def kernels(
         multi_source_frontier,
     )
     from repro.geodesic.pathnet import vertex_key
+    from repro.msdn.sdn import lower_bound_via_planes_arrays
+    from repro.testkit.reference import lower_bound_via_planes_broadcast
 
     if size is None:
         size = 25 if quick else 33
@@ -933,6 +939,21 @@ def kernels(
     )
     if not (astar_ref == astar_value == astar_fro_value):
         raise AssertionError("kernel divergence: A* value differs from Dijkstra")
+
+    dp_calls = _msdn_dp_calls(engine.msdn, engine.mesh, num_anchors)
+
+    def run_dp(dp):
+        return [dp(pa, pb, layers) for pa, pb, layers in dp_calls]
+
+    dp_ref = run_dp(lower_bound_via_planes_broadcast)
+    dp_new = run_dp(lower_bound_via_planes_arrays)
+    # Bounds compared as float bytes, picks exactly.
+    if [(np.float64(v).tobytes(), p) for v, p in dp_ref] != [
+        (np.float64(v).tobytes(), p) for v, p in dp_new
+    ]:
+        raise AssertionError("kernel divergence: MSDN DP bound or picks differ")
+    dp_ref_seconds, _ = best_of(lambda: run_dp(lower_bound_via_planes_broadcast))
+    dp_new_seconds, _ = best_of(lambda: run_dp(lower_bound_via_planes_arrays))
 
     searches = len(sources) * len(target_ids)
     kernel_rows = [
@@ -1034,6 +1055,22 @@ def kernels(
             ),
             "identical": True,
         },
+        {
+            "comparison": "msdn dp",
+            "kernel": "reference broadcast",
+            "searches": len(dp_calls),
+            "seconds": dp_ref_seconds,
+            "speedup": 1.0,
+            "identical": True,
+        },
+        {
+            "comparison": "msdn dp",
+            "kernel": "per-coordinate",
+            "searches": len(dp_calls),
+            "seconds": dp_new_seconds,
+            "speedup": dp_ref_seconds / dp_new_seconds if dp_new_seconds > 0 else None,
+            "identical": True,
+        },
     ]
 
     tables = [
@@ -1056,6 +1093,7 @@ def kernels(
                 "density": density,
                 "num_anchors": len(sources),
                 "num_targets": len(target_ids),
+                "msdn_dp_calls": len(dp_calls),
                 "repeats": repeats,
                 "quick": quick,
             }
@@ -1063,6 +1101,44 @@ def kernels(
         document["rows"].update(rows)
         _write_bench_document(out, document)
     return {"tables": tables, "rows": rows}
+
+
+def _msdn_dp_calls(msdn, mesh, num_pairs: int) -> list[tuple]:
+    """DP inputs ``(pa, pb, layer_boxes)`` of a fixed set of MSDN
+    lower-bound calls shaped like the ranking loop's.
+
+    For each of ``num_pairs`` deterministic vertex pairs and each
+    resolution, coarse to fine: the bound over an ROI box (the pair's
+    bounding box grown by a quarter of their distance, standing in for
+    the ellipse of an upper bound 1.5 times the straight line), and
+    the dummy-lb screen — the same ROI plus the corridor
+    :meth:`~repro.msdn.msdn.MSDN.corridor_from_path` builds around the
+    previous level's bound path.  The layers are the ones
+    :meth:`~repro.msdn.msdn.MSDN.lower_bound` would hand its DP
+    (:func:`repro.testkit.reference.msdn_layers_reference`).
+    """
+    from repro.geometry.primitives import BoundingBox
+    from repro.testkit.reference import _layer_boxes, msdn_layers_reference
+
+    calls = []
+    for a, b in vertex_pairs(mesh, num_pairs, seed=17):
+        pa, pb = mesh.vertices[a], mesh.vertices[b]
+        margin = 0.25 * float(np.linalg.norm(pa - pb))
+        roi = BoundingBox.of_points(np.array([pa[:2], pb[:2]])).expanded(margin)
+        path = None
+        for res in msdn.resolutions:
+            corridors = [None]
+            if path is not None:
+                corridors.append(
+                    msdn.corridor_from_path(path.path_keys, path.resolution)
+                )
+            for corridor in corridors:
+                qa, qb, _res, layers = msdn_layers_reference(
+                    msdn, pa, pb, res, roi=roi, corridor=corridor
+                )
+                calls.append((qa, qb, [_layer_boxes(layer) for layer in layers]))
+            path = msdn.lower_bound(pa, pb, res, roi=roi, charge_io=False)
+    return calls
 
 
 # ----------------------------------------------------------------------

@@ -49,8 +49,7 @@ from dataclasses import dataclass, field
 
 from repro.core.budget import QueryBudget
 from repro.errors import QueryError, StorageError, SurfKnnError
-from repro.obs.context import ObsContext, active_profiler, current
-from repro.obs.metrics import get_registry
+from repro.obs.context import ObsContext, active_profiler, active_registry, current
 from repro.obs.tracing import Tracer
 from repro.storage.stats import ThreadLocalIOStatistics
 
@@ -258,7 +257,7 @@ class CircuitBreaker:
         self.reopens = 0  # half-open probes that failed
 
     def _registry(self):
-        return self.registry if self.registry is not None else get_registry()
+        return self.registry if self.registry is not None else active_registry()
 
     @property
     def open(self) -> bool:

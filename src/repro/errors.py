@@ -28,12 +28,6 @@ class SpatialIndexError(SurfKnnError):
     """A spatial index was used incorrectly."""
 
 
-#: Deprecated alias — the class was originally named with a trailing
-#: underscore to avoid shadowing the builtin; existing imports keep
-#: working.  New code should catch :class:`SpatialIndexError`.
-IndexError_ = SpatialIndexError
-
-
 class StorageError(SurfKnnError):
     """The paged storage layer detected an inconsistency."""
 

@@ -61,8 +61,7 @@ from repro.geodesic.deadline import (
     DeadlineExceeded,
     current_deadline,
 )
-from repro.obs.context import active_profiler
-from repro.obs.metrics import get_registry
+from repro.obs.context import active_profiler, active_registry
 from repro.obs.profile import kernel_phase
 
 # ----------------------------------------------------------------------
@@ -217,7 +216,7 @@ def csr_from_adjacency(adj, positions=None) -> CSRGraph:
 
 
 def _report(settled: int, relaxations: int) -> None:
-    reg = get_registry()
+    reg = active_registry()
     reg.counter("geodesic.dijkstra.calls").add(1)
     reg.counter("geodesic.dijkstra.settled").add(settled)
     reg.counter("geodesic.dijkstra.relaxations").add(relaxations)

@@ -17,8 +17,7 @@ from __future__ import annotations
 import heapq
 
 from repro.errors import GeodesicError
-from repro.obs.context import active_profiler
-from repro.obs.metrics import get_registry
+from repro.obs.context import active_profiler, active_registry
 from repro.obs.profile import kernel_phase
 
 Adjacency = list  # list[list[tuple[int, float]]]
@@ -26,7 +25,7 @@ Adjacency = list  # list[list[tuple[int, float]]]
 
 def _report(settled: int, relaxations: int) -> None:
     # Batched once per call so the hot loop carries no registry cost.
-    reg = get_registry()
+    reg = active_registry()
     reg.counter("geodesic.dijkstra.calls").add(1)
     reg.counter("geodesic.dijkstra.settled").add(settled)
     reg.counter("geodesic.dijkstra.relaxations").add(relaxations)

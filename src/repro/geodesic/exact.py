@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import GeodesicError
-from repro.obs.metrics import get_registry
+from repro.obs.context import active_registry
 
 _EPS = 1e-9
 _ANGLE_EPS = 1e-7
@@ -429,7 +429,7 @@ class ExactGeodesic:
                     self._propagate(w)
         finally:
             if vertices_settled or windows_propagated:
-                reg = get_registry()
+                reg = active_registry()
                 reg.counter("geodesic.exact.vertices_settled").add(
                     vertices_settled
                 )

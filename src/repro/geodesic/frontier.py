@@ -65,8 +65,7 @@ from repro.geodesic.csr import (
     multi_source_heap,
 )
 from repro.geodesic.deadline import DeadlineExceeded, current_deadline
-from repro.obs.context import active_profiler
-from repro.obs.metrics import get_registry
+from repro.obs.context import active_profiler, active_registry
 from repro.obs.profile import kernel_phase_named
 
 frontier_phase = kernel_phase_named("frontier-relaxation")
@@ -92,7 +91,7 @@ def _report_frontier(buckets: int, batch_relaxations: int, max_frontier: int) ->
     ``max_frontier`` accumulates each call's largest bucket, so
     ``buckets <= max_frontier <= settled`` over any window.
     """
-    reg = get_registry()
+    reg = active_registry()
     reg.counter("geodesic.frontier.buckets").add(buckets)
     reg.counter("geodesic.frontier.batch_relaxations").add(batch_relaxations)
     reg.counter("geodesic.frontier.max_frontier").add(max_frontier)

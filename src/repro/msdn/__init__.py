@@ -11,7 +11,7 @@ always *enclose* the MBRs they replace.
 """
 
 from repro.msdn.crossing import crossing_line, plane_positions
-from repro.msdn.sdn import SdnChunk, build_sdn_chunks, lower_bound_via_planes
+from repro.msdn.sdn import SdnChunk, build_sdn_chunks
 from repro.msdn.msdn import MSDN, LowerBoundResult
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "plane_positions",
     "SdnChunk",
     "build_sdn_chunks",
-    "lower_bound_via_planes",
     "MSDN",
     "LowerBoundResult",
 ]

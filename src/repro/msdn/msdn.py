@@ -131,38 +131,49 @@ class MSDN:
                     kept_values.append(float(value))
             self._planes[axis] = np.asarray(kept_values)
             self._lines[axis] = lines
-        # Chunked SDNs: (axis, resolution) -> list per plane, plus the
-        # per-plane xy-MBR arrays [lo_x, lo_y, hi_x, hi_y] used for
-        # vectorized ROI filtering.
+        # Chunked SDNs: (axis, resolution) -> list per plane.  Each
+        # family also keeps one xy-MBR array [lo_x, lo_y, hi_x, hi_y]
+        # over all its chunks (plane by plane, so plane ``i`` owns
+        # rows ``offsets[i]:offsets[i + 1]``) for vectorized ROI
+        # filtering; the per-plane ``_chunk_xy`` arrays are views of it.
         self._chunks: dict[tuple[int, float], list[list[SdnChunk]]] = {}
+        self._plane_offsets: dict[tuple[int, float], np.ndarray] = {}
+        self._family_xy: dict[tuple[int, float], np.ndarray] = {}
         self._chunk_xy: dict[tuple[int, float], list[np.ndarray]] = {}
         for axis in (0, 1):
             for res in self.resolutions:
+                key = (axis, res)
                 per_plane = [
                     build_sdn_chunks(line, axis, idx, float(self._planes[axis][idx]), res)
                     for idx, line in enumerate(self._lines[axis])
                 ]
-                self._chunks[(axis, res)] = per_plane
-                self._chunk_xy[(axis, res)] = [
-                    np.array(
-                        [
-                            (c.mbr.lo[0], c.mbr.lo[1], c.mbr.hi[0], c.mbr.hi[1])
-                            for c in chunks
-                        ]
-                    ).reshape(-1, 4)
+                offsets = np.zeros(len(per_plane) + 1, dtype=np.int64)
+                np.cumsum([len(chunks) for chunks in per_plane], out=offsets[1:])
+                rows = [
+                    (c.mbr.lo[0], c.mbr.lo[1], c.mbr.hi[0], c.mbr.hi[1])
                     for chunks in per_plane
+                    for c in chunks
+                ]
+                xy = np.array(rows, dtype=float) if rows else np.empty((0, 4))
+                self._chunks[key] = per_plane
+                self._plane_offsets[key] = offsets
+                self._family_xy[key] = xy
+                self._chunk_xy[key] = [
+                    xy[start:stop] for start, stop in zip(offsets[:-1], offsets[1:])
                 ]
         self._store: LocatorStore | None = None
         # Lazy caches, built on first touch and only read afterwards
-        # (concurrent first touches at worst build one twice):
-        # per-(axis, resolution) 3D chunk-MBR arrays for the DP, the
-        # per-resolution key → chunk index for corridor_from_path and
-        # per-plane page-id arrays for I/O charging.  Hop matrices are
-        # not cached: whole-plane-pair matrices would cost far more
-        # memory than recomputing each hop on the kept chunks.
-        self._chunk_boxes3d: dict[tuple[int, float], list] = {}
+        # (concurrent first touches at worst build one twice; each is
+        # published by one dict store): per-(axis, resolution) 3D
+        # chunk-MBR arrays for the DP and page-id arrays for I/O
+        # charging, both row-aligned with the family xy array, and the
+        # per-resolution key → chunk index for corridor_from_path.
+        # Hop matrices are not cached: whole-plane-pair matrices would
+        # cost far more memory than recomputing each hop on the kept
+        # chunks.
+        self._family_boxes3d: dict[tuple[int, float], tuple] = {}
+        self._family_pages: dict[tuple[int, float], np.ndarray] = {}
         self._corridor_index: dict[float, dict[tuple, SdnChunk]] = {}
-        self._chunk_pages: dict[tuple[int, float], list[np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # storage
@@ -178,29 +189,27 @@ class MSDN:
                     cluster = (axis, round(res * 1000), chunk.plane_index, chunk.first)
                     items.append((cluster, ("chunk",) + cluster, chunk.encode()))
         self._store = LocatorStore(items, pages, page_class=PAGE_CLASS_MSDN)
-        self._chunk_pages.clear()
+        self._family_pages.clear()
 
-    def _plane_pages(self, axis: int, resolution: float) -> list[np.ndarray]:
-        """Per-plane arrays of the page id backing each chunk, aligned
-        with ``self._chunks[(axis, resolution)]`` rows — resolves the
-        record-id → page mapping once so the hot path charges I/O by
-        page array instead of rebuilding record-id tuples per call."""
+    def _chunk_pages(self, axis: int, resolution: float) -> np.ndarray:
+        """The page id backing each chunk of a family, row-aligned
+        with its xy array — resolves the record-id → page mapping
+        once so the hot path charges I/O by page array instead of
+        rebuilding record-id tuples per call."""
         key = (axis, resolution)
-        cached = self._chunk_pages.get(key)
+        cached = self._family_pages.get(key)
         if cached is None:
             store = self._store
             rk = round(resolution * 1000)
-            cached = [
-                np.array(
-                    [
-                        store.page_of(("chunk", c.axis, rk, c.plane_index, c.first))
-                        for c in layer
-                    ],
-                    dtype=np.int64,
-                )
-                for layer in self._chunks[key]
-            ]
-            self._chunk_pages[key] = cached
+            cached = np.array(
+                [
+                    store.page_of(("chunk", c.axis, rk, c.plane_index, c.first))
+                    for layer in self._chunks[key]
+                    for c in layer
+                ],
+                dtype=np.int64,
+            )
+            self._family_pages[key] = cached
         return cached
 
     # ------------------------------------------------------------------
@@ -233,32 +242,40 @@ class MSDN:
 
     def _planes_between(
         self, axis: int, lo: float, hi: float, stride: int
-    ) -> list[int]:
+    ) -> np.ndarray:
         """Indices of the planes strictly between ``lo`` and ``hi``,
         thinned by ``stride``, in ascending order."""
         planes = self._planes[axis]
         inside = np.nonzero((planes > lo) & (planes < hi))[0]
-        return inside[:: max(1, stride)].tolist()
+        return inside[:: max(1, stride)]
 
     def touch_region(self, resolution: float, roi=None, axes=(0, 1)) -> None:
         """Charge page I/O for the chunks a lower-bound estimation
         over ``roi`` would fetch (integrated I/O regions call this
         once per merged region, then estimate with
-        ``charge_io=False``).  Each plane reads its distinct pages in
-        ascending order."""
+        ``charge_io=False``).  The ROI mask is computed once per axis
+        over the whole family; each plane then reads its own distinct
+        pages in ascending order, plane by plane."""
         store = self._store
         if store is None:
             return
         resolution = self.nearest_resolution(resolution)
         roi = _roi_list(roi)
         for axis in axes:
-            bounds = self._chunk_xy[(axis, resolution)]
-            pages = self._plane_pages(axis, resolution)
-            for xy, page_arr in zip(bounds, pages):
-                if roi is not None:
-                    page_arr = page_arr[_box_mask(xy, roi)]
-                if page_arr.size:
-                    store.touch_pages(page_arr)
+            key = (axis, resolution)
+            pages = self._chunk_pages(axis, resolution)
+            offsets = self._plane_offsets[key]
+            if roi is not None:
+                mask = _box_mask(self._family_xy[key], roi)
+                pages = pages[mask]
+                # Kept rows before each plane's first row.
+                kept_before = np.zeros(mask.size + 1, dtype=np.int64)
+                np.cumsum(mask, out=kept_before[1:])
+                offsets = kept_before[offsets]
+            cuts = offsets.tolist()
+            for start, stop in zip(cuts, cuts[1:]):
+                if stop > start:
+                    store.touch_pages(pages[start:stop])
 
     def lower_bound(
         self,
@@ -334,21 +351,20 @@ class MSDN:
             for point_b, roi in zip(targets, rois)
         ]
 
-    def _boxes3d(self, axis: int, resolution: float) -> list:
-        """Cached per-plane 3D chunk-MBR ``(lo, hi)`` row arrays —
-        the DP input, built once per (axis, resolution) instead of
-        rebuilt from chunk objects on every estimation."""
+    def _boxes3d(self, axis: int, resolution: float) -> tuple:
+        """Cached 3D chunk-MBR ``(lo, hi)`` row arrays of a family,
+        row-aligned with its xy array — the DP input, built once per
+        (axis, resolution) instead of rebuilt from chunk objects on
+        every estimation."""
         key = (axis, resolution)
-        cached = self._chunk_boxes3d.get(key)
+        cached = self._family_boxes3d.get(key)
         if cached is None:
-            cached = [
-                (
-                    np.array([c.mbr.lo for c in layer], dtype=float).reshape(-1, 3),
-                    np.array([c.mbr.hi for c in layer], dtype=float).reshape(-1, 3),
-                )
-                for layer in self._chunks[key]
-            ]
-            self._chunk_boxes3d[key] = cached
+            chunks = [c for layer in self._chunks[key] for c in layer]
+            cached = (
+                np.array([c.mbr.lo for c in chunks], dtype=float).reshape(-1, 3),
+                np.array([c.mbr.hi for c in chunks], dtype=float).reshape(-1, 3),
+            )
+            self._family_boxes3d[key] = cached
         return cached
 
     def _lower_bound_at(
@@ -356,58 +372,66 @@ class MSDN:
     ) -> LowerBoundResult:
         """Shared implementation: arguments already normalized.
 
-        Index-filters the cached per-plane box arrays, charges each
-        kept plane's pages and runs
+        Selects the family rows of the planes between the endpoints
+        (ROI and corridor masks are computed once, over those planes'
+        rows), charges each kept plane's pages in plane order and runs
         :func:`repro.msdn.sdn.lower_bound_via_planes_arrays`, which is
-        bit-identical to the object-walk DP
-        :func:`repro.msdn.sdn.lower_bound_via_planes`."""
+        bit-identical to the broadcast object-walk oracle
+        :func:`repro.testkit.reference.lower_bound_via_planes`."""
         axis = self.choose_axis(pa, pb)
         lo = min(pa[axis], pb[axis])
         hi = max(pa[axis], pb[axis])
         if pa[axis] > pb[axis]:
             pa, pb = pb, pa
-        per_plane = self._chunks[(axis, resolution)]
-        bounds = self._chunk_xy[(axis, resolution)]
-        boxes3d = self._boxes3d(axis, resolution)
+        key = (axis, resolution)
+        planes = self._planes_between(axis, lo, hi, self.plane_stride(resolution))
+        offsets = self._plane_offsets[key]
+        starts = offsets[planes]
+        stops = offsets[planes + 1]
+        lo3, hi3 = self._boxes3d(axis, resolution)
         pages = (
-            self._plane_pages(axis, resolution)
+            self._chunk_pages(axis, resolution)
             if charge_io and self._store is not None
             else None
         )
-        kept: list = []  # (chunk_list, kept_row_indices or None)
+        rows = None  # kept family rows, when a region filters them
+        if planes.size and (roi is not None or corridor_boxes is not None):
+            first, last = int(starts[0]), int(stops[-1])
+            xy = self._family_xy[key][first:last]
+            mask = np.ones(last - first, dtype=bool)
+            if roi is not None:
+                mask &= _box_mask(xy, roi)
+            if corridor_boxes is not None:
+                mask &= _box_mask(xy, corridor_boxes)
+            rows = np.flatnonzero(mask)
+            rows += first
+            # Each plane's kept rows, as a run of ``rows``.
+            starts = np.searchsorted(rows, starts)
+            stops = np.searchsorted(rows, stops)
+            lo3, hi3 = lo3[rows], hi3[rows]
+            if pages is not None:
+                pages = pages[rows]
+        kept: list = []  # (plane index, first row of its run)
         layer_boxes: list[tuple[np.ndarray, np.ndarray]] = []
         used = 0
-        for pi in self._planes_between(
-            axis, lo, hi, self.plane_stride(resolution)
-        ):
-            layer = per_plane[pi]
-            if not layer:  # dropping an empty plane only loosens the bound
+        for pi, start, stop in zip(planes.tolist(), starts.tolist(), stops.tolist()):
+            # An empty (or fully filtered) plane is dropped, which
+            # only loosens the bound.
+            if stop == start:
                 continue
-            lo3, hi3 = boxes3d[pi]
-            keep_idx = None
-            if roi is not None or corridor_boxes is not None:
-                mask = np.ones(len(layer), dtype=bool)
-                if roi is not None:
-                    mask &= _box_mask(bounds[pi], roi)
-                if corridor_boxes is not None:
-                    mask &= _box_mask(bounds[pi], corridor_boxes)
-                keep_idx = np.nonzero(mask)[0]
-                if keep_idx.size == 0:
-                    continue
-                lo3, hi3 = lo3[keep_idx], hi3[keep_idx]
-            kept.append((layer, keep_idx))
-            layer_boxes.append((lo3, hi3))
-            used += lo3.shape[0]
+            kept.append((pi, start))
+            layer_boxes.append((lo3[start:stop], hi3[start:stop]))
+            used += stop - start
             if pages is not None:
-                page_arr = pages[pi]
-                self._store.touch_pages(
-                    page_arr if keep_idx is None else page_arr[keep_idx]
-                )
+                self._store.touch_pages(pages[start:stop])
         value, picks = lower_bound_via_planes_arrays(pa, pb, layer_boxes)
-        path_keys = [
-            layer[row if keep_idx is None else int(keep_idx[row])].key
-            for (layer, keep_idx), row in zip(kept, picks)
-        ]
+        per_plane = self._chunks[key]
+        path_keys = []
+        for (pi, start), pick in zip(kept, picks):
+            row = start + pick
+            if rows is not None:
+                row = int(rows[row])
+            path_keys.append(per_plane[pi][row - int(offsets[pi])].key)
         return LowerBoundResult(
             value=value,
             path_keys=path_keys,

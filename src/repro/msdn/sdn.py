@@ -102,82 +102,48 @@ def build_sdn_chunks(
     ]
 
 
-def _layer_boxes(layer: list[SdnChunk]) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.array([c.mbr.lo for c in layer], dtype=float)
-    hi = np.array([c.mbr.hi for c in layer], dtype=float)
-    return lo, hi
-
-
 def _point_to_boxes(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     gap = np.maximum(lo - p, 0.0)
     gap = np.maximum(gap, p - hi)
     return np.sqrt(np.sum(gap * gap, axis=1))
 
 
-def _boxes_to_boxes(
-    lo1: np.ndarray, hi1: np.ndarray, lo2: np.ndarray, hi2: np.ndarray
+def _hop_totals(
+    dist: np.ndarray,
+    lo1: np.ndarray,
+    hi1: np.ndarray,
+    lo2: np.ndarray,
+    hi2: np.ndarray,
 ) -> np.ndarray:
-    """(m1, m2) matrix of min distances between two box families."""
-    gap = np.maximum(lo2[np.newaxis, :, :] - hi1[:, np.newaxis, :], 0.0)
-    gap = np.maximum(gap, lo1[:, np.newaxis, :] - hi2[np.newaxis, :, :])
-    return np.sqrt(np.sum(gap * gap, axis=2))
+    """One min-plus hop: the ``(m2, m1)`` matrix whose entry
+    ``[j, i]`` is ``dist[i]`` plus the min distance between box ``i``
+    of the upper layer and box ``j`` of the lower one.
 
-
-def lower_bound_via_planes(
-    point_a,
-    point_b,
-    chunk_layers: list[list[SdnChunk]],
-) -> tuple[float, list[tuple]]:
-    """Monotone-chain lower bound between two 3D points.
-
-    ``chunk_layers`` holds the chunks of each selected plane, ordered
-    from the plane nearest ``a`` to the plane nearest ``b``.  Empty
-    layers must be removed by the caller (dropping a plane is safe).
-
-    Any surface path crosses the planes *in order* (each plane
-    separates ``a`` from the next), so its first-crossing points form
-    a monotone chain whose consecutive straight-line distances are
-    bounded below by min-MBR distances.  The minimum over all chains
-    is computed as a min-plus dynamic program, vectorized layer by
-    layer, which is both tighter than a free Dijkstra over the same
-    graph (zigzags are excluded) and fast for dense layers.
-
-    Returns ``(bound, path_chunk_keys)``; the bound is clamped from
-    below by the straight-line distance, which is always itself a
-    valid lower bound.
+    The matrix is built one coordinate at a time on ``(m2, m1)``
+    arrays with in-place ufuncs, instead of on ``(m1, m2, 3)``
+    temporaries reduced over their length-3 axis.  Every float
+    operation is the broadcast formula's: per coordinate
+    ``max(max(lo2 - hi1, 0), lo1 - hi2)``, the squares summed x, then
+    y, then z, the square root, then ``+ dist`` (IEEE addition
+    commutes).  Rows are lower-layer boxes so the argmin over the
+    upper layer runs along the contiguous axis.
     """
-    pa = np.asarray(point_a, dtype=float)
-    pb = np.asarray(point_b, dtype=float)
-    euclid = float(np.linalg.norm(pa - pb))
-    if not chunk_layers:
-        return euclid, []
-    if any(not layer for layer in chunk_layers):
-        raise GeometryError("empty chunk layer; caller must drop empty planes")
-
-    boxes = [_layer_boxes(layer) for layer in chunk_layers]
-    lo0, hi0 = boxes[0]
-    dist = _point_to_boxes(pa, lo0, hi0)
-    choices: list[np.ndarray] = []
-    for (lo_u, hi_u), (lo_l, hi_l) in zip(boxes, boxes[1:]):
-        hop = _boxes_to_boxes(lo_u, hi_u, lo_l, hi_l)
-        total = dist[:, np.newaxis] + hop
-        picks = np.argmin(total, axis=0)
-        choices.append(picks)
-        dist = total[picks, np.arange(hop.shape[1])]
-    lo_n, hi_n = boxes[-1]
-    final = dist + _point_to_boxes(pb, lo_n, hi_n)
-    best = int(np.argmin(final))
-    bound = float(final[best])
-
-    # Backtrack one chunk per layer for the dummy-lb corridor.
-    indices = [best]
-    for picks in reversed(choices):
-        indices.append(int(picks[indices[-1]]))
-    indices.reverse()
-    path_keys = [
-        chunk_layers[layer][idx].key for layer, idx in enumerate(indices)
-    ]
-    return max(bound, euclid), path_keys
+    m2, m1 = lo2.shape[0], lo1.shape[0]
+    acc = np.empty((m2, m1))
+    gap = np.empty((m2, m1))
+    other = np.empty((m2, m1))
+    for c in range(3):
+        out = acc if c == 0 else gap
+        np.subtract(lo2[:, c, np.newaxis], hi1[:, c], out=out)
+        np.maximum(out, 0.0, out=out)
+        np.subtract(lo1[:, c], hi2[:, c, np.newaxis], out=other)
+        np.maximum(out, other, out=out)
+        np.multiply(out, out, out=out)
+        if c:
+            np.add(acc, gap, out=acc)
+    np.sqrt(acc, out=acc)
+    np.add(acc, dist, out=acc)
+    return acc
 
 
 def lower_bound_via_planes_arrays(
@@ -185,19 +151,31 @@ def lower_bound_via_planes_arrays(
     point_b,
     layer_boxes: list[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[float, list[int]]:
-    """Array-input twin of :func:`lower_bound_via_planes`.
+    """Monotone-chain lower bound between two 3D points.
 
-    ``layer_boxes`` holds each selected plane's chunk MBRs as
-    ``(lo, hi)`` row arrays — pre-sliced from cached per-plane arrays
-    instead of rebuilt from chunk objects per call (the MSDN hot
-    path).  The min-plus dynamic program runs the exact float
-    operations of the object-input twin, so the bound is
-    bit-identical; the backtrack returns one *row index per layer*
-    (into the given arrays) for the caller to map back to chunk keys.
+    ``layer_boxes`` holds the chunk MBRs of each selected plane as
+    ``(lo, hi)`` row arrays, ordered from the plane nearest ``a`` to
+    the plane nearest ``b``.  Empty layers must be removed by the
+    caller (dropping a plane is safe).
 
-    Each hop matrix is computed on the kept subsets only.  An entry
-    depends on nothing but its own row and column boxes, so this
-    equals slicing a matrix over whole planes, without holding one.
+    Any surface path crosses the planes *in order* (each plane
+    separates ``a`` from the next), so its first-crossing points form
+    a monotone chain whose consecutive straight-line distances are
+    bounded below by min-MBR distances.  The minimum over all chains
+    is computed as a min-plus dynamic program, vectorized layer by
+    layer, which is both tighter than a free Dijkstra over the same
+    graph (zigzags are excluded) and fast for dense layers.  Each hop
+    matrix is computed on the given (kept) boxes only: an entry
+    depends on nothing but its own row and column boxes.
+
+    Returns ``(bound, picks)``: the bound is clamped from below by the
+    straight-line distance, which is always itself a valid lower
+    bound; ``picks`` is the backtracked chain, one *row index per
+    layer* into the given arrays, for the caller to map back to chunk
+    keys (the dummy-lb corridor).  Ties pick the lowest row index.
+    The broadcast oracle
+    :func:`repro.testkit.reference.lower_bound_via_planes_broadcast`
+    must agree bit for bit.
     """
     pa = np.asarray(point_a, dtype=float)
     pb = np.asarray(point_b, dtype=float)
@@ -211,11 +189,10 @@ def lower_bound_via_planes_arrays(
     dist = _point_to_boxes(pa, lo0, hi0)
     choices: list[np.ndarray] = []
     for (lo_u, hi_u), (lo_l, hi_l) in zip(layer_boxes, layer_boxes[1:]):
-        hop = _boxes_to_boxes(lo_u, hi_u, lo_l, hi_l)
-        total = dist[:, np.newaxis] + hop
-        picks = np.argmin(total, axis=0)
+        total = _hop_totals(dist, lo_u, hi_u, lo_l, hi_l)
+        picks = np.argmin(total, axis=1)
         choices.append(picks)
-        dist = total[picks, np.arange(hop.shape[1])]
+        dist = total[np.arange(total.shape[0]), picks]
     lo_n, hi_n = layer_boxes[-1]
     final = dist + _point_to_boxes(pb, lo_n, hi_n)
     best = int(np.argmin(final))

@@ -5,9 +5,10 @@ Everything here is zero-dependency and optional: the engine defaults
 to the shared :data:`~repro.obs.tracing.NULL_TRACER` and the disabled
 :data:`~repro.obs.profile.NULL_PROFILER`, whose spans/phases are
 no-ops.  Telemetry is scoped through :class:`ObsContext` (registry +
-tracer + profiler); the module-level :func:`get_registry` singleton
-remains as a deprecated fallback.  See docs/observability.md for the
-concepts, the phase catalog and the measured overhead.
+tracer + profiler); :func:`active_registry` resolves the active one,
+falling back to the process-wide default context.  See
+docs/observability.md for the concepts, the phase catalog and the
+measured overhead.
 """
 
 from repro.obs.context import (
@@ -31,7 +32,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     default_registry,
-    get_registry,
 )
 from repro.obs.profile import (
     NULL_PROFILER,
@@ -63,7 +63,6 @@ __all__ = [
     "current",
     "default_context",
     "default_registry",
-    "get_registry",
     "profile_from_record",
     "profile_record",
     "query_record",

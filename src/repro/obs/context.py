@@ -1,8 +1,7 @@
 """Scoped telemetry contexts: registry + tracer + profiler as a unit.
 
-PR 1 gave the repo a process-wide metrics singleton
-(:func:`repro.obs.metrics.get_registry`), which worked until two
-things needed isolation: tests (conftest had to autouse-reset the
+PR 1 gave the repo a process-wide metrics singleton, which worked
+until two things needed isolation: tests (conftest had to autouse-reset the
 registry between modules — a reset-ordering hazard) and the planned
 sk-NN service (per-tenant telemetry cannot share one mutable global).
 
@@ -21,9 +20,9 @@ value:
   batch context — the per-tenant aggregation shape the service needs;
 * :func:`current` resolves the active context through a
   :mod:`contextvars` variable, falling back to a module-level
-  **default context** that wraps the legacy singleton registry, so
-  ``get_registry()`` keeps returning the same object it always did
-  when no context is active (backward compatible, now deprecated).
+  **default context** that wraps the process-wide registry
+  (:func:`repro.obs.metrics.default_registry`), so code that never
+  passes ``obs=`` keeps sharing one set of counters.
 """
 
 from __future__ import annotations
@@ -161,10 +160,9 @@ _default_lock = threading.Lock()
 def default_context() -> ObsContext:
     """The process-wide fallback context.
 
-    Wraps the legacy module-level registry, so code still using the
-    deprecated :func:`repro.obs.metrics.get_registry` and code that
-    never passes ``obs=`` keep sharing the exact same counters they
-    did before scoped contexts existed.
+    Wraps the module-level registry, so code that never passes
+    ``obs=`` keeps sharing the exact same counters it did before
+    scoped contexts existed.
     """
     global _default
     if _default is None:
@@ -185,8 +183,8 @@ def current() -> ObsContext:
 
 
 def active_registry() -> MetricsRegistry:
-    """Registry of the active context (what ``get_registry`` now
-    resolves to)."""
+    """Registry of the active context — what code without an engine
+    handle (graph kernels, the page manager) reports into."""
     return current().registry
 
 

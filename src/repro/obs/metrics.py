@@ -8,9 +8,9 @@ sizes), histograms are fixed-bucket distributions with an interpolated
 quantile readout (per-query latencies).
 
 Registries are scoped through :class:`~repro.obs.context.ObsContext`:
-hot kernels resolve the *active* context's registry via the
-(deprecated but still supported) :func:`get_registry`, which falls
-back to the legacy module-level default when no context is active.
+hot kernels resolve the *active* context's registry via
+:func:`repro.obs.context.active_registry`, which falls back to the
+module-level default when no context is active.
 Instruments are created on first use.  Incrementing a counter is one
 dict hit + integer add, cheap enough to stay always-on (kernels
 additionally batch their counts and report once per call, not once
@@ -250,19 +250,3 @@ def default_registry() -> MetricsRegistry:
     """The legacy process-wide registry — the default
     :class:`~repro.obs.context.ObsContext` wraps exactly this object."""
     return _default
-
-
-def get_registry() -> MetricsRegistry:
-    """Registry of the **active** observability context.
-
-    .. deprecated::
-        Prefer carrying an :class:`~repro.obs.context.ObsContext` (or
-        calling :func:`repro.obs.context.active_registry`).  With no
-        context active this still returns the same process-wide
-        registry it always did, so existing callers are unaffected;
-        inside ``with ctx.activate():`` it resolves to that context's
-        registry.
-    """
-    from repro.obs.context import active_registry
-
-    return active_registry()

@@ -48,8 +48,7 @@ from repro.core.engine import SurfaceKNNEngine
 from repro.core.mr3 import QueryResult
 from repro.core.objects import ObjectSet
 from repro.errors import QueryError, SurfKnnError
-from repro.obs.context import ObsContext, current
-from repro.obs.metrics import get_registry
+from repro.obs.context import ObsContext, active_registry, current
 from repro.obs.tracing import NULL_TRACER
 from repro.shard.stitch import border_offsets, detour_lower_bounds, stitch_into
 from repro.shard.tiles import TileGrid, TileSpan
@@ -288,7 +287,7 @@ class ShardedEngine:
             engine.stats = router
             if engine.pages is not None:
                 engine.pages.stats = router
-            get_registry().counter("shard.windows_built_total").add(1)
+            active_registry().counter("shard.windows_built_total").add(1)
         return _Window(
             span, engine, r0, c0, wcols, gids, in_window,
             self.grid.window_border_xy(span),

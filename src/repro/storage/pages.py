@@ -37,8 +37,7 @@ from repro.errors import (
     QuarantinedPageError,
     StorageError,
 )
-from repro.obs.context import active_profiler
-from repro.obs.metrics import get_registry
+from repro.obs.context import active_profiler, active_registry
 from repro.obs.tracing import NOOP_SPAN, NULL_TRACER
 from repro.storage.faults import (
     FAULT_CORRUPT,
@@ -313,7 +312,7 @@ class PageManager:
             verdict = self.quarantine.gate(self._owner, page_id)
             if verdict == QUARANTINE_BLOCKED:
                 self.fault_stats.quarantine_fastfails_total += 1
-                get_registry().counter(
+                active_registry().counter(
                     "storage.quarantine_fastfails_total"
                 ).add(1)
                 reason = self.quarantine.reason_of(self._owner, page_id)
@@ -323,7 +322,7 @@ class PageManager:
                 )
             if verdict == QUARANTINE_PROBE:
                 self.fault_stats.quarantine_probes_total += 1
-                get_registry().counter("storage.quarantine_probes_total").add(1)
+                active_registry().counter("storage.quarantine_probes_total").add(1)
             # A buffer miss is the query's page-I/O moment: the
             # physical fetch (plus CRC/retry machinery) is billed to
             # the "page-io" phase, with per-class read attribution.
@@ -345,7 +344,7 @@ class PageManager:
                             page_class=page_class,
                         )
                         self.fault_stats.pages_quarantined_total += 1
-                        get_registry().counter(
+                        active_registry().counter(
                             "storage.pages_quarantined_total"
                         ).add(1)
                     raise
@@ -355,7 +354,7 @@ class PageManager:
             if verdict == QUARANTINE_PROBE:
                 self.quarantine.probe_succeeded(self._owner, page_id)
                 self.fault_stats.pages_readmitted_total += 1
-                get_registry().counter("storage.pages_readmitted_total").add(1)
+                active_registry().counter("storage.pages_readmitted_total").add(1)
             self.stats.record_read(page_class, physical=True)
             self._buffer.put(self._owner, page_id, data)
             return data
@@ -375,7 +374,7 @@ class PageManager:
                 backoff = policy.backoff_seconds(attempt - 1)
                 self.fault_stats.retries_total += 1
                 self.fault_stats.backoff_seconds_total += backoff
-                registry = get_registry()
+                registry = active_registry()
                 registry.counter("storage.retries_total").add(1)
                 registry.counter("storage.retry_backoff_seconds").add(backoff)
             span_cm = (
@@ -390,25 +389,25 @@ class PageManager:
                     data, latency = self._disk.read(page_id)
             except _TransientFault as exc:
                 self.fault_stats.transient_faults_total += 1
-                get_registry().counter("storage.transient_faults_total").add(1)
+                active_registry().counter("storage.transient_faults_total").add(1)
                 last_error = PageReadError(f"page {page_id}: {exc}")
                 continue
             if latency:
                 self.fault_stats.latency_events_total += 1
                 self.fault_stats.latency_seconds_total += latency
-                registry = get_registry()
+                registry = active_registry()
                 registry.counter("storage.fault_latency_events_total").add(1)
                 registry.counter("storage.fault_latency_seconds").add(latency)
             if expected_crc is not None and zlib.crc32(data) != expected_crc:
                 self.fault_stats.corruptions_total += 1
-                get_registry().counter("storage.corruptions_total").add(1)
+                active_registry().counter("storage.corruptions_total").add(1)
                 last_error = PageCorruptionError(
                     f"page {page_id} failed its CRC check"
                 )
                 continue
             return data
         self.fault_stats.reads_failed_total += 1
-        get_registry().counter("storage.read_failures_total").add(1)
+        active_registry().counter("storage.read_failures_total").add(1)
         assert last_error is not None
         raise last_error
 

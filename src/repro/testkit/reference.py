@@ -16,10 +16,15 @@ and chunk count, same pages read in the same order.
 * :func:`dmtm_upper_bounds_multi_reference` — one search per anchor,
   the twin of the single multi-source search behind
   :meth:`~repro.multires.dmtm.DMTM.upper_bounds_multi`;
+* :func:`lower_bound_via_planes_broadcast` — the min-plus DP with
+  broadcast ``(m1, m2, 3)`` hop matrices (:func:`_boxes_to_boxes`),
+  the twin of :func:`repro.msdn.sdn.lower_bound_via_planes_arrays`
+  and its per-coordinate hop kernel, and
+  :func:`lower_bound_via_planes`, the same DP over chunk objects;
 * :func:`msdn_lower_bound_reference` and
-  :func:`msdn_touch_region_reference` — chunk-object filtering, the
-  object-input DP :func:`repro.msdn.sdn.lower_bound_via_planes` and
-  record-id page charging, the twins of
+  :func:`msdn_touch_region_reference` — chunk-object filtering
+  (:func:`msdn_layers_reference`), that DP and record-id page
+  charging, the twins of
   :meth:`repro.msdn.msdn.MSDN.lower_bound` and
   :meth:`~repro.msdn.msdn.MSDN.touch_region`.
 
@@ -35,10 +40,11 @@ from itertools import combinations
 
 import numpy as np
 
+from repro.errors import GeometryError
 from repro.geodesic.graph import KeyedGraph
 from repro.geodesic.pathnet import steiner_key, vertex_key
 from repro.msdn.msdn import LowerBoundResult, _box_mask, _roi_list
-from repro.msdn.sdn import lower_bound_via_planes
+from repro.msdn.sdn import SdnChunk, _point_to_boxes
 from repro.multires.dmtm import NetworkView
 
 
@@ -141,6 +147,76 @@ def dmtm_upper_bounds_multi_reference(dmtm, anchors, target_vertices, network):
     return best
 
 
+def _layer_boxes(layer: list[SdnChunk]) -> tuple[np.ndarray, np.ndarray]:
+    lo = np.array([c.mbr.lo for c in layer], dtype=float)
+    hi = np.array([c.mbr.hi for c in layer], dtype=float)
+    return lo, hi
+
+
+def _boxes_to_boxes(
+    lo1: np.ndarray, hi1: np.ndarray, lo2: np.ndarray, hi2: np.ndarray
+) -> np.ndarray:
+    """(m1, m2) matrix of min distances between two box families."""
+    gap = np.maximum(lo2[np.newaxis, :, :] - hi1[:, np.newaxis, :], 0.0)
+    gap = np.maximum(gap, lo1[:, np.newaxis, :] - hi2[np.newaxis, :, :])
+    return np.sqrt(np.sum(gap * gap, axis=2))
+
+
+def lower_bound_via_planes_broadcast(
+    point_a,
+    point_b,
+    layer_boxes: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[float, list[int]]:
+    """:func:`repro.msdn.sdn.lower_bound_via_planes_arrays` with each
+    hop one broadcast ``(m1, m2)`` matrix (:func:`_boxes_to_boxes`),
+    on the same ``(lo, hi)`` row-array input: the oracle for the
+    per-coordinate hop kernel.  Returns ``(bound, row_per_layer)``."""
+    pa = np.asarray(point_a, dtype=float)
+    pb = np.asarray(point_b, dtype=float)
+    euclid = float(np.linalg.norm(pa - pb))
+    if not layer_boxes:
+        return euclid, []
+    if any(lo.shape[0] == 0 for lo, _ in layer_boxes):
+        raise GeometryError("empty chunk layer; caller must drop empty planes")
+
+    lo0, hi0 = layer_boxes[0]
+    dist = _point_to_boxes(pa, lo0, hi0)
+    choices: list[np.ndarray] = []
+    for (lo_u, hi_u), (lo_l, hi_l) in zip(layer_boxes, layer_boxes[1:]):
+        hop = _boxes_to_boxes(lo_u, hi_u, lo_l, hi_l)
+        total = dist[:, np.newaxis] + hop
+        picks = np.argmin(total, axis=0)
+        choices.append(picks)
+        dist = total[picks, np.arange(hop.shape[1])]
+    lo_n, hi_n = layer_boxes[-1]
+    final = dist + _point_to_boxes(pb, lo_n, hi_n)
+    best = int(np.argmin(final))
+    bound = float(final[best])
+
+    indices = [best]
+    for picks in reversed(choices):
+        indices.append(int(picks[indices[-1]]))
+    indices.reverse()
+    return max(bound, euclid), indices
+
+
+def lower_bound_via_planes(
+    point_a,
+    point_b,
+    chunk_layers: list[list[SdnChunk]],
+) -> tuple[float, list[tuple]]:
+    """:func:`lower_bound_via_planes_broadcast` over chunk objects.
+
+    ``chunk_layers`` holds the (non-empty) chunk lists of the selected
+    planes, nearest ``a`` first.  Returns ``(bound, path_chunk_keys)``
+    with the bound clamped below by the straight-line distance.
+    """
+    value, indices = lower_bound_via_planes_broadcast(
+        point_a, point_b, [_layer_boxes(layer) for layer in chunk_layers]
+    )
+    return value, [layer[row].key for layer, row in zip(chunk_layers, indices)]
+
+
 def _touch_chunks(msdn, chunks, resolution: float) -> None:
     """Record-id page charging for a list of chunks."""
     if msdn._store is None or not chunks:
@@ -151,18 +227,14 @@ def _touch_chunks(msdn, chunks, resolution: float) -> None:
     )
 
 
-def msdn_lower_bound_reference(
-    msdn,
-    point_a,
-    point_b,
-    resolution: float,
-    roi=None,
-    corridor=None,
-    charge_io: bool = True,
-) -> LowerBoundResult:
-    """:meth:`MSDN.lower_bound` by walking chunk objects: filter each
-    selected plane's chunks, charge their pages by record id and run
-    the object-input DP."""
+def msdn_layers_reference(
+    msdn, point_a, point_b, resolution: float, roi=None, corridor=None
+) -> tuple:
+    """The chunk layers :meth:`MSDN.lower_bound` hands its DP, by
+    walking chunk objects: each selected plane's chunks inside ``roi``
+    and ``corridor``, empty layers dropped.  Returns
+    ``(pa, pb, resolution, layers)`` with the endpoints ordered along
+    the plane axis and the resolution snapped."""
     pa = np.asarray(point_a, dtype=float)
     pb = np.asarray(point_b, dtype=float)
     resolution = msdn.nearest_resolution(resolution)
@@ -175,8 +247,7 @@ def msdn_lower_bound_reference(
         pa, pb = pb, pa
     per_plane = msdn._chunks[(axis, resolution)]
     bounds = msdn._chunk_xy[(axis, resolution)]
-    filtered = []
-    used = 0
+    layers = []
     for pi in msdn._planes_between(axis, lo, hi, msdn.plane_stride(resolution)):
         layer, xy = per_plane[pi], bounds[pi]
         if roi is None and corridor is None:
@@ -189,14 +260,34 @@ def msdn_lower_bound_reference(
                 mask &= _box_mask(xy, corridor)
             keep = [layer[j] for j in np.nonzero(mask)[0]]
         if keep:
-            filtered.append(keep)
-            used += len(keep)
+            layers.append(keep)
+    return pa, pb, resolution, layers
+
+
+def msdn_lower_bound_reference(
+    msdn,
+    point_a,
+    point_b,
+    resolution: float,
+    roi=None,
+    corridor=None,
+    charge_io: bool = True,
+) -> LowerBoundResult:
+    """:meth:`MSDN.lower_bound` by walking chunk objects: filter each
+    selected plane's chunks (:func:`msdn_layers_reference`), charge
+    their pages by record id and run the object-input DP."""
+    pa, pb, resolution, layers = msdn_layers_reference(
+        msdn, point_a, point_b, resolution, roi, corridor
+    )
     if charge_io:
-        for layer in filtered:
+        for layer in layers:
             _touch_chunks(msdn, layer, resolution)
-    value, path_keys = lower_bound_via_planes(pa, pb, filtered)
+    value, path_keys = lower_bound_via_planes(pa, pb, layers)
     return LowerBoundResult(
-        value=value, path_keys=path_keys, resolution=resolution, chunks_used=used
+        value=value,
+        path_keys=path_keys,
+        resolution=resolution,
+        chunks_used=sum(len(layer) for layer in layers),
     )
 
 

@@ -62,11 +62,18 @@ def _pairs(engine):
 
 
 def _boxes(pa, pb, spacing):
-    """An ROI around the pair and a thin corridor along it."""
+    """An ROI around the pair and a thin one-box corridor along it."""
     roi = BoundingBox.of_points(np.array([pa[:2], pb[:2]])).expanded(spacing)
     mid = (np.asarray(pa[:2]) + np.asarray(pb[:2])) / 2.0
     corridor = [BoundingBox(tuple(mid - spacing), tuple(mid + spacing))]
     return roi, corridor
+
+
+def _path_corridor(msdn, pa, pb, roi, prev_res):
+    """The dummy-lb corridor of the ranking loop: ``corridor_from_path``
+    around the path of the previous (coarser) level's ROI bound."""
+    prev = msdn.lower_bound(pa, pb, prev_res, roi=roi, charge_io=False)
+    return msdn.corridor_from_path(prev.path_keys, prev.resolution)
 
 
 class TestMSDNLowerBound:
@@ -75,9 +82,12 @@ class TestMSDNLowerBound:
         msdn = engine.msdn
         for pa, pb in _pairs(engine):
             roi, corridor = _boxes(pa, pb, 2.0 * msdn.spacing)
-            for res in msdn.resolutions:
+            for i, res in enumerate(msdn.resolutions):
+                prev_res = msdn.resolutions[max(i - 1, 0)]
+                path = _path_corridor(msdn, pa, pb, roi, prev_res)
                 for kwargs in ({}, {"roi": roi}, {"corridor": corridor},
-                               {"roi": roi, "corridor": corridor}):
+                               {"roi": roi, "corridor": corridor},
+                               {"roi": roi, "corridor": path}):
                     page_log.clear()
                     got = msdn.lower_bound(pa, pb, res, charge_io=charge_io,
                                            **kwargs)

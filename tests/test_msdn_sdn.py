@@ -1,12 +1,26 @@
 """Unit tests for SDN chunks and the layered lower-bound DP."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GeometryError
 from repro.geometry.polyline import Polyline
 from repro.geometry.primitives import BoundingBox
-from repro.msdn.sdn import SdnChunk, build_sdn_chunks, lower_bound_via_planes
+from repro.msdn.sdn import (
+    SdnChunk,
+    _hop_totals,
+    build_sdn_chunks,
+    lower_bound_via_planes_arrays,
+)
+from repro.testkit.reference import (
+    _boxes_to_boxes,
+    _layer_boxes,
+    lower_bound_via_planes,
+)
 
 
 def make_line(y: float, n: int = 9, z: float = 0.0) -> Polyline:
@@ -38,20 +52,31 @@ class TestChunks:
         assert np.allclose(back.mbr.hi, chunk.mbr.hi)
 
 
+def boxes(layer) -> tuple[np.ndarray, np.ndarray]:
+    """A layer's chunk MBRs as the DP's ``(lo, hi)`` row arrays."""
+    lo = np.array([c.mbr.lo for c in layer], dtype=float).reshape(-1, 3)
+    hi = np.array([c.mbr.hi for c in layer], dtype=float).reshape(-1, 3)
+    return lo, hi
+
+
+def dp(a, b, layers):
+    return lower_bound_via_planes_arrays(a, b, [boxes(layer) for layer in layers])
+
+
 class TestLowerBoundDP:
     def test_no_planes_gives_euclid(self):
-        lb, path = lower_bound_via_planes((0, 0, 0), (3, 4, 0), [])
+        lb, path = dp((0, 0, 0), (3, 4, 0), [])
         assert lb == pytest.approx(5.0)
         assert path == []
 
     def test_empty_layer_rejected(self):
         with pytest.raises(GeometryError):
-            lower_bound_via_planes((0, 0, 0), (0, 5, 0), [[]])
+            dp((0, 0, 0), (0, 5, 0), [[]])
 
     def test_single_flat_plane(self):
         layer = build_sdn_chunks(make_line(1.0), 1, 0, 1.0, 1.0)
         a, b = (4.0, 0.0, 0.0), (4.0, 2.0, 0.0)
-        lb, path = lower_bound_via_planes(a, b, [layer])
+        lb, path = dp(a, b, [layer])
         assert lb == pytest.approx(2.0)
         assert len(path) == 1
 
@@ -60,7 +85,7 @@ class TestLowerBoundDP:
         exceed the straight xy distance."""
         layer = build_sdn_chunks(make_line(1.0, z=10.0), 1, 0, 1.0, 1.0)
         a, b = (4.0, 0.0, 0.0), (4.0, 2.0, 0.0)
-        lb, _ = lower_bound_via_planes(a, b, [layer])
+        lb, _ = dp(a, b, [layer])
         climb = np.hypot(1.0, 10.0)
         assert lb == pytest.approx(2 * climb, rel=1e-6)
 
@@ -73,7 +98,7 @@ class TestLowerBoundDP:
         ]
         values = []
         for count in (1, 2, 3):
-            lb, _ = lower_bound_via_planes(a, b, layers[:count])
+            lb, _ = dp(a, b, layers[:count])
             values.append(lb)
         assert values == sorted(values)
 
@@ -92,7 +117,7 @@ class TestLowerBoundDP:
         prev = -1.0
         for res in (0.25, 0.5, 1.0):
             layer = build_sdn_chunks(line, 1, 0, 1.0, res)
-            lb, _ = lower_bound_via_planes(a, b, [layer])
+            lb, _ = dp(a, b, [layer])
             assert lb >= prev - 1e-9
             prev = lb
 
@@ -102,5 +127,98 @@ class TestLowerBoundDP:
             build_sdn_chunks(make_line(y), 1, i, y, 0.5)
             for i, y in enumerate((1.0, 2.0, 3.0))
         ]
-        _lb, path = lower_bound_via_planes(a, b, layers)
+        _lb, path = dp(a, b, layers)
         assert len(path) == 3
+
+
+# Coordinates: a few exact values (so boxes touch, coincide and give
+# signed-zero gaps) mixed with arbitrary floats (so a change in the
+# order the squares are summed shows in the last bit).
+_coord = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+    st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+)
+_extent = st.one_of(
+    st.just(0.0), st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
+)
+_SPACING = 10.0
+
+
+def _chunks(plane: int, *mbrs) -> list[SdnChunk]:
+    """One y-plane's chunks from ``(lo, hi)`` corner pairs; the key
+    names the row."""
+    return [
+        SdnChunk(1, plane, float(plane), 1.0, row, row + 1, BoundingBox(lo, hi))
+        for row, (lo, hi) in enumerate(mbrs)
+    ]
+
+
+@st.composite
+def _family(draw):
+    """``(layers, a, b)``: the chunk layers of y-planes between ``a``
+    and ``b``.  Boxes scatter in x and z, so chains zigzag and the
+    bound clears the straight line; they keep whatever extent they
+    draw along y, the plane axis, as interpolated crossing lines may.
+    Layers may hold one chunk, and some boxes repeat an earlier one,
+    so argmin sees exact ties."""
+    planes = draw(st.integers(min_value=1, max_value=5))
+    layers = []
+    for plane in range(planes):
+        mbrs = []
+        for _ in range(draw(st.integers(min_value=1, max_value=6))):
+            if mbrs and draw(st.booleans()):
+                mbrs.append(draw(st.sampled_from(mbrs)))
+                continue
+            y = _SPACING * (plane + 1) + draw(_coord) / _SPACING
+            lo = (draw(_coord), y, draw(_coord))
+            mbrs.append((lo, tuple(v + draw(_extent) for v in lo)))
+        layers.append(_chunks(plane, *mbrs))
+    a = (draw(_coord), 0.0, draw(_coord))
+    b = (draw(_coord), _SPACING * (planes + 1), draw(_coord))
+    return layers, a, b
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+_TIED = ((0.0, 1.0, 0.0), (1.0, 1.0, 0.5))
+
+
+class TestHopKernelBitIdentity:
+    """The per-coordinate hop kernel against the broadcast oracle:
+    the same bound to the bit and the same chain of picks (the keys
+    name the row, so a tie broken differently shows)."""
+
+    @given(_family())
+    @example(  # duplicate boxes: argmin ties go to the first row
+        (
+            [_chunks(0, _TIED, _TIED, _TIED), _chunks(1, _TIED, _TIED)],
+            (0.0, 0.0, 0.0),
+            (0.0, 2.0, 0.0),
+        )
+    )
+    @example(  # touching at a signed zero: lo2 - hi1 is -0.0
+        (
+            [
+                _chunks(0, ((-1.0, 0.0, -1.0), (0.0, 0.0, 0.0))),
+                _chunks(1, ((-0.0, 1.0, -0.0), (1.0, 1.0, 1.0))),
+            ],
+            (-0.5, -1.0, 0.0),
+            (0.5, 2.0, 0.0),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_broadcast_oracle(self, family):
+        layers, a, b = family
+        got, picks = dp(a, b, layers)
+        want, keys = lower_bound_via_planes(a, b, layers)
+        assert _bits(got) == _bits(want)
+        assert [layer[row].key for layer, row in zip(layers, picks)] == keys
+        # Every hop matrix too, not only the entries on the best chain:
+        # a last-bit difference off the chain cannot reach the bound.
+        family_boxes = [_layer_boxes(layer) for layer in layers]
+        for (lo1, hi1), (lo2, hi2) in zip(family_boxes, family_boxes[1:]):
+            hop = _hop_totals(np.zeros(lo1.shape[0]), lo1, hi1, lo2, hi2)
+            want_hop = _boxes_to_boxes(lo1, hi1, lo2, hi2).T
+            assert hop.tobytes() == np.ascontiguousarray(want_hop).tobytes()

@@ -21,7 +21,8 @@ from repro.obs.export import (
     render,
     write_jsonl,
 )
-from repro.obs.metrics import Histogram, MetricsRegistry, get_registry
+from repro.obs.context import active_registry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.tracing import NOOP_SPAN, Span, Tracer
 
 
@@ -153,7 +154,7 @@ class TestMetrics:
             a.merge(Histogram("t", buckets=(3.0,)))
 
     def test_default_registry_is_shared(self):
-        assert get_registry() is get_registry()
+        assert active_registry() is active_registry()
 
 
 class TestEvents:

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from repro.errors import IndexError_
+from repro.errors import SpatialIndexError
 from repro.spatial.bplustree import BPlusTree
 
 
 class TestBasics:
     def test_bad_order(self):
-        with pytest.raises(IndexError_):
+        with pytest.raises(SpatialIndexError):
             BPlusTree(order=2)
 
     def test_insert_get(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import IndexError_
+from repro.errors import SpatialIndexError
 from repro.geometry.primitives import BoundingBox
 from repro.spatial.grid import UniformGrid
 
@@ -21,11 +21,11 @@ def grid(points):
 
 class TestConstruction:
     def test_empty_rejected(self):
-        with pytest.raises(IndexError_):
+        with pytest.raises(SpatialIndexError):
             UniformGrid([])
 
     def test_payload_mismatch_rejected(self):
-        with pytest.raises(IndexError_):
+        with pytest.raises(SpatialIndexError):
             UniformGrid([(0, 0), (1, 1)], payloads=[1])
 
     def test_custom_payloads(self):
@@ -70,9 +70,9 @@ class TestQueries:
         assert len(got) == 3
 
     def test_bad_k(self, grid):
-        with pytest.raises(IndexError_):
+        with pytest.raises(SpatialIndexError):
             grid.knn((0, 0), 0)
 
     def test_negative_radius(self, grid):
-        with pytest.raises(IndexError_):
+        with pytest.raises(SpatialIndexError):
             grid.circle_query((0, 0), -0.1)

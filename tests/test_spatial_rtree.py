@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import IndexError_
+from repro.errors import SpatialIndexError
 from repro.geometry.primitives import BoundingBox
 from repro.spatial.rtree import RTree
 
@@ -24,11 +24,11 @@ def tree(points):
 
 class TestConstruction:
     def test_bad_capacity(self):
-        with pytest.raises(IndexError_):
+        with pytest.raises(SpatialIndexError):
             RTree(max_entries=1)
 
     def test_bad_min_entries(self):
-        with pytest.raises(IndexError_):
+        with pytest.raises(SpatialIndexError):
             RTree(max_entries=4, min_entries=3)
 
     def test_len(self, tree, points):
@@ -70,7 +70,7 @@ class TestCircleQuery:
         assert got == want
 
     def test_negative_radius_rejected(self, tree):
-        with pytest.raises(IndexError_):
+        with pytest.raises(SpatialIndexError):
             tree.circle_query((0, 0), -1.0)
 
 
@@ -100,7 +100,7 @@ class TestKnn:
         assert len(t.knn((0, 0), 10)) == 5
 
     def test_bad_k(self, tree):
-        with pytest.raises(IndexError_):
+        with pytest.raises(SpatialIndexError):
             tree.knn((0, 0), 0)
 
     def test_empty_tree(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import IndexError_
+from repro.errors import SpatialIndexError
 from repro.geometry.primitives import BoundingBox
 from repro.spatial.zorder import zorder_key, zorder_key_normalized
 
@@ -28,7 +28,7 @@ class TestZOrderKey:
                 seen.add(key)
 
     def test_negative_rejected(self):
-        with pytest.raises(IndexError_):
+        with pytest.raises(SpatialIndexError):
             zorder_key(-1, 0)
 
 
@@ -60,5 +60,5 @@ class TestNormalized:
 
     def test_bad_bits(self):
         b = BoundingBox((0.0, 0.0), (1.0, 1.0))
-        with pytest.raises(IndexError_):
+        with pytest.raises(SpatialIndexError):
             zorder_key_normalized(0.5, 0.5, b, bits=0)
