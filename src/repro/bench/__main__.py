@@ -11,8 +11,9 @@ reporting retry/corruption counters and degraded-answer rates
 recover) and reports availability, storage-degraded rates, quarantine
 activity and engine health — the degraded-mode execution contract.  The ``kernels`` mode times the
 dict reference kernels against the heap CSR and bucketed frontier
-kernels, and the broadcast MSDN lower-bound DP against the
-per-coordinate hop kernel (micro rows); the ``landmarks`` mode runs
+kernels, the broadcast MSDN lower-bound DP against the
+per-coordinate hop kernel, and per-page reads against run reads of
+the same captured page runs (micro rows); the ``landmarks`` mode runs
 the fig10 k-sweep with ALT landmark pruning on vs off; the ``shard``
 mode asserts the tiled
 :class:`~repro.shard.ShardedEngine` answers identically to the

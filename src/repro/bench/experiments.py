@@ -828,11 +828,15 @@ def kernels(
     comparison, ``msdn dp``, times the MSDN lower-bound DP with
     broadcast hop matrices (the oracle) against the per-coordinate hop
     kernel on the layers of a fixed set of lower-bound calls (see
-    :func:`_msdn_dp_calls`).  Every comparison first asserts the
-    values are identical — a speedup over different answers would be
-    meaningless.  When ``out`` is set, the rows are merged into the
-    ``repro.bench/v1`` JSON document there (the checked-in
-    ``BENCH_GEODESIC.json``).
+    :func:`_msdn_dp_calls`).  A fifth, ``page io``, replays the page
+    runs of a fixed set of queries on a storage-attached engine
+    (:func:`_page_io_runs`) with a cold buffer per query, once one
+    page at a time through the per-page oracle and once as runs
+    through :meth:`~repro.storage.pages.PageManager.read_pages`.
+    Every comparison first asserts the values are identical — a
+    speedup over different answers would be meaningless.  When
+    ``out`` is set, the rows are merged into the ``repro.bench/v1``
+    JSON document there (the checked-in ``BENCH_GEODESIC.json``).
     """
     from repro.geodesic.csr import astar_csr, dijkstra_csr, multi_source_heap
     from repro.geodesic.dijkstra import dijkstra_reference
@@ -843,7 +847,10 @@ def kernels(
     )
     from repro.geodesic.pathnet import vertex_key
     from repro.msdn.sdn import lower_bound_via_planes_arrays
-    from repro.testkit.reference import lower_bound_via_planes_broadcast
+    from repro.testkit.reference import (
+        lower_bound_via_planes_broadcast,
+        read_page_reference,
+    )
 
     if size is None:
         size = 25 if quick else 33
@@ -954,6 +961,42 @@ def kernels(
         raise AssertionError("kernel divergence: MSDN DP bound or picks differ")
     dp_ref_seconds, _ = best_of(lambda: run_dp(lower_bound_via_planes_broadcast))
     dp_new_seconds, _ = best_of(lambda: run_dp(lower_bound_via_planes_arrays))
+
+    io_size = 17 if quick else 25
+    io_engine = build_engine("BH", size=io_size, density=10.0)
+    pages = io_engine.pages
+    io_runs, io_bill = _page_io_runs(io_engine, 8 if quick else 16)
+
+    def replay(read_run):
+        """Every query's runs from a cold buffer: payloads, per-class
+        read counts and the buffer's final LRU order."""
+        before = pages.stats.snapshot()
+        payloads = []
+        for runs in io_runs:
+            pages.drop_buffer()
+            for run in runs:
+                payloads.extend(read_run(run))
+        delta = pages.stats.delta_since(before)
+        return (
+            payloads,
+            (delta.logical_by_class, delta.physical_by_class),
+            list(pages.buffer._entries),
+        )
+
+    def per_page(run):
+        return [read_page_reference(pages, page_id) for page_id in run]
+
+    io_ref = replay(per_page)
+    io_new = replay(pages.read_pages)
+    _payloads, (_logical, physical), _lru = io_new
+    if io_ref != io_new or sum(physical.values()) != io_bill:
+        raise AssertionError(
+            "page io divergence: runs and single reads differ in pages, "
+            "order or per-class counts, or miss the queries' page bill"
+        )
+    io_ref_seconds, _ = best_of(lambda: replay(per_page))
+    io_new_seconds, _ = best_of(lambda: replay(pages.read_pages))
+    io_pages = sum(len(run) for runs in io_runs for run in runs)
 
     searches = len(sources) * len(target_ids)
     kernel_rows = [
@@ -1071,6 +1114,22 @@ def kernels(
             "speedup": dp_ref_seconds / dp_new_seconds if dp_new_seconds > 0 else None,
             "identical": True,
         },
+        {
+            "comparison": "page io",
+            "kernel": "reference per-page",
+            "searches": io_pages,
+            "seconds": io_ref_seconds,
+            "speedup": 1.0,
+            "identical": True,
+        },
+        {
+            "comparison": "page io",
+            "kernel": "run read",
+            "searches": sum(len(runs) for runs in io_runs),
+            "seconds": io_new_seconds,
+            "speedup": io_ref_seconds / io_new_seconds if io_new_seconds > 0 else None,
+            "identical": True,
+        },
     ]
 
     tables = [
@@ -1094,6 +1153,9 @@ def kernels(
                 "num_anchors": len(sources),
                 "num_targets": len(target_ids),
                 "msdn_dp_calls": len(dp_calls),
+                "page_io_size": io_size,
+                "page_io_queries": len(io_runs),
+                "page_io_pages": io_pages,
                 "repeats": repeats,
                 "quick": quick,
             }
@@ -1139,6 +1201,28 @@ def _msdn_dp_calls(msdn, mesh, num_pairs: int) -> list[tuple]:
                 calls.append((qa, qb, [_layer_boxes(layer) for layer in layers]))
             path = msdn.lower_bound(pa, pb, res, roi=roi, charge_io=False)
     return calls
+
+
+def _page_io_runs(engine, num_queries: int) -> tuple[list, int]:
+    """The page runs a fixed set of k=3 queries reads, per query, and
+    the pages those queries were billed (cold cache each)."""
+    pages = engine.pages
+    captured: list[list[list[int]]] = []
+    read_pages = pages.read_pages
+
+    def logged(page_ids):
+        captured[-1].append(list(page_ids))
+        return read_pages(page_ids)
+
+    bill = 0
+    pages.read_pages = logged
+    try:
+        for vertex in query_vertices(engine.mesh, num_queries, seed=23):
+            captured.append([])
+            bill += engine.query(vertex, 3).metrics.pages_accessed
+    finally:
+        del pages.read_pages
+    return captured, bill
 
 
 # ----------------------------------------------------------------------

@@ -86,14 +86,7 @@ class CSRGraph:
     up front.
     """
 
-    __slots__ = (
-        "_indptr_list",
-        "_indices_list",
-        "_weights_list",
-        "_arrays",
-        "_frontier",
-        "positions",
-    )
+    __slots__ = ("_lists", "_arrays", "_frontier", "positions")
 
     def __init__(self, indptr, indices, weights, positions=None):
         if (
@@ -105,18 +98,14 @@ class CSRGraph:
             # builder): keep the numpy form primary and materialise
             # the list mirrors lazily — the frontier kernels never
             # need them.
-            self._indptr_list = None
-            self._indices_list = None
-            self._weights_list = None
+            self._lists = None
             self._arrays = (
                 np.ascontiguousarray(indptr, dtype=np.int64),
                 np.ascontiguousarray(indices, dtype=np.int64),
                 np.ascontiguousarray(weights, dtype=np.float64),
             )
         else:
-            self._indptr_list = list(indptr)
-            self._indices_list = list(indices)
-            self._weights_list = list(weights)
+            self._lists = (list(indptr), list(indices), list(weights))
             self._arrays = None
         self._frontier = None  # per-graph frontier-kernel state cache
         self.positions = (
@@ -125,12 +114,13 @@ class CSRGraph:
 
     def _materialise(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         arrays = self._arrays
+        lists = self._lists
         if (
             arrays is not None
-            and self._indptr_list is not None
+            and lists is not None
             and (
-                arrays[0].shape[0] != len(self._indptr_list)
-                or arrays[1].shape[0] != len(self._indices_list)
+                arrays[0].shape[0] != len(lists[0])
+                or arrays[1].shape[0] != len(lists[1])
             )
         ):
             # Hardening: a caller grew the list storage after the
@@ -141,9 +131,9 @@ class CSRGraph:
             self._frontier = None
         if arrays is None:
             arrays = self._arrays = (
-                np.asarray(self._indptr_list, dtype=np.int64),
-                np.asarray(self._indices_list, dtype=np.int64),
-                np.asarray(self._weights_list, dtype=np.float64),
+                np.asarray(lists[0], dtype=np.int64),
+                np.asarray(lists[1], dtype=np.int64),
+                np.asarray(lists[2], dtype=np.float64),
             )
         return arrays
 
@@ -161,26 +151,32 @@ class CSRGraph:
 
     @property
     def num_nodes(self) -> int:
-        if self._indptr_list is not None:
-            return len(self._indptr_list) - 1
+        lists = self._lists
+        if lists is not None:
+            return len(lists[0]) - 1
         return int(self._arrays[0].shape[0]) - 1
 
     @property
     def num_edges(self) -> int:
-        if self._indices_list is not None:
-            return len(self._indices_list)
+        lists = self._lists
+        if lists is not None:
+            return len(lists[1])
         return int(self._arrays[1].shape[0])
 
     def lists(self) -> tuple[list, list, list]:
         """``(indptr, indices, weights)`` as plain Python lists — the
         form the CPython hot loops consume (materialised lazily for
-        array-first graphs)."""
-        if self._indptr_list is None:
+        array-first graphs, and published as one tuple so a
+        concurrent first call never sees a partial set)."""
+        lists = self._lists
+        if lists is None:
             indptr, indices, weights = self._arrays
-            self._indptr_list = indptr.tolist()
-            self._indices_list = indices.tolist()
-            self._weights_list = weights.tolist()
-        return self._indptr_list, self._indices_list, self._weights_list
+            lists = self._lists = (
+                indptr.tolist(),
+                indices.tolist(),
+                weights.tolist(),
+            )
+        return lists
 
     def heuristic_to(self, target: int) -> list[float]:
         """Straight-line distances from every node to ``target`` (one

@@ -254,13 +254,17 @@ class MSDN:
         over ``roi`` would fetch (integrated I/O regions call this
         once per merged region, then estimate with
         ``charge_io=False``).  The ROI mask is computed once per axis
-        over the whole family; each plane then reads its own distinct
-        pages in ascending order, plane by plane."""
+        over the whole family; the planes of all axes are then the
+        runs of one run read, which reads each plane's distinct pages
+        in ascending order, plane by plane."""
         store = self._store
         if store is None:
             return
         resolution = self.nearest_resolution(resolution)
         roi = _roi_list(roi)
+        runs: list[np.ndarray] = []
+        bounds: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
+        total = 0
         for axis in axes:
             key = (axis, resolution)
             pages = self._chunk_pages(axis, resolution)
@@ -272,10 +276,11 @@ class MSDN:
                 kept_before = np.zeros(mask.size + 1, dtype=np.int64)
                 np.cumsum(mask, out=kept_before[1:])
                 offsets = kept_before[offsets]
-            cuts = offsets.tolist()
-            for start, stop in zip(cuts, cuts[1:]):
-                if stop > start:
-                    store.touch_pages(pages[start:stop])
+            runs.append(pages)
+            bounds.append(offsets[1:] + total)
+            total += pages.size
+        if runs:
+            store.touch_pages(np.concatenate(runs), np.concatenate(bounds))
 
     def lower_bound(
         self,
@@ -374,7 +379,8 @@ class MSDN:
 
         Selects the family rows of the planes between the endpoints
         (ROI and corridor masks are computed once, over those planes'
-        rows), charges each kept plane's pages in plane order and runs
+        rows), charges the kept planes' pages as one run, plane by
+        plane in plane order, and runs
         :func:`repro.msdn.sdn.lower_bound_via_planes_arrays`, which is
         bit-identical to the broadcast object-walk oracle
         :func:`repro.testkit.reference.lower_bound_via_planes`."""
@@ -413,7 +419,8 @@ class MSDN:
                 pages = pages[rows]
         kept: list = []  # (plane index, first row of its run)
         layer_boxes: list[tuple[np.ndarray, np.ndarray]] = []
-        used = 0
+        runs: list[np.ndarray] = []  # each kept plane's pages
+        bounds = [0]  # run offsets: kept rows up to each kept plane
         for pi, start, stop in zip(planes.tolist(), starts.tolist(), stops.tolist()):
             # An empty (or fully filtered) plane is dropped, which
             # only loosens the bound.
@@ -421,9 +428,11 @@ class MSDN:
                 continue
             kept.append((pi, start))
             layer_boxes.append((lo3[start:stop], hi3[start:stop]))
-            used += stop - start
+            bounds.append(bounds[-1] + stop - start)
             if pages is not None:
-                self._store.touch_pages(pages[start:stop])
+                runs.append(pages[start:stop])
+        if runs:
+            self._store.touch_pages(np.concatenate(runs), bounds)
         value, picks = lower_bound_via_planes_arrays(pa, pb, layer_boxes)
         per_plane = self._chunks[key]
         path_keys = []
@@ -436,7 +445,7 @@ class MSDN:
             value=value,
             path_keys=path_keys,
             resolution=resolution,
-            chunks_used=used,
+            chunks_used=bounds[-1],
         )
 
     def corridor_from_path(

@@ -44,11 +44,11 @@ class DistanceDirectMesh:
         self._mbr_lo = np.array([b.lo for b in self._node_mbrs])
         self._mbr_hi = np.array([b.hi for b in self._node_mbrs])
         self._positions = np.array([n.position for n in nodes], dtype=float)
-        # Lazily flattened record lists for vectorized cut-edge
-        # selection (see cut_edge_arrays).
-        self._rec_src: np.ndarray | None = None
-        self._rec_dst: np.ndarray | None = None
-        self._rec_d: np.ndarray | None = None
+        # Lazily flattened record lists ``(src, dst, dist)`` for
+        # vectorized cut-edge selection (see cut_edge_arrays),
+        # published as one tuple so a concurrent first touch never
+        # sees a partial set.
+        self._records: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # -- derived structure ------------------------------------------------
 
@@ -115,7 +115,8 @@ class DistanceDirectMesh:
         return self.history.edges_of_cut(cut)
 
     def _record_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._rec_src is None:
+        records = self._records
+        if records is None:
             src: list[int] = []
             dst: list[int] = []
             dists: list[float] = []
@@ -124,10 +125,12 @@ class DistanceDirectMesh:
                     src.append(node.node_id)
                     dst.append(nbr)
                     dists.append(d)
-            self._rec_src = np.asarray(src, dtype=np.int64)
-            self._rec_dst = np.asarray(dst, dtype=np.int64)
-            self._rec_d = np.asarray(dists, dtype=float)
-        return self._rec_src, self._rec_dst, self._rec_d
+            records = self._records = (
+                np.asarray(src, dtype=np.int64),
+                np.asarray(dst, dtype=np.int64),
+                np.asarray(dists, dtype=float),
+            )
+        return records
 
     def cut_edge_arrays(
         self, cut_ids: np.ndarray

@@ -4,8 +4,10 @@ DM's connectivity encoding lets query processing jump straight to the
 node records it needs instead of walking the tree from the root; on
 disk that means: records are *clustered* (sorted by z-order of their
 position so spatial neighbours share pages) but *addressed* by id.
-:class:`LocatorStore` models exactly that access path and charges the
-buffer pool for every page the requested id set touches.
+:class:`LocatorStore` models exactly that access path: callers resolve
+record ids to pages once (:meth:`LocatorStore.page_of`) and charge the
+buffer pool for the pages of each access as one run
+(:meth:`LocatorStore.touch_pages`).
 """
 
 from __future__ import annotations
@@ -60,30 +62,36 @@ class LocatorStore:
     def num_pages(self) -> int:
         return len(self._page_ids)
 
-    def touch(self, record_ids) -> int:
-        """Read (through the buffer pool) every page holding one of
-        the given record ids; returns the number of distinct pages."""
-        needed = {self._locator(rid)[0] for rid in record_ids}
-        for page_id in sorted(needed):
-            self._pages.read(page_id)
-        return len(needed)
-
     def page_of(self, record_id) -> int:
         """Page id holding a record (for callers that pre-resolve the
         id → page mapping once and then touch by page array)."""
         return self._locator(record_id)[0]
 
-    def touch_pages(self, page_ids) -> int:
-        """Array twin of :meth:`touch` for pre-resolved page ids.
+    def touch_pages(self, page_ids, bounds=None) -> int:
+        """Read pre-resolved pages as one run through the buffer pool
+        (:meth:`~repro.storage.pages.PageManager.read_pages`).
 
-        ``page_ids`` may contain duplicates; the distinct pages are
-        read in ascending order — the same reads, in the same order,
-        that :meth:`touch` issues for the records living on them.
+        ``bounds`` (offsets, length runs + 1, from 0 to
+        ``len(page_ids)``) cuts ``page_ids`` into runs; None makes it
+        one run.  Runs may hold duplicates and be empty.  Each run's
+        distinct pages are read in ascending order, runs in order — the
+        reads that charging each run's records one page at a time
+        issues (:func:`repro.testkit.reference.touch_records_reference`)
+        — so a page in two runs is read once per run.  Returns the
+        number of pages read.
         """
-        needed = np.unique(np.asarray(page_ids))
-        for page_id in needed:
-            self._pages.read(int(page_id))
-        return int(needed.size)
+        pages = np.asarray(page_ids, dtype=np.int64)
+        if bounds is None:
+            bounds = (0, pages.size)
+        runs = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        order = np.lexsort((pages, runs))
+        pages, runs = pages[order], runs[order]
+        first = np.ones(pages.size, dtype=bool)
+        first[1:] = (pages[1:] != pages[:-1]) | (runs[1:] != runs[:-1])
+        needed = pages[first].tolist()
+        if needed:
+            self._pages.read_pages(needed)
+        return len(needed)
 
     def fetch(self, record_id) -> bytes:
         """Read and return one record's blob."""

@@ -3,7 +3,9 @@
 The "disk" is a :class:`SimulatedDisk` of immutable byte blocks;
 reads go through a :class:`BufferPool` and misses increment
 ``IOStatistics.physical_reads`` — the paper's *pages accessed*
-observable.
+observable.  Pages are read in runs
+(:meth:`PageManager.read_pages`): one call per structure access,
+observably the same as one read per page.
 
 The buffer pool is a separate object so it can be shared: by default
 every :class:`PageManager` owns a private pool sized by its
@@ -29,7 +31,7 @@ from __future__ import annotations
 import itertools
 import threading
 import zlib
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 from repro.errors import (
     PageCorruptionError,
@@ -38,11 +40,12 @@ from repro.errors import (
     StorageError,
 )
 from repro.obs.context import active_profiler, active_registry
-from repro.obs.tracing import NOOP_SPAN, NULL_TRACER
+from repro.obs.tracing import NULL_TRACER
 from repro.storage.faults import (
     FAULT_CORRUPT,
     FAULT_TRANSIENT,
     QUARANTINE_BLOCKED,
+    QUARANTINE_CLEAR,
     QUARANTINE_PROBE,
     FaultInjector,
     FaultStats,
@@ -106,7 +109,10 @@ class BufferPool:
     :class:`PageManager` passes its own owner token, so several
     managers (one per engine, say) can share one pool without page-id
     collisions.  All operations hold the pool's lock, so concurrent
-    readers from a thread pool see a consistent LRU.
+    readers from a thread pool see a consistent LRU;
+    :meth:`PageManager.read_pages` holds it for a whole run and
+    probes, inserts and evicts on the entries directly, exactly as
+    :meth:`get` and :meth:`put` would.
     """
 
     def __init__(self, capacity: int):
@@ -204,9 +210,9 @@ class PageManager:
         re-running the retry storm, until a probation read readmits
         it.
 
-    Reads are guarded by a per-manager lock so the buffer probe and
-    the hit/miss accounting are atomic with respect to other threads
-    using this manager.
+    Reads are guarded by a per-manager lock (held for a whole run)
+    so the buffer probe and the hit/miss accounting are atomic with
+    respect to other threads using this manager.
     """
 
     def __init__(
@@ -289,127 +295,188 @@ class PageManager:
         return self._page_class.get(page_id, PAGE_CLASS_OTHER)
 
     def read(self, page_id: int) -> bytes:
-        """Fetch a page through the buffer pool.
+        """Fetch one page through the buffer pool: the one-page run of
+        :meth:`read_pages`."""
+        return self.read_pages((page_id,))[0]
 
-        The probe, the stats update and the pool insertion happen
-        under the manager lock, so hit/miss accounting stays exact
-        when many threads hammer one manager (the invariant
-        ``logical_reads == hits + physical_reads`` holds).
+    def read_pages(self, page_ids) -> list[bytes]:
+        """Fetch a *run* of pages through the buffer pool, in order.
+
+        ``page_ids`` is an ordered sequence (repeats allowed); the
+        payloads come back in the same order.  The run is observably
+        one read per page: each page is probed in the pool (a hit
+        refreshes its LRU position), and a miss passes the quarantine
+        gate, is fetched with CRC check and retries, then inserted,
+        evicting least-recently-used pages beyond capacity.  What a
+        run pays once instead of per page is the profiler lookup, the
+        lock acquisitions, the quarantine gate while the quarantine is
+        empty, and the statistics update — one
+        per-class flush, which also runs when a read raises part-way
+        (the pages before it are counted, the failing one is not).
+        With profiling on, each miss opens its own ``page-io`` phase
+        and hits count ``logical_reads`` in the caller's phase, as
+        single reads do.
+
+        Lock order: the manager lock, then the pool lock (held for the
+        whole run), then the quarantine's or the injector's lock.
+        Holding both for the run keeps hit/miss accounting exact under
+        threads (``logical_reads == hits + physical_reads``).
         """
-        page_class = self._page_class.get(page_id, PAGE_CLASS_OTHER)
         profiler = active_profiler()
-        with self._lock:
-            cached = self._buffer.get(self._owner, page_id)
-            if cached is not None:
-                self.stats.record_read(page_class, physical=False)
-                profiler.count("logical_reads", 1)
-                return cached
-            # A buffered copy is valid data, so the quarantine only
-            # gates disk access: known-bad pages fail fast here
-            # instead of re-running the retry storm, except for the
-            # periodic probation read that checks whether the page
-            # has healed.
-            verdict = self.quarantine.gate(self._owner, page_id)
-            if verdict == QUARANTINE_BLOCKED:
-                self.fault_stats.quarantine_fastfails_total += 1
-                active_registry().counter(
-                    "storage.quarantine_fastfails_total"
-                ).add(1)
-                reason = self.quarantine.reason_of(self._owner, page_id)
-                raise QuarantinedPageError(
-                    f"page {page_id} is quarantined ({reason}); read "
-                    "refused without touching the disk"
-                )
-            if verdict == QUARANTINE_PROBE:
-                self.fault_stats.quarantine_probes_total += 1
-                active_registry().counter("storage.quarantine_probes_total").add(1)
+        owner = self._owner
+        pool = self._buffer
+        entries = pool._entries
+        quarantine = self.quarantine
+        out: list[bytes] = []
+        missed: list[int] = []
+        with self._lock, pool._lock:
+            # Only this manager admits its own pages (an admission
+            # ends the run by raising) or readmits them, so a
+            # quarantine that is empty now holds none of them for the
+            # whole run, and the gate of an absent entry is a no-op.
+            gated = len(quarantine) > 0
+            try:
+                for page_id in page_ids:
+                    key = (owner, page_id)
+                    data = entries.get(key)
+                    if data is None:
+                        data = self._read_miss(page_id, gated, profiler)
+                        missed.append(page_id)
+                        entries[key] = data
+                        while len(entries) > pool.capacity:
+                            entries.popitem(last=False)
+                    else:
+                        entries.move_to_end(key)
+                    out.append(data)
+            finally:
+                if out:
+                    self._flush_run(page_ids, len(out), missed, profiler)
+        return out
+
+    def _read_miss(self, page_id: int, gated: bool, profiler) -> bytes:
+        """A buffer miss of :meth:`read_pages`: the quarantine gate
+        (while ``gated``), then the verified fetch."""
+        verdict = self._gate(page_id) if gated else QUARANTINE_CLEAR
+        if profiler.enabled:
             # A buffer miss is the query's page-I/O moment: the
             # physical fetch (plus CRC/retry machinery) is billed to
             # the "page-io" phase, with per-class read attribution.
-            with profiler.phase("page-io"):
-                try:
-                    data = self._fetch_verified(page_id)
-                except (PageReadError, PageCorruptionError) as exc:
-                    if verdict == QUARANTINE_PROBE:
-                        self.quarantine.probe_failed(self._owner, page_id)
-                    else:
-                        self.quarantine.admit(
-                            self._owner,
-                            page_id,
-                            reason=(
-                                FAULT_CORRUPT
-                                if isinstance(exc, PageCorruptionError)
-                                else FAULT_TRANSIENT
-                            ),
-                            page_class=page_class,
-                        )
-                        self.fault_stats.pages_quarantined_total += 1
-                        active_registry().counter(
-                            "storage.pages_quarantined_total"
-                        ).add(1)
-                    raise
-                profiler.count("logical_reads", 1)
-                profiler.count("physical_reads", 1)
-                profiler.count("physical." + page_class, 1)
-            if verdict == QUARANTINE_PROBE:
-                self.quarantine.probe_succeeded(self._owner, page_id)
-                self.fault_stats.pages_readmitted_total += 1
-                active_registry().counter("storage.pages_readmitted_total").add(1)
-            self.stats.record_read(page_class, physical=True)
-            self._buffer.put(self._owner, page_id, data)
-            return data
+            with profiler.phase("page-io") as phase:
+                data = self._fetch_verified(page_id, verdict)
+                phase.count("logical_reads", 1)
+                phase.count("physical_reads", 1)
+                phase.count("physical." + self.page_class_of(page_id), 1)
+        else:
+            data = self._fetch_verified(page_id, verdict)
+        if verdict == QUARANTINE_PROBE:
+            self.quarantine.probe_succeeded(self._owner, page_id)
+            self.fault_stats.pages_readmitted_total += 1
+            active_registry().counter("storage.pages_readmitted_total").add(1)
+        return data
 
-    def _fetch_verified(self, page_id: int) -> bytes:
+    def _gate(self, page_id: int) -> str:
+        """The quarantine's verdict on a miss.
+
+        A buffered copy is valid data, so the quarantine only gates
+        disk access: known-bad pages fail fast here instead of
+        re-running the retry storm, except for the periodic probation
+        read that checks whether the page has healed."""
+        verdict = self.quarantine.gate(self._owner, page_id)
+        if verdict == QUARANTINE_BLOCKED:
+            self.fault_stats.quarantine_fastfails_total += 1
+            active_registry().counter("storage.quarantine_fastfails_total").add(1)
+            reason = self.quarantine.reason_of(self._owner, page_id)
+            raise QuarantinedPageError(
+                f"page {page_id} is quarantined ({reason}); read "
+                "refused without touching the disk"
+            )
+        if verdict == QUARANTINE_PROBE:
+            self.fault_stats.quarantine_probes_total += 1
+            active_registry().counter("storage.quarantine_probes_total").add(1)
+        return verdict
+
+    def _flush_run(self, page_ids, done: int, missed: list, profiler) -> None:
+        """Account the first ``done`` pages of a run in one per-class
+        update; ``missed`` lists the ones fetched from disk.  Hits bill
+        ``logical_reads`` to the caller's phase (misses did so inside
+        their ``page-io`` phase)."""
+        classes = self._page_class
+        logical = Counter(
+            [classes.get(page_id, PAGE_CLASS_OTHER) for page_id in page_ids[:done]]
+        )
+        physical = Counter(
+            [classes.get(page_id, PAGE_CLASS_OTHER) for page_id in missed]
+        )
+        self.stats.record_reads(logical, physical)
+        hits = done - len(missed)
+        if hits:
+            profiler.count("logical_reads", hits)
+
+    def _fetch_verified(self, page_id: int, verdict: str) -> bytes:
         """Fetch a page from the simulated disk, verifying its CRC and
         retrying transient faults / detected corruption under the
-        retry policy.  Raises the *last* failure once attempts are
-        exhausted (so a final corrupted attempt surfaces as
-        :class:`PageCorruptionError`, a final transient as
-        :class:`PageReadError`)."""
-        policy = self.retry_policy
+        retry policy.
+
+        Once attempts are exhausted the page is quarantined (a failed
+        probe instead keeps it there with a doubled cooldown) and the
+        *last* failure raises, so a final corrupted attempt surfaces
+        as :class:`PageCorruptionError`, a final transient as
+        :class:`PageReadError`."""
         expected_crc = self._crc.get(page_id)
-        last_error: StorageError | None = None
-        for attempt in range(1, policy.max_attempts + 1):
-            if attempt > 1:
-                backoff = policy.backoff_seconds(attempt - 1)
-                self.fault_stats.retries_total += 1
-                self.fault_stats.backoff_seconds_total += backoff
-                registry = active_registry()
-                registry.counter("storage.retries_total").add(1)
-                registry.counter("storage.retry_backoff_seconds").add(backoff)
-            span_cm = (
-                self.tracer.span(
-                    "storage.retry", page_id=page_id, attempt=attempt
-                )
-                if attempt > 1
-                else NOOP_SPAN
-            )
+        policy = self.retry_policy
+        attempt = 1
+        while True:
             try:
-                with span_cm:
+                if attempt == 1:
                     data, latency = self._disk.read(page_id)
+                else:
+                    with self.tracer.span(
+                        "storage.retry", page_id=page_id, attempt=attempt
+                    ):
+                        data, latency = self._disk.read(page_id)
             except _TransientFault as exc:
                 self.fault_stats.transient_faults_total += 1
                 active_registry().counter("storage.transient_faults_total").add(1)
-                last_error = PageReadError(f"page {page_id}: {exc}")
-                continue
-            if latency:
-                self.fault_stats.latency_events_total += 1
-                self.fault_stats.latency_seconds_total += latency
-                registry = active_registry()
-                registry.counter("storage.fault_latency_events_total").add(1)
-                registry.counter("storage.fault_latency_seconds").add(latency)
-            if expected_crc is not None and zlib.crc32(data) != expected_crc:
+                error: StorageError = PageReadError(f"page {page_id}: {exc}")
+            else:
+                if latency:
+                    self.fault_stats.latency_events_total += 1
+                    self.fault_stats.latency_seconds_total += latency
+                    registry = active_registry()
+                    registry.counter("storage.fault_latency_events_total").add(1)
+                    registry.counter("storage.fault_latency_seconds").add(latency)
+                if expected_crc is None or zlib.crc32(data) == expected_crc:
+                    return data
                 self.fault_stats.corruptions_total += 1
                 active_registry().counter("storage.corruptions_total").add(1)
-                last_error = PageCorruptionError(
-                    f"page {page_id} failed its CRC check"
-                )
-                continue
-            return data
+                error = PageCorruptionError(f"page {page_id} failed its CRC check")
+            if attempt == policy.max_attempts:
+                break
+            backoff = policy.backoff_seconds(attempt)
+            attempt += 1
+            self.fault_stats.retries_total += 1
+            self.fault_stats.backoff_seconds_total += backoff
+            registry = active_registry()
+            registry.counter("storage.retries_total").add(1)
+            registry.counter("storage.retry_backoff_seconds").add(backoff)
         self.fault_stats.reads_failed_total += 1
         active_registry().counter("storage.read_failures_total").add(1)
-        assert last_error is not None
-        raise last_error
+        if verdict == QUARANTINE_PROBE:
+            self.quarantine.probe_failed(self._owner, page_id)
+        else:
+            self.quarantine.admit(
+                self._owner,
+                page_id,
+                reason=(
+                    FAULT_CORRUPT
+                    if isinstance(error, PageCorruptionError)
+                    else FAULT_TRANSIENT
+                ),
+                page_class=self.page_class_of(page_id),
+            )
+            self.fault_stats.pages_quarantined_total += 1
+            active_registry().counter("storage.pages_quarantined_total").add(1)
+        raise error
 
     def drop_buffer(self) -> None:
         """Evict this manager's pages (cold-cache experiment runs)."""

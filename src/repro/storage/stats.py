@@ -46,6 +46,20 @@ class IOStatistics:
                 self.physical_by_class.get(page_class, 0) + 1
             )
 
+    def record_reads(self, logical: dict, physical: dict) -> None:
+        """Account a run of reads at once: ``logical`` and
+        ``physical`` map page class to read count (the run's misses
+        are also in ``logical``).  Equal to one :meth:`record_read`
+        per page, in order."""
+        for counts, by_class in (
+            (logical, self.logical_by_class),
+            (physical, self.physical_by_class),
+        ):
+            for page_class, count in counts.items():
+                by_class[page_class] = by_class.get(page_class, 0) + count
+        self.logical_reads += sum(logical.values())
+        self.physical_reads += sum(physical.values())
+
     @property
     def buffer_hit_rate(self) -> float:
         """Fraction of logical reads served from the buffer pool."""
@@ -123,6 +137,9 @@ class ThreadLocalIOStatistics:
 
     def record_read(self, page_class: str, physical: bool) -> None:
         self._stats().record_read(page_class, physical)
+
+    def record_reads(self, logical: dict, physical: dict) -> None:
+        self._stats().record_reads(logical, physical)
 
     def record_write(self) -> None:
         self._stats().record_write()

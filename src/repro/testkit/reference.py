@@ -11,7 +11,8 @@ and chunk count, same pages read in the same order.
   :func:`repro.geodesic.pathnet.build_pathnet`;
 * :func:`dmtm_cut_reference` — one ``add_edge`` per recorded cut edge
   and record-id page charging (:func:`dmtm_touch_nodes_reference`,
-  :func:`dmtm_touch_faces_reference`), the twin of
+  :func:`dmtm_touch_faces_reference`, both through
+  :func:`touch_records_reference`), the twin of
   :meth:`repro.multires.dmtm.DMTM.extract_network` at cut levels;
 * :func:`dmtm_upper_bounds_multi_reference` — one search per anchor,
   the twin of the single multi-source search behind
@@ -26,7 +27,10 @@ and chunk count, same pages read in the same order.
   (:func:`msdn_layers_reference`), that DP and record-id page
   charging, the twins of
   :meth:`repro.msdn.msdn.MSDN.lower_bound` and
-  :meth:`~repro.msdn.msdn.MSDN.touch_region`.
+  :meth:`~repro.msdn.msdn.MSDN.touch_region`;
+* :func:`read_page_reference` — one buffer-pool read of one page,
+  with its own locks, quarantine gate and statistics update, the twin
+  of :meth:`repro.storage.pages.PageManager.read_pages` page by page.
 
 The dict search kernels (:mod:`repro.geodesic.dijkstra`) complete the
 set; they already live as ``dijkstra_reference`` and
@@ -36,16 +40,33 @@ set; they already live as ``dijkstra_reference`` and
 from __future__ import annotations
 
 import math
+import zlib
 from itertools import combinations
 
 import numpy as np
 
-from repro.errors import GeometryError
+from repro.errors import (
+    GeometryError,
+    PageCorruptionError,
+    PageReadError,
+    QuarantinedPageError,
+    StorageError,
+)
 from repro.geodesic.graph import KeyedGraph
 from repro.geodesic.pathnet import steiner_key, vertex_key
 from repro.msdn.msdn import LowerBoundResult, _box_mask, _roi_list
 from repro.msdn.sdn import SdnChunk, _point_to_boxes
 from repro.multires.dmtm import NetworkView
+from repro.obs.context import active_profiler, active_registry
+from repro.obs.tracing import NOOP_SPAN
+from repro.storage.faults import (
+    FAULT_CORRUPT,
+    FAULT_TRANSIENT,
+    QUARANTINE_BLOCKED,
+    QUARANTINE_PROBE,
+    _TransientFault,
+)
+from repro.storage.stats import PAGE_CLASS_OTHER
 
 
 def _edge_point_keys(mesh, edge_id: int, steiner_per_edge: int):
@@ -100,16 +121,29 @@ def build_pathnet_reference(
     return graph
 
 
+def touch_records_reference(store, record_ids) -> int:
+    """Record-id page charging on a
+    :class:`~repro.storage.locator.LocatorStore`: every page holding
+    one of the records, read one page at a time in ascending page
+    order — the twin of one run of
+    :meth:`~repro.storage.locator.LocatorStore.touch_pages`.  Returns
+    the number of distinct pages."""
+    needed = {store.page_of(rid) for rid in record_ids}
+    for page_id in sorted(needed):
+        store._pages.read(page_id)
+    return len(needed)
+
+
 def dmtm_touch_nodes_reference(dmtm, node_ids) -> None:
     """Charge DMTM node pages by record id (the node id)."""
     if dmtm._node_store is not None:
-        dmtm._node_store.touch(int(n) for n in node_ids)
+        touch_records_reference(dmtm._node_store, (int(n) for n in node_ids))
 
 
 def dmtm_touch_faces_reference(dmtm, face_ids) -> None:
     """Charge DMTM face pages by record id (the face id)."""
     if dmtm._face_store is not None:
-        dmtm._face_store.touch(int(fi) for fi in face_ids)
+        touch_records_reference(dmtm._face_store, (int(fi) for fi in face_ids))
 
 
 def dmtm_cut_reference(dmtm, resolution: float, roi=None, charge_io: bool = True):
@@ -222,8 +256,9 @@ def _touch_chunks(msdn, chunks, resolution: float) -> None:
     if msdn._store is None or not chunks:
         return
     rk = round(resolution * 1000)
-    msdn._store.touch(
-        [("chunk", c.axis, rk, c.plane_index, c.first) for c in chunks]
+    touch_records_reference(
+        msdn._store,
+        [("chunk", c.axis, rk, c.plane_index, c.first) for c in chunks],
     )
 
 
@@ -303,3 +338,115 @@ def msdn_touch_region_reference(msdn, resolution: float, roi=None, axes=(0, 1)) 
             if roi is not None:
                 layer = [layer[j] for j in np.nonzero(_box_mask(xy, roi))[0]]
             _touch_chunks(msdn, layer, resolution)
+
+
+def read_page_reference(manager, page_id: int) -> bytes:
+    """One page through ``manager``'s buffer pool, paying every step
+    per page: profiler lookup, manager lock, pool probe and insert
+    (each under the pool lock), quarantine gate, verified fetch and
+    one statistics update.  A run of
+    :meth:`~repro.storage.pages.PageManager.read_pages` must equal
+    one call of this per page, in order — bytes, errors, statistics,
+    fault and quarantine state, registry counters and profiler
+    phases.  The fetch is :func:`_fetch_verified_reference`; the
+    quarantine admission of a read that exhausts its retries happens
+    here."""
+    page_class = manager._page_class.get(page_id, PAGE_CLASS_OTHER)
+    owner = manager._owner
+    profiler = active_profiler()
+    with manager._lock:
+        cached = manager._buffer.get(owner, page_id)
+        if cached is not None:
+            manager.stats.record_read(page_class, physical=False)
+            profiler.count("logical_reads", 1)
+            return cached
+        verdict = manager.quarantine.gate(owner, page_id)
+        if verdict == QUARANTINE_BLOCKED:
+            manager.fault_stats.quarantine_fastfails_total += 1
+            active_registry().counter("storage.quarantine_fastfails_total").add(1)
+            reason = manager.quarantine.reason_of(owner, page_id)
+            raise QuarantinedPageError(
+                f"page {page_id} is quarantined ({reason}); read "
+                "refused without touching the disk"
+            )
+        if verdict == QUARANTINE_PROBE:
+            manager.fault_stats.quarantine_probes_total += 1
+            active_registry().counter("storage.quarantine_probes_total").add(1)
+        with profiler.phase("page-io"):
+            try:
+                data = _fetch_verified_reference(manager, page_id)
+            except (PageReadError, PageCorruptionError) as exc:
+                if verdict == QUARANTINE_PROBE:
+                    manager.quarantine.probe_failed(owner, page_id)
+                else:
+                    manager.quarantine.admit(
+                        owner,
+                        page_id,
+                        reason=(
+                            FAULT_CORRUPT
+                            if isinstance(exc, PageCorruptionError)
+                            else FAULT_TRANSIENT
+                        ),
+                        page_class=page_class,
+                    )
+                    manager.fault_stats.pages_quarantined_total += 1
+                    active_registry().counter(
+                        "storage.pages_quarantined_total"
+                    ).add(1)
+                raise
+            profiler.count("logical_reads", 1)
+            profiler.count("physical_reads", 1)
+            profiler.count("physical." + page_class, 1)
+        if verdict == QUARANTINE_PROBE:
+            manager.quarantine.probe_succeeded(owner, page_id)
+            manager.fault_stats.pages_readmitted_total += 1
+            active_registry().counter("storage.pages_readmitted_total").add(1)
+        manager.stats.record_read(page_class, physical=True)
+        manager._buffer.put(owner, page_id, data)
+        return data
+
+
+def _fetch_verified_reference(manager, page_id: int) -> bytes:
+    """One page from ``manager``'s simulated disk, CRC-checked, with
+    transient faults and detected corruption retried under its retry
+    policy; raises the *last* failure once attempts are exhausted."""
+    policy = manager.retry_policy
+    expected_crc = manager._crc.get(page_id)
+    last_error: StorageError | None = None
+    for attempt in range(1, policy.max_attempts + 1):
+        if attempt > 1:
+            backoff = policy.backoff_seconds(attempt - 1)
+            manager.fault_stats.retries_total += 1
+            manager.fault_stats.backoff_seconds_total += backoff
+            registry = active_registry()
+            registry.counter("storage.retries_total").add(1)
+            registry.counter("storage.retry_backoff_seconds").add(backoff)
+        span_cm = (
+            manager.tracer.span("storage.retry", page_id=page_id, attempt=attempt)
+            if attempt > 1
+            else NOOP_SPAN
+        )
+        try:
+            with span_cm:
+                data, latency = manager._disk.read(page_id)
+        except _TransientFault as exc:
+            manager.fault_stats.transient_faults_total += 1
+            active_registry().counter("storage.transient_faults_total").add(1)
+            last_error = PageReadError(f"page {page_id}: {exc}")
+            continue
+        if latency:
+            manager.fault_stats.latency_events_total += 1
+            manager.fault_stats.latency_seconds_total += latency
+            registry = active_registry()
+            registry.counter("storage.fault_latency_events_total").add(1)
+            registry.counter("storage.fault_latency_seconds").add(latency)
+        if expected_crc is not None and zlib.crc32(data) != expected_crc:
+            manager.fault_stats.corruptions_total += 1
+            active_registry().counter("storage.corruptions_total").add(1)
+            last_error = PageCorruptionError(f"page {page_id} failed its CRC check")
+            continue
+        return data
+    manager.fault_stats.reads_failed_total += 1
+    active_registry().counter("storage.read_failures_total").add(1)
+    assert last_error is not None
+    raise last_error

@@ -36,15 +36,17 @@ def engine(request):
 
 @pytest.fixture
 def page_log(engine, monkeypatch):
-    """Every page id the engine's structures read, in order."""
+    """Every page id the engine's structures read, in order, logged
+    at the run read every page read goes through (production reads
+    runs, the oracles one page at a time)."""
     log: list[int] = []
-    read = engine.pages.read
+    read_pages = engine.pages.read_pages
 
-    def logged(page_id):
-        log.append(page_id)
-        return read(page_id)
+    def logged(page_ids):
+        log.extend(page_ids)
+        return read_pages(page_ids)
 
-    monkeypatch.setattr(engine.pages, "read", logged)
+    monkeypatch.setattr(engine.pages, "read_pages", logged)
     return log
 
 

@@ -1,11 +1,17 @@
 """Concurrent first touches of the lazily built shared arrays.
 
 Every query reads arrays that are built on first use and shared
-afterwards: MSDN chunk boxes and page arrays, DMTM page arrays, the
-round-0 pathnet cached on the mesh.  Eight workers start on a fresh
-engine at once, with the interpreter switching threads as often as it
-can, so those first touches race.  The answers must still match a
-sequential run on another fresh engine.
+afterwards: MSDN chunk boxes and page arrays, DMTM page arrays and
+record lists, CSR list mirrors, the round-0 pathnet cached on the
+mesh.  Eight workers start on a fresh engine at once, with the
+interpreter switching threads as often as it can, so those first
+touches race.  The answers must still match a sequential run on
+another fresh engine.
+
+The two lazy builds that publish several arrays are also raced
+deterministically: the building thread is held right after its first
+attribute store, and a second thread reads meanwhile.  It must see
+either nothing (and build its own) or the complete set.
 """
 
 from __future__ import annotations
@@ -13,8 +19,12 @@ from __future__ import annotations
 import sys
 import threading
 
+import numpy as np
+
 from repro.core.batch import BatchQueryExecutor
 from repro.core.engine import SurfaceKNNEngine
+from repro.geodesic.csr import CSRGraph
+from repro.multires.ddm import DistanceDirectMesh
 from repro.terrain.synthetic import bearhead_like
 
 #: Generous bound for the whole batch; a deadlock fails, not hangs.
@@ -61,3 +71,70 @@ def test_batch_first_touch_matches_sequential():
     report = outcome["report"]
     assert report.errors == []
     assert [_fingerprint(r) for r in report.results] == want
+
+
+class _Hold:
+    """Pauses one thread right after its first attribute store on a
+    :func:`_held` object, until released."""
+
+    def __init__(self):
+        self.builder: int | None = None
+        self.stored = threading.Event()
+        self.release = threading.Event()
+
+
+def _held(cls, hold: _Hold):
+    """Subclass of ``cls`` whose first attribute store made on the
+    builder thread blocks until ``hold.release`` is set — a lazy build
+    caught between its first and last publication."""
+
+    def __setattr__(self, name, value):
+        cls.__setattr__(self, name, value)
+        if threading.get_ident() == hold.builder and not hold.stored.is_set():
+            hold.stored.set()
+            hold.release.wait(TIMEOUT_S)
+
+    return type(f"Held{cls.__name__}", (cls,),
+                {"__slots__": (), "__setattr__": __setattr__})
+
+
+def _race(obj, hold: _Hold, call):
+    """``call(obj)`` on a builder thread held at its first publication,
+    and meanwhile on this thread; returns (builder's, reader's)."""
+    results: dict = {}
+
+    def build():
+        hold.builder = threading.get_ident()
+        results["builder"] = call(obj)
+
+    builder = threading.Thread(target=build, daemon=True)
+    builder.start()
+    try:
+        assert hold.stored.wait(TIMEOUT_S), "the build never published"
+        reader = call(obj)
+    finally:
+        hold.release.set()
+        builder.join(TIMEOUT_S)
+    assert not builder.is_alive()
+    return results["builder"], reader
+
+
+def test_ddm_record_arrays_publish_whole(rough_mesh):
+    plain = DistanceDirectMesh(rough_mesh)
+    cut = plain.cut_node_ids(plain.step_for_fraction(0.5))
+    want = plain.cut_edge_arrays(cut)
+    hold = _Hold()
+    ddm = _held(DistanceDirectMesh, hold)(rough_mesh, history=plain.history)
+    for got in _race(ddm, hold, lambda d: d.cut_edge_arrays(cut)):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_csr_lists_publish_whole():
+    indptr = np.array([0, 2, 3, 4], dtype=np.int64)
+    indices = np.array([1, 2, 0, 0], dtype=np.int64)
+    weights = np.array([1.0, 2.0, 1.0, 2.0])
+    want = CSRGraph(indptr, indices, weights).lists()
+    hold = _Hold()
+    csr = _held(CSRGraph, hold)(indptr, indices, weights)
+    for got in _race(csr, hold, lambda g: g.lists()):
+        assert got == want

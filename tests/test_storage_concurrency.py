@@ -7,35 +7,63 @@ could interleave probe and insert and the accounting invariant
     logical_reads == buffer hits + physical_reads
 
 drifted.  These tests hammer one manager (and one shared
-:class:`BufferPool`) from many threads and assert the totals stay
-exact.
+:class:`BufferPool`) from many threads, with single reads and runs
+(:meth:`PageManager.read_pages`) interleaved, and assert the totals
+stay exact.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.errors import StorageError
+from repro.obs.context import ObsContext
 from repro.storage.pages import BufferPool, PageManager, shared_buffer_pool
 from repro.storage.stats import IOStatistics, ThreadLocalIOStatistics
 
 THREADS = 8
 READS_PER_THREAD = 400
+#: Bound on any one thread; a deadlock fails the test, not the run.
+JOIN_TIMEOUT_S = 60.0
 
 
-def _hammer(manager: PageManager, page_ids, reads: int, seed: int):
-    """Deterministic per-thread read pattern (no RNG shared state).
+def _walk(page_ids, reads: int, seed: int) -> list:
+    """Deterministic per-thread page sequence (no RNG shared state).
 
-    Each page is read twice in a row, so one thread alone already
+    Each page appears twice in a row, so one thread alone already
     produces both misses (a stride-31 walk over more pages than the
     buffer holds) and hits (the repeat) — the accounting asserts do
     not depend on how the scheduler interleaves threads."""
     n = len(page_ids)
-    for i in range(reads):
-        manager.read(page_ids[(seed * 7919 + (i // 2) * 31) % n])
+    return [page_ids[(seed * 7919 + (i // 2) * 31) % n] for i in range(reads)]
+
+
+def _hammer(manager: PageManager, page_ids, reads: int, seed: int):
+    """Read :func:`_walk` in order, alternating one single read with
+    one run of the next 3-6 pages."""
+    walk = _walk(page_ids, reads, seed)
+    i = turn = 0
+    while i < reads:
+        if turn % 2 == 0:
+            manager.read(walk[i])
+            i += 1
+        else:
+            size = 3 + (turn // 2) % 4
+            manager.read_pages(walk[i:i + size])
+            i += size
+        turn += 1
+
+
+def _run_threads(threads) -> None:
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(JOIN_TIMEOUT_S)
+    assert not any(t.is_alive() for t in threads), "a reader hung"
 
 
 class TestPageManagerHammer:
@@ -86,10 +114,7 @@ class TestPageManagerHammer:
         threads = [
             threading.Thread(target=worker, args=(s,)) for s in range(THREADS)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        _run_threads(threads)
         assert errors == []
 
     def test_thread_local_router_sums_across_threads(self):
@@ -132,10 +157,7 @@ class TestSharedBufferPool:
             threading.Thread(target=worker, args=(a, b"A" * 32)),
             threading.Thread(target=worker, args=(b, b"B" * 32)),
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        _run_threads(threads)
         assert mismatches == []
 
     def test_capacity_respected_under_threads(self):
@@ -189,13 +211,70 @@ class TestSharedBufferPool:
             threading.Thread(target=worker, args=(a, ids_a, 2)),
             threading.Thread(target=worker, args=(b, ids_b, 3)),
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        _run_threads(threads)
         assert sa.logical_reads == 400
         assert sb.logical_reads == 400
         # Every page is resident after warmup: misses happened only
         # on first touch per page.
         assert sa.physical_reads >= 4
         assert sb.physical_reads >= 4
+
+
+class TestRunsOnSharedPool:
+    def test_two_managers_share_a_pool_under_fast_switching(self):
+        """Two managers, single reads and runs from two threads each,
+        the interpreter switching threads as often as it can: per
+        class, reads issued == buffer hits + physical reads, with the
+        hits counted independently in each thread's profile."""
+        pool = BufferPool(capacity=6)
+        managers = [
+            PageManager(page_size=128, buffer_pages=4, buffer=pool)
+            for _ in range(2)
+        ]
+        classes = ("dmtm", "msdn", "objects")
+        ids = {}
+        for manager in managers:
+            ids[manager] = [
+                manager.allocate(bytes([i]) * 16, page_class=classes[i % 3])
+                for i in range(12)
+            ]
+        jobs = [(managers[s % 2], s) for s in range(4)]
+        profiles: dict = {}
+
+        def worker(manager, seed):
+            ctx = ObsContext(f"worker-{seed}", profiling=True)
+            with ctx.activate(), ctx.profiler.phase("worker"):
+                _hammer(manager, ids[manager], 300, seed)
+            (profiles[seed],) = ctx.profiler.finished()
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(
+                [threading.Thread(target=worker, args=job, daemon=True)
+                 for job in jobs]
+            )
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(pool) <= pool.capacity
+        for manager in managers:
+            seeds = [seed for m, seed in jobs if m is manager]
+            issued: dict = {}
+            for seed in seeds:
+                for page_id in _walk(ids[manager], 300, seed):
+                    cls = manager.page_class_of(page_id)
+                    issued[cls] = issued.get(cls, 0) + 1
+            stats = manager.stats
+            assert stats.logical_by_class == issued
+            counters = [profiles[seed].counters_by_phase() for seed in seeds]
+            hits = sum(c["worker"].get("logical_reads", 0) for c in counters)
+            for cls in classes:
+                physical = sum(
+                    c.get("page-io", {}).get("physical." + cls, 0)
+                    for c in counters
+                )
+                assert stats.physical_by_class.get(cls, 0) == physical
+                assert 4 <= physical <= issued[cls]
+            assert stats.logical_reads == hits + stats.physical_reads
+            assert stats.physical_reads == sum(stats.physical_by_class.values())
+            assert hits > 0

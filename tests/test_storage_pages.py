@@ -1,10 +1,18 @@
 """Unit tests for the page manager and buffer pool."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StorageError
+from repro.obs.context import ObsContext
+from repro.obs.tracing import Tracer
+from repro.storage.faults import FaultInjector, PageQuarantine, RetryPolicy
 from repro.storage.pages import PageManager
 from repro.storage.stats import DiskModel, IOStatistics
+from repro.testkit.reference import read_page_reference
 
 
 class TestAllocation:
@@ -96,3 +104,125 @@ class TestStatistics:
         model = DiskModel(seconds_per_page=0.01)
         stats = IOStatistics(physical_reads=25)
         assert model.io_seconds(stats) == pytest.approx(0.25)
+
+
+# ----------------------------------------------------------------------
+# The run read against the per-page oracle
+
+
+#: Pages each twin allocates; page id NUM_PAGES is never allocated, so
+#: reading it raises a plain StorageError part-way through a run.
+NUM_PAGES = 12
+CLASSES = ("dmtm", "msdn", "other")
+
+
+@st.composite
+def fault_setups(draw) -> dict:
+    return {
+        "seed": draw(st.integers(0, 2**16)),
+        "transient_rate": draw(st.sampled_from([0.0, 0.1, 0.3])),
+        "corrupt_rate": draw(st.sampled_from([0.0, 0.1, 0.3])),
+        "latency_rate": draw(st.sampled_from([0.0, 0.2])),
+        "dead_pages": draw(st.sets(st.integers(0, NUM_PAGES - 1), max_size=3)),
+        "buffer_pages": draw(st.integers(2, 8)),
+        "attempts": draw(st.integers(1, 3)),
+        "cooldown": draw(st.integers(1, 3)),
+    }
+
+
+page_runs = st.lists(
+    st.lists(st.integers(0, NUM_PAGES), max_size=8), min_size=1, max_size=12
+)
+
+
+def _twin(setup: dict) -> PageManager:
+    """A manager built from ``setup`` alone, so two calls give twins."""
+    pm = PageManager(
+        page_size=128,
+        buffer_pages=setup["buffer_pages"],
+        fault_injector=FaultInjector(
+            seed=setup["seed"],
+            transient_rate=setup["transient_rate"],
+            corrupt_rate=setup["corrupt_rate"],
+            latency_rate=setup["latency_rate"],
+            dead_pages=setup["dead_pages"],
+        ),
+        retry_policy=RetryPolicy(max_attempts=setup["attempts"]),
+        tracer=Tracer(),
+        quarantine=PageQuarantine(cooldown_reads=setup["cooldown"],
+                                  max_cooldown_reads=4),
+    )
+    for i in range(NUM_PAGES):
+        pm.allocate(f"page-{i}".encode() * 3, page_class=CLASSES[i % 3])
+    return pm
+
+
+def _replay(pm: PageManager, runs, read_run) -> dict:
+    """Every run read by ``read_run`` inside its own profiled phase;
+    the outcome of each run and everything the manager exposes."""
+    ctx = ObsContext("differential", profiling=True)
+    outcomes = []
+    with ctx.activate():
+        for run in runs:
+            with ctx.profiler.phase("query"):
+                try:
+                    outcomes.append(read_run(pm, run))
+                except StorageError as exc:
+                    outcomes.append((type(exc), str(exc)))
+    stats = pm.stats
+    return {
+        "outcomes": outcomes,
+        "stats": (
+            stats.logical_reads,
+            stats.physical_reads,
+            stats.pages_written,
+            list(stats.logical_by_class.items()),
+            list(stats.physical_by_class.items()),
+        ),
+        "buffer": [page_id for _owner, page_id in pm.buffer._entries],
+        "fault_stats": pm.fault_stats.as_dict(),
+        "injector_log": list(pm.fault_injector.log),
+        "quarantine_history": {
+            page_id: h for (_owner, page_id), h in pm.quarantine.history().items()
+        },
+        "quarantine_stats": pm.quarantine.stats(),
+        "quarantine_entries": [
+            dataclasses.replace(entry, owner=0) for entry in pm.quarantine.entries()
+        ],
+        "registry": ctx.registry.collect(),
+        "spans": [(s.name, s.attributes) for s in pm.tracer.finished()],
+        "profiles": [
+            (
+                p.counters_by_phase(),
+                [(n.name, n.calls, n.counters) for n in p.root.walk()],
+            )
+            for p in ctx.profiler.finished()
+        ],
+    }
+
+
+def _by_page(pm: PageManager, run) -> list[bytes]:
+    return [read_page_reference(pm, page_id) for page_id in run]
+
+
+def _as_run(pm: PageManager, run) -> list[bytes]:
+    return pm.read_pages(run)
+
+
+class TestRunRead:
+    @given(setup=fault_setups(), runs=page_runs)
+    @settings(max_examples=150, deadline=None)
+    def test_run_equals_pages_read_one_by_one(self, setup, runs):
+        want = _replay(_twin(setup), runs, _by_page)
+        got = _replay(_twin(setup), runs, _as_run)
+        for field, value in want.items():
+            assert got[field] == value, field
+
+    def test_failing_page_ends_run_after_flushing_the_pages_before_it(self):
+        stats = IOStatistics()
+        pm = PageManager(page_size=128, buffer_pages=4, stats=stats)
+        a = pm.allocate(b"a", page_class="dmtm")
+        with pytest.raises(StorageError):
+            pm.read_pages([a, a, 99, a])
+        assert (stats.logical_reads, stats.physical_reads) == (2, 1)
+        assert stats.logical_by_class == {"dmtm": 2}

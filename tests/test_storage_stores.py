@@ -1,5 +1,6 @@
 """Unit tests for the clustered, spatial and locator record stores."""
 
+import numpy as np
 import pytest
 
 from repro.errors import StorageError
@@ -82,7 +83,7 @@ class TestLocatorStore:
         assert store.fetch("id3") == b"\x03\x03\x03\x03"
         pm.drop_buffer()
         before = pm.stats.snapshot()
-        pages = store.touch([f"id{i}" for i in range(10)])
+        pages = store.touch_pages([store.page_of(f"id{i}") for i in range(10)])
         assert pages >= 1
         assert pm.stats.delta_since(before).physical_reads == pages
 
@@ -102,10 +103,44 @@ class TestLocatorStore:
         store = LocatorStore(items, pm)
         pm.drop_buffer()
         before = pm.stats.snapshot()
-        store.touch(range(20))
+        store.touch_pages([store.page_of(i) for i in range(20)])
         contiguous = pm.stats.delta_since(before).physical_reads
         pm.drop_buffer()
         before = pm.stats.snapshot()
-        store.touch(range(0, 200, 10))
+        store.touch_pages([store.page_of(i) for i in range(0, 200, 10)])
         scattered = pm.stats.delta_since(before).physical_reads
         assert contiguous < scattered
+
+    @pytest.mark.parametrize(
+        "page_ids, bounds",
+        [
+            # Pages shared by adjacent runs, unsorted within runs.
+            ([5, 3, 3, 9, 3, 5, 5, 1, 9, 9], [0, 4, 7, 10]),
+            # Empty runs at the start, in the middle and at the end.
+            ([2, 2, 7, 0, 7], [0, 0, 3, 3, 5, 5]),
+            # One run (no bounds) and nothing at all.
+            ([8, 1, 8, 4, 1], None),
+            ([], [0, 0]),
+        ],
+    )
+    def test_touch_pages_dedupes_each_run(self, pm, monkeypatch, page_ids, bounds):
+        store = LocatorStore([((i,), i, b"r" * 40) for i in range(60)], pm)
+        assert store.num_pages >= 10
+        runs: list[list[int]] = []
+        read_pages = pm.read_pages
+
+        def logged(ids):
+            runs.append(list(ids))
+            return read_pages(ids)
+
+        monkeypatch.setattr(pm, "read_pages", logged)
+        pages = np.array(page_ids, dtype=np.int64)
+        cuts = [0, len(page_ids)] if bounds is None else bounds
+        want = [
+            page
+            for start, stop in zip(cuts, cuts[1:])
+            for page in np.unique(pages[start:stop]).tolist()
+        ]
+        assert store.touch_pages(pages, bounds) == len(want)
+        # One run read for the whole call, none when nothing is read.
+        assert runs == ([want] if want else [])
