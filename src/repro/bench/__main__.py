@@ -12,8 +12,10 @@ recover) and reports availability, storage-degraded rates, quarantine
 activity and engine health — the degraded-mode execution contract.  The ``kernels`` mode times the
 dict reference kernels against the heap CSR and bucketed frontier
 kernels, the broadcast MSDN lower-bound DP against the
-per-coordinate hop kernel, and per-page reads against run reads of
-the same captured page runs (micro rows); the ``landmarks`` mode runs
+per-coordinate hop kernel, per-page reads against run reads of
+the same captured page runs, and the object MSDN build and per-pair
+QEM collapse against the column-wise MSDN build and batched collapse
+(micro rows); the ``landmarks`` mode runs
 the fig10 k-sweep with ALT landmark pruning on vs off; the ``shard``
 mode asserts the tiled
 :class:`~repro.shard.ShardedEngine` answers identically to the

@@ -807,6 +807,12 @@ def chaos(
 # Kernel trajectory — dict reference kernels vs flat CSR kernels
 # ----------------------------------------------------------------------
 
+#: Terrain side and page size of the ``msdn build`` and ``qem
+#: collapse`` micro rows (quick runs too).
+BUILD_SIZE = 33
+BUILD_PAGE_SIZE = 2048
+
+
 def kernels(
     quick: bool = False,
     size: int | None = None,
@@ -832,7 +838,13 @@ def kernels(
     runs of a fixed set of queries on a storage-attached engine
     (:func:`_page_io_runs`) with a cold buffer per query, once one
     page at a time through the per-page oracle and once as runs
-    through :meth:`~repro.storage.pages.PageManager.read_pages`.
+    through :meth:`~repro.storage.pages.PageManager.read_pages`.  Two
+    more time structure builds on BH ``BUILD_SIZE``: ``msdn build``,
+    the object MSDN build (:class:`~repro.testkit.reference.MSDNReference`)
+    against the column-wise one, each including ``attach_storage`` on
+    a fresh ``BUILD_PAGE_SIZE`` page manager, identical in arrays and
+    pages; and ``qem collapse``, the per-pair collapse loop against
+    the batched one, identical node for node.
     Every comparison first asserts the values are identical — a
     speedup over different answers would be meaningless.  When
     ``out`` is set, the rows are merged into the ``repro.bench/v1``
@@ -846,9 +858,16 @@ def kernels(
         multi_source_frontier,
     )
     from repro.geodesic.pathnet import vertex_key
+    from repro.msdn.msdn import MSDN
     from repro.msdn.sdn import lower_bound_via_planes_arrays
+    from repro.simplification.collapse import build_collapse_history
+    from repro.storage.pages import PageManager
     from repro.testkit.reference import (
+        MSDNReference,
+        build_collapse_history_reference,
+        collapse_history_bits,
         lower_bound_via_planes_broadcast,
+        msdn_build_mismatches,
         read_page_reference,
     )
 
@@ -998,6 +1017,35 @@ def kernels(
     io_new_seconds, _ = best_of(lambda: replay(pages.read_pages))
     io_pages = sum(len(run) for runs in io_runs for run in runs)
 
+    build_mesh = mesh_for("BH", BUILD_SIZE)
+
+    def msdn_object_build():
+        ref = MSDNReference.build(build_mesh)
+        ref_pages = PageManager(page_size=BUILD_PAGE_SIZE)
+        ref.attach_storage(ref_pages)
+        return ref, ref_pages
+
+    def msdn_array_build():
+        msdn = MSDN(build_mesh)
+        msdn_pages = PageManager(page_size=BUILD_PAGE_SIZE)
+        msdn.attach_storage(msdn_pages)
+        return msdn, msdn_pages
+
+    mismatches = msdn_build_mismatches(*msdn_array_build(), *msdn_object_build())
+    if mismatches:
+        raise AssertionError(f"msdn build divergence: {mismatches[:5]}")
+    msdn_ref_seconds, (ref_msdn, _) = best_of(msdn_object_build)
+    msdn_new_seconds, _ = best_of(msdn_array_build)
+    msdn_chunks = sum(len(family) for family in ref_msdn.family_xy.values())
+
+    history = build_collapse_history(build_mesh)
+    if collapse_history_bits(history) != collapse_history_bits(
+        build_collapse_history_reference(build_mesh)
+    ):
+        raise AssertionError("qem collapse divergence: histories differ")
+    qem_ref_seconds, _ = best_of(lambda: build_collapse_history_reference(build_mesh))
+    qem_new_seconds, _ = best_of(lambda: build_collapse_history(build_mesh))
+
     searches = len(sources) * len(target_ids)
     kernel_rows = [
         {
@@ -1130,6 +1178,42 @@ def kernels(
             "speedup": io_ref_seconds / io_new_seconds if io_new_seconds > 0 else None,
             "identical": True,
         },
+        {
+            "comparison": "msdn build",
+            "kernel": "reference objects",
+            "searches": msdn_chunks,
+            "seconds": msdn_ref_seconds,
+            "speedup": 1.0,
+            "identical": True,
+        },
+        {
+            "comparison": "msdn build",
+            "kernel": "column-wise",
+            "searches": msdn_chunks,
+            "seconds": msdn_new_seconds,
+            "speedup": (
+                msdn_ref_seconds / msdn_new_seconds if msdn_new_seconds > 0 else None
+            ),
+            "identical": True,
+        },
+        {
+            "comparison": "qem collapse",
+            "kernel": "reference per-pair",
+            "searches": history.num_steps,
+            "seconds": qem_ref_seconds,
+            "speedup": 1.0,
+            "identical": True,
+        },
+        {
+            "comparison": "qem collapse",
+            "kernel": "batched",
+            "searches": history.num_steps,
+            "seconds": qem_new_seconds,
+            "speedup": (
+                qem_ref_seconds / qem_new_seconds if qem_new_seconds > 0 else None
+            ),
+            "identical": True,
+        },
     ]
 
     tables = [
@@ -1156,6 +1240,8 @@ def kernels(
                 "page_io_size": io_size,
                 "page_io_queries": len(io_runs),
                 "page_io_pages": io_pages,
+                "build_size": BUILD_SIZE,
+                "build_page_size": BUILD_PAGE_SIZE,
                 "repeats": repeats,
                 "quick": quick,
             }

@@ -69,16 +69,21 @@ class BoundingBox:
         return np.asarray(self.hi) - np.asarray(self.lo)
 
     def measure(self) -> float:
-        """Area (2D) or volume (3D) of the box."""
-        return float(np.prod(self.extents))
+        """Area (2D) or volume (3D) of the box: the product of the
+        extents, left to right, as ``np.prod(self.extents)``."""
+        result = 1.0
+        for l, h in zip(self.lo, self.hi):
+            result *= h - l
+        return float(result)
 
     def perimeter(self) -> float:
         """Sum of edge lengths; the classic R-tree split objective."""
         return float(2.0 * np.sum(self.extents))
 
     # -- predicates -------------------------------------------------------
-    # (scalar implementations: these run millions of times per query,
-    # where per-call numpy overhead dominates)
+    # (scalar implementations, like union and measure: these run
+    # millions of times per query, where per-call numpy overhead
+    # dominates)
 
     def contains_point(self, p) -> bool:
         return all(
@@ -99,9 +104,16 @@ class BoundingBox:
     # -- combining ops ----------------------------------------------------
 
     def union(self, other: "BoundingBox") -> "BoundingBox":
+        # np.minimum / np.maximum per coordinate: the left value when
+        # strictly smaller / larger or NaN, else the right one (so
+        # min(-0.0, 0.0) is 0.0 and a NaN on either side wins).
         return BoundingBox(
-            tuple(np.minimum(self.lo, other.lo)),
-            tuple(np.maximum(self.hi, other.hi)),
+            tuple(
+                a if a < b or a != a else b for a, b in zip(self.lo, other.lo)
+            ),
+            tuple(
+                a if a > b or a != a else b for a, b in zip(self.hi, other.hi)
+            ),
         )
 
     def intersection(self, other: "BoundingBox") -> "BoundingBox | None":

@@ -11,14 +11,14 @@ always *enclose* the MBRs they replace.
 """
 
 from repro.msdn.crossing import crossing_line, plane_positions
-from repro.msdn.sdn import SdnChunk, build_sdn_chunks
+from repro.msdn.sdn import SdnFamily, build_sdn_families
 from repro.msdn.msdn import MSDN, LowerBoundResult
 
 __all__ = [
     "crossing_line",
     "plane_positions",
-    "SdnChunk",
-    "build_sdn_chunks",
+    "SdnFamily",
+    "build_sdn_families",
     "MSDN",
     "LowerBoundResult",
 ]

@@ -33,8 +33,8 @@ from repro.msdn.crossing import (
     supersample_polyline,
 )
 from repro.msdn.sdn import (
-    SdnChunk,
-    build_sdn_chunks,
+    SdnFamily,
+    build_sdn_families,
     lower_bound_via_planes_arrays,
 )
 from repro.storage.locator import LocatorStore
@@ -76,6 +76,27 @@ def _box_mask(xy: np.ndarray, boxes) -> np.ndarray:
     return mask
 
 
+def crossing_lines(
+    mesh, spacing: float, axis: int, supersample: int, adaptive_planes: float
+) -> tuple[np.ndarray, list]:
+    """The sweep planes of one axis that cut the terrain and their
+    supersampled crossing lines (see
+    :func:`repro.msdn.crossing.supersample_polyline`), the MSDN's base
+    (100 %) sampling."""
+    if adaptive_planes > 0.0:
+        values = adaptive_plane_positions(mesh, spacing, axis, strength=adaptive_planes)
+    else:
+        values = plane_positions(mesh.xy_bounds(), spacing, axis)
+    lines = []
+    kept_values = []
+    for value in values:
+        line = crossing_line(mesh, axis, float(value))
+        if line is not None:
+            lines.append(supersample_polyline(line, supersample))
+            kept_values.append(float(value))
+    return np.asarray(kept_values), lines
+
+
 class MSDN:
     """Multiresolution support distance network over a terrain mesh.
 
@@ -88,7 +109,9 @@ class MSDN:
         edge length (the paper's highest-density recommendation).
     resolutions:
         SDN resolutions to materialize (fractions of crossing-line
-        points kept).
+        points kept): a non-empty collection of values in (0, 1],
+        distinct at the 0.001 granularity of the page records; equal
+        values count once.
     """
 
     def __init__(
@@ -106,74 +129,37 @@ class MSDN:
             raise QueryError("plane spacing must be positive")
         if supersample < 1:
             raise QueryError("supersample must be >= 1")
+        resolutions = tuple(sorted(set(resolutions)))
+        if not resolutions:
+            raise QueryError("resolutions must not be empty")
+        if not all(0.0 < res <= 1.0 for res in resolutions):
+            raise QueryError(f"resolutions must lie in (0, 1], got {resolutions}")
+        if len({round(res * 1000) for res in resolutions}) != len(resolutions):
+            raise QueryError(
+                f"resolutions must differ by at least 0.001, got {resolutions}"
+            )
         self.spacing = spacing
         self.supersample = supersample
         self.adaptive_planes = float(adaptive_planes)
-        self.resolutions = tuple(sorted(resolutions))
-        bounds = mesh.xy_bounds()
-        # Crossing lines per axis; the base (100 %) sampling is the
-        # supersampled crossing line (see crossing.supersample_polyline).
+        self.resolutions = resolutions
+        # Crossing lines per axis, and the chunked SDN of every
+        # (axis, resolution) family as row arrays (see SdnFamily),
+        # built in page-record order: axis, resolution, plane, first.
         self._planes: dict[int, np.ndarray] = {}
         self._lines: dict[int, list] = {}
+        self._families: dict[tuple[int, float], SdnFamily] = {}
         for axis in (0, 1):
-            if self.adaptive_planes > 0.0:
-                values = adaptive_plane_positions(
-                    mesh, spacing, axis, strength=self.adaptive_planes
-                )
-            else:
-                values = plane_positions(bounds, spacing, axis)
-            lines = []
-            kept_values = []
-            for value in values:
-                line = crossing_line(mesh, axis, float(value))
-                if line is not None:
-                    lines.append(supersample_polyline(line, supersample))
-                    kept_values.append(float(value))
-            self._planes[axis] = np.asarray(kept_values)
-            self._lines[axis] = lines
-        # Chunked SDNs: (axis, resolution) -> list per plane.  Each
-        # family also keeps one xy-MBR array [lo_x, lo_y, hi_x, hi_y]
-        # over all its chunks (plane by plane, so plane ``i`` owns
-        # rows ``offsets[i]:offsets[i + 1]``) for vectorized ROI
-        # filtering; the per-plane ``_chunk_xy`` arrays are views of it.
-        self._chunks: dict[tuple[int, float], list[list[SdnChunk]]] = {}
-        self._plane_offsets: dict[tuple[int, float], np.ndarray] = {}
-        self._family_xy: dict[tuple[int, float], np.ndarray] = {}
-        self._chunk_xy: dict[tuple[int, float], list[np.ndarray]] = {}
-        for axis in (0, 1):
-            for res in self.resolutions:
-                key = (axis, res)
-                per_plane = [
-                    build_sdn_chunks(line, axis, idx, float(self._planes[axis][idx]), res)
-                    for idx, line in enumerate(self._lines[axis])
-                ]
-                offsets = np.zeros(len(per_plane) + 1, dtype=np.int64)
-                np.cumsum([len(chunks) for chunks in per_plane], out=offsets[1:])
-                rows = [
-                    (c.mbr.lo[0], c.mbr.lo[1], c.mbr.hi[0], c.mbr.hi[1])
-                    for chunks in per_plane
-                    for c in chunks
-                ]
-                xy = np.array(rows, dtype=float) if rows else np.empty((0, 4))
-                self._chunks[key] = per_plane
-                self._plane_offsets[key] = offsets
-                self._family_xy[key] = xy
-                self._chunk_xy[key] = [
-                    xy[start:stop] for start, stop in zip(offsets[:-1], offsets[1:])
-                ]
+            self._planes[axis], self._lines[axis] = crossing_lines(
+                mesh, spacing, axis, supersample, self.adaptive_planes
+            )
+            families = build_sdn_families(self._lines[axis], resolutions)
+            for res, family in zip(resolutions, families):
+                self._families[(axis, res)] = family
         self._store: LocatorStore | None = None
-        # Lazy caches, built on first touch and only read afterwards
-        # (concurrent first touches at worst build one twice; each is
-        # published by one dict store): per-(axis, resolution) 3D
-        # chunk-MBR arrays for the DP and page-id arrays for I/O
-        # charging, both row-aligned with the family xy array, and the
-        # per-resolution key → chunk index for corridor_from_path.
-        # Hop matrices are not cached: whole-plane-pair matrices would
-        # cost far more memory than recomputing each hop on the kept
-        # chunks.
-        self._family_boxes3d: dict[tuple[int, float], tuple] = {}
-        self._family_pages: dict[tuple[int, float], np.ndarray] = {}
-        self._corridor_index: dict[float, dict[tuple, SdnChunk]] = {}
+        # Per resolution, chunk key -> xy MBR row for
+        # corridor_from_path; built on first use, published by one
+        # dict store (concurrent first uses at worst build it twice).
+        self._corridor_index: dict[float, dict[tuple, list]] = {}
 
     # ------------------------------------------------------------------
     # storage
@@ -181,36 +167,24 @@ class MSDN:
 
     def attach_storage(self, pages: PageManager) -> None:
         """Page out every chunk record (clustered by plane, then
-        position along the plane) for I/O accounting."""
-        items = []
-        for (axis, res), per_plane in self._chunks.items():
-            for chunks in per_plane:
-                for chunk in chunks:
-                    cluster = (axis, round(res * 1000), chunk.plane_index, chunk.first)
-                    items.append((cluster, ("chunk",) + cluster, chunk.encode()))
-        self._store = LocatorStore(items, pages, page_class=PAGE_CLASS_MSDN)
-        self._family_pages.clear()
+        position along the plane) for I/O accounting.
 
-    def _chunk_pages(self, axis: int, resolution: float) -> np.ndarray:
-        """The page id backing each chunk of a family, row-aligned
-        with its xy array — resolves the record-id → page mapping
-        once so the hot path charges I/O by page array instead of
-        rebuilding record-id tuples per call."""
-        key = (axis, resolution)
-        cached = self._family_pages.get(key)
-        if cached is None:
-            store = self._store
-            rk = round(resolution * 1000)
-            cached = np.array(
-                [
-                    store.page_of(("chunk", c.axis, rk, c.plane_index, c.first))
-                    for layer in self._chunks[key]
-                    for c in layer
-                ],
-                dtype=np.int64,
-            )
-            self._family_pages[key] = cached
-        return cached
+        The families hold their rows in cluster-key order (axis,
+        resolution, plane, first segment), so the records are written
+        as one array in row order and each row's page id is resolved
+        here, once."""
+        records = np.concatenate(
+            [
+                family.records(axis, self._planes[axis], res)
+                for (axis, res), family in self._families.items()
+            ]
+        )
+        store = LocatorStore.from_records(records, pages, page_class=PAGE_CLASS_MSDN)
+        start = 0
+        for family in self._families.values():
+            family.pages = store.row_pages[start : start + len(family)]
+            start += len(family)
+        self._store = store
 
     # ------------------------------------------------------------------
     # resolution policy
@@ -266,11 +240,11 @@ class MSDN:
         bounds: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
         total = 0
         for axis in axes:
-            key = (axis, resolution)
-            pages = self._chunk_pages(axis, resolution)
-            offsets = self._plane_offsets[key]
+            family = self._families[(axis, resolution)]
+            pages = family.pages
+            offsets = family.offsets
             if roi is not None:
-                mask = _box_mask(self._family_xy[key], roi)
+                mask = _box_mask(family.xy, roi)
                 pages = pages[mask]
                 # Kept rows before each plane's first row.
                 kept_before = np.zeros(mask.size + 1, dtype=np.int64)
@@ -356,22 +330,6 @@ class MSDN:
             for point_b, roi in zip(targets, rois)
         ]
 
-    def _boxes3d(self, axis: int, resolution: float) -> tuple:
-        """Cached 3D chunk-MBR ``(lo, hi)`` row arrays of a family,
-        row-aligned with its xy array — the DP input, built once per
-        (axis, resolution) instead of rebuilt from chunk objects on
-        every estimation."""
-        key = (axis, resolution)
-        cached = self._family_boxes3d.get(key)
-        if cached is None:
-            chunks = [c for layer in self._chunks[key] for c in layer]
-            cached = (
-                np.array([c.mbr.lo for c in chunks], dtype=float).reshape(-1, 3),
-                np.array([c.mbr.hi for c in chunks], dtype=float).reshape(-1, 3),
-            )
-            self._family_boxes3d[key] = cached
-        return cached
-
     def _lower_bound_at(
         self, pa, pb, resolution: float, roi, corridor_boxes, charge_io: bool
     ) -> LowerBoundResult:
@@ -389,21 +347,16 @@ class MSDN:
         hi = max(pa[axis], pb[axis])
         if pa[axis] > pb[axis]:
             pa, pb = pb, pa
-        key = (axis, resolution)
+        family = self._families[(axis, resolution)]
         planes = self._planes_between(axis, lo, hi, self.plane_stride(resolution))
-        offsets = self._plane_offsets[key]
-        starts = offsets[planes]
-        stops = offsets[planes + 1]
-        lo3, hi3 = self._boxes3d(axis, resolution)
-        pages = (
-            self._chunk_pages(axis, resolution)
-            if charge_io and self._store is not None
-            else None
-        )
+        starts = family.offsets[planes]
+        stops = family.offsets[planes + 1]
+        lo3, hi3 = family.lo, family.hi
+        pages = family.pages if charge_io else None
         rows = None  # kept family rows, when a region filters them
         if planes.size and (roi is not None or corridor_boxes is not None):
             first, last = int(starts[0]), int(stops[-1])
-            xy = self._family_xy[key][first:last]
+            xy = family.xy[first:last]
             mask = np.ones(last - first, dtype=bool)
             if roi is not None:
                 mask &= _box_mask(xy, roi)
@@ -417,16 +370,16 @@ class MSDN:
             lo3, hi3 = lo3[rows], hi3[rows]
             if pages is not None:
                 pages = pages[rows]
-        kept: list = []  # (plane index, first row of its run)
+        kept: list = []  # first row of each kept plane's run
         layer_boxes: list[tuple[np.ndarray, np.ndarray]] = []
         runs: list[np.ndarray] = []  # each kept plane's pages
         bounds = [0]  # run offsets: kept rows up to each kept plane
-        for pi, start, stop in zip(planes.tolist(), starts.tolist(), stops.tolist()):
+        for start, stop in zip(starts.tolist(), stops.tolist()):
             # An empty (or fully filtered) plane is dropped, which
             # only loosens the bound.
             if stop == start:
                 continue
-            kept.append((pi, start))
+            kept.append(start)
             layer_boxes.append((lo3[start:stop], hi3[start:stop]))
             bounds.append(bounds[-1] + stop - start)
             if pages is not None:
@@ -434,13 +387,12 @@ class MSDN:
         if runs:
             self._store.touch_pages(np.concatenate(runs), bounds)
         value, picks = lower_bound_via_planes_arrays(pa, pb, layer_boxes)
-        per_plane = self._chunks[key]
         path_keys = []
-        for (pi, start), pick in zip(kept, picks):
+        for start, pick in zip(kept, picks):
             row = start + pick
             if rows is not None:
                 row = int(rows[row])
-            path_keys.append(per_plane[pi][row - int(offsets[pi])].key)
+            path_keys.append(family.key(axis, row))
         return LowerBoundResult(
             value=value,
             path_keys=path_keys,
@@ -453,26 +405,34 @@ class MSDN:
     ) -> list[BoundingBox]:
         """Build the dummy-lower-bound envelope around a previous lb
         path: each path chunk's xy MBR thickened by ``thickness``
-        (default: twice the plane spacing)."""
+        (default: twice the plane spacing).  Keys that name no chunk
+        of this resolution are skipped."""
         if thickness is None:
             thickness = 2.0 * self.spacing
         resolution = self.nearest_resolution(resolution)
-        # The key → chunk index is memoized per resolution: chunks are
-        # immutable after construction and the ranking loop rebuilds a
-        # corridor for every surviving candidate at every level.
+        # The key -> xy row index is memoized per resolution: the
+        # families are immutable after construction and the ranking
+        # loop rebuilds a corridor for every surviving candidate at
+        # every level.
         index = self._corridor_index.get(resolution)
         if index is None:
             index = {}
             for axis in (0, 1):
-                for layer in self._chunks[(axis, resolution)]:
-                    for chunk in layer:
-                        index[chunk.key] = chunk
+                family = self._families[(axis, resolution)]
+                for plane, first, last, xy in zip(
+                    family.plane.tolist(),
+                    family.first.tolist(),
+                    family.last.tolist(),
+                    family.xy.tolist(),
+                ):
+                    index[("c", axis, plane, first, last)] = xy
             self._corridor_index[resolution] = index
         boxes = []
         for key in path_keys:
-            chunk = index.get(key)
-            if chunk is not None:
-                boxes.append(chunk.mbr.xy().expanded(thickness))
+            xy = index.get(key)
+            if xy is not None:
+                box = BoundingBox((xy[0], xy[1]), (xy[2], xy[3]))
+                boxes.append(box.expanded(thickness))
         return boxes
 
     def stats(self) -> dict:
@@ -482,7 +442,7 @@ class MSDN:
             "planes_x": int(len(self._planes[0])),
             "planes_y": int(len(self._planes[1])),
             "chunks": {
-                f"axis{axis}@r{res}": sum(len(l) for l in per_plane)
-                for (axis, res), per_plane in self._chunks.items()
+                f"axis{axis}@r{res}": len(family)
+                for (axis, res), family in self._families.items()
             },
         }

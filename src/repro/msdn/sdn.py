@@ -20,86 +20,127 @@ monotonically tighter.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.polyline import Polyline, simplify_with_enclosure
-from repro.geometry.primitives import BoundingBox
+from repro.geometry.polyline import Polyline
 
+#: One chunk record on an MSDN page: axis, plane index, plane value,
+#: resolution in per mille, first and last segment, then the MBR's lo
+#: and hi corners (71 bytes).
 _CHUNK_STRUCT = struct.Struct("<BIdHII6d")
 
-
-@dataclass(frozen=True)
-class SdnChunk:
-    """One SDN node: a run of crossing-line segments with joint MBR."""
-
-    axis: int
-    plane_index: int
-    plane_value: float
-    resolution: float
-    first: int
-    last: int
-    mbr: BoundingBox  # 3D
-
-    @property
-    def key(self) -> tuple:
-        return ("c", self.axis, self.plane_index, self.first, self.last)
-
-    def encode(self) -> bytes:
-        return _CHUNK_STRUCT.pack(
-            self.axis,
-            self.plane_index,
-            self.plane_value,
-            int(round(self.resolution * 1000)),
-            self.first,
-            self.last,
-            *self.mbr.lo,
-            *self.mbr.hi,
-        )
-
-    @classmethod
-    def decode(cls, blob: bytes) -> "SdnChunk":
-        axis, plane_index, plane_value, res_pm, first, last, *coords = (
-            _CHUNK_STRUCT.unpack(blob)
-        )
-        return cls(
-            axis=axis,
-            plane_index=plane_index,
-            plane_value=plane_value,
-            resolution=res_pm / 1000.0,
-            first=first,
-            last=last,
-            mbr=BoundingBox(tuple(coords[:3]), tuple(coords[3:])),
-        )
-
-
-def build_sdn_chunks(
-    line: Polyline,
-    axis: int,
-    plane_index: int,
-    plane_value: float,
-    resolution: float,
-) -> list[SdnChunk]:
-    """Chunk one crossing line at the given resolution.
-
-    The chunk MBRs enclose the original segment MBRs by construction
-    (see :func:`repro.geometry.polyline.simplify_with_enclosure`).
-    """
-    chunks = simplify_with_enclosure(line, resolution)
-    return [
-        SdnChunk(
-            axis=axis,
-            plane_index=plane_index,
-            plane_value=plane_value,
-            resolution=resolution,
-            first=c.first,
-            last=c.last,
-            mbr=c.mbr,
-        )
-        for c in chunks
+#: :data:`_CHUNK_STRUCT` as a packed structured dtype, so a family's
+#: records are written as one array instead of one ``pack`` per chunk.
+CHUNK_RECORD = np.dtype(
+    [
+        ("axis", "u1"),
+        ("plane", "<u4"),
+        ("value", "<f8"),
+        ("res_pm", "<u2"),
+        ("first", "<u4"),
+        ("last", "<u4"),
+        ("lo", "<f8", (3,)),
+        ("hi", "<f8", (3,)),
     ]
+)
+
+
+class SdnFamily:
+    """The chunked SDN of one plane family at one resolution, as row
+    arrays: plane ``i`` owns rows ``offsets[i]:offsets[i + 1]``, in
+    order along its crossing line.
+
+    ``lo`` / ``hi`` are the 3D chunk MBRs (the DP input), ``xy`` the
+    same boxes' xy projection laid out ``[lo_x, lo_y, hi_x, hi_y]``
+    (ROI filtering), ``plane`` / ``first`` / ``last`` each row's plane
+    index and first and last original segment (chunk keys and page
+    records).  ``pages`` is each row's page id once storage is
+    attached, else None.
+    """
+
+    __slots__ = ("lo", "hi", "xy", "offsets", "plane", "first", "last", "pages")
+
+    def __init__(self, lo, hi, offsets, plane, first, last):
+        self.lo = lo
+        self.hi = hi
+        self.xy = np.empty((lo.shape[0], 4))
+        self.xy[:, :2] = lo[:, :2]
+        self.xy[:, 2:] = hi[:, :2]
+        self.offsets = offsets
+        self.plane = plane
+        self.first = first
+        self.last = last
+        self.pages: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return int(self.lo.shape[0])
+
+    def key(self, axis: int, row: int) -> tuple:
+        """The chunk key of a row: ``("c", axis, plane, first, last)``."""
+        return (
+            "c",
+            axis,
+            int(self.plane[row]),
+            int(self.first[row]),
+            int(self.last[row]),
+        )
+
+    def records(self, axis: int, plane_values, resolution: float) -> np.ndarray:
+        """The rows as :data:`CHUNK_RECORD` page records, in row order."""
+        out = np.empty(len(self), dtype=CHUNK_RECORD)
+        out["axis"] = axis
+        out["plane"] = self.plane
+        out["value"] = np.asarray(plane_values, dtype=float)[self.plane]
+        out["res_pm"] = int(round(resolution * 1000))
+        out["first"] = self.first
+        out["last"] = self.last
+        out["lo"] = self.lo
+        out["hi"] = self.hi
+        return out
+
+
+def build_sdn_families(lines: list[Polyline], resolutions) -> list[SdnFamily]:
+    """Chunk every crossing line of one plane family at each
+    resolution, column-wise; one :class:`SdnFamily` per resolution.
+
+    Chunk boundaries are those of
+    :func:`repro.geometry.polyline.simplify_with_enclosure`: a line of
+    ``n`` segments keeps ``max(1, min(n, round(n * r)))`` chunks, chunk
+    ``k`` covering segments ``k * n // m`` to ``(k + 1) * n // m - 1``.
+    Each chunk's MBR is the min / max over its segments' MBRs
+    (``np.minimum.reduceat`` / ``np.maximum.reduceat``), which are
+    computed once per line and shared by every resolution.  Min and
+    max are exact, so the boxes equal ``BoundingBox.of_points`` over
+    the chunk's points bit for bit.
+    """
+    counts = np.array([line.num_segments for line in lines], dtype=np.int64)
+    seg_base = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=seg_base[1:])
+    if lines:
+        points = [line.points for line in lines]
+        seg_lo = np.concatenate([np.minimum(p[:-1], p[1:]) for p in points])
+        seg_hi = np.concatenate([np.maximum(p[:-1], p[1:]) for p in points])
+    families = []
+    for res in resolutions:
+        # int(round(n * r)) per line: IEEE product, round half to even.
+        nchunks = np.clip(np.rint(counts * res).astype(np.int64), 1, counts)
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(nchunks, out=offsets[1:])
+        plane = np.repeat(np.arange(counts.size, dtype=np.int64), nchunks)
+        k = np.arange(offsets[-1], dtype=np.int64) - offsets[plane]
+        n, m = counts[plane], nchunks[plane]
+        first = k * n // m
+        last = (k + 1) * n // m - 1
+        if plane.size:
+            starts = seg_base[plane] + first
+            lo = np.minimum.reduceat(seg_lo, starts, axis=0)
+            hi = np.maximum.reduceat(seg_hi, starts, axis=0)
+        else:
+            lo = hi = np.empty((0, 3))
+        families.append(SdnFamily(lo, hi, offsets, plane, first, last))
+    return families
 
 
 def _point_to_boxes(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

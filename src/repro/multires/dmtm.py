@@ -98,8 +98,8 @@ class DMTM:
         self.steiner_per_edge = steiner_per_edge
         self._node_store: LocatorStore | None = None
         self._face_store: LocatorStore | None = None
-        # Record-id → page resolved once per store on first touch
-        # (same pages read, same order, no per-call tuples).
+        # The page of every node and face record, by node / face id,
+        # resolved when storage is attached.
         self._node_pages: np.ndarray | None = None
         self._face_pages: np.ndarray | None = None
 
@@ -150,8 +150,10 @@ class DMTM:
         self._face_store = LocatorStore(
             face_items, pages, page_class=PAGE_CLASS_DMTM
         )
-        self._node_pages = None
-        self._face_pages = None
+        # Items were listed by node / face id, so each store's row
+        # pages are its id -> page arrays.
+        self._node_pages = self._node_store.row_pages
+        self._face_pages = self._face_store.row_pages
 
     def _encode_node(self, node) -> bytes:
         head = struct.pack(
@@ -198,25 +200,13 @@ class DMTM:
 
     def _touch_nodes(self, node_ids) -> None:
         store = self._node_store
-        if store is None:
-            return
-        if self._node_pages is None:
-            self._node_pages = np.array(
-                [store.page_of(node.node_id) for node in self.ddm.history.nodes],
-                dtype=np.int64,
-            )
-        store.touch_pages(self._node_pages[np.asarray(node_ids, dtype=np.int64)])
+        if store is not None:
+            store.touch_pages(self._node_pages[np.asarray(node_ids, dtype=np.int64)])
 
     def _touch_faces(self, face_ids) -> None:
         store = self._face_store
-        if store is None:
-            return
-        if self._face_pages is None:
-            self._face_pages = np.array(
-                [store.page_of(fi) for fi in range(self.mesh.num_faces)],
-                dtype=np.int64,
-            )
-        store.touch_pages(self._face_pages[np.asarray(face_ids, dtype=np.int64)])
+        if store is not None:
+            store.touch_pages(self._face_pages[np.asarray(face_ids, dtype=np.int64)])
 
     # ------------------------------------------------------------------
     # extraction

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import SimplificationError
-from repro.simplification.quadric import best_merge_position, vertex_quadrics
+from repro.simplification.quadric import best_merge_positions, vertex_quadrics
 
 
 @dataclass
@@ -143,9 +143,23 @@ def build_collapse_history(mesh) -> CollapseHistory:
 
     Returns the full :class:`CollapseHistory`; runtime is
     O(n log n · average degree) with n mesh vertices.
+
+    Pair costs are computed in batches
+    (:func:`~repro.simplification.quadric.best_merge_positions`): every
+    mesh edge up front, then after each collapse the merged node
+    against all its neighbours.  A heap entry carries its pair's merge
+    position, so a popped pair is never evaluated again.  The history
+    equals the per-pair loop's
+    (:func:`repro.testkit.reference.build_collapse_history_reference`)
+    node for node and bit for bit, heap tie order included.
     """
     n = mesh.num_vertices
-    quadrics = list(vertex_quadrics(mesh))
+    # Quadric and position rows per node id; a collapse adds one node.
+    capacity = max(2 * n - 1, n)
+    quadrics = np.empty((capacity, 4, 4))
+    quadrics[:n] = vertex_quadrics(mesh)
+    positions = np.empty((capacity, 3))
+    positions[:n] = mesh.vertices
     nodes: list[CollapseNode] = []
     # Live adjacency with representative-path distances.
     active: dict[int, dict[int, float]] = {}
@@ -169,24 +183,24 @@ def build_collapse_history(mesh) -> CollapseHistory:
         nodes[vid].records = sorted(dists.items())
 
     counter = itertools.count()
-    heap: list[tuple[float, int, int, int]] = []
+    heap: list[tuple] = []
 
-    def push_pair(u: int, w: int) -> None:
-        q = quadrics[u] + quadrics[w]
-        _pos, err = best_merge_position(q, nodes[u].position, nodes[w].position)
-        heapq.heappush(heap, (err, next(counter), u, w))
+    def push_pairs(us: np.ndarray, ws: np.ndarray) -> None:
+        pos, err = best_merge_positions(
+            quadrics[us] + quadrics[ws], positions[us], positions[ws]
+        )
+        for e, u, w, p in zip(err.tolist(), us.tolist(), ws.tolist(), pos):
+            heapq.heappush(heap, (e, next(counter), u, w, p))
 
-    pushed: set[tuple[int, int]] = set()
-    for u, w in mesh.edge_vertices:
-        u, w = int(u), int(w)
-        push_pair(u, w)
-        pushed.add((u, w))
+    edges = np.asarray(mesh.edge_vertices, dtype=np.int64).reshape(-1, 2)
+    if edges.size:
+        push_pairs(edges[:, 0], edges[:, 1])
 
     step = 0
     while len(active) > 1:
         # Pop the cheapest still-valid contraction.
         while heap:
-            err, _tie, a, b = heapq.heappop(heap)
+            qem_err, _tie, a, b, position = heapq.heappop(heap)
             if a in active and b in active and b in active[a]:
                 break
         else:
@@ -194,10 +208,6 @@ def build_collapse_history(mesh) -> CollapseHistory:
             break
         step += 1
         d_ab = active[a][b]
-        quadric = quadrics[a] + quadrics[b]
-        position, qem_err = best_merge_position(
-            quadric, nodes[a].position, nodes[b].position
-        )
         # Errors must be monotone up the tree for clean LOD cuts.
         error = max(qem_err, nodes[a].error, nodes[b].error)
         error = math.nextafter(error, math.inf)
@@ -228,7 +238,8 @@ def build_collapse_history(mesh) -> CollapseHistory:
                 merged[w] = d + d_ab
         node.records = sorted(merged.items())
         nodes.append(node)
-        quadrics.append(quadric)
+        np.add(quadrics[a], quadrics[b], out=quadrics[c])
+        positions[c] = position
 
         for child, offset in ((keeper, 0.0), (dropper, d_ab)):
             nodes[child].parent = c
@@ -243,7 +254,9 @@ def build_collapse_history(mesh) -> CollapseHistory:
             peers.pop(a, None)
             peers.pop(b, None)
             peers[c] = d
-            push_pair(c, w)
+        if merged:
+            ws = np.fromiter(merged, dtype=np.int64, count=len(merged))
+            push_pairs(np.full(ws.size, c, dtype=np.int64), ws)
 
     roots = sorted(active)
     return CollapseHistory(nodes, num_leaves=n, roots=roots)

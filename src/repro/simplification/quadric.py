@@ -38,13 +38,42 @@ def face_quadric(a, b, c) -> np.ndarray:
     return area * np.outer(p, p)
 
 
+def _rowwise_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x[i] · y[i]`` per row, each one ``np.dot`` of two vectors
+    (a stacked ``matmul`` of row by column runs the same BLAS dot per
+    row; ``(x * y).sum(axis=1)`` rounds differently)."""
+    return np.matmul(x[:, np.newaxis, :], y[:, :, np.newaxis])[:, 0, 0]
+
+
+def _face_quadrics(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """(F, 4, 4) array of :func:`face_quadric` per face, column-wise
+    with the same float operations, so each equals the per-face value
+    bit for bit."""
+    a, b, c = (vertices[faces[:, slot]] for slot in range(3))
+    n = np.cross(b - a, c - a)
+    norm = np.sqrt(_rowwise_dot(n, n))
+    out = np.zeros((faces.shape[0], 4, 4))
+    live = norm != 0.0
+    n, a, norm = n[live], a[live], norm[live]
+    n = n / norm[:, np.newaxis]
+    p = np.empty((n.shape[0], 4))
+    p[:, :3] = n
+    p[:, 3] = -_rowwise_dot(n, a)
+    area = norm / 2.0
+    out[live] = area[:, np.newaxis, np.newaxis] * (
+        p[:, :, np.newaxis] * p[:, np.newaxis, :]
+    )
+    return out
+
+
 def vertex_quadrics(mesh) -> np.ndarray:
-    """(n, 4, 4) array of per-vertex quadrics for a mesh."""
+    """(n, 4, 4) array of per-vertex quadrics for a mesh: each vertex
+    sums its faces' quadrics in face order (``np.add.at`` over the
+    face-major vertex list applies the additions in that order)."""
     q = np.zeros((mesh.num_vertices, 4, 4))
-    for face in mesh.faces:
-        fq = face_quadric(*mesh.vertices[face])
-        for vi in face:
-            q[int(vi)] += fq
+    faces = np.asarray(mesh.faces, dtype=np.int64)
+    fq = _face_quadrics(np.asarray(mesh.vertices, dtype=float), faces)
+    np.add.at(q, faces.ravel(), np.repeat(fq, 3, axis=0))
     return q
 
 
@@ -87,4 +116,78 @@ def best_merge_position(q: np.ndarray, pos_a, pos_b) -> tuple[np.ndarray, float]
         if err < best_err:
             best_err = err
             best_pos = cand
+    return best_pos, best_err
+
+
+def _quadric_errors(q: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """:func:`quadric_error` per row: ``vᵀQv`` for ``v = (p, 1)`` as
+    stacked ``matmul`` products (each row the vector-matrix then the
+    vector-vector product ``v @ q @ v`` runs), clamped like
+    ``max(x, 0.0)`` (−0.0 and NaN pass through)."""
+    v = np.empty((positions.shape[0], 1, 4))
+    v[:, 0, :3] = positions
+    v[:, 0, 3] = 1.0
+    err = np.matmul(np.matmul(v, q), v.transpose(0, 2, 1))[:, 0, 0]
+    return np.where(0.0 > err, 0.0, err)
+
+
+def _solve_optima(solvers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(kept, optima)``: the quadric-optimal positions of the stacked
+    solver matrices, one ``np.linalg.solve`` for all; should one be
+    singular, each is solved on its own and the singular ones are
+    left out, as :func:`best_merge_position` skips them."""
+    rhs = np.zeros((solvers.shape[0], 4, 1))
+    rhs[:, 3, 0] = 1.0
+    try:
+        optima = np.linalg.solve(solvers, rhs)[:, :3, 0]
+        return np.arange(solvers.shape[0]), optima
+    except np.linalg.LinAlgError:
+        pass
+    kept, optima = [], []
+    for i, solver in enumerate(solvers):
+        try:
+            optima.append(np.linalg.solve(solver, rhs[i, :, 0])[:3])
+        except np.linalg.LinAlgError:
+            continue
+        kept.append(i)
+    return np.asarray(kept, dtype=np.int64), np.asarray(optima).reshape(-1, 3)
+
+
+def best_merge_positions(
+    q: np.ndarray, pos_a: np.ndarray, pos_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`best_merge_position` for a batch of contractions: ``q``
+    is ``(m, 4, 4)``, ``pos_a`` / ``pos_b`` are ``(m, 3)``; returns
+    ``(positions (m, 3), errors (m,))``.
+
+    Bit for bit the per-pair results: the determinants and solves are
+    the stacked LAPACK calls, the norms ``sqrt(x·x)`` and the errors
+    ``vᵀQv`` stacked ``matmul`` products (``np.einsum`` or
+    ``(x * x).sum(axis=1)`` would round differently), and candidates
+    are compared in the per-pair order — a, b, midpoint, optimum —
+    keeping the first on ties.
+    """
+    mid = (pos_a + pos_b) / 2.0
+    best_pos = np.array(pos_a, dtype=float)
+    best_err = _quadric_errors(q, best_pos)
+    for cand in (pos_b, mid):
+        err = _quadric_errors(q, cand)
+        better = err < best_err
+        best_err[better] = err[better]
+        best_pos[better] = cand[better]
+    solvers = np.array(q)
+    solvers[:, 3, :] = (0.0, 0.0, 0.0, 1.0)
+    tried = np.flatnonzero(np.abs(np.linalg.det(solvers)) > 1e-12)
+    if tried.size:
+        kept, optima = _solve_optima(solvers[tried])
+        rows = tried[kept]
+        gap = pos_a[rows] - pos_b[rows]
+        span = np.sqrt(_rowwise_dot(gap, gap)) + 1e-12
+        off = optima - mid[rows]
+        near = np.sqrt(_rowwise_dot(off, off)) <= 2.0 * span
+        rows, optima = rows[near], optima[near]
+        err = _quadric_errors(q[rows], optima)
+        better = err < best_err[rows]
+        best_err[rows[better]] = err[better]
+        best_pos[rows[better]] = optima[better]
     return best_pos, best_err

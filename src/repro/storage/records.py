@@ -13,6 +13,8 @@ import struct
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from repro.errors import StorageError
 
 _COUNT = struct.Struct("<H")
@@ -91,3 +93,39 @@ def paginate(encoded_records: list[bytes], page_size: int) -> list[list[bytes]]:
     if current:
         pages.append(current)
     return pages
+
+
+def pack_uniform_pages(records: np.ndarray, page_size: int) -> tuple[list[bytes], int]:
+    """Page images of equal-size records, in order, and the number of
+    records per page.
+
+    ``records`` is a one-dimensional array whose items are the record
+    payloads (a structured dtype, say).  The images are byte for byte
+    what :func:`pack_page` makes of :func:`paginate`'s batches of the
+    items' bytes: full pages of ``(page_size - 2) // (2 + itemsize)``
+    records, then the remainder.  A record that cannot fit a page
+    raises :class:`StorageError`, as there.
+    """
+    size = records.dtype.itemsize
+    count = len(records)
+    if not count:
+        return [], 0
+    if size > 0xFFFF:
+        raise StorageError("record exceeds 64 KiB length prefix")
+    need = _LEN.size + size
+    if _COUNT.size + need > page_size:
+        raise StorageError(
+            f"a single record of {size} bytes cannot fit a {page_size}-byte page"
+        )
+    per_page = (page_size - _COUNT.size) // need
+    framed = np.empty((count, need), dtype=np.uint8)
+    framed[:, : _LEN.size] = np.frombuffer(_LEN.pack(size), dtype=np.uint8)
+    framed[:, _LEN.size :] = np.ascontiguousarray(records).view(np.uint8).reshape(
+        count, size
+    )
+    body = framed.tobytes()
+    images = []
+    for start in range(0, count, per_page):
+        stop = min(start + per_page, count)
+        images.append(_COUNT.pack(stop - start) + body[start * need : stop * need])
+    return images, per_page

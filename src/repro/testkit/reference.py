@@ -1,11 +1,12 @@
 """Reference implementations kept as differential oracles.
 
-The engine builds pathnets, DMTM cut networks and MSDN lower bounds
-with array code.  The straightforward object-walk versions it
-replaced live here, for tests and the testkit ``oracle`` leg to call
-directly: each must agree with its production twin exactly — same
-graph node for node and edge for edge, same bound value, path keys
-and chunk count, same pages read in the same order.
+The engine builds pathnets, DMTM cut networks, MSDN lower bounds,
+the MSDN itself and the QEM collapse history with array code.  The
+straightforward object-walk versions it replaced live here, for tests
+and the testkit ``oracle`` leg to call directly: each must agree with
+its production twin exactly — same graph node for node and edge for
+edge, same bound value, path keys and chunk count, same arrays and
+page bytes, same pages read in the same order.
 
 * :func:`build_pathnet_reference` — the per-face Python loop behind
   :func:`repro.geodesic.pathnet.build_pathnet`;
@@ -28,6 +29,19 @@ and chunk count, same pages read in the same order.
   charging, the twins of
   :meth:`repro.msdn.msdn.MSDN.lower_bound` and
   :meth:`~repro.msdn.msdn.MSDN.touch_region`;
+* :class:`MSDNReference` — the object MSDN build: one
+  :class:`SdnChunk` per chunk (:func:`build_sdn_chunks` over the
+  crossing lines) and a record-id
+  :class:`~repro.storage.locator.LocatorStore` of encoded records, the
+  twin of the column-wise families of :class:`repro.msdn.msdn.MSDN`
+  and their one-array page write; :func:`msdn_reference` keeps one
+  per production MSDN for the chunk walks above and
+  :func:`msdn_corridor_reference`;
+* :func:`build_collapse_history_reference` — QEM contraction with
+  one :func:`~repro.simplification.quadric.best_merge_position` call
+  per pushed and per popped pair over per-face quadrics
+  (:func:`vertex_quadrics_reference`), the twin of the batched
+  :func:`repro.simplification.collapse.build_collapse_history`;
 * :func:`read_page_reference` — one buffer-pool read of one page,
   with its own locks, quarantine gate and statistics update, the twin
   of :meth:`repro.storage.pages.PageManager.read_pages` page by page.
@@ -39,8 +53,12 @@ set; they already live as ``dijkstra_reference`` and
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
+import weakref
 import zlib
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -54,9 +72,19 @@ from repro.errors import (
 )
 from repro.geodesic.graph import KeyedGraph
 from repro.geodesic.pathnet import steiner_key, vertex_key
-from repro.msdn.msdn import LowerBoundResult, _box_mask, _roi_list
-from repro.msdn.sdn import SdnChunk, _point_to_boxes
+from repro.geometry.polyline import Polyline, simplify_with_enclosure
+from repro.geometry.primitives import BoundingBox
+from repro.msdn.msdn import (
+    DEFAULT_RESOLUTIONS,
+    LowerBoundResult,
+    _box_mask,
+    _roi_list,
+    crossing_lines,
+)
+from repro.msdn.sdn import _CHUNK_STRUCT, _point_to_boxes
 from repro.multires.dmtm import NetworkView
+from repro.simplification.collapse import CollapseHistory, CollapseNode
+from repro.simplification.quadric import best_merge_position, face_quadric
 from repro.obs.context import active_profiler, active_registry
 from repro.obs.tracing import NOOP_SPAN
 from repro.storage.faults import (
@@ -66,7 +94,9 @@ from repro.storage.faults import (
     QUARANTINE_PROBE,
     _TransientFault,
 )
-from repro.storage.stats import PAGE_CLASS_OTHER
+from repro.storage.locator import LocatorStore
+from repro.storage.pages import PageManager
+from repro.storage.stats import PAGE_CLASS_MSDN, PAGE_CLASS_OTHER
 
 
 def _edge_point_keys(mesh, edge_id: int, steiner_per_edge: int):
@@ -181,6 +211,210 @@ def dmtm_upper_bounds_multi_reference(dmtm, anchors, target_vertices, network):
     return best
 
 
+@dataclass(frozen=True)
+class SdnChunk:
+    """One SDN node of the object build: a run of crossing-line
+    segments with their joint 3D MBR."""
+
+    axis: int
+    plane_index: int
+    plane_value: float
+    resolution: float
+    first: int
+    last: int
+    mbr: BoundingBox  # 3D
+
+    @property
+    def key(self) -> tuple:
+        return ("c", self.axis, self.plane_index, self.first, self.last)
+
+    def encode(self) -> bytes:
+        return _CHUNK_STRUCT.pack(
+            self.axis,
+            self.plane_index,
+            self.plane_value,
+            int(round(self.resolution * 1000)),
+            self.first,
+            self.last,
+            *self.mbr.lo,
+            *self.mbr.hi,
+        )
+
+    @classmethod
+    def decode(cls, blob: bytes) -> "SdnChunk":
+        axis, plane_index, plane_value, res_pm, first, last, *coords = (
+            _CHUNK_STRUCT.unpack(blob)
+        )
+        return cls(
+            axis=axis,
+            plane_index=plane_index,
+            plane_value=plane_value,
+            resolution=res_pm / 1000.0,
+            first=first,
+            last=last,
+            mbr=BoundingBox(tuple(coords[:3]), tuple(coords[3:])),
+        )
+
+
+def build_sdn_chunks(
+    line: Polyline,
+    axis: int,
+    plane_index: int,
+    plane_value: float,
+    resolution: float,
+) -> list[SdnChunk]:
+    """Chunk one crossing line at the given resolution, one object per
+    chunk (:func:`repro.geometry.polyline.simplify_with_enclosure`)."""
+    return [
+        SdnChunk(
+            axis=axis,
+            plane_index=plane_index,
+            plane_value=plane_value,
+            resolution=resolution,
+            first=c.first,
+            last=c.last,
+            mbr=c.mbr,
+        )
+        for c in simplify_with_enclosure(line, resolution)
+    ]
+
+
+class MSDNReference:
+    """The object build of an MSDN: one :class:`SdnChunk` per chunk of
+    every (axis, resolution) family, by :func:`build_sdn_chunks` over
+    the crossing lines, flattened into the family arrays the array
+    build must equal; :meth:`attach_storage` pages out the encoded
+    chunk records through a record-id
+    :class:`~repro.storage.locator.LocatorStore`.
+
+    ``chunks[(axis, res)]`` lists each plane's chunks; ``chunk_xy``
+    the per-plane xy-MBR arrays; ``family_xy``, ``boxes3d`` and
+    ``plane_offsets`` the flattened family arrays.
+    """
+
+    def __init__(self, planes: dict, lines: dict, resolutions):
+        self.planes = planes
+        self.resolutions = tuple(sorted(resolutions))
+        self.chunks: dict[tuple[int, float], list[list[SdnChunk]]] = {}
+        self.chunk_xy: dict[tuple[int, float], list[np.ndarray]] = {}
+        self.family_xy: dict[tuple[int, float], np.ndarray] = {}
+        self.boxes3d: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
+        self.plane_offsets: dict[tuple[int, float], np.ndarray] = {}
+        for axis in (0, 1):
+            for res in self.resolutions:
+                key = (axis, res)
+                per_plane = [
+                    build_sdn_chunks(line, axis, idx, float(planes[axis][idx]), res)
+                    for idx, line in enumerate(lines[axis])
+                ]
+                offsets = np.zeros(len(per_plane) + 1, dtype=np.int64)
+                np.cumsum([len(chunks) for chunks in per_plane], out=offsets[1:])
+                flat = [c for chunks in per_plane for c in chunks]
+                xy = np.array(
+                    [c.mbr.lo[:2] + c.mbr.hi[:2] for c in flat], dtype=float
+                ).reshape(-1, 4)
+                self.chunks[key] = per_plane
+                self.plane_offsets[key] = offsets
+                self.family_xy[key] = xy
+                self.chunk_xy[key] = [
+                    xy[start:stop] for start, stop in zip(offsets[:-1], offsets[1:])
+                ]
+                self.boxes3d[key] = (
+                    np.array([c.mbr.lo for c in flat], dtype=float).reshape(-1, 3),
+                    np.array([c.mbr.hi for c in flat], dtype=float).reshape(-1, 3),
+                )
+        self.store: LocatorStore | None = None
+
+    @classmethod
+    def of(cls, msdn) -> "MSDNReference":
+        """The object build over a production MSDN's crossing lines."""
+        return cls(msdn._planes, msdn._lines, msdn.resolutions)
+
+    @classmethod
+    def build(
+        cls,
+        mesh,
+        spacing: float | None = None,
+        resolutions=DEFAULT_RESOLUTIONS,
+        supersample: int = 8,
+        adaptive_planes: float = 0.0,
+    ) -> "MSDNReference":
+        """The whole object build from a mesh, crossing lines included
+        (the twin of ``MSDN(mesh, ...)``)."""
+        if spacing is None:
+            spacing = float(np.mean(mesh.edge_lengths))
+        planes, lines = {}, {}
+        for axis in (0, 1):
+            planes[axis], lines[axis] = crossing_lines(
+                mesh, spacing, axis, supersample, float(adaptive_planes)
+            )
+        return cls(planes, lines, resolutions)
+
+    def record_items(self) -> list:
+        """``(cluster_key, record_id, blob)`` per chunk, in generation
+        order."""
+        items = []
+        for (axis, res), per_plane in self.chunks.items():
+            for chunks in per_plane:
+                for chunk in chunks:
+                    cluster = (axis, round(res * 1000), chunk.plane_index, chunk.first)
+                    items.append((cluster, ("chunk",) + cluster, chunk.encode()))
+        return items
+
+    def attach_storage(self, pages: PageManager) -> LocatorStore:
+        """Page out every encoded chunk record by record id."""
+        self.store = LocatorStore(
+            self.record_items(), pages, page_class=PAGE_CLASS_MSDN
+        )
+        return self.store
+
+    def family_pages(self, axis: int, resolution: float) -> np.ndarray:
+        """Each chunk's page id by record id, row-aligned with the
+        family arrays."""
+        rk = round(resolution * 1000)
+        return np.array(
+            [
+                self.store.page_of(("chunk", c.axis, rk, c.plane_index, c.first))
+                for layer in self.chunks[(axis, resolution)]
+                for c in layer
+            ],
+            dtype=np.int64,
+        )
+
+    def stats(self, spacing: float) -> dict:
+        return {
+            "spacing": spacing,
+            "planes_x": int(len(self.planes[0])),
+            "planes_y": int(len(self.planes[1])),
+            "chunks": {
+                f"axis{axis}@r{res}": sum(len(layer) for layer in per_plane)
+                for (axis, res), per_plane in self.chunks.items()
+            },
+        }
+
+
+#: Object builds of production MSDNs, one per instance, with the
+#: record-id store of each on a private page manager.
+_msdn_references: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def msdn_reference(msdn) -> MSDNReference:
+    """The object build over ``msdn``'s crossing lines (built once per
+    instance).  When ``msdn`` has storage attached, the build's
+    record-id store is laid out on a private page manager of the same
+    page size, so its k-th page is the production store's k-th page
+    (:func:`_touch_chunks` charges through that correspondence)."""
+    ref = _msdn_references.get(msdn)
+    if ref is None:
+        ref = _msdn_references[msdn] = MSDNReference.of(msdn)
+    store = msdn._store
+    if store is not None and (
+        ref.store is None or ref.store._pages.page_size != store._pages.page_size
+    ):
+        ref.attach_storage(PageManager(page_size=store._pages.page_size))
+    return ref
+
+
 def _layer_boxes(layer: list[SdnChunk]) -> tuple[np.ndarray, np.ndarray]:
     lo = np.array([c.mbr.lo for c in layer], dtype=float)
     hi = np.array([c.mbr.hi for c in layer], dtype=float)
@@ -252,14 +486,21 @@ def lower_bound_via_planes(
 
 
 def _touch_chunks(msdn, chunks, resolution: float) -> None:
-    """Record-id page charging for a list of chunks."""
+    """Record-id page charging for a list of chunks: each distinct
+    page of the object build's store holding one of them, read one
+    page at a time in ascending order from ``msdn``'s own pages (the
+    build's k-th page is the production store's k-th page)."""
     if msdn._store is None or not chunks:
         return
+    store = msdn_reference(msdn).store
+    production = msdn._store.page_ids
     rk = round(resolution * 1000)
-    touch_records_reference(
-        msdn._store,
-        [("chunk", c.axis, rk, c.plane_index, c.first) for c in chunks],
-    )
+    needed = {
+        production[store.page_of(("chunk", c.axis, rk, c.plane_index, c.first))]
+        for c in chunks
+    }
+    for page_id in sorted(needed):
+        msdn._store._pages.read(page_id)
 
 
 def msdn_layers_reference(
@@ -280,8 +521,9 @@ def msdn_layers_reference(
     hi = max(pa[axis], pb[axis])
     if pa[axis] > pb[axis]:
         pa, pb = pb, pa
-    per_plane = msdn._chunks[(axis, resolution)]
-    bounds = msdn._chunk_xy[(axis, resolution)]
+    ref = msdn_reference(msdn)
+    per_plane = ref.chunks[(axis, resolution)]
+    bounds = ref.chunk_xy[(axis, resolution)]
     layers = []
     for pi in msdn._planes_between(axis, lo, hi, msdn.plane_stride(resolution)):
         layer, xy = per_plane[pi], bounds[pi]
@@ -331,13 +573,206 @@ def msdn_touch_region_reference(msdn, resolution: float, roi=None, axes=(0, 1)) 
     inside ``roi``, charged plane by plane."""
     resolution = msdn.nearest_resolution(resolution)
     roi = _roi_list(roi)
+    ref = msdn_reference(msdn)
     for axis in axes:
-        layers = msdn._chunks[(axis, resolution)]
-        bounds = msdn._chunk_xy[(axis, resolution)]
+        layers = ref.chunks[(axis, resolution)]
+        bounds = ref.chunk_xy[(axis, resolution)]
         for layer, xy in zip(layers, bounds):
             if roi is not None:
                 layer = [layer[j] for j in np.nonzero(_box_mask(xy, roi))[0]]
             _touch_chunks(msdn, layer, resolution)
+
+
+def msdn_corridor_reference(
+    msdn, path_keys, resolution: float, thickness: float | None = None
+) -> list[BoundingBox]:
+    """:meth:`MSDN.corridor_from_path` over the object build: the xy
+    MBR of each path key's chunk object, thickened; unknown keys are
+    skipped."""
+    if thickness is None:
+        thickness = 2.0 * msdn.spacing
+    resolution = msdn.nearest_resolution(resolution)
+    ref = msdn_reference(msdn)
+    index = {
+        chunk.key: chunk
+        for axis in (0, 1)
+        for layer in ref.chunks[(axis, resolution)]
+        for chunk in layer
+    }
+    return [
+        index[key].mbr.xy().expanded(thickness) for key in path_keys if key in index
+    ]
+
+
+def msdn_build_mismatches(msdn, pages, ref: MSDNReference, ref_pages) -> list[str]:
+    """What differs between an array-built MSDN paged out on ``pages``
+    and the object build ``ref`` paged out on ``ref_pages`` (both
+    fresh managers of one page size): the family arrays by bytes, the
+    chunk keys, the page id of every chunk, ``stats()``, and every
+    page's bytes, CRC and class.  Empty when the builds are
+    identical."""
+    if list(msdn._families) != list(ref.chunks):
+        return ["families"]
+    out = []
+    for key, family in msdn._families.items():
+        lo, hi = ref.boxes3d[key]
+        for name, got, want in (
+            ("xy", family.xy, ref.family_xy[key]),
+            ("lo", family.lo, lo),
+            ("hi", family.hi, hi),
+            ("offsets", family.offsets, ref.plane_offsets[key]),
+        ):
+            if got.tobytes() != want.tobytes():
+                out.append(f"{key} {name}")
+        keys = [chunk.key for layer in ref.chunks[key] for chunk in layer]
+        if [family.key(key[0], row) for row in range(len(family))] != keys:
+            out.append(f"{key} keys")
+        if family.pages.tolist() != ref.family_pages(*key).tolist():
+            out.append(f"{key} pages")
+    if msdn.stats() != ref.stats(msdn.spacing):
+        out.append("stats")
+    if pages.num_pages != ref_pages.num_pages:
+        return out + ["page count"]
+    for page_id in range(ref_pages.num_pages):
+        if (
+            pages._disk.read(page_id)[0] != ref_pages._disk.read(page_id)[0]
+            or pages._crc[page_id] != ref_pages._crc[page_id]
+            or pages.page_class_of(page_id) != ref_pages.page_class_of(page_id)
+        ):
+            out.append(f"page {page_id}")
+    return out
+
+
+def collapse_history_bits(history: CollapseHistory) -> tuple:
+    """Every field of every node of a collapse history, floats as
+    bytes, plus the roots: equal tuples mean bit-identical
+    histories."""
+    nodes = [
+        (
+            node.node_id,
+            node.rep,
+            np.asarray(node.position, dtype=float).tobytes(),
+            np.float64(node.error).tobytes(),
+            node.birth_step,
+            node.children,
+            node.parent,
+            node.death_step,
+            [(nbr, np.float64(d).tobytes()) for nbr, d in node.records],
+            np.float64(node.offset_to_parent_rep).tobytes(),
+        )
+        for node in history.nodes
+    ]
+    return history.num_leaves, history.roots, nodes
+
+
+def vertex_quadrics_reference(mesh) -> np.ndarray:
+    """Per-vertex quadrics by a per-face loop: each face's
+    :func:`~repro.simplification.quadric.face_quadric` added to its
+    vertices in face order — the twin of
+    :func:`repro.simplification.quadric.vertex_quadrics`."""
+    q = np.zeros((mesh.num_vertices, 4, 4))
+    for face in mesh.faces:
+        fq = face_quadric(*mesh.vertices[face])
+        for vi in face:
+            q[int(vi)] += fq
+    return q
+
+
+def build_collapse_history_reference(mesh) -> CollapseHistory:
+    """QEM pair contraction with one
+    :func:`~repro.simplification.quadric.best_merge_position` call per
+    pushed pair and again per popped pair — the twin of
+    :func:`repro.simplification.collapse.build_collapse_history`."""
+    n = mesh.num_vertices
+    quadrics = list(vertex_quadrics_reference(mesh))
+    nodes: list[CollapseNode] = []
+    active: dict[int, dict[int, float]] = {}
+
+    for vid in range(n):
+        nodes.append(
+            CollapseNode(
+                node_id=vid,
+                rep=vid,
+                position=mesh.vertices[vid].copy(),
+                error=0.0,
+                birth_step=0,
+            )
+        )
+    for vid in range(n):
+        dists = {
+            int(w): mesh.edge_length(vid, int(w))
+            for w in mesh.vertex_neighbors[vid]
+        }
+        active[vid] = dists
+        nodes[vid].records = sorted(dists.items())
+
+    counter = itertools.count()
+    heap: list[tuple[float, int, int, int]] = []
+
+    def push_pair(u: int, w: int) -> None:
+        q = quadrics[u] + quadrics[w]
+        _pos, err = best_merge_position(q, nodes[u].position, nodes[w].position)
+        heapq.heappush(heap, (err, next(counter), u, w))
+
+    for u, w in mesh.edge_vertices:
+        push_pair(int(u), int(w))
+
+    step = 0
+    while len(active) > 1:
+        while heap:
+            err, _tie, a, b = heapq.heappop(heap)
+            if a in active and b in active and b in active[a]:
+                break
+        else:
+            break
+        step += 1
+        d_ab = active[a][b]
+        quadric = quadrics[a] + quadrics[b]
+        position, qem_err = best_merge_position(
+            quadric, nodes[a].position, nodes[b].position
+        )
+        error = max(qem_err, nodes[a].error, nodes[b].error)
+        error = math.nextafter(error, math.inf)
+        da = float(np.linalg.norm(position - nodes[a].position))
+        db = float(np.linalg.norm(position - nodes[b].position))
+        keeper, dropper = (a, b) if da <= db else (b, a)
+
+        c = len(nodes)
+        node = CollapseNode(
+            node_id=c,
+            rep=nodes[keeper].rep,
+            position=position,
+            error=error,
+            birth_step=step,
+            children=(a, b),
+        )
+        merged: dict[int, float] = {}
+        for w, d in active[keeper].items():
+            if w != dropper:
+                merged[w] = d
+        for w, d in active[dropper].items():
+            if w != keeper and w not in merged:
+                merged[w] = d + d_ab
+        node.records = sorted(merged.items())
+        nodes.append(node)
+        quadrics.append(quadric)
+
+        for child, offset in ((keeper, 0.0), (dropper, d_ab)):
+            nodes[child].parent = c
+            nodes[child].death_step = step
+            nodes[child].offset_to_parent_rep = offset
+
+        del active[a]
+        del active[b]
+        active[c] = merged
+        for w, d in merged.items():
+            peers = active[w]
+            peers.pop(a, None)
+            peers.pop(b, None)
+            peers[c] = d
+            push_pair(c, w)
+
+    return CollapseHistory(nodes, num_leaves=n, roots=sorted(active))
 
 
 def read_page_reference(manager, page_id: int) -> bytes:

@@ -1,17 +1,18 @@
-"""Concurrent first touches of the lazily built shared arrays.
+"""Concurrent first touches of the lazily built shared structures.
 
-Every query reads arrays that are built on first use and shared
-afterwards: MSDN chunk boxes and page arrays, DMTM page arrays and
-record lists, CSR list mirrors, the round-0 pathnet cached on the
-mesh.  Eight workers start on a fresh engine at once, with the
-interpreter switching threads as often as it can, so those first
-touches race.  The answers must still match a sequential run on
-another fresh engine.
+MSDN chunk arrays and the MSDN and DMTM page arrays are built with the
+structures and storage; what is still built on first use and shared
+afterwards is the DDM record arrays, the CSR list mirrors, the MSDN
+corridor index and the round-0 pathnet cached on the mesh.  Eight
+workers start on a fresh engine at once, with the interpreter
+switching threads as often as it can, so those first touches race.
+The answers must still match a sequential run on another fresh
+engine.
 
-The two lazy builds that publish several arrays are also raced
-deterministically: the building thread is held right after its first
-attribute store, and a second thread reads meanwhile.  It must see
-either nothing (and build its own) or the complete set.
+The lazy builds that publish several arrays, or one index, are also
+raced deterministically: the building thread is held right after its
+first store, and a second thread reads meanwhile.  It must see either
+nothing (and build its own) or the complete set.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from repro.core.batch import BatchQueryExecutor
 from repro.core.engine import SurfaceKNNEngine
 from repro.geodesic.csr import CSRGraph
+from repro.msdn.msdn import MSDN
 from repro.multires.ddm import DistanceDirectMesh
 from repro.terrain.synthetic import bearhead_like
 
@@ -137,4 +139,35 @@ def test_csr_lists_publish_whole():
     hold = _Hold()
     csr = _held(CSRGraph, hold)(indptr, indices, weights)
     for got in _race(csr, hold, lambda g: g.lists()):
+        assert got == want
+
+
+class _HeldDict(dict):
+    """A dict whose first item store on the builder thread blocks
+    until ``hold.release`` is set — an index caught right after its
+    publication."""
+
+    def __init__(self, hold: _Hold):
+        super().__init__()
+        self.hold = hold
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        hold = self.hold
+        if threading.get_ident() == hold.builder and not hold.stored.is_set():
+            hold.stored.set()
+            hold.release.wait(TIMEOUT_S)
+
+
+def test_msdn_corridor_index_publishes_whole(rough_mesh):
+    plain = MSDN(rough_mesh)
+    res = plain.resolutions[-1]
+    pa, pb = rough_mesh.vertices[0], rough_mesh.vertices[-1]
+    keys = plain.lower_bound(pa, pb, res).path_keys
+    want = plain.corridor_from_path(keys, res)
+    assert want
+    hold = _Hold()
+    msdn = MSDN(rough_mesh)
+    msdn._corridor_index = _HeldDict(hold)
+    for got in _race(msdn, hold, lambda m: m.corridor_from_path(keys, res)):
         assert got == want

@@ -1,7 +1,11 @@
 """Unit tests for BoundingBox and Segment."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GeometryError
 from repro.geometry.primitives import BoundingBox, Segment
@@ -108,6 +112,57 @@ class TestBoundingBoxCombinators:
         s = box((0, 0), (2, 2)).scaled(2.0)
         assert s.lo == (-1.0, -1.0)
         assert s.hi == (3.0, 3.0)
+
+
+# Exact values that tie (signed zeros included) mixed with arbitrary
+# floats; NaN corners are allowed by the constructor and must
+# propagate as numpy's minimum / maximum propagate them.
+_corner = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, float("nan")]),
+    st.floats(allow_nan=False, allow_infinity=True),
+)
+
+
+@st.composite
+def _box(draw, dim):
+    lo, hi = [], []
+    for _ in range(dim):
+        a, b = draw(_corner), draw(_corner)
+        if a > b:
+            a, b = b, a
+        lo.append(a)
+        hi.append(b)
+    return BoundingBox(tuple(lo), tuple(hi))
+
+
+def _bits(values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+class TestScalarCombinators:
+    """union and measure are scalar; they must equal the numpy forms
+    they replaced bit for bit."""
+
+    @given(st.integers(min_value=2, max_value=3).flatmap(
+        lambda dim: st.tuples(_box(dim), _box(dim))))
+    @settings(max_examples=400)
+    def test_union_matches_numpy(self, boxes):
+        a, b = boxes
+        got = a.union(b)
+        assert _bits(got.lo) == _bits(np.minimum(a.lo, b.lo))
+        assert _bits(got.hi) == _bits(np.maximum(a.hi, b.hi))
+
+    @given(st.integers(min_value=2, max_value=3).flatmap(_box))
+    @settings(max_examples=400)
+    def test_measure_matches_numpy(self, a):
+        with np.errstate(all="ignore"):  # inf - inf, overflow
+            want = float(np.prod(np.asarray(a.hi) - np.asarray(a.lo)))
+        assert _bits([a.measure()]) == _bits([want])
+
+    def test_signed_zero_ties_take_the_right_value(self):
+        got = box((-0.0, 0.0), (0.0, -0.0)).union(box((0.0, -0.0), (-0.0, 0.0)))
+        assert _bits(got.lo) == _bits((0.0, -0.0))
+        assert _bits(got.hi) == _bits((-0.0, 0.0))
 
 
 class TestBoundingBoxMetrics:

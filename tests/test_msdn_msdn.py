@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import QueryError, StorageError
 from repro.geodesic.exact import ExactGeodesic
 from repro.geometry.ellipse import EllipseRegion
 from repro.msdn.msdn import MSDN
@@ -78,6 +79,31 @@ class TestLowerBounds:
         assert all(count > 0 for count in stats["chunks"].values())
 
 
+class TestResolutions:
+    @pytest.mark.parametrize(
+        "resolutions",
+        [(), (0.0, 0.5), (-0.25,), (0.5, 1.5), (float("nan"),), (0.5, 0.5004)],
+    )
+    def test_rejected_at_construction(self, flat_mesh, resolutions):
+        """Empty, outside (0, 1], or two values sharing a per-mille
+        page-record resolution: refused before anything is built."""
+        with pytest.raises(QueryError):
+            MSDN(flat_mesh, resolutions=resolutions)
+
+    def test_equal_values_share_one_family(self, flat_mesh):
+        twice = MSDN(flat_mesh, resolutions=(1.0, 0.5, 0.5, 1.0))
+        once = MSDN(flat_mesh, resolutions=(0.5, 1.0))
+        assert twice.resolutions == once.resolutions == (0.5, 1.0)
+        assert twice.stats() == once.stats()
+        pages_twice, pages_once = PageManager(), PageManager()
+        twice.attach_storage(pages_twice)
+        once.attach_storage(pages_once)
+        assert pages_twice.num_pages == pages_once.num_pages
+        assert [pages_twice._disk.read(i) for i in range(pages_twice.num_pages)] == [
+            pages_once._disk.read(i) for i in range(pages_once.num_pages)
+        ]
+
+
 class TestStorage:
     def test_lower_bound_charges_io(self, request):
         mesh = request.getfixturevalue("rough_mesh")
@@ -95,6 +121,11 @@ class TestStorage:
         before = stats.snapshot()
         msdn.lower_bound(pa, pb, 0.5, charge_io=False)
         assert stats.delta_since(before).physical_reads == 0
+
+    def test_chunk_record_larger_than_page_rejected(self, flat_mesh):
+        """2 + 2 + 71 bytes do not fit a 64-byte page."""
+        with pytest.raises(StorageError, match="cannot fit"):
+            MSDN(flat_mesh).attach_storage(PageManager(page_size=64))
 
     def test_touch_region(self, request):
         mesh = request.getfixturevalue("rough_mesh")

@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 from repro.errors import GeometryError
 from repro.geometry.polyline import Polyline
 from repro.geometry.primitives import BoundingBox
-from repro.msdn.sdn import (
-    SdnChunk,
-    _hop_totals,
-    build_sdn_chunks,
-    lower_bound_via_planes_arrays,
-)
+from repro.msdn.sdn import _hop_totals, lower_bound_via_planes_arrays
 from repro.testkit.reference import (
+    SdnChunk,
     _boxes_to_boxes,
     _layer_boxes,
+    build_sdn_chunks,
     lower_bound_via_planes,
 )
 

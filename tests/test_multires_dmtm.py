@@ -135,6 +135,21 @@ class TestStorage:
         dmtm.extract_network(0.25, charge_io=False)
         assert stats.delta_since(before).physical_reads == 0
 
+    def test_pages_resolved_at_attach(self, request):
+        """Node and face pages are known once storage is attached, and
+        are the pages their record ids land on."""
+        mesh = request.getfixturevalue("rough_mesh")
+        dmtm = DMTM(mesh)
+        dmtm.attach_storage(PageManager(page_size=1024))
+        nodes = dmtm._node_store
+        faces = dmtm._face_store
+        assert dmtm._node_pages.tolist() == [
+            nodes.page_of(n.node_id) for n in dmtm.ddm.history.nodes
+        ]
+        assert dmtm._face_pages.tolist() == [
+            faces.page_of(fi) for fi in range(mesh.num_faces)
+        ]
+
     def test_node_record_roundtrip(self, dmtm):
         node = dmtm.ddm.history.nodes[10]
         decoded = DMTM.decode_node(dmtm._encode_node(node))

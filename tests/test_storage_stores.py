@@ -111,6 +111,44 @@ class TestLocatorStore:
         scattered = pm.stats.delta_since(before).physical_reads
         assert contiguous < scattered
 
+    def test_row_pages_follow_input_order(self, pm):
+        """Items listed out of cluster order: each row's page is the
+        page its record id lands on."""
+        items = [((59 - i,), f"id{i}", bytes([i]) * 30) for i in range(60)]
+        store = LocatorStore(items, pm)
+        assert store.row_pages.tolist() == [
+            store.page_of(f"id{i}") for i in range(60)
+        ]
+        assert store.page_ids == sorted(set(store.row_pages.tolist()))
+
+    @pytest.mark.parametrize("page_size", [64, 100, 256, 2048])
+    def test_from_records_equals_item_build(self, page_size):
+        """A structured record array in cluster order pages out byte for
+        byte like the item constructor over the same payloads."""
+        dtype = np.dtype([("a", "<u2"), ("b", "<f8"), ("c", "u1")])
+        records = np.zeros(37, dtype=dtype)
+        records["a"] = np.arange(37)
+        records["b"] = np.linspace(-1.0, 1.0, 37)
+        records["c"] = 7
+        got_pm, want_pm = PageManager(page_size), PageManager(page_size)
+        got = LocatorStore.from_records(records, got_pm)
+        want = LocatorStore(
+            [((i,), i, records[i].tobytes()) for i in range(len(records))], want_pm
+        )
+        assert got.row_pages.tolist() == want.row_pages.tolist()
+        assert got.page_ids == want.page_ids
+        assert [got_pm._disk.read(p) for p in got.page_ids] == [
+            want_pm._disk.read(p) for p in want.page_ids
+        ]
+        assert got_pm._crc == want_pm._crc
+
+    def test_from_records_rejects_oversized_record(self):
+        records = np.zeros(3, dtype=np.dtype([("blob", "V63")]))
+        with pytest.raises(StorageError, match="cannot fit"):
+            LocatorStore.from_records(records, PageManager(page_size=64))
+        store = LocatorStore.from_records(records[:0], PageManager(page_size=64))
+        assert store.num_pages == 0 and store.row_pages.size == 0
+
     @pytest.mark.parametrize(
         "page_ids, bounds",
         [
