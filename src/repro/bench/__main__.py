@@ -10,16 +10,18 @@ reporting retry/corruption counters and degraded-answer rates
 *persistent* dead-page fractions (kill-list faults that never
 recover) and reports availability, storage-degraded rates, quarantine
 activity and engine health — the degraded-mode execution contract.  The ``kernels`` mode times the
-dict reference kernels against the heap CSR and bucketed frontier
-kernels, the broadcast MSDN lower-bound DP against the
+dict reference kernels against the heap CSR kernels and, for the
+multi-source and full-sweep shapes, the bucketed frontier kernels;
+the broadcast MSDN lower-bound DP against the
 per-coordinate hop kernel, per-page reads against run reads of
 the same captured page runs, and the object MSDN build and per-pair
 QEM collapse against the column-wise MSDN build and batched collapse
 (micro rows); the ``landmarks`` mode runs
-the fig10 k-sweep with ALT landmark pruning on vs off; the ``shard``
+the fig10 k-sweep with ALT landmark pruning on vs off, reporting the
+one-off index build separately; the ``shard``
 mode asserts the tiled
 :class:`~repro.shard.ShardedEngine` answers identically to the
-monolithic engine, times parallel-vs-serial tile warm-up and runs a
+monolithic engine and runs a
 sharded-only scale sweep (257x257, 1e4 objects).  All three merge
 their series into the ``repro.bench/v1`` document at ``--out``
 (default ``BENCH_GEODESIC.json``).  ``--profile-out PATH`` additionally runs

@@ -366,7 +366,7 @@ _PROFILE_PHASES = (
     "bound-composition",
     "graph-kernel",
     "frontier-relaxation",
-    "landmark-lazy-build",
+    "landmark-bounds",
     "refinement",
     "page-io",
 )
@@ -825,11 +825,11 @@ def kernels(
     """Not a paper figure: the search kernels measured against the dict
     reference kernels they replaced.
 
-    Times the three search shapes on the pathnet-level network, each
-    as the dict reference (the oracle), the heap CSR kernel and the
-    bucketed frontier kernel: the multi-source kernel against one
-    reference Dijkstra per (anchor, target) pair and against the
-    per-anchor multi-target loop; a full single-source sweep; and
+    Times the three search shapes on the pathnet-level network: the
+    multi-source kernel against one reference Dijkstra per (anchor,
+    target) pair and against the per-anchor multi-target loop, and a
+    full single-source sweep, each as the dict reference (the oracle),
+    the heap CSR kernel and the bucketed frontier kernel; and the heap
     single-target A* against single-target Dijkstra.  A fourth
     comparison, ``msdn dp``, times the MSDN lower-bound DP with
     broadcast hop matrices (the oracle) against the per-coordinate hop
@@ -852,11 +852,7 @@ def kernels(
     """
     from repro.geodesic.csr import astar_csr, dijkstra_csr, multi_source_heap
     from repro.geodesic.dijkstra import dijkstra_reference
-    from repro.geodesic.frontier import (
-        astar_frontier,
-        dijkstra_frontier,
-        multi_source_frontier,
-    )
+    from repro.geodesic.frontier import dijkstra_frontier, multi_source_frontier
     from repro.geodesic.pathnet import vertex_key
     from repro.msdn.msdn import MSDN
     from repro.msdn.sdn import lower_bound_via_planes_arrays
@@ -960,10 +956,7 @@ def kernels(
         lambda: dijkstra_reference(adjacency, src, targets={tgt}).get(tgt)
     )
     astar_csr_seconds, astar_value = best_of(lambda: astar_csr(csr, src, tgt))
-    astar_fro_seconds, astar_fro_value = best_of(
-        lambda: astar_frontier(csr, src, tgt)
-    )
-    if not (astar_ref == astar_value == astar_fro_value):
+    if astar_ref != astar_value:
         raise AssertionError("kernel divergence: A* value differs from Dijkstra")
 
     dp_calls = _msdn_dp_calls(engine.msdn, engine.mesh, num_anchors)
@@ -1130,18 +1123,6 @@ def kernels(
             "speedup": (
                 astar_ref_seconds / astar_csr_seconds
                 if astar_csr_seconds > 0
-                else None
-            ),
-            "identical": True,
-        },
-        {
-            "comparison": "single target",
-            "kernel": "frontier astar",
-            "searches": 1,
-            "seconds": astar_fro_seconds,
-            "speedup": (
-                astar_ref_seconds / astar_fro_seconds
-                if astar_fro_seconds > 0
                 else None
             ),
             "identical": True,
@@ -1360,9 +1341,10 @@ def landmarks(
     (the landmark contract); intervals may only tighten and pruned
     runs may touch fewer pages, so those identities are reported as
     booleans rather than pinned.  CPU time is best of two passes on
-    fresh engines; the one-off landmark table build is reported
-    separately (``build_seconds``) because warm runs amortize it
-    through the shared bound cache.  When ``out`` is set the series
+    fresh engines sharing one prebuilt index; the one-off index build
+    (selection plus one exact row per landmark) is reported
+    separately (``build_seconds``) and charged to the landmark side
+    in ``amortized_speedup``.  When ``out`` is set the series
     is merged into the ``repro.bench/v1`` document (the checked-in
     ``BENCH_GEODESIC.json``), preserving the kernels rows.
     """
@@ -1501,19 +1483,18 @@ def landmarks(
 
 
 # ----------------------------------------------------------------------
-# Tiled terrain sharding — identity, parallel builds, scale
+# Tiled terrain sharding — identity, scale
 # ----------------------------------------------------------------------
 
 
 def shard(
     quick: bool = False,
     identity_size: int | None = None,
-    build_size: int | None = None,
     scale_size: int | None = None,
     out: str | None = None,
 ) -> dict:
     """Not a paper figure: the tiled-sharding extension
-    (:mod:`repro.shard`) measured three ways.
+    (:mod:`repro.shard`) measured two ways.
 
     Table 1 (identity) answers a spread of queries — including probes
     on the tile-cut cross, the ones sub-window certification finds
@@ -1524,18 +1505,11 @@ def shard(
     queries) because lazy window builds are the whole point of the
     sharded path.
 
-    Table 2 (build parallelism) warms every tile of a fresh engine on
-    the thread pool vs serially and reports the wall-clock ratio.
-    Today the per-tile DMTM build is CPython-bound, so the pool
-    roughly breaks even (the ratio is a *measurement*, gated softly
-    in CI) — the win arrives when tile builds block on real storage
-    I/O or release the GIL.
-
-    Table 3 (scale) builds a DEM the monolithic engine is never asked
+    Table 2 (scale) builds a DEM the monolithic engine is never asked
     to mesh — 257x257 with 1e4 objects in full mode — and answers
     tile-interior queries entirely through the sharded path,
     reporting setup cost, per-query latency and how few windows the
-    router needed.  When ``out`` is set all three series merge into
+    router needed.  When ``out`` is set both series merge into
     the ``repro.bench/v1`` document (the checked-in
     ``BENCH_GEODESIC.json``), preserving the kernels and landmarks
     rows.
@@ -1548,8 +1522,6 @@ def shard(
 
     if identity_size is None:
         identity_size = 17 if quick else 33
-    if build_size is None:
-        build_size = 33 if quick else 65
     if scale_size is None:
         scale_size = 129 if quick else 257
 
@@ -1612,42 +1584,7 @@ def shard(
             }
         )
 
-    # ---- Table 2: parallel vs serial tile warm-up --------------------
-    dem2 = fractal_dem(build_size, 90.0, 900.0, 0.65, seed=5)
-    vids2 = [int(v) for v in uniform_grid_objects(dem2, 60, seed=3)]
-
-    def warm_wall(parallel: bool):
-        eng = ShardedEngine(dem2, objects=vids2, grid=(2, 2), max_workers=4)
-        t0 = time.perf_counter()
-        eng.warm(parallel=parallel)
-        return eng, time.perf_counter() - t0
-
-    serial_eng, serial_wall = warm_wall(False)
-    parallel_eng, parallel_wall = warm_wall(True)
-    probe2 = (dem2.rows // 2) * dem2.cols + dem2.cols // 2
-    same_warm = sorted(serial_eng.query(probe2, 3).object_ids) == sorted(
-        parallel_eng.query(probe2, 3).object_ids
-    )
-    build_rows = [
-        {
-            "mode": "serial",
-            "tiles": 4,
-            "wall_seconds": serial_wall,
-            "speedup": 1.0,
-            "identical_results": True,
-        },
-        {
-            "mode": "parallel-4",
-            "tiles": 4,
-            "wall_seconds": parallel_wall,
-            "speedup": (
-                serial_wall / parallel_wall if parallel_wall > 0 else None
-            ),
-            "identical_results": same_warm,
-        },
-    ]
-
-    # ---- Table 3: sharded-only scale ---------------------------------
+    # ---- Table 2: sharded-only scale ---------------------------------
     tiles3 = (4, 4) if quick else (8, 8)
     n_objects = 2_500 if quick else 10_000
     # Quick mode keeps the relief gentler: at 129x129 the full-mode
@@ -1700,12 +1637,6 @@ def shard(
             identity_rows,
         ),
         format_table(
-            f"Shard build parallelism — BH {build_size}x{build_size}, "
-            "2x2 grid, warm() all tiles",
-            ["mode", "tiles", "wall_seconds", "speedup", "identical_results"],
-            build_rows,
-        ),
-        format_table(
             f"Shard scale (sharded-only) — BH {scale_size}x{scale_size}, "
             f"{n_objects} objects, {tiles3[0]}x{tiles3[1]} grid",
             [
@@ -1718,7 +1649,6 @@ def shard(
     ]
     rows = {
         "shard_identity": identity_rows,
-        "shard_build": build_rows,
         "shard_scale": scale_rows,
     }
     if out:
@@ -1726,7 +1656,6 @@ def shard(
         document["params"]["shard"] = {
             "dataset": "BH",
             "identity_size": identity_size,
-            "build_size": build_size,
             "scale_size": scale_size,
             "identity_grids": [list(g) for g in grids],
             "scale_grid": list(tiles3),

@@ -22,6 +22,7 @@ Example
 
 from __future__ import annotations
 
+import operator
 import time
 from contextlib import nullcontext
 
@@ -33,6 +34,7 @@ from repro.core.objects import ObjectSet
 from repro.core.ranking import RankerOptions
 from repro.core.schedule import ResolutionSchedule
 from repro.errors import QueryError
+from repro.geodesic.landmarks import LandmarkIndex
 from repro.msdn.msdn import MSDN
 from repro.multires.dmtm import DMTM
 from repro.obs.context import ObsContext, current
@@ -106,23 +108,16 @@ class SurfaceKNNEngine:
         (default: 4 attempts, exponential simulated backoff).
     landmarks:
         Optional ALT-style landmark lower bounds
-        (:mod:`repro.geodesic.landmarks`).  An ``int`` builds a
+        (:mod:`repro.geodesic.landmarks`).  An integral count builds a
         :class:`~repro.geodesic.landmarks.LandmarkIndex` with that
-        many farthest-point landmarks (tables persisted through the
-        shared bound cache, so warm runs skip recomputation); a
-        prebuilt index is used as-is; ``None`` (default) keeps every
-        query bit-identical to a landmark-free engine.  With landmarks
-        on, the returned neighbour sets and degraded/error reporting
-        are unchanged — only the intervals may tighten and less work
-        is done (see docs/performance.md, "Landmark bounds").
-    lazy_landmarks:
-        With ``landmarks`` given as an int, build a
-        :class:`~repro.geodesic.landmarks.LazyLandmarkIndex` instead:
-        selection runs up front, but the expensive exact rows are
-        built incrementally — one per query inside the ranking loop
-        (``landmark-lazy-build`` phase), each persisted through the
-        shared bound cache — so the table cost amortizes across a
-        sweep instead of blocking engine construction.
+        many farthest-point landmarks; a prebuilt index over a mesh
+        with this mesh's vertex count is used as-is; ``None``
+        (default) keeps every query bit-identical to a landmark-free
+        engine.  Anything else raises :class:`QueryError`.  With
+        landmarks on, the returned neighbour sets and degraded/error
+        reporting are unchanged — only the intervals may tighten and
+        less work is done (see docs/performance.md, "Landmark
+        bounds").
     """
 
     def __init__(
@@ -144,7 +139,6 @@ class SurfaceKNNEngine:
         fault_injector=None,
         retry_policy=None,
         landmarks=None,
-        lazy_landmarks: bool = False,
         degraded_mode: bool = True,
     ):
         self.mesh = mesh
@@ -184,41 +178,46 @@ class SurfaceKNNEngine:
             )
             self.dmtm.attach_storage(self.pages)
             self.msdn.attach_storage(self.pages)
-        self.landmarks = self._resolve_landmarks(landmarks, lazy=lazy_landmarks)
+        self.landmarks = self._resolve_landmarks(landmarks)
         self.health = EngineHealth(self)
 
-    def _resolve_landmarks(self, landmarks, lazy: bool = False):
-        if landmarks is None or isinstance(landmarks, bool):
-            if landmarks:
-                raise QueryError("landmarks must be an int count or a LandmarkIndex")
+    def _resolve_landmarks(self, landmarks):
+        if landmarks is None or landmarks is False:
             return None
-        if isinstance(landmarks, int):
-            from repro.core.batch import shared_bound_cache
-            from repro.geodesic.landmarks import LandmarkIndex, LazyLandmarkIndex
-
-            builder = LazyLandmarkIndex if lazy else LandmarkIndex
-            return builder.build(
-                self.mesh, count=landmarks, cache=shared_bound_cache()
+        if isinstance(landmarks, LandmarkIndex):
+            if landmarks.surface.shape[1] != self.mesh.num_vertices:
+                raise QueryError(
+                    f"landmark index has {landmarks.surface.shape[1]} table "
+                    f"columns, but the mesh has {self.mesh.num_vertices} "
+                    "vertices"
+                )
+            return landmarks
+        try:
+            count = operator.index(landmarks)
+        except TypeError:
+            count = None
+        if count is None or isinstance(landmarks, bool):
+            raise QueryError(
+                "landmarks must be an int count or a LandmarkIndex, "
+                f"got {landmarks!r}"
             )
-        return landmarks
+        return LandmarkIndex.build(self.mesh, count=count)
 
-    def with_landmarks(self, landmarks, lazy: bool = False) -> "SurfaceKNNEngine":
+    def with_landmarks(self, landmarks) -> "SurfaceKNNEngine":
         """A shallow clone of this engine with landmark bounds
         attached (or detached, with ``None``).
 
         Mesh, DMTM, MSDN, object set, storage and stats are *shared*
         with the original — only the landmark index differs — so
         attaching landmarks to an already-built engine costs just the
-        index build (cache-hit-free on the second call thanks to the
-        shared bound cache).  ``lazy=True`` attaches an incremental
-        :class:`~repro.geodesic.landmarks.LazyLandmarkIndex` (see the
-        constructor's ``lazy_landmarks``).  Metrics consumers take
-        per-query deltas, which the shared ``stats`` keeps correct.
+        index build.  ``landmarks`` is validated as in the
+        constructor.  Metrics consumers take per-query deltas, which
+        the shared ``stats`` keeps correct.
         """
         import copy
 
         clone = copy.copy(self)
-        clone.landmarks = clone._resolve_landmarks(landmarks, lazy=lazy)
+        clone.landmarks = clone._resolve_landmarks(landmarks)
         return clone
 
     @classmethod

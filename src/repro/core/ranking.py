@@ -267,10 +267,6 @@ class DistanceRanker:
         landmark_lbs = None
         landmark_kth = float("inf")
         if self.landmarks is not None:
-            # Lazy indexes grow their exact table here, a bounded
-            # number of rows per query (billed to the
-            # "landmark-lazy-build" phase); eager indexes no-op.
-            self.landmarks.ensure_progress()
             landmark_lbs = self._apply_landmark_bounds(anchors, candidates)
             # Landmark concatenation distances are genuine surface
             # paths, so the k-th smallest is a valid rejection
@@ -482,7 +478,6 @@ class DistanceRanker:
 
         landmark_lbs = None
         if self.landmarks is not None:
-            self.landmarks.ensure_progress()
             landmark_lbs = self._apply_landmark_bounds(anchors, candidates)
 
         fallback = _StorageFallback() if storage_fallback else None
@@ -963,24 +958,6 @@ class DistanceRanker:
                 )
                 results[i] = result
         return results
-
-    def _lower_bound(self, q_pos, position, res_l: float, roi):
-        """Full MSDN lower bound, memoized per
-        (source, target, resolution, region)."""
-        roi_arg = [roi] if roi is not None else None
-        cache = self.bound_cache
-        if cache is None:
-            return self.msdn.lower_bound(
-                q_pos, position, res_l, roi=roi_arg, charge_io=False
-            )
-        key = self._lb_cache_key(q_pos, position, res_l, roi)
-        found, result = cache.lookup(key)
-        if not found:
-            result = self.msdn.lower_bound(
-                q_pos, position, res_l, roi=roi_arg, charge_io=False
-            )
-            cache.store(key, result)
-        return result
 
     def _ks_distance(self, anchor_vertex: int, vertex: int) -> float:
         """Kanai-Suzuki polish distance, memoized per (pair, tolerance)

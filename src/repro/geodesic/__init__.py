@@ -29,7 +29,6 @@ from repro.geodesic.csr import (
     multi_source_dijkstra_csr,
 )
 from repro.geodesic.frontier import (
-    astar_frontier,
     dijkstra_frontier,
     dijkstra_frontier_with_parents,
     multi_source_frontier,
@@ -43,12 +42,7 @@ from repro.geodesic.pathnet import (
 )
 from repro.geodesic.exact import ExactGeodesic, exact_surface_distance
 from repro.geodesic.kanai_suzuki import kanai_suzuki_distance
-from repro.geodesic.landmarks import (
-    LandmarkIndex,
-    LandmarkTables,
-    LazyLandmarkIndex,
-    mesh_fingerprint,
-)
+from repro.geodesic.landmarks import LandmarkIndex, mesh_fingerprint
 
 __all__ = [
     "KeyedGraph",
@@ -64,7 +58,6 @@ __all__ = [
     "dijkstra_frontier",
     "dijkstra_frontier_with_parents",
     "multi_source_frontier",
-    "astar_frontier",
     "shortest_path",
     "build_pathnet",
     "pathnet_distance",
@@ -75,7 +68,5 @@ __all__ = [
     "exact_surface_distance",
     "kanai_suzuki_distance",
     "LandmarkIndex",
-    "LandmarkTables",
-    "LazyLandmarkIndex",
     "mesh_fingerprint",
 ]

@@ -59,7 +59,6 @@ from repro.geodesic.csr import (
     CSRGraph,
     MultiSourceResult,
     _report,
-    astar_csr,
     dijkstra_csr,
     dijkstra_csr_with_parents,
     multi_source_heap,
@@ -506,154 +505,6 @@ def multi_source_frontier(
     return MultiSourceResult(
         value=value_out, raw=raw_out, origin=origin_out, parent=parent_out
     )
-
-
-# ----------------------------------------------------------------------
-# A*
-# ----------------------------------------------------------------------
-
-
-@frontier_phase
-def astar_frontier(
-    csr: CSRGraph,
-    source: int,
-    target: int,
-    max_dist: float | None = None,
-    heuristic=None,
-) -> float | None:
-    """Bucketed single-target A*, value-identical to
-    :func:`repro.geodesic.csr.astar_csr`.
-
-    Threshold stepping happens in ``f = g + h`` space, so the window
-    width is the minimum *potential-transformed* weight
-    ``w + h(v) - h(u)`` — zero for edges on tight heuristic
-    corridors.  When the transform leaves no positive window (an
-    exact heuristic along some edge) the search delegates to the heap
-    twin: the goal-directed heap is already near-optimal there.
-    """
-    n = csr.num_nodes
-    if not 0 <= source < n:
-        raise GeodesicError(f"source {source} out of range")
-    if not 0 <= target < n:
-        raise GeodesicError(f"target {target} out of range")
-    if source == target:
-        _report(1, 0)
-        _report_frontier(0, 0, 0)
-        return 0.0
-    (indptr, indices, weights), wmin = _frontier_state(csr)
-    if n < MIN_FRONTIER_NODES or not wmin > 0.0:
-        return astar_csr(csr, source, target, max_dist, heuristic)
-    h = np.asarray(
-        csr.heuristic_to(target) if heuristic is None else heuristic,
-        dtype=np.float64,
-    )
-    # Minimum transformed weight over all edges (one vectorised pass).
-    edge_src = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(indptr)
-    )
-    transformed = weights + h[indices] - h[edge_src]
-    wmin_f = float(transformed.min()) if transformed.size else math.inf
-    h_scale = float(np.abs(h[np.isfinite(h)]).max()) if np.isfinite(h).any() else 0.0
-    if not wmin_f - _margin(wmin_f + h_scale) > 0.0:
-        return astar_csr(csr, source, target, max_dist, heuristic)
-
-    g = np.full(n, np.inf)
-    f = np.full(n, np.inf)
-    settled = np.zeros(n, dtype=bool)
-    in_pool = np.zeros(n, dtype=bool)
-    g[source] = 0.0
-    f[source] = float(h[source])
-    in_pool[source] = True
-    pool = np.array([source], dtype=np.int64)
-
-    buckets = 0
-    batch_relaxations = 0
-    relaxations = 0
-    max_frontier = 0
-    settled_count = 0
-    result = None
-    deadline = current_deadline()
-
-    while pool.size:
-        fvals = f[pool]
-        tmin = float(fvals.min())
-        if max_dist is not None and tmin > max_dist:
-            break
-        threshold = tmin + wmin_f - _margin(abs(tmin) + wmin_f + h_scale)
-        if threshold > tmin:
-            take = fvals < threshold
-        else:
-            at_min = pool[fvals == tmin]
-            take = pool == int(at_min.min())
-        batch = pool[take]
-        in_pool[batch] = False
-        pool = pool[~take]
-        if max_dist is not None:
-            keep = f[batch] <= max_dist
-            batch = batch[keep]
-            if batch.size == 0:
-                continue
-        settled[batch] = True
-        settled_count += int(batch.size)
-        buckets += 1
-        if batch.size > max_frontier:
-            max_frontier = int(batch.size)
-        if deadline is not None and time.perf_counter() >= deadline:
-            raise DeadlineExceeded(
-                f"astar_frontier passed its deadline after "
-                f"{settled_count} settled nodes"
-            )
-        if settled[target]:
-            result = float(g[target])
-            break
-
-        starts = indptr[batch]
-        counts = indptr[batch + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        batch_relaxations += 1
-        prev = np.cumsum(counts) - counts
-        edge_ids = np.repeat(starts - prev, counts) + np.arange(total)
-        src = np.repeat(batch, counts)
-        tgt = indices[edge_ids]
-        ng = g[src] + weights[edge_ids]
-        nf = ng + h[tgt]
-        ok = ~settled[tgt]
-        if max_dist is not None:
-            ok &= nf <= max_dist
-        if not ok.any():
-            continue
-        tgt = tgt[ok]
-        ng = ng[ok]
-        nf = nf[ok]
-        relaxations += int(tgt.size)
-        # Reference heap tuple is (f, g, node): per-target winner by
-        # lexicographic (f, g).
-        order = np.lexsort((ng, nf, tgt))
-        tgt = tgt[order]
-        ng = ng[order]
-        nf = nf[order]
-        first = np.empty(tgt.size, dtype=bool)
-        first[0] = True
-        first[1:] = tgt[1:] != tgt[:-1]
-        tgt = tgt[first]
-        ng = ng[first]
-        nf = nf[first]
-        better = (nf < f[tgt]) | ((nf == f[tgt]) & (ng < g[tgt]))
-        if not better.any():
-            continue
-        upd = tgt[better]
-        g[upd] = ng[better]
-        f[upd] = nf[better]
-        fresh = upd[~in_pool[upd]]
-        if fresh.size:
-            in_pool[fresh] = True
-            pool = np.concatenate((pool, fresh))
-
-    _report(settled_count, relaxations)
-    _report_frontier(buckets, batch_relaxations, max_frontier)
-    return result
 
 
 # ----------------------------------------------------------------------

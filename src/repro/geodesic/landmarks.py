@@ -7,53 +7,33 @@ inequality).  This module transplants that idea to the surface
 setting with one crucial twist: every graph distance this repo
 computes (edge network ``dN``, pathnet distances) **over-estimates**
 the exact surface distance ``dS``, so ``|dN(l,u) - dN(l,v)|`` is NOT
-a valid lower bound of ``dS(u,v)``.  The pair-bound tables must be
-built from distances in the *same metric* the bound is quoted in.
+a valid lower bound of ``dS(u,v)``.  The table must hold distances in
+the *same metric* the bound is quoted in.
 
-The :class:`LandmarkIndex` therefore keeps two tables:
+A :class:`LandmarkIndex` is one immutable table, built eagerly:
 
-* ``surface`` — exact per-landmark distance rows ``dS(l, .)`` from
+* landmarks are picked by farthest-point sampling over the edge
+  network (each new landmark maximizes its network distance to the
+  already-chosen set — one
+  :func:`~repro.geodesic.csr.multi_source_dijkstra_csr` search per
+  round).  Network distances only *choose* landmarks; they never
+  bound ``dS``;
+* ``surface`` holds the exact per-landmark distance rows ``dS(l, .)``,
   one :class:`~repro.geodesic.exact.ExactGeodesic` propagation per
-  landmark (optionally run in parallel).  The triangle inequality of
-  the surface metric then gives the admissible pair bound
-  ``max_l |dS(l,u) - dS(l,v)| <= dS(u,v)`` that the ranking loop and
-  the ``landmark_admissible`` testkit oracle rely on, and the
-  concatenation bound ``dS(u,v) <= dS(l,u) + dS(l,v)`` used to seed
-  pruning thresholds;
-* ``graph`` — edge-network rows ``dN(l, .)`` computed with
-  :func:`~repro.geodesic.csr.multi_source_dijkstra_csr` over the
-  compiled CSR form of the mesh's edge graph.  These drive the
-  farthest-point landmark *selection* (each new landmark maximizes
-  its network distance to the already-chosen set — one multi-source
-  search per round) and are cheap enough to recompute, but are never
-  used to bound ``dS``.
+  landmark.  The triangle inequality of the surface metric then gives
+  the admissible pair bound ``max_l |dS(l,u) - dS(l,v)| <= dS(u,v)``
+  that the ranking loop and the ``landmark_admissible`` testkit oracle
+  rely on, and the concatenation bound ``dS(u,v) <= dS(l,u) + dS(l,v)``
+  used to seed pruning thresholds.
 
-Tables persist through a :class:`repro.core.batch.BoundCache` keyed
-by the mesh fingerprint (SHA-1 over vertex and face bytes), landmark
-count, selection seed and a format version — warm batch/service runs
-skip the exact propagations entirely (``landmark.cache_hits``), cold
-builds count once under ``landmark.build`` and profile under the
+A build counts once under ``landmark.build`` and profiles under the
 ``landmark-build`` phase.
-
-:class:`LazyLandmarkIndex` amortizes the exact-table cost across a
-query sweep instead of paying it up front: selection and the cheap
-``graph`` rows are built eagerly, while each exact ``surface`` row is
-built on demand (``ensure_progress``, one row per query by default)
-under the ``landmark-lazy-build`` profiler phase and persisted
-*per row* through the same bound cache — so a second sweep starts
-fully warm even if the first was interrupted.  Every bound served
-from a partial table is a bound over a **subset** of the landmarks,
-which is always admissible: lower bounds are maxima (a smaller max is
-still a lower bound) and concatenation upper bounds are minima (a
-smaller set can only loosen them toward ``inf``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,9 +41,6 @@ from repro.errors import GeodesicError
 from repro.geodesic.csr import csr_from_adjacency, multi_source_dijkstra_csr
 from repro.geodesic.exact import ExactGeodesic
 from repro.obs.context import active_profiler, active_registry
-
-#: Bump when the table layout changes — stale cache entries must miss.
-TABLE_VERSION = 1
 
 
 def mesh_fingerprint(mesh) -> str:
@@ -75,52 +52,7 @@ def mesh_fingerprint(mesh) -> str:
     return digest.hexdigest()
 
 
-def _cache_key(fingerprint: str, count: int, seed: int) -> tuple:
-    return ("landmarks", fingerprint, int(count), int(seed), TABLE_VERSION)
-
-
-def _row_cache_key(fingerprint: str, landmark: int) -> tuple:
-    """Per-landmark exact-row key: lazy builds persist row by row, so
-    partial progress survives interruption and is shared with any
-    other index (lazy or eager count) selecting the same vertex."""
-    return ("landmark-row", fingerprint, int(landmark), TABLE_VERSION)
-
-
-@dataclass(frozen=True)
-class LandmarkTables:
-    """Precomputed distance tables for one mesh.
-
-    ``surface[i, v]`` is the exact surface distance from landmark
-    ``landmarks[i]`` to vertex ``v``; ``graph[i, v]`` the edge-network
-    distance (``inf`` where unreachable).  Both arrays are read-only
-    views served to vectorized bound evaluation.
-    """
-
-    landmarks: tuple[int, ...]
-    surface: np.ndarray  # (L, V) exact dS rows
-    graph: np.ndarray  # (L, V) edge-network dN rows
-
-    def __post_init__(self):
-        self.surface.setflags(write=False)
-        self.graph.setflags(write=False)
-
-
-def _edge_csr(mesh):
-    """Compiled CSR form of the mesh's edge network."""
-    return csr_from_adjacency(mesh.edge_network(), positions=mesh.vertices)
-
-
-def _graph_row(csr, landmark: int) -> np.ndarray:
-    """One landmark-to-all edge-network row, via the multi-source
-    kernel (a single-source search is the one-anchor special case)."""
-    result = multi_source_dijkstra_csr(csr, [(int(landmark), 0.0)])
-    row = np.full(csr.num_nodes, np.inf)
-    for node, value in result.value.items():
-        row[node] = value
-    return row
-
-
-def _select_landmarks(mesh, csr, count: int, seed: int) -> list[int]:
+def _select_landmarks(mesh, count: int, seed: int) -> list[int]:
     """Farthest-point sampling over the edge network.
 
     The first landmark is drawn from the seeded RNG; each next one
@@ -129,6 +61,7 @@ def _select_landmarks(mesh, csr, count: int, seed: int) -> list[int]:
     sources).  Ties break toward the lowest vertex id (``argmax``
     returns the first maximum), so selection is deterministic.
     """
+    csr = csr_from_adjacency(mesh.edge_network(), positions=mesh.vertices)
     n = mesh.num_vertices
     rng = random.Random(seed)
     chosen = [rng.randrange(n)]
@@ -144,100 +77,49 @@ def _select_landmarks(mesh, csr, count: int, seed: int) -> list[int]:
     return chosen
 
 
-def _surface_rows(mesh, landmarks, parallel: bool) -> np.ndarray:
-    """Exact dS rows, one full window propagation per landmark."""
-
-    def row(landmark: int) -> np.ndarray:
-        return ExactGeodesic(mesh, int(landmark)).distances()
-
-    if parallel and len(landmarks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(8, len(landmarks))) as pool:
-            rows = list(pool.map(row, landmarks))
-    else:
-        rows = [row(l) for l in landmarks]
-    return np.vstack(rows)
-
-
 class LandmarkIndex:
     """Serves O(1) admissible lower bounds on surface distances.
 
-    Build through :meth:`build` (cache-aware) rather than the
-    constructor.  All bound evaluation runs on numpy views of the
-    precomputed tables; non-finite table entries (vertices
-    unreachable from a landmark) contribute nothing — the affected
-    landmark's term degrades to the trivial bound 0 for that pair.
+    Build through :meth:`build` rather than the constructor.
+    ``surface[i, v]`` is the exact surface distance from landmark
+    ``landmarks[i]`` to vertex ``v``, a read-only ``(L, V)`` array.
+    All bound evaluation runs on numpy views of it; non-finite
+    entries (vertices unreachable from a landmark) contribute nothing
+    — the affected landmark's term degrades to the trivial bound 0
+    for that pair.
     """
 
-    def __init__(self, mesh, tables: LandmarkTables):
-        if tables.surface.shape != (len(tables.landmarks), mesh.num_vertices):
+    def __init__(self, mesh, landmarks, surface: np.ndarray):
+        landmarks = tuple(int(l) for l in landmarks)
+        if surface.shape != (len(landmarks), mesh.num_vertices):
             raise GeodesicError(
-                f"landmark table shape {tables.surface.shape} does not "
-                f"match {len(tables.landmarks)} landmarks x "
+                f"landmark table shape {surface.shape} does not "
+                f"match {len(landmarks)} landmarks x "
                 f"{mesh.num_vertices} vertices"
             )
+        surface.setflags(write=False)
         self.mesh = mesh
-        self.tables = tables
-        self._surface = tables.surface
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
+        self.landmarks = landmarks
+        self.surface = surface
 
     @classmethod
-    def build(
-        cls,
-        mesh,
-        count: int = 8,
-        seed: int = 0,
-        cache=None,
-        parallel: bool = False,
-    ) -> "LandmarkIndex":
-        """Select landmarks and compute both tables (cache-aware).
-
-        ``cache`` is an optional :class:`repro.core.batch.BoundCache`;
-        a hit (keyed by mesh fingerprint, count, seed and table
-        version) skips every propagation and counts under
-        ``landmark.cache_hits``.  A real build counts once under
-        ``landmark.build`` and profiles under ``landmark-build``.
-        ``parallel=True`` runs the per-landmark exact propagations on
-        a thread pool.
-        """
+    def build(cls, mesh, count: int = 8, seed: int = 0) -> "LandmarkIndex":
+        """Select ``count`` landmarks (clamped to the vertex count) and
+        compute their exact rows, one propagation after another."""
         if count < 1:
             raise GeodesicError(f"landmark count must be >= 1, got {count}")
         count = min(int(count), mesh.num_vertices)
-        registry = active_registry()
-        key = _cache_key(mesh_fingerprint(mesh), count, seed)
-        if cache is not None:
-            found, tables = cache.lookup(key)
-            if found:
-                registry.counter("landmark.cache_hits").add(1)
-                return cls(mesh, tables)
         with active_profiler().phase("landmark-build"):
-            csr = _edge_csr(mesh)
-            landmarks = _select_landmarks(mesh, csr, count, seed)
-            graph = np.vstack([_graph_row(csr, l) for l in landmarks])
-            surface = _surface_rows(mesh, landmarks, parallel)
-        tables = LandmarkTables(
-            landmarks=tuple(int(l) for l in landmarks),
-            surface=surface,
-            graph=graph,
-        )
-        registry.counter("landmark.build").add(1)
-        if cache is not None:
-            cache.store(key, tables)
-        return cls(mesh, tables)
-
-    # ------------------------------------------------------------------
-
-    @property
-    def landmarks(self) -> tuple[int, ...]:
-        return self.tables.landmarks
+            landmarks = _select_landmarks(mesh, count, seed)
+            surface = np.vstack(
+                [ExactGeodesic(mesh, l).distances() for l in landmarks]
+            )
+        active_registry().counter("landmark.build").add(1)
+        return cls(mesh, landmarks, surface)
 
     @property
     def count(self) -> int:
-        return len(self.tables.landmarks)
+        return len(self.landmarks)
 
     # ------------------------------------------------------------------
     # bounds
@@ -247,7 +129,7 @@ class LandmarkIndex:
         """``max_l |dS(l,u) - dS(l,v)| <= dS(u,v)`` (triangle
         inequality of the surface metric; 0 when a landmark cannot
         see either vertex)."""
-        diff = self._surface[:, int(u)] - self._surface[:, int(v)]
+        diff = self.surface[:, int(u)] - self.surface[:, int(v)]
         bounds = np.where(np.isfinite(diff), np.abs(diff), 0.0)
         return float(bounds.max(initial=0.0))
 
@@ -256,7 +138,7 @@ class LandmarkIndex:
         (either side may be a scalar, broadcast against the other)."""
         s = np.atleast_1d(np.asarray(sources, dtype=np.intp))
         t = np.atleast_1d(np.asarray(targets, dtype=np.intp))
-        diff = self._surface[:, s] - self._surface[:, t]
+        diff = self.surface[:, s] - self.surface[:, t]
         bounds = np.where(np.isfinite(diff), np.abs(diff), 0.0)
         return bounds.max(axis=0, initial=0.0)
 
@@ -285,14 +167,11 @@ class LandmarkIndex:
         over-estimates ``dS(q, v)`` — the ranking loop composes these
         with DMTM network bounds (running min) and seeds its pruning
         threshold from the k-th smallest.  ``inf`` where no landmark
-        sees both sides (and everywhere on a lazy index with no rows
-        built yet — a subset of landmarks only loosens the min).
+        sees both sides.
         """
         t = np.atleast_1d(np.asarray(vertices, dtype=np.intp))
         best = np.full(t.shape, np.inf)
-        surface = self._surface
-        if surface.shape[0] == 0:
-            return best
+        surface = self.surface
         for vertex, offset in anchors:
             via = surface[:, [int(vertex)]] + surface[:, t]
             via = np.where(np.isfinite(via), via, np.inf)
@@ -311,25 +190,6 @@ class LandmarkIndex:
         if finite.size >= k:
             return float(finite[k - 1])
         return float("inf")
-
-    # ------------------------------------------------------------------
-    # lazy-build protocol (no-ops on the eager index)
-    # ------------------------------------------------------------------
-
-    @property
-    def built(self) -> int:
-        """Number of exact surface rows available (== :attr:`count`
-        here; lazy indexes report their incremental progress)."""
-        return self._surface.shape[0]
-
-    def ensure_progress(self, rows: int | None = None) -> int:
-        """Advance an incremental build; the eager index is always
-        complete, so this is a no-op returning :attr:`built`."""
-        return self.built
-
-    def warm(self, parallel: bool = False) -> int:
-        """Complete an incremental build; no-op on the eager index."""
-        return self.built
 
     # ------------------------------------------------------------------
     # A* heuristic assembly (pathnet graphs)
@@ -353,7 +213,7 @@ class LandmarkIndex:
         """
         csr = graph.csr()
         mesh = self.mesh
-        surface = self._surface
+        surface = self.surface
         target_col = surface[:, int(target_vertex)]
         target_pos = mesh.vertices[int(target_vertex)]
         h: list[float] = []
@@ -373,168 +233,3 @@ class LandmarkIndex:
             alt = np.where(np.isfinite(alt), alt, 0.0)
             h.append(max(straight, float(alt.max(initial=0.0))))
         return h
-
-
-class LazyLandmarkIndex(LandmarkIndex):
-    """Landmark index whose exact rows are built incrementally.
-
-    Selection (farthest-point over the edge network) and the cheap
-    ``graph`` rows run eagerly at :meth:`build` time; the expensive
-    per-landmark :class:`~repro.geodesic.exact.ExactGeodesic`
-    propagations are deferred.  Each call to :meth:`ensure_progress`
-    (the ranking loop makes one per query) appends up to
-    ``rows_per_query`` more exact rows, so the table cost amortizes
-    across a sweep instead of blocking the first query; :meth:`warm`
-    completes the table at once, optionally on a thread pool.
-
-    Every row is persisted individually through the bound cache
-    (``landmark-row`` keys), so partial progress is never lost.  All
-    bound methods serve the rows built so far — admissible by the
-    subset argument in the module docstring — and the class inherits
-    them unchanged: only the ``_surface`` table grows underneath.
-    Growth swaps the array reference atomically under a lock, so
-    concurrent readers see either the old or the new table, both
-    sound.
-    """
-
-    def __init__(self, mesh, landmarks, graph, cache=None, fingerprint=None,
-                 rows_per_query: int = 1):
-        # Deliberately does not call LandmarkIndex.__init__: there is
-        # no complete LandmarkTables yet.
-        self.mesh = mesh
-        self._landmark_order = tuple(int(l) for l in landmarks)
-        self._graph = graph
-        self._cache = cache
-        self._fingerprint = (
-            fingerprint if fingerprint is not None else mesh_fingerprint(mesh)
-        )
-        self.rows_per_query = max(1, int(rows_per_query))
-        self._rows: list[np.ndarray] = []
-        self._surface = np.zeros((0, mesh.num_vertices))
-        self._lock = threading.Lock()
-
-    @classmethod
-    def build(
-        cls,
-        mesh,
-        count: int = 8,
-        seed: int = 0,
-        cache=None,
-        rows_per_query: int = 1,
-        **_unused,
-    ) -> "LazyLandmarkIndex":
-        """Select landmarks and build the graph table only — exact
-        rows come later, one :meth:`ensure_progress` at a time."""
-        if count < 1:
-            raise GeodesicError(f"landmark count must be >= 1, got {count}")
-        count = min(int(count), mesh.num_vertices)
-        csr = _edge_csr(mesh)
-        landmarks = _select_landmarks(mesh, csr, count, seed)
-        graph = np.vstack([_graph_row(csr, l) for l in landmarks])
-        return cls(
-            mesh,
-            landmarks,
-            graph,
-            cache=cache,
-            rows_per_query=rows_per_query,
-        )
-
-    # ------------------------------------------------------------------
-
-    @property
-    def tables(self) -> LandmarkTables:
-        """Snapshot of the rows built so far (grows over time)."""
-        surface = self._surface
-        built = surface.shape[0]
-        return LandmarkTables(
-            landmarks=self._landmark_order[:built],
-            surface=surface,
-            graph=self._graph[:built],
-        )
-
-    @property
-    def landmarks(self) -> tuple[int, ...]:
-        return self._landmark_order
-
-    @property
-    def count(self) -> int:
-        return len(self._landmark_order)
-
-    @property
-    def built(self) -> int:
-        return self._surface.shape[0]
-
-    # ------------------------------------------------------------------
-
-    def _exact_row(self, landmark: int) -> np.ndarray:
-        key = _row_cache_key(self._fingerprint, landmark)
-        if self._cache is not None:
-            found, row = self._cache.lookup(key)
-            if found:
-                active_registry().counter("landmark.row_cache_hits").add(1)
-                return np.asarray(row)
-        row = ExactGeodesic(self.mesh, int(landmark)).distances()
-        active_registry().counter("landmark.lazy_rows").add(1)
-        if self._cache is not None:
-            self._cache.store(key, row)
-        return row
-
-    def _append_rows(self, rows: list[np.ndarray]) -> None:
-        self._rows.extend(rows)
-        self._surface = np.vstack(self._rows)
-
-    def ensure_progress(self, rows: int | None = None) -> int:
-        """Build up to ``rows`` more exact rows (default
-        ``rows_per_query``); returns the rows now built.  Cached rows
-        don't count against the budget — a warm sweep catches the
-        table up for free."""
-        budget = self.rows_per_query if rows is None else int(rows)
-        with self._lock:
-            done = len(self._rows)
-            if done >= self.count or budget < 1:
-                return done
-            fresh: list[np.ndarray] = []
-            spent = 0
-            with active_profiler().phase("landmark-lazy-build"):
-                for landmark in self._landmark_order[done:]:
-                    if spent >= budget:
-                        break
-                    key = _row_cache_key(self._fingerprint, landmark)
-                    if self._cache is not None:
-                        found, row = self._cache.lookup(key)
-                        if found:
-                            active_registry().counter(
-                                "landmark.row_cache_hits"
-                            ).add(1)
-                            fresh.append(np.asarray(row))
-                            continue
-                    row = ExactGeodesic(self.mesh, int(landmark)).distances()
-                    active_registry().counter("landmark.lazy_rows").add(1)
-                    if self._cache is not None:
-                        self._cache.store(key, row)
-                    fresh.append(row)
-                    spent += 1
-                if fresh:
-                    self._append_rows(fresh)
-            return len(self._rows)
-
-    def warm(self, parallel: bool = False) -> int:
-        """Build every remaining exact row at once.  ``parallel=True``
-        runs the cache-missing propagations on a thread pool (the
-        amortized warm-build path — same rows, same order)."""
-        with self._lock:
-            missing = self._landmark_order[len(self._rows):]
-            if not missing:
-                return len(self._rows)
-            with active_profiler().phase("landmark-lazy-build"):
-                if parallel and len(missing) > 1:
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    with ThreadPoolExecutor(
-                        max_workers=min(8, len(missing))
-                    ) as pool:
-                        rows = list(pool.map(self._exact_row, missing))
-                else:
-                    rows = [self._exact_row(l) for l in missing]
-                self._append_rows(rows)
-            return len(self._rows)

@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GeodesicError
-from repro.geodesic.csr import graph_dijkstra_with_parents
-from repro.geodesic.frontier import astar_frontier, build_pathnet_arrays
+from repro.geodesic.csr import astar_csr, graph_dijkstra_with_parents
+from repro.geodesic.frontier import build_pathnet_arrays
 from repro.geodesic.graph import KeyedGraph
 
 # Node keys: ("v", vertex_id) for original vertices,
@@ -100,7 +100,7 @@ def pathnet_distance(
         if landmarks is not None
         else None
     )
-    d = astar_frontier(graph.csr(), s, t, heuristic=heuristic)
+    d = astar_csr(graph.csr(), s, t, heuristic=heuristic)
     if d is None:
         raise GeodesicError(f"no pathnet route from {source} to {target}")
     return d

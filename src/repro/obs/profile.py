@@ -48,7 +48,9 @@ PHASES = (
     "graph-kernel",     # one per Dijkstra/A* kernel invocation
     "frontier-relaxation",  # one per frontier-batched kernel invocation
     "refinement",       # Kanai-Suzuki selective polish
-    "landmark-lazy-build",  # incremental landmark rows built on demand
+    "landmark-bounds",  # landmark lower bounds and k-th ub seed per query
+    "landmark-build",   # LandmarkIndex.build: selection + exact rows
+    "shard-routing",    # ShardedEngine window choice and certification
     "page-io",          # physical page fetches (buffer-pool misses)
 )
 

@@ -125,8 +125,8 @@ class ShardedEngine:
         store its own injector (a shared injector is not thread-safe
         under parallel tile builds).
     max_workers:
-        Thread-pool width for parallel tile builds (:meth:`warm` and
-        stitched neighbour builds).
+        Thread-pool width for the stitched neighbour builds, the only
+        tile builds that run in parallel.
     """
 
     def __init__(
@@ -214,18 +214,15 @@ class ShardedEngine:
     # tile builds
     # ------------------------------------------------------------------
 
-    def warm(self, spans=None, parallel: bool = True) -> list[TileSpan]:
-        """Build tile engines up front — in parallel by default.
+    def warm(self, spans=None) -> list[TileSpan]:
+        """Build tile engines up front, one after another on the
+        calling thread.
 
         ``spans`` defaults to every single-tile span.  Returns the
         spans built (including ones that already existed)."""
         spans = list(spans) if spans is not None else self.grid.all_tile_spans()
-        if parallel and len(spans) > 1:
-            with ThreadPoolExecutor(max_workers=self._max_workers) as pool:
-                list(pool.map(self._window, spans))
-        else:
-            for span in spans:
-                self._window(span)
+        for span in spans:
+            self._window(span)
         return spans
 
     def _window(self, span: TileSpan) -> _Window:

@@ -10,30 +10,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batch import shared_bound_cache
 from repro.core.engine import SurfaceKNNEngine
 from repro.obs.context import ObsContext
 from repro.terrain.mesh import TriangleMesh
 from repro.testkit.generators import standard_engine, standard_mesh
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _reset_shared_state():
-    """Process-wide state must not leak between test modules.
-
-    Guards the one piece of genuinely global state: the shared batch
-    bound cache.  Reset runs before AND after each module, so a module
-    that crashes mid-test cannot poison its successors either way.
-
-    The metrics registry is deliberately NOT reset here: tests that
-    read counters run inside a scoped :class:`repro.obs.ObsContext`
-    (see the ``obs_context`` fixture) and never depend on the global
-    registry's contents.
-    """
-
-    shared_bound_cache().clear()
-    yield
-    shared_bound_cache().clear()
 
 
 @pytest.fixture

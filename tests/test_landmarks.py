@@ -1,5 +1,5 @@
 """Landmark (ALT) lower bounds: selection determinism, admissibility,
-batch/scalar agreement, cache persistence, engine integration and the
+batch/scalar agreement, engine integration and validation, and the
 ``landmark_admissible`` oracle's injected-bug self-check.
 
 The admissibility properties all reduce to the triangle inequality of
@@ -13,10 +13,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batch import BoundCache
-from repro.errors import GeodesicError
+from repro.core.batch import shared_bound_cache
+from repro.core.engine import SurfaceKNNEngine
+from repro.errors import GeodesicError, QueryError
 from repro.geodesic import ExactGeodesic, LandmarkIndex, pathnet_distance
-from repro.geodesic.landmarks import mesh_fingerprint
 from repro.testkit import (
     MUTATORS,
     ORACLES,
@@ -49,8 +49,7 @@ class TestSelection:
         a = LandmarkIndex.build(mesh, count=5, seed=2)
         b = LandmarkIndex.build(mesh, count=5, seed=2)
         assert a.landmarks == b.landmarks
-        assert np.array_equal(a.tables.surface, b.tables.surface)
-        assert np.array_equal(a.tables.graph, b.tables.graph)
+        assert np.array_equal(a.surface, b.surface)
 
     def test_landmarks_are_distinct_vertices(self, index, mesh):
         assert len(set(index.landmarks)) == index.count == 5
@@ -66,7 +65,7 @@ class TestSelection:
 
     def test_tables_are_read_only(self, index):
         with pytest.raises(ValueError):
-            index.tables.surface[0, 0] = 1.0
+            index.surface[0, 0] = 1.0
 
 
 class TestBounds:
@@ -135,38 +134,6 @@ class TestBounds:
         assert index.kth_upper_bound([(0, 0.0)], [1], k=5) == float("inf")
 
 
-class TestCachePersistence:
-    def test_tables_round_trip_exactly_through_bound_cache(
-        self, mesh, obs_context
-    ):
-        cache = BoundCache()
-        a = LandmarkIndex.build(mesh, count=4, seed=1, cache=cache)
-        b = LandmarkIndex.build(mesh, count=4, seed=1, cache=cache)
-        # The hit serves the *same* tables object — bit-exact rows.
-        assert b.tables is a.tables
-        assert b.landmarks == a.landmarks
-        assert np.array_equal(b.tables.surface, a.tables.surface)
-        assert np.array_equal(b.tables.graph, a.tables.graph)
-        snap = obs_context.registry.collect()
-        assert snap["landmark.build"]["value"] == 1
-        assert snap["landmark.cache_hits"]["value"] == 1
-
-    def test_cache_key_distinguishes_count_seed_and_mesh(self, mesh):
-        cache = BoundCache()
-        LandmarkIndex.build(mesh, count=4, seed=1, cache=cache)
-        other_seed = LandmarkIndex.build(mesh, count=4, seed=2, cache=cache)
-        other_count = LandmarkIndex.build(mesh, count=3, seed=1, cache=cache)
-        assert other_seed.landmarks != () and other_count.count == 3
-        other_mesh = standard_mesh("EP", 13)
-        assert mesh_fingerprint(other_mesh) != mesh_fingerprint(mesh)
-
-    def test_parallel_build_matches_serial(self, mesh):
-        serial = LandmarkIndex.build(mesh, count=3, seed=0)
-        parallel = LandmarkIndex.build(mesh, count=3, seed=0, parallel=True)
-        assert parallel.landmarks == serial.landmarks
-        assert np.array_equal(parallel.tables.surface, serial.tables.surface)
-
-
 class TestEngineIntegration:
     def test_standard_engine_reuses_cached_base_engine(self, obs_context):
         # Unique key so no other module's cached engine interferes.
@@ -213,6 +180,35 @@ class TestEngineIntegration:
         assert clone.landmarks.count == 2
         detached = clone.with_landmarks(None)
         assert detached.landmarks is None
+
+    def test_integral_count_accepted(self, mesh):
+        engine = SurfaceKNNEngine(
+            mesh, density=9.5, seed=6, landmarks=np.int64(3)
+        )
+        assert isinstance(engine.landmarks, LandmarkIndex)
+        assert engine.landmarks.count == 3
+        result = engine.query(60, 3, step_length=2)
+        assert len(result.object_ids) == 3
+
+    def test_index_over_another_mesh_rejected(self, mesh, index):
+        engine = standard_engine("BH", 17, density=9.5, seed=6)
+        assert mesh.num_vertices != engine.mesh.num_vertices
+        with pytest.raises(QueryError, match="table columns"):
+            SurfaceKNNEngine(engine.mesh, landmarks=index)
+        with pytest.raises(QueryError, match="table columns"):
+            engine.with_landmarks(index)
+
+    @pytest.mark.parametrize("bad", [True, 3.0, "3"])
+    def test_non_integral_landmarks_rejected(self, bad):
+        engine = standard_engine("BH", 13, density=9.5, seed=6)
+        with pytest.raises(QueryError, match="int count"):
+            engine.with_landmarks(bad)
+
+    def test_engine_build_leaves_shared_bound_cache_alone(self, mesh):
+        cache = shared_bound_cache()
+        before = cache.stats()
+        SurfaceKNNEngine(mesh, density=9.5, seed=6, landmarks=3)
+        assert cache.stats() == before
 
 
 class TestOracleAndMutator:

@@ -38,6 +38,8 @@ from repro.obs.profile import (
     profile_from_record,
     profile_record,
 )
+from repro.shard import ShardedEngine, uniform_grid_objects
+from repro.terrain.synthetic import fractal_dem
 
 
 # ----------------------------------------------------------------------
@@ -174,13 +176,31 @@ class TestQueryProfile:
             plain.metrics.pages_accessed
         )
 
-    def test_phase_names_come_from_catalog(self, profiled):
+    def test_phase_names_come_from_catalog(self, profiled, small_engine):
         result, _ctx = profiled
         profile = result.profile()
         names = {node.name for node in profile.root.walk()}
         assert names <= set(PHASES)
         assert profile.root.name == "query"
         assert "interval-ranking" in names
+
+        # A landmark engine and a sharded engine open phases of their
+        # own; they must come from the catalog too.
+        ctx = ObsContext("t-extensions", profiling=True)
+        with ctx.activate():
+            lm_engine = small_engine.with_landmarks(3)
+        lm_engine.query(small_engine.snap(700.0, 700.0), 3, obs=ctx)
+        dem = fractal_dem(17, 90.0, 500.0, 0.65, seed=7)
+        sharded = ShardedEngine(
+            dem, objects=uniform_grid_objects(dem, 24, seed=2), grid=(2, 2),
+            obs=ctx,
+        )
+        sharded.query(2 * dem.cols + 2, 3)
+        profiles = ctx.profiler.take()
+        assert "landmark-build" in {p.root.name for p in profiles}
+        names = {node.name for p in profiles for node in p.root.walk()}
+        assert {"landmark-bounds", "shard-routing"} <= names
+        assert names <= set(PHASES)
 
     def test_tree_sum_equals_root_time(self, profiled):
         result, _ctx = profiled

@@ -127,16 +127,18 @@ class TestBatchExecutor:
 
 
 class TestBuilds:
-    def test_warm_parallel_matches_serial(self, dem, object_vids):
-        a = ShardedEngine(dem, objects=object_vids, grid=(2, 2))
-        b = ShardedEngine(dem, objects=object_vids, grid=(2, 2))
-        a.warm(parallel=True)
-        b.warm(parallel=False)
-        assert a.windows_built == b.windows_built
+    def test_warm_builds_every_tile_and_matches_lazy(self, dem, object_vids):
+        warmed = ShardedEngine(dem, objects=object_vids, grid=(2, 2))
+        lazy = ShardedEngine(dem, objects=object_vids, grid=(2, 2))
+        spans = warmed.warm()
+        assert spans == warmed.grid.all_tile_spans()
+        assert warmed.windows_built == sorted(spans)
+        assert lazy.windows_built == []
         vertex = 5 * dem.cols + 5
-        ra = a.query(vertex, 3)
-        rb = b.query(vertex, 3)
-        assert sorted(ra.object_ids) == sorted(rb.object_ids)
+        a = warmed.query(vertex, 3)
+        b = lazy.query(vertex, 3)
+        assert a.object_ids == b.object_ids
+        assert a.intervals == b.intervals
 
     def test_windows_are_cached(self, sharded, dem):
         before = len(sharded.windows_built)
