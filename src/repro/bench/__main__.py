@@ -13,7 +13,8 @@ activity and engine health — the degraded-mode execution contract.  The ``kern
 dict reference kernels against the heap CSR kernels and, for the
 multi-source and full-sweep shapes, the bucketed frontier kernels;
 the broadcast MSDN lower-bound DP against the
-per-coordinate hop kernel, per-page reads against run reads of
+per-coordinate hop kernel, the DP dummy-lb screen against the
+witness-chain screen, per-page reads against run reads of
 the same captured page runs, and the object MSDN build and per-pair
 QEM collapse against the column-wise MSDN build and batched collapse
 (micro rows); the ``landmarks`` mode runs

@@ -834,7 +834,13 @@ def kernels(
     comparison, ``msdn dp``, times the MSDN lower-bound DP with
     broadcast hop matrices (the oracle) against the per-coordinate hop
     kernel on the layers of a fixed set of lower-bound calls (see
-    :func:`_msdn_dp_calls`).  A fifth, ``page io``, replays the page
+    :func:`_msdn_dp_calls`), and ``msdn screen`` the dummy-lb screen
+    as its definition (the corridor bound's DP against the threshold,
+    the oracle) against
+    :meth:`~repro.msdn.msdn.MSDN.corridor_reaches`, on the screens a
+    fixed set of queries makes (:func:`_screen_calls`); its row
+    reports the ``witness_rate``, the share of screens decided without
+    the DP.  A fifth, ``page io``, replays the page
     runs of a fixed set of queries on a storage-attached engine
     (:func:`_page_io_runs`) with a cold buffer per query, once one
     page at a time through the per-page oracle and once as runs
@@ -856,6 +862,7 @@ def kernels(
     from repro.geodesic.pathnet import vertex_key
     from repro.msdn.msdn import MSDN
     from repro.msdn.sdn import lower_bound_via_planes_arrays
+    from repro.obs.context import ObsContext
     from repro.simplification.collapse import build_collapse_history
     from repro.storage.pages import PageManager
     from repro.testkit.reference import (
@@ -973,6 +980,30 @@ def kernels(
         raise AssertionError("kernel divergence: MSDN DP bound or picks differ")
     dp_ref_seconds, _ = best_of(lambda: run_dp(lower_bound_via_planes_broadcast))
     dp_new_seconds, _ = best_of(lambda: run_dp(lower_bound_via_planes_arrays))
+
+    msdn = engine.msdn
+    screens = _screen_calls(engine, num_anchors)
+
+    def dp_screens():
+        return [
+            msdn.lower_bound(
+                pa, pb, res, roi=roi, corridor=corridor, charge_io=False
+            ).value
+            >= threshold
+            for pa, pb, res, threshold, roi, corridor in screens
+        ]
+
+    def witness_screens():
+        return [msdn.corridor_reaches(*screen) for screen in screens]
+
+    screen_ctx = ObsContext("bench-screen")
+    with screen_ctx.activate():
+        decisions = witness_screens()
+    if decisions != dp_screens():
+        raise AssertionError("msdn screen divergence: decisions differ from the DP")
+    fallbacks = screen_ctx.registry.counter("msdn.screen_dp_fallbacks").value
+    screen_ref_seconds, _ = best_of(dp_screens)
+    screen_new_seconds, _ = best_of(witness_screens)
 
     io_size = 17 if quick else 25
     io_engine = build_engine("BH", size=io_size, density=10.0)
@@ -1144,6 +1175,27 @@ def kernels(
             "identical": True,
         },
         {
+            "comparison": "msdn screen",
+            "kernel": "reference dp",
+            "searches": len(screens),
+            "seconds": screen_ref_seconds,
+            "speedup": 1.0,
+            "identical": True,
+        },
+        {
+            "comparison": "msdn screen",
+            "kernel": "witness chain",
+            "searches": len(screens),
+            "seconds": screen_new_seconds,
+            "speedup": (
+                screen_ref_seconds / screen_new_seconds
+                if screen_new_seconds > 0
+                else None
+            ),
+            "identical": True,
+            "witness_rate": 1.0 - fallbacks / len(screens) if screens else None,
+        },
+        {
             "comparison": "page io",
             "kernel": "reference per-page",
             "searches": io_pages,
@@ -1201,7 +1253,15 @@ def kernels(
         format_table(
             f"Kernels (micro) — pathnet network, BH {size}x{size}, "
             f"{len(sources)} anchors x {len(target_ids)} targets",
-            ["comparison", "kernel", "searches", "seconds", "speedup", "identical"],
+            [
+                "comparison",
+                "kernel",
+                "searches",
+                "seconds",
+                "speedup",
+                "identical",
+                "witness_rate",
+            ],
             kernel_rows,
         ),
     ]
@@ -1218,6 +1278,7 @@ def kernels(
                 "num_anchors": len(sources),
                 "num_targets": len(target_ids),
                 "msdn_dp_calls": len(dp_calls),
+                "msdn_screens": len(screens),
                 "page_io_size": io_size,
                 "page_io_queries": len(io_runs),
                 "page_io_pages": io_pages,
@@ -1268,6 +1329,28 @@ def _msdn_dp_calls(msdn, mesh, num_pairs: int) -> list[tuple]:
                 calls.append((qa, qb, [_layer_boxes(layer) for layer in layers]))
             path = msdn.lower_bound(pa, pb, res, roi=roi, charge_io=False)
     return calls
+
+
+def _screen_calls(engine, num_queries: int) -> list[tuple]:
+    """The dummy-lb screens a fixed set of k=5 queries makes, as
+    ``(pa, pb, resolution, threshold, roi, corridor)`` argument tuples
+    of :meth:`~repro.msdn.msdn.MSDN.corridor_reaches`, captured by
+    wrapping it on the engine's MSDN."""
+    msdn = engine.msdn
+    captured: list[tuple] = []
+    screen = msdn.corridor_reaches
+
+    def logged(pa, pb, resolution, threshold, roi=None, corridor=None):
+        captured.append((pa, pb, resolution, threshold, roi, corridor))
+        return screen(pa, pb, resolution, threshold, roi=roi, corridor=corridor)
+
+    msdn.corridor_reaches = logged
+    try:
+        for vertex in query_vertices(engine.mesh, num_queries, seed=29):
+            engine.query(vertex, 5)
+    finally:
+        del msdn.corridor_reaches
+    return captured
 
 
 def _page_io_runs(engine, num_queries: int) -> tuple[list, int]:

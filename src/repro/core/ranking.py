@@ -13,7 +13,8 @@ schedule; at every iteration
    candidate with the already-fetched data;
 3. tighten ``ub`` from the DMTM network (running min — the monotone
    improvement property) and ``lb`` from the MSDN (running max),
-   using the *dummy lower bound* corridor test to skip full SDN
+   using the *dummy lower bound* corridor test
+   (:meth:`~repro.msdn.msdn.MSDN.corridor_reaches`) to skip full SDN
    passes that provably cannot change the classification;
 4. classify candidates (VA-file rule); stop when the k-th neighbour
    is certain or the schedule is exhausted.
@@ -812,7 +813,7 @@ class DistanceRanker:
         fallback: _StorageFallback | None = None,
     ) -> None:
         opts = self.options
-        prunes = 0
+        prunes = screens = skips = 0
         groups = self._group_for_io(active, plan.io_regions)
         for group_box, members in groups:
             axes = tuple(
@@ -863,21 +864,22 @@ class DistanceRanker:
                     and cand.lb_path_keys
                     and math.isfinite(kth_ub_estimate)
                 ):
+                    screens += 1
                     corridor = self.msdn.corridor_from_path(
                         cand.lb_path_keys, cand.lb_path_resolution
-                    )
-                    dummy = self.msdn.lower_bound(
-                        q_pos,
-                        cand.position,
-                        res_l,
-                        roi=roi_arg,
-                        corridor=corridor,
-                        charge_io=False,
                     )
                     # Even the optimistic corridor bound cannot reach
                     # the rejection threshold: the true lb (which is
                     # smaller) cannot either, so skip the full pass.
-                    if dummy.value < kth_ub_estimate:
+                    if not self.msdn.corridor_reaches(
+                        q_pos,
+                        cand.position,
+                        res_l,
+                        kth_ub_estimate,
+                        roi=roi_arg,
+                        corridor=corridor,
+                    ):
+                        skips += 1
                         continue
                 pending.append((cand, roi))
             results = self._lower_bounds_batch(q_pos, pending, res_l)
@@ -885,8 +887,13 @@ class DistanceRanker:
                 cand.interval.refine_lb(result.value)
                 cand.lb_path_keys = result.path_keys
                 cand.lb_path_resolution = result.resolution
+        registry = active_registry()
         if prunes:
-            active_registry().counter("landmark.prunes").add(prunes)
+            registry.counter("landmark.prunes").add(prunes)
+        if screens:
+            registry.counter("ranking.dummy_screens").add(screens)
+        if skips:
+            registry.counter("ranking.dummy_skips").add(skips)
 
     def _salvage_lower_bounds(
         self, q_pos, active, plan, res_l, members, group_box, fallback

@@ -13,8 +13,9 @@ Responsibilities:
   (a, b) xy projection (the paper's 45° heuristic: use the family
   that actually separates the two points);
 * answer lower-bound queries restricted to a region of interest, with
-  optional *dummy lower bound* corridors (§4.2.2) for the CPU
-  optimisation benches;
+  optional *dummy lower bound* corridors (§4.2.2), and decide the
+  dummy-lb skip test itself (:meth:`MSDN.corridor_reaches`), mostly
+  without running the DP;
 * when storage is attached, charge page I/O for the chunks fetched.
 """
 
@@ -35,8 +36,10 @@ from repro.msdn.crossing import (
 from repro.msdn.sdn import (
     SdnFamily,
     build_sdn_families,
+    chain_upper_bound,
     lower_bound_via_planes_arrays,
 )
+from repro.obs.context import active_registry
 from repro.storage.locator import LocatorStore
 from repro.storage.pages import PageManager
 from repro.storage.stats import PAGE_CLASS_MSDN
@@ -282,7 +285,8 @@ class MSDN:
             Optional list of boxes forming a *dummy lower bound*
             envelope (§4.2.2): restrict chunks to the corridor; the
             result then *over*-estimates the true SDN lower bound and
-            may only be used for the early-accept test.
+            may only be used for the skip test, which
+            :meth:`corridor_reaches` decides against a threshold.
 
         The result is always >= the Euclidean distance and always a
         valid lower bound of ``dS`` when ``corridor`` is None.
@@ -318,6 +322,10 @@ class MSDN:
         pa = np.asarray(point_a, dtype=float)
         if rois is None:
             rois = [None] * len(targets)
+        elif len(rois) != len(targets):
+            raise QueryError(
+                f"rois has {len(rois)} entries for {len(targets)} targets"
+            )
         return [
             self._lower_bound_at(
                 pa,
@@ -330,18 +338,58 @@ class MSDN:
             for point_b, roi in zip(targets, rois)
         ]
 
-    def _lower_bound_at(
-        self, pa, pb, resolution: float, roi, corridor_boxes, charge_io: bool
-    ) -> LowerBoundResult:
-        """Shared implementation: arguments already normalized.
+    def corridor_reaches(
+        self,
+        point_a,
+        point_b,
+        resolution: float,
+        threshold: float,
+        roi=None,
+        corridor=None,
+    ) -> bool:
+        """The dummy-lower-bound screen (§4.2.2): exactly
+        ``lower_bound(point_a, point_b, resolution, roi=roi,
+        corridor=corridor, charge_io=False).value >= threshold``.
 
-        Selects the family rows of the planes between the endpoints
-        (ROI and corridor masks are computed once, over those planes'
-        rows), charges the kept planes' pages as one run, plane by
-        plane in plane order, and runs
-        :func:`repro.msdn.sdn.lower_bound_via_planes_arrays`, which is
-        bit-identical to the broadcast object-walk oracle
-        :func:`repro.testkit.reference.lower_bound_via_planes`."""
+        It decides without the min-plus DP where it can: True when the
+        straight line alone reaches ``threshold`` (the bound is clamped
+        below by it), False when the
+        :func:`~repro.msdn.sdn.chain_upper_bound` of one witness chain
+        through the same layers stays below it (the DP's bound never
+        exceeds a chain's length).  Only otherwise does it run the DP,
+        counting ``msdn.screen_dp_fallbacks``.  No pages are charged
+        and no path keys are built.
+        """
+        pa = np.asarray(point_a, dtype=float)
+        pb = np.asarray(point_b, dtype=float)
+        if float(np.linalg.norm(pa - pb)) >= threshold:
+            return True
+        axis, pa, pb, layer_boxes, _rows, _runs = self._layers(
+            pa,
+            pb,
+            self.nearest_resolution(resolution),
+            _roi_list(roi),
+            _roi_list(corridor),
+        )
+        if chain_upper_bound(pa, pb, axis, layer_boxes) < threshold:
+            return False
+        active_registry().counter("msdn.screen_dp_fallbacks").add(1)
+        value, _picks = lower_bound_via_planes_arrays(pa, pb, layer_boxes)
+        return value >= threshold
+
+    def _layers(self, pa, pb, resolution: float, roi, corridor_boxes) -> tuple:
+        """The DP input of a bound between ``pa`` and ``pb``, arguments
+        already normalized: the family rows of the planes between the
+        endpoints, kept where they meet ``roi`` and ``corridor_boxes``
+        (both masks computed once, over those planes' rows), empty
+        planes dropped — which only loosens the bound.
+
+        Returns ``(axis, pa, pb, layer_boxes, rows, runs)``: the
+        endpoints ordered along the plane axis, each kept plane's
+        ``(lo, hi)`` boxes in plane order, and where they sit in the
+        family: kept plane ``i`` is rows ``runs[i][0]:runs[i][1]`` of
+        the family, or of ``rows`` (family row indices) when a region
+        filtered them."""
         axis = self.choose_axis(pa, pb)
         lo = min(pa[axis], pb[axis])
         hi = max(pa[axis], pb[axis])
@@ -352,8 +400,7 @@ class MSDN:
         starts = family.offsets[planes]
         stops = family.offsets[planes + 1]
         lo3, hi3 = family.lo, family.hi
-        pages = family.pages if charge_io else None
-        rows = None  # kept family rows, when a region filters them
+        rows = None
         if planes.size and (roi is not None or corridor_boxes is not None):
             first, last = int(starts[0]), int(stops[-1])
             xy = family.xy[first:last]
@@ -368,27 +415,39 @@ class MSDN:
             starts = np.searchsorted(rows, starts)
             stops = np.searchsorted(rows, stops)
             lo3, hi3 = lo3[rows], hi3[rows]
-            if pages is not None:
-                pages = pages[rows]
-        kept: list = []  # first row of each kept plane's run
-        layer_boxes: list[tuple[np.ndarray, np.ndarray]] = []
-        runs: list[np.ndarray] = []  # each kept plane's pages
+        runs = [
+            (start, stop)
+            for start, stop in zip(starts.tolist(), stops.tolist())
+            if stop > start
+        ]
+        layer_boxes = [(lo3[start:stop], hi3[start:stop]) for start, stop in runs]
+        return axis, pa, pb, layer_boxes, rows, runs
+
+    def _lower_bound_at(
+        self, pa, pb, resolution: float, roi, corridor_boxes, charge_io: bool
+    ) -> LowerBoundResult:
+        """Shared implementation: arguments already normalized.
+
+        Selects the layers (:meth:`_layers`), charges the kept planes'
+        pages as one run, plane by plane in plane order, and runs
+        :func:`repro.msdn.sdn.lower_bound_via_planes_arrays`, which is
+        bit-identical to the broadcast object-walk oracle
+        :func:`repro.testkit.reference.lower_bound_via_planes`."""
+        axis, pa, pb, layer_boxes, rows, runs = self._layers(
+            pa, pb, resolution, roi, corridor_boxes
+        )
+        family = self._families[(axis, resolution)]
         bounds = [0]  # run offsets: kept rows up to each kept plane
-        for start, stop in zip(starts.tolist(), stops.tolist()):
-            # An empty (or fully filtered) plane is dropped, which
-            # only loosens the bound.
-            if stop == start:
-                continue
-            kept.append(start)
-            layer_boxes.append((lo3[start:stop], hi3[start:stop]))
+        for start, stop in runs:
             bounds.append(bounds[-1] + stop - start)
-            if pages is not None:
-                runs.append(pages[start:stop])
-        if runs:
-            self._store.touch_pages(np.concatenate(runs), bounds)
+        if charge_io and runs and family.pages is not None:
+            pages = family.pages if rows is None else family.pages[rows]
+            self._store.touch_pages(
+                np.concatenate([pages[start:stop] for start, stop in runs]), bounds
+            )
         value, picks = lower_bound_via_planes_arrays(pa, pb, layer_boxes)
         path_keys = []
-        for start, pick in zip(kept, picks):
+        for (start, _stop), pick in zip(runs, picks):
             row = start + pick
             if rows is not None:
                 row = int(rows[row])

@@ -15,6 +15,12 @@ layered Dijkstra distance can never exceed the true path length.
 Dropping planes or enlarging chunk MBRs only *lowers* the estimate —
 which is exactly why coarse SDNs stay safe and finer ones are
 monotonically tighter.
+
+The other direction bounds the DP itself: any one chain through the
+layers, priced with the DP's own float steps, is at least the DP's
+minimum.  :func:`chain_upper_bound` prices one such *witness chain*,
+which lets the dummy-lb screen answer "below the threshold" without
+running the DP.
 """
 
 from __future__ import annotations
@@ -149,6 +155,35 @@ def _point_to_boxes(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return np.sqrt(np.sum(gap * gap, axis=1))
 
 
+def _box_distances(lo1, hi1, lo2, hi2, shape) -> np.ndarray:
+    """Min distances between boxes ``1`` and boxes ``2``, broadcast to
+    ``shape``.
+
+    The corners are coordinate-major: ``lo1[c]`` holds coordinate
+    ``c`` of the first boxes' low corners, shaped to broadcast against
+    the others.  Per coordinate the gap is ``max(max(lo2 - hi1, 0),
+    lo1 - hi2)``; the squares are summed x, then y, then z, and the
+    square root taken.  This is the one float recipe of an MSDN hop:
+    the DP's hop matrices (:func:`_hop_totals`) and the witness chain
+    (:func:`chain_upper_bound`) both price hops with it, on ``shape``
+    arrays filled by in-place ufuncs.
+    """
+    acc = np.empty(shape)
+    gap = np.empty(shape)
+    other = np.empty(shape)
+    for c in range(3):
+        out = acc if c == 0 else gap
+        np.subtract(lo2[c], hi1[c], out=out)
+        np.maximum(out, 0.0, out=out)
+        np.subtract(lo1[c], hi2[c], out=other)
+        np.maximum(out, other, out=out)
+        np.multiply(out, out, out=out)
+        if c:
+            np.add(acc, gap, out=acc)
+    np.sqrt(acc, out=acc)
+    return acc
+
+
 def _hop_totals(
     dist: np.ndarray,
     lo1: np.ndarray,
@@ -161,28 +196,19 @@ def _hop_totals(
     of the upper layer and box ``j`` of the lower one.
 
     The matrix is built one coordinate at a time on ``(m2, m1)``
-    arrays with in-place ufuncs, instead of on ``(m1, m2, 3)``
-    temporaries reduced over their length-3 axis.  Every float
-    operation is the broadcast formula's: per coordinate
-    ``max(max(lo2 - hi1, 0), lo1 - hi2)``, the squares summed x, then
-    y, then z, the square root, then ``+ dist`` (IEEE addition
-    commutes).  Rows are lower-layer boxes so the argmin over the
-    upper layer runs along the contiguous axis.
+    arrays (:func:`_box_distances`), instead of on ``(m1, m2, 3)``
+    temporaries reduced over their length-3 axis; every float
+    operation is the broadcast formula's, then ``+ dist`` (IEEE
+    addition commutes).  Rows are lower-layer boxes so the argmin over
+    the upper layer runs along the contiguous axis.
     """
-    m2, m1 = lo2.shape[0], lo1.shape[0]
-    acc = np.empty((m2, m1))
-    gap = np.empty((m2, m1))
-    other = np.empty((m2, m1))
-    for c in range(3):
-        out = acc if c == 0 else gap
-        np.subtract(lo2[:, c, np.newaxis], hi1[:, c], out=out)
-        np.maximum(out, 0.0, out=out)
-        np.subtract(lo1[:, c], hi2[:, c, np.newaxis], out=other)
-        np.maximum(out, other, out=out)
-        np.multiply(out, out, out=out)
-        if c:
-            np.add(acc, gap, out=acc)
-    np.sqrt(acc, out=acc)
+    acc = _box_distances(
+        lo1.T,
+        hi1.T,
+        lo2.T[:, :, np.newaxis],
+        hi2.T[:, :, np.newaxis],
+        (lo2.shape[0], lo1.shape[0]),
+    )
     np.add(acc, dist, out=acc)
     return acc
 
@@ -244,3 +270,66 @@ def lower_bound_via_planes_arrays(
         indices.append(int(picks[indices[-1]]))
     indices.reverse()
     return max(bound, euclid), indices
+
+
+def witness_chain(point_a, point_b, axis: int, layer_boxes) -> list[int]:
+    """One concrete chain through ``layer_boxes``: a row index per
+    layer, for :func:`chain_upper_bound` to price.
+
+    ``point_a`` / ``point_b`` and the layers are ordered as for
+    :func:`lower_bound_via_planes_arrays`, and ``axis`` is the plane
+    axis.  In each layer the chain takes the box nearest, along the
+    other horizontal axis, to where the straight segment a–b crosses
+    that layer's plane (the first box's coordinate on ``axis``); where
+    the crossing lies inside several boxes, the one it lies deepest
+    in.  Ties go to the lowest row.  Which chain is taken only decides
+    how tight the witness is, never whether it is sound.
+    """
+    other = 1 - axis
+    a_axis, a_other = float(point_a[axis]), float(point_a[other])
+    b_axis, b_other = float(point_b[axis]), float(point_b[other])
+    span = b_axis - a_axis
+    picks = []
+    for lo, hi in layer_boxes:
+        t = (float(lo[0, axis]) - a_axis) / span if span else 0.0
+        cross = a_other + t * (b_other - a_other)
+        miss = np.maximum(lo[:, other] - cross, cross - hi[:, other])
+        picks.append(int(np.argmin(miss)))
+    return picks
+
+
+def chain_upper_bound(point_a, point_b, axis: int, layer_boxes) -> float:
+    """The length of the :func:`witness_chain` through ``layer_boxes``,
+    clamped below by the straight line: never below the bound
+    :func:`lower_bound_via_planes_arrays` returns for the same input,
+    and equal to it when every layer holds one box.
+
+    The chain is priced with the DP's own float steps in the DP's
+    order: the distance from ``a`` to the first box (taken from
+    :func:`_point_to_boxes` over the whole first layer, since numpy
+    may sum a one-row slice in another order), each hop by
+    :func:`_box_distances` added to the running prefix, then the
+    distance to ``b`` (likewise over the whole last layer).  Every DP
+    label is a min over chains that include this one, and IEEE
+    addition is monotone, so the DP's bound can never exceed this
+    value; a NaN compares false either way.  O(layers) hops, against
+    the DP's one matrix per pair of layers.
+    """
+    pa = np.asarray(point_a, dtype=float)
+    pb = np.asarray(point_b, dtype=float)
+    euclid = float(np.linalg.norm(pa - pb))
+    if not layer_boxes:
+        return euclid
+    if any(lo.shape[0] == 0 for lo, _ in layer_boxes):
+        raise GeometryError("empty chunk layer; caller must drop empty planes")
+    picks = witness_chain(pa, pb, axis, layer_boxes)
+    (lo0, hi0), (lo_n, hi_n) = layer_boxes[0], layer_boxes[-1]
+    total = float(_point_to_boxes(pa, lo0, hi0)[picks[0]])
+    if len(picks) > 1:
+        lo = np.array([box_lo[row] for (box_lo, _), row in zip(layer_boxes, picks)])
+        hi = np.array([box_hi[row] for (_, box_hi), row in zip(layer_boxes, picks)])
+        hops = _box_distances(lo[:-1].T, hi[:-1].T, lo[1:].T, hi[1:].T, len(picks) - 1)
+        for hop in hops.tolist():
+            total += hop
+    total += float(_point_to_boxes(pb, lo_n, hi_n)[picks[-1]])
+    return max(total, euclid)

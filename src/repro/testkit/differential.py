@@ -8,8 +8,9 @@ pair's identity (or bound) is asserted:
 pair                contract
 ==================  =================================================
 components vs       the array pathnet builder, the compiled-graph
-oracles             search kernels and MSDN lower bounds agree
-                    exactly with the reference implementations
+oracles             search kernels, MSDN lower bounds and dummy-lb
+                    screens agree exactly with the reference
+                    implementations
                     (:mod:`repro.testkit.reference`, dict kernels)
                     on the scenario's terrain, queries and objects
                     (``component_identity``)
@@ -243,7 +244,8 @@ def component_mismatches(engine, query_vertices) -> list[tuple[int, str]]:
     Checks the pathnet builder once, then per query vertex: full and
     early-exit single-source searches on the pathnet, a two-anchor
     multi-source search toward the objects, and the MSDN lower bound
-    to every object at every resolution, without and with an ROI box.
+    to every object at every resolution, without and with an ROI box,
+    with the dummy-lb screen beside it.
     Returns ``(query_index, message)`` pairs; ``-1`` for the builder.
     """
     mesh = engine.mesh
@@ -316,6 +318,28 @@ def component_mismatches(engine, query_vertices) -> list[tuple[int, str]]:
                                     f"r={res} (roi={roi is not None}) "
                                     f"diverged: {got} != {ref_lb}")
                         )
+                    # The dummy-lb screen, without and with the corridor
+                    # around the bound's path, at thresholds an ulp
+                    # either side of the reference value: the answer
+                    # of msdn_screen_reference, from one reference run.
+                    corridor = msdn.corridor_from_path(ref_lb.path_keys, res)
+                    screened = msdn_lower_bound_reference(
+                        msdn, pq, po, res, roi=roi, corridor=corridor,
+                        charge_io=False,
+                    ).value
+                    for cor, value in ((None, ref_lb.value), (corridor, screened)):
+                        for t in (float(np.nextafter(value, -np.inf)), value,
+                                  float(np.nextafter(value, np.inf))):
+                            reaches = msdn.corridor_reaches(
+                                pq, po, res, t, roi=roi, corridor=cor
+                            )
+                            if reaches != (value >= t):
+                                out.append(
+                                    (index, f"MSDN screen to vertex {ov} at "
+                                            f"r={res} (roi={roi is not None}, "
+                                            f"corridor={cor is not None}) "
+                                            f"diverged at threshold {t!r}")
+                                )
     return out
 
 

@@ -29,6 +29,9 @@ page bytes, same pages read in the same order.
   charging, the twins of
   :meth:`repro.msdn.msdn.MSDN.lower_bound` and
   :meth:`~repro.msdn.msdn.MSDN.touch_region`;
+  :func:`msdn_screen_reference` — the dummy-lb screen as its
+  definition, that bound against the threshold, the twin of
+  :meth:`~repro.msdn.msdn.MSDN.corridor_reaches`;
 * :class:`MSDNReference` — the object MSDN build: one
   :class:`SdnChunk` per chunk (:func:`build_sdn_chunks` over the
   crossing lines) and a record-id
@@ -565,6 +568,20 @@ def msdn_lower_bound_reference(
         path_keys=path_keys,
         resolution=resolution,
         chunks_used=sum(len(layer) for layer in layers),
+    )
+
+
+def msdn_screen_reference(
+    msdn, point_a, point_b, resolution: float, threshold: float, roi=None, corridor=None
+) -> bool:
+    """:meth:`MSDN.corridor_reaches` by its definition: whether the
+    object-walk corridor bound (:func:`msdn_lower_bound_reference`,
+    no pages charged) reaches ``threshold``."""
+    return (
+        msdn_lower_bound_reference(
+            msdn, point_a, point_b, resolution, roi, corridor, charge_io=False
+        ).value
+        >= threshold
     )
 
 

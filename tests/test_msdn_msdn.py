@@ -6,6 +6,7 @@ import pytest
 from repro.errors import QueryError, StorageError
 from repro.geodesic.exact import ExactGeodesic
 from repro.geometry.ellipse import EllipseRegion
+from repro.geometry.primitives import BoundingBox
 from repro.msdn.msdn import MSDN
 from repro.storage.pages import PageManager
 from repro.storage.stats import IOStatistics
@@ -72,6 +73,16 @@ class TestLowerBounds:
             dummy = msdn.lower_bound(pa, pb, 0.5, corridor=corridor)
             assert dummy.value >= full.value - 1e-9
 
+    def test_batch_rejects_rois_of_another_length(self, msdn):
+        """A short ``rois`` must not silently drop targets."""
+        mesh = msdn.mesh
+        pa, pb, pc = mesh.vertices[[0, 40, 200]]
+        with pytest.raises(QueryError, match="rois"):
+            msdn.lower_bound_batch(pa, [pb, pc], 0.5, rois=[None])
+        with pytest.raises(QueryError, match="rois"):
+            msdn.lower_bound_batch(pa, [pb], 0.5, rois=[None, None])
+        assert len(msdn.lower_bound_batch(pa, [pb, pc], 0.5, rois=[None, None])) == 2
+
     def test_stats_structure(self, msdn):
         stats = msdn.stats()
         assert stats["planes_x"] > 0
@@ -136,3 +147,88 @@ class TestStorage:
         before = stats.snapshot()
         msdn.touch_region(0.25, None, axes=(0,))
         assert stats.delta_since(before).physical_reads > 0
+
+
+def _screen_pairs(mesh, count: int = 6) -> list[tuple[np.ndarray, np.ndarray]]:
+    rng = np.random.default_rng(5)
+    pairs = []
+    while len(pairs) < count:
+        a, b = rng.integers(0, mesh.num_vertices, size=2)
+        if a != b:
+            pairs.append((mesh.vertices[a], mesh.vertices[b]))
+    return pairs
+
+
+def _near(msdn, point) -> list[BoundingBox]:
+    """A corridor of the chunks near ``point`` only: planes farther
+    along keep no chunk and are dropped whole."""
+    return [BoundingBox.of_points(np.array([point[:2]])).expanded(2.0 * msdn.spacing)]
+
+
+class TestCorridorScreen:
+    """``corridor_reaches`` is defined as the corridor bound reaching
+    the threshold; the witness chain and the straight line may only
+    decide it sooner, never differently."""
+
+    def test_equals_its_definition(self, msdn):
+        mesh = msdn.mesh
+        checked = 0
+        for pa, pb in _screen_pairs(mesh):
+            euclid = float(np.linalg.norm(pa - pb))
+            pair_box = BoundingBox.of_points(np.array([pa[:2], pb[:2]]))
+            for res in msdn.resolutions:
+                full = msdn.lower_bound(pa, pb, res, charge_io=False)
+                corridors = {
+                    "none": None,
+                    "path": msdn.corridor_from_path(full.path_keys, res),
+                    "near a": _near(msdn, pa),
+                    "empty": [],
+                }
+                for name, corridor in corridors.items():
+                    for roi in (None, [pair_box.expanded(0.25 * euclid)]):
+                        value = msdn.lower_bound(
+                            pa, pb, res, roi=roi, corridor=corridor,
+                            charge_io=False,
+                        ).value
+                        for t in (
+                            value,
+                            float(np.nextafter(value, -np.inf)),
+                            float(np.nextafter(value, np.inf)),
+                            value / 2,
+                            2 * value,
+                            euclid,
+                        ):
+                            got = msdn.corridor_reaches(
+                                pa, pb, res, t, roi=roi, corridor=corridor
+                            )
+                            assert got == (value >= t), (name, res, roi, t)
+                            checked += 1
+        assert checked == 6 * len(msdn.resolutions) * 4 * 2 * 6
+
+    def test_corridors_drop_planes_and_chunks(self, msdn):
+        """The corridors above do what their names say: "near a"
+        drops whole planes, and "empty" drops every chunk, which leaves
+        the straight line as the bound."""
+        pa, pb = _screen_pairs(msdn.mesh)[0]
+        full = msdn.lower_bound(pa, pb, 1.0, charge_io=False)
+        partial = msdn.lower_bound(
+            pa, pb, 1.0, corridor=_near(msdn, pa), charge_io=False
+        )
+        assert 0 < len(partial.path_keys) < len(full.path_keys)
+        empty = msdn.lower_bound(pa, pb, 1.0, corridor=[], charge_io=False)
+        assert empty.path_keys == []
+        assert empty.value == float(np.linalg.norm(pa - pb))
+
+    def test_counts_only_dp_fallbacks(self, msdn, obs_context):
+        fallbacks = obs_context.registry.counter("msdn.screen_dp_fallbacks")
+        pa, pb = _screen_pairs(msdn.mesh)[0]
+        value = msdn.lower_bound(pa, pb, 1.0, charge_io=False).value
+        euclid = float(np.linalg.norm(pa - pb))
+        assert value > euclid
+        # The straight line decides: no chain priced, no DP.
+        assert msdn.corridor_reaches(pa, pb, 1.0, euclid)
+        assert fallbacks.value == 0
+        # At the bound itself the witness (never below it) cannot
+        # settle the screen, so the DP runs once.
+        assert msdn.corridor_reaches(pa, pb, 1.0, value)
+        assert fallbacks.value == 1

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from repro.errors import GeometryError
 from repro.geometry.polyline import Polyline
 from repro.geometry.primitives import BoundingBox
-from repro.msdn.sdn import _hop_totals, lower_bound_via_planes_arrays
+from repro.msdn.sdn import (
+    _hop_totals,
+    _point_to_boxes,
+    chain_upper_bound,
+    lower_bound_via_planes_arrays,
+    witness_chain,
+)
 from repro.testkit.reference import (
     SdnChunk,
     _boxes_to_boxes,
@@ -219,3 +225,76 @@ class TestHopKernelBitIdentity:
             hop = _hop_totals(np.zeros(lo1.shape[0]), lo1, hi1, lo2, hi2)
             want_hop = _boxes_to_boxes(lo1, hi1, lo2, hi2).T
             assert hop.tobytes() == np.ascontiguousarray(want_hop).tobytes()
+
+
+def _on_axis(axis: int, family):
+    """``family``'s DP input with the planes across ``axis``: its
+    y-planes as they are for axis 1, x and y swapped for axis 0."""
+    layers, a, b = family
+    swap = [1, 0, 2] if axis == 0 else [0, 1, 2]
+    boxes = [(lo[:, swap], hi[:, swap]) for lo, hi in map(_layer_boxes, layers)]
+    return boxes, np.asarray(a, dtype=float)[swap], np.asarray(b, dtype=float)[swap]
+
+
+def _priced_by_dp_steps(a, b, boxes, picks) -> float:
+    """The chain ``picks`` priced through the DP's own kernels: the
+    first layer's :func:`_point_to_boxes` entry, then per hop the
+    :func:`_hop_totals` entry ``[next, current]`` with the running
+    prefix at ``current``, then the last layer's entry for ``b``;
+    clamped by the straight line as the DP clamps its bound."""
+    total = _point_to_boxes(a, *boxes[0])[picks[0]]
+    for (lo1, hi1), (lo2, hi2), p1, p2 in zip(boxes, boxes[1:], picks, picks[1:]):
+        dist = np.zeros(lo1.shape[0])
+        dist[p1] = total
+        total = _hop_totals(dist, lo1, hi1, lo2, hi2)[p2, p1]
+    total = total + _point_to_boxes(b, *boxes[-1])[picks[-1]]
+    return max(float(total), float(np.linalg.norm(a - b)))
+
+
+class TestWitnessChain:
+    """The dummy-lb screen's witness against the DP it stands in for:
+    it must never undercut the DP's bound (else a screen could skip a
+    candidate the DP would keep), and it must price its chain with the
+    DP's own float steps, so the two agree to the bit on one chain."""
+
+    @given(_family(), st.sampled_from([0, 1]))
+    @example(
+        (
+            [_chunks(0, _TIED, _TIED, _TIED), _chunks(1, _TIED, _TIED)],
+            (0.0, 0.0, 0.0),
+            (0.0, 2.0, 0.0),
+        ),
+        1,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_never_below_the_dp_and_priced_by_its_steps(self, family, axis):
+        boxes, a, b = _on_axis(axis, family)
+        witness = chain_upper_bound(a, b, axis, boxes)
+        bound, _picks = lower_bound_via_planes_arrays(a, b, boxes)
+        assert witness >= bound
+        picks = witness_chain(a, b, axis, boxes)
+        assert len(picks) == len(boxes)
+        assert all(0 <= p < lo.shape[0] for p, (lo, _) in zip(picks, boxes))
+        assert _bits(witness) == _bits(_priced_by_dp_steps(a, b, boxes, picks))
+
+    @given(_family(), st.sampled_from([0, 1]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_dp_on_one_box_per_layer(self, family, axis):
+        boxes, a, b = _on_axis(axis, family)
+        single = [(lo[:1], hi[:1]) for lo, hi in boxes]
+        bound, _picks = lower_bound_via_planes_arrays(a, b, single)
+        assert _bits(chain_upper_bound(a, b, axis, single)) == _bits(bound)
+
+    def test_no_layers_gives_euclid(self):
+        assert chain_upper_bound((0, 0, 0), (3, 4, 0), 1, []) == 5.0
+
+    def test_empty_layer_rejected(self):
+        with pytest.raises(GeometryError):
+            chain_upper_bound((0, 0, 0), (0, 5, 0), 1, [(np.empty((0, 3)),) * 2])
+
+    def test_takes_the_box_the_straight_line_crosses(self):
+        """Three boxes on the plane y = 1; the segment from (4, 0) to
+        (4, 2) crosses it at x = 4, inside the middle box only."""
+        layer = build_sdn_chunks(make_line(1.0), 1, 0, 1.0, 0.375)
+        lo, hi = boxes(layer)
+        assert witness_chain((4.0, 0.0, 0.0), (4.0, 2.0, 0.0), 1, [(lo, hi)]) == [1]

@@ -53,7 +53,8 @@ def reference_components():
     implementations of :mod:`repro.testkit.reference`: per-face
     pathnet builds (Kanai–Suzuki's round 0 rebuilt per call),
     ``add_edge`` cut networks, record-id page charging, object-walk
-    MSDN bounds and one upper-bound search per anchor.  None of those
+    MSDN bounds and dummy-lb screens, and one upper-bound search per
+    anchor.  None of those
     graphs is compiled, so every search takes the dict kernel.
 
     Patches classes and modules for the whole process while the block
@@ -79,6 +80,7 @@ def reference_components():
             ref.dmtm_upper_bounds_multi_reference,
         )
         patch.setattr(MSDN, "_lower_bound_at", ref.msdn_lower_bound_reference)
+        patch.setattr(MSDN, "corridor_reaches", ref.msdn_screen_reference)
         patch.setattr(MSDN, "touch_region", ref.msdn_touch_region_reference)
         yield
     finally:
