@@ -850,7 +850,14 @@ def kernels(
     against the column-wise one, each including ``attach_storage`` on
     a fresh ``BUILD_PAGE_SIZE`` page manager, identical in arrays and
     pages; and ``qem collapse``, the per-pair collapse loop against
-    the batched one, identical node for node.
+    the batched one, identical node for node.  ``dmtm cut`` replays
+    the refined-corridor upper bounds at cut levels a fixed set of
+    queries makes (:func:`_refined_cut_calls`): once building one
+    network per region
+    (:func:`~repro.testkit.reference.dmtm_cut_per_region`, the
+    baseline) and once in place on the compiled cut
+    (:meth:`~repro.multires.dmtm.DMTM.extract_network`), identical in
+    value bytes, path keys and unreachable results.
     Every comparison first asserts the values are identical — a
     speedup over different answers would be meaningless.  When
     ``out`` is set, the rows are merged into the ``repro.bench/v1``
@@ -869,9 +876,12 @@ def kernels(
         MSDNReference,
         build_collapse_history_reference,
         collapse_history_bits,
+        dmtm_cut_per_region,
+        dmtm_upper_bound_cut_reference,
         lower_bound_via_planes_broadcast,
         msdn_build_mismatches,
         read_page_reference,
+        upper_bound_bits,
     )
 
     if size is None:
@@ -1004,6 +1014,38 @@ def kernels(
     fallbacks = screen_ctx.registry.counter("msdn.screen_dp_fallbacks").value
     screen_ref_seconds, _ = best_of(dp_screens)
     screen_new_seconds, _ = best_of(witness_screens)
+
+    dmtm = engine.dmtm
+    cut_calls = _refined_cut_calls(engine, num_anchors)
+
+    def cut_bounds(extract, bound):
+        out = []
+        for resolution, region, pairs in cut_calls:
+            network = extract(resolution, region)
+            out.extend(bound(a, b, resolution, network) for a, b in pairs)
+        return out
+
+    def per_region_cuts():
+        return cut_bounds(
+            lambda res, region: dmtm_cut_per_region(dmtm, res, region, charge_io=False),
+            lambda a, b, _res, net: dmtm_upper_bound_cut_reference(dmtm, a, b, net),
+        )
+
+    def in_place_cuts():
+        return cut_bounds(
+            lambda res, region: dmtm.extract_network(res, region, charge_io=False),
+            lambda a, b, res, net: dmtm.upper_bound(a, b, res, network=net),
+        )
+
+    if [upper_bound_bits(r) for r in per_region_cuts()] != [
+        upper_bound_bits(r) for r in in_place_cuts()
+    ]:
+        raise AssertionError(
+            "dmtm cut divergence: in-place bounds differ from per-region builds"
+        )
+    cut_ref_seconds, _ = best_of(per_region_cuts)
+    cut_new_seconds, _ = best_of(in_place_cuts)
+    cut_bound_count = sum(len(pairs) for _res, _region, pairs in cut_calls)
 
     io_size = 17 if quick else 25
     io_engine = build_engine("BH", size=io_size, density=10.0)
@@ -1196,6 +1238,24 @@ def kernels(
             "witness_rate": 1.0 - fallbacks / len(screens) if screens else None,
         },
         {
+            "comparison": "dmtm cut",
+            "kernel": "per-region build",
+            "searches": cut_bound_count,
+            "seconds": cut_ref_seconds,
+            "speedup": 1.0,
+            "identical": True,
+        },
+        {
+            "comparison": "dmtm cut",
+            "kernel": "in place",
+            "searches": cut_bound_count,
+            "seconds": cut_new_seconds,
+            "speedup": (
+                cut_ref_seconds / cut_new_seconds if cut_new_seconds > 0 else None
+            ),
+            "identical": True,
+        },
+        {
             "comparison": "page io",
             "kernel": "reference per-page",
             "searches": io_pages,
@@ -1279,6 +1339,8 @@ def kernels(
                 "num_targets": len(target_ids),
                 "msdn_dp_calls": len(dp_calls),
                 "msdn_screens": len(screens),
+                "dmtm_cut_regions": len(cut_calls),
+                "dmtm_cut_bounds": cut_bound_count,
                 "page_io_size": io_size,
                 "page_io_queries": len(io_runs),
                 "page_io_pages": io_pages,
@@ -1351,6 +1413,47 @@ def _screen_calls(engine, num_queries: int) -> list[tuple]:
     finally:
         del msdn.corridor_reaches
     return captured
+
+
+def _refined_cut_calls(engine, num_queries: int) -> list[tuple]:
+    """The refined-corridor upper bounds at cut levels a fixed set of
+    k=5 queries makes, as ``(resolution, region, pairs)``: the
+    corridor boxes of one extraction and the ``(anchor, candidate)``
+    vertex pairs bounded on it, captured by wrapping
+    ``extract_network`` and ``upper_bound`` on the engine's DMTM.  A
+    refined corridor is the one extraction the ranking loop passes a
+    list of boxes."""
+    dmtm = engine.dmtm
+    extract = dmtm.extract_network
+    upper_bound = dmtm.upper_bound
+    captured: list[tuple] = []
+    # id(network) -> (network, its pairs); holding the network keeps
+    # its id from being reused.
+    corridors: dict[int, tuple] = {}
+
+    def logged_extract(resolution, roi=None, charge_io=True):
+        network = extract(resolution, roi, charge_io)
+        if resolution <= 1.0 and isinstance(roi, list):
+            call = (resolution, list(roi), [])
+            captured.append(call)
+            corridors[id(network)] = (network, call[2])
+        return network
+
+    def logged_upper_bound(vertex_a, vertex_b, resolution, roi=None, network=None):
+        held = corridors.get(id(network))
+        if held is not None:
+            held[1].append((vertex_a, vertex_b))
+        return upper_bound(vertex_a, vertex_b, resolution, roi=roi, network=network)
+
+    dmtm.extract_network = logged_extract
+    dmtm.upper_bound = logged_upper_bound
+    try:
+        for vertex in query_vertices(engine.mesh, num_queries, seed=31):
+            engine.query(vertex, 5)
+    finally:
+        del dmtm.extract_network
+        del dmtm.upper_bound
+    return [call for call in captured if call[2]]
 
 
 def _page_io_runs(engine, num_queries: int) -> tuple[list, int]:

@@ -708,8 +708,9 @@ class DistanceRanker:
 
     def _shared_network(self, res_u: float, group_box):
         """Extract (or reuse) the group's shared network.  Extraction
-        is pure given (resolution, region), and the KeyedGraph is only
-        read afterwards, so one instance can serve many queries."""
+        is pure given (resolution, region), and the view (a compiled
+        cut and its region mask, or a pathnet graph) is only read
+        afterwards, so one instance can serve many queries."""
         cache = self.bound_cache
         if cache is None:
             return self.dmtm.extract_network(res_u, group_box, charge_io=False)

@@ -288,16 +288,23 @@ def dijkstra_csr_with_parents(
     source: int,
     targets: set[int] | None = None,
     max_dist: float | None = None,
+    region: np.ndarray | None = None,
 ) -> tuple[dict[int, float], dict[int, int]]:
     """Flat-array variant of
     :func:`repro.geodesic.dijkstra.dijkstra_with_parents` — identical
     distances AND identical shortest-path trees (the ``(d, u, p)``
-    heap tuple ordering is preserved, so tie-broken parents match)."""
+    heap tuple ordering is preserved, so tie-broken parents match).
+
+    ``region`` (a boolean node mask holding ``source``) searches the
+    subgraph the mask induces, in place: the nodes outside it start
+    out visited, so no edge reaches them, and the search settles,
+    relaxes and breaks ties as it would on that subgraph compiled on
+    its own with its nodes numbered in the same order."""
     n = csr.num_nodes
     if not 0 <= source < n:
         raise GeodesicError(f"source {source} out of range")
     indptr, indices, weights = csr.lists()
-    visited = bytearray(n)
+    visited = bytearray(n) if region is None else bytearray(~region)
     out: dict[int, float] = {}
     parent: dict[int, int] = {}
     remaining = set(targets) if targets is not None else None
@@ -568,14 +575,23 @@ def graph_dijkstra(graph, source, targets=None, max_dist=None) -> dict[int, floa
 
 
 def graph_dijkstra_with_parents(
-    graph, source, targets=None, max_dist=None
+    graph, source, targets=None, max_dist=None, region=None
 ) -> tuple[dict[int, float], dict[int, int]]:
-    """With-parents variant of :func:`graph_dijkstra` (same rule)."""
-    csr = graph.csr_if_compiled()
+    """With-parents variant of :func:`graph_dijkstra` (same rule).
+
+    ``graph`` may also be a :class:`CSRGraph`, which is compiled by
+    definition.  ``region`` (a boolean node mask, compiled graphs
+    only) restricts the search to the subgraph the mask induces; the
+    kernel is then chosen by that subgraph, as if it had been
+    compiled on its own (see
+    :func:`repro.geodesic.frontier.dijkstra_frontier_with_parents`)."""
+    csr = graph if isinstance(graph, CSRGraph) else graph.csr_if_compiled()
     if csr is None:
+        if region is not None:
+            raise GeodesicError("a region search needs a compiled graph")
         from repro.geodesic.dijkstra import dijkstra_with_parents
 
         return dijkstra_with_parents(graph.adjacency, source, targets, max_dist)
     from repro.geodesic.frontier import dijkstra_frontier_with_parents
 
-    return dijkstra_frontier_with_parents(csr, source, targets, max_dist)
+    return dijkstra_frontier_with_parents(csr, source, targets, max_dist, region)

@@ -114,6 +114,14 @@ def _frontier_state(csr: CSRGraph):
     return arrays, state[1]
 
 
+def _region_wmin(csr: CSRGraph, region: np.ndarray) -> float:
+    """The smallest edge weight of the subgraph ``region`` induces."""
+    indptr, indices, weights = csr._materialise()
+    inside = np.repeat(region, np.diff(indptr)) & region[indices]
+    kept = weights[inside]
+    return float(kept.min()) if kept.size else math.inf
+
+
 def _margin(scale: float) -> float:
     """Upper bound on how far below its exact value a batched float
     composition can land, at magnitude ``scale``.  Each candidate is
@@ -127,15 +135,22 @@ def _margin(scale: float) -> float:
 # ----------------------------------------------------------------------
 
 
-def _single_source_frontier(csr, source, targets, max_dist, want_parents):
+def _single_source_frontier(
+    csr, source, targets, max_dist, want_parents, region=None, wmin=None
+):
+    """The bucketed search; ``region`` searches the subgraph it
+    induces in place (its complement starts out settled), with
+    ``wmin`` that subgraph's smallest edge weight."""
     n = csr.num_nodes
     if not 0 <= source < n:
         raise GeodesicError(f"source {source} out of range")
-    (indptr, indices, weights), wmin = _frontier_state(csr)
+    (indptr, indices, weights), graph_wmin = _frontier_state(csr)
+    if wmin is None:
+        wmin = graph_wmin
 
     dist = np.full(n, np.inf)
     parent = np.full(n, -1, dtype=np.int64)
-    settled = np.zeros(n, dtype=bool)
+    settled = np.zeros(n, dtype=bool) if region is None else ~region
     in_pool = np.zeros(n, dtype=bool)
     dist[source] = 0.0
     in_pool[source] = True
@@ -205,11 +220,15 @@ def _single_source_frontier(csr, source, targets, max_dist, want_parents):
         total = int(counts.sum())
         if total == 0:
             continue
-        batch_relaxations += 1
         prev = np.cumsum(counts) - counts
         edge_ids = np.repeat(starts - prev, counts) + np.arange(total)
         src = np.repeat(batch, counts)
         tgt = indices[edge_ids]
+        if region is not None and not region[tgt].any():
+            # Every edge leaves the region: the induced subgraph has
+            # no out-edge here.
+            continue
+        batch_relaxations += 1
         nd = dist[src] + weights[edge_ids]
         ok = ~settled[tgt]
         if max_dist is not None:
@@ -294,14 +313,28 @@ def dijkstra_frontier_with_parents(
     source: int,
     targets: set[int] | None = None,
     max_dist: float | None = None,
+    region: np.ndarray | None = None,
 ) -> tuple[dict[int, float], dict[int, int]]:
     """Bucketed variant of
     :func:`repro.geodesic.csr.dijkstra_csr_with_parents` — identical
-    distances AND identical tie-broken shortest-path trees."""
-    _, wmin = _frontier_state(csr)
-    if csr.num_nodes < MIN_FRONTIER_NODES or not wmin > 0.0:
-        return dijkstra_csr_with_parents(csr, source, targets, max_dist)
-    return _single_source_frontier(csr, source, targets, max_dist, True)
+    distances AND identical tie-broken shortest-path trees.
+
+    With a ``region`` mask the search runs on the subgraph the mask
+    induces, in place, and the heap/bucket rule reads that subgraph:
+    its node count and its smallest edge weight.  Buckets, counters
+    and results are then those of the same search over the subgraph
+    compiled on its own."""
+    if region is None:
+        nodes = csr.num_nodes
+        _, wmin = _frontier_state(csr)
+    else:
+        nodes = int(np.count_nonzero(region))
+        wmin = _region_wmin(csr, region) if nodes >= MIN_FRONTIER_NODES else None
+    if nodes < MIN_FRONTIER_NODES or not wmin > 0.0:
+        return dijkstra_csr_with_parents(csr, source, targets, max_dist, region)
+    return _single_source_frontier(
+        csr, source, targets, max_dist, True, region, wmin
+    )
 
 
 # ----------------------------------------------------------------------

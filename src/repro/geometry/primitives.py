@@ -117,21 +117,28 @@ class BoundingBox:
         )
 
     def intersection(self, other: "BoundingBox") -> "BoundingBox | None":
-        """Overlap box, or ``None`` when the boxes are disjoint."""
-        lo = np.maximum(self.lo, other.lo)
-        hi = np.minimum(self.hi, other.hi)
-        if np.any(lo > hi):
+        """Overlap box, or ``None`` when the boxes are disjoint.
+
+        Per coordinate ``np.maximum`` of the lows and ``np.minimum``
+        of the highs, with the tie and NaN rules :meth:`union`
+        spells out."""
+        lo = tuple(
+            a if a > b or a != a else b for a, b in zip(self.lo, other.lo)
+        )
+        hi = tuple(
+            a if a < b or a != a else b for a, b in zip(self.hi, other.hi)
+        )
+        if any(l > h for l, h in zip(lo, hi)):
             return None
-        return BoundingBox(tuple(lo), tuple(hi))
+        return BoundingBox(lo, hi)
 
     def expanded(self, margin: float) -> "BoundingBox":
         """Box grown by ``margin`` on every side (the paper's "double
         each vertex's MBR" region expansion uses this)."""
         if margin < 0:
             raise GeometryError("margin must be non-negative")
-        m = np.full(self.dim, margin)
         return BoundingBox(
-            tuple(np.asarray(self.lo) - m), tuple(np.asarray(self.hi) + m)
+            tuple(l - margin for l in self.lo), tuple(h + margin for h in self.hi)
         )
 
     def scaled(self, factor: float) -> "BoundingBox":
@@ -184,6 +191,62 @@ class BoundingBox:
     def xy(self) -> "BoundingBox":
         """Projection onto the first two coordinates."""
         return BoundingBox(tuple(self.lo[:2]), tuple(self.hi[:2]))
+
+
+def region_boxes(region) -> "list[BoundingBox] | None":
+    """A region argument as a list of boxes: None (no restriction)
+    stays None, one box becomes a one-box list, any other iterable of
+    boxes a list of them (empty: a region that keeps nothing)."""
+    if region is None:
+        return None
+    if isinstance(region, BoundingBox):
+        return [region]
+    return list(region)
+
+
+def rows_meeting_boxes(rows: np.ndarray, boxes) -> np.ndarray:
+    """Mask of the xy-MBR rows that meet any of ``boxes``.
+
+    ``rows`` is an ``(n, 4)`` array laid out ``[lo_x, lo_y, hi_x,
+    hi_y]``; ``boxes`` is a sequence of 2D or 3D boxes, of which only
+    x and y count.  Intervals are closed, so a row that only touches a
+    box meets it and a point box selects the rows it lies in; a NaN
+    coordinate meets nothing.  With several boxes, rows outside their
+    joint extent are dropped first and the rest are tested against
+    every box at once.
+    """
+    if not boxes:
+        return np.zeros(rows.shape[0], dtype=bool)
+    if len(boxes) == 1:
+        (box,) = boxes
+        return (
+            (rows[:, 0] <= box.hi[0])
+            & (rows[:, 2] >= box.lo[0])
+            & (rows[:, 1] <= box.hi[1])
+            & (rows[:, 3] >= box.lo[1])
+        )
+    corners = np.array(
+        [(b.lo[0], b.lo[1], b.hi[0], b.hi[1]) for b in boxes], dtype=np.float64
+    )
+    lo_x, lo_y, hi_x, hi_y = corners.T
+    # fmin/fmax skip NaN corners, so the joint extent still covers
+    # every box that can meet a row.
+    near = np.flatnonzero(
+        (rows[:, 0] <= np.fmax.reduce(hi_x))
+        & (rows[:, 2] >= np.fmin.reduce(lo_x))
+        & (rows[:, 1] <= np.fmax.reduce(hi_y))
+        & (rows[:, 3] >= np.fmin.reduce(lo_y))
+    )
+    sub = rows[near]
+    hit = (
+        (sub[:, 0, None] <= hi_x)
+        & (sub[:, 2, None] >= lo_x)
+        & (sub[:, 1, None] <= hi_y)
+        & (sub[:, 3, None] >= lo_y)
+    ).any(axis=1)
+    mask = np.zeros(rows.shape[0], dtype=bool)
+    mask[near[hit]] = True
+    return mask
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import QueryError
-from repro.geometry.primitives import BoundingBox
+from repro.geometry.primitives import BoundingBox, region_boxes, rows_meeting_boxes
 from repro.msdn.crossing import (
     adaptive_plane_positions,
     crossing_line,
@@ -55,28 +55,6 @@ class LowerBoundResult:
     path_keys: list
     resolution: float
     chunks_used: int
-
-
-def _roi_list(roi):
-    if roi is None:
-        return None
-    if isinstance(roi, BoundingBox):
-        roi = [roi]
-    return [box.xy() if box.dim == 3 else box for box in roi]
-
-
-def _box_mask(xy: np.ndarray, boxes) -> np.ndarray:
-    """Vectorized intersects-any-box mask over an (m, 4) xy-MBR array
-    laid out as [lo_x, lo_y, hi_x, hi_y]."""
-    mask = np.zeros(xy.shape[0], dtype=bool)
-    for box in boxes:
-        mask |= (
-            (xy[:, 0] <= box.hi[0])
-            & (xy[:, 2] >= box.lo[0])
-            & (xy[:, 1] <= box.hi[1])
-            & (xy[:, 3] >= box.lo[1])
-        )
-    return mask
 
 
 def crossing_lines(
@@ -238,7 +216,7 @@ class MSDN:
         if store is None:
             return
         resolution = self.nearest_resolution(resolution)
-        roi = _roi_list(roi)
+        roi = region_boxes(roi)
         runs: list[np.ndarray] = []
         bounds: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
         total = 0
@@ -247,7 +225,7 @@ class MSDN:
             pages = family.pages
             offsets = family.offsets
             if roi is not None:
-                mask = _box_mask(family.xy, roi)
+                mask = rows_meeting_boxes(family.xy, roi)
                 pages = pages[mask]
                 # Kept rows before each plane's first row.
                 kept_before = np.zeros(mask.size + 1, dtype=np.int64)
@@ -295,8 +273,8 @@ class MSDN:
             np.asarray(point_a, dtype=float),
             np.asarray(point_b, dtype=float),
             self.nearest_resolution(resolution),
-            _roi_list(roi),
-            _roi_list(corridor),
+            region_boxes(roi),
+            region_boxes(corridor),
             charge_io,
         )
 
@@ -331,7 +309,7 @@ class MSDN:
                 pa,
                 np.asarray(point_b, dtype=float),
                 resolution,
-                _roi_list(roi),
+                region_boxes(roi),
                 None,
                 charge_io,
             )
@@ -368,8 +346,8 @@ class MSDN:
             pa,
             pb,
             self.nearest_resolution(resolution),
-            _roi_list(roi),
-            _roi_list(corridor),
+            region_boxes(roi),
+            region_boxes(corridor),
         )
         if chain_upper_bound(pa, pb, axis, layer_boxes) < threshold:
             return False
@@ -406,9 +384,9 @@ class MSDN:
             xy = family.xy[first:last]
             mask = np.ones(last - first, dtype=bool)
             if roi is not None:
-                mask &= _box_mask(xy, roi)
+                mask &= rows_meeting_boxes(xy, roi)
             if corridor_boxes is not None:
-                mask &= _box_mask(xy, corridor_boxes)
+                mask &= rows_meeting_boxes(xy, corridor_boxes)
             rows = np.flatnonzero(mask)
             rows += first
             # Each plane's kept rows, as a run of ``rows``.

@@ -10,7 +10,9 @@ node lists the ids of nodes "with a similar LOD" so extraction never
 walks from the root — corresponds here to
 :attr:`CollapseNode.records`: a node's record list names exactly the
 nodes alive at its birth that it may connect to in some cut, each
-with the DDM distance value.
+with the DDM distance value.  Each cut is compiled once
+(:class:`CompiledCut`), so extracting a region of it is one mask over
+the cut's rows, never a network build.
 """
 
 from __future__ import annotations
@@ -18,8 +20,40 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MultiresError
-from repro.geometry.primitives import BoundingBox
+from repro.geodesic.csr import CSRGraph
+from repro.geometry.primitives import BoundingBox, rows_meeting_boxes
 from repro.simplification.collapse import CollapseHistory, build_collapse_history
+
+
+class CompiledCut:
+    """The cut at one collapse step, compiled once and shared.
+
+    ``ids`` are the alive node ids in ascending order; row ``i`` of
+    ``rows`` is node ``ids[i]``'s descendant xy-MBR as ``[lo_x, lo_y,
+    hi_x, hi_y]``, and ``csr`` is the cut network over those row
+    numbers (local ids) with every recorded edge among them.
+    ``local[node_id]`` is a node's row, or -1 when it is not alive.
+
+    A region of the cut is a boolean mask over the rows
+    (:func:`~repro.geometry.primitives.rows_meeting_boxes`); the
+    network an ROI extraction would build is the subgraph the mask
+    induces, with the same edges and weights, since a pair's edge
+    depends only on that pair's records.  Local ids are monotone in
+    node id, so a search over that subgraph breaks ties as a search
+    over node ids would.
+    """
+
+    __slots__ = ("step", "ids", "id_list", "rows", "local", "csr")
+
+    def __init__(self, step, ids, rows, local, csr):
+        for array in (ids, rows, local):
+            array.flags.writeable = False  # shared by every view
+        self.step = step
+        self.ids = ids
+        self.id_list = ids.tolist()
+        self.rows = rows
+        self.local = local
+        self.csr = csr
 
 
 class DistanceDirectMesh:
@@ -41,14 +75,19 @@ class DistanceDirectMesh:
             [n.death_step if n.death_step is not None else never for n in nodes],
             dtype=np.int64,
         )
-        self._mbr_lo = np.array([b.lo for b in self._node_mbrs])
-        self._mbr_hi = np.array([b.hi for b in self._node_mbrs])
+        self._mbr_rows = np.array(
+            [b.lo + b.hi for b in self._node_mbrs], dtype=float
+        ).reshape(-1, 4)
         self._positions = np.array([n.position for n in nodes], dtype=float)
         # Lazily flattened record lists ``(src, dst, dist)`` for
         # vectorized cut-edge selection (see cut_edge_arrays),
         # published as one tuple so a concurrent first touch never
         # sees a partial set.
         self._records: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # Compiled cuts by step, each built on first use and published
+        # by one dict store once complete (concurrent first uses at
+        # worst build one twice).
+        self._cuts: dict[int, CompiledCut] = {}
 
     # -- derived structure ------------------------------------------------
 
@@ -94,21 +133,45 @@ class DistanceDirectMesh:
 
     def cut_node_ids(self, step: int, roi_boxes=None) -> np.ndarray:
         """Vectorized cut selection: node ids alive at ``step`` whose
-        descendant xy-MBR intersects any ROI box (all when None)."""
-        alive = (self._birth <= step) & (self._death > step)
-        if roi_boxes is not None:
-            hit = np.zeros(len(alive), dtype=bool)
-            lo = self._mbr_lo
-            hi = self._mbr_hi
-            for box in roi_boxes:
-                hit |= (
-                    (lo[:, 0] <= box.hi[0])
-                    & (hi[:, 0] >= box.lo[0])
-                    & (lo[:, 1] <= box.hi[1])
-                    & (hi[:, 1] >= box.lo[1])
-                )
-            alive &= hit
-        return np.nonzero(alive)[0]
+        descendant xy-MBR intersects any ROI box (all when None), in
+        ascending order."""
+        cut = self.compiled_cut(step)
+        if roi_boxes is None:
+            return cut.ids
+        return cut.ids[rows_meeting_boxes(cut.rows, roi_boxes)]
+
+    def compiled_cut(self, step: int) -> CompiledCut:
+        """The :class:`CompiledCut` at ``step`` (built on first use)."""
+        cut = self._cuts.get(step)
+        if cut is None:
+            cut = self._compile_cut(step)
+            self._cuts[step] = cut
+        return cut
+
+    def _compile_cut(self, step: int) -> CompiledCut:
+        """Select the cut's recorded edges and compile them to CSR
+        with array operations.  Node set, edge set and weights are
+        those of one ``add_edge`` per :meth:`cut_edges` edge (same
+        first-occurrence dedupe, see :meth:`cut_edge_arrays`); each
+        node lists its higher-id neighbours, then its lower-id ones,
+        each in ascending order."""
+        ids = np.flatnonzero((self._birth <= step) & (self._death > step))
+        nnodes = int(ids.size)
+        local = np.full(self.num_nodes, -1, dtype=np.int64)
+        local[ids] = np.arange(nnodes, dtype=np.int64)
+        u, w, d = self.cut_edge_arrays(ids)
+        lu = local[u]
+        lw = local[w]
+        src_dir = np.concatenate([lu, lw])
+        dst_dir = np.concatenate([lw, lu])
+        w_dir = np.concatenate([d, d])
+        order = np.argsort(src_dir, kind="stable")
+        indptr = np.zeros(nnodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src_dir, minlength=nnodes), out=indptr[1:])
+        csr = CSRGraph(
+            indptr, dst_dir[order], w_dir[order], positions=self._positions[ids]
+        )
+        return CompiledCut(step, ids, self._mbr_rows[ids], local, csr)
 
     def cut_edges(self, cut: list[int]):
         """(u, w, dist) edges among the cut (see CollapseHistory)."""

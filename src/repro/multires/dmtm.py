@@ -25,14 +25,13 @@ import numpy as np
 
 from repro.errors import MultiresError
 from repro.geodesic.csr import (
-    CSRGraph,
     graph_dijkstra_with_parents,
     multi_source_dijkstra_csr,
 )
 from repro.geodesic.graph import KeyedGraph
 from repro.geodesic.pathnet import build_pathnet, vertex_key
-from repro.geometry.primitives import BoundingBox
-from repro.multires.ddm import DistanceDirectMesh
+from repro.geometry.primitives import BoundingBox, region_boxes, rows_meeting_boxes
+from repro.multires.ddm import CompiledCut, DistanceDirectMesh
 from repro.spatial.zorder import zorder_key_normalized
 from repro.storage.locator import LocatorStore
 from repro.storage.pages import PageManager
@@ -41,35 +40,38 @@ from repro.storage.stats import PAGE_CLASS_DMTM
 RESOLUTION_PATHNET = 2.0
 
 
-def _roi_list(roi) -> list[BoundingBox] | None:
-    """Normalize an ROI argument to a list of 2D boxes (or None)."""
-    if roi is None:
-        return None
-    if isinstance(roi, BoundingBox):
-        roi = [roi]
-    return [box.xy() if box.dim == 3 else box for box in roi]
-
-
-def _intersects_roi(mbr: BoundingBox, roi: list[BoundingBox] | None) -> bool:
-    if roi is None:
-        return True
-    return any(mbr.intersects(box) for box in roi)
-
-
-@dataclass
+@dataclass(eq=False)
 class NetworkView:
-    """A network extracted from the DMTM at some resolution/ROI."""
+    """A network extracted from the DMTM at some resolution/ROI.
 
-    graph: KeyedGraph
+    A pathnet level (``resolution > 1``) carries its own ``graph``.  A
+    cut level carries ``cut``, the step's
+    :class:`~repro.multires.ddm.CompiledCut` shared by every view of
+    that step, and ``region``, the mask of the cut's rows the ROI
+    keeps (None keeps them all); its searches run on the compiled cut
+    in place, restricted to the region."""
+
     resolution: float
     records_used: int
     step: int | None = None
+    graph: KeyedGraph | None = None
+    cut: CompiledCut | None = None
+    region: np.ndarray | None = None
 
     def csr(self):
-        """The network's compiled CSR form (memoized on the graph, so
-        batch workers sharing a BoundCache-held view share the
-        arrays too)."""
+        """The pathnet's compiled CSR form (memoized on the graph, so
+        batch workers sharing a BoundCache-held view share the arrays
+        too)."""
         return self.graph.csr()
+
+    def cut_row(self, node_id: int) -> int | None:
+        """The compiled-cut row of DDM node ``node_id`` in this cut
+        -level network, or None when the node is not in it (not alive
+        at the step, or outside the region)."""
+        row = int(self.cut.local[node_id])
+        if row < 0 or (self.region is not None and not self.region[row]):
+            return None
+        return row
 
 
 @dataclass
@@ -102,6 +104,13 @@ class DMTM:
         # resolved when storage is attached.
         self._node_pages: np.ndarray | None = None
         self._face_pages: np.ndarray | None = None
+        # Each face's xy-MBR row [lo_x, lo_y, hi_x, hi_y], for pathnet
+        # ROI selection.
+        fx = mesh.vertices[mesh.faces, 0]
+        fy = mesh.vertices[mesh.faces, 1]
+        self._face_rows = np.column_stack(
+            (fx.min(axis=1), fy.min(axis=1), fx.max(axis=1), fy.max(axis=1))
+        )
 
     def save(self, path) -> None:
         """Persist the collapse history (the expensive build product);
@@ -220,7 +229,7 @@ class DMTM:
         (through this method) and then run per-candidate extractions
         with ``charge_io=False``.
         """
-        roi = _roi_list(roi)
+        roi = region_boxes(roi)
         if resolution <= 1.0:
             step = self.ddm.step_for_fraction(resolution)
             self._touch_nodes(self.ddm.cut_node_ids(step, roi))
@@ -230,58 +239,40 @@ class DMTM:
     def extract_network(
         self, resolution: float, roi=None, charge_io: bool = True
     ) -> NetworkView:
-        """Build the network at ``resolution`` restricted to ``roi``.
+        """The network at ``resolution`` restricted to ``roi``.
 
         ``roi`` may be None, one :class:`BoundingBox`, or a list of
         boxes (MR3's refined search regions).  ``charge_io=False``
         skips page accounting (use when the covering region was
         already fetched via :meth:`touch_region`).
         """
-        roi = _roi_list(roi)
+        roi = region_boxes(roi)
         if resolution <= 1.0:
             return self._extract_cut(resolution, roi, charge_io)
         return self._extract_pathnet(resolution, roi, charge_io)
 
     def _extract_cut(self, resolution: float, roi, charge_io: bool) -> NetworkView:
-        """The cut's recorded edges, selected and compiled to CSR with
-        array operations.  Node set, edge set and weights are those of
-        one ``add_edge`` per :meth:`DistanceDirectMesh.cut_edges` edge
-        (same first-occurrence dedupe — see DDM.cut_edge_arrays), so
-        every search returns the same distances."""
+        """The step's compiled cut and the mask of its rows meeting
+        ``roi``: the Direct Mesh jumps straight to the records a
+        region needs, so nothing is built per region."""
         step = self.ddm.step_for_fraction(resolution)
-        cut_ids = self.ddm.cut_node_ids(step, roi)
+        cut = self.ddm.compiled_cut(step)
+        region = None if roi is None else rows_meeting_boxes(cut.rows, roi)
+        ids = cut.ids if region is None else cut.ids[region]
         if charge_io:
-            self._touch_nodes(cut_ids)
-        u, w, d = self.ddm.cut_edge_arrays(cut_ids)
-        nnodes = int(cut_ids.size)
-        # cut_ids is ascending (np.nonzero order), so local ids come
-        # from binary search.
-        lu = np.searchsorted(cut_ids, u)
-        lw = np.searchsorted(cut_ids, w)
-        src_dir = np.concatenate([lu, lw])
-        dst_dir = np.concatenate([lw, lu])
-        w_dir = np.concatenate([d, d])
-        order = np.argsort(src_dir, kind="stable")
-        indptr = np.zeros(nnodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src_dir, minlength=nnodes), out=indptr[1:])
-        positions = self.ddm.node_positions()[cut_ids]
-        csr = CSRGraph(
-            indptr, dst_dir[order], w_dir[order], positions=positions
-        )
-        graph = KeyedGraph.from_arrays(
-            [("n", int(i)) for i in cut_ids], positions, csr
-        )
+            self._touch_nodes(ids)
         return NetworkView(
-            graph=graph, resolution=resolution, records_used=nnodes, step=step
+            resolution=resolution,
+            records_used=int(ids.size),
+            step=step,
+            cut=cut,
+            region=region,
         )
 
     def _faces_in_roi(self, roi) -> np.ndarray:
         if roi is None:
             return np.arange(self.mesh.num_faces)
-        keep: set[int] = set()
-        for box in roi:
-            keep.update(int(fi) for fi in self.mesh.submesh_faces(box))
-        return np.asarray(sorted(keep), dtype=np.int64)
+        return np.flatnonzero(rows_meeting_boxes(self._face_rows, roi))
 
     def _steiner_for(self, resolution: float) -> int:
         """Steiner density of a pathnet-level resolution.
@@ -300,10 +291,10 @@ class DMTM:
             self._touch_faces(faces)
         graph = build_pathnet(self.mesh, self._steiner_for(resolution), faces)
         return NetworkView(
-            graph=graph,
             resolution=resolution,
             records_used=int(len(faces)),
             step=None,
+            graph=graph,
         )
 
     # ------------------------------------------------------------------
@@ -338,29 +329,30 @@ class DMTM:
         step = network.step
         anc_a, off_a = self.ddm.ancestor(vertex_a, step)
         anc_b, off_b = self.ddm.ancestor(vertex_b, step)
-        key_a = ("n", anc_a)
-        key_b = ("n", anc_b)
-        graph = network.graph
-        if key_a not in graph or key_b not in graph:
+        sid = network.cut_row(anc_a)
+        tid = network.cut_row(anc_b)
+        if sid is None or tid is None:
             return None
         if anc_a == anc_b:
             return UpperBoundResult(
                 value=off_a + off_b,
-                path_keys=[key_a],
+                path_keys=[("n", anc_a)],
                 resolution=network.resolution,
             )
-        sid = graph.node_id(key_a)
-        tid = graph.node_id(key_b)
-        dist, parent = graph_dijkstra_with_parents(graph, sid, targets={tid})
+        cut = network.cut
+        dist, parent = graph_dijkstra_with_parents(
+            cut.csr, sid, targets={tid}, region=network.region
+        )
         if tid not in dist:
             return None
         path = [tid]
         while path[-1] != sid:
             path.append(parent[path[-1]])
         path.reverse()
+        ids = cut.id_list
         return UpperBoundResult(
             value=off_a + dist[tid] + off_b,
-            path_keys=[graph.key_of(n) for n in path],
+            path_keys=[("n", ids[n]) for n in path],
             resolution=network.resolution,
         )
 
@@ -396,43 +388,80 @@ class DMTM:
         over a shared network serves them all — the main CPU saving of
         fetching an integrated region once.
         """
-        graph = network.graph
-        results: dict[int, UpperBoundResult | None] = {}
         if network.resolution <= 1.0:
-            step = network.step
-            anc_s, off_s = self.ddm.ancestor(source_vertex, step)
-            key_s = ("n", anc_s)
-            anc_info = {}
-            for v in target_vertices:
-                anc_v, off_v = self.ddm.ancestor(v, step)
-                anc_info[v] = (("n", anc_v), off_v)
-            key_of = lambda v: anc_info[v][0]  # noqa: E731
-            extra_of = lambda v: off_s + anc_info[v][1]  # noqa: E731
-        else:
-            key_s = vertex_key(source_vertex)
-            key_of = vertex_key
-            extra_of = lambda v: 0.0  # noqa: E731
+            return self._upper_bounds_from_cut(
+                source_vertex, target_vertices, network
+            )
+        graph = network.graph
+        key_s = vertex_key(source_vertex)
         if key_s not in graph:
             return {v: None for v in target_vertices}
         sid = graph.node_id(key_s)
         target_ids = {
-            graph.node_id(key_of(v))
+            graph.node_id(vertex_key(v))
             for v in target_vertices
-            if key_of(v) in graph
+            if vertex_key(v) in graph
         }
-        dist, parent = graph_dijkstra_with_parents(
-            graph, sid, targets=set(target_ids)
-        )
+        dist, parent = graph_dijkstra_with_parents(graph, sid, targets=target_ids)
+        results: dict[int, UpperBoundResult | None] = {}
         for v in target_vertices:
-            key_v = key_of(v)
+            key_v = vertex_key(v)
             if key_v not in graph:
                 results[v] = None
                 continue
             tid = graph.node_id(key_v)
             if tid == sid:
                 results[v] = UpperBoundResult(
-                    value=extra_of(v),
-                    path_keys=[key_v],
+                    value=0.0, path_keys=[key_v], resolution=network.resolution
+                )
+                continue
+            if tid not in dist:
+                results[v] = None
+                continue
+            path = [tid]
+            while path[-1] != sid:
+                path.append(parent[path[-1]])
+            path.reverse()
+            results[v] = UpperBoundResult(
+                value=dist[tid],
+                path_keys=[graph.key_of(n) for n in path],
+                resolution=network.resolution,
+            )
+        return results
+
+    def _upper_bounds_from_cut(
+        self, source_vertex: int, target_vertices, network: NetworkView
+    ) -> dict[int, UpperBoundResult | None]:
+        """:meth:`upper_bounds_from` at a cut level: one search over
+        the region of the compiled cut, each value composed as
+        ``(off_s + off_t) + d``."""
+        step = network.step
+        anc_s, off_s = self.ddm.ancestor(source_vertex, step)
+        sid = network.cut_row(anc_s)
+        if sid is None:
+            return {v: None for v in target_vertices}
+        rows: dict[int, tuple[int | None, float]] = {}
+        for v in target_vertices:
+            anc_v, off_v = self.ddm.ancestor(v, step)
+            rows[v] = (network.cut_row(anc_v), off_s + off_v)
+        cut = network.cut
+        dist, parent = graph_dijkstra_with_parents(
+            cut.csr,
+            sid,
+            targets={row for row, _extra in rows.values() if row is not None},
+            region=network.region,
+        )
+        ids = cut.id_list
+        results: dict[int, UpperBoundResult | None] = {}
+        for v in target_vertices:
+            tid, extra = rows[v]
+            if tid is None:
+                results[v] = None
+                continue
+            if tid == sid:
+                results[v] = UpperBoundResult(
+                    value=extra,
+                    path_keys=[("n", ids[tid])],
                     resolution=network.resolution,
                 )
                 continue
@@ -444,8 +473,8 @@ class DMTM:
                 path.append(parent[path[-1]])
             path.reverse()
             results[v] = UpperBoundResult(
-                value=extra_of(v) + dist[tid],
-                path_keys=[graph.key_of(n) for n in path],
+                value=extra + dist[tid],
+                path_keys=[("n", ids[n]) for n in path],
                 resolution=network.resolution,
             )
         return results

@@ -201,6 +201,26 @@ class Profiler:
             return NOOP_PHASE
         return _PhaseContext(self, name)
 
+    def leaf(self, name: str) -> PhaseNode | None:
+        """The aggregated node of phase ``name`` under the innermost
+        open phase, created on first use, or None when the profiler
+        is disabled or no phase is open.
+
+        For a hot leaf phase inside which nothing opens a phase or
+        counts: the caller adds its seconds, calls and counters to the
+        node itself, which records what opening the phase per call
+        records without pushing a frame each time."""
+        if not self.enabled:
+            return None
+        stack = self._stack()
+        if not stack:
+            return None
+        children = stack[-1].children
+        node = children.get(name)
+        if node is None:
+            node = children[name] = PhaseNode(name)
+        return node
+
     def count(self, name: str, amount: float = 1) -> None:
         """Attribute a counter delta to the innermost open phase."""
         if not self.enabled:

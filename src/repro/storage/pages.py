@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import time
 import zlib
 from collections import Counter, OrderedDict
 
@@ -355,12 +356,28 @@ class PageManager:
 
     def _read_miss(self, page_id: int, gated: bool, profiler) -> bytes:
         """A buffer miss of :meth:`read_pages`: the quarantine gate
-        (while ``gated``), then the verified fetch."""
+        (while ``gated``), then the verified fetch.
+
+        A buffer miss is the query's page-I/O moment: the physical
+        fetch (plus CRC/retry machinery) is billed to the "page-io"
+        phase, with per-class read attribution.  Nothing inside a
+        fetch opens a phase or counts, so under an open phase the
+        miss bills the phase's node directly (:meth:`Profiler.leaf`);
+        a failed fetch bills its time and call but no reads."""
         verdict = self._gate(page_id) if gated else QUARANTINE_CLEAR
-        if profiler.enabled:
-            # A buffer miss is the query's page-I/O moment: the
-            # physical fetch (plus CRC/retry machinery) is billed to
-            # the "page-io" phase, with per-class read attribution.
+        page_io = profiler.leaf("page-io") if profiler.enabled else None
+        if page_io is not None:
+            t0 = time.perf_counter()
+            try:
+                data = self._fetch_verified(page_id, verdict)
+            finally:
+                page_io.seconds += time.perf_counter() - t0
+                page_io.calls += 1
+            page_io.count("logical_reads", 1)
+            page_io.count("physical_reads", 1)
+            page_io.count("physical." + self.page_class_of(page_id), 1)
+        elif profiler.enabled:
+            # No phase is open: the miss is a profile of its own.
             with profiler.phase("page-io") as phase:
                 data = self._fetch_verified(page_id, verdict)
                 phase.count("logical_reads", 1)

@@ -8,9 +8,9 @@ pair's identity (or bound) is asserted:
 pair                contract
 ==================  =================================================
 components vs       the array pathnet builder, the compiled-graph
-oracles             search kernels, MSDN lower bounds and dummy-lb
-                    screens agree exactly with the reference
-                    implementations
+oracles             search kernels, MSDN lower bounds, dummy-lb
+                    screens and in-place cut-level upper bounds agree
+                    exactly with the reference implementations
                     (:mod:`repro.testkit.reference`, dict kernels)
                     on the scenario's terrain, queries and objects
                     (``component_identity``)
@@ -62,6 +62,7 @@ import numpy as np
 from repro.core.baseline import exact_knn
 from repro.core.batch import BatchQueryExecutor
 from repro.core.budget import QueryBudget
+from repro.core.schedule import ResolutionSchedule
 from repro.errors import QueryError
 from repro.geometry.primitives import BoundingBox
 from repro.geodesic.csr import (
@@ -81,10 +82,26 @@ from repro.testkit.generators import (
 from repro.testkit.oracles import OracleContext, Violation, run_oracles
 from repro.testkit.reference import (
     build_pathnet_reference,
+    dmtm_cut_reference,
+    dmtm_upper_bound_cut_reference,
+    dmtm_upper_bounds_from_cut_reference,
     msdn_lower_bound_reference,
+    upper_bound_bits,
 )
 
 EPS = 1e-6
+
+#: Every cut-level DMTM resolution a preset schedule walks.
+CUT_RESOLUTIONS = tuple(
+    sorted(
+        {
+            r
+            for preset in (1, 2, 3, "ea")
+            for r in ResolutionSchedule.preset(preset).dmtm_levels
+            if r <= 1.0
+        }
+    )
+)
 
 #: Relative tolerance between a multi-source label and the per-anchor
 #: dict composition: about 4500 float64 ulps, above the rounding of any
@@ -243,9 +260,12 @@ def component_mismatches(engine, query_vertices) -> list[tuple[int, str]]:
 
     Checks the pathnet builder once, then per query vertex: full and
     early-exit single-source searches on the pathnet, a two-anchor
-    multi-source search toward the objects, and the MSDN lower bound
+    multi-source search toward the objects, the MSDN lower bound
     to every object at every resolution, without and with an ROI box,
-    with the dummy-lb screen beside it.
+    with the dummy-lb screen beside it, and the cut-level upper bounds
+    to every object at every cut resolution, without and with an ROI
+    box, pair by pair and in one search (in place on the compiled cut
+    against keyed graphs on the dict kernels).
     Returns ``(query_index, message)`` pairs; ``-1`` for the builder.
     """
     mesh = engine.mesh
@@ -267,6 +287,7 @@ def component_mismatches(engine, query_vertices) -> list[tuple[int, str]]:
     targets = {graph.node_id(vertex_key(v)) for v in object_vertices}
     edge_network = mesh.edge_network()
     msdn = engine.msdn
+    dmtm = engine.dmtm
     for index, qv in enumerate(query_vertices):
         src = graph.node_id(vertex_key(qv))
         if graph_dijkstra_with_parents(graph, src) != (
@@ -340,6 +361,32 @@ def component_mismatches(engine, query_vertices) -> list[tuple[int, str]]:
                                             f"corridor={cor is not None}) "
                                             f"diverged at threshold {t!r}")
                                 )
+        # The ROI: the box of the query and the nearer half of the
+        # objects (by vertex id order, a fixed but uneven region).
+        half = object_vertices[: max(1, len(object_vertices) // 2)]
+        cut_box = BoundingBox.of_points(mesh.vertices[[qv, *half], :2])
+        for res in CUT_RESOLUTIONS:
+            for roi in (None, cut_box):
+                network = dmtm.extract_network(res, roi, charge_io=False)
+                ref_net = dmtm_cut_reference(dmtm, res, roi, charge_io=False)
+                got = dmtm.upper_bounds_from(qv, object_vertices, network)
+                want = dmtm_upper_bounds_from_cut_reference(
+                    dmtm, qv, object_vertices, ref_net
+                )
+                for ov in object_vertices:
+                    single = dmtm.upper_bound(qv, ov, res, network=network)
+                    ref_single = dmtm_upper_bound_cut_reference(dmtm, qv, ov, ref_net)
+                    for label, lhs, rhs in (
+                        ("one search", got[ov], want[ov]),
+                        ("pair", single, ref_single),
+                    ):
+                        if upper_bound_bits(lhs) != upper_bound_bits(rhs):
+                            out.append(
+                                (index, f"cut upper bound ({label}) to vertex "
+                                        f"{ov} at r={res} "
+                                        f"(roi={roi is not None}) diverged: "
+                                        f"{lhs} != {rhs}")
+                            )
     return out
 
 

@@ -10,11 +10,21 @@ page bytes, same pages read in the same order.
 
 * :func:`build_pathnet_reference` — the per-face Python loop behind
   :func:`repro.geodesic.pathnet.build_pathnet`;
-* :func:`dmtm_cut_reference` — one ``add_edge`` per recorded cut edge
-  and record-id page charging (:func:`dmtm_touch_nodes_reference`,
+* :func:`dmtm_cut_reference` — cut nodes selected by a walk over the
+  collapse nodes, one ``add_edge`` per recorded cut edge and
+  record-id page charging (:func:`dmtm_touch_nodes_reference`,
   :func:`dmtm_touch_faces_reference`, both through
   :func:`touch_records_reference`), the twin of
-  :meth:`repro.multires.dmtm.DMTM.extract_network` at cut levels;
+  :meth:`repro.multires.dmtm.DMTM.extract_network` at cut levels,
+  searched by :func:`dmtm_upper_bound_cut_reference` and
+  :func:`dmtm_upper_bounds_from_cut_reference` (keyed graphs, dict
+  kernels), the twins of the in-place searches over a compiled cut;
+  :func:`dmtm_cut_per_region` is the array build of one network per
+  region that production ran before, kept as the bench baseline;
+  :func:`dmtm_faces_reference` — pathnet faces as the union of
+  :meth:`~repro.terrain.mesh.TriangleMesh.submesh_faces` per box;
+* :func:`rows_meeting_boxes_reference` — one pass over the rows per
+  box, the twin of :func:`repro.geometry.primitives.rows_meeting_boxes`;
 * :func:`dmtm_upper_bounds_multi_reference` — one search per anchor,
   the twin of the single multi-source search behind
   :meth:`~repro.multires.dmtm.DMTM.upper_bounds_multi`;
@@ -73,19 +83,18 @@ from repro.errors import (
     QuarantinedPageError,
     StorageError,
 )
+from repro.geodesic.csr import CSRGraph, graph_dijkstra_with_parents
 from repro.geodesic.graph import KeyedGraph
 from repro.geodesic.pathnet import steiner_key, vertex_key
 from repro.geometry.polyline import Polyline, simplify_with_enclosure
-from repro.geometry.primitives import BoundingBox
+from repro.geometry.primitives import BoundingBox, region_boxes
 from repro.msdn.msdn import (
     DEFAULT_RESOLUTIONS,
     LowerBoundResult,
-    _box_mask,
-    _roi_list,
     crossing_lines,
 )
 from repro.msdn.sdn import _CHUNK_STRUCT, _point_to_boxes
-from repro.multires.dmtm import NetworkView
+from repro.multires.dmtm import NetworkView, UpperBoundResult
 from repro.simplification.collapse import CollapseHistory, CollapseNode
 from repro.simplification.quadric import best_merge_position, face_quadric
 from repro.obs.context import active_profiler, active_registry
@@ -179,13 +188,53 @@ def dmtm_touch_faces_reference(dmtm, face_ids) -> None:
         touch_records_reference(dmtm._face_store, (int(fi) for fi in face_ids))
 
 
+def rows_meeting_boxes_reference(rows: np.ndarray, boxes) -> np.ndarray:
+    """Mask of the ``[lo_x, lo_y, hi_x, hi_y]`` rows meeting any box,
+    one pass over all rows per box."""
+    mask = np.zeros(rows.shape[0], dtype=bool)
+    for box in boxes:
+        mask |= (
+            (rows[:, 0] <= box.hi[0])
+            & (rows[:, 2] >= box.lo[0])
+            & (rows[:, 1] <= box.hi[1])
+            & (rows[:, 3] >= box.lo[1])
+        )
+    return mask
+
+
+def dmtm_cut_nodes_reference(ddm, step: int, roi=None) -> list[int]:
+    """Cut node ids by a walk over the collapse nodes: alive at
+    ``step`` and, with an ``roi``, with a descendant MBR that
+    intersects one of its boxes."""
+    roi = region_boxes(roi)
+    return [
+        node.node_id
+        for node in ddm.history.nodes
+        if node.alive_at(step)
+        and (roi is None or any(ddm.node_mbr(node.node_id).intersects(b) for b in roi))
+    ]
+
+
+def dmtm_faces_reference(dmtm, roi=None) -> np.ndarray:
+    """Pathnet face ids for ``roi``: the sorted union of
+    :meth:`~repro.terrain.mesh.TriangleMesh.submesh_faces` per box."""
+    roi = region_boxes(roi)
+    if roi is None:
+        return np.arange(dmtm.mesh.num_faces)
+    keep: set[int] = set()
+    for box in roi:
+        keep.update(int(fi) for fi in dmtm.mesh.submesh_faces(box))
+    return np.asarray(sorted(keep), dtype=np.int64)
+
+
 def dmtm_cut_reference(dmtm, resolution: float, roi=None, charge_io: bool = True):
     """Cut-level network by one ``add_edge`` per
-    :meth:`~repro.multires.ddm.DistanceDirectMesh.cut_edges` edge,
-    charging pages by record id."""
-    roi = _roi_list(roi)
+    :meth:`~repro.multires.ddm.DistanceDirectMesh.cut_edges` edge
+    among the nodes :func:`dmtm_cut_nodes_reference` selects,
+    charging pages by record id.  The view carries the keyed graph;
+    search it with :func:`dmtm_upper_bound_cut_reference`."""
     step = dmtm.ddm.step_for_fraction(resolution)
-    cut = [int(n) for n in dmtm.ddm.cut_node_ids(step, roi)]
+    cut = dmtm_cut_nodes_reference(dmtm.ddm, step, roi)
     if charge_io:
         dmtm_touch_nodes_reference(dmtm, cut)
     graph = KeyedGraph()
@@ -194,8 +243,131 @@ def dmtm_cut_reference(dmtm, resolution: float, roi=None, charge_io: bool = True
     for u, w, d in dmtm.ddm.cut_edges(cut):
         graph.add_edge(("n", u), ("n", w), d)
     return NetworkView(
-        graph=graph, resolution=resolution, records_used=len(cut), step=step
+        resolution=resolution, records_used=len(cut), step=step, graph=graph
     )
+
+
+def dmtm_cut_per_region(dmtm, resolution: float, roi=None, charge_io: bool = True):
+    """Cut-level network built for one region with array operations:
+    the region's node ids, their recorded edges (see
+    :meth:`~repro.multires.ddm.DistanceDirectMesh.cut_edge_arrays`),
+    a fresh CSR over them and a compiled
+    :class:`~repro.geodesic.graph.KeyedGraph` with one key per node.
+    Production built this per refined corridor before it searched the
+    compiled cut in place; the kernels bench keeps it as that
+    comparison's baseline."""
+    ddm = dmtm.ddm
+    step = ddm.step_for_fraction(resolution)
+    alive = (ddm._birth <= step) & (ddm._death > step)
+    roi = region_boxes(roi)
+    if roi is not None:
+        alive &= rows_meeting_boxes_reference(ddm._mbr_rows, roi)
+    cut_ids = np.flatnonzero(alive)
+    if charge_io:
+        dmtm._touch_nodes(cut_ids)
+    u, w, d = ddm.cut_edge_arrays(cut_ids)
+    nnodes = int(cut_ids.size)
+    lu = np.searchsorted(cut_ids, u)
+    lw = np.searchsorted(cut_ids, w)
+    src_dir = np.concatenate([lu, lw])
+    dst_dir = np.concatenate([lw, lu])
+    w_dir = np.concatenate([d, d])
+    order = np.argsort(src_dir, kind="stable")
+    indptr = np.zeros(nnodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src_dir, minlength=nnodes), out=indptr[1:])
+    positions = ddm.node_positions()[cut_ids]
+    csr = CSRGraph(indptr, dst_dir[order], w_dir[order], positions=positions)
+    graph = KeyedGraph.from_arrays([("n", int(i)) for i in cut_ids], positions, csr)
+    return NetworkView(
+        resolution=resolution, records_used=nnodes, step=step, graph=graph
+    )
+
+
+def upper_bound_bits(result):
+    """A DMTM upper bound as ``(value bytes, path keys, resolution)``,
+    None when unreachable — what the cut identity checks compare."""
+    if result is None:
+        return None
+    return np.float64(result.value).tobytes(), result.path_keys, result.resolution
+
+
+def _keyed_path(graph, parent, sid: int, tid: int) -> list:
+    path = [tid]
+    while path[-1] != sid:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return [graph.key_of(n) for n in path]
+
+
+def dmtm_upper_bound_cut_reference(dmtm, vertex_a: int, vertex_b: int, network):
+    """:meth:`DMTM._upper_bound_cut` over a keyed cut network
+    (:func:`dmtm_cut_reference`, :func:`dmtm_cut_per_region`): the
+    ancestors' ``("n", id)`` keys looked up in the graph and one
+    search with parents, on the dict kernel when nobody compiled the
+    graph."""
+    step = network.step
+    anc_a, off_a = dmtm.ddm.ancestor(vertex_a, step)
+    anc_b, off_b = dmtm.ddm.ancestor(vertex_b, step)
+    key_a = ("n", anc_a)
+    key_b = ("n", anc_b)
+    graph = network.graph
+    if key_a not in graph or key_b not in graph:
+        return None
+    if anc_a == anc_b:
+        return UpperBoundResult(
+            value=off_a + off_b, path_keys=[key_a], resolution=network.resolution
+        )
+    sid = graph.node_id(key_a)
+    tid = graph.node_id(key_b)
+    dist, parent = graph_dijkstra_with_parents(graph, sid, targets={tid})
+    if tid not in dist:
+        return None
+    return UpperBoundResult(
+        value=off_a + dist[tid] + off_b,
+        path_keys=_keyed_path(graph, parent, sid, tid),
+        resolution=network.resolution,
+    )
+
+
+def dmtm_upper_bounds_from_cut_reference(
+    dmtm, source_vertex: int, target_vertices, network
+) -> dict:
+    """:meth:`DMTM._upper_bounds_from_cut` over a keyed cut network:
+    one search from the source's ancestor toward every target's, each
+    value composed as ``(off_s + off_t) + d``."""
+    step = network.step
+    graph = network.graph
+    anc_s, off_s = dmtm.ddm.ancestor(source_vertex, step)
+    key_s = ("n", anc_s)
+    info = {}
+    for v in target_vertices:
+        anc_v, off_v = dmtm.ddm.ancestor(v, step)
+        info[v] = (("n", anc_v), off_s + off_v)
+    if key_s not in graph:
+        return {v: None for v in target_vertices}
+    sid = graph.node_id(key_s)
+    target_ids = {graph.node_id(key) for key, _extra in info.values() if key in graph}
+    dist, parent = graph_dijkstra_with_parents(graph, sid, targets=target_ids)
+    results: dict = {}
+    for v in target_vertices:
+        key_v, extra = info[v]
+        if key_v not in graph:
+            results[v] = None
+            continue
+        tid = graph.node_id(key_v)
+        if tid == sid:
+            results[v] = UpperBoundResult(
+                value=extra, path_keys=[key_v], resolution=network.resolution
+            )
+        elif tid not in dist:
+            results[v] = None
+        else:
+            results[v] = UpperBoundResult(
+                value=extra + dist[tid],
+                path_keys=_keyed_path(graph, parent, sid, tid),
+                resolution=network.resolution,
+            )
+    return results
 
 
 def dmtm_upper_bounds_multi_reference(dmtm, anchors, target_vertices, network):
@@ -517,8 +689,8 @@ def msdn_layers_reference(
     pa = np.asarray(point_a, dtype=float)
     pb = np.asarray(point_b, dtype=float)
     resolution = msdn.nearest_resolution(resolution)
-    roi = _roi_list(roi)
-    corridor = _roi_list(corridor)
+    roi = region_boxes(roi)
+    corridor = region_boxes(corridor)
     axis = msdn.choose_axis(pa, pb)
     lo = min(pa[axis], pb[axis])
     hi = max(pa[axis], pb[axis])
@@ -535,9 +707,9 @@ def msdn_layers_reference(
         else:
             mask = np.ones(xy.shape[0], dtype=bool)
             if roi is not None:
-                mask &= _box_mask(xy, roi)
+                mask &= rows_meeting_boxes_reference(xy, roi)
             if corridor is not None:
-                mask &= _box_mask(xy, corridor)
+                mask &= rows_meeting_boxes_reference(xy, corridor)
             keep = [layer[j] for j in np.nonzero(mask)[0]]
         if keep:
             layers.append(keep)
@@ -589,14 +761,15 @@ def msdn_touch_region_reference(msdn, resolution: float, roi=None, axes=(0, 1)) 
     """:meth:`MSDN.touch_region` by record id: each plane's chunks
     inside ``roi``, charged plane by plane."""
     resolution = msdn.nearest_resolution(resolution)
-    roi = _roi_list(roi)
+    roi = region_boxes(roi)
     ref = msdn_reference(msdn)
     for axis in axes:
         layers = ref.chunks[(axis, resolution)]
         bounds = ref.chunk_xy[(axis, resolution)]
         for layer, xy in zip(layers, bounds):
             if roi is not None:
-                layer = [layer[j] for j in np.nonzero(_box_mask(xy, roi))[0]]
+                mask = rows_meeting_boxes_reference(xy, roi)
+                layer = [layer[j] for j in np.nonzero(mask)[0]]
             _touch_chunks(msdn, layer, resolution)
 
 

@@ -148,6 +148,27 @@ class TestMSDNTouchRegion:
                     assert got_pages
 
 
+def _cut_view_graph(view):
+    """A cut-level view as ``(keys, positions, adjacency)`` in the
+    reference's ``("n", id)`` keys: the region's rows of the compiled
+    cut and the edges among them, each node's list in CSR order."""
+    cut = view.cut
+    rows = np.arange(cut.ids.size) if view.region is None else np.flatnonzero(view.region)
+    keep = set(rows.tolist())
+    indptr, indices, weights = cut.csr.lists()
+    keys = [("n", cut.id_list[r]) for r in rows]
+    positions = [tuple(cut.csr.positions[r]) for r in rows]
+    adjacency = [
+        [
+            (("n", cut.id_list[indices[e]]), weights[e])
+            for e in range(indptr[r], indptr[r + 1])
+            if indices[e] in keep
+        ]
+        for r in rows.tolist()
+    ]
+    return keys, positions, adjacency
+
+
 class TestDMTMCut:
     @pytest.mark.parametrize("resolution", [0.005, 0.25, 0.5, 1.0])
     def test_matches_add_edge_build(self, engine, page_log, resolution):
@@ -162,25 +183,31 @@ class TestDMTMCut:
             want = dmtm_cut_reference(dmtm, resolution, roi)
             assert got_pages == page_log
             assert (got.step, got.records_used) == (want.step, want.records_used)
-            g, w = got.graph, want.graph
-            assert [g.key_of(i) for i in range(len(g))] == [
-                w.key_of(i) for i in range(len(w))
+            keys, positions, adjacency = _cut_view_graph(got)
+            w = want.graph
+            assert keys == [w.key_of(i) for i in range(len(w))]
+            assert positions == [tuple(w.position_of(i)) for i in range(len(w))]
+            want_adjacency = [
+                [(w.key_of(v), d) for v, d in nbrs] for nbrs in w.adjacency
             ]
-            for i in range(len(w)):
-                assert tuple(g.position_of(i)) == tuple(w.position_of(i))
-            assert sorted(map(sorted, g.adjacency)) == sorted(
-                map(sorted, w.adjacency)
+            assert sorted(map(sorted, adjacency)) == sorted(
+                map(sorted, want_adjacency)
             )
             for source in range(0, len(w), max(1, len(w) // 4)):
-                dist, _ = graph_dijkstra_with_parents(g, source)
+                row = got.cut_row(w.key_of(source)[1])
+                dist, _ = graph_dijkstra_with_parents(
+                    got.cut.csr, row, region=got.region
+                )
                 want_dist, _ = dijkstra_with_parents_reference(w.adjacency, source)
-                assert dist == want_dist
+                assert {got.cut.id_list[n]: d for n, d in dist.items()} == {
+                    w.key_of(n)[1]: d for n, d in want_dist.items()
+                }
 
     def test_empty_cut(self, engine, page_log):
         far = BoundingBox((-1e9, -1e9), (-1e9 + 1.0, -1e9 + 1.0))
         got = engine.dmtm.extract_network(0.5, far)
         want = dmtm_cut_reference(engine.dmtm, 0.5, far)
-        assert len(got.graph) == len(want.graph) == 0
+        assert not got.region.any() and len(want.graph) == 0
         assert got.records_used == want.records_used == 0
         assert page_log == []
 

@@ -2,12 +2,13 @@
 
 MSDN chunk arrays and the MSDN and DMTM page arrays are built with the
 structures and storage; what is still built on first use and shared
-afterwards is the DDM record arrays, the CSR list mirrors, the MSDN
-corridor index and the round-0 pathnet cached on the mesh.  Eight
-workers start on a fresh engine at once, with the interpreter
-switching threads as often as it can, so those first touches race.
-The answers must still match a sequential run on another fresh
-engine.
+afterwards is the DDM record arrays, the DDM's compiled cut per
+collapse step (every cut-level extraction of every worker searches
+it in place), the CSR list mirrors, the MSDN corridor index and the
+round-0 pathnet cached on the mesh.  Eight workers start on a fresh
+engine at once, with the interpreter switching threads as often as
+it can, so those first touches race.  The answers must still match a
+sequential run on another fresh engine.
 
 The lazy builds that publish several arrays, or one index, are also
 raced deterministically: the building thread is held right after its
@@ -171,3 +172,19 @@ def test_msdn_corridor_index_publishes_whole(rough_mesh):
     msdn._corridor_index = _HeldDict(hold)
     for got in _race(msdn, hold, lambda m: m.corridor_from_path(keys, res)):
         assert got == want
+
+
+def test_ddm_cut_graph_publish_whole(rough_mesh):
+    plain = DistanceDirectMesh(rough_mesh)
+    step = plain.step_for_fraction(0.5)
+    want = plain.compiled_cut(step)
+    hold = _Hold()
+    ddm = DistanceDirectMesh(rough_mesh, history=plain.history)
+    ddm._cuts = _HeldDict(hold)
+    for got in _race(ddm, hold, lambda d: d.compiled_cut(step)):
+        assert got.step == step
+        assert got.id_list == want.id_list
+        for name in ("ids", "rows", "local"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert got.csr.lists() == want.csr.lists()
+        assert np.array_equal(got.csr.positions, want.csr.positions)

@@ -140,8 +140,8 @@ def _bits(values) -> bytes:
 
 
 class TestScalarCombinators:
-    """union and measure are scalar; they must equal the numpy forms
-    they replaced bit for bit."""
+    """union, intersection, expanded and measure are scalar; they must
+    equal the numpy forms they replaced bit for bit."""
 
     @given(st.integers(min_value=2, max_value=3).flatmap(
         lambda dim: st.tuples(_box(dim), _box(dim))))
@@ -159,8 +159,42 @@ class TestScalarCombinators:
             want = float(np.prod(np.asarray(a.hi) - np.asarray(a.lo)))
         assert _bits([a.measure()]) == _bits([want])
 
+    @given(st.integers(min_value=2, max_value=3).flatmap(
+        lambda dim: st.tuples(_box(dim), _box(dim))))
+    @settings(max_examples=400)
+    def test_intersection_matches_numpy(self, boxes):
+        a, b = boxes
+        lo = np.maximum(a.lo, b.lo)
+        hi = np.minimum(a.hi, b.hi)
+        got = a.intersection(b)
+        if np.any(lo > hi):
+            assert got is None
+        else:
+            assert _bits(got.lo) == _bits(lo)
+            assert _bits(got.hi) == _bits(hi)
+
+    @given(
+        st.integers(min_value=2, max_value=3).flatmap(_box),
+        st.one_of(
+            st.sampled_from([0.0, -0.0, float("nan"), float("inf")]),
+            st.floats(min_value=0.0, allow_infinity=True),
+        ),
+    )
+    @settings(max_examples=400)
+    def test_expanded_matches_numpy(self, a, margin):
+        m = np.full(a.dim, margin)
+        with np.errstate(all="ignore"):  # inf - inf
+            lo = np.asarray(a.lo) - m
+            hi = np.asarray(a.hi) + m
+        got = a.expanded(margin)
+        assert _bits(got.lo) == _bits(lo)
+        assert _bits(got.hi) == _bits(hi)
+
     def test_signed_zero_ties_take_the_right_value(self):
         got = box((-0.0, 0.0), (0.0, -0.0)).union(box((0.0, -0.0), (-0.0, 0.0)))
+        assert _bits(got.lo) == _bits((0.0, -0.0))
+        assert _bits(got.hi) == _bits((-0.0, 0.0))
+        got = box((-0.0, 0.0), (0.0, -0.0)).intersection(box((0.0, -0.0), (-0.0, 0.0)))
         assert _bits(got.lo) == _bits((0.0, -0.0))
         assert _bits(got.hi) == _bits((-0.0, 0.0))
 

@@ -98,7 +98,9 @@ class TestExtraction:
     def test_cut_sizes_scale(self, dmtm):
         small = dmtm.extract_network(0.1)
         large = dmtm.extract_network(0.8)
-        assert len(small.graph) < len(large.graph)
+        assert small.cut.ids.size == small.records_used
+        assert large.cut.ids.size == large.records_used
+        assert small.records_used < large.records_used
 
     def test_pathnet_level(self, dmtm):
         network = dmtm.extract_network(RESOLUTION_PATHNET)

@@ -64,6 +64,21 @@ class TestProfiler:
         # Same phase under a different parent is a different node.
         assert root.children["page-io"].children["graph-kernel"].calls == 1
 
+    def test_leaf_is_the_aggregated_child_of_the_open_phase(self):
+        prof = Profiler()
+        assert prof.leaf("page-io") is None  # no phase open
+        assert Profiler(enabled=False).leaf("page-io") is None
+        with prof.phase("query") as root:
+            node = prof.leaf("page-io")
+            assert node is root.children["page-io"]
+            assert prof.leaf("page-io") is node
+            assert prof.current() is root  # nothing was pushed
+            node.calls += 1
+            node.count("physical_reads", 1)
+        (profile,) = prof.take()
+        assert profile.root.children["page-io"].calls == 1
+        assert profile.counters_by_phase()["page-io"] == {"physical_reads": 1}
+
     def test_reentrant_phase_does_not_double_bill(self):
         """A kernel calling another kernel (shortest_path →
         dijkstra_with_parents) nests graph-kernel inside graph-kernel;

@@ -190,6 +190,29 @@ class TestDifferentialRunner:
         report = run_scenario(generate_scenario(CHEAP_SEED), modes={"oracle"})
         assert "component_identity" in {f.violation.oracle for f in report.findings}
 
+    def test_oracle_leg_catches_a_cut_search_bug(self, monkeypatch):
+        """An in-place cut-level upper bound one ulp off its keyed-graph
+        twin must surface as a component_identity finding."""
+        from dataclasses import replace
+
+        import numpy as np
+
+        from repro.multires.dmtm import DMTM
+
+        exact = DMTM._upper_bound_cut
+
+        def one_ulp_high(self, *args):
+            result = exact(self, *args)
+            if result is None:
+                return None
+            return replace(result, value=float(np.nextafter(result.value, np.inf)))
+
+        monkeypatch.setattr(DMTM, "_upper_bound_cut", one_ulp_high)
+        report = run_scenario(generate_scenario(CHEAP_SEED), modes={"oracle"})
+        messages = [f.violation.message for f in report.findings]
+        assert any("cut upper bound (pair)" in m for m in messages), messages
+        assert not any("cut upper bound (one search)" in m for m in messages)
+
     def test_modes_filter(self):
         report = run_scenario(
             generate_scenario(CHEAP_SEED), modes={"baseline"}

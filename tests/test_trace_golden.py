@@ -51,8 +51,9 @@ def _golden_result():
 def reference_components():
     """Run a block with the engine's bound layers on the reference
     implementations of :mod:`repro.testkit.reference`: per-face
-    pathnet builds (Kanai–Suzuki's round 0 rebuilt per call),
-    ``add_edge`` cut networks, record-id page charging, object-walk
+    pathnet builds over per-box face selections (Kanai–Suzuki's round
+    0 rebuilt per call), ``add_edge`` cut networks over node walks
+    searched as keyed graphs, record-id page charging, object-walk
     MSDN bounds and dummy-lb screens, and one upper-bound search per
     anchor.  None of those
     graphs is compiled, so every search takes the dict kernel.
@@ -73,6 +74,12 @@ def reference_components():
             lambda mesh: ref.build_pathnet_reference(mesh, 0),
         )
         patch.setattr(dmtm.DMTM, "_extract_cut", ref.dmtm_cut_reference)
+        patch.setattr(dmtm.DMTM, "_upper_bound_cut", ref.dmtm_upper_bound_cut_reference)
+        patch.setattr(
+            dmtm.DMTM, "_upper_bounds_from_cut",
+            ref.dmtm_upper_bounds_from_cut_reference,
+        )
+        patch.setattr(dmtm.DMTM, "_faces_in_roi", ref.dmtm_faces_reference)
         patch.setattr(dmtm.DMTM, "_touch_nodes", ref.dmtm_touch_nodes_reference)
         patch.setattr(dmtm.DMTM, "_touch_faces", ref.dmtm_touch_faces_reference)
         patch.setattr(
