@@ -807,8 +807,8 @@ def chaos(
 # Kernel trajectory — dict reference kernels vs flat CSR kernels
 # ----------------------------------------------------------------------
 
-#: Terrain side and page size of the ``msdn build`` and ``qem
-#: collapse`` micro rows (quick runs too).
+#: Terrain side and page size of the ``msdn build``, ``qem
+#: collapse`` and ``exact sweep`` micro rows (quick runs too).
 BUILD_SIZE = 33
 BUILD_PAGE_SIZE = 2048
 
@@ -850,7 +850,12 @@ def kernels(
     against the column-wise one, each including ``attach_storage`` on
     a fresh ``BUILD_PAGE_SIZE`` page manager, identical in arrays and
     pages; and ``qem collapse``, the per-pair collapse loop against
-    the batched one, identical node for node.  ``dmtm cut`` replays
+    the batched one, identical node for node; and ``exact sweep``,
+    full exact window propagations from fixed sources, the per-window
+    reference (:class:`~repro.testkit.reference.ExactGeodesicReference`)
+    against the flat event loop, identical in distance bytes and
+    window counts (each mesh's tables built before timing).
+    ``dmtm cut`` replays
     the refined-corridor upper bounds at cut levels a fixed set of
     queries makes (:func:`_refined_cut_calls`): once building one
     network per region
@@ -873,6 +878,7 @@ def kernels(
     from repro.simplification.collapse import build_collapse_history
     from repro.storage.pages import PageManager
     from repro.testkit.reference import (
+        ExactGeodesicReference,
         MSDNReference,
         build_collapse_history_reference,
         collapse_history_bits,
@@ -1112,6 +1118,23 @@ def kernels(
     qem_ref_seconds, _ = best_of(lambda: build_collapse_history_reference(build_mesh))
     qem_new_seconds, _ = best_of(lambda: build_collapse_history(build_mesh))
 
+    sweep_sources = query_vertices(build_mesh, 2 if quick else 4, seed=37)
+
+    def exact_sweeps(kernel):
+        out = []
+        for source in sweep_sources:
+            geo = kernel(build_mesh, source)
+            out.append((geo.distances().tobytes(), geo.windows_created))
+        return out
+
+    sweeps = exact_sweeps(ExactGeodesic)
+    if sweeps != exact_sweeps(ExactGeodesicReference):
+        raise AssertionError(
+            "exact sweep divergence: distances or window counts differ"
+        )
+    exact_ref_seconds, _ = best_of(lambda: exact_sweeps(ExactGeodesicReference))
+    exact_new_seconds, _ = best_of(lambda: exact_sweeps(ExactGeodesic))
+
     searches = len(sources) * len(target_ids)
     kernel_rows = [
         {
@@ -1307,6 +1330,26 @@ def kernels(
             ),
             "identical": True,
         },
+        {
+            "comparison": "exact sweep",
+            "kernel": "reference windows",
+            "searches": len(sweep_sources),
+            "seconds": exact_ref_seconds,
+            "speedup": 1.0,
+            "identical": True,
+            "windows": sum(windows for _bytes, windows in sweeps),
+        },
+        {
+            "comparison": "exact sweep",
+            "kernel": "flat loop",
+            "searches": len(sweep_sources),
+            "seconds": exact_new_seconds,
+            "speedup": (
+                exact_ref_seconds / exact_new_seconds if exact_new_seconds > 0 else None
+            ),
+            "identical": True,
+            "windows": sum(windows for _bytes, windows in sweeps),
+        },
     ]
 
     tables = [
@@ -1321,6 +1364,7 @@ def kernels(
                 "speedup",
                 "identical",
                 "witness_rate",
+                "windows",
             ],
             kernel_rows,
         ),
@@ -1346,6 +1390,7 @@ def kernels(
                 "page_io_pages": io_pages,
                 "build_size": BUILD_SIZE,
                 "build_page_size": BUILD_PAGE_SIZE,
+                "exact_sweep_sources": len(sweep_sources),
                 "repeats": repeats,
                 "quick": quick,
             }

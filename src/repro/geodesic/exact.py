@@ -25,83 +25,160 @@ Correctness notes
   dominated window never loses the optimum.
 * Like Chen & Han, worst-case work is quadratic in mesh size — which
   is exactly the blow-up Figure 7 of the paper demonstrates.
+
+Implementation
+--------------
+The propagation is one flat event loop (:meth:`ExactGeodesic._drain`)
+over plain tuples: a window is ``(face, slot, b0, b1, sx, sy, sigma)``
+and a heap entry ``(key, counter, kind, payload)``.  Everything that
+depends only on the mesh — each window edge's apex unfolding and far
+edges, the windows a pseudo-source emits, the vertex edges — is
+computed once per mesh by :func:`_mesh_tables`.  The loop evaluates
+the same float expressions, in the same order, as the one-method-per-
+step formulation kept as
+:class:`repro.testkit.reference.ExactGeodesicReference`, so both pop
+the same events and produce the same bits (docs/performance.md,
+"Exact window propagation").
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import GeodesicError
-from repro.obs.context import active_registry
+from repro.obs.context import active_profiler, active_registry
 
 _EPS = 1e-9
 _ANGLE_EPS = 1e-7
 
 
 def _mesh_tables(mesh):
-    """Per-mesh plain-Python access tables for the propagation loop.
+    """Per-mesh tables of the propagation loop, built once per mesh.
 
-    The inner loop reads face vertices, per-slot edge ids, neighbour
-    faces and edge lengths hundreds of thousands of times per source;
-    numpy scalar indexing dominates at that call rate.  The tables
-    hold exactly the same values as the mesh arrays (plain ``float``
-    of the same float64 entries), so every computed distance is
-    bit-identical to the array-indexing formulation.  Cached on the
-    mesh: one build serves every source (each landmark row, every
-    fig7 oracle).
+    ``(rows, spawn, vadj, spreader)``:
+
+    * ``rows[f][s]`` — a window on edge ``s`` of face ``f`` (first
+      vertex at (0, 0), second at (L, 0), the face at y > 0):
+      ``(a, b, c, L, cx, cy, g1, s1, flip1, L1, g2, s2, flip2, L2)``,
+      its endpoints ``a``, ``b``, the apex ``c`` unfolded to
+      ``(cx, cy)``, and for each far edge (1: b→c, 2: c→a) the face
+      across it (-1 on the boundary), the edge's slot in that face,
+      whether that face runs it the other way, and its length;
+    * ``spawn[v]`` — the windows a pseudo-source at ``v`` emits, one
+      per incident face with a face across its opposite edge:
+      ``(g, slot, a, b, L, sx, sy, |sa|, |sb|, reach)``, the edge
+      ``slot`` of ``g`` with endpoints ``a``, ``b``, the source
+      unfolded into its frame, the distances to both endpoints and the
+      window's heap key less ``sigma``;
+    * ``vadj[v]`` — ``(u, |vu|)`` for each mesh edge at ``v``;
+    * ``spreader[v]`` — whether geodesics may pass through ``v``
+      (boundary or saddle vertex), boundary flags set here and saddle
+      flags filled in the first time a search asks (the same value
+      whichever search does).
+
+    The floats come from the same IEEE operations on the same float64
+    edge lengths as the per-window formulas they replace, so they are
+    bit-identical to what the loop would compute each time.  The
+    tables are published by one store.
     """
     tables = mesh.__dict__.get("_exact_tables")
-    if tables is None:
-        faces3 = [tuple(int(v) for v in f) for f in mesh.faces]
-        fedges3 = [tuple(int(e) for e in row) for row in mesh.face_edges]
-        fneigh3 = [tuple(int(g) for g in row) for row in mesh.face_neighbors]
-        elen = [float(x) for x in mesh.edge_lengths]
-        # Per-vertex neighbour edge lengths aligned with
-        # mesh.vertex_neighbors — the vertex-relaxation loop's edges.
-        vneigh_len = [
-            [mesh.edge_length(v, u) for u in nbrs]
-            for v, nbrs in enumerate(mesh.vertex_neighbors)
-        ]
-        tables = (faces3, fedges3, fneigh3, elen, vneigh_len, {})
-        mesh.__dict__["_exact_tables"] = tables
-    return tables
+    if tables is not None:
+        return tables
+    faces = mesh.faces
+    face_edges = mesh.face_edges
+    neighbors = mesh.face_neighbors
+    nxt = [1, 2, 0]
+    prv = [2, 0, 1]
+    length = mesh.edge_lengths[face_edges]  # (m, 3): edge s of face f
+    d_bc = length[:, nxt]
+    d_ac = length[:, prv]
+    # A zero-length edge (possible only in an unvalidated mesh) gets
+    # inf/nan entries here; the loop never reads them, because a window
+    # narrower than _EPS is dropped before its unfolding is used.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cx = (d_ac * d_ac - d_bc * d_bc + length * length) / (2.0 * length)
+        # A pseudo-source at the apex c emits a window on edge s into
+        # the face across it, unfolded in that face's frame: the apex
+        # unfolding as is, or with the apex distances swapped when
+        # that face runs the edge the other way.
+        sx_flip = (d_bc * d_bc - d_ac * d_ac + length * length) / (2.0 * length)
+    cy2 = d_ac * d_ac - cx * cx
+    cy = np.where(cy2 > 0.0, np.sqrt(np.where(cy2 > 0.0, cy2, 0.0)), 0.0)
+    # The edge's slot in the face across it, and its direction there.
+    across = np.where(neighbors >= 0, neighbors, 0)
+    slot_in = (face_edges[across] == face_edges[:, :, None]).argmax(axis=2)
+    flip = faces[across, slot_in] != faces
+    sy2_flip = d_bc * d_bc - sx_flip * sx_flip
+    spawn_sx = np.where(flip, sx_flip, cx)
+    spawn_sy2 = np.where(flip, sy2_flip, cy2)
+    spawn_sy = np.where(
+        spawn_sy2 > 0.0, -np.sqrt(np.where(spawn_sy2 > 0.0, spawn_sy2, 0.0)), 0.0
+    )
+    spawn_a = np.where(flip, faces[:, nxt], faces)
+    spawn_b = np.where(flip, faces, faces[:, nxt])
 
+    columns = [
+        faces,
+        faces[:, nxt],
+        faces[:, prv],
+        length,
+        cx,
+        cy,
+        neighbors[:, nxt],
+        slot_in[:, nxt],
+        flip[:, nxt],
+        d_bc,
+        neighbors[:, prv],
+        slot_in[:, prv],
+        flip[:, prv],
+        d_ac,
+    ]
+    flat = list(zip(*(col.ravel().tolist() for col in columns)))
+    rows = [tuple(flat[k : k + 3]) for k in range(0, len(flat), 3)]
 
-@dataclass
-class _Window:
-    """A window on the directed edge (slot ``slot`` of face ``face``),
-    propagating *into* that face.
-
-    The local frame puts the edge's first vertex at (0, 0), its second
-    at (L, 0) and the face interior at y > 0; the unfolded
-    (pseudo-)source sits at (sx, sy) with sy <= 0.  ``sigma`` is the
-    distance already walked from the true source to the pseudo-source.
-    """
-
-    face: int
-    slot: int
-    b0: float
-    b1: float
-    sx: float
-    sy: float
-    sigma: float
-
-    def min_key(self) -> float:
-        """sigma + shortest straight distance from source to interval."""
-        if self.b0 - _EPS <= self.sx <= self.b1 + _EPS:
-            reach = abs(self.sy)
+    hypot = math.hypot
+    emitted = []
+    spawn_columns = (neighbors, slot_in, spawn_a, spawn_b, length, spawn_sx, spawn_sy)
+    for g, g_slot, a, b, ln, sx, sy in zip(
+        *(col.ravel().tolist() for col in spawn_columns)
+    ):
+        if g < 0:
+            emitted.append(None)
+            continue
+        if 0.0 - _EPS <= sx <= ln + _EPS:
+            reach = abs(sy)
         else:
-            nearest = self.b0 if self.sx < self.b0 else self.b1
-            reach = math.hypot(self.sx - nearest, self.sy)
-        return self.sigma + reach
-
-    def dist_to(self, b: float) -> float:
-        """sigma + straight distance from source to edge offset ``b``."""
-        return self.sigma + math.hypot(self.sx - b, self.sy)
+            reach = hypot(sx - (0.0 if sx < 0.0 else ln), sy)
+        emitted.append(
+            (g, g_slot, a, b, ln, sx, sy, hypot(sx, sy), hypot(sx - ln, sy), reach)
+        )
+    faces3 = faces.tolist()
+    spawn = []
+    for v, incident in enumerate(mesh.vertex_faces):
+        out = []
+        for fi in incident:
+            face = faces3[fi]
+            # The edge opposite v: the slot with neither endpoint at v.
+            for slot in range(3):
+                if face[slot] != v and face[(slot + 1) % 3] != v:
+                    window = emitted[3 * fi + slot]
+                    if window is not None:
+                        out.append(window)
+                    break
+        spawn.append(tuple(out))
+    vadj = [
+        tuple((u, mesh.edge_length(v, u)) for u in nbrs)
+        for v, nbrs in enumerate(mesh.vertex_neighbors)
+    ]
+    spreader: list[bool | None] = [None] * mesh.num_vertices
+    for v in mesh.boundary_vertices():
+        spreader[v] = True
+    tables = (rows, spawn, vadj, spreader)
+    mesh.__dict__["_exact_tables"] = tables
+    return tables
 
 
 class ExactGeodesic:
@@ -130,263 +207,264 @@ class ExactGeodesic:
         self.best[source] = 0.0
         self._heap: list[tuple[float, int, str, object]] = []
         self._counter = 0
-        self._boundary = mesh.boundary_vertices()
-        (
-            self._faces3,
-            self._fedges3,
-            self._fneigh3,
-            self._elen,
-            self._vneigh_len,
-            self._saddle_cache,
-        ) = _mesh_tables(mesh)
-        self._seed_source()
+        self._tables = _mesh_tables(mesh)
+        _rows, spawn, vadj, _spreader = self._tables
+        # Seed: the source's edge neighbours, then its pseudo-source
+        # windows (a drain that stops before its first pop).
+        best = self.best
+        for u, d in vadj[self.source]:
+            if d < best[u]:
+                best[u] = d
+                self._counter += 1
+                heapq.heappush(self._heap, (d, self._counter, "vertex", u))
+        self._drain(self.source, spawn[self.source], 0.0)
 
-    # ------------------------------------------------------------------
-    # setup
-    # ------------------------------------------------------------------
+    def _drain(
+        self, until_vertex: int | None, emit=(), emit_sigma: float = 0.0
+    ) -> None:
+        """The event loop.
 
-    def _push(self, key: float, kind: str, payload) -> None:
-        self._counter += 1
-        heapq.heappush(self._heap, (key, self._counter, kind, payload))
-
-    def _seed_source(self) -> None:
-        mesh = self.mesh
-        s = self.source
-        for u, d in zip(mesh.vertex_neighbors[s], self._vneigh_len[s]):
-            if d < self.best[u]:
-                self.best[u] = d
-                self._push(d, "vertex", u)
-        self._spawn_pseudo_source(s, 0.0)
-
-    def _is_spreader(self, v: int) -> bool:
-        """Whether geodesics may pass *through* vertex ``v``: saddle
-        (total angle > 2*pi) or boundary vertices only."""
-        if v in self._boundary:
-            return True
-        cached = self._saddle_cache.get(v)
-        if cached is None:
-            cached = self.mesh.vertex_total_angle(v) > 2.0 * math.pi + _ANGLE_EPS
-            self._saddle_cache[v] = cached
-        return cached
-
-    def _spawn_pseudo_source(self, v: int, sigma: float) -> None:
-        """Emit windows covering the opposite edge of every face
-        incident to ``v``, sourced at ``v`` with offset ``sigma``."""
-        faces3 = self._faces3
-        for fi in self.mesh.vertex_faces[v]:
-            face = faces3[fi]
-            # Opposite edge = the slot whose two vertices are not v.
-            for slot in range(3):
-                if face[slot] != v and face[(slot + 1) % 3] != v:
-                    self._emit_window_from_point(fi, slot, v, sigma)
-                    break
-
-    def _emit_window_from_point(self, fi: int, slot: int, v: int, sigma: float) -> None:
-        """Window on edge ``slot`` of face ``fi`` whose source is mesh
-        vertex ``v`` (the apex of that face), covering the whole edge
-        and propagating into the neighbouring face."""
-        g = self._fneigh3[fi][slot]
-        if g < 0:
-            return  # boundary edge: nothing beyond it
-        face = self._faces3[fi]
-        fedges = self._fedges3[fi]
-        a = face[slot]
-        edge_id = fedges[slot]
-        elen = self._elen
-        length = elen[edge_id]
-        # Slot s of a face is the edge face[s] -> face[(s+1)%3], so the
-        # apex v = face[slot+2] reaches a via edge slot+2 (v -> a) and
-        # b via edge slot+1 (b -> v) — same edge ids, same floats as
-        # the edge_length(v, a) / edge_length(v, b) dict lookups.
-        d_a = elen[fedges[(slot + 2) % 3]]
-        d_b = elen[fedges[(slot + 1) % 3]]
-        # Find the edge inside face g and its direction there.
-        g_slot, flipped = self._slot_in_face(g, edge_id, a)
-        if flipped:
-            d_a, d_b = d_b, d_a
-        sx = (d_a * d_a - d_b * d_b + length * length) / (2.0 * length)
-        sy2 = d_a * d_a - sx * sx
-        sy = -math.sqrt(sy2) if sy2 > 0.0 else 0.0
-        self._enqueue_window(
-            _Window(face=g, slot=g_slot, b0=0.0, b1=length, sx=sx, sy=sy, sigma=sigma)
-        )
-
-    def _slot_in_face(self, g: int, edge_id: int, a: int) -> tuple[int, bool]:
-        """Locate ``edge_id`` inside face ``g``.
-
-        Returns (slot, flipped) where ``flipped`` says whether g's
-        directed edge starts at a vertex other than ``a`` (i.e. runs
-        b->a rather than a->b).
+        Enqueues the ``spawn`` windows ``emit`` sourced at
+        ``emit_sigma`` first, then pops events until the queue is empty
+        or, with ``until_vertex`` set, until the smallest key shows that
+        vertex's distance is final.  A settled spreader vertex hands
+        its ``spawn`` windows to the top of the next iteration.
         """
-        faces = self._faces3[g]
-        for slot, eid in enumerate(self._fedges3[g]):
-            if eid == edge_id:
-                return slot, faces[slot] != a
-        raise GeodesicError(f"edge {edge_id} not found in face {g}")
+        rows, spawn, vadj, spreader = self._tables
+        best = self.best
+        heap = self._heap
+        push = heapq.heappush
+        pop = heapq.heappop
+        hypot = math.hypot
+        sqrt = math.sqrt
+        inf = math.inf
+        eps = _EPS
+        one_eps = 1.0 - _EPS
+        source = self.source
+        budget = inf if self.max_windows is None else self.max_windows
+        counter = self._counter
+        created = self.windows_created
+        vertices_settled = 0
+        windows_propagated = 0
+        try:
+            while True:
+                if emit:
+                    # Pseudo-source windows: whole edges, b0 = 0, b1 = L.
+                    sigma = emit_sigma
+                    for g, g_slot, a, b, ln, sx, sy, d_a, d_b, reach in emit:
+                        if ln <= eps:
+                            continue
+                        via = best[a]
+                        if via < inf and sigma + d_b >= via + ln - eps:
+                            continue
+                        via = best[b]
+                        if via < inf and sigma + d_a >= via + ln - eps:
+                            continue
+                        if created >= budget:
+                            raise GeodesicError(
+                                f"window budget of {self.max_windows} exhausted; "
+                                "the mesh is too large for the exact algorithm"
+                            )
+                        created += 1
+                        cand = sigma + d_a
+                        if cand < best[a] - eps:
+                            best[a] = cand
+                            counter += 1
+                            push(heap, (cand, counter, "vertex", a))
+                        cand = sigma + d_b
+                        if cand < best[b] - eps:
+                            best[b] = cand
+                            counter += 1
+                            push(heap, (cand, counter, "vertex", b))
+                        counter += 1
+                        window = (g, g_slot, 0.0, ln, sx, sy, sigma)
+                        push(heap, (sigma + reach, counter, "window", window))
+                    emit = ()
+                if not heap or (
+                    until_vertex is not None and heap[0][0] >= best[until_vertex] - eps
+                ):
+                    # Everything still queued is at least this long.
+                    return
+                key, _tie, kind, payload = pop(heap)
 
-    # ------------------------------------------------------------------
-    # propagation
-    # ------------------------------------------------------------------
+                if kind == "vertex":
+                    bv = best[payload]
+                    if key > bv + eps:
+                        continue  # stale event
+                    vertices_settled += 1
+                    # Relax along mesh edges: edge paths are valid
+                    # surface paths, and the domination test's "via a
+                    # vertex, then along the edge" relies on them.
+                    for u, dl in vadj[payload]:
+                        cand = bv + dl
+                        if cand < best[u] - eps:
+                            best[u] = cand
+                            counter += 1
+                            push(heap, (cand, counter, "vertex", u))
+                    if payload != source:
+                        flag = spreader[payload]
+                        if flag is None:
+                            # Not on the boundary: a saddle when its
+                            # total angle exceeds 2*pi.
+                            flag = spreader[payload] = (
+                                self.mesh.vertex_total_angle(payload)
+                                > 2.0 * math.pi + _ANGLE_EPS
+                            )
+                        if flag:
+                            emit = spawn[payload]
+                            emit_sigma = bv
+                    continue
 
-    def _enqueue_window(self, w: _Window) -> None:
-        if w.b1 - w.b0 <= _EPS:
-            return
-        if self._dominated(w):
-            return
-        if self.max_windows is not None and self.windows_created >= self.max_windows:
-            raise GeodesicError(
-                f"window budget of {self.max_windows} exhausted; "
-                "the mesh is too large for the exact algorithm"
-            )
-        self.windows_created += 1
-        self._update_endpoint_vertices(w)
-        self._push(w.min_key(), "window", w)
-
-    def _edge_endpoints(self, w: _Window) -> tuple[int, int, float]:
-        face = self._faces3[w.face]
-        a = face[w.slot]
-        b = face[(w.slot + 1) % 3]
-        length = self._elen[self._fedges3[w.face][w.slot]]
-        return a, b, length
-
-    def _dominated(self, w: _Window) -> bool:
-        """Safe deletion test (see module docstring)."""
-        a, b, length = self._edge_endpoints(w)
-        via_a = self.best[a]
-        if math.isfinite(via_a) and w.dist_to(w.b1) >= via_a + w.b1 - _EPS:
-            return True
-        via_b = self.best[b]
-        if math.isfinite(via_b) and w.dist_to(w.b0) >= via_b + (length - w.b0) - _EPS:
-            return True
-        return False
-
-    def _update_vertex(self, v: int, cand: float) -> None:
-        if cand < self.best[v] - _EPS:
-            self.best[v] = cand
-            self._push(cand, "vertex", v)
-
-    def _update_endpoint_vertices(self, w: _Window) -> None:
-        a, b, length = self._edge_endpoints(w)
-        if w.b0 <= _EPS:
-            self._update_vertex(a, w.sigma + math.hypot(w.sx, w.sy))
-        if w.b1 >= length - _EPS:
-            self._update_vertex(b, w.sigma + math.hypot(w.sx - length, w.sy))
-
-    def _propagate(self, w: _Window) -> None:
-        """Push the window across its face onto the two far edges."""
-        face = self._faces3[w.face]
-        fedges = self._fedges3[w.face]
-        elen = self._elen
-        slot = w.slot
-        c = face[(slot + 2) % 3]
-        length = elen[fedges[slot]]
-        # Unfold the apex C into the window's frame (interior: y > 0).
-        # Edge slot+2 is c->a, edge slot+1 is b->c: same ids (and so
-        # the same floats) as edge_length(a, c) / edge_length(b, c).
-        d_ac = elen[fedges[(slot + 2) % 3]]
-        d_bc = elen[fedges[(slot + 1) % 3]]
-        cx = (d_ac * d_ac - d_bc * d_bc + length * length) / (2.0 * length)
-        cy2 = d_ac * d_ac - cx * cx
-        cy = math.sqrt(cy2) if cy2 > 0.0 else 0.0
-        apex = (cx, cy)
-        src = (w.sx, w.sy)
-        p0 = (w.b0, 0.0)
-        p1 = (w.b1, 0.0)
-
-        # Vertex C update when the cone covers the apex.
-        if self._in_cone(src, p0, p1, apex):
-            self._update_vertex(c, w.sigma + math.hypot(w.sx - cx, w.sy - cy))
-
-        # Far edge 1: B -> C (slot + 1); far edge 2: C -> A (slot + 2).
-        self._propagate_onto(w, src, p0, p1, (length, 0.0), apex, (w.slot + 1) % 3)
-        self._propagate_onto(w, src, p0, p1, apex, (0.0, 0.0), (w.slot + 2) % 3)
-
-    @staticmethod
-    def _cross(o, u, v) -> float:
-        return (u[0] - o[0]) * (v[1] - o[1]) - (u[1] - o[1]) * (v[0] - o[0])
-
-    def _in_cone(self, src, p0, p1, x) -> bool:
-        return (
-            self._cross(src, p0, x) <= _EPS and self._cross(src, p1, x) >= -_EPS
-        )
-
-    def _propagate_onto(self, w: _Window, src, p0, p1, e0, e1, slot: int) -> None:
-        """Clip the source cone against the far edge e0→e1 (local
-        coordinates) and emit the child window across it."""
-        g = self._fneigh3[w.face][slot]
-        # Compute the lit parameter interval [t0, t1] along e0->e1.
-        # Inside the cone means cross(p0-src, x-src) <= 0 (right of the
-        # left ray) and cross(p1-src, x-src) >= 0 (left of the right
-        # ray); both constraints are affine in t.
-        f0_e0 = self._cross(src, p0, e0)
-        f0_e1 = self._cross(src, p0, e1)
-        f1_e0 = self._cross(src, p1, e0)
-        f1_e1 = self._cross(src, p1, e1)
-        t0, t1 = 0.0, 1.0
-        # Constraint f0(t) <= 0 where f0 is affine from f0_e0 to f0_e1.
-        t0, t1 = self._clip_affine(t0, t1, f0_e0, f0_e1, keep_negative=True)
-        if t0 is None:
-            return
-        t0, t1 = self._clip_affine(t0, t1, f1_e0, f1_e1, keep_negative=False)
-        if t0 is None:
-            return
-        if t1 - t0 <= _EPS:
-            return
-
-        edge_id = self._fedges3[w.face][slot]
-        length = self._elen[edge_id]
-        # Vertex updates for far-edge endpoints hit by the cone.
-        face = self._faces3[w.face]
-        u = face[slot]
-        v = face[(slot + 1) % 3]
-        if t0 <= _EPS:
-            self._update_vertex(
-                u, w.sigma + math.hypot(src[0] - e0[0], src[1] - e0[1])
-            )
-        if t1 >= 1.0 - _EPS:
-            self._update_vertex(
-                v, w.sigma + math.hypot(src[0] - e1[0], src[1] - e1[1])
-            )
-        if g < 0:
-            return  # boundary: the path cannot continue beyond
-        g_slot, flipped = self._slot_in_face(g, edge_id, u)
-        # Source distances to the child edge's endpoints survive
-        # unfolding, so re-derive the child-frame source from them.
-        d_u = math.hypot(src[0] - e0[0], src[1] - e0[1])
-        d_v = math.hypot(src[0] - e1[0], src[1] - e1[1])
-        if flipped:
-            b0n = length * (1.0 - t1)
-            b1n = length * (1.0 - t0)
-            d_first, d_second = d_v, d_u
-        else:
-            b0n = length * t0
-            b1n = length * t1
-            d_first, d_second = d_u, d_v
-        sx = (d_first * d_first - d_second * d_second + length * length) / (2.0 * length)
-        sy2 = d_first * d_first - sx * sx
-        sy = -math.sqrt(sy2) if sy2 > 0.0 else 0.0
-        self._enqueue_window(
-            _Window(
-                face=g, slot=g_slot, b0=b0n, b1=b1n, sx=sx, sy=sy, sigma=w.sigma
-            )
-        )
-
-    @staticmethod
-    def _clip_affine(t0, t1, f_at_0, f_at_1, keep_negative: bool):
-        """Intersect [t0, t1] with {t : f(t) <= 0} (or >= 0), where f
-        is affine with the given endpoint values.  Returns (None, None)
-        when empty."""
-        if keep_negative:
-            f_at_0, f_at_1 = -f_at_0, -f_at_1
-        # Now keep f(t) >= 0.
-        if f_at_0 >= -_EPS and f_at_1 >= -_EPS:
-            return t0, t1
-        if f_at_0 < 0.0 and f_at_1 < 0.0:
-            return None, None
-        t_star = f_at_0 / (f_at_0 - f_at_1)
-        if f_at_0 < 0.0:
-            return max(t0, t_star), t1
-        return t0, min(t1, t_star)
+                face, slot, b0, b1, sx, sy, sigma = payload
+                (a, b, c, length, cx, cy,
+                 g1, s1, flip1, len1, g2, s2, flip2, len2) = rows[face][slot]
+                # Domination, re-checked: best[] may have improved
+                # since the window was queued.
+                via = best[a]
+                if via < inf and sigma + hypot(sx - b1, sy) >= via + b1 - eps:
+                    continue
+                via = best[b]
+                if (
+                    via < inf
+                    and sigma + hypot(sx - b0, sy) >= via + (length - b0) - eps
+                ):
+                    continue
+                windows_propagated += 1
+                # Cross products of the cone's rays S->(b0, 0) and
+                # S->(b1, 0) with S->X for the apex C, B = (L, 0) and
+                # A = (0, 0): X is inside the cone when the first is
+                # <= 0 and the second >= 0.
+                neg_sy = 0.0 - sy
+                dx0 = b0 - sx
+                dx1 = b1 - sx
+                dxc = cx - sx
+                dyc = cy - sy
+                f0c = dx0 * dyc - neg_sy * dxc
+                f1c = dx1 * dyc - neg_sy * dxc
+                d_c = hypot(dxc, dyc)
+                if f0c <= eps and f1c >= -eps:
+                    cand = sigma + d_c
+                    if cand < best[c] - eps:
+                        best[c] = cand
+                        counter += 1
+                        push(heap, (cand, counter, "vertex", c))
+                dxb = length - sx
+                dxa = 0.0 - sx
+                f0b = dx0 * neg_sy - neg_sy * dxb
+                f1b = dx1 * neg_sy - neg_sy * dxb
+                f0a = dx0 * neg_sy - neg_sy * dxa
+                f1a = dx1 * neg_sy - neg_sy * dxa
+                d_b = hypot(dxb, sy)
+                d_a = hypot(sx, sy)
+                # Far edge 1 runs B -> C, far edge 2 runs C -> A.
+                for g, g_slot, flip, ln, u, v, f0u, f0v, f1u, f1v, d_u, d_v in (
+                    (g1, s1, flip1, len1, b, c, f0b, f0c, f1b, f1c, d_b, d_c),
+                    (g2, s2, flip2, len2, c, a, f0c, f0a, f1c, f1a, d_c, d_a),
+                ):
+                    # The lit part [t0, t1] of the far edge u -> v: both
+                    # cone constraints are affine in t.
+                    t0 = 0.0
+                    t1 = 1.0
+                    p = -f0u
+                    q = -f0v
+                    if not (p >= -eps and q >= -eps):
+                        if p < 0.0 and q < 0.0:
+                            continue
+                        t_star = p / (p - q)
+                        if p < 0.0:
+                            if t_star > t0:
+                                t0 = t_star
+                        elif t_star < t1:
+                            t1 = t_star
+                    if not (f1u >= -eps and f1v >= -eps):
+                        if f1u < 0.0 and f1v < 0.0:
+                            continue
+                        t_star = f1u / (f1u - f1v)
+                        if f1u < 0.0:
+                            if t_star > t0:
+                                t0 = t_star
+                        elif t_star < t1:
+                            t1 = t_star
+                    if t1 - t0 <= eps:
+                        continue
+                    if t0 <= eps:
+                        cand = sigma + d_u
+                        if cand < best[u] - eps:
+                            best[u] = cand
+                            counter += 1
+                            push(heap, (cand, counter, "vertex", u))
+                    if t1 >= one_eps:
+                        cand = sigma + d_v
+                        if cand < best[v] - eps:
+                            best[v] = cand
+                            counter += 1
+                            push(heap, (cand, counter, "vertex", v))
+                    if g < 0:
+                        continue  # boundary: the path cannot continue
+                    # The child window in g's frame, its source
+                    # re-derived from the distances to the edge's ends.
+                    if flip:
+                        cb0 = ln * (1.0 - t1)
+                        cb1 = ln * (1.0 - t0)
+                        first, second = d_v, d_u
+                        ca, cb = v, u
+                    else:
+                        cb0 = ln * t0
+                        cb1 = ln * t1
+                        first, second = d_u, d_v
+                        ca, cb = u, v
+                    if cb1 - cb0 <= eps:
+                        continue
+                    csx = (first * first - second * second + ln * ln) / (2.0 * ln)
+                    sy2 = first * first - csx * csx
+                    csy = -sqrt(sy2) if sy2 > 0.0 else 0.0
+                    via = best[ca]
+                    if via < inf and sigma + hypot(csx - cb1, csy) >= via + cb1 - eps:
+                        continue
+                    via = best[cb]
+                    if (
+                        via < inf
+                        and sigma + hypot(csx - cb0, csy) >= via + (ln - cb0) - eps
+                    ):
+                        continue
+                    if created >= budget:
+                        raise GeodesicError(
+                            f"window budget of {self.max_windows} exhausted; "
+                            "the mesh is too large for the exact algorithm"
+                        )
+                    created += 1
+                    if cb0 <= eps:
+                        cand = sigma + hypot(csx, csy)
+                        if cand < best[ca] - eps:
+                            best[ca] = cand
+                            counter += 1
+                            push(heap, (cand, counter, "vertex", ca))
+                    if cb1 >= ln - eps:
+                        cand = sigma + hypot(csx - ln, csy)
+                        if cand < best[cb] - eps:
+                            best[cb] = cand
+                            counter += 1
+                            push(heap, (cand, counter, "vertex", cb))
+                    if cb0 - eps <= csx <= cb1 + eps:
+                        reach = abs(csy)
+                    else:
+                        reach = hypot(csx - (cb0 if csx < cb0 else cb1), csy)
+                    counter += 1
+                    window = (g, g_slot, cb0, cb1, csx, csy, sigma)
+                    push(heap, (sigma + reach, counter, "window", window))
+        finally:
+            self._counter = counter
+            self.windows_created = created
+            if vertices_settled or windows_propagated:
+                reg = active_registry()
+                reg.counter("geodesic.exact.vertices_settled").add(vertices_settled)
+                reg.counter("geodesic.exact.windows_propagated").add(
+                    windows_propagated
+                )
+                profiler = active_profiler()
+                if profiler.enabled:
+                    profiler.count("exact_vertices_settled", vertices_settled)
+                    profiler.count("exact_windows_propagated", windows_propagated)
 
     # ------------------------------------------------------------------
     # queries
@@ -395,57 +473,7 @@ class ExactGeodesic:
     def run(self, until_vertex: int | None = None) -> None:
         """Drain the event queue; optionally stop once ``until_vertex``
         is provably final."""
-        heap = self._heap
-        vertices_settled = 0
-        windows_propagated = 0
-        try:
-            while heap:
-                key, _tie, kind, payload = heapq.heappop(heap)
-                if until_vertex is not None and key >= self.best[until_vertex] - _EPS:
-                    # Everything still queued is at least this long.
-                    heapq.heappush(heap, (key, _tie, kind, payload))
-                    return
-                if kind == "vertex":
-                    v = int(payload)
-                    bv = self.best[v]
-                    if key > bv + _EPS:
-                        continue  # stale event
-                    vertices_settled += 1
-                    # Relax along mesh edges: edge paths are valid surface
-                    # paths, and the domination filter's "via a vertex,
-                    # then along the edge" alternative relies on them
-                    # being materialized here.
-                    for w, dl in zip(
-                        self.mesh.vertex_neighbors[v], self._vneigh_len[v]
-                    ):
-                        self._update_vertex(w, bv + dl)
-                    if self._is_spreader(v) and v != self.source:
-                        self._spawn_pseudo_source(v, bv)
-                else:
-                    w = payload
-                    if self._dominated(w):
-                        continue
-                    windows_propagated += 1
-                    self._propagate(w)
-        finally:
-            if vertices_settled or windows_propagated:
-                reg = active_registry()
-                reg.counter("geodesic.exact.vertices_settled").add(
-                    vertices_settled
-                )
-                reg.counter("geodesic.exact.windows_propagated").add(
-                    windows_propagated
-                )
-                from repro.obs.context import active_profiler
-
-                profiler = active_profiler()
-                if profiler.enabled:
-                    profiler.count(
-                        "exact_vertices_settled", vertices_settled
-                    )
-                    profiler.count(
-                        "exact_windows_propagated", windows_propagated
-                    )
+        self._drain(until_vertex)
 
     def distance_to(self, target: int) -> float:
         """Exact surface distance from the source to ``target``."""

@@ -209,8 +209,11 @@ def _single_source_frontier(
         if remaining is not None:
             remaining.difference_update(batch.tolist())
             if not remaining:
+                # The reference stops at its last target's pop — at its
+                # first pop when ``targets`` is empty.
                 cutoff = max(
-                    (float(dist[t]), int(t)) for t in target_list if settled[t]
+                    ((float(dist[t]), int(t)) for t in target_list if settled[t]),
+                    default=(float(dist[batch[0]]), int(batch[0])),
                 )
                 break
 
@@ -439,8 +442,11 @@ def multi_source_frontier(
         if remaining is not None:
             remaining.difference_update(batch.tolist())
             if not remaining:
+                # The reference stops at its last target's pop — at its
+                # first pop when ``targets`` is empty.
                 cutoff = max(
-                    (float(value[t]), int(t)) for t in target_list if settled[t]
+                    ((float(value[t]), int(t)) for t in target_list if settled[t]),
+                    default=(float(value[batch[0]]), int(batch[0])),
                 )
                 break
 

@@ -203,10 +203,10 @@ class TriangleMesh:
     def boundary_vertices(self) -> set[int]:
         """Vertices on a boundary edge (edge with a single face).
 
-        Cached per mesh: every :class:`ExactGeodesic` run (one per
-        landmark row, plus the fig7 oracles) consults it, and the
-        answer only depends on immutable adjacency.  Callers must
-        treat the returned set as read-only.
+        Cached per mesh: the exact propagation's per-mesh tables and
+        its reference twin consult it, and the answer only depends on
+        immutable adjacency.  Callers must treat the returned set as
+        read-only.
         """
         if self._boundary_cache is None:
             result: set[int] = set()

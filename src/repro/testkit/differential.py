@@ -8,8 +8,9 @@ pair's identity (or bound) is asserted:
 pair                contract
 ==================  =================================================
 components vs       the array pathnet builder, the compiled-graph
-oracles             search kernels, MSDN lower bounds, dummy-lb
-                    screens and in-place cut-level upper bounds agree
+oracles             search kernels, the exact window propagation,
+                    MSDN lower bounds, dummy-lb screens and in-place
+                    cut-level upper bounds agree
                     exactly with the reference implementations
                     (:mod:`repro.testkit.reference`, dict kernels)
                     on the scenario's terrain, queries and objects
@@ -71,6 +72,7 @@ from repro.geodesic.csr import (
     multi_source_heap,
 )
 from repro.geodesic.dijkstra import dijkstra_reference, dijkstra_with_parents_reference
+from repro.geodesic.exact import ExactGeodesic
 from repro.geodesic.pathnet import build_pathnet, vertex_key
 from repro.testkit.generators import (
     Scenario,
@@ -81,6 +83,7 @@ from repro.testkit.generators import (
 )
 from repro.testkit.oracles import OracleContext, Violation, run_oracles
 from repro.testkit.reference import (
+    ExactGeodesicReference,
     build_pathnet_reference,
     dmtm_cut_reference,
     dmtm_upper_bound_cut_reference,
@@ -258,8 +261,9 @@ def _compare(mode, index, base, other, findings, *, logical=True) -> None:
 def component_mismatches(engine, query_vertices) -> list[tuple[int, str]]:
     """Production components vs their reference twins on one engine.
 
-    Checks the pathnet builder once, then per query vertex: full and
-    early-exit single-source searches on the pathnet, a two-anchor
+    Checks the pathnet builder once, then per query vertex: a full
+    exact window propagation (distance bytes and window count), full
+    and early-exit single-source searches on the pathnet, a two-anchor
     multi-source search toward the objects, the MSDN lower bound
     to every object at every resolution, without and with an ROI box,
     with the dummy-lb screen beside it, and the cut-level upper bounds
@@ -289,6 +293,12 @@ def component_mismatches(engine, query_vertices) -> list[tuple[int, str]]:
     msdn = engine.msdn
     dmtm = engine.dmtm
     for index, qv in enumerate(query_vertices):
+        flat = ExactGeodesic(mesh, qv)
+        ref_exact = ExactGeodesicReference(mesh, qv)
+        if (flat.distances().tobytes(), flat.windows_created) != (
+            ref_exact.distances().tobytes(), ref_exact.windows_created
+        ):
+            out.append((index, "exact window propagation diverged"))
         src = graph.node_id(vertex_key(qv))
         if graph_dijkstra_with_parents(graph, src) != (
             dijkstra_with_parents_reference(adjacency, src)

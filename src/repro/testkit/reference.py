@@ -57,7 +57,10 @@ page bytes, same pages read in the same order.
   :func:`repro.simplification.collapse.build_collapse_history`;
 * :func:`read_page_reference` — one buffer-pool read of one page,
   with its own locks, quarantine gate and statistics update, the twin
-  of :meth:`repro.storage.pages.PageManager.read_pages` page by page.
+  of :meth:`repro.storage.pages.PageManager.read_pages` page by page;
+* :class:`ExactGeodesicReference` — exact window propagation with one
+  object per window and one method per step, the twin of the flat
+  event loop of :class:`repro.geodesic.exact.ExactGeodesic`.
 
 The dict search kernels (:mod:`repro.geodesic.dijkstra`) complete the
 set; they already live as ``dijkstra_reference`` and
@@ -77,6 +80,7 @@ from itertools import combinations
 import numpy as np
 
 from repro.errors import (
+    GeodesicError,
     GeometryError,
     PageCorruptionError,
     PageReadError,
@@ -1075,3 +1079,380 @@ def _fetch_verified_reference(manager, page_id: int) -> bytes:
     active_registry().counter("storage.read_failures_total").add(1)
     assert last_error is not None
     raise last_error
+
+
+# ----------------------------------------------------------------------
+# Exact window propagation: one object per window, one method per step
+# ----------------------------------------------------------------------
+
+_EXACT_EPS = 1e-9
+_EXACT_ANGLE_EPS = 1e-7
+
+#: Plain-Python access tables of the reference propagation, one per mesh.
+_exact_reference_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _exact_tables_reference(mesh):
+    """Face vertices, per-slot edge ids, neighbour faces, edge lengths
+    and per-vertex neighbour edge lengths as Python lists (the same
+    float64 values as the mesh arrays), plus a saddle-flag cache."""
+    tables = _exact_reference_tables.get(mesh)
+    if tables is None:
+        faces3 = [tuple(int(v) for v in f) for f in mesh.faces]
+        fedges3 = [tuple(int(e) for e in row) for row in mesh.face_edges]
+        fneigh3 = [tuple(int(g) for g in row) for row in mesh.face_neighbors]
+        elen = [float(x) for x in mesh.edge_lengths]
+        vneigh_len = [
+            [mesh.edge_length(v, u) for u in nbrs]
+            for v, nbrs in enumerate(mesh.vertex_neighbors)
+        ]
+        tables = (faces3, fedges3, fneigh3, elen, vneigh_len, {})
+        _exact_reference_tables[mesh] = tables
+    return tables
+
+
+@dataclass
+class _ExactWindow:
+    """A window on the directed edge (slot ``slot`` of face ``face``),
+    propagating *into* that face.
+
+    The local frame puts the edge's first vertex at (0, 0), its second
+    at (L, 0) and the face interior at y > 0; the unfolded
+    (pseudo-)source sits at (sx, sy) with sy <= 0.  ``sigma`` is the
+    distance already walked from the true source to the pseudo-source.
+    """
+
+    face: int
+    slot: int
+    b0: float
+    b1: float
+    sx: float
+    sy: float
+    sigma: float
+
+    def min_key(self) -> float:
+        """sigma + shortest straight distance from source to interval."""
+        if self.b0 - _EXACT_EPS <= self.sx <= self.b1 + _EXACT_EPS:
+            reach = abs(self.sy)
+        else:
+            nearest = self.b0 if self.sx < self.b0 else self.b1
+            reach = math.hypot(self.sx - nearest, self.sy)
+        return self.sigma + reach
+
+    def dist_to(self, b: float) -> float:
+        """sigma + straight distance from source to edge offset ``b``."""
+        return self.sigma + math.hypot(self.sx - b, self.sy)
+
+
+class ExactGeodesicReference:
+    """The window propagation as one object per window and one method
+    per step (domination test, propagation across a face, cone
+    clipping, endpoint updates), the twin of the flat event loop of
+    :class:`repro.geodesic.exact.ExactGeodesic`.
+
+    Same constructor and API (``run``, ``distance_to``, ``distances``,
+    ``best``, ``windows_created``, ``max_windows``).  Both must agree
+    bit for bit: every event popped, every ``best`` entry, the window
+    count, the ``geodesic.exact.*`` counters and the point at which a
+    ``max_windows`` budget runs out.
+    """
+
+    def __init__(self, mesh, source: int, max_windows: int | None = None):
+        if not 0 <= source < mesh.num_vertices:
+            raise GeodesicError(f"source vertex {source} out of range")
+        self.mesh = mesh
+        self.source = int(source)
+        self.max_windows = max_windows
+        self.windows_created = 0
+        self.best: list[float] = [math.inf] * mesh.num_vertices
+        self.best[source] = 0.0
+        self._heap: list[tuple[float, int, str, object]] = []
+        self._counter = 0
+        self._boundary = mesh.boundary_vertices()
+        (
+            self._faces3,
+            self._fedges3,
+            self._fneigh3,
+            self._elen,
+            self._vneigh_len,
+            self._saddle_cache,
+        ) = _exact_tables_reference(mesh)
+        self._seed_source()
+
+    def _push(self, key: float, kind: str, payload) -> None:
+        self._counter += 1
+        heapq.heappush(self._heap, (key, self._counter, kind, payload))
+
+    def _seed_source(self) -> None:
+        mesh = self.mesh
+        s = self.source
+        for u, d in zip(mesh.vertex_neighbors[s], self._vneigh_len[s]):
+            if d < self.best[u]:
+                self.best[u] = d
+                self._push(d, "vertex", u)
+        self._spawn_pseudo_source(s, 0.0)
+
+    def _is_spreader(self, v: int) -> bool:
+        """Whether geodesics may pass *through* vertex ``v``: saddle
+        (total angle > 2*pi) or boundary vertices only."""
+        if v in self._boundary:
+            return True
+        cached = self._saddle_cache.get(v)
+        if cached is None:
+            cached = (
+                self.mesh.vertex_total_angle(v) > 2.0 * math.pi + _EXACT_ANGLE_EPS
+            )
+            self._saddle_cache[v] = cached
+        return cached
+
+    def _spawn_pseudo_source(self, v: int, sigma: float) -> None:
+        """Emit windows covering the opposite edge of every face
+        incident to ``v``, sourced at ``v`` with offset ``sigma``."""
+        faces3 = self._faces3
+        for fi in self.mesh.vertex_faces[v]:
+            face = faces3[fi]
+            for slot in range(3):
+                if face[slot] != v and face[(slot + 1) % 3] != v:
+                    self._emit_window_from_point(fi, slot, v, sigma)
+                    break
+
+    def _emit_window_from_point(self, fi: int, slot: int, v: int, sigma: float) -> None:
+        """Window on edge ``slot`` of face ``fi`` whose source is mesh
+        vertex ``v`` (the apex of that face), covering the whole edge
+        and propagating into the neighbouring face."""
+        g = self._fneigh3[fi][slot]
+        if g < 0:
+            return
+        face = self._faces3[fi]
+        fedges = self._fedges3[fi]
+        a = face[slot]
+        edge_id = fedges[slot]
+        elen = self._elen
+        length = elen[edge_id]
+        d_a = elen[fedges[(slot + 2) % 3]]
+        d_b = elen[fedges[(slot + 1) % 3]]
+        g_slot, flipped = self._slot_in_face(g, edge_id, a)
+        if flipped:
+            d_a, d_b = d_b, d_a
+        sx = (d_a * d_a - d_b * d_b + length * length) / (2.0 * length)
+        sy2 = d_a * d_a - sx * sx
+        sy = -math.sqrt(sy2) if sy2 > 0.0 else 0.0
+        self._enqueue_window(
+            _ExactWindow(
+                face=g, slot=g_slot, b0=0.0, b1=length, sx=sx, sy=sy, sigma=sigma
+            )
+        )
+
+    def _slot_in_face(self, g: int, edge_id: int, a: int) -> tuple[int, bool]:
+        """(slot of ``edge_id`` in face ``g``, whether g's directed edge
+        starts at a vertex other than ``a``)."""
+        faces = self._faces3[g]
+        for slot, eid in enumerate(self._fedges3[g]):
+            if eid == edge_id:
+                return slot, faces[slot] != a
+        raise GeodesicError(f"edge {edge_id} not found in face {g}")
+
+    def _enqueue_window(self, w: _ExactWindow) -> None:
+        if w.b1 - w.b0 <= _EXACT_EPS:
+            return
+        if self._dominated(w):
+            return
+        if self.max_windows is not None and self.windows_created >= self.max_windows:
+            raise GeodesicError(
+                f"window budget of {self.max_windows} exhausted; "
+                "the mesh is too large for the exact algorithm"
+            )
+        self.windows_created += 1
+        self._update_endpoint_vertices(w)
+        self._push(w.min_key(), "window", w)
+
+    def _edge_endpoints(self, w: _ExactWindow) -> tuple[int, int, float]:
+        face = self._faces3[w.face]
+        a = face[w.slot]
+        b = face[(w.slot + 1) % 3]
+        length = self._elen[self._fedges3[w.face][w.slot]]
+        return a, b, length
+
+    def _dominated(self, w: _ExactWindow) -> bool:
+        """Safe deletion: the path via an edge endpoint, then along the
+        edge, is no longer than the window anywhere on its interval."""
+        a, b, length = self._edge_endpoints(w)
+        via_a = self.best[a]
+        if math.isfinite(via_a) and w.dist_to(w.b1) >= via_a + w.b1 - _EXACT_EPS:
+            return True
+        via_b = self.best[b]
+        if (
+            math.isfinite(via_b)
+            and w.dist_to(w.b0) >= via_b + (length - w.b0) - _EXACT_EPS
+        ):
+            return True
+        return False
+
+    def _update_vertex(self, v: int, cand: float) -> None:
+        if cand < self.best[v] - _EXACT_EPS:
+            self.best[v] = cand
+            self._push(cand, "vertex", v)
+
+    def _update_endpoint_vertices(self, w: _ExactWindow) -> None:
+        a, b, length = self._edge_endpoints(w)
+        if w.b0 <= _EXACT_EPS:
+            self._update_vertex(a, w.sigma + math.hypot(w.sx, w.sy))
+        if w.b1 >= length - _EXACT_EPS:
+            self._update_vertex(b, w.sigma + math.hypot(w.sx - length, w.sy))
+
+    def _propagate(self, w: _ExactWindow) -> None:
+        """Push the window across its face onto the two far edges."""
+        face = self._faces3[w.face]
+        fedges = self._fedges3[w.face]
+        elen = self._elen
+        slot = w.slot
+        c = face[(slot + 2) % 3]
+        length = elen[fedges[slot]]
+        d_ac = elen[fedges[(slot + 2) % 3]]
+        d_bc = elen[fedges[(slot + 1) % 3]]
+        cx = (d_ac * d_ac - d_bc * d_bc + length * length) / (2.0 * length)
+        cy2 = d_ac * d_ac - cx * cx
+        cy = math.sqrt(cy2) if cy2 > 0.0 else 0.0
+        apex = (cx, cy)
+        src = (w.sx, w.sy)
+        p0 = (w.b0, 0.0)
+        p1 = (w.b1, 0.0)
+        if self._in_cone(src, p0, p1, apex):
+            self._update_vertex(c, w.sigma + math.hypot(w.sx - cx, w.sy - cy))
+        self._propagate_onto(w, src, p0, p1, (length, 0.0), apex, (w.slot + 1) % 3)
+        self._propagate_onto(w, src, p0, p1, apex, (0.0, 0.0), (w.slot + 2) % 3)
+
+    @staticmethod
+    def _cross(o, u, v) -> float:
+        return (u[0] - o[0]) * (v[1] - o[1]) - (u[1] - o[1]) * (v[0] - o[0])
+
+    def _in_cone(self, src, p0, p1, x) -> bool:
+        return (
+            self._cross(src, p0, x) <= _EXACT_EPS
+            and self._cross(src, p1, x) >= -_EXACT_EPS
+        )
+
+    def _propagate_onto(self, w: _ExactWindow, src, p0, p1, e0, e1, slot: int) -> None:
+        """Clip the source cone against the far edge e0→e1 (local
+        coordinates) and emit the child window across it."""
+        g = self._fneigh3[w.face][slot]
+        f0_e0 = self._cross(src, p0, e0)
+        f0_e1 = self._cross(src, p0, e1)
+        f1_e0 = self._cross(src, p1, e0)
+        f1_e1 = self._cross(src, p1, e1)
+        t0, t1 = 0.0, 1.0
+        t0, t1 = self._clip_affine(t0, t1, f0_e0, f0_e1, keep_negative=True)
+        if t0 is None:
+            return
+        t0, t1 = self._clip_affine(t0, t1, f1_e0, f1_e1, keep_negative=False)
+        if t0 is None:
+            return
+        if t1 - t0 <= _EXACT_EPS:
+            return
+        edge_id = self._fedges3[w.face][slot]
+        length = self._elen[edge_id]
+        face = self._faces3[w.face]
+        u = face[slot]
+        v = face[(slot + 1) % 3]
+        if t0 <= _EXACT_EPS:
+            self._update_vertex(
+                u, w.sigma + math.hypot(src[0] - e0[0], src[1] - e0[1])
+            )
+        if t1 >= 1.0 - _EXACT_EPS:
+            self._update_vertex(
+                v, w.sigma + math.hypot(src[0] - e1[0], src[1] - e1[1])
+            )
+        if g < 0:
+            return
+        g_slot, flipped = self._slot_in_face(g, edge_id, u)
+        d_u = math.hypot(src[0] - e0[0], src[1] - e0[1])
+        d_v = math.hypot(src[0] - e1[0], src[1] - e1[1])
+        if flipped:
+            b0n = length * (1.0 - t1)
+            b1n = length * (1.0 - t0)
+            d_first, d_second = d_v, d_u
+        else:
+            b0n = length * t0
+            b1n = length * t1
+            d_first, d_second = d_u, d_v
+        sx = (d_first * d_first - d_second * d_second + length * length) / (2.0 * length)
+        sy2 = d_first * d_first - sx * sx
+        sy = -math.sqrt(sy2) if sy2 > 0.0 else 0.0
+        self._enqueue_window(
+            _ExactWindow(
+                face=g, slot=g_slot, b0=b0n, b1=b1n, sx=sx, sy=sy, sigma=w.sigma
+            )
+        )
+
+    @staticmethod
+    def _clip_affine(t0, t1, f_at_0, f_at_1, keep_negative: bool):
+        """Intersect [t0, t1] with {t : f(t) <= 0} (or >= 0), where f
+        is affine with the given endpoint values.  Returns (None, None)
+        when empty."""
+        if keep_negative:
+            f_at_0, f_at_1 = -f_at_0, -f_at_1
+        if f_at_0 >= -_EXACT_EPS and f_at_1 >= -_EXACT_EPS:
+            return t0, t1
+        if f_at_0 < 0.0 and f_at_1 < 0.0:
+            return None, None
+        t_star = f_at_0 / (f_at_0 - f_at_1)
+        if f_at_0 < 0.0:
+            return max(t0, t_star), t1
+        return t0, min(t1, t_star)
+
+    def run(self, until_vertex: int | None = None) -> None:
+        """Drain the event queue; optionally stop once ``until_vertex``
+        is provably final."""
+        heap = self._heap
+        vertices_settled = 0
+        windows_propagated = 0
+        try:
+            while heap:
+                key, _tie, kind, payload = heapq.heappop(heap)
+                if until_vertex is not None and key >= self.best[until_vertex] - _EXACT_EPS:
+                    heapq.heappush(heap, (key, _tie, kind, payload))
+                    return
+                if kind == "vertex":
+                    v = int(payload)
+                    bv = self.best[v]
+                    if key > bv + _EXACT_EPS:
+                        continue
+                    vertices_settled += 1
+                    for w, dl in zip(
+                        self.mesh.vertex_neighbors[v], self._vneigh_len[v]
+                    ):
+                        self._update_vertex(w, bv + dl)
+                    if self._is_spreader(v) and v != self.source:
+                        self._spawn_pseudo_source(v, bv)
+                else:
+                    w = payload
+                    if self._dominated(w):
+                        continue
+                    windows_propagated += 1
+                    self._propagate(w)
+        finally:
+            if vertices_settled or windows_propagated:
+                reg = active_registry()
+                reg.counter("geodesic.exact.vertices_settled").add(vertices_settled)
+                reg.counter("geodesic.exact.windows_propagated").add(
+                    windows_propagated
+                )
+                profiler = active_profiler()
+                if profiler.enabled:
+                    profiler.count("exact_vertices_settled", vertices_settled)
+                    profiler.count("exact_windows_propagated", windows_propagated)
+
+    def distance_to(self, target: int) -> float:
+        """Exact surface distance from the source to ``target``."""
+        if not 0 <= target < self.mesh.num_vertices:
+            raise GeodesicError(f"target vertex {target} out of range")
+        self.run(until_vertex=target)
+        d = float(self.best[target])
+        if not math.isfinite(d):
+            raise GeodesicError(f"vertex {target} unreachable from {self.source}")
+        return d
+
+    def distances(self) -> np.ndarray:
+        """Exact distances to every vertex (full propagation)."""
+        self.run()
+        return np.asarray(self.best, dtype=float)

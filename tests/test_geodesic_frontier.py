@@ -26,6 +26,8 @@ from repro.geodesic import frontier as frontier_mod
 from repro.geodesic.csr import (
     astar_csr,
     csr_from_adjacency,
+    dijkstra_csr,
+    dijkstra_csr_with_parents,
     multi_source_heap,
 )
 from repro.geodesic.dijkstra import (
@@ -168,6 +170,42 @@ class TestMultiSource:
         assert got.raw == want.raw
         assert got.origin == want.origin
         assert got.parent == want.parent
+
+
+class TestEmptyTargets:
+    """An empty ``targets`` set stops the heap kernels at their first
+    pop; the bucket kernels must return the same on a graph above the
+    real cutoff (they used to raise on ``max()`` of no settled
+    target)."""
+
+    @pytest.fixture
+    def path_csr(self):
+        n = MIN_FRONTIER_NODES + 10
+        adj = [[] for _ in range(n)]
+        for u in range(n - 1):
+            w = 1.0 + 0.25 * (u % 3)
+            adj[u].append((u + 1, w))
+            adj[u + 1].append((u, w))
+        return csr_from_adjacency(adj)
+
+    def test_single_source(self, path_csr):
+        assert path_csr.num_nodes >= MIN_FRONTIER_NODES
+        for source in (0, 7, path_csr.num_nodes - 1):
+            assert dijkstra_frontier(path_csr, source, targets=set()) == dijkstra_csr(
+                path_csr, source, targets=set()
+            )
+            assert dijkstra_frontier_with_parents(
+                path_csr, source, targets=set()
+            ) == dijkstra_csr_with_parents(path_csr, source, targets=set())
+
+    def test_multi_source(self, path_csr):
+        for sources in ([(0, 0.0)], [(9, 2.0), (3, 0.5), (3, 0.25), (400, 0.25)]):
+            got = multi_source_frontier(path_csr, sources, targets=set())
+            want = multi_source_heap(path_csr, sources, targets=set())
+            assert (got.value, got.raw, got.origin, got.parent) == (
+                want.value, want.raw, want.origin, want.parent
+            )
+            assert len(got.value) == 1
 
 
 class TestAStar:
