@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from repro.core.budget import QueryBudget
 from repro.errors import QueryError, StorageError, SurfKnnError
 from repro.obs.context import ObsContext, active_profiler, active_registry, current
-from repro.obs.tracing import Tracer
 from repro.storage.stats import ThreadLocalIOStatistics
 
 _MISSING = object()
@@ -415,10 +414,6 @@ class BatchQueryExecutor:
         ``None`` explicitly via ``share_bounds=False`` to disable.
     share_bounds:
         Disable bound sharing entirely when False.
-    tracing:
-        When True every query runs under its own
-        :class:`~repro.obs.tracing.Tracer`, so span trees never mix
-        between concurrent queries (``result.root_span`` per query).
     cold_cache:
         Forwarded to ``engine.query`` (default True, the paper's
         per-query cold-start measurement).
@@ -444,7 +439,9 @@ class BatchQueryExecutor:
         active, preserving the old into-the-global-registry
         behaviour).
         Pass a profiling context (``ObsContext(profiling=True)``) to
-        collect per-query phase profiles for the whole batch.
+        collect per-query phase profiles for the whole batch, and a
+        tracing one (``ObsContext(tracing=True)``) to give every query
+        its own tracer and span tree (``result.root_span``).
     """
 
     def __init__(
@@ -453,7 +450,6 @@ class BatchQueryExecutor:
         workers: int = 1,
         bound_cache: BoundCache | None = None,
         share_bounds: bool = True,
-        tracing: bool = False,
         cold_cache: bool = True,
         budget: QueryBudget | None = None,
         circuit_threshold: int = 8,
@@ -464,7 +460,6 @@ class BatchQueryExecutor:
             raise QueryError(f"workers must be >= 1, got {workers}")
         self.engine = engine
         self.workers = workers
-        self.tracing = tracing
         self.cold_cache = cold_cache
         self.budget = budget
         self.obs = obs if obs is not None else current()
@@ -540,11 +535,12 @@ class BatchQueryExecutor:
                 self.obs.registry.counter(
                     "batch.degraded_admissions_total"
                 ).add(1)
-        tracer = Tracer() if self.tracing else None
         # Each query gets its own child context: concurrent queries
-        # never share mutable telemetry, and the finished child is
-        # merged back into the batch context below (counters add,
-        # profiles aggregate) — so batch totals still reconcile.
+        # never share mutable telemetry (a tracing batch context gives
+        # every query its own tracer, so span trees never mix), and
+        # the finished child is merged back into the batch context
+        # below (counters add, profiles aggregate) — so batch totals
+        # still reconcile.
         ctx = self.obs.child(f"q{index}")
         start = time.perf_counter()
         try:
@@ -554,7 +550,6 @@ class BatchQueryExecutor:
                 method=spec.method,
                 step_length=spec.step_length,
                 cold_cache=self.cold_cache,
-                tracer=tracer,
                 obs=ctx,
                 bound_cache=self.bound_cache,
                 budget=spec.budget if spec.budget is not None else self.budget,

@@ -25,13 +25,14 @@ from __future__ import annotations
 import operator
 import time
 from contextlib import nullcontext
+from functools import partial
 
 from repro.core.baseline import exact_knn
 from repro.core.budget import QueryBudget
 from repro.core.health import EngineHealth
 from repro.core.mr3 import MR3QueryProcessor, QueryMetrics, QueryResult
 from repro.core.objects import ObjectSet
-from repro.core.ranking import RankerOptions
+from repro.core.ranking import DistanceRanker, RankerOptions
 from repro.core.schedule import ResolutionSchedule
 from repro.errors import QueryError
 from repro.geodesic.landmarks import LandmarkIndex
@@ -39,7 +40,7 @@ from repro.msdn.msdn import MSDN
 from repro.multires.dmtm import DMTM
 from repro.obs.context import ObsContext, current
 from repro.obs.profile import Profile
-from repro.obs.tracing import NULL_TRACER, Span
+from repro.obs.tracing import Span
 from repro.storage.pages import PageManager
 from repro.storage.stats import DiskModel, IOStatistics
 from repro.terrain.mesh import TriangleMesh
@@ -75,20 +76,16 @@ class SurfaceKNNEngine:
         Cost model converting pages into simulated I/O seconds.
     with_storage:
         Attach the paged storage layer (disable for pure-CPU runs).
-    tracer:
-        Optional :class:`repro.obs.tracing.Tracer`.  When given (and
-        enabled), every query produces a span tree reachable from
-        ``QueryResult.root_span`` and from ``tracer.finished()``.
-        Defaults to the shared no-op tracer — zero overhead.
     obs:
-        Optional :class:`repro.obs.ObsContext` carried by the engine.
-        Every query then runs with that context *active*: its metrics
-        land in ``obs.registry`` (not the process-wide default), its
-        tracer is used unless ``tracer`` overrides it, and — when the
-        context's profiler is enabled — every result carries a phase
-        profile reachable via ``QueryResult.profile()``.  Without
-        ``obs`` the engine reports into whatever context is active at
-        call time (the deprecated process-wide default when none is).
+        Optional :class:`repro.obs.ObsContext` carried by the engine,
+        the one way to turn telemetry on.  Every query then runs with
+        that context *active*: its metrics land in ``obs.registry``
+        (not the process-wide default); with ``tracing=True`` every
+        result carries its span tree (``QueryResult.root_span``, also
+        in ``obs.tracer.finished()``), and with ``profiling=True`` a
+        phase profile (``QueryResult.profile()``).  Without ``obs``
+        the engine reports into whatever context is active at call
+        time (the process-wide default when none is).
     buffer_pool:
         Optional :class:`repro.storage.pages.BufferPool` to cache
         pages through — pass
@@ -133,7 +130,6 @@ class SurfaceKNNEngine:
         msdn_supersample: int = 8,
         disk: DiskModel | None = None,
         with_storage: bool = True,
-        tracer=None,
         obs: ObsContext | None = None,
         buffer_pool=None,
         fault_injector=None,
@@ -148,12 +144,6 @@ class SurfaceKNNEngine:
         # raising StorageError; off restores fail-stop queries.
         self.degraded_mode = bool(degraded_mode)
         self.obs = obs
-        if tracer is not None:
-            self.tracer = tracer
-        elif obs is not None:
-            self.tracer = obs.tracer
-        else:
-            self.tracer = NULL_TRACER
         self.objects = (
             objects
             if objects is not None
@@ -174,7 +164,6 @@ class SurfaceKNNEngine:
                 buffer=buffer_pool,
                 fault_injector=fault_injector,
                 retry_policy=retry_policy,
-                tracer=self.tracer,
             )
             self.dmtm.attach_storage(self.pages)
             self.msdn.attach_storage(self.pages)
@@ -245,16 +234,17 @@ class SurfaceKNNEngine:
         """Nearest mesh vertex to a horizontal position."""
         return self.mesh.nearest_vertex((x, y))
 
-    def _validate_query_args(self, query_vertex: int | None, k: int) -> None:
+    def _validate_query_args(self, query_vertex: int | None, k: int | None) -> None:
         """Reject malformed query arguments up front, with messages
         naming the offending value — before any storage or ranking
-        work starts."""
-        if k <= 0:
-            raise QueryError(f"k must be >= 1, got {k}")
-        if k > len(self.objects):
-            raise QueryError(
-                f"k={k} exceeds the {len(self.objects)} stored objects"
-            )
+        work starts.  ``None`` skips a check."""
+        if k is not None:
+            if k <= 0:
+                raise QueryError(f"k must be >= 1, got {k}")
+            if k > len(self.objects):
+                raise QueryError(
+                    f"k={k} exceeds the {len(self.objects)} stored objects"
+                )
         if query_vertex is not None and not (
             0 <= int(query_vertex) < self.mesh.num_vertices
         ):
@@ -262,6 +252,48 @@ class SurfaceKNNEngine:
                 f"query vertex {query_vertex} out of range "
                 f"[0, {self.mesh.num_vertices})"
             )
+
+    def _scoped(self, run, obs, vertex, cold_cache, label, span) -> QueryResult:
+        """Run ``run()``, the body of one query entry point, under the
+        query's telemetry scope.  Every entry point goes through here.
+
+        Rejects an out-of-range ``vertex``, then activates the per-call
+        ``obs``, else the engine's, else keeps the ambient context.  A
+        ``cold_cache`` query drops the buffer first.  The body runs
+        under the ``query`` root phase and the entry point's root
+        ``span`` (a ``(name, attributes)`` pair); both are attached to
+        the result, which then feeds :meth:`_observe`."""
+        self._validate_query_args(vertex, None)
+        ctx = obs if obs is not None else self.obs
+        with ctx.activate() if ctx is not None else _NULL_SCOPE:
+            active = current()
+            if cold_cache and self.pages is not None:
+                self.pages.drop_buffer()
+            name, attributes = span
+            with active.profiler.phase("query") as phase_root:
+                with active.tracer.span(name, **attributes) as root:
+                    result = run()
+            if isinstance(root, Span):
+                result.root_span = root
+            if phase_root is not None:
+                result.profile_data = Profile(phase_root, label=label)
+            self._observe(result, active.registry)
+        return result
+
+    def _processor(self, schedule, options, bound_cache=None) -> MR3QueryProcessor:
+        return MR3QueryProcessor(
+            self.mesh,
+            self.dmtm,
+            self.msdn,
+            self.objects,
+            schedule,
+            options=options,
+            stats=self.stats,
+            disk=self.disk,
+            bound_cache=bound_cache,
+            landmarks=self.landmarks,
+            degraded_mode=self.degraded_mode,
+        )
 
     def query(
         self,
@@ -273,7 +305,6 @@ class SurfaceKNNEngine:
         use_refined_region: bool = True,
         use_dummy_lb: bool = True,
         cold_cache: bool = True,
-        tracer=None,
         obs: ObsContext | None = None,
         bound_cache=None,
         budget: QueryBudget | None = None,
@@ -282,13 +313,12 @@ class SurfaceKNNEngine:
 
         ``cold_cache`` drops the buffer pool first, so every query is
         measured from a cold start (the paper reports per-query page
-        counts).  ``tracer`` overrides the engine tracer for this one
-        query (the batch executor gives every query its own);
-        ``obs`` overrides the engine's :class:`~repro.obs.ObsContext`
-        for this one query — the query runs with it active, so its
-        metrics and (when enabled) its phase profile stay scoped to
-        that context.  ``bound_cache`` is an optional
-        :class:`repro.core.batch.BoundCache` sharing bound
+        counts).  ``obs`` overrides the engine's
+        :class:`~repro.obs.ObsContext` for this one query — the query
+        runs with it active, so its metrics, its span tree and its
+        phase profile (when enabled) stay scoped to that context (the
+        batch executor gives every query its own).  ``bound_cache`` is
+        an optional :class:`repro.core.batch.BoundCache` sharing bound
         computations across queries without changing any answer.
 
         ``budget`` optionally caps the query's logical page reads
@@ -297,65 +327,40 @@ class SurfaceKNNEngine:
         gracefully: the result comes back ``degraded=True`` with sound
         intervals and a per-query ``max_error`` instead of raising.
         """
-        self._validate_query_args(query_vertex, k)
-        ctx = obs if obs is not None else self.obs
-        if tracer is None:
-            tracer = ctx.tracer if ctx is not None else self.tracer
-        if method == "mr3":
-            schedule = ResolutionSchedule.preset(step_length)
-        elif method == "ea":
-            schedule = ResolutionSchedule.preset("ea")
-        elif method != "exact":
+        self._validate_query_args(None, k)
+        attributes = {"method": method, "k": k}
+        if method == "exact":
+            name = "exact"
+            attributes["query_vertex"] = query_vertex
+            run = partial(
+                self._exact, name, query_vertex, k,
+                exact_knn, self.mesh, self.objects, query_vertex, k,
+            )
+        elif method in ("mr3", "ea"):
+            schedule = ResolutionSchedule.preset(
+                step_length if method == "mr3" else "ea"
+            )
+            name = method if method == "ea" else f"mr3/{schedule.name}"
+            attributes["cold_cache"] = cold_cache
+            options = RankerOptions(
+                integrate_io=integrate_io,
+                use_refined_region=use_refined_region,
+                use_dummy_lb=use_dummy_lb,
+            )
+            processor = self._processor(schedule, options, bound_cache)
+
+            def run():
+                result = processor.query(query_vertex, k, budget=budget)
+                result.method = name
+                return result
+        else:
             raise QueryError(
                 f"unknown method {method!r}; use 'mr3', 'ea' or 'exact'"
             )
-        scope = ctx.activate() if ctx is not None else _NULL_SCOPE
-        with scope:
-            active = ctx if ctx is not None else current()
-            profiler = active.profiler
-            if cold_cache and self.pages is not None:
-                self.pages.drop_buffer()
-            with profiler.phase("query") as phase_root:
-                if method == "exact":
-                    result = self._query_exact(query_vertex, k, tracer=tracer)
-                else:
-                    options = RankerOptions(
-                        integrate_io=integrate_io,
-                        use_refined_region=use_refined_region,
-                        use_dummy_lb=use_dummy_lb,
-                    )
-                    processor = MR3QueryProcessor(
-                        self.mesh,
-                        self.dmtm,
-                        self.msdn,
-                        self.objects,
-                        schedule,
-                        options=options,
-                        stats=self.stats,
-                        disk=self.disk,
-                        tracer=tracer,
-                        bound_cache=bound_cache,
-                        profiler=profiler,
-                        landmarks=self.landmarks,
-                        degraded_mode=self.degraded_mode,
-                    )
-                    with tracer.span(
-                        "engine.query", method=method, k=k,
-                        cold_cache=cold_cache,
-                    ) as span:
-                        result = processor.query(query_vertex, k, budget=budget)
-                    if isinstance(span, Span):
-                        result.root_span = span
-                    result.method = (
-                        method if method == "ea" else f"mr3/{schedule.name}"
-                    )
-            if phase_root is not None:
-                result.profile_data = Profile(
-                    phase_root, label=f"{result.method}/k={k}"
-                )
-            if method != "exact":
-                self._observe(result, active.registry)
-        return result
+        return self._scoped(
+            run, obs, query_vertex, cold_cache, f"{name}/k={k}",
+            ("engine.query", attributes),
+        )
 
     def _observe(self, result: QueryResult, registry) -> None:
         """Feed the resolved context's metrics registry from a
@@ -408,43 +413,21 @@ class SurfaceKNNEngine:
             )
         if method != "mr3":
             raise QueryError("embedded-point queries support method='mr3'")
-        scope = self.obs.activate() if self.obs is not None else _NULL_SCOPE
-        with scope:
-            profiler = (
-                self.obs.profiler if self.obs is not None
-                else current().profiler
-            )
-            if cold_cache and self.pages is not None:
-                self.pages.drop_buffer()
-            processor = MR3QueryProcessor(
-                self.mesh,
-                self.dmtm,
-                self.msdn,
-                self.objects,
-                ResolutionSchedule.preset(step_length),
-                options=RankerOptions(**ranker_opts),
-                stats=self.stats,
-                disk=self.disk,
-                tracer=self.tracer,
-                profiler=profiler,
-                landmarks=self.landmarks,
-                degraded_mode=self.degraded_mode,
-            )
-            with profiler.phase("query") as phase_root:
-                result = processor.query(query, k, budget=budget)
-            if phase_root is not None:
-                result.profile_data = Profile(
-                    phase_root, label=f"embedded/k={k}"
-                )
-        return result
+        processor = self._processor(
+            ResolutionSchedule.preset(step_length), RankerOptions(**ranker_opts)
+        )
+        return self._scoped(
+            partial(processor.query, query, k, budget=budget),
+            None, None, cold_cache, f"embedded/k={k}",
+            ("engine.query",
+             {"method": method, "k": k, "cold_cache": cold_cache}),
+        )
 
-    def _query_exact(self, query_vertex: int, k: int, tracer=None) -> QueryResult:
-        tracer = tracer if tracer is not None else self.tracer
+    def _exact(self, method, query_vertex, k, search, *args) -> QueryResult:
+        """The result of an exact ``search(*args)`` returning
+        ``(object, distance)`` pairs: point intervals, CPU time only."""
         cpu_start = time.process_time()
-        with tracer.span(
-            "engine.query", method="exact", k=k, query_vertex=query_vertex
-        ):
-            pairs = exact_knn(self.mesh, self.objects, query_vertex, k)
+        pairs = search(*args)
         metrics = QueryMetrics(cpu_seconds=time.process_time() - cpu_start)
         return QueryResult(
             query_vertex=query_vertex,
@@ -452,7 +435,7 @@ class SurfaceKNNEngine:
             object_ids=[obj for obj, _d in pairs],
             intervals=[(d, d) for _obj, d in pairs],
             metrics=metrics,
-            method="exact",
+            method=method,
         )
 
     def range_query(
@@ -471,45 +454,43 @@ class SurfaceKNNEngine:
         """
         if radius < 0:
             raise QueryError("radius must be non-negative")
-        if cold_cache and self.pages is not None:
-            self.pages.drop_buffer()
-        from repro.core.ranking import DistanceRanker
-
-        io_before = self.stats.snapshot()
-        cpu_start = time.process_time()
         schedule = ResolutionSchedule.preset(step_length)
-        ranker = DistanceRanker(
-            self.mesh, self.dmtm, self.msdn, schedule,
-            stats=self.stats, tracer=self.tracer,
-            profiler=(
-                self.obs.profiler if self.obs is not None else None
-            ),
-            landmarks=self.landmarks,
-        )
-        q_xy = self.mesh.vertices[query_vertex][:2]
-        with self.tracer.span(
-            "engine.range_query", radius=radius, query_vertex=query_vertex
-        ):
+
+        def run():
+            io_before = self.stats.snapshot()
+            cpu_start = time.process_time()
+            ranker = DistanceRanker(
+                self.mesh, self.dmtm, self.msdn, schedule,
+                stats=self.stats, landmarks=self.landmarks,
+            )
+            q_xy = self.mesh.vertices[query_vertex][:2]
             candidate_ids = self.objects.range_2d(q_xy, radius)
             candidates = ranker.make_candidates(candidate_ids, self.objects)
             inside, certain = ranker.rank_within(
-                query_vertex, candidates, radius
+                query_vertex, candidates, radius,
+                storage_fallback=self.degraded_mode,
             )
-        metrics = QueryMetrics(cpu_seconds=time.process_time() - cpu_start)
-        delta = self.stats.delta_since(io_before)
-        metrics.pages_accessed = delta.physical_reads
-        metrics.logical_reads = delta.logical_reads
-        metrics.reads_by_class = delta.physical_by_class
-        metrics.io_seconds = self.disk.io_seconds(delta)
-        metrics.candidates_examined = len(candidates)
-        return QueryResult(
-            query_vertex=query_vertex,
-            k=len(inside),
-            object_ids=[c.object_id for c in inside],
-            intervals=[(c.lb, c.ub) for c in inside],
-            metrics=metrics,
-            method="surface-range",
-            converged=certain,
+            metrics = QueryMetrics(cpu_seconds=time.process_time() - cpu_start)
+            delta = self.stats.delta_since(io_before)
+            metrics.pages_accessed = delta.physical_reads
+            metrics.logical_reads = delta.logical_reads
+            metrics.reads_by_class = delta.physical_by_class
+            metrics.io_seconds = self.disk.io_seconds(delta)
+            metrics.candidates_examined = len(candidates)
+            return QueryResult(
+                query_vertex=query_vertex,
+                k=len(inside),
+                object_ids=[c.object_id for c in inside],
+                intervals=[(c.lb, c.ub) for c in inside],
+                metrics=metrics,
+                method="surface-range",
+                converged=certain,
+            )
+
+        return self._scoped(
+            run, None, query_vertex, cold_cache, f"surface-range/r={radius:g}",
+            ("engine.range_query",
+             {"radius": radius, "query_vertex": query_vertex}),
         )
 
     def closest_pair(self, step_length: int = 2) -> tuple[tuple[int, int], tuple[float, float]]:
@@ -544,16 +525,14 @@ class SurfaceKNNEngine:
         forbidden = set(forbidden_faces) if forbidden_faces else set()
         if max_slope_deg is not None:
             forbidden |= steep_faces(self.mesh, max_slope_deg)
-        cpu_start = time.process_time()
-        pairs = obstacle_knn(self.mesh, self.objects, query_vertex, k, forbidden)
-        metrics = QueryMetrics(cpu_seconds=time.process_time() - cpu_start)
-        return QueryResult(
-            query_vertex=query_vertex,
-            k=k,
-            object_ids=[obj for obj, _d in pairs],
-            intervals=[(d, d) for _obj, d in pairs],
-            metrics=metrics,
-            method="obstacle",
+        run = partial(
+            self._exact, "obstacle", query_vertex, k,
+            obstacle_knn, self.mesh, self.objects, query_vertex, k, forbidden,
+        )
+        # The search runs on the mesh alone and reads no pages.
+        return self._scoped(
+            run, None, query_vertex, False, f"obstacle/k={k}",
+            ("engine.obstacle_query", {"k": k, "query_vertex": query_vertex}),
         )
 
     # ------------------------------------------------------------------

@@ -33,8 +33,8 @@ from repro.core.embedding import EmbeddedQuery, source_of
 from repro.core.ranking import DistanceRanker, RankerOptions
 from repro.errors import QueryError
 from repro.geodesic.deadline import deadline_scope
-from repro.obs.profile import NULL_PROFILER
-from repro.obs.tracing import NULL_TRACER, Span
+from repro.obs.context import current
+from repro.obs.tracing import Span
 from repro.storage.stats import DiskModel, IOStatistics
 
 
@@ -87,8 +87,8 @@ class QueryResult:
     # repro.obs.events.LevelEvent per resolution level.
     filter_trace: list = field(default_factory=list)
     ranking_trace: list = field(default_factory=list)
-    # Root tracing span of the query, when run under an enabled
-    # tracer (repro.obs.tracing.Tracer); None otherwise.
+    # Root tracing span of the query (repro.obs.tracing.Span) when it
+    # ran under a tracing ObsContext; None otherwise.
     root_span: Span | None = None
     # Anytime contract: True when a query budget stopped refinement
     # early.  The answer is then the best-known top-k by upper bound
@@ -151,9 +151,7 @@ class MR3QueryProcessor:
         options: RankerOptions | None = None,
         stats: IOStatistics | None = None,
         disk: DiskModel | None = None,
-        tracer=None,
         bound_cache=None,
-        profiler=None,
         landmarks=None,
         degraded_mode: bool = True,
     ):
@@ -166,12 +164,9 @@ class MR3QueryProcessor:
         # restores fail-stop semantics for circuit-breaker style
         # supervision.
         self.degraded_mode = bool(degraded_mode)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.ranker = DistanceRanker(
             mesh, dmtm, msdn, schedule, options, stats=stats,
-            tracer=self.tracer, bound_cache=bound_cache,
-            profiler=self.profiler, landmarks=landmarks,
+            bound_cache=bound_cache, landmarks=landmarks,
         )
         self.stats = stats
         self.disk = disk if disk is not None else DiskModel()
@@ -213,7 +208,9 @@ class MR3QueryProcessor:
             if tracker is not None and tracker.deadline is not None
             else nullcontext()
         )
-        with self.tracer.span(
+        obs = current()
+        tracer, profiler = obs.tracer, obs.profiler
+        with tracer.span(
             "mr3.query", query_vertex=query_vertex, k=k,
             schedule=self.schedule.name,
         ) as root, scope:
@@ -221,13 +218,13 @@ class MR3QueryProcessor:
             q_xy = q_pos[:2]
 
             # Step 1: 2D k-NN filter.
-            with self.tracer.span("mr3.knn_2d", k=k) as sp:
-                with self.profiler.phase("spatial-filter"):
+            with tracer.span("mr3.knn_2d", k=k) as sp:
+                with profiler.phase("spatial-filter"):
                     c1_ids = self.objects.knn_2d(q_xy, k)
                 sp.set_attribute("candidates", len(c1_ids))
 
             # Step 2: rank C1 to get a tight ub for the k-th neighbour.
-            with self.tracer.span("mr3.filter", candidates=len(c1_ids)):
+            with tracer.span("mr3.filter", candidates=len(c1_ids)):
                 cands1 = self.ranker.make_candidates(c1_ids, self.objects)
                 out1 = self.ranker.rank(
                     query,
@@ -249,13 +246,13 @@ class MR3QueryProcessor:
                 radius = self._conservative_radius(anchors, cands1, k)
 
             # Step 3: 2D range query with the step-2 radius.
-            with self.tracer.span("mr3.range_2d", radius=radius) as sp:
-                with self.profiler.phase("spatial-filter"):
+            with tracer.span("mr3.range_2d", radius=radius) as sp:
+                with profiler.phase("spatial-filter"):
                     c2_ids = self.objects.range_2d(q_xy, radius)
                 sp.set_attribute("candidates", len(c2_ids))
 
             # Step 4: rank C2, reusing the intervals from step 2.
-            with self.tracer.span("mr3.ranking", candidates=len(c2_ids)):
+            with tracer.span("mr3.ranking", candidates=len(c2_ids)):
                 known: dict[int, Candidate] = {
                     c.object_id: c for c in cands1
                 }

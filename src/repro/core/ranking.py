@@ -35,10 +35,8 @@ from repro.errors import QueryError, StorageError
 from repro.geodesic.deadline import DeadlineExceeded
 from repro.geometry.ellipse import EllipseRegion
 from repro.geometry.primitives import BoundingBox
-from repro.obs.context import active_registry
+from repro.obs.context import active_profiler, active_registry, current
 from repro.obs.events import LevelEvent
-from repro.obs.profile import NULL_PROFILER
-from repro.obs.tracing import NULL_TRACER
 
 
 def _anchors_key(anchors) -> tuple:
@@ -149,7 +147,13 @@ class _IterationPlan:
 
 
 class DistanceRanker:
-    """Ranks candidates by surface-distance intervals over a schedule."""
+    """Ranks candidates by surface-distance intervals over a schedule.
+
+    Telemetry goes to the active :class:`~repro.obs.ObsContext`: each
+    level runs in a ``rank.level`` span and an ``interval-ranking``
+    phase, the DMTM/MSDN bound updates under ``bound-composition``,
+    the Kanai-Suzuki polish under ``refinement``.
+    """
 
     def __init__(
         self,
@@ -159,9 +163,7 @@ class DistanceRanker:
         schedule,
         options: RankerOptions | None = None,
         stats=None,
-        tracer=None,
         bound_cache=None,
-        profiler=None,
         landmarks=None,
     ):
         self.mesh = mesh
@@ -180,12 +182,6 @@ class DistanceRanker:
         # Shared IOStatistics: with it, every trace event carries the
         # logical/physical page delta attributed to its level.
         self.stats = stats
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        # Phase profiler (repro.obs.profile.Profiler): each level's
-        # work lands under "interval-ranking", the DMTM/MSDN bound
-        # updates under "bound-composition", the Kanai-Suzuki polish
-        # under "refinement".  Disabled by default.
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         # Optional repro.core.batch.BoundCache.  Every bound the loop
         # computes is a pure function of (structures, anchors, target,
         # resolution, region); the cache memoizes those computations
@@ -260,6 +256,7 @@ class DistanceRanker:
             raise QueryError("k must be >= 1")
         if not candidates:
             return RankingOutcome([], [], 0, True, float("inf"))
+        obs = current()
         q_pos, anchors = source_of(self.mesh, query)
         for cand in candidates:
             euclid = float(np.linalg.norm(q_pos - np.asarray(cand.position)))
@@ -282,7 +279,7 @@ class DistanceRanker:
             # can legitimately undercut it).  Gating, by contrast, is
             # identity-safe by construction: a skipped refinement
             # leaves a stale-but-sound bound behind.
-            with self.profiler.phase("landmark-bounds"):
+            with obs.profiler.phase("landmark-bounds"):
                 landmark_kth = self.landmarks.kth_upper_bound(
                     anchors, [c.vertex for c in candidates], k
                 )
@@ -359,10 +356,10 @@ class DistanceRanker:
         final = classify_candidates(candidates, k)
         if not final.done and self.options.final_polish and not exhausted:
             try:
-                with self.tracer.span(
+                with obs.tracer.span(
                     "rank.polish", phase=phase, ambiguous=len(final.active)
                 ):
-                    with self.profiler.phase("refinement"):
+                    with obs.profiler.phase("refinement"):
                         self._polish_boundary(anchors, candidates, final, k)
             except DeadlineExceeded:
                 exhausted = True
@@ -412,18 +409,19 @@ class DistanceRanker:
     ):
         """One refinement level: plan regions, tighten both bound
         families, classify.  Returns (verdict, level I/O deltas)."""
-        with self.tracer.span(
+        obs = current()
+        with obs.tracer.span(
             "rank.level", phase=phase, level=level,
             dmtm_resolution=res_u, msdn_resolution=res_l,
         ) as span:
-            with self.profiler.phase("interval-ranking"):
+            with obs.profiler.phase("interval-ranking"):
                 # At the final level the ub becomes the ranking key
                 # when ranges still overlap, so estimate it over
                 # the full ellipse rather than the refined corridor.
                 plan = self._plan_regions(
                     q_pos, active, level, refined=level < last_level
                 )
-                with self.profiler.phase("bound-composition"):
+                with obs.profiler.phase("bound-composition"):
                     self._update_upper_bounds(
                         anchors, active, plan, res_u, fallback=fallback
                     )
@@ -472,6 +470,7 @@ class DistanceRanker:
             raise QueryError("radius must be non-negative")
         if not candidates:
             return [], True
+        profiler = active_profiler()
         q_pos, anchors = source_of(self.mesh, query)
         for cand in candidates:
             euclid = float(np.linalg.norm(q_pos - np.asarray(cand.position)))
@@ -487,11 +486,11 @@ class DistanceRanker:
         for level, (res_u, res_l) in enumerate(self.schedule.levels()):
             if not active:
                 break
-            with self.profiler.phase("interval-ranking"):
+            with profiler.phase("interval-ranking"):
                 plan = self._plan_regions(
                     q_pos, active, level, refined=level < last_level
                 )
-                with self.profiler.phase("bound-composition"):
+                with profiler.phase("bound-composition"):
                     self._update_upper_bounds(
                         anchors, active, plan, res_u, fallback=fallback
                     )
@@ -505,7 +504,7 @@ class DistanceRanker:
         if active and self.options.final_polish:
             # Straddling candidates get the Kanai-Suzuki polish so the
             # in/out decision is made with ~3 %-accurate upper bounds.
-            with self.profiler.phase("refinement"):
+            with profiler.phase("refinement"):
                 for cand in active:
                     best = cand.ub
                     for anchor_vertex, offset in anchors:
@@ -783,7 +782,7 @@ class DistanceRanker:
         ``{id(candidate): bound}`` so :meth:`_update_lower_bounds` can
         prune full MSDN passes the landmark bound already decides.
         """
-        with self.profiler.phase("landmark-bounds"):
+        with active_profiler().phase("landmark-bounds"):
             vertices = [c.vertex for c in candidates]
             bounds = self.landmarks.anchored_lower_bounds(anchors, vertices)
             hits = 0

@@ -120,31 +120,43 @@ def _mesh_tables(mesh):
     spawn_a = np.where(flip, faces[:, nxt], faces)
     spawn_b = np.where(flip, faces, faces[:, nxt])
 
+    # Vertex ids, face ids and edge lengths enter the tables as one
+    # shared object each, looked up by index, instead of a fresh
+    # object per entry (``ids[-1]`` is the -1 of a boundary edge).
+    ids = list(range(max(mesh.num_vertices, mesh.num_faces))) + [-1]
+    lengths = mesh.edge_lengths.tolist()
+
+    def column(values, table=None):
+        values = values.ravel().tolist()
+        return values if table is None else [table[i] for i in values]
+
     columns = [
-        faces,
-        faces[:, nxt],
-        faces[:, prv],
-        length,
-        cx,
-        cy,
-        neighbors[:, nxt],
-        slot_in[:, nxt],
-        flip[:, nxt],
-        d_bc,
-        neighbors[:, prv],
-        slot_in[:, prv],
-        flip[:, prv],
-        d_ac,
+        column(faces, ids),
+        column(faces[:, nxt], ids),
+        column(faces[:, prv], ids),
+        column(face_edges, lengths),
+        column(cx),
+        column(cy),
+        column(neighbors[:, nxt], ids),
+        column(slot_in[:, nxt]),
+        column(flip[:, nxt]),
+        column(face_edges[:, nxt], lengths),
+        column(neighbors[:, prv], ids),
+        column(slot_in[:, prv]),
+        column(flip[:, prv]),
+        column(face_edges[:, prv], lengths),
     ]
-    flat = list(zip(*(col.ravel().tolist() for col in columns)))
+    flat = list(zip(*columns))
     rows = [tuple(flat[k : k + 3]) for k in range(0, len(flat), 3)]
 
     hypot = math.hypot
     emitted = []
-    spawn_columns = (neighbors, slot_in, spawn_a, spawn_b, length, spawn_sx, spawn_sy)
-    for g, g_slot, a, b, ln, sx, sy in zip(
-        *(col.ravel().tolist() for col in spawn_columns)
-    ):
+    spawn_columns = (
+        column(neighbors, ids), column(slot_in), column(spawn_a, ids),
+        column(spawn_b, ids), column(face_edges, lengths),
+        column(spawn_sx), column(spawn_sy),
+    )
+    for g, g_slot, a, b, ln, sx, sy in zip(*spawn_columns):
         if g < 0:
             emitted.append(None)
             continue
@@ -169,8 +181,12 @@ def _mesh_tables(mesh):
                         out.append(window)
                     break
         spawn.append(tuple(out))
+    edge_ids = mesh.edge_ids
     vadj = [
-        tuple((u, mesh.edge_length(v, u)) for u in nbrs)
+        tuple(
+            (ids[u], lengths[edge_ids[(v, u) if v < u else (u, v)]])
+            for u in nbrs
+        )
         for v, nbrs in enumerate(mesh.vertex_neighbors)
     ]
     spreader: list[bool | None] = [None] * mesh.num_vertices

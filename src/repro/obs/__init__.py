@@ -1,12 +1,13 @@
 """Observability layer: tracing spans, metrics, scoped contexts,
 phase profiling and per-query trace export.
 
-Everything here is zero-dependency and optional: the engine defaults
-to the shared :data:`~repro.obs.tracing.NULL_TRACER` and the disabled
-:data:`~repro.obs.profile.NULL_PROFILER`, whose spans/phases are
-no-ops.  Telemetry is scoped through :class:`ObsContext` (registry +
-tracer + profiler); :func:`active_registry` resolves the active one,
-falling back to the process-wide default context.  See
+Everything here is zero-dependency and optional.  Telemetry is
+scoped through :class:`ObsContext` (registry + tracer + profiler): the
+engines and the batch executor take ``obs=`` and activate it, and
+every layer reads its instruments from the active context
+(:func:`current`), falling back to the process-wide default context,
+whose :data:`~repro.obs.tracing.NULL_TRACER` and
+:data:`~repro.obs.profile.NULL_PROFILER` spans/phases are no-ops.  See
 docs/observability.md for the concepts, the phase catalog and the
 measured overhead.
 """

@@ -11,10 +11,11 @@ a :class:`~repro.obs.metrics.MetricsRegistry`, a
 :class:`~repro.obs.profile.Profiler` — into one explicitly-carried
 value:
 
-* the engine accepts ``obs=`` (constructor or per call) and
-  *activates* the context around each query so that code without an
-  engine handle (graph kernels, the page manager, the bound cache)
-  reports into the right registry;
+* the engines accept ``obs=`` (constructor or per call) and
+  *activate* the context around each query.  Every layer below them
+  (the MR3 processor, the ranker, the page manager, the graph
+  kernels, the bound cache) takes its registry, tracer and profiler
+  from the active context and from nowhere else;
 * :class:`~repro.core.batch.BatchQueryExecutor` derives a per-query
   :meth:`child` context in each worker and merges it back into the
   batch context — the per-tenant aggregation shape the service needs;
@@ -68,14 +69,12 @@ class ObsContext:
     name:
         Diagnostic label (shows up in ``repr``; child contexts derive
         ``parent/child`` names).
-    registry / tracer / profiler:
-        Explicit instruments; by default a context gets a **fresh**
-        registry, the no-op tracer and the no-op profiler.
+    registry:
+        The metrics registry; by default a **fresh** one.
     tracing / profiling:
-        Convenience switches: ``tracing=True`` builds an enabled
-        :class:`Tracer`, ``profiling=True`` an enabled
-        :class:`Profiler`, without importing either class at the call
-        site.
+        ``tracing=True`` gives the context an enabled :class:`Tracer`,
+        ``profiling=True`` an enabled :class:`Profiler`; otherwise it
+        holds the shared no-op instruments.
     """
 
     def __init__(
@@ -83,21 +82,13 @@ class ObsContext:
         name: str = "",
         *,
         registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        profiler: Profiler | None = None,
         tracing: bool = False,
         profiling: bool = False,
     ):
         self.name = name
         self.registry = registry if registry is not None else MetricsRegistry()
-        if tracer is not None:
-            self.tracer = tracer
-        else:
-            self.tracer = Tracer() if tracing else NULL_TRACER
-        if profiler is not None:
-            self.profiler = profiler
-        else:
-            self.profiler = Profiler() if profiling else NULL_PROFILER
+        self.tracer = Tracer() if tracing else NULL_TRACER
+        self.profiler = Profiler() if profiling else NULL_PROFILER
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (

@@ -124,9 +124,11 @@ class _SpanContext:
 class Tracer:
     """Collects span trees; disabled tracers are no-ops.
 
-    One tracer per engine (or a shared one) is the intended usage::
+    One tracer per :class:`~repro.obs.ObsContext`
+    (``ObsContext(tracing=True)``); instrumented code reaches it through
+    the active context::
 
-        tracer = Tracer()
+        tracer = current().tracer
         with tracer.span("engine.query", k=5) as sp:
             sp.set_attribute("candidates", 12)
         tracer.finished()[-1].duration
@@ -172,6 +174,6 @@ class Tracer:
         self._stack().clear()
 
 
-#: Shared disabled tracer — the default everywhere instrumentation is
-#: optional.  ``Tracer(enabled=False)`` spans cost one ``if``.
+#: Shared disabled tracer of every context built without
+#: ``tracing=True``.  ``Tracer(enabled=False)`` spans cost one ``if``.
 NULL_TRACER = Tracer(enabled=False)

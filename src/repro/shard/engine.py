@@ -37,6 +37,7 @@ tracing span carrying the expansion count.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -49,7 +50,6 @@ from repro.core.mr3 import QueryResult
 from repro.core.objects import ObjectSet
 from repro.errors import QueryError, SurfKnnError
 from repro.obs.context import ObsContext, active_registry, current
-from repro.obs.tracing import NULL_TRACER
 from repro.shard.stitch import border_offsets, detour_lower_bounds, stitch_into
 from repro.shard.tiles import TileGrid, TileSpan
 from repro.storage.pages import BufferPool
@@ -124,6 +124,11 @@ class ShardedEngine:
         Optional ``span -> FaultInjector`` callable giving each tile
         store its own injector (a shared injector is not thread-safe
         under parallel tile builds).
+    obs:
+        Optional :class:`~repro.obs.ObsContext`, active during every
+        query and :meth:`warm`: routing, window builds (also those on
+        the stitching pool) and the window queries report into it.
+        Without it the ambient context applies.
     max_workers:
         Thread-pool width for the stitched neighbour builds, the only
         tile builds that run in parallel.
@@ -140,19 +145,12 @@ class ShardedEngine:
         engine_kwargs: dict | None = None,
         fault_injector_factory=None,
         retry_policy=None,
-        tracer=None,
         obs: ObsContext | None = None,
         max_workers: int = 4,
     ):
         self.dem = dem
         self.grid = TileGrid(dem, grid)
         self.obs = obs
-        if tracer is not None:
-            self.tracer = tracer
-        elif obs is not None:
-            self.tracer = obs.tracer
-        else:
-            self.tracer = NULL_TRACER
         if objects is None:
             area_km2 = dem.area_km2
             count = max(1, int(round(density * area_km2)))
@@ -221,9 +219,16 @@ class ShardedEngine:
         ``spans`` defaults to every single-tile span.  Returns the
         spans built (including ones that already existed)."""
         spans = list(spans) if spans is not None else self.grid.all_tile_spans()
-        for span in spans:
-            self._window(span)
+        with self._scope(None):
+            for span in spans:
+                self._window(span)
         return spans
+
+    def _scope(self, obs):
+        """Activation of the per-call ``obs``, else the engine's;
+        a no-op scope (the ambient context applies) without either."""
+        ctx = obs if obs is not None else self.obs
+        return ctx.activate() if ctx is not None else nullcontext()
 
     def _window(self, span: TileSpan) -> _Window:
         with self._lock:
@@ -243,7 +248,7 @@ class ShardedEngine:
 
     def _build_window(self, span: TileSpan) -> _Window:
         r0, r1, c0, c1 = self.grid.span_window(span)
-        with self.tracer.span(
+        with current().tracer.span(
             "shard.build_window",
             span=(span.t_r0, span.t_r1, span.t_c0, span.t_c1),
         ):
@@ -301,7 +306,6 @@ class ShardedEngine:
         method: str = "mr3",
         step_length: int = 1,
         cold_cache: bool = True,
-        tracer=None,
         obs: ObsContext | None = None,
         bound_cache=None,
         budget=None,
@@ -325,12 +329,9 @@ class ShardedEngine:
             raise QueryError(
                 f"query vertex {vertex} out of range [0, {total})"
             )
-        ctx = obs if obs is not None else self.obs
-        if tracer is None:
-            tracer = ctx.tracer if ctx is not None else self.tracer
-        scope = ctx.activate() if ctx is not None else nullcontext()
-        with scope:
-            active = ctx if ctx is not None else current()
+        with self._scope(obs):
+            active = current()
+            tracer = active.tracer
             profiler = active.profiler
             registry = active.registry
             qr, qc = divmod(vertex, self.dem.cols)
@@ -379,7 +380,6 @@ class ShardedEngine:
                         method=method,
                         step_length=step_length,
                         cold_cache=cold_cache,
-                        tracer=tracer,
                         bound_cache=bound_cache,
                         budget=budget,
                     )
@@ -542,12 +542,19 @@ class ShardedEngine:
             return None
         try:
             if len(populated) > 1:
+                # Pool threads start with an empty context; each build
+                # runs in its own copy of this one, so its spans and
+                # counters land in the query's ObsContext.
+                contexts = [contextvars.copy_context() for _ in populated]
                 with ThreadPoolExecutor(
                     max_workers=self._max_workers
                 ) as pool:
                     nb_windows = list(
                         pool.map(
-                            lambda nb: self._window(self.grid.tile_span(nb)),
+                            lambda context, nb: context.run(
+                                self._window, self.grid.tile_span(nb)
+                            ),
+                            contexts,
                             populated,
                         )
                     )

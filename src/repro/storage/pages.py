@@ -21,9 +21,11 @@ verifies it and retries transient faults and detected corruption
 under a :class:`~repro.storage.faults.RetryPolicy`, surfacing
 :class:`~repro.errors.PageReadError` /
 :class:`~repro.errors.PageCorruptionError` only once the policy is
-exhausted.  With no :class:`~repro.storage.faults.FaultInjector`
-attached the read path is behaviourally identical to the pre-fault
-code: the CRC always matches and no retry/fault counter moves.
+exhausted.  Each retry runs in a ``storage.retry`` span on the active
+context's tracer (a clean read emits none).  With no
+:class:`~repro.storage.faults.FaultInjector` attached the read path
+is behaviourally identical to the pre-fault code: the CRC always
+matches and no retry/fault counter moves.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ from repro.errors import (
     QuarantinedPageError,
     StorageError,
 )
-from repro.obs.context import active_profiler, active_registry
-from repro.obs.tracing import NULL_TRACER
+from repro.obs.context import active_profiler, active_registry, current
 from repro.storage.faults import (
     FAULT_CORRUPT,
     FAULT_TRANSIENT,
@@ -198,10 +199,6 @@ class PageManager:
         transient faults and detected corruption are retried before a
         :class:`~repro.errors.PageReadError` /
         :class:`~repro.errors.PageCorruptionError` surfaces.
-    tracer:
-        Optional :class:`repro.obs.tracing.Tracer`; fault recovery
-        emits ``storage.retry`` spans through it (a clean read emits
-        nothing).
     quarantine:
         Optional :class:`~repro.storage.faults.PageQuarantine`; by
         default each manager owns a private one.  A page whose read
@@ -224,7 +221,6 @@ class PageManager:
         buffer: BufferPool | None = None,
         fault_injector: FaultInjector | None = None,
         retry_policy: RetryPolicy | None = None,
-        tracer=None,
         quarantine: PageQuarantine | None = None,
     ):
         if page_size < 64:
@@ -241,7 +237,6 @@ class PageManager:
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy()
         )
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.quarantine = (
             quarantine if quarantine is not None else PageQuarantine()
         )
@@ -447,7 +442,7 @@ class PageManager:
                 if attempt == 1:
                     data, latency = self._disk.read(page_id)
                 else:
-                    with self.tracer.span(
+                    with current().tracer.span(
                         "storage.retry", page_id=page_id, attempt=attempt
                     ):
                         data, latency = self._disk.read(page_id)

@@ -101,7 +101,7 @@ from repro.msdn.sdn import _CHUNK_STRUCT, _point_to_boxes
 from repro.multires.dmtm import NetworkView, UpperBoundResult
 from repro.simplification.collapse import CollapseHistory, CollapseNode
 from repro.simplification.quadric import best_merge_position, face_quadric
-from repro.obs.context import active_profiler, active_registry
+from repro.obs.context import active_profiler, active_registry, current
 from repro.obs.tracing import NOOP_SPAN
 from repro.storage.faults import (
     FAULT_CORRUPT,
@@ -1051,7 +1051,7 @@ def _fetch_verified_reference(manager, page_id: int) -> bytes:
             registry.counter("storage.retries_total").add(1)
             registry.counter("storage.retry_backoff_seconds").add(backoff)
         span_cm = (
-            manager.tracer.span("storage.retry", page_id=page_id, attempt=attempt)
+            current().tracer.span("storage.retry", page_id=page_id, attempt=attempt)
             if attempt > 1
             else NOOP_SPAN
         )

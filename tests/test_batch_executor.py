@@ -22,6 +22,7 @@ from repro.core.batch import (
 )
 from repro.core.engine import SurfaceKNNEngine
 from repro.errors import QueryError
+from repro.obs.context import ObsContext
 from repro.storage.stats import ThreadLocalIOStatistics
 
 
@@ -136,7 +137,7 @@ class TestIsolation:
         """Every result's span tree contains exactly its own query."""
         specs = _mixed_specs(batch_engine, 10)
         report = BatchQueryExecutor(
-            batch_engine, workers=4, tracing=True
+            batch_engine, workers=4, obs=ObsContext(tracing=True)
         ).run(specs)
         for spec, result in zip(specs, report.results):
             root = result.root_span

@@ -83,3 +83,8 @@ class TestObstacleKnn:
         assert len(res.object_ids) <= 2
         for lb, ub in res.intervals:
             assert lb == ub
+
+    def test_engine_rejects_out_of_range_vertex(self, small_engine):
+        for vertex in (-1, small_engine.mesh.num_vertices):
+            with pytest.raises(QueryError, match="out of range"):
+                small_engine.obstacle_query(vertex, 2)

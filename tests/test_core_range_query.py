@@ -63,6 +63,11 @@ class TestSurfaceRangeQuery:
         with pytest.raises(QueryError):
             small_engine.range_query(0, -1.0)
 
+    def test_out_of_range_vertex_rejected(self, small_engine):
+        for vertex in (-1, small_engine.mesh.num_vertices):
+            with pytest.raises(QueryError, match="out of range"):
+                small_engine.range_query(vertex, 150.0)
+
     def test_consistent_with_knn(self, small_engine, truth):
         """range(q, dS of the k-th neighbour) contains the k-NN set
         (up to boundary ties within the approximation tolerance)."""

@@ -102,6 +102,17 @@ class TestStorageFallbackSoundness:
         with pytest.raises(StorageError):
             hard.query(degraded_qv, 3)
 
+    def test_degraded_mode_off_fails_range_queries_too(self, bh_mesh):
+        """A fail-stop engine's range query raises where ``query``
+        does, instead of answering with a skipped bound source."""
+        engine = SurfaceKNNEngine(
+            bh_mesh, density=10.0, seed=3, degraded_mode=False
+        )
+        kill_random_pages(engine.pages, 0.3)
+        centre = bh_mesh.nearest_vertex(bh_mesh.xy_bounds().center)
+        with pytest.raises(StorageError):
+            engine.range_query(centre, 400.0)
+
 
 class TestDegradedReasonThreading:
     def test_storage_reason_reaches_query_record(self, bh_mesh):

@@ -232,6 +232,29 @@ def test_tables_are_built_once_per_mesh():
     assert ExactGeodesic(mesh, 5)._tables is first
 
 
+def test_tables_hold_one_object_per_edge_length():
+    """Every entry naming one edge's length (row, far-edge and spawn
+    columns, vertex edges) holds the same float object, so the tables
+    store each length once rather than once per entry."""
+    mesh = standard_mesh("BH", 9)
+    rows, spawn, vadj, _spreader = ExactGeodesic(mesh, 0)._tables
+    u = mesh.nearest_vertex(mesh.xy_bounds().center)
+    v = mesh.vertex_neighbors[u][0]
+    eid = mesh.edge_ids[(min(u, v), max(u, v))]
+    named = [ln for w, ln in vadj[u] if w == v]
+    named += [ln for w, ln in vadj[v] if w == u]
+    for f, edges in enumerate(mesh.face_edges.tolist()):
+        for s in range(3):
+            for col, e in ((3, edges[s]), (9, edges[(s + 1) % 3]),
+                           (13, edges[(s + 2) % 3])):
+                if e == eid:
+                    named.append(rows[f][s][col])
+    named += [w[4] for out in spawn for w in out if {w[2], w[3]} == {u, v}]
+    assert len(named) == 2 + 2 * 3 + 2  # interior edge: two faces
+    assert named[0] == float(mesh.edge_lengths[eid])
+    assert all(ln is named[0] for ln in named)
+
+
 def test_zero_length_boundary_edge_matches_reference():
     """An unvalidated mesh may carry coincident vertices.  The tables
     unfold every edge up front, a zero-length one included; no window

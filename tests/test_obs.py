@@ -21,7 +21,7 @@ from repro.obs.export import (
     render,
     write_jsonl,
 )
-from repro.obs.context import active_registry
+from repro.obs.context import ObsContext, active_registry
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.tracing import NOOP_SPAN, Span, Tracer
 
@@ -192,16 +192,11 @@ class TestEvents:
 class TestTracedQuery:
     @pytest.fixture()
     def traced(self, small_engine):
-        """Run one query under an enabled tracer; restore the engine."""
-        tracer = Tracer()
-        original = small_engine.tracer
-        small_engine.tracer = tracer
-        try:
-            qv = small_engine.snap(700.0, 700.0)
-            result = small_engine.query(qv, 3, step_length=2)
-        finally:
-            small_engine.tracer = original
-        return result, tracer
+        """Run one query under a tracing context."""
+        ctx = ObsContext(tracing=True)
+        qv = small_engine.snap(700.0, 700.0)
+        result = small_engine.query(qv, 3, step_length=2, obs=ctx)
+        return result, ctx.tracer
 
     def test_trace_rounds_match_iterations(self, traced):
         result, _tracer = traced

@@ -23,7 +23,12 @@ import pytest
 
 from repro.core.batch import BatchQuery, BatchQueryExecutor
 from repro.core.engine import SurfaceKNNEngine
-from repro.obs.context import ObsContext, active_profiler, current
+from repro.obs.context import (
+    ObsContext,
+    active_profiler,
+    current,
+    default_context,
+)
 from repro.obs.diff import attribute, load_run
 from repro.obs.diff import main as diff_main
 from repro.obs.export import write_jsonl
@@ -436,6 +441,43 @@ class TestObsContext:
             assert ctx.registry.counter("geodesic.dijkstra.calls").value > 0
         # Nothing leaked into the process default registry.
         assert default_calls.value == default_before
+
+    @pytest.mark.parametrize(
+        "entry", ["query", "query_point", "range_query", "obstacle_query"]
+    )
+    def test_entry_points_report_into_engine_context(self, bh_mesh, entry):
+        """Every entry point of an engine built with ``obs=ctx`` runs
+        under ctx: its kernel counters, one ``query``-rooted profile
+        and one root span, all reachable from the result."""
+        ctx = ObsContext("engine", tracing=True, profiling=True)
+        engine = SurfaceKNNEngine(bh_mesh, density=10.0, seed=3, obs=ctx)
+        qv = engine.snap(700.0, 700.0)
+        x, y = engine.mesh.vertices[qv][:2] + 7.0  # inside a facet
+        run = {
+            "query": lambda: engine.query(qv, 3, step_length=2),
+            "query_point": lambda: engine.query_point(x, y, 3, step_length=2),
+            "range_query": lambda: engine.range_query(qv, 400.0),
+            "obstacle_query": lambda: engine.obstacle_query(
+                qv, 3, max_slope_deg=55.0
+            ),
+        }[entry]
+        default_calls = default_context().registry.counter(
+            "geodesic.dijkstra.calls"
+        )
+        default_before = default_calls.value
+        result = run()
+        assert default_calls.value == default_before
+        assert ctx.registry.counter("geodesic.dijkstra.calls").value > 0
+        assert any(name.startswith("engine.queries.") for name in ctx.collect())
+        (profile,) = ctx.profiler.finished()
+        assert profile.root.name == "query"
+        assert profile.root is result.profile().root
+        (root,) = ctx.tracer.finished()
+        assert root.name == {
+            "range_query": "engine.range_query",
+            "obstacle_query": "engine.obstacle_query",
+        }.get(entry, "engine.query")
+        assert root is result.root_span
 
     def test_batch_executor_merges_child_contexts(self, bh_mesh):
         engine = SurfaceKNNEngine(bh_mesh, density=10.0, seed=3)

@@ -20,7 +20,7 @@ from repro.errors import (
     QuarantinedPageError,
     StorageError,
 )
-from repro.obs.tracing import Tracer
+from repro.obs.context import ObsContext
 from repro.storage.faults import (
     FAULT_CORRUPT,
     FAULT_DEAD,
@@ -154,10 +154,11 @@ class TestPageManagerRecovery:
 
     def test_retry_spans_emitted(self):
         inj = FaultInjector(seed=1, transient_rate=1.0, max_faults=1)
-        tracer = Tracer()
-        pm = PageManager(fault_injector=inj, tracer=tracer)
+        ctx = ObsContext(tracing=True)
+        tracer = ctx.tracer
+        pm = PageManager(fault_injector=inj)
         pm.allocate(b"spanful")
-        with tracer.span("test.root"):
+        with ctx.activate(), tracer.span("test.root"):
             pm.read(0)
         (root,) = tracer.finished()
         retries = root.find("storage.retry")

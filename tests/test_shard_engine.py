@@ -187,6 +187,27 @@ class TestObservability:
         assert "expansions" in root.attributes
         assert "tiles" in root.attributes
 
+    def test_stitched_builds_report_into_query_context(self):
+        """Window builds on the stitching pool count and trace into
+        the query's context, not the pool threads' empty one."""
+        dem = fractal_dem(25, 90.0, 500.0, 0.7)
+        obs = ObsContext(tracing=True)
+        engine = ShardedEngine(
+            dem, objects=uniform_grid_objects(dem, 64, seed=0), grid=(3, 3),
+            max_workers=2, obs=obs,
+        )
+        engine.query(28, 3)
+        built = len(engine.windows_built)
+        assert obs.registry.counter("shard.windows_built_total").value == built
+        roots = obs.tracer.finished()
+        spans = [
+            s for root in roots for s in root.walk()
+            if s.name == "shard.build_window"
+        ]
+        assert len(spans) == built
+        # Builds on pool threads open their spans on an empty stack.
+        assert any(root.name == "shard.build_window" for root in roots)
+
 
 class TestValidation:
     def test_k_bounds_checked(self, sharded, object_vids):

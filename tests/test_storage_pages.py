@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.obs.context import ObsContext
-from repro.obs.tracing import Tracer
 from repro.storage.faults import FaultInjector, PageQuarantine, RetryPolicy
 from repro.storage.pages import PageManager
 from repro.storage.stats import DiskModel, IOStatistics
@@ -148,7 +147,6 @@ def _twin(setup: dict) -> PageManager:
             dead_pages=setup["dead_pages"],
         ),
         retry_policy=RetryPolicy(max_attempts=setup["attempts"]),
-        tracer=Tracer(),
         quarantine=PageQuarantine(cooldown_reads=setup["cooldown"],
                                   max_cooldown_reads=4),
     )
@@ -160,7 +158,7 @@ def _twin(setup: dict) -> PageManager:
 def _replay(pm: PageManager, runs, read_run) -> dict:
     """Every run read by ``read_run`` inside its own profiled phase;
     the outcome of each run and everything the manager exposes."""
-    ctx = ObsContext("differential", profiling=True)
+    ctx = ObsContext("differential", tracing=True, profiling=True)
     outcomes = []
     with ctx.activate():
         for run in runs:
@@ -190,7 +188,7 @@ def _replay(pm: PageManager, runs, read_run) -> dict:
             dataclasses.replace(entry, owner=0) for entry in pm.quarantine.entries()
         ],
         "registry": ctx.registry.collect(),
-        "spans": [(s.name, s.attributes) for s in pm.tracer.finished()],
+        "spans": [(s.name, s.attributes) for s in ctx.tracer.finished()],
         "profiles": [
             (
                 p.counters_by_phase(),

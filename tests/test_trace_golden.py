@@ -24,7 +24,7 @@ import pytest
 
 from repro.core.engine import SurfaceKNNEngine
 from repro.obs.export import normalize_record, query_record
-from repro.obs.tracing import Tracer
+from repro.obs.context import ObsContext
 from repro.testkit.generators import standard_mesh
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -41,7 +41,7 @@ def _golden_result():
         standard_mesh("BH", 17),
         density=10.0,
         seed=3,
-        tracer=Tracer(),
+        obs=ObsContext(tracing=True),
     )
     qv = engine.mesh.nearest_vertex(engine.mesh.xy_bounds().center)
     return engine.query(qv, 3, step_length=2)
