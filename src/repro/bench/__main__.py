@@ -16,8 +16,9 @@ the broadcast MSDN lower-bound DP against the
 per-coordinate hop kernel, the DP dummy-lb screen against the
 witness-chain screen, per-page reads against run reads of
 the same captured page runs, and the object MSDN build and per-pair
-QEM collapse against the column-wise MSDN build and batched collapse
-(micro rows); the ``landmarks`` mode runs
+QEM collapse against the column-wise MSDN build and the collapse with
+fused merge costs, the by-record DMTM attach and the mesh adjacency
+loops against their array builds (micro rows); the ``landmarks`` mode runs
 the fig10 k-sweep with ALT landmark pruning on vs off, reporting the
 one-off index build separately; the ``shard``
 mode asserts the tiled
@@ -25,7 +26,9 @@ mode asserts the tiled
 monolithic engine and runs a
 sharded-only scale sweep (257x257, 1e4 objects).  All three merge
 their series into the ``repro.bench/v1`` document at ``--out``
-(default ``BENCH_GEODESIC.json``).  ``--profile-out PATH`` additionally runs
+(default the tracked full-size record ``BENCH_GEODESIC.json``, or the
+git-ignored ``bench-smoke.json`` with ``--quick``, so a quick run never
+overwrites the record).  ``--profile-out PATH`` additionally runs
 every query under a profiling context and writes one
 ``repro.profile/v1`` record per query — two such files diff with
 ``python -m repro.obs.diff``.
@@ -83,9 +86,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--out",
         metavar="PATH",
-        default="BENCH_GEODESIC.json",
-        help="kernels/landmarks modes: where to write (or merge into) "
-        "the repro.bench/v1 JSON document (default BENCH_GEODESIC.json)",
+        default=None,
+        help="kernels/landmarks/shard modes: where to write (or merge "
+        "into) the repro.bench/v1 JSON document (default "
+        "BENCH_GEODESIC.json, or bench-smoke.json with --quick)",
     )
     parser.add_argument(
         "--metrics-out",
@@ -102,6 +106,8 @@ def main(argv=None) -> int:
         "(feed two such files to python -m repro.obs.diff)",
     )
     args = parser.parse_args(argv)
+    if args.out is None:
+        args.out = "bench-smoke.json" if args.quick else "BENCH_GEODESIC.json"
     names = sorted(_FIGURES) if args.figure == "all" else [args.figure]
     if args.metrics_out or args.profile_out:
         from repro.obs.export import write_jsonl

@@ -808,7 +808,8 @@ def chaos(
 # ----------------------------------------------------------------------
 
 #: Terrain side and page size of the ``msdn build``, ``qem
-#: collapse`` and ``exact sweep`` micro rows (quick runs too).
+#: collapse``, ``dmtm attach``, ``mesh adjacency`` and ``exact sweep``
+#: micro rows (quick runs too).
 BUILD_SIZE = 33
 BUILD_PAGE_SIZE = 2048
 
@@ -844,13 +845,21 @@ def kernels(
     runs of a fixed set of queries on a storage-attached engine
     (:func:`_page_io_runs`) with a cold buffer per query, once one
     page at a time through the per-page oracle and once as runs
-    through :meth:`~repro.storage.pages.PageManager.read_pages`.  Two
+    through :meth:`~repro.storage.pages.PageManager.read_pages`.  Four
     more time structure builds on BH ``BUILD_SIZE``: ``msdn build``,
     the object MSDN build (:class:`~repro.testkit.reference.MSDNReference`)
     against the column-wise one, each including ``attach_storage`` on
     a fresh ``BUILD_PAGE_SIZE`` page manager, identical in arrays and
-    pages; and ``qem collapse``, the per-pair collapse loop against
-    the batched one, identical node for node; and ``exact sweep``,
+    pages; ``qem collapse``, the per-pair collapse loop against the
+    loop with one fused merge-cost call per collapse, identical node
+    for node; ``dmtm attach``, the by-record DMTM attach
+    (:func:`~repro.testkit.reference.dmtm_attach_reference`) against
+    the array attach on a fresh ``BUILD_PAGE_SIZE`` page manager,
+    identical in page arrays, page bytes, CRCs and classes; and
+    ``mesh adjacency``, the adjacency loops
+    (:func:`~repro.testkit.reference.mesh_adjacency_reference`)
+    against the array passes of a fresh unvalidated mesh, identical
+    field for field.  ``exact sweep`` times
     full exact window propagations from fixed sources, the per-window
     reference (:class:`~repro.testkit.reference.ExactGeodesicReference`)
     against the flat event loop, identical in distance bytes and
@@ -874,17 +883,24 @@ def kernels(
     from repro.geodesic.pathnet import vertex_key
     from repro.msdn.msdn import MSDN
     from repro.msdn.sdn import lower_bound_via_planes_arrays
+    from repro.multires.ddm import DistanceDirectMesh
+    from repro.multires.dmtm import DMTM
     from repro.obs.context import ObsContext
     from repro.simplification.collapse import build_collapse_history
     from repro.storage.pages import PageManager
+    from repro.terrain.mesh import TriangleMesh
     from repro.testkit.reference import (
         ExactGeodesicReference,
         MSDNReference,
         build_collapse_history_reference,
         collapse_history_bits,
+        dmtm_attach_mismatches,
+        dmtm_attach_reference,
         dmtm_cut_per_region,
         dmtm_upper_bound_cut_reference,
         lower_bound_via_planes_broadcast,
+        mesh_adjacency_mismatches,
+        mesh_adjacency_reference,
         msdn_build_mismatches,
         read_page_reference,
         upper_bound_bits,
@@ -1118,6 +1134,38 @@ def kernels(
     qem_ref_seconds, _ = best_of(lambda: build_collapse_history_reference(build_mesh))
     qem_new_seconds, _ = best_of(lambda: build_collapse_history(build_mesh))
 
+    build_dmtm = DMTM(build_mesh, ddm=DistanceDirectMesh(build_mesh, history))
+
+    def array_attach():
+        attach_pages = PageManager(page_size=BUILD_PAGE_SIZE)
+        build_dmtm.attach_storage(attach_pages)
+        return attach_pages
+
+    def record_attach():
+        return dmtm_attach_reference(
+            build_dmtm, PageManager(page_size=BUILD_PAGE_SIZE)
+        )
+
+    mismatches = dmtm_attach_mismatches(
+        build_dmtm, array_attach(), PageManager(page_size=BUILD_PAGE_SIZE)
+    )
+    if mismatches:
+        raise AssertionError(f"dmtm attach divergence: {mismatches[:5]}")
+    attach_ref_seconds, _ = best_of(record_attach)
+    attach_new_seconds, _ = best_of(array_attach)
+    attach_records = len(history.nodes) + build_mesh.num_faces
+
+    def array_adjacency():
+        return TriangleMesh(build_mesh.vertices, build_mesh.faces, validate=False)
+
+    mismatches = mesh_adjacency_mismatches(array_adjacency())
+    if mismatches:
+        raise AssertionError(f"mesh adjacency divergence: {mismatches}")
+    adjacency_ref_seconds, _ = best_of(
+        lambda: mesh_adjacency_reference(build_mesh)
+    )
+    adjacency_new_seconds, _ = best_of(array_adjacency)
+
     sweep_sources = query_vertices(build_mesh, 2 if quick else 4, seed=37)
 
     def exact_sweeps(kernel):
@@ -1322,11 +1370,51 @@ def kernels(
         },
         {
             "comparison": "qem collapse",
-            "kernel": "batched",
+            "kernel": "fused merge costs",
             "searches": history.num_steps,
             "seconds": qem_new_seconds,
             "speedup": (
                 qem_ref_seconds / qem_new_seconds if qem_new_seconds > 0 else None
+            ),
+            "identical": True,
+        },
+        {
+            "comparison": "dmtm attach",
+            "kernel": "reference by-record",
+            "searches": attach_records,
+            "seconds": attach_ref_seconds,
+            "speedup": 1.0,
+            "identical": True,
+        },
+        {
+            "comparison": "dmtm attach",
+            "kernel": "array",
+            "searches": attach_records,
+            "seconds": attach_new_seconds,
+            "speedup": (
+                attach_ref_seconds / attach_new_seconds
+                if attach_new_seconds > 0
+                else None
+            ),
+            "identical": True,
+        },
+        {
+            "comparison": "mesh adjacency",
+            "kernel": "reference loops",
+            "searches": build_mesh.num_faces,
+            "seconds": adjacency_ref_seconds,
+            "speedup": 1.0,
+            "identical": True,
+        },
+        {
+            "comparison": "mesh adjacency",
+            "kernel": "array",
+            "searches": build_mesh.num_faces,
+            "seconds": adjacency_new_seconds,
+            "speedup": (
+                adjacency_ref_seconds / adjacency_new_seconds
+                if adjacency_new_seconds > 0
+                else None
             ),
             "identical": True,
         },

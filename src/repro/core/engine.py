@@ -413,12 +413,17 @@ class SurfaceKNNEngine:
             )
         if method != "mr3":
             raise QueryError("embedded-point queries support method='mr3'")
-        processor = self._processor(
-            ResolutionSchedule.preset(step_length), RankerOptions(**ranker_opts)
-        )
+        schedule = ResolutionSchedule.preset(step_length)
+        processor = self._processor(schedule, RankerOptions(**ranker_opts))
+        name = f"mr3/{schedule.name}"
+
+        def run():
+            result = processor.query(query, k, budget=budget)
+            result.method = name
+            return result
+
         return self._scoped(
-            partial(processor.query, query, k, budget=budget),
-            None, None, cold_cache, f"embedded/k={k}",
+            run, None, None, cold_cache, f"embedded/k={k}",
             ("engine.query",
              {"method": method, "k": k, "cold_cache": cold_cache}),
         )

@@ -74,10 +74,9 @@ def _mesh_tables(mesh):
       unfolded into its frame, the distances to both endpoints and the
       window's heap key less ``sigma``;
     * ``vadj[v]`` — ``(u, |vu|)`` for each mesh edge at ``v``;
-    * ``spreader[v]`` — whether geodesics may pass through ``v``
-      (boundary or saddle vertex), boundary flags set here and saddle
-      flags filled in the first time a search asks (the same value
-      whichever search does).
+    * ``spreader[v]`` — whether geodesics may pass through ``v``:
+      a boundary vertex, or a saddle, an interior vertex whose total
+      angle (:func:`_total_angles`) exceeds 2*pi.
 
     The floats come from the same IEEE operations on the same float64
     edge lengths as the per-window formulas they replace, so they are
@@ -181,20 +180,47 @@ def _mesh_tables(mesh):
                         out.append(window)
                     break
         spawn.append(tuple(out))
-    edge_ids = mesh.edge_ids
     vadj = [
-        tuple(
-            (ids[u], lengths[edge_ids[(v, u) if v < u else (u, v)]])
-            for u in nbrs
-        )
-        for v, nbrs in enumerate(mesh.vertex_neighbors)
+        tuple((ids[u], lengths[e]) for u, e in zip(nbrs, eids))
+        for nbrs, eids in zip(mesh.vertex_neighbors, mesh.vertex_edges)
     ]
-    spreader: list[bool | None] = [None] * mesh.num_vertices
+    saddle = 2.0 * math.pi + _ANGLE_EPS
+    spreader = [total > saddle for total in _total_angles(mesh)]
     for v in mesh.boundary_vertices():
         spreader[v] = True
     tables = (rows, spawn, vadj, spreader)
     mesh.__dict__["_exact_tables"] = tables
     return tables
+
+
+def _total_angles(mesh) -> list[float]:
+    """:meth:`~repro.terrain.mesh.TriangleMesh.vertex_total_angle` of
+    every vertex in one pass over the face corners: the corner's two
+    edge vectors in face order, norms ``sqrt(x·x)`` and the cosine
+    ``u·w / (|u| |w|)`` as stacked ``matmul`` dots (the BLAS dot of
+    ``np.linalg.norm`` and ``np.dot``), the same clip, ``math.acos``
+    per corner and per-vertex sums in face order, so every total
+    equals the scalar one bit for bit.  A corner with a zero-length
+    edge adds ``acos(1.0) = 0.0``, which leaves a sum unchanged, where
+    the scalar loop skips it."""
+    faces = mesh.faces
+    vertices = mesh.vertices
+    corners = faces.ravel()
+    others = faces[:, [1, 0, 0]].ravel(), faces[:, [2, 2, 1]].ravel()
+    u = vertices[others[0]] - vertices[corners]
+    w = vertices[others[1]] - vertices[corners]
+    left = np.concatenate((u, w, u))
+    right = np.concatenate((u, w, w))
+    dot = np.matmul(left[:, np.newaxis, :], right[:, :, np.newaxis]).reshape(3, -1)
+    norm_u, norm_w = np.sqrt(dot[0]), np.sqrt(dot[1])
+    live = (norm_u != 0.0) & (norm_w != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = np.clip(dot[2] / (norm_u * norm_w), -1.0, 1.0)
+    totals = [0.0] * mesh.num_vertices
+    acos = math.acos
+    for v, c in zip(corners.tolist(), np.where(live, cos, 1.0).tolist()):
+        totals[v] += acos(c)
+    return totals
 
 
 class ExactGeodesic:
@@ -317,18 +343,9 @@ class ExactGeodesic:
                             best[u] = cand
                             counter += 1
                             push(heap, (cand, counter, "vertex", u))
-                    if payload != source:
-                        flag = spreader[payload]
-                        if flag is None:
-                            # Not on the boundary: a saddle when its
-                            # total angle exceeds 2*pi.
-                            flag = spreader[payload] = (
-                                self.mesh.vertex_total_angle(payload)
-                                > 2.0 * math.pi + _ANGLE_EPS
-                            )
-                        if flag:
-                            emit = spawn[payload]
-                            emit_sigma = bv
+                    if payload != source and spreader[payload]:
+                        emit = spawn[payload]
+                        emit_sigma = bv
                     continue
 
                 face, slot, b0, b1, sx, sy, sigma = payload

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from repro.geodesic.graph import KeyedGraph
 from repro.geodesic.pathnet import build_pathnet, vertex_key
 from repro.geometry.primitives import BoundingBox, region_boxes, rows_meeting_boxes
 from repro.multires.ddm import CompiledCut, DistanceDirectMesh
-from repro.spatial.zorder import zorder_key_normalized
+from repro.spatial.zorder import zorder_keys
 from repro.storage.locator import LocatorStore
 from repro.storage.pages import PageManager
 from repro.storage.stats import PAGE_CLASS_DMTM
@@ -140,42 +141,55 @@ class DMTM:
 
     def attach_storage(self, pages: PageManager) -> None:
         """Lay the DMTM out on pages (z-order clustered) so that
-        extractions are charged page I/O."""
-        world = self.mesh.xy_bounds()
-        node_items = []
-        for node in self.ddm.history.nodes:
-            key = zorder_key_normalized(
-                float(node.position[0]), float(node.position[1]), world
-            )
-            node_items.append((key, node.node_id, self._encode_node(node)))
-        self._node_store = LocatorStore(
-            node_items, pages, page_class=PAGE_CLASS_DMTM
-        )
-        face_items = []
-        for fi in range(self.mesh.num_faces):
-            centroid = self.mesh.face_points(fi).mean(axis=0)
-            key = zorder_key_normalized(float(centroid[0]), float(centroid[1]), world)
-            face_items.append((key, fi, self._encode_face(fi)))
-        self._face_store = LocatorStore(
-            face_items, pages, page_class=PAGE_CLASS_DMTM
-        )
-        # Items were listed by node / face id, so each store's row
-        # pages are its id -> page arrays.
-        self._node_pages = self._node_store.row_pages
-        self._face_pages = self._face_store.row_pages
+        extractions are charged page I/O.
 
-    def _encode_node(self, node) -> bytes:
-        head = struct.pack(
-            "<qqqd3dH",
+        Node and face keys come from one :func:`zorder_keys` pass
+        each.  Nodes are id-addressed records of one ``struct.pack``
+        each; faces are equal-size records, written as one structured
+        array in key order (a stable argsort, the order ``sorted``
+        gives the keys) and addressed through ``_face_pages``."""
+        world = self.mesh.xy_bounds()
+        nodes = self.ddm.history.nodes
+        node_keys = zorder_keys(self.ddm.node_positions(), world).tolist()
+        self._node_store = LocatorStore(
+            zip(node_keys, range(len(nodes)), map(self._encode_node, nodes)),
+            pages,
+            page_class=PAGE_CLASS_DMTM,
+        )
+        # Items were listed by node id, so the store's row pages are
+        # its id -> page array.
+        self._node_pages = self._node_store.row_pages
+        faces = self.mesh.faces
+        points = self.mesh.vertices[faces]
+        centroids = (points[:, 0] + points[:, 1] + points[:, 2]) / 3.0
+        order = np.argsort(zorder_keys(centroids, world), kind="stable")
+        records = np.empty(
+            len(faces),
+            dtype=[("face", "<i8"), ("vertices", "<i8", 3), ("points", "<f8", 9)],
+        )
+        records["face"] = np.arange(len(faces))
+        records["vertices"] = faces
+        records["points"] = points.reshape(-1, 9)
+        self._face_store = LocatorStore.from_records(
+            records[order], pages, page_class=PAGE_CLASS_DMTM
+        )
+        self._face_pages = np.empty(len(faces), dtype=np.int64)
+        self._face_pages[order] = self._face_store.row_pages
+
+    @staticmethod
+    def _encode_node(node) -> bytes:
+        """``<qqqd3dH`` head, then one ``<qd`` per record."""
+        count = len(node.records)
+        return struct.pack(
+            "<qqqd3dH" + "qd" * count,
             node.node_id,
             node.rep,
             node.birth_step,
             node.error,
-            *[float(c) for c in node.position],
-            len(node.records),
+            *map(float, node.position),
+            count,
+            *chain.from_iterable(node.records),
         )
-        body = b"".join(struct.pack("<qd", nbr, d) for nbr, d in node.records)
-        return head + body
 
     @staticmethod
     def decode_node(blob: bytes) -> dict:
@@ -197,15 +211,6 @@ class DMTM:
             "position": (x, y, z),
             "records": records,
         }
-
-    def _encode_face(self, fi: int) -> bytes:
-        pts = self.mesh.face_points(fi)
-        return struct.pack(
-            "<q3q9d",
-            fi,
-            *[int(v) for v in self.mesh.faces[fi]],
-            *[float(c) for c in pts.ravel()],
-        )
 
     def _touch_nodes(self, node_ids) -> None:
         store = self._node_store

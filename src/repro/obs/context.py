@@ -127,10 +127,12 @@ class ObsContext:
     def absorb(self, child: "ObsContext") -> None:
         """Merge a finished child's telemetry into this context:
         counters add, gauges last-write-wins, histograms merge
-        bucket-wise, finished profiles are adopted."""
+        bucket-wise, finished profiles and root spans are adopted."""
         self.registry.merge(child.registry)
         if child.profiler.enabled and self.profiler.enabled:
             self.profiler.adopt(child.profiler.take())
+        if child.tracer.enabled and self.tracer.enabled:
+            self.tracer.adopt(child.tracer.take())
 
     # -- convenience ----------------------------------------------------
 

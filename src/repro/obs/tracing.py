@@ -14,7 +14,8 @@ attributes; spans nest (``children``) to form a per-query tree such as
 
 A :class:`Tracer` keeps a *thread-local* active-span stack (so nesting
 is correct even when several engines query concurrently) and collects
-finished root spans.  Tracing is **optional and cheap**: a disabled
+finished root spans; work handed to a pool thread nests under the
+span that waits for it through :meth:`Tracer.nested_under`.  Tracing is **optional and cheap**: a disabled
 tracer hands out a shared no-op span whose enter/exit do nothing, so
 instrumented code pays one attribute check per ``span()`` call and
 nothing else (see docs/observability.md for measured overhead).
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -156,6 +158,28 @@ class Tracer:
         """The innermost open span on this thread, if any."""
         stack = self._stack()
         return stack[-1] if stack else None
+
+    @contextmanager
+    def nested_under(self, parent: Span | None):
+        """Nest the spans this thread opens inside the block under
+        ``parent``, an open span of another thread — a pool task's work
+        under the span that waits for it — instead of starting new
+        roots.  A no-op when ``parent`` is None."""
+        if parent is None:
+            yield
+            return
+        stack = self._stack()
+        stack.append(parent)
+        try:
+            yield
+        finally:
+            if stack and stack[-1] is parent:
+                stack.pop()
+
+    def adopt(self, spans) -> None:
+        """Append another tracer's finished root spans to this one's."""
+        with self._lock:
+            self._finished.extend(spans)
 
     def finished(self) -> list[Span]:
         """Finished *root* spans, oldest first."""

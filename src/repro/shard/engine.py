@@ -246,6 +246,12 @@ class ShardedEngine:
                 self._windows[span] = win
             return win
 
+    def _window_under(self, parent, span: TileSpan) -> _Window:
+        """:meth:`_window` on a pool thread, its spans nested under
+        ``parent``."""
+        with current().tracer.nested_under(parent):
+            return self._window(span)
+
     def _build_window(self, span: TileSpan) -> _Window:
         r0, r1, c0, c1 = self.grid.span_window(span)
         with current().tracer.span(
@@ -544,15 +550,17 @@ class ShardedEngine:
             if len(populated) > 1:
                 # Pool threads start with an empty context; each build
                 # runs in its own copy of this one, so its spans and
-                # counters land in the query's ObsContext.
+                # counters land in the query's ObsContext, its spans
+                # under the span waiting here.
                 contexts = [contextvars.copy_context() for _ in populated]
+                parent = current().tracer.current()
                 with ThreadPoolExecutor(
                     max_workers=self._max_workers
                 ) as pool:
                     nb_windows = list(
                         pool.map(
                             lambda context, nb: context.run(
-                                self._window, self.grid.tile_span(nb)
+                                self._window_under, parent, self.grid.tile_span(nb)
                             ),
                             contexts,
                             populated,

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import SimplificationError
-from repro.simplification.quadric import best_merge_positions, vertex_quadrics
+from repro.simplification.quadric import merge_costs, vertex_quadrics
 
 
 @dataclass
@@ -144,12 +144,12 @@ def build_collapse_history(mesh) -> CollapseHistory:
     Returns the full :class:`CollapseHistory`; runtime is
     O(n log n · average degree) with n mesh vertices.
 
-    Pair costs are computed in batches
-    (:func:`~repro.simplification.quadric.best_merge_positions`): every
-    mesh edge up front, then after each collapse the merged node
-    against all its neighbours.  A heap entry carries its pair's merge
-    position, so a popped pair is never evaluated again.  The history
-    equals the per-pair loop's
+    Pair costs come from one fused call per batch
+    (:func:`~repro.simplification.quadric.merge_costs`): every mesh
+    edge up front, then after each collapse the merged node against
+    all its neighbours.  A heap entry carries its pair's merge
+    position and representative choice, so a popped pair is never
+    evaluated again.  The history equals the per-pair loop's
     (:func:`repro.testkit.reference.build_collapse_history_reference`)
     node for node and bit for bit, heap tie order included.
     """
@@ -160,39 +160,41 @@ def build_collapse_history(mesh) -> CollapseHistory:
     quadrics[:n] = vertex_quadrics(mesh)
     positions = np.empty((capacity, 3))
     positions[:n] = mesh.vertices
-    nodes: list[CollapseNode] = []
-    # Live adjacency with representative-path distances.
-    active: dict[int, dict[int, float]] = {}
-
-    for vid in range(n):
-        nodes.append(
-            CollapseNode(
-                node_id=vid,
-                rep=vid,
-                position=mesh.vertices[vid].copy(),
-                error=0.0,
-                birth_step=0,
-            )
+    nodes: list[CollapseNode] = [
+        CollapseNode(
+            node_id=vid, rep=vid, position=row, error=0.0, birth_step=0
         )
-    for vid in range(n):
-        dists = {
-            int(w): mesh.edge_length(vid, int(w))
-            for w in mesh.vertex_neighbors[vid]
-        }
+        for vid, row in enumerate(mesh.vertices.copy())
+    ]
+    # Live adjacency with representative-path distances, each vertex's
+    # neighbours in ascending order: both directions of every edge,
+    # sorted by (vertex, neighbour).
+    edges = np.asarray(mesh.edge_vertices, dtype=np.int64).reshape(-1, 2)
+    tails = np.concatenate((edges[:, 0], edges[:, 1]))
+    heads = np.concatenate((edges[:, 1], edges[:, 0]))
+    order = np.lexsort((heads, tails))
+    ends = np.cumsum(np.bincount(tails, minlength=n)).tolist()
+    heads = heads[order].tolist()
+    lengths = np.concatenate((mesh.edge_lengths, mesh.edge_lengths))[order].tolist()
+    active: dict[int, dict[int, float]] = {}
+    start = 0
+    for vid, end in enumerate(ends):
+        dists = dict(zip(heads[start:end], lengths[start:end]))
         active[vid] = dists
         nodes[vid].records = sorted(dists.items())
+        start = end
 
     counter = itertools.count()
     heap: list[tuple] = []
 
-    def push_pairs(us: np.ndarray, ws: np.ndarray) -> None:
-        pos, err = best_merge_positions(
+    def push_pairs(us, ws: np.ndarray) -> None:
+        pos, err, keep_a = merge_costs(
             quadrics[us] + quadrics[ws], positions[us], positions[ws]
         )
-        for e, u, w, p in zip(err.tolist(), us.tolist(), ws.tolist(), pos):
-            heapq.heappush(heap, (e, next(counter), u, w, p))
+        us = us.tolist() if isinstance(us, np.ndarray) else [us] * len(ws)
+        for e, u, w, p, k in zip(err.tolist(), us, ws.tolist(), pos, keep_a.tolist()):
+            heapq.heappush(heap, (e, next(counter), u, w, p, k))
 
-    edges = np.asarray(mesh.edge_vertices, dtype=np.int64).reshape(-1, 2)
     if edges.size:
         push_pairs(edges[:, 0], edges[:, 1])
 
@@ -200,7 +202,7 @@ def build_collapse_history(mesh) -> CollapseHistory:
     while len(active) > 1:
         # Pop the cheapest still-valid contraction.
         while heap:
-            qem_err, _tie, a, b, position = heapq.heappop(heap)
+            qem_err, _tie, a, b, position, keep_a = heapq.heappop(heap)
             if a in active and b in active and b in active[a]:
                 break
         else:
@@ -213,9 +215,7 @@ def build_collapse_history(mesh) -> CollapseHistory:
         error = math.nextafter(error, math.inf)
 
         # Representative: keep the child nearer the merged position.
-        da = float(np.linalg.norm(position - nodes[a].position))
-        db = float(np.linalg.norm(position - nodes[b].position))
-        keeper, dropper = (a, b) if da <= db else (b, a)
+        keeper, dropper = (a, b) if keep_a else (b, a)
 
         c = len(nodes)
         node = CollapseNode(
@@ -255,8 +255,7 @@ def build_collapse_history(mesh) -> CollapseHistory:
             peers.pop(b, None)
             peers[c] = d
         if merged:
-            ws = np.fromiter(merged, dtype=np.int64, count=len(merged))
-            push_pairs(np.full(ws.size, c, dtype=np.int64), ws)
+            push_pairs(c, np.fromiter(merged, dtype=np.int64, count=len(merged)))
 
     roots = sorted(active)
     return CollapseHistory(nodes, num_leaves=n, roots=roots)

@@ -45,13 +45,18 @@ def _rowwise_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, np.newaxis, :], y[:, :, np.newaxis])[:, 0, 0]
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of every row, as ``sqrt(x·x)``."""
+    return np.sqrt(_rowwise_dot(x, x))
+
+
 def _face_quadrics(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """(F, 4, 4) array of :func:`face_quadric` per face, column-wise
     with the same float operations, so each equals the per-face value
     bit for bit."""
     a, b, c = (vertices[faces[:, slot]] for slot in range(3))
     n = np.cross(b - a, c - a)
-    norm = np.sqrt(_rowwise_dot(n, n))
+    norm = _norms(n)
     out = np.zeros((faces.shape[0], 4, 4))
     live = norm != 0.0
     n, a, norm = n[live], a[live], norm[live]
@@ -119,75 +124,67 @@ def best_merge_position(q: np.ndarray, pos_a, pos_b) -> tuple[np.ndarray, float]
     return best_pos, best_err
 
 
-def _quadric_errors(q: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """:func:`quadric_error` per row: ``vᵀQv`` for ``v = (p, 1)`` as
-    stacked ``matmul`` products (each row the vector-matrix then the
-    vector-vector product ``v @ q @ v`` runs), clamped like
-    ``max(x, 0.0)`` (−0.0 and NaN pass through)."""
-    v = np.empty((positions.shape[0], 1, 4))
-    v[:, 0, :3] = positions
-    v[:, 0, 3] = 1.0
-    err = np.matmul(np.matmul(v, q), v.transpose(0, 2, 1))[:, 0, 0]
-    return np.where(0.0 > err, 0.0, err)
-
-
-def _solve_optima(solvers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(kept, optima)``: the quadric-optimal positions of the stacked
-    solver matrices, one ``np.linalg.solve`` for all; should one be
-    singular, each is solved on its own and the singular ones are
-    left out, as :func:`best_merge_position` skips them."""
-    rhs = np.zeros((solvers.shape[0], 4, 1))
-    rhs[:, 3, 0] = 1.0
-    try:
-        optima = np.linalg.solve(solvers, rhs)[:, :3, 0]
-        return np.arange(solvers.shape[0]), optima
-    except np.linalg.LinAlgError:
-        pass
-    kept, optima = [], []
-    for i, solver in enumerate(solvers):
-        try:
-            optima.append(np.linalg.solve(solver, rhs[i, :, 0])[:3])
-        except np.linalg.LinAlgError:
-            continue
-        kept.append(i)
-    return np.asarray(kept, dtype=np.int64), np.asarray(optima).reshape(-1, 3)
-
-
-def best_merge_positions(
+def merge_costs(
     q: np.ndarray, pos_a: np.ndarray, pos_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`best_merge_position` for a batch of contractions: ``q``
-    is ``(m, 4, 4)``, ``pos_a`` / ``pos_b`` are ``(m, 3)``; returns
-    ``(positions (m, 3), errors (m,))``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`best_merge_position` for a batch of contractions, plus
+    the representative choice: ``q`` is ``(m, 4, 4)``, ``pos_a`` /
+    ``pos_b`` are ``(m, 3)`` (or one ``(3,)`` row for all); returns
+    ``(positions (m, 3), errors (m,), keep_a (m,))`` where ``keep_a``
+    is ``|p - a| <= |p - b|`` for the chosen position ``p``.
 
-    Bit for bit the per-pair results: the determinants and solves are
-    the stacked LAPACK calls, the norms ``sqrt(x·x)`` and the errors
-    ``vᵀQv`` stacked ``matmul`` products (``np.einsum`` or
+    All four candidates of every pair — a, b, midpoint, optimum — are
+    scored together, bit for bit as the per-pair code scores them:
+    the determinants and solves are the stacked LAPACK calls, every
+    norm is ``sqrt(x·x)`` (:func:`_norms`) and every error
+    ``vᵀQv`` a stacked ``matmul`` product (``np.einsum`` or
     ``(x * x).sum(axis=1)`` would round differently), and candidates
-    are compared in the per-pair order — a, b, midpoint, optimum —
-    keeping the first on ties.
+    are compared in the per-pair order, keeping the first on ties.
     """
-    mid = (pos_a + pos_b) / 2.0
-    best_pos = np.array(pos_a, dtype=float)
-    best_err = _quadric_errors(q, best_pos)
-    for cand in (pos_b, mid):
-        err = _quadric_errors(q, cand)
-        better = err < best_err
-        best_err[better] = err[better]
-        best_pos[better] = cand[better]
-    solvers = np.array(q)
-    solvers[:, 3, :] = (0.0, 0.0, 0.0, 1.0)
+    m = q.shape[0]
+    # Homogeneous candidate rows (a, b, midpoint, optimum, 1) per pair;
+    # the midpoint stands in where there is no usable optimum.
+    v = np.empty((m, 4, 1, 4))
+    v[:, :, 0, 3] = 1.0
+    cand = v[:, :, 0, :3]
+    cand[:, 0] = pos_a
+    cand[:, 1] = pos_b
+    cand[:, 2] = (pos_a + pos_b) / 2.0
+    cand[:, 3] = cand[:, 2]
+    solvers = q.copy()
+    solvers[:, 3] = (0.0, 0.0, 0.0, 1.0)
     tried = np.flatnonzero(np.abs(np.linalg.det(solvers)) > 1e-12)
+    solved = np.zeros(m, dtype=bool)
     if tried.size:
-        kept, optima = _solve_optima(solvers[tried])
-        rows = tried[kept]
-        gap = pos_a[rows] - pos_b[rows]
-        span = np.sqrt(_rowwise_dot(gap, gap)) + 1e-12
-        off = optima - mid[rows]
-        near = np.sqrt(_rowwise_dot(off, off)) <= 2.0 * span
-        rows, optima = rows[near], optima[near]
-        err = _quadric_errors(q[rows], optima)
-        better = err < best_err[rows]
-        best_err[rows[better]] = err[better]
-        best_pos[rows[better]] = optima[better]
-    return best_pos, best_err
+        rhs = np.zeros((tried.size, 4, 1))
+        rhs[:, 3, 0] = 1.0
+        try:
+            cand[tried, 3] = np.linalg.solve(solvers[tried], rhs)[:, :3, 0]
+            solved[tried] = True
+        except np.linalg.LinAlgError:
+            # A singular matrix in the stack: solve each on its own and
+            # skip the singular ones, as the per-pair code does.
+            for row in tried.tolist():
+                try:
+                    cand[row, 3] = np.linalg.solve(solvers[row], rhs[0, :, 0])[:3]
+                except np.linalg.LinAlgError:
+                    continue
+                solved[row] = True
+    err = np.matmul(np.matmul(v, q[:, np.newaxis]), v.swapaxes(2, 3))[:, :, 0, 0]
+    # max(x, 0.0) per candidate keeps -0.0 and NaN.
+    err = np.where(0.0 > err, 0.0, err)
+    # The per-pair order compares b, midpoint and optimum in turn with
+    # ``<``, keeping the first on ties: argmin, once a NaN challenger
+    # (never smaller) reads as inf.  The optimum competes only near
+    # the pair (far-flying optima on flat quadrics hurt terrain shape).
+    score = err.copy()
+    challengers = score[:, 1:]
+    challengers[np.isnan(challengers)] = np.inf
+    span = _norms(cand[:, 0] - cand[:, 1]) + 1e-12
+    near = _norms(cand[:, 3] - cand[:, 2]) <= 2.0 * span
+    score[~(solved & near), 3] = np.inf
+    pick = np.argmin(score, axis=1)
+    rows = np.arange(m)
+    best = cand[rows, pick]
+    keep_a = _norms(best - cand[:, 0]) <= _norms(best - cand[:, 1])
+    return best, err[rows, pick], keep_a

@@ -72,68 +72,95 @@ class TriangleMesh:
         vertices = np.column_stack(
             [gx.ravel(), gy.ravel(), dem.heights.ravel()]
         )
-        faces: list[tuple[int, int, int]] = []
-        for r in range(rows - 1):
-            for c in range(cols - 1):
-                v00 = r * cols + c
-                v01 = v00 + 1
-                v10 = v00 + cols
-                v11 = v10 + 1
-                if (r + c) % 2 == 0:
-                    faces.append((v00, v01, v11))
-                    faces.append((v00, v11, v10))
-                else:
-                    faces.append((v00, v01, v10))
-                    faces.append((v01, v11, v10))
-        return cls(vertices, np.asarray(faces, dtype=np.int64))
+        # Corner ids of every cell, row by row; the diagonal alternates
+        # with the parity of r + c.
+        r, c = np.meshgrid(np.arange(rows - 1), np.arange(cols - 1), indexing="ij")
+        v00 = (r * cols + c).ravel()
+        v01 = v00 + 1
+        v10 = v00 + cols
+        v11 = v10 + 1
+        even = ((r + c) % 2 == 0).ravel()
+        first = np.column_stack((v00, v01, np.where(even, v11, v10)))
+        second = np.column_stack((np.where(even, v00, v01), v11, v10))
+        faces = np.stack((first, second), axis=1).reshape(-1, 3)
+        return cls(vertices, faces)
 
     def _build_adjacency(self) -> None:
-        n_faces = self.faces.shape[0]
-        edge_ids: dict[tuple[int, int], int] = {}
-        edge_vertices: list[tuple[int, int]] = []
-        edge_faces: list[list[int]] = []
-        face_edges = np.empty((n_faces, 3), dtype=np.int64)
-        for fi, (a, b, c) in enumerate(self.faces):
-            for slot, (u, w) in enumerate(((a, b), (b, c), (c, a))):
-                key = (u, w) if u < w else (w, u)
-                eid = edge_ids.get(key)
-                if eid is None:
-                    eid = len(edge_vertices)
-                    edge_ids[key] = eid
-                    edge_vertices.append(key)
-                    edge_faces.append([])
-                edge_faces[eid].append(fi)
-                face_edges[fi, slot] = eid
-        self.edge_ids = edge_ids
-        self.edge_vertices = np.asarray(edge_vertices, dtype=np.int64)
-        self.face_edges = face_edges
-        self.edge_faces = edge_faces
+        """Edge, face and vertex adjacency in array passes over the
+        half-edges ``(a, b), (b, c), (c, a)`` of every face in face
+        order: an edge's id is the rank of its first half-edge, and
+        every per-edge and per-vertex list keeps face order."""
+        faces = self.faces
+        n = self.num_vertices
+        tails = faces.ravel()
+        heads = faces[:, [1, 2, 0]].ravel()
+        lo = np.minimum(tails, heads)
+        hi = np.maximum(tails, heads)
+        _keys, first, inverse = np.unique(
+            lo * n + hi, return_index=True, return_inverse=True
+        )
+        # Edge ids in order of first appearance.
+        by_first = np.argsort(first, kind="stable")
+        rank = np.empty_like(by_first)
+        rank[by_first] = np.arange(by_first.size)
+        half_edge = rank[inverse.ravel()]
+        starts = first[by_first]
+        self.edge_vertices = np.column_stack((lo[starts], hi[starts]))
+        self.edge_ids = dict(
+            zip(
+                zip(self.edge_vertices[:, 0].tolist(), self.edge_vertices[:, 1].tolist()),
+                range(starts.size),
+            )
+        )
+        self.face_edges = half_edge.reshape(-1, 3)
+        # Half-edges grouped by edge, face order kept within an edge.
+        order = np.argsort(half_edge, kind="stable")
+        run_faces = order // 3
+        counts = np.bincount(half_edge, minlength=starts.size)
+        self.edge_faces = _split(run_faces.tolist(), counts)
         diffs = (
             self.vertices[self.edge_vertices[:, 0]]
             - self.vertices[self.edge_vertices[:, 1]]
         )
         self.edge_lengths = np.sqrt(np.sum(diffs * diffs, axis=1))
 
-        neighbors: list[set[int]] = [set() for _ in range(self.num_vertices)]
-        for u, w in self.edge_vertices:
-            neighbors[u].add(int(w))
-            neighbors[w].add(int(u))
-        self.vertex_neighbors = [sorted(s) for s in neighbors]
+        # Both directions of every edge sorted by (vertex, neighbour),
+        # a degenerate edge (v, v) once (a plain np.unique would import
+        # numpy.ma, a megabyte of module); vertex_edges[v][i] is the id
+        # of the edge to vertex_neighbors[v][i].
+        u, w = self.edge_vertices.T
+        pairs = np.concatenate((u * n + w, w * n + u))
+        by_pair = np.argsort(pairs, kind="stable")
+        pairs = pairs[by_pair]
+        once = np.concatenate(([True], pairs[1:] != pairs[:-1]))
+        pairs = pairs[once]
+        per_vertex = np.bincount(pairs // n, minlength=n)
+        self.vertex_neighbors = _split((pairs % n).tolist(), per_vertex)
+        self.vertex_edges = _split((by_pair[once] % starts.size).tolist(), per_vertex)
+        self.vertex_faces = _split(
+            (np.argsort(tails, kind="stable") // 3).tolist(),
+            np.bincount(tails, minlength=n),
+        )
 
-        vertex_faces: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for fi, face in enumerate(self.faces):
-            for vi in face:
-                vertex_faces[int(vi)].append(fi)
-        self.vertex_faces = vertex_faces
-
-        # face_neighbors[fi, slot] = face across edge slot, or -1.
-        face_neighbors = np.full((n_faces, 3), -1, dtype=np.int64)
-        for fi in range(n_faces):
-            for slot in range(3):
-                for other in self.edge_faces[self.face_edges[fi, slot]]:
-                    if other != fi:
-                        face_neighbors[fi, slot] = other
-        self.face_neighbors = face_neighbors
+        # face_neighbors[fi, slot]: the last face other than fi listed
+        # for the slot's edge, or -1.  An edge's faces ascend, so that
+        # is its last face, except for the last face itself: there it
+        # is the face listed before the last face's first entry.
+        runs = half_edge[order]
+        ends = np.cumsum(counts)
+        last = run_faces[ends - 1]
+        first_of_last = np.searchsorted(
+            runs * len(faces) + run_faces,
+            np.arange(counts.size) * len(faces) + last,
+        )
+        before_last = np.where(
+            first_of_last > ends - counts, run_faces[first_of_last - 1], -1
+        )
+        across = np.empty_like(order)
+        across[order] = np.where(
+            run_faces == last[runs], before_last[runs], last[runs]
+        )
+        self.face_neighbors = across.reshape(-1, 3)
 
     # ------------------------------------------------------------------
     # basic properties
@@ -225,10 +252,12 @@ class TriangleMesh:
         vertices; exact geodesics may pass through them, which is why
         the exact algorithm spawns pseudo-sources there.
 
-        Memoized per (mesh, vertex) with the scalar loop kept as the
-        single source of truth — a vectorized re-derivation could
-        round the angle sum differently and flip a borderline saddle
-        classification, changing exact geodesics between callers.
+        Memoized per (mesh, vertex).  This scalar loop is the
+        bit-identity oracle of
+        :func:`repro.geodesic.exact._total_angles`, which flags the
+        saddles of a whole mesh in one array pass: a sum rounded
+        differently could flip a borderline saddle and change exact
+        geodesics.
         """
         cached = self._total_angle_cache.get(vi)
         if cached is not None:
@@ -354,3 +383,13 @@ class TriangleMesh:
             & (fy.max(axis=1) >= lo[1])
         )
         return np.nonzero(keep)[0]
+
+
+def _split(flat: list, counts: np.ndarray) -> list[list]:
+    """``flat`` cut into consecutive lists of ``counts`` items each."""
+    out = []
+    start = 0
+    for end in np.cumsum(counts).tolist():
+        out.append(flat[start:end])
+        start = end
+    return out

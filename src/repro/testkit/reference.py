@@ -1,7 +1,8 @@
 """Reference implementations kept as differential oracles.
 
 The engine builds pathnets, DMTM cut networks, MSDN lower bounds,
-the MSDN itself and the QEM collapse history with array code.  The
+the MSDN itself, the QEM collapse history, the DMTM page layout and
+the mesh adjacency with array code.  The
 straightforward object-walk versions it replaced live here, for tests
 and the testkit ``oracle`` leg to call directly: each must agree with
 its production twin exactly — same graph node for node and edge for
@@ -53,8 +54,19 @@ page bytes, same pages read in the same order.
 * :func:`build_collapse_history_reference` — QEM contraction with
   one :func:`~repro.simplification.quadric.best_merge_position` call
   per pushed and per popped pair over per-face quadrics
-  (:func:`vertex_quadrics_reference`), the twin of the batched
-  :func:`repro.simplification.collapse.build_collapse_history`;
+  (:func:`vertex_quadrics_reference`), the twin of
+  :func:`repro.simplification.collapse.build_collapse_history` and
+  its one fused merge-cost call per collapse;
+* :func:`dmtm_attach_reference` — the DMTM laid out record by record,
+  scalar z-order keys and one id-addressed store each for nodes and
+  faces, the twin of :meth:`repro.multires.dmtm.DMTM.attach_storage`;
+  :func:`dmtm_reference_stores` keeps one per production DMTM for
+  the record-id charging above;
+* :func:`mesh_adjacency_reference` and :func:`dem_faces_reference` —
+  the per-face loops behind
+  :class:`~repro.terrain.mesh.TriangleMesh` adjacency and
+  :meth:`~repro.terrain.mesh.TriangleMesh.from_dem` faces, the twins
+  of their array passes;
 * :func:`read_page_reference` — one buffer-pool read of one page,
   with its own locks, quarantine gate and statistics update, the twin
   of :meth:`repro.storage.pages.PageManager.read_pages` page by page;
@@ -72,6 +84,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import struct
 import weakref
 import zlib
 from dataclasses import dataclass
@@ -101,6 +114,7 @@ from repro.msdn.sdn import _CHUNK_STRUCT, _point_to_boxes
 from repro.multires.dmtm import NetworkView, UpperBoundResult
 from repro.simplification.collapse import CollapseHistory, CollapseNode
 from repro.simplification.quadric import best_merge_position, face_quadric
+from repro.spatial.zorder import zorder_key_normalized
 from repro.obs.context import active_profiler, active_registry, current
 from repro.obs.tracing import NOOP_SPAN
 from repro.storage.faults import (
@@ -112,7 +126,7 @@ from repro.storage.faults import (
 )
 from repro.storage.locator import LocatorStore
 from repro.storage.pages import PageManager
-from repro.storage.stats import PAGE_CLASS_MSDN, PAGE_CLASS_OTHER
+from repro.storage.stats import PAGE_CLASS_DMTM, PAGE_CLASS_MSDN, PAGE_CLASS_OTHER
 
 
 def _edge_point_keys(mesh, edge_id: int, steiner_per_edge: int):
@@ -167,29 +181,120 @@ def build_pathnet_reference(
     return graph
 
 
-def touch_records_reference(store, record_ids) -> int:
+def touch_records_reference(store, ref_store, record_ids) -> int:
     """Record-id page charging on a
     :class:`~repro.storage.locator.LocatorStore`: every page holding
     one of the records, read one page at a time in ascending page
     order — the twin of one run of
-    :meth:`~repro.storage.locator.LocatorStore.touch_pages`.  Returns
+    :meth:`~repro.storage.locator.LocatorStore.touch_pages`.  Record
+    ids resolve through ``ref_store``, the by-record layout of the
+    same records, whose k-th page is ``store``'s k-th page.  Returns
     the number of distinct pages."""
-    needed = {store.page_of(rid) for rid in record_ids}
+    page_ids = store.page_ids
+    needed = {page_ids[ref_store._locator(rid)[0]] for rid in record_ids}
     for page_id in sorted(needed):
         store._pages.read(page_id)
     return len(needed)
 
 
+def _encode_node_reference(node) -> bytes:
+    head = struct.pack(
+        "<qqqd3dH",
+        node.node_id,
+        node.rep,
+        node.birth_step,
+        node.error,
+        *[float(c) for c in node.position],
+        len(node.records),
+    )
+    body = b"".join(struct.pack("<qd", nbr, d) for nbr, d in node.records)
+    return head + body
+
+
+def _encode_face_reference(mesh, fi: int) -> bytes:
+    pts = mesh.face_points(fi)
+    return struct.pack(
+        "<q3q9d",
+        fi,
+        *[int(v) for v in mesh.faces[fi]],
+        *[float(c) for c in pts.ravel()],
+    )
+
+
+def dmtm_attach_reference(dmtm, pages: PageManager) -> tuple[LocatorStore, LocatorStore]:
+    """The by-record DMTM attach: one ``(z-order key, id, blob)`` item
+    per node and per face, each key from
+    :func:`~repro.spatial.zorder.zorder_key_normalized` (a face's at
+    its ``mean`` centroid) and each blob packed field by field, laid
+    out on ``pages`` as two id-addressed stores ``(nodes, faces)`` —
+    the twin of :meth:`repro.multires.dmtm.DMTM.attach_storage`."""
+    mesh = dmtm.mesh
+    world = mesh.xy_bounds()
+    node_items = []
+    for node in dmtm.ddm.history.nodes:
+        key = zorder_key_normalized(
+            float(node.position[0]), float(node.position[1]), world
+        )
+        node_items.append((key, node.node_id, _encode_node_reference(node)))
+    node_store = LocatorStore(node_items, pages, page_class=PAGE_CLASS_DMTM)
+    face_items = []
+    for fi in range(mesh.num_faces):
+        centroid = mesh.face_points(fi).mean(axis=0)
+        key = zorder_key_normalized(float(centroid[0]), float(centroid[1]), world)
+        face_items.append((key, fi, _encode_face_reference(mesh, fi)))
+    face_store = LocatorStore(face_items, pages, page_class=PAGE_CLASS_DMTM)
+    return node_store, face_store
+
+
+def dmtm_attach_mismatches(dmtm, pages, ref_pages) -> list[str]:
+    """What differs between ``dmtm`` attached to ``pages`` and
+    :func:`dmtm_attach_reference` on ``ref_pages`` (both fresh
+    managers of one page size): the node and face page arrays, and
+    every page's bytes, CRC and class.  Empty when the layouts are
+    identical."""
+    nodes, faces = dmtm_attach_reference(dmtm, ref_pages)
+    out = []
+    if dmtm._node_pages.tolist() != nodes.row_pages.tolist():
+        out.append("node pages")
+    if dmtm._face_pages.tolist() != faces.row_pages.tolist():
+        out.append("face pages")
+    return out + _page_mismatches(pages, ref_pages)
+
+
+#: By-record attaches of production DMTMs, one per instance, each on a
+#: private page manager of the production page size.
+_dmtm_references: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def dmtm_reference_stores(dmtm) -> tuple[LocatorStore, LocatorStore]:
+    """``(nodes, faces)`` of :func:`dmtm_attach_reference` for an
+    attached ``dmtm`` (built once per instance): the record-id stores
+    through which the touch twins resolve ids.  Each store's k-th
+    page is the production store's k-th page."""
+    page_size = dmtm._node_store._pages.page_size
+    stores = _dmtm_references.get(dmtm)
+    if stores is None or stores[0]._pages.page_size != page_size:
+        stores = dmtm_attach_reference(dmtm, PageManager(page_size=page_size))
+        _dmtm_references[dmtm] = stores
+    return stores
+
+
 def dmtm_touch_nodes_reference(dmtm, node_ids) -> None:
     """Charge DMTM node pages by record id (the node id)."""
     if dmtm._node_store is not None:
-        touch_records_reference(dmtm._node_store, (int(n) for n in node_ids))
+        nodes, _faces = dmtm_reference_stores(dmtm)
+        touch_records_reference(
+            dmtm._node_store, nodes, (int(n) for n in node_ids)
+        )
 
 
 def dmtm_touch_faces_reference(dmtm, face_ids) -> None:
     """Charge DMTM face pages by record id (the face id)."""
     if dmtm._face_store is not None:
-        touch_records_reference(dmtm._face_store, (int(fi) for fi in face_ids))
+        _nodes, faces = dmtm_reference_stores(dmtm)
+        touch_records_reference(
+            dmtm._face_store, faces, (int(fi) for fi in face_ids)
+        )
 
 
 def rows_meeting_boxes_reference(rows: np.ndarray, boxes) -> np.ndarray:
@@ -825,16 +930,20 @@ def msdn_build_mismatches(msdn, pages, ref: MSDNReference, ref_pages) -> list[st
             out.append(f"{key} pages")
     if msdn.stats() != ref.stats(msdn.spacing):
         out.append("stats")
+    return out + _page_mismatches(pages, ref_pages)
+
+
+def _page_mismatches(pages, ref_pages) -> list[str]:
+    """Pages of two managers that differ in bytes, CRC or class."""
     if pages.num_pages != ref_pages.num_pages:
-        return out + ["page count"]
-    for page_id in range(ref_pages.num_pages):
-        if (
-            pages._disk.read(page_id)[0] != ref_pages._disk.read(page_id)[0]
-            or pages._crc[page_id] != ref_pages._crc[page_id]
-            or pages.page_class_of(page_id) != ref_pages.page_class_of(page_id)
-        ):
-            out.append(f"page {page_id}")
-    return out
+        return ["page count"]
+    return [
+        f"page {page_id}"
+        for page_id in range(ref_pages.num_pages)
+        if pages._disk.read(page_id)[0] != ref_pages._disk.read(page_id)[0]
+        or pages._crc[page_id] != ref_pages._crc[page_id]
+        or pages.page_class_of(page_id) != ref_pages.page_class_of(page_id)
+    ]
 
 
 def collapse_history_bits(history: CollapseHistory) -> tuple:
@@ -967,6 +1076,100 @@ def build_collapse_history_reference(mesh) -> CollapseHistory:
             push_pair(c, w)
 
     return CollapseHistory(nodes, num_leaves=n, roots=sorted(active))
+
+
+def dem_faces_reference(dem) -> np.ndarray:
+    """The faces of :meth:`~repro.terrain.mesh.TriangleMesh.from_dem`
+    by a loop over the grid cells, two per cell along alternating
+    diagonals."""
+    rows, cols = dem.rows, dem.cols
+    faces: list[tuple[int, int, int]] = []
+    for r in range(rows - 1):
+        for c in range(cols - 1):
+            v00 = r * cols + c
+            v01 = v00 + 1
+            v10 = v00 + cols
+            v11 = v10 + 1
+            if (r + c) % 2 == 0:
+                faces.append((v00, v01, v11))
+                faces.append((v00, v11, v10))
+            else:
+                faces.append((v00, v01, v10))
+                faces.append((v01, v11, v10))
+    return np.asarray(faces, dtype=np.int64)
+
+
+def mesh_adjacency_reference(mesh) -> dict:
+    """The adjacency fields of ``mesh`` by loops over its faces and
+    edges, keyed by attribute name — the twin of the array passes of
+    :meth:`~repro.terrain.mesh.TriangleMesh._build_adjacency`."""
+    faces = mesh.faces
+    n_faces = faces.shape[0]
+    edge_ids: dict[tuple[int, int], int] = {}
+    edge_vertices: list[tuple[int, int]] = []
+    edge_faces: list[list[int]] = []
+    face_edges = np.empty((n_faces, 3), dtype=np.int64)
+    for fi, (a, b, c) in enumerate(faces):
+        for slot, (u, w) in enumerate(((a, b), (b, c), (c, a))):
+            key = (u, w) if u < w else (w, u)
+            eid = edge_ids.get(key)
+            if eid is None:
+                eid = len(edge_vertices)
+                edge_ids[key] = eid
+                edge_vertices.append(key)
+                edge_faces.append([])
+            edge_faces[eid].append(fi)
+            face_edges[fi, slot] = eid
+    edge_vertices = np.asarray(edge_vertices, dtype=np.int64)
+    diffs = mesh.vertices[edge_vertices[:, 0]] - mesh.vertices[edge_vertices[:, 1]]
+    neighbors: list[set[int]] = [set() for _ in range(mesh.num_vertices)]
+    for u, w in edge_vertices:
+        neighbors[u].add(int(w))
+        neighbors[w].add(int(u))
+    vertex_faces: list[list[int]] = [[] for _ in range(mesh.num_vertices)]
+    for fi, face in enumerate(faces):
+        for vi in face:
+            vertex_faces[int(vi)].append(fi)
+    face_neighbors = np.full((n_faces, 3), -1, dtype=np.int64)
+    for fi in range(n_faces):
+        for slot in range(3):
+            for other in edge_faces[face_edges[fi, slot]]:
+                if other != fi:
+                    face_neighbors[fi, slot] = other
+    return {
+        "edge_ids": edge_ids,
+        "edge_vertices": edge_vertices,
+        "face_edges": face_edges,
+        "edge_faces": edge_faces,
+        "vertex_neighbors": [sorted(s) for s in neighbors],
+        "vertex_edges": [
+            [edge_ids[(v, u) if v < u else (u, v)] for u in sorted(s)]
+            for v, s in enumerate(neighbors)
+        ],
+        "vertex_faces": vertex_faces,
+        "face_neighbors": face_neighbors,
+        "edge_lengths": np.sqrt(np.sum(diffs * diffs, axis=1)),
+    }
+
+
+def mesh_adjacency_mismatches(mesh) -> list[str]:
+    """The adjacency fields of ``mesh`` that differ from
+    :func:`mesh_adjacency_reference`: arrays by dtype, shape and
+    bytes, lists and the edge-id dict by value."""
+    out = []
+    for name, want in mesh_adjacency_reference(mesh).items():
+        got = getattr(mesh, name)
+        if isinstance(want, np.ndarray):
+            same = (
+                got.dtype == want.dtype
+                and got.shape == want.shape
+                and got.tobytes() == want.tobytes()
+            )
+        else:
+            same = got == want
+        if not same:
+            out.append(name)
+    return out
 
 
 def read_page_reference(manager, page_id: int) -> bytes:

@@ -1,28 +1,45 @@
-"""The column-wise MSDN build and the batched QEM collapse pinned bit
-for bit against the builds they replaced.
+"""The array-built engine structures pinned bit for bit against the
+builds they replaced.
 
 :class:`repro.testkit.reference.MSDNReference` is the object build
-(one chunk object per chunk, a record-id store of encoded records)
-and :func:`repro.testkit.reference.build_collapse_history_reference`
-the per-pair collapse loop.  Arrays, pages and floats are compared as
+(one chunk object per chunk, a record-id store of encoded records),
+:func:`repro.testkit.reference.build_collapse_history_reference` the
+per-pair collapse loop, :func:`~repro.testkit.reference.dmtm_attach_reference`
+the by-record DMTM attach, :func:`~repro.testkit.reference.mesh_adjacency_reference`
+and :func:`~repro.testkit.reference.dem_faces_reference` the mesh
+loops, and :meth:`~repro.terrain.mesh.TriangleMesh.vertex_total_angle`
+the scalar saddle angle.  Arrays, pages and floats are compared as
 bytes (:func:`~repro.testkit.reference.msdn_build_mismatches`,
-:func:`~repro.testkit.reference.collapse_history_bits`), so a
+:func:`~repro.testkit.reference.collapse_history_bits`,
+:func:`~repro.testkit.reference.dmtm_attach_mismatches`,
+:func:`~repro.testkit.reference.mesh_adjacency_mismatches`), so a
 last-bit difference or a flipped signed zero shows.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.geodesic.exact import _mesh_tables, _total_angles
 from repro.geometry.primitives import BoundingBox
 from repro.msdn.msdn import DEFAULT_RESOLUTIONS, MSDN
+from repro.multires.dmtm import DMTM
+from repro.shard.tiles import TileGrid, TileSpan
 from repro.simplification.collapse import build_collapse_history
-from repro.simplification.quadric import _solve_optima, vertex_quadrics
+from repro.simplification.quadric import (
+    best_merge_position,
+    face_quadric,
+    merge_costs,
+    vertex_quadrics,
+)
 from repro.storage.pages import PageManager
+from repro.terrain.dem import DemGrid
 from repro.terrain.mesh import TriangleMesh
 from repro.terrain.synthetic import (
     bearhead_like,
@@ -34,6 +51,9 @@ from repro.testkit.reference import (
     MSDNReference,
     build_collapse_history_reference,
     collapse_history_bits,
+    dem_faces_reference,
+    dmtm_attach_mismatches,
+    mesh_adjacency_mismatches,
     msdn_build_mismatches,
     msdn_corridor_reference,
     msdn_lower_bound_reference,
@@ -158,6 +178,34 @@ class TestCollapse:
         got = vertex_quadrics(mesh)
         assert got.tobytes() == vertex_quadrics_reference(mesh).tobytes()
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        pairs=st.integers(min_value=1, max_value=8),
+        planes=st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_merge_costs_match_per_pair(self, seed, pairs, planes):
+        """Each row equals :func:`best_merge_position` bit for bit, with
+        the per-pair loop's keeper rule.  Random plane sums give
+        singular quadrics (one or two planes) and optima anywhere
+        around the pair (three or more), so the near test decides
+        both ways."""
+        rng = np.random.default_rng(seed)
+        pos_a = rng.normal(scale=10.0, size=(pairs, 3))
+        pos_b = pos_a + rng.normal(size=(pairs, 3))
+        q = np.zeros((pairs, 4, 4))
+        for row in q:
+            for _ in range(planes):
+                row += face_quadric(*rng.normal(scale=10.0, size=(3, 3)))
+        pos, err, keep_a = merge_costs(q, pos_a, pos_b)
+        for i in range(pairs):
+            want_pos, want_err = best_merge_position(q[i], pos_a[i], pos_b[i])
+            assert pos[i].tobytes() == np.asarray(want_pos).tobytes()
+            assert struct.pack("<d", err[i]) == struct.pack("<d", want_err)
+            da = float(np.linalg.norm(want_pos - pos_a[i]))
+            db = float(np.linalg.norm(want_pos - pos_b[i]))
+            assert keep_a[i] == (da <= db)
+
     @given(terrain=_collapse_terrain)
     @_SETTINGS
     def test_history_matches_per_pair_loop(self, terrain):
@@ -165,19 +213,132 @@ class TestCollapse:
         got = collapse_history_bits(build_collapse_history(mesh))
         assert got == collapse_history_bits(build_collapse_history_reference(mesh))
 
-    def test_singular_solve_falls_back_per_pair(self):
-        """A singular matrix in a batched solve: every other optimum
-        is solved on its own, to the bits of the per-pair solve, and
-        the singular one is left out."""
-        rng = np.random.default_rng(4)
-        solvers = rng.normal(size=(5, 4, 4))
-        solvers[:, 3, :] = (0.0, 0.0, 0.0, 1.0)
-        solvers[2, :3, :] = 0.0
-        rhs = np.array([0.0, 0.0, 0.0, 1.0])
-        cases = ((solvers, [0, 1, 3, 4]), (solvers[[0, 1, 3]], [0, 1, 2]))
-        for stack, want_kept in cases:
-            kept, optima = _solve_optima(stack)
-            assert kept.tolist() == want_kept
-            for row, opt in zip(kept, optima):
-                want = np.linalg.solve(stack[row], rhs)[:3]
-                assert opt.tobytes() == want.tobytes()
+    @pytest.mark.parametrize(
+        "name", ["BH25", "EP33", "span153", "span289", "span425x", "span425y", "span625"]
+    )
+    def test_named_terrains_match_per_pair_loop(self, name):
+        mesh = _named_mesh(name)
+        got = collapse_history_bits(build_collapse_history(mesh))
+        assert got == collapse_history_bits(build_collapse_history_reference(mesh))
+
+    def test_singular_solve_falls_back_per_pair(self, monkeypatch):
+        """Singular matrices in a batched solve: with the determinant
+        screen passing every matrix, the batches over a half-flat
+        terrain stack singular solvers (flat quadrics) with regular
+        ones, so the stacked solve raises and each matrix is solved on
+        its own; the history still equals the per-pair loop, which
+        skips every singular solve."""
+        heights = bearhead_like(size=9, seed=2).heights.copy()
+        heights[:, :5] = 0.0
+        mesh = TriangleMesh.from_dem(DemGrid(heights, 10.0))
+        solve = np.linalg.solve
+        stacked_failures = []
+
+        def counted_solve(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                if np.ndim(a) == 3:
+                    stacked_failures.append(len(a))
+                raise
+
+        monkeypatch.setattr(np.linalg, "det", lambda a: np.ones(np.shape(a)[:-2]))
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        got = collapse_history_bits(build_collapse_history(mesh))
+        want = collapse_history_bits(build_collapse_history_reference(mesh))
+        assert any(size > 1 for size in stacked_failures)
+        assert got == want
+
+
+def _named_mesh(name: str) -> TriangleMesh:
+    """BH 25, EP 33, or one of the five windows knnbench ``tiled_scale``
+    builds (3x3 tiles of a 25x25 fractal), by vertex count."""
+    if name == "BH25":
+        return TriangleMesh.from_dem(bearhead_like(size=25))
+    if name == "EP33":
+        return TriangleMesh.from_dem(eagle_peak_like(size=33))
+    spans = {
+        "span153": TileSpan(1, 2, 0, 0),
+        "span289": TileSpan(1, 2, 1, 2),
+        "span425x": TileSpan(0, 1, 0, 2),
+        "span425y": TileSpan(0, 2, 0, 1),
+        "span625": TileSpan(0, 2, 0, 2),
+    }
+    grid = TileGrid(fractal_dem(25, 90.0, 500.0, 0.7), (3, 3))
+    return TriangleMesh.from_dem(grid.window_dem(spans[name]))
+
+
+class TestDMTMAttach:
+    @given(terrain=_terrain, page_size=st.sampled_from([2048, 4096, 8192]))
+    @_SETTINGS
+    def test_matches_by_record_attach(self, terrain, page_size):
+        dmtm = DMTM(_mesh(*terrain))
+        pages = PageManager(page_size=page_size)
+        dmtm.attach_storage(pages)
+        assert dmtm_attach_mismatches(dmtm, pages, PageManager(page_size=page_size)) == []
+
+    def test_tied_keys_keep_id_order(self):
+        """A far outlier vertex squeezes every other face into one
+        z-order cell: the tied faces keep face-id order, as ``sorted``
+        keeps them."""
+        mesh = _mesh("BH", 9, 1)
+        vertices = mesh.vertices.copy()
+        vertices[-1, :2] *= 1e9
+        dmtm = DMTM(TriangleMesh(vertices, mesh.faces))
+        pages = PageManager(page_size=2048)
+        dmtm.attach_storage(pages)
+        assert dmtm_attach_mismatches(dmtm, pages, PageManager(page_size=2048)) == []
+
+    @pytest.mark.parametrize("name", ["BH25", "span625"])
+    def test_named_terrains_match_by_record_attach(self, name):
+        dmtm = DMTM(_named_mesh(name))
+        pages = PageManager(page_size=4096)
+        dmtm.attach_storage(pages)
+        assert dmtm_attach_mismatches(dmtm, pages, PageManager(page_size=4096)) == []
+
+
+class TestMeshAdjacency:
+    @given(terrain=_collapse_terrain)
+    @_SETTINGS
+    def test_matches_loops(self, terrain):
+        assert mesh_adjacency_mismatches(_mesh(*terrain)) == []
+
+    @given(rows=st.integers(min_value=2, max_value=9), cols=st.integers(min_value=2, max_value=9))
+    @_SETTINGS
+    def test_dem_faces_match_cell_loop(self, rows, cols):
+        dem = DemGrid(np.zeros((rows, cols)), 1.0)
+        got = TriangleMesh.from_dem(dem).faces
+        want = dem_faces_reference(dem)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @given(
+        faces=st.lists(
+            st.tuples(*[st.integers(min_value=0, max_value=7)] * 3),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    @_SETTINGS
+    def test_unvalidated_meshes_match_loops(self, faces):
+        """Repeated, degenerate and non-manifold faces: every list keeps
+        the loops' order, duplicates included."""
+        vertices = np.random.default_rng(0).normal(size=(8, 3))
+        mesh = TriangleMesh(vertices, np.array(faces), validate=False)
+        assert mesh_adjacency_mismatches(mesh) == []
+
+
+class TestSaddleFlags:
+    @given(terrain=_collapse_terrain)
+    @_SETTINGS
+    def test_total_angles_match_scalar(self, terrain):
+        mesh = _mesh(*terrain)
+        totals = _total_angles(mesh)
+        for v in range(mesh.num_vertices):
+            assert struct.pack("<d", totals[v]) == struct.pack(
+                "<d", mesh.vertex_total_angle(v)
+            )
+        boundary = mesh.boundary_vertices()
+        assert _mesh_tables(mesh)[3] == [
+            v in boundary or mesh.vertex_total_angle(v) > 2.0 * math.pi + 1e-7
+            for v in range(mesh.num_vertices)
+        ]

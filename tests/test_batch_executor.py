@@ -24,6 +24,7 @@ from repro.core.engine import SurfaceKNNEngine
 from repro.errors import QueryError
 from repro.obs.context import ObsContext
 from repro.storage.stats import ThreadLocalIOStatistics
+from repro.testkit.generators import standard_mesh
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +152,19 @@ class TestIsolation:
             for span in root.walk():
                 assert span.finished
                 assert span.status == "ok"
+
+    def test_batch_context_adopts_query_spans(self):
+        """A tracing batch context ends with each query's root span:
+        the per-query child contexts' finished spans are absorbed."""
+        engine = SurfaceKNNEngine(standard_mesh("BH", 13), density=10.0, seed=3)
+        ctx = ObsContext(tracing=True)
+        specs = _mixed_specs(engine, 4)
+        report = BatchQueryExecutor(engine, workers=2, obs=ctx).run(specs)
+        roots = ctx.tracer.finished()
+        assert [root.name for root in roots] == ["engine.query"] * len(specs)
+        assert {id(root) for root in roots} == {
+            id(result.root_span) for result in report.results
+        }
 
     def test_global_reads_equal_sum_of_query_deltas(self, batch_engine):
         """The thread-local router's aggregate must equal the sum of

@@ -50,3 +50,25 @@ class TestCli:
         assert main(["fig7", "--quick"]) == 0
         assert called["quick"] is True
         assert "ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["shard"], "BENCH_GEODESIC.json"),
+            (["shard", "--quick"], "bench-smoke.json"),
+            (["shard", "--quick", "--out", "mine.json"], "mine.json"),
+        ],
+    )
+    def test_quick_runs_keep_the_tracked_record(self, argv, out, monkeypatch):
+        """Only a full-size run writes the tracked record by default."""
+        import repro.bench.__main__ as cli
+
+        called = {}
+
+        def fake(quick=False, out=None):
+            called["out"] = out
+            return {"tables": [], "rows": []}
+
+        monkeypatch.setitem(cli._FIGURES, "shard", fake)
+        assert main(argv) == 0
+        assert called["out"] == out

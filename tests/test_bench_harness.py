@@ -118,3 +118,40 @@ class TestExperimentShapes:
             rows["MR3 s=1"]["agreement_3pct"]
             >= rows["INE (network)"]["agreement_3pct"]
         )
+
+
+class TestTrackedPerfRecord:
+    """The checked-in ``BENCH_GEODESIC.json`` is a full-size run with
+    identical answers in every row: quick runs (CI smokes) write to an
+    untracked file, so a quick document here means one was checked in
+    by mistake."""
+
+    @pytest.fixture(scope="class")
+    def document(self):
+        import json
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent.parent / "BENCH_GEODESIC.json"
+        return json.loads(path.read_text(encoding="utf-8"))
+
+    def test_full_size_in_every_params_subtree(self, document):
+        params = document["params"]
+        assert params["quick"] is False
+        assert params["landmarks"]["quick"] is False
+        assert params["shard"]["quick"] is False
+
+    def test_every_row_identical(self, document):
+        """Each row's asserted identity: a micro row's answers equal
+        its oracle's, landmark and sharded runs answer with the same
+        neighbour sets (and flags) as the baseline.  Landmark pruning
+        changes intervals, reads and tie order by design, so those
+        flags are reported, not required."""
+        rows = document["rows"]
+        for series, flags in (
+            ("kernels", ("identical",)),
+            ("landmarks", ("identical_results",)),
+            ("shard_identity", ("identical_results", "identical_flags")),
+        ):
+            assert rows[series], series
+            for row in rows[series]:
+                assert all(row[flag] is True for flag in flags), row

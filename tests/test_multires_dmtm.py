@@ -8,6 +8,7 @@ from repro.geometry.ellipse import EllipseRegion
 from repro.multires.dmtm import DMTM, RESOLUTION_PATHNET
 from repro.storage.pages import PageManager
 from repro.storage.stats import IOStatistics
+from repro.testkit.reference import dmtm_reference_stores
 
 
 @pytest.fixture(scope="module")
@@ -139,17 +140,21 @@ class TestStorage:
 
     def test_pages_resolved_at_attach(self, request):
         """Node and face pages are known once storage is attached, and
-        are the pages their record ids land on."""
+        are the pages their record ids land on (faces carry no ids in
+        the store: theirs resolve through the by-record attach, whose
+        k-th face page is the store's k-th)."""
         mesh = request.getfixturevalue("rough_mesh")
         dmtm = DMTM(mesh)
         dmtm.attach_storage(PageManager(page_size=1024))
         nodes = dmtm._node_store
-        faces = dmtm._face_store
+        _ref_nodes, ref_faces = dmtm_reference_stores(dmtm)
+        face_pages = dmtm._face_store.page_ids
         assert dmtm._node_pages.tolist() == [
             nodes.page_of(n.node_id) for n in dmtm.ddm.history.nodes
         ]
         assert dmtm._face_pages.tolist() == [
-            faces.page_of(fi) for fi in range(mesh.num_faces)
+            face_pages[ref_faces.page_ids.index(ref_faces.page_of(fi))]
+            for fi in range(mesh.num_faces)
         ]
 
     def test_node_record_roundtrip(self, dmtm):

@@ -479,6 +479,22 @@ class TestObsContext:
         }.get(entry, "engine.query")
         assert root is result.root_span
 
+    def test_embedded_query_labelled_like_query(self, bh_mesh):
+        """An embedded-point query reports ``mr3/s=N`` as ``query``
+        does: in ``method``, in the ``engine.queries.*`` counter and in
+        the ``explain()`` header."""
+        ctx = ObsContext("engine")
+        engine = SurfaceKNNEngine(bh_mesh, density=10.0, seed=3, obs=ctx)
+        x, y = engine.mesh.vertices[144][:2] + 7.0  # inside a facet
+        embedded = engine.query_point(x, y, 3)
+        assert embedded.method == "mr3/s=1"
+        assert [
+            name for name in ctx.collect() if name.startswith("engine.queries.")
+        ] == ["engine.queries.mr3/s=1"]
+        header = embedded.explain().splitlines()[0]
+        assert header.startswith("mr3/s=1 query at vertex 144,")
+        assert header == engine.query(144, 3).explain().splitlines()[0]
+
     def test_batch_executor_merges_child_contexts(self, bh_mesh):
         engine = SurfaceKNNEngine(bh_mesh, density=10.0, seed=3)
         ctx = ObsContext("batch", profiling=True)

@@ -189,7 +189,8 @@ class TestObservability:
 
     def test_stitched_builds_report_into_query_context(self):
         """Window builds on the stitching pool count and trace into
-        the query's context, not the pool threads' empty one."""
+        the query's context, not the pool threads' empty one, and
+        their spans sit in the ``shard.query`` tree."""
         dem = fractal_dem(25, 90.0, 500.0, 0.7)
         obs = ObsContext(tracing=True)
         engine = ShardedEngine(
@@ -200,13 +201,9 @@ class TestObservability:
         built = len(engine.windows_built)
         assert obs.registry.counter("shard.windows_built_total").value == built
         roots = obs.tracer.finished()
-        spans = [
-            s for root in roots for s in root.walk()
-            if s.name == "shard.build_window"
-        ]
-        assert len(spans) == built
-        # Builds on pool threads open their spans on an empty stack.
-        assert any(root.name == "shard.build_window" for root in roots)
+        # Builds on pool threads nest under the query that waits.
+        assert [root.name for root in roots] == ["shard.query"]
+        assert len(roots[0].find("shard.build_window")) == built
 
 
 class TestValidation:

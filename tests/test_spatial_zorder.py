@@ -1,10 +1,13 @@
 """Unit tests for z-order keys."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SpatialIndexError
 from repro.geometry.primitives import BoundingBox
-from repro.spatial.zorder import zorder_key, zorder_key_normalized
+from repro.spatial.zorder import zorder_key, zorder_key_normalized, zorder_keys
 
 
 class TestZOrderKey:
@@ -62,3 +65,30 @@ class TestNormalized:
         b = BoundingBox((0.0, 0.0), (1.0, 1.0))
         with pytest.raises(SpatialIndexError):
             zorder_key_normalized(0.5, 0.5, b, bits=0)
+
+
+class TestVectorized:
+    @given(
+        points=st.lists(
+            st.tuples(
+                st.floats(-20.0, 120.0, allow_nan=False),
+                st.floats(-20.0, 120.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        hi=st.floats(1e-9, 100.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_scalar_keys(self, points, hi):
+        """Every key equals the scalar key, clamping and zero-width
+        boxes included, so a stable argsort orders rows as ``sorted``
+        orders the scalar keys."""
+        b = BoundingBox((0.0, 0.0), (hi, 100.0))
+        keys = zorder_keys(np.array(points), b)
+        want = [zorder_key_normalized(x, y, b) for x, y in points]
+        assert keys.dtype == np.int64
+        assert keys.tolist() == want
+        assert np.argsort(keys, kind="stable").tolist() == sorted(
+            range(len(want)), key=want.__getitem__
+        )
