@@ -22,7 +22,6 @@ from repro.terrain import (
     roughness_report,
 )
 from repro.geodesic import (
-    dijkstra,
     exact_surface_distance,
     kanai_suzuki_distance,
     pathnet_distance,
@@ -39,7 +38,6 @@ __all__ = [
     "fractal_dem",
     "gaussian_hills_dem",
     "roughness_report",
-    "dijkstra",
     "exact_surface_distance",
     "kanai_suzuki_distance",
     "pathnet_distance",

@@ -878,7 +878,6 @@ def kernels(
     JSON document there (the checked-in ``BENCH_GEODESIC.json``).
     """
     from repro.geodesic.csr import astar_csr, dijkstra_csr, multi_source_heap
-    from repro.geodesic.dijkstra import dijkstra_reference
     from repro.geodesic.frontier import dijkstra_frontier, multi_source_frontier
     from repro.geodesic.pathnet import vertex_key
     from repro.msdn.msdn import MSDN
@@ -894,6 +893,8 @@ def kernels(
         MSDNReference,
         build_collapse_history_reference,
         collapse_history_bits,
+        csr_adjacency,
+        dijkstra_reference,
         dmtm_attach_mismatches,
         dmtm_attach_reference,
         dmtm_cut_per_region,
@@ -916,8 +917,8 @@ def kernels(
     engine = build_engine("BH", size=size, density=density, with_storage=False)
     network = engine.dmtm.extract_network(RESOLUTION_PATHNET, charge_io=False)
     graph = network.graph
-    csr = network.csr()
-    adjacency = graph.adjacency
+    csr = graph.csr
+    adjacency = csr_adjacency(csr)
 
     # Anchors/targets: deterministic mesh vertices present in the
     # pathnet, anchors carrying synthetic additive offsets like the

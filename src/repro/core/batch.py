@@ -19,9 +19,9 @@ Three pieces cooperate:
   consult the cache).  ``BatchQueryExecutor(workers=1)`` is therefore
   bit-identical to a plain ``engine.query`` loop.
 * a shared :class:`~repro.storage.pages.BufferPool` — the engines'
-  page managers already cache through a pool object; the executor's
-  engine can point at the process-wide pool
-  (:func:`repro.storage.pages.shared_buffer_pool`).
+  page managers already cache through a pool object, which one
+  engine's worker threads share, and several engines can share one
+  passed as ``buffer_pool=``.
 * :class:`~repro.storage.stats.ThreadLocalIOStatistics` — installed
   on the engine by the executor so each worker accounts page I/O into
   its own counters; per-query deltas stay exact under concurrency and

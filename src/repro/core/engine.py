@@ -88,10 +88,9 @@ class SurfaceKNNEngine:
         time (the process-wide default when none is).
     buffer_pool:
         Optional :class:`repro.storage.pages.BufferPool` to cache
-        pages through — pass
-        :func:`repro.storage.pages.shared_buffer_pool` to share one
-        process-wide LRU across engines and threads.  By default the
-        engine keeps a private pool of ``buffer_pages``.
+        pages through — pass one pool to several engines to share one
+        LRU across engines and threads.  By default the engine keeps
+        a private pool of ``buffer_pages``.
     fault_injector:
         Optional :class:`repro.storage.FaultInjector` attached to the
         simulated disk — reads then see the injector's seeded schedule

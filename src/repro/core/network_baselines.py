@@ -25,7 +25,7 @@ the quantified version of the paper's motivation.
 from __future__ import annotations
 
 from repro.errors import QueryError
-from repro.geodesic.csr import csr_from_adjacency, dijkstra_csr
+from repro.geodesic.csr import dijkstra_csr, edge_network_csr
 from repro.spatial.rtree import RTree
 
 
@@ -45,7 +45,7 @@ def ine_knn(mesh, objects, query_vertex: int, k: int) -> list[tuple[int, float]]
     # expansion-until-found behaviour, on flat CSR arrays.
     import heapq
 
-    indptr, indices, weights = csr_from_adjacency(mesh.edge_network()).lists()
+    indptr, indices, weights = edge_network_csr(mesh).lists()
     visited = bytearray(mesh.num_vertices)
     heap: list[tuple[float, int]] = [(0.0, query_vertex)]
     found: list[tuple[int, float]] = []
@@ -84,8 +84,8 @@ def ier_knn(mesh, objects, query_vertex: int, k: int) -> list[tuple[int, float]]
     # One growing single-source search would be cheating in IER's
     # favour; the algorithm recomputes per candidate (bounded by the
     # current kth network distance, its own optimisation).  The CSR
-    # form is compiled once and reused by every per-candidate search.
-    csr = csr_from_adjacency(mesh.edge_network())
+    # form is built once and reused by every per-candidate search.
+    csr = edge_network_csr(mesh)
     best: list[tuple[float, int]] = []  # (dN, obj) heap-ish list
 
     def network_distance(obj: int, cap: float | None) -> float | None:

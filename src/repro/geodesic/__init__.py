@@ -1,12 +1,20 @@
-"""Shortest-path machinery: network Dijkstra, pathnets, exact surface
-geodesics and the Kanai–Suzuki approximate geodesic on a selectively
-refined pathnet.
+"""Shortest-path machinery: network Dijkstra on compiled CSR graphs,
+pathnets, exact surface geodesics and the Kanai–Suzuki approximate
+geodesic on a selectively refined pathnet.
+
+Every graph searched here is a :class:`CSRGraph` built from arrays
+(with :class:`KeyedGraph` node keys where nodes mix kinds), and every
+search runs one of two kernels chosen by graph size: the heap kernels
+of :mod:`repro.geodesic.csr` or the bucketed numpy kernels of
+:mod:`repro.geodesic.frontier`.  The dict kernels and the mutable
+graph builder they replaced are oracles in
+:mod:`repro.testkit.reference`.
 
 Terminology (matching the paper):
 
 * ``dE`` — Euclidean distance (2D or 3D);
 * ``dN`` — network distance: shortest path *along edges* of a mesh or
-  support network (computed here by :func:`dijkstra`);
+  support network (the mesh edge network is :func:`edge_network_csr`);
 * ``dS`` — surface distance: shortest path on the polyhedral surface,
   allowed to cut across faces (computed exactly by
   :class:`ExactGeodesic`, approximated by
@@ -14,18 +22,12 @@ Terminology (matching the paper):
 """
 
 from repro.geodesic.graph import KeyedGraph
-from repro.geodesic.dijkstra import (
-    dijkstra,
-    dijkstra_reference,
-    dijkstra_with_parents,
-    shortest_path,
-)
 from repro.geodesic.csr import (
     CSRGraph,
     astar_csr,
-    csr_from_adjacency,
     dijkstra_csr,
     dijkstra_csr_with_parents,
+    edge_network_csr,
     multi_source_dijkstra_csr,
 )
 from repro.geodesic.frontier import (
@@ -47,18 +49,14 @@ from repro.geodesic.landmarks import LandmarkIndex, mesh_fingerprint
 __all__ = [
     "KeyedGraph",
     "CSRGraph",
-    "dijkstra",
-    "dijkstra_reference",
-    "dijkstra_with_parents",
     "dijkstra_csr",
     "dijkstra_csr_with_parents",
     "multi_source_dijkstra_csr",
     "astar_csr",
-    "csr_from_adjacency",
+    "edge_network_csr",
     "dijkstra_frontier",
     "dijkstra_frontier_with_parents",
     "multi_source_frontier",
-    "shortest_path",
     "build_pathnet",
     "pathnet_distance",
     "pathnet_shortest_path",

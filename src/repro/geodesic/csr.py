@@ -1,20 +1,20 @@
-"""Flat CSR graph kernels — the array-based fast path for every
+"""Flat CSR graph kernels — the array-based path for every
 shortest-path search in the system.
 
 :class:`CSRGraph` stores adjacency in compressed-sparse-row form
-(``indptr``/``indices``/``weights`` numpy arrays) compiled once from a
-:class:`repro.geodesic.graph.KeyedGraph` or a plain list-of-lists.
-The kernels run on preallocated flat arrays (``dist`` list indexed by
-dense node id, ``visited`` bytearray) instead of per-search dicts, and
-batch their settled/relaxation counters exactly like the reference
-kernels in :mod:`repro.geodesic.dijkstra`.
+(``indptr``/``indices``/``weights`` numpy arrays), built once from
+arrays: the vectorised pathnet builder, a DMTM compiled cut, or the
+mesh edge network (:func:`edge_network_csr`).  The heap kernels here
+run on preallocated flat arrays (``dist`` list indexed by dense node
+id, ``visited`` bytearray) and batch their settled/relaxation counters
+once per call.
 
 Three search shapes cover every caller:
 
 * :func:`dijkstra_csr` / :func:`dijkstra_csr_with_parents` —
-  single-source (optionally multi-target) searches, drop-in
-  replacements for the dict reference with bit-identical distances,
-  parents and early-exit behaviour (same heap tuple ordering);
+  single-source (optionally multi-target) searches, with the
+  ``(d, u)`` / ``(d, u, p)`` heap tuples that fix distances, parents
+  and early-exit behaviour;
 * :func:`multi_source_dijkstra_csr` — all anchors of a ranking level
   settle in ONE search.  Each source carries an additive offset; the
   priority is recomposed as ``offset + raw`` at every relaxation, and
@@ -30,21 +30,14 @@ Three search shapes cover every caller:
   Dijkstra on tie-heavy meshes, so it is only wired where the path is
   not consumed.
 
-Which kernel a search runs is fixed by the graph, never by process
-state (:func:`graph_dijkstra`, :func:`multi_source_dijkstra_csr`):
-
-* a :class:`~repro.geodesic.graph.KeyedGraph` nobody compiled runs
-  the dict kernel — compile-then-search loses on a graph searched
-  once;
-* a compiled graph below
-  :data:`~repro.geodesic.frontier.MIN_FRONTIER_NODES` nodes (or with a
-  zero-weight edge) runs the heap CSR kernel;
-* anything larger runs the bucketed numpy kernels of
-  :mod:`repro.geodesic.frontier`.
-
-All three return identical answers; the dict kernels
-(``dijkstra_reference``) double as the differential oracle the tests
-call directly.
+Two kernels serve each search, chosen by graph size alone, never by
+process state (:func:`graph_dijkstra_with_parents`,
+:func:`multi_source_dijkstra_csr`): a graph below
+:data:`~repro.geodesic.frontier.MIN_FRONTIER_NODES` nodes (or with a
+zero-weight edge) runs the heap kernel here, anything larger the
+bucketed numpy kernel of :mod:`repro.geodesic.frontier`.  Both return
+identical answers; their oracles, dict kernels over adjacency lists,
+live in :mod:`repro.testkit.reference`.
 """
 
 from __future__ import annotations
@@ -72,109 +65,47 @@ from repro.obs.profile import kernel_phase
 class CSRGraph:
     """Compressed-sparse-row adjacency with optional node positions.
 
-    ``indices[indptr[u]:indptr[u + 1]]`` are u's neighbours in the
-    same order the source adjacency list iterated them (ties in the
-    kernels therefore resolve identically), with parallel ``weights``.
-    ``positions`` is an optional ``(n, 3)`` float array enabling the
-    A* straight-line heuristic.
+    ``indices[indptr[u]:indptr[u + 1]]`` are u's neighbours, in the
+    order every kernel walks them (ties resolve by it), with parallel
+    ``weights``.  ``positions`` is an optional ``(n, 3)`` float array
+    enabling the A* straight-line heuristic.
 
-    The hot loops run in CPython, where plain lists beat numpy scalar
-    indexing by a wide margin, so lists are the primary storage; the
-    ``indptr``/``indices``/``weights`` numpy views are materialised
-    lazily on first access.  Compile cost matters — pathnet refinement
-    builds throwaway graphs searched once — so nothing numpy happens
-    up front.
+    The arrays are the storage and are never mutated.  The CPython
+    heap loops index plain lists far faster than numpy scalars, so
+    :meth:`lists` derives them on first use.
     """
 
-    __slots__ = ("_lists", "_arrays", "_frontier", "positions")
+    __slots__ = ("indptr", "indices", "weights", "positions", "_lists", "_wmin")
 
     def __init__(self, indptr, indices, weights, positions=None):
-        if (
-            isinstance(indptr, np.ndarray)
-            and isinstance(indices, np.ndarray)
-            and isinstance(weights, np.ndarray)
-        ):
-            # Array-first construction (the vectorised pathnet
-            # builder): keep the numpy form primary and materialise
-            # the list mirrors lazily — the frontier kernels never
-            # need them.
-            self._lists = None
-            self._arrays = (
-                np.ascontiguousarray(indptr, dtype=np.int64),
-                np.ascontiguousarray(indices, dtype=np.int64),
-                np.ascontiguousarray(weights, dtype=np.float64),
-            )
-        else:
-            self._lists = (list(indptr), list(indices), list(weights))
-            self._arrays = None
-        self._frontier = None  # per-graph frontier-kernel state cache
+        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
+        self.weights = np.ascontiguousarray(weights, dtype=np.float64)
         self.positions = (
             np.asarray(positions, dtype=np.float64) if positions is not None else None
         )
-
-    def _materialise(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        arrays = self._arrays
-        lists = self._lists
-        if (
-            arrays is not None
-            and lists is not None
-            and (
-                arrays[0].shape[0] != len(lists[0])
-                or arrays[1].shape[0] != len(lists[1])
-            )
-        ):
-            # Hardening: a caller grew the list storage after the
-            # numpy views were materialised.  Re-materialise (and drop
-            # the derived frontier state) rather than search on stale
-            # views.
-            arrays = None
-            self._frontier = None
-        if arrays is None:
-            arrays = self._arrays = (
-                np.asarray(lists[0], dtype=np.int64),
-                np.asarray(lists[1], dtype=np.int64),
-                np.asarray(lists[2], dtype=np.float64),
-            )
-        return arrays
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self._materialise()[0]
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self._materialise()[1]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._materialise()[2]
+        self._lists = None
+        self._wmin = None  # smallest edge weight, for the bucket kernels
 
     @property
     def num_nodes(self) -> int:
-        lists = self._lists
-        if lists is not None:
-            return len(lists[0]) - 1
-        return int(self._arrays[0].shape[0]) - 1
+        return int(self.indptr.shape[0]) - 1
 
     @property
     def num_edges(self) -> int:
-        lists = self._lists
-        if lists is not None:
-            return len(lists[1])
-        return int(self._arrays[1].shape[0])
+        return int(self.indices.shape[0])
 
     def lists(self) -> tuple[list, list, list]:
         """``(indptr, indices, weights)`` as plain Python lists — the
-        form the CPython hot loops consume (materialised lazily for
-        array-first graphs, and published as one tuple so a
-        concurrent first call never sees a partial set)."""
+        form the CPython heap loops consume, derived on first call and
+        published as one tuple so a concurrent first call never sees
+        a partial set."""
         lists = self._lists
         if lists is None:
-            indptr, indices, weights = self._arrays
             lists = self._lists = (
-                indptr.tolist(),
-                indices.tolist(),
-                weights.tolist(),
+                self.indptr.tolist(),
+                self.indices.tolist(),
+                self.weights.tolist(),
             )
         return lists
 
@@ -187,27 +118,26 @@ class CSRGraph:
         return np.sqrt((deltas * deltas).sum(axis=1)).tolist()
 
 
-def csr_from_adjacency(adj, positions=None) -> CSRGraph:
-    """Compile a list-of-lists adjacency (``adj[u]`` iterating
-    ``(v, weight)`` pairs) into a :class:`CSRGraph`."""
-    indptr = [0] * (len(adj) + 1)
-    indices: list[int] = []
-    weights: list[float] = []
-    extend_i = indices.extend
-    extend_w = weights.extend
-    total = 0
-    for u, nbrs in enumerate(adj):
-        total += len(nbrs)
-        indptr[u + 1] = total
-        if nbrs:
-            vs, ws = zip(*nbrs)
-            extend_i(vs)
-            extend_w(ws)
-    return CSRGraph(indptr=indptr, indices=indices, weights=weights, positions=positions)
+def edge_network_csr(mesh) -> CSRGraph:
+    """The mesh edge network — the graph whose distances are the
+    paper's ``dN`` — with the mesh vertices as node positions.
+
+    Both directed copies of every edge, interleaved per edge id, are
+    sorted stably by tail, so each vertex lists its neighbours in edge
+    id order, each edge weighted by its length."""
+    ends = mesh.edge_vertices
+    tails = ends.ravel()
+    heads = ends[:, ::-1].ravel()
+    order = np.argsort(tails, kind="stable")
+    n = mesh.num_vertices
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    weights = np.repeat(mesh.edge_lengths, 2)
+    return CSRGraph(indptr, heads[order], weights[order], positions=mesh.vertices)
 
 
 # ----------------------------------------------------------------------
-# counters (same registry names as the reference kernels)
+# counters (one set of registry names for every kernel)
 # ----------------------------------------------------------------------
 
 
@@ -237,9 +167,9 @@ def dijkstra_csr(
     targets: set[int] | None = None,
     max_dist: float | None = None,
 ) -> dict[int, float]:
-    """Flat-array single-source Dijkstra, bit-identical to
-    :func:`repro.geodesic.dijkstra.dijkstra` (same heap tuples, same
-    neighbour order, same early-exit rules)."""
+    """Flat-array single-source Dijkstra: ``(d, u)`` heap tuples,
+    neighbours in CSR order, a stop once every target settled or the
+    frontier passed ``max_dist``.  Returns settled node -> distance."""
     n = csr.num_nodes
     if not 0 <= source < n:
         raise GeodesicError(f"source {source} out of range")
@@ -290,10 +220,9 @@ def dijkstra_csr_with_parents(
     max_dist: float | None = None,
     region: np.ndarray | None = None,
 ) -> tuple[dict[int, float], dict[int, int]]:
-    """Flat-array variant of
-    :func:`repro.geodesic.dijkstra.dijkstra_with_parents` — identical
-    distances AND identical shortest-path trees (the ``(d, u, p)``
-    heap tuple ordering is preserved, so tie-broken parents match).
+    """:func:`dijkstra_csr` that also returns the shortest-path tree
+    (settled node -> predecessor, the source excluded); the
+    ``(d, u, p)`` heap tuple breaks ties between equal-length parents.
 
     ``region`` (a boolean node mask holding ``source``) searches the
     subgraph the mask induces, in place: the nodes outside it start
@@ -379,7 +308,7 @@ def multi_source_dijkstra_csr(
     """One search settling the best ``offset + distance`` label over
     many ``(node, offset)`` sources.
 
-    Replaces one-reference-Dijkstra-per-anchor: with M anchors and N
+    Replaces one Dijkstra per anchor: with M anchors and N
     targets, one wavefront serves all M·N pairs.  Graphs of
     ``MIN_FRONTIER_NODES`` nodes or more run the bucketed twin
     :func:`repro.geodesic.frontier.multi_source_frontier`, smaller
@@ -482,7 +411,6 @@ def astar_csr(
     source: int,
     target: int,
     max_dist: float | None = None,
-    heuristic=None,
 ) -> float | None:
     """Single-target A* with the straight-line-distance heuristic.
 
@@ -493,13 +421,6 @@ def astar_csr(
     on meshes with many equal-length paths A* may walk a different
     one, so callers that consume path keys use
     :func:`dijkstra_csr_with_parents` instead.
-
-    ``heuristic`` optionally replaces the straight-line heuristic
-    with a caller-supplied per-node sequence (e.g. the ALT landmark
-    heuristic from
-    :meth:`repro.geodesic.landmarks.LandmarkIndex.pathnet_heuristic`).
-    The caller must guarantee admissibility and consistency — the
-    returned distance is exact only under those properties.
     """
     n = csr.num_nodes
     if not 0 <= source < n:
@@ -509,7 +430,7 @@ def astar_csr(
     if source == target:
         _report(1, 0)
         return 0.0
-    h = csr.heuristic_to(target) if heuristic is None else heuristic
+    h = csr.heuristic_to(target)
     indptr, indices, weights = csr.lists()
     visited = bytearray(n)
     settled = 0
@@ -551,47 +472,21 @@ def astar_csr(
 
 
 # ----------------------------------------------------------------------
-# dispatchers for KeyedGraph call sites
+# dispatcher for keyed-graph call sites
 # ----------------------------------------------------------------------
-
-
-def graph_dijkstra(graph, source, targets=None, max_dist=None) -> dict[int, float]:
-    """Single-source search under the fixed kernel rule.
-
-    A graph nobody compiled runs the dict kernel: compile-then-search
-    loses to it on a graph searched once.  A compiled graph (a cached
-    network view, an array-built pathnet) runs
-    :func:`repro.geodesic.frontier.dijkstra_frontier`, which keeps
-    graphs below ``MIN_FRONTIER_NODES`` on the heap CSR kernel.
-    """
-    csr = graph.csr_if_compiled()
-    if csr is None:
-        from repro.geodesic.dijkstra import dijkstra_reference
-
-        return dijkstra_reference(graph.adjacency, source, targets, max_dist)
-    from repro.geodesic.frontier import dijkstra_frontier
-
-    return dijkstra_frontier(csr, source, targets, max_dist)
 
 
 def graph_dijkstra_with_parents(
     graph, source, targets=None, max_dist=None, region=None
 ) -> tuple[dict[int, float], dict[int, int]]:
-    """With-parents variant of :func:`graph_dijkstra` (same rule).
-
-    ``graph`` may also be a :class:`CSRGraph`, which is compiled by
-    definition.  ``region`` (a boolean node mask, compiled graphs
-    only) restricts the search to the subgraph the mask induces; the
-    kernel is then chosen by that subgraph, as if it had been
-    compiled on its own (see
-    :func:`repro.geodesic.frontier.dijkstra_frontier_with_parents`)."""
-    csr = graph if isinstance(graph, CSRGraph) else graph.csr_if_compiled()
-    if csr is None:
-        if region is not None:
-            raise GeodesicError("a region search needs a compiled graph")
-        from repro.geodesic.dijkstra import dijkstra_with_parents
-
-        return dijkstra_with_parents(graph.adjacency, source, targets, max_dist)
+    """Single-source search with parents on a
+    :class:`~repro.geodesic.graph.KeyedGraph` or a :class:`CSRGraph`,
+    through :func:`repro.geodesic.frontier.dijkstra_frontier_with_parents`
+    (heap kernel below ``MIN_FRONTIER_NODES`` nodes, buckets above).
+    ``region`` (a boolean node mask) restricts the search to the
+    subgraph the mask induces; the kernel is then chosen by that
+    subgraph, as if it had been compiled on its own."""
     from repro.geodesic.frontier import dijkstra_frontier_with_parents
 
+    csr = graph if isinstance(graph, CSRGraph) else graph.csr
     return dijkstra_frontier_with_parents(csr, source, targets, max_dist, region)

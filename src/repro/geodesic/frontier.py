@@ -34,10 +34,9 @@ then cut the output at the last target's ``(value, node)`` pair.
 
 **When the heap kernels still win.**  Graphs with a zero-weight edge
 (no positive window exists) delegate to the heap twin, as do searches
-on graphs too small to amortise numpy call overhead — and the
-dispatchers in :mod:`repro.geodesic.csr` keep the compile-on-reuse
-rule, so throwaway dict graphs searched once never pay an array
-compile.
+on graphs below :data:`MIN_FRONTIER_NODES` nodes, too small to
+amortise numpy call overhead.  Graph size is the only rule: every
+graph production searches is a compiled :class:`CSRGraph`.
 
 :func:`build_pathnet_arrays` is the companion construction kernel
 behind :func:`repro.geodesic.pathnet.build_pathnet`: the Steiner
@@ -102,21 +101,18 @@ def _report_frontier(buckets: int, batch_relaxations: int, max_frontier: int) ->
 
 
 def _frontier_state(csr: CSRGraph):
-    """``(indptr, indices, weights, wmin)`` with the minimum edge
-    weight memoized per materialisation (invalidated with the views)."""
-    arrays = csr._materialise()
-    state = csr._frontier
-    if state is None or state[0] is not arrays:
-        weights = arrays[2]
-        wmin = float(weights.min()) if weights.size else math.inf
-        state = (arrays, wmin)
-        csr._frontier = state
-    return arrays, state[1]
+    """``((indptr, indices, weights), wmin)`` with the smallest edge
+    weight memoized on the graph."""
+    wmin = csr._wmin
+    if wmin is None:
+        weights = csr.weights
+        wmin = csr._wmin = float(weights.min()) if weights.size else math.inf
+    return (csr.indptr, csr.indices, csr.weights), wmin
 
 
 def _region_wmin(csr: CSRGraph, region: np.ndarray) -> float:
     """The smallest edge weight of the subgraph ``region`` induces."""
-    indptr, indices, weights = csr._materialise()
+    indptr, indices, weights = csr.indptr, csr.indices, csr.weights
     inside = np.repeat(region, np.diff(indptr)) & region[indices]
     kept = weights[inside]
     return float(kept.min()) if kept.size else math.inf

@@ -62,8 +62,8 @@ def _corridor_faces(mesh, node_keys, rings: int = 1) -> np.ndarray:
 
 def _route(graph, source_key, target_key) -> tuple[float, list[tuple]]:
     # The route's keys seed the next round's refined corridor, so this
-    # stays on Dijkstra rather than A*: every Dijkstra kernel realises
-    # the same tie-broken shortest-path tree as the dict reference.
+    # stays on Dijkstra rather than A*: the heap and bucket kernels
+    # realise the same tie-broken shortest-path tree.
     s = graph.node_id(source_key)
     t = graph.node_id(target_key)
     dist, parent = graph_dijkstra_with_parents(graph, s, targets={t})

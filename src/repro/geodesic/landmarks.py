@@ -38,7 +38,7 @@ import random
 import numpy as np
 
 from repro.errors import GeodesicError
-from repro.geodesic.csr import csr_from_adjacency, multi_source_dijkstra_csr
+from repro.geodesic.csr import edge_network_csr, multi_source_dijkstra_csr
 from repro.geodesic.exact import ExactGeodesic
 from repro.obs.context import active_profiler, active_registry
 
@@ -61,7 +61,7 @@ def _select_landmarks(mesh, count: int, seed: int) -> list[int]:
     sources).  Ties break toward the lowest vertex id (``argmax``
     returns the first maximum), so selection is deterministic.
     """
-    csr = csr_from_adjacency(mesh.edge_network(), positions=mesh.vertices)
+    csr = edge_network_csr(mesh)
     n = mesh.num_vertices
     rng = random.Random(seed)
     chosen = [rng.randrange(n)]
@@ -190,46 +190,3 @@ class LandmarkIndex:
         if finite.size >= k:
             return float(finite[k - 1])
         return float("inf")
-
-    # ------------------------------------------------------------------
-    # A* heuristic assembly (pathnet graphs)
-    # ------------------------------------------------------------------
-
-    def pathnet_heuristic(self, graph, target_vertex: int) -> list[float]:
-        """Per-node ALT heuristic for A* over a pathnet graph, maxed
-        with the straight-line heuristic.
-
-        Pathnet nodes are mesh vertices (exact table columns) or
-        Steiner points on mesh edges.  A Steiner point ``x`` on edge
-        ``(u, w)`` satisfies ``dS(a, x) <= |x - a|`` for each endpoint
-        ``a`` (the sub-segment lies on the surface), which brackets
-        ``dS(l, x)`` in ``[max_a (dS(l,a) - |x-a|),
-        min_a (dS(l,a) + |x-a|)]``; against the target column the
-        bracket yields an admissible *and consistent* bound on the
-        pathnet distance (every component is 1-Lipschitz in the 3D
-        position, and pathnet edge weights are 3D segment lengths),
-        so :func:`~repro.geodesic.csr.astar_csr`'s early exit stays
-        exact.
-        """
-        csr = graph.csr()
-        mesh = self.mesh
-        surface = self.surface
-        target_col = surface[:, int(target_vertex)]
-        target_pos = mesh.vertices[int(target_vertex)]
-        h: list[float] = []
-        for node in range(csr.num_nodes):
-            key = graph.key_of(node)
-            pos = csr.positions[node]
-            straight = float(np.linalg.norm(pos - target_pos))
-            if key[0] == "v":
-                lo = hi = surface[:, int(key[1])]
-            else:
-                u, w = mesh.edge_vertices[int(key[1])]
-                du = float(np.linalg.norm(pos - mesh.vertices[int(u)]))
-                dw = float(np.linalg.norm(pos - mesh.vertices[int(w)]))
-                lo = np.maximum(surface[:, int(u)] - du, surface[:, int(w)] - dw)
-                hi = np.minimum(surface[:, int(u)] + du, surface[:, int(w)] + dw)
-            alt = np.maximum(lo - target_col, target_col - hi)
-            alt = np.where(np.isfinite(alt), alt, 0.0)
-            h.append(max(straight, float(alt.max(initial=0.0))))
-        return h

@@ -51,11 +51,11 @@ def build_pathnet(
     returned distance is realised by a path avoiding them.
 
     The graph is built as flat arrays
-    (:func:`repro.geodesic.frontier.build_pathnet_arrays`) and comes
-    back compiled, with node positions for the A* heuristic.  Raises
+    (:func:`repro.geodesic.frontier.build_pathnet_arrays`), with node
+    positions for the A* heuristic.  Raises
     :class:`~repro.errors.GeodesicError` on a degenerate face.
     """
-    codes, positions, csr = build_pathnet_arrays(
+    codes, _positions, csr = build_pathnet_arrays(
         mesh, steiner_per_edge, faces, forbidden_faces
     )
     num_vertices = int(mesh.vertices.shape[0])
@@ -67,7 +67,7 @@ def build_pathnet(
         else:
             sc = code - num_vertices
             keys.append(("s", sc // spe, sc % spe + 1))
-    return KeyedGraph.from_arrays(keys, positions, csr)
+    return KeyedGraph(keys, csr)
 
 
 def pathnet_distance(
@@ -76,17 +76,10 @@ def pathnet_distance(
     target: int,
     steiner_per_edge: int = 1,
     faces: np.ndarray | None = None,
-    landmarks=None,
 ) -> float:
     """Approximate ``dS`` between two vertices via pathnet search —
     A* with the straight-line heuristic (the distance is all that is
     returned, so the goal-directed search is safe).
-
-    ``landmarks`` optionally supplies a
-    :class:`repro.geodesic.landmarks.LandmarkIndex` whose ALT
-    heuristic (maxed with the straight line, admissible and
-    consistent on pathnet graphs) tightens the A* search further;
-    the returned distance is unchanged.
     """
     graph = build_pathnet(mesh, steiner_per_edge, faces)
     src_key = vertex_key(source)
@@ -95,12 +88,7 @@ def pathnet_distance(
         raise GeodesicError("source or target vertex missing from pathnet region")
     s = graph.node_id(src_key)
     t = graph.node_id(dst_key)
-    heuristic = (
-        landmarks.pathnet_heuristic(graph, target)
-        if landmarks is not None
-        else None
-    )
-    d = astar_csr(graph.csr(), s, t, heuristic=heuristic)
+    d = astar_csr(graph.csr, s, t)
     if d is None:
         raise GeodesicError(f"no pathnet route from {source} to {target}")
     return d

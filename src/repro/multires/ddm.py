@@ -151,10 +151,11 @@ class DistanceDirectMesh:
     def _compile_cut(self, step: int) -> CompiledCut:
         """Select the cut's recorded edges and compile them to CSR
         with array operations.  Node set, edge set and weights are
-        those of one ``add_edge`` per :meth:`cut_edges` edge (same
-        first-occurrence dedupe, see :meth:`cut_edge_arrays`); each
-        node lists its higher-id neighbours, then its lower-id ones,
-        each in ascending order."""
+        those of a graph grown by one edge per :meth:`cut_edges` edge
+        (same first-occurrence dedupe, see :meth:`cut_edge_arrays`),
+        the oracle :func:`repro.testkit.reference.dmtm_cut_reference`;
+        each node lists its higher-id neighbours, then its lower-id
+        ones, each in ascending order."""
         ids = np.flatnonzero((self._birth <= step) & (self._death > step))
         nnodes = int(ids.size)
         local = np.full(self.num_nodes, -1, dtype=np.int64)
@@ -219,7 +220,7 @@ class DistanceDirectMesh:
         packed = u * np.int64(self.num_nodes) + w
         _uniq, first = np.unique(packed, return_index=True)
         u, w, dd = u[first], w[first], dd[first]
-        loops = u != w  # add_edge drops self-loops; mirror that here
+        loops = u != w  # a graph grown edge by edge drops self-loops
         return u[loops], w[loops], dd[loops]
 
     def node_positions(self) -> np.ndarray:

@@ -59,12 +59,6 @@ class NetworkView:
     cut: CompiledCut | None = None
     region: np.ndarray | None = None
 
-    def csr(self):
-        """The pathnet's compiled CSR form (memoized on the graph, so
-        batch workers sharing a BoundCache-held view share the arrays
-        too)."""
-        return self.graph.csr()
-
     def cut_row(self, node_id: int) -> int | None:
         """The compiled-cut row of DDM node ``node_id`` in this cut
         -level network, or None when the node is not in it (not alive
@@ -542,7 +536,7 @@ class DMTM:
             if vertex_key(v) in graph
         }
         found = multi_source_dijkstra_csr(
-            network.csr(), sources, targets=set(target_ids)
+            graph.csr, sources, targets=set(target_ids)
         )
         best: dict[int, tuple[float, list]] = {}
         for v in target_vertices:

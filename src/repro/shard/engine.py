@@ -159,7 +159,10 @@ class ShardedEngine:
         total = dem.rows * dem.cols
         if len(vids) == 0:
             raise QueryError("an object set needs at least one object")
-        if len(np.unique(vids)) != len(vids):
+        # Sort and compare neighbours: a plain np.unique would import
+        # numpy.ma, a megabyte of module.
+        ordered = np.sort(vids)
+        if (ordered[1:] == ordered[:-1]).any():
             raise QueryError("object vertex ids must be distinct")
         if vids.min() < 0 or vids.max() >= total:
             raise QueryError("object vertex id out of range")

@@ -16,7 +16,6 @@ from repro.storage.pages import (
     BufferPool,
     PageManager,
     SimulatedDisk,
-    shared_buffer_pool,
 )
 from repro.storage.faults import (
     FaultEvent,
@@ -36,7 +35,6 @@ __all__ = [
     "BufferPool",
     "PageManager",
     "SimulatedDisk",
-    "shared_buffer_pool",
     "FaultEvent",
     "FaultInjector",
     "FaultStats",

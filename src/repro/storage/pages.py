@@ -11,8 +11,8 @@ The buffer pool is a separate object so it can be shared: by default
 every :class:`PageManager` owns a private pool sized by its
 ``buffer_pages`` (the original per-engine behaviour), but any number
 of managers — and any number of threads — may account into one
-process-wide pool (:func:`shared_buffer_pool`), which is what the
-batch query executor uses.  Pool entries are keyed by
+:class:`BufferPool` passed as ``buffer=`` (the sharded engine's
+windows share one this way).  Pool entries are keyed by
 ``(owner, page_id)`` so managers sharing a pool never alias each
 other's page ids.
 
@@ -58,9 +58,6 @@ from repro.storage.faults import (
 from repro.storage.stats import PAGE_CLASS_OTHER, IOStatistics
 
 DEFAULT_PAGE_SIZE = 8192
-
-#: Capacity of the process-wide shared pool (pages, not bytes).
-DEFAULT_SHARED_BUFFER_PAGES = 4096
 
 _owner_tokens = itertools.count()
 
@@ -155,25 +152,6 @@ class BufferPool:
                 del self._entries[key]
 
 
-_shared_pool: BufferPool | None = None
-_shared_pool_lock = threading.Lock()
-
-
-def shared_buffer_pool(capacity: int | None = None) -> BufferPool:
-    """The process-wide buffer pool, created on first use.
-
-    ``capacity`` only applies to the creating call; later callers get
-    the existing pool regardless.
-    """
-    global _shared_pool
-    with _shared_pool_lock:
-        if _shared_pool is None:
-            _shared_pool = BufferPool(
-                DEFAULT_SHARED_BUFFER_PAGES if capacity is None else capacity
-            )
-        return _shared_pool
-
-
 class PageManager:
     """Page allocator + buffer pool + I/O accounting.
 
@@ -187,10 +165,10 @@ class PageManager:
         Optional shared :class:`IOStatistics` (several stores can
         account into one counter set, as one database would).
     buffer:
-        Optional :class:`BufferPool` to cache through — pass
-        :func:`shared_buffer_pool` to share one LRU across engines
-        and threads; by default a private pool of ``buffer_pages``
-        is created (the classic per-engine buffer).
+        Optional :class:`BufferPool` to cache through — pass one pool
+        to several managers to share one LRU across engines and
+        threads; by default a private pool of ``buffer_pages`` is
+        created (the classic per-engine buffer).
     fault_injector:
         Optional :class:`~repro.storage.faults.FaultInjector` wired
         into the simulated disk's read path.

@@ -4,8 +4,10 @@
 construction simplifies it, the pathnet subdivides it, MSDN planes
 cut through it, and every shortest-path algorithm walks it.  It keeps
 full adjacency (vertex↔vertex, edge↔face, face↔face), validates
-manifoldness, supports point location / embedding in the xy-plane and
-exposes the edge network used by Dijkstra-based distance bounds.
+manifoldness and supports point location / embedding in the xy-plane;
+its ``edge_vertices`` and ``edge_lengths`` are the edge network whose
+Dijkstra distances are the paper's ``dN``
+(:func:`repro.geodesic.csr.edge_network_csr`).
 """
 
 from __future__ import annotations
@@ -352,21 +354,8 @@ class TriangleMesh:
         return int(np.argmin(np.sum(d * d, axis=1)))
 
     # ------------------------------------------------------------------
-    # network views
+    # face selection
     # ------------------------------------------------------------------
-
-    def edge_network(self) -> list[list[tuple[int, float]]]:
-        """Adjacency list of the mesh's edge graph.
-
-        ``adj[v]`` is a list of ``(neighbor, edge_length)`` pairs —
-        the network whose Dijkstra distances are the paper's ``dN``.
-        """
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.num_vertices)]
-        for eid, (u, w) in enumerate(self.edge_vertices):
-            length = float(self.edge_lengths[eid])
-            adj[int(u)].append((int(w), length))
-            adj[int(w)].append((int(u), length))
-        return adj
 
     def submesh_faces(self, region: BoundingBox) -> np.ndarray:
         """Indices of faces whose xy-MBR intersects ``region``."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import TerrainError
-from repro.geodesic.csr import csr_from_adjacency, dijkstra_csr
+from repro.geodesic.csr import dijkstra_csr, edge_network_csr
 from repro.geometry.vectors import dist
 
 
@@ -29,8 +29,8 @@ def surface_to_euclid_ratio(mesh, num_pairs: int = 32, seed: int = 0) -> float:
     if num_pairs < 1:
         raise TerrainError("num_pairs must be >= 1")
     rng = np.random.default_rng(seed)
-    # One CSR compile serves every sampled pair below.
-    csr = csr_from_adjacency(mesh.edge_network())
+    # One CSR build serves every sampled pair below.
+    csr = edge_network_csr(mesh)
     ratios: list[float] = []
     attempts = 0
     while len(ratios) < num_pairs and attempts < num_pairs * 4:

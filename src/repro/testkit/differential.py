@@ -71,7 +71,6 @@ from repro.geodesic.csr import (
     multi_source_dijkstra_csr,
     multi_source_heap,
 )
-from repro.geodesic.dijkstra import dijkstra_reference, dijkstra_with_parents_reference
 from repro.geodesic.exact import ExactGeodesic
 from repro.geodesic.pathnet import build_pathnet, vertex_key
 from repro.testkit.generators import (
@@ -85,9 +84,13 @@ from repro.testkit.oracles import OracleContext, Violation, run_oracles
 from repro.testkit.reference import (
     ExactGeodesicReference,
     build_pathnet_reference,
+    csr_adjacency,
+    dijkstra_reference,
+    dijkstra_with_parents_reference,
     dmtm_cut_reference,
     dmtm_upper_bound_cut_reference,
     dmtm_upper_bounds_from_cut_reference,
+    edge_network_reference,
     msdn_lower_bound_reference,
     upper_bound_bits,
 )
@@ -277,19 +280,20 @@ def component_mismatches(engine, query_vertices) -> list[tuple[int, str]]:
     out: list[tuple[int, str]] = []
     graph = build_pathnet(mesh, spe)
     ref = build_pathnet_reference(mesh, spe)
+    adjacency = ref.adjacency
+    positions = graph.csr.positions
     if len(graph) != len(ref) or any(
         graph.key_of(i) != ref.key_of(i)
-        or tuple(graph.position_of(i)) != tuple(ref.position_of(i))
+        or tuple(positions[i]) != tuple(ref.position_of(i))
         for i in range(len(ref))
-    ) or graph.adjacency != ref.adjacency:
+    ) or csr_adjacency(graph.csr) != adjacency:
         out.append((-1, "array pathnet builder diverged from the reference"))
         return out
-    adjacency = ref.adjacency
     object_vertices = sorted(
         {engine.objects.vertex_of(o) for o in range(len(engine.objects))}
     )
     targets = {graph.node_id(vertex_key(v)) for v in object_vertices}
-    edge_network = mesh.edge_network()
+    edge_network = edge_network_reference(mesh)
     msdn = engine.msdn
     dmtm = engine.dmtm
     for index, qv in enumerate(query_vertices):
@@ -314,8 +318,8 @@ def component_mismatches(engine, query_vertices) -> list[tuple[int, str]]:
             (graph.node_id(vertex_key(v)), float(w))
             for v, w in edge_network[qv][:1]
         ]
-        found = multi_source_dijkstra_csr(graph.csr(), sources, set(targets))
-        heap = multi_source_heap(graph.csr(), sources, set(targets))
+        found = multi_source_dijkstra_csr(graph.csr, sources, set(targets))
+        heap = multi_source_heap(graph.csr, sources, set(targets))
         if found != heap:
             out.append((index, "multi-source kernels diverged"))
         # Against one dict search per anchor the values agree up to

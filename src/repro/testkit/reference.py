@@ -74,9 +74,22 @@ page bytes, same pages read in the same order.
   object per window and one method per step, the twin of the flat
   event loop of :class:`repro.geodesic.exact.ExactGeodesic`.
 
-The dict search kernels (:mod:`repro.geodesic.dijkstra`) complete the
-set; they already live as ``dijkstra_reference`` and
-``dijkstra_with_parents_reference``.
+The graph form and kernels production dropped complete the set:
+
+* :class:`KeyedGraphBuilder` — a keyed graph grown by ``add_node`` /
+  ``add_edge`` into an adjacency list, the form
+  :func:`build_pathnet_reference` and :func:`dmtm_cut_reference`
+  build; :func:`csr_from_adjacency` compiles an adjacency list and
+  :func:`csr_adjacency` reads one back out of a CSR graph;
+* :func:`edge_network_reference` — the mesh edge network by one
+  ``append`` per edge and direction, the twin of
+  :func:`repro.geodesic.csr.edge_network_csr`;
+* :func:`dijkstra_reference`, :func:`dijkstra_with_parents_reference`
+  and :func:`shortest_path_reference` — the dict kernels over
+  adjacency lists, twins of the heap and bucket kernels, reporting
+  the same ``geodesic.dijkstra.*`` counters;
+  :func:`graph_dijkstra_with_parents_reference` runs them on builder
+  graphs and the production kernels on compiled ones.
 """
 
 from __future__ import annotations
@@ -116,6 +129,7 @@ from repro.simplification.collapse import CollapseHistory, CollapseNode
 from repro.simplification.quadric import best_merge_position, face_quadric
 from repro.spatial.zorder import zorder_key_normalized
 from repro.obs.context import active_profiler, active_registry, current
+from repro.obs.profile import kernel_phase
 from repro.obs.tracing import NOOP_SPAN
 from repro.storage.faults import (
     FAULT_CORRUPT,
@@ -127,6 +141,251 @@ from repro.storage.faults import (
 from repro.storage.locator import LocatorStore
 from repro.storage.pages import PageManager
 from repro.storage.stats import PAGE_CLASS_DMTM, PAGE_CLASS_MSDN, PAGE_CLASS_OTHER
+
+# ----------------------------------------------------------------------
+# graphs grown edge by edge, and the dict kernels that search them
+# ----------------------------------------------------------------------
+
+Adjacency = list  # list[list[tuple[int, float]]]
+
+
+class KeyedGraphBuilder:
+    """An undirected weighted graph over hashable node keys, grown by
+    :meth:`add_node` / :meth:`add_edge` into a Python adjacency list —
+    the graph form of the reference builders, searched on the dict
+    kernels.  :func:`graph_dijkstra_with_parents_reference` routes it
+    there; production builds a :class:`~repro.geodesic.graph.KeyedGraph`
+    over arrays instead."""
+
+    def __init__(self):
+        self._ids: dict = {}
+        self._keys: list = []
+        self.adjacency: Adjacency = []
+        self._positions: list = []  # per-node 3D position or None
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __contains__(self, key) -> bool:
+        return key in self._ids
+
+    def add_node(self, key, position=None) -> int:
+        """Add (or fetch) a node, returning its dense id; ``position``
+        fills a missing position of an existing node."""
+        node_id = self._ids.get(key)
+        if node_id is None:
+            node_id = len(self._keys)
+            self._ids[key] = node_id
+            self._keys.append(key)
+            self.adjacency.append([])
+            self._positions.append(position)
+        elif position is not None and self._positions[node_id] is None:
+            self._positions[node_id] = position
+        return node_id
+
+    def add_edge(self, key_a, key_b, weight: float) -> None:
+        """Add an undirected edge; creates missing endpoints and drops
+        self-loops."""
+        if weight < 0:
+            raise GeodesicError(f"negative edge weight {weight}")
+        a = self.add_node(key_a)
+        b = self.add_node(key_b)
+        if a == b:
+            return
+        self.adjacency[a].append((b, float(weight)))
+        self.adjacency[b].append((a, float(weight)))
+
+    def node_id(self, key) -> int:
+        node_id = self._ids.get(key)
+        if node_id is None:
+            raise GeodesicError(f"unknown node key {key!r}")
+        return node_id
+
+    def key_of(self, node_id: int):
+        return self._keys[node_id]
+
+    def position_of(self, node_id: int):
+        return self._positions[node_id]
+
+    def degree(self, key) -> int:
+        return len(self.adjacency[self.node_id(key)])
+
+    def num_edges(self) -> int:
+        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+
+
+def csr_from_adjacency(adj: Adjacency, positions=None) -> CSRGraph:
+    """A :class:`~repro.geodesic.csr.CSRGraph` over a list-of-lists
+    adjacency (``adj[u]`` iterating ``(v, weight)`` pairs), neighbour
+    order kept."""
+    indptr = [0]
+    indices: list[int] = []
+    weights: list[float] = []
+    for nbrs in adj:
+        for v, w in nbrs:
+            indices.append(v)
+            weights.append(w)
+        indptr.append(len(indices))
+    return CSRGraph(indptr, indices, weights, positions=positions)
+
+
+def csr_adjacency(csr: CSRGraph) -> Adjacency:
+    """The list-of-lists adjacency a CSR graph encodes, neighbour
+    order kept — the inverse of :func:`csr_from_adjacency`."""
+    indptr, indices, weights = csr.lists()
+    return [
+        list(zip(indices[lo:hi], weights[lo:hi]))
+        for lo, hi in zip(indptr, indptr[1:])
+    ]
+
+
+def edge_network_reference(mesh) -> Adjacency:
+    """The mesh edge network by one ``append`` per edge and direction:
+    ``adj[v]`` lists ``(neighbour, edge length)`` in edge id order —
+    the twin of :func:`repro.geodesic.csr.edge_network_csr`."""
+    adj: Adjacency = [[] for _ in range(mesh.num_vertices)]
+    for eid, (u, w) in enumerate(mesh.edge_vertices):
+        length = float(mesh.edge_lengths[eid])
+        adj[int(u)].append((int(w), length))
+        adj[int(w)].append((int(u), length))
+    return adj
+
+
+def _report_dict(settled: int, relaxations: int) -> None:
+    # Batched once per call so the hot loop carries no registry cost;
+    # the registry names and profiler counts of the production kernels.
+    reg = active_registry()
+    reg.counter("geodesic.dijkstra.calls").add(1)
+    reg.counter("geodesic.dijkstra.settled").add(settled)
+    reg.counter("geodesic.dijkstra.relaxations").add(relaxations)
+    profiler = active_profiler()
+    if profiler.enabled:
+        profiler.count("kernel_calls", 1)
+        profiler.count("settled", settled)
+        profiler.count("relaxations", relaxations)
+
+
+@kernel_phase
+def dijkstra_reference(
+    adj: Adjacency,
+    source: int,
+    targets: set[int] | None = None,
+    max_dist: float | None = None,
+) -> dict[int, float]:
+    """Lazy-deletion binary-heap Dijkstra over an adjacency list, the
+    twin of :func:`repro.geodesic.csr.dijkstra_csr` and
+    :func:`repro.geodesic.frontier.dijkstra_frontier`.
+
+    ``adj[u]`` iterates ``(v, weight)`` pairs with non-negative
+    weights.  The search stops once every node of ``targets`` is
+    settled (unreachable targets are simply absent) and settles no
+    node farther than ``max_dist``.  Returns settled node -> distance.
+    """
+    if not 0 <= source < len(adj):
+        raise GeodesicError(f"source {source} out of range")
+    dist: dict[int, float] = {}
+    remaining = set(targets) if targets is not None else None
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    relaxations = 0
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in dist:
+            continue
+        if max_dist is not None and d > max_dist:
+            break
+        dist[u] = d
+        if remaining is not None:
+            remaining.discard(u)
+            if not remaining:
+                break
+        for v, w in adj[u]:
+            if v not in dist:
+                nd = d + w
+                if max_dist is None or nd <= max_dist:
+                    heapq.heappush(heap, (nd, v))
+                    relaxations += 1
+    _report_dict(len(dist), relaxations)
+    return dist
+
+
+@kernel_phase
+def dijkstra_with_parents_reference(
+    adj: Adjacency,
+    source: int,
+    targets: set[int] | None = None,
+    max_dist: float | None = None,
+) -> tuple[dict[int, float], dict[int, int]]:
+    """:func:`dijkstra_reference` that also returns the shortest-path
+    tree (settled node -> predecessor, the source excluded), the twin
+    of :func:`repro.geodesic.csr.dijkstra_csr_with_parents`."""
+    if not 0 <= source < len(adj):
+        raise GeodesicError(f"source {source} out of range")
+    dist: dict[int, float] = {}
+    parent: dict[int, int] = {}
+    remaining = set(targets) if targets is not None else None
+    heap: list[tuple[float, int, int]] = [(0.0, source, -1)]
+    relaxations = 0
+    while heap:
+        d, u, p = heapq.heappop(heap)
+        if u in dist:
+            continue
+        if max_dist is not None and d > max_dist:
+            break
+        dist[u] = d
+        if p >= 0:
+            parent[u] = p
+        if remaining is not None:
+            remaining.discard(u)
+            if not remaining:
+                break
+        for v, w in adj[u]:
+            if v not in dist:
+                nd = d + w
+                if max_dist is None or nd <= max_dist:
+                    heapq.heappush(heap, (nd, v, u))
+                    relaxations += 1
+    _report_dict(len(dist), relaxations)
+    return dist, parent
+
+
+def shortest_path_reference(
+    adj: Adjacency, source: int, target: int, max_dist: float | None = None
+) -> tuple[float, list[int]]:
+    """Distance and node sequence of a shortest source→target path.
+
+    Raises :class:`GeodesicError` when the target is unreachable
+    (within ``max_dist`` if given).
+    """
+    dist, parent = dijkstra_with_parents_reference(
+        adj, source, targets={target}, max_dist=max_dist
+    )
+    if target not in dist:
+        raise GeodesicError(
+            f"no path from {source} to {target}"
+            + (f" within distance {max_dist}" if max_dist is not None else "")
+        )
+    path = [target]
+    while path[-1] != source:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return dist[target], path
+
+
+def graph_dijkstra_with_parents_reference(
+    graph, source, targets=None, max_dist=None, region=None
+):
+    """:func:`repro.geodesic.csr.graph_dijkstra_with_parents` over
+    either graph form: a :class:`KeyedGraphBuilder` runs
+    :func:`dijkstra_with_parents_reference` on its adjacency list,
+    a compiled graph the production kernels.  A reference run binds
+    it where production binds the production search."""
+    if isinstance(graph, KeyedGraphBuilder):
+        if region is not None:
+            raise GeodesicError("a region search needs a compiled graph")
+        return dijkstra_with_parents_reference(
+            graph.adjacency, source, targets, max_dist
+        )
+    return graph_dijkstra_with_parents(graph, source, targets, max_dist, region)
 
 
 def _edge_point_keys(mesh, edge_id: int, steiner_per_edge: int):
@@ -156,12 +415,12 @@ def build_pathnet_reference(
     steiner_per_edge: int = 1,
     faces=None,
     forbidden_faces=None,
-) -> KeyedGraph:
+) -> KeyedGraphBuilder:
     """The pathnet by a per-face loop: every pair of points sharing a
     face linked by one ``add_edge``.  Unlike the array builder it
     tolerates degenerate faces (repeated points are deduplicated)."""
     forbidden = frozenset(int(f) for f in forbidden_faces or ())
-    graph = KeyedGraph()
+    graph = KeyedGraphBuilder()
     face_ids = range(mesh.num_faces) if faces is None else faces
     for fi in face_ids:
         fi = int(fi)
@@ -346,7 +605,7 @@ def dmtm_cut_reference(dmtm, resolution: float, roi=None, charge_io: bool = True
     cut = dmtm_cut_nodes_reference(dmtm.ddm, step, roi)
     if charge_io:
         dmtm_touch_nodes_reference(dmtm, cut)
-    graph = KeyedGraph()
+    graph = KeyedGraphBuilder()
     for node_id in cut:
         graph.add_node(("n", node_id), position=dmtm.ddm.node_position(node_id))
     for u, w, d in dmtm.ddm.cut_edges(cut):
@@ -360,7 +619,7 @@ def dmtm_cut_per_region(dmtm, resolution: float, roi=None, charge_io: bool = Tru
     """Cut-level network built for one region with array operations:
     the region's node ids, their recorded edges (see
     :meth:`~repro.multires.ddm.DistanceDirectMesh.cut_edge_arrays`),
-    a fresh CSR over them and a compiled
+    a fresh CSR over them and a
     :class:`~repro.geodesic.graph.KeyedGraph` with one key per node.
     Production built this per refined corridor before it searched the
     compiled cut in place; the kernels bench keeps it as that
@@ -386,7 +645,7 @@ def dmtm_cut_per_region(dmtm, resolution: float, roi=None, charge_io: bool = Tru
     np.cumsum(np.bincount(src_dir, minlength=nnodes), out=indptr[1:])
     positions = ddm.node_positions()[cut_ids]
     csr = CSRGraph(indptr, dst_dir[order], w_dir[order], positions=positions)
-    graph = KeyedGraph.from_arrays([("n", int(i)) for i in cut_ids], positions, csr)
+    graph = KeyedGraph([("n", int(i)) for i in cut_ids], csr)
     return NetworkView(
         resolution=resolution, records_used=nnodes, step=step, graph=graph
     )
@@ -412,8 +671,9 @@ def dmtm_upper_bound_cut_reference(dmtm, vertex_a: int, vertex_b: int, network):
     """:meth:`DMTM._upper_bound_cut` over a keyed cut network
     (:func:`dmtm_cut_reference`, :func:`dmtm_cut_per_region`): the
     ancestors' ``("n", id)`` keys looked up in the graph and one
-    search with parents, on the dict kernel when nobody compiled the
-    graph."""
+    search with parents (:func:`graph_dijkstra_with_parents_reference`:
+    the dict kernel on a builder graph, production's on a compiled
+    one)."""
     step = network.step
     anc_a, off_a = dmtm.ddm.ancestor(vertex_a, step)
     anc_b, off_b = dmtm.ddm.ancestor(vertex_b, step)
@@ -428,7 +688,7 @@ def dmtm_upper_bound_cut_reference(dmtm, vertex_a: int, vertex_b: int, network):
         )
     sid = graph.node_id(key_a)
     tid = graph.node_id(key_b)
-    dist, parent = graph_dijkstra_with_parents(graph, sid, targets={tid})
+    dist, parent = graph_dijkstra_with_parents_reference(graph, sid, targets={tid})
     if tid not in dist:
         return None
     return UpperBoundResult(
@@ -456,7 +716,9 @@ def dmtm_upper_bounds_from_cut_reference(
         return {v: None for v in target_vertices}
     sid = graph.node_id(key_s)
     target_ids = {graph.node_id(key) for key, _extra in info.values() if key in graph}
-    dist, parent = graph_dijkstra_with_parents(graph, sid, targets=target_ids)
+    dist, parent = graph_dijkstra_with_parents_reference(
+        graph, sid, targets=target_ids
+    )
     results: dict = {}
     for v in target_vertices:
         key_v, extra = info[v]

@@ -7,8 +7,10 @@ builds they replaced.
 per-pair collapse loop, :func:`~repro.testkit.reference.dmtm_attach_reference`
 the by-record DMTM attach, :func:`~repro.testkit.reference.mesh_adjacency_reference`
 and :func:`~repro.testkit.reference.dem_faces_reference` the mesh
-loops, and :meth:`~repro.terrain.mesh.TriangleMesh.vertex_total_angle`
-the scalar saddle angle.  Arrays, pages and floats are compared as
+loops, :func:`~repro.testkit.reference.edge_network_reference` the
+edge network by one append per edge and direction, and
+:meth:`~repro.terrain.mesh.TriangleMesh.vertex_total_angle` the
+scalar saddle angle.  Arrays, pages and floats are compared as
 bytes (:func:`~repro.testkit.reference.msdn_build_mismatches`,
 :func:`~repro.testkit.reference.collapse_history_bits`,
 :func:`~repro.testkit.reference.dmtm_attach_mismatches`,
@@ -26,6 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.geodesic.csr import edge_network_csr
 from repro.geodesic.exact import _mesh_tables, _total_angles
 from repro.geometry.primitives import BoundingBox
 from repro.msdn.msdn import DEFAULT_RESOLUTIONS, MSDN
@@ -51,8 +54,10 @@ from repro.testkit.reference import (
     MSDNReference,
     build_collapse_history_reference,
     collapse_history_bits,
+    csr_from_adjacency,
     dem_faces_reference,
     dmtm_attach_mismatches,
+    edge_network_reference,
     mesh_adjacency_mismatches,
     msdn_build_mismatches,
     msdn_corridor_reference,
@@ -325,6 +330,49 @@ class TestMeshAdjacency:
         vertices = np.random.default_rng(0).normal(size=(8, 3))
         mesh = TriangleMesh(vertices, np.array(faces), validate=False)
         assert mesh_adjacency_mismatches(mesh) == []
+
+
+def _edge_network_mismatches(mesh) -> list[str]:
+    """Which of indptr, indices, weights and positions differ between
+    the array edge network and the one built by one ``append`` per
+    edge and direction, list for list and by bytes."""
+    got = edge_network_csr(mesh)
+    want = csr_from_adjacency(edge_network_reference(mesh), positions=mesh.vertices)
+    names = ("indptr", "indices", "weights")
+    out = [
+        name
+        for name, g, w in zip(names, got.lists(), want.lists())
+        if g != w or getattr(got, name).tobytes() != getattr(want, name).tobytes()
+    ]
+    if got.positions.tobytes() != want.positions.tobytes():
+        out.append("positions")
+    return out
+
+
+class TestEdgeNetwork:
+    @given(terrain=_collapse_terrain)
+    @_SETTINGS
+    def test_matches_append_loop(self, terrain):
+        assert _edge_network_mismatches(_mesh(*terrain)) == []
+
+    @given(
+        faces=st.lists(
+            st.tuples(*[st.integers(min_value=0, max_value=7)] * 3),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    @_SETTINGS
+    def test_unvalidated_meshes_match_append_loop(self, faces):
+        """Repeated, degenerate and non-manifold faces, isolated
+        vertices and self-loop edges included."""
+        vertices = np.random.default_rng(0).normal(size=(8, 3))
+        mesh = TriangleMesh(vertices, np.array(faces), validate=False)
+        assert _edge_network_mismatches(mesh) == []
+
+    @pytest.mark.parametrize("name", ["BH25", "EP33"])
+    def test_named_terrains_match_append_loop(self, name):
+        assert _edge_network_mismatches(_named_mesh(name)) == []
 
 
 class TestSaddleFlags:

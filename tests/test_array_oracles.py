@@ -16,13 +16,13 @@ import pytest
 
 from repro.errors import GeodesicError
 from repro.geodesic.csr import graph_dijkstra_with_parents
-from repro.geodesic.dijkstra import dijkstra_with_parents_reference
 from repro.geodesic.pathnet import build_pathnet
 from repro.geometry.primitives import BoundingBox
 from repro.terrain.mesh import TriangleMesh
 from repro.testkit.generators import standard_engine
 from repro.testkit.reference import (
     build_pathnet_reference,
+    dijkstra_with_parents_reference,
     dmtm_cut_reference,
     msdn_lower_bound_reference,
     msdn_touch_region_reference,

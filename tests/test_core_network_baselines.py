@@ -5,11 +5,12 @@ import pytest
 
 from repro.core.network_baselines import ier_knn, ine_knn
 from repro.errors import QueryError
-from repro.geodesic.dijkstra import dijkstra
+from repro.testkit.reference import dijkstra_reference as dijkstra
+from repro.testkit.reference import edge_network_reference
 
 
 def brute_network_knn(mesh, objects, qv, k):
-    adj = mesh.edge_network()
+    adj = edge_network_reference(mesh)
     dist = dijkstra(adj, qv)
     ranked = sorted(
         (dist[objects.vertex_of(obj)], obj)

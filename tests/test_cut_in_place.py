@@ -6,7 +6,7 @@ place.  The reference builds a keyed graph per region by one
 ``add_edge`` per recorded edge among the nodes a walk over the
 collapse nodes selects (:func:`~repro.testkit.reference.dmtm_cut_reference`)
 and searches it on the dict kernels
-(:func:`~repro.geodesic.dijkstra.dijkstra_with_parents_reference`).
+(:func:`~repro.testkit.reference.dijkstra_with_parents_reference`).
 Both must agree on value bytes, path keys and unreachable results,
 report the same settled and relaxation counts, and read the same
 pages in the same order.

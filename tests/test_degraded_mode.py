@@ -27,10 +27,11 @@ from repro.core.health import (
     EngineHealth,
 )
 from repro.errors import QueryError, StorageError
-from repro.geodesic.csr import csr_from_adjacency, dijkstra_csr
+from repro.geodesic.csr import dijkstra_csr
 from repro.geodesic.deadline import DeadlineExceeded, deadline_scope
 from repro.obs.export import query_record
 from repro.storage.faults import kill_random_pages
+from repro.testkit.reference import csr_from_adjacency
 
 KILL_FRACTION = 0.10
 KILL_SEED = 13

@@ -2,9 +2,10 @@
 
 The CSR kernels are a pure performance change: every search shape
 must return exactly (``==``, not approx) what the dict reference
-kernels return — distances, parents, tie-broken winners.  The
-dispatchers pick a kernel from the graph alone (dict kernel for an
-uncompiled graph, compiled kernels otherwise).
+kernels of :mod:`repro.testkit.reference` return — distances,
+parents, tie-broken winners.  The dispatchers pick a kernel from the
+graph's size alone; the testkit search twin keeps the dict kernel for
+builder graphs.
 """
 
 from __future__ import annotations
@@ -18,18 +19,19 @@ from repro.errors import GeodesicError
 from repro.geodesic.csr import (
     CSRGraph,
     astar_csr,
-    csr_from_adjacency,
     dijkstra_csr,
     dijkstra_csr_with_parents,
-    graph_dijkstra,
     graph_dijkstra_with_parents,
     multi_source_dijkstra_csr,
 )
-from repro.geodesic.dijkstra import (
+from repro.geodesic.graph import KeyedGraph
+from repro.testkit.reference import (
+    KeyedGraphBuilder,
+    csr_from_adjacency,
     dijkstra_reference,
     dijkstra_with_parents_reference,
+    graph_dijkstra_with_parents_reference,
 )
-from repro.geodesic.graph import KeyedGraph
 from test_trace_golden import reference_components
 
 
@@ -232,114 +234,42 @@ class TestDifferentialAStar:
         assert astar_csr(csr, 0, 1) is None
 
 
-class TestKeyedGraphMemoization:
-    def _graph(self):
-        g = KeyedGraph()
-        g.add_edge("a", "b", 1.0)
-        g.add_edge("b", "c", 2.0)
-        return g
-
-    def test_csr_is_memoized(self):
-        g = self._graph()
-        assert g.csr_if_compiled() is None
-        first = g.csr()
-        assert g.csr() is first
-        assert g.csr_if_compiled() is first
-
-    def test_mutation_invalidates(self):
-        g = self._graph()
-        first = g.csr()
-        g.add_edge("c", "d", 3.0)
-        assert g.csr_if_compiled() is None
-        second = g.csr()
-        assert second is not first
-        assert second.num_nodes == 4
-
-    def test_new_node_invalidates(self):
-        g = self._graph()
-        g.csr()
-        g.add_node("z")
-        assert g.csr_if_compiled() is None
-
-    def test_existing_node_keeps_memo(self):
-        g = self._graph()
-        first = g.csr()
-        g.add_node("a")  # already present: no structural change
-        assert g.csr_if_compiled() is first
-
-    def test_position_fill_invalidates_memo(self):
-        """Filling a missing position on an existing node must drop
-        the compiled CSR: the old compilation snapshotted its (absent)
-        positions table, and A* availability depends on it."""
-        g = KeyedGraph()
-        g.add_node("a", position=(0.0, 0.0, 0.0))
-        g.add_edge("a", "b", 1.0)  # b joins without a position
-        first = g.csr()
-        assert first.positions is None
-        g.add_node("b", position=(1.0, 0.0, 0.0))
-        assert g.csr_if_compiled() is None
-        second = g.csr()
-        assert second is not first
-        assert second.positions is not None
-        # Idempotent: re-adding with the position already set keeps
-        # the fresh compilation.
-        g.add_node("b", position=(9.0, 9.0, 9.0))
-        assert g.csr_if_compiled() is second
-        assert tuple(second.positions[g.node_id("b")]) == (1.0, 0.0, 0.0)
-
-    def test_views_rematerialise_after_list_growth(self):
-        """A caller growing the list storage after the numpy views
-        were materialised must not search on stale views (the frontier
-        kernels read the arrays, not the lists)."""
-        from repro.geodesic.frontier import dijkstra_frontier
-
-        adj = [[(1, 2.0)], [(0, 2.0)]]
-        csr = csr_from_adjacency(adj)
-        assert csr.indptr.shape[0] == 3  # views materialised
-        indptr, indices, weights = csr.lists()
-        # Grow in place: new node 2 linked to node 1 (2 appends to the
-        # end of node 1's block, then gets its own block).
-        indices.insert(2, 2)
-        weights.insert(2, 1.0)
-        indptr[2] = 3
-        indices.append(1)
-        weights.append(1.0)
-        indptr.append(4)
-        adj[1].append((2, 1.0))
-        adj.append([(1, 1.0)])
-        assert csr.num_nodes == 3
-        assert csr.indptr.shape[0] == 4  # re-materialised, not stale
-        assert dijkstra_csr(csr, 0) == dijkstra_reference(adj, 0)
-        assert dijkstra_frontier(csr, 0) == dijkstra_reference(adj, 0)
-
-    def test_positions_attached_only_when_complete(self):
-        g = KeyedGraph()
-        g.add_node("a", position=(0.0, 0.0, 0.0))
-        g.add_edge("a", "b", 1.0)  # b has no position
-        assert g.csr().positions is None
-        g2 = KeyedGraph()
-        g2.add_node("a", position=(0.0, 0.0, 0.0))
-        g2.add_node("b", position=(1.0, 0.0, 0.0))
-        g2.add_edge("a", "b", 1.0)
-        assert g2.csr().positions is not None
+def _path_graphs(n: int = 8):
+    """A weighted path over nodes ``0 .. n - 1`` as a builder graph and
+    as the compiled keyed graph over the same adjacency."""
+    builder = KeyedGraphBuilder()
+    for i in range(n - 1):
+        builder.add_edge(i, i + 1, 1.0 + 0.25 * i)
+    keys = [builder.key_of(i) for i in range(len(builder))]
+    return builder, KeyedGraph(keys, csr_from_adjacency(builder.adjacency))
 
 
 class TestDispatchers:
-    def test_compile_on_reuse_rule(self):
-        """A graph never compiled stays on the dict kernel; once some
-        caller compiled it, the dispatcher rides the arrays.  Both
-        give identical answers."""
-        g = KeyedGraph()
-        g.add_edge("a", "b", 1.0)
-        g.add_edge("b", "c", 2.0)
-        fresh = graph_dijkstra(g, g.node_id("a"))
-        assert g.csr_if_compiled() is None  # dispatcher did not compile
-        g.csr()
-        compiled = graph_dijkstra(g, g.node_id("a"))
-        assert fresh == compiled
-        d1, p1 = graph_dijkstra_with_parents(g, g.node_id("a"))
-        d2, p2 = dijkstra_with_parents_reference(g.adjacency, g.node_id("a"))
-        assert (d1, p1) == (d2, p2)
+    def test_reference_twin_follows_graph_form(self, monkeypatch):
+        """The testkit search twin runs the dict kernel on a builder
+        graph and the production kernels on a compiled one, with
+        identical answers."""
+        from repro.testkit import reference
+
+        builder, compiled = _path_graphs()
+        dict_kernel = reference.dijkstra_with_parents_reference
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return dict_kernel(*args)
+
+        monkeypatch.setattr(reference, "dijkstra_with_parents_reference", counted)
+        on_builder = graph_dijkstra_with_parents_reference(builder, 0, {5})
+        assert len(calls) == 1
+        on_compiled = graph_dijkstra_with_parents_reference(compiled, 0, {5})
+        assert len(calls) == 1
+        on_production = graph_dijkstra_with_parents(compiled, 0, {5})
+        assert on_builder == on_compiled == on_production
+        with pytest.raises(GeodesicError, match="compiled graph"):
+            graph_dijkstra_with_parents_reference(
+                builder, 0, region=np.ones(len(builder), dtype=bool)
+            )
 
     def test_compiled_kernel_follows_graph_size(self, obs_context, monkeypatch):
         """Compiled graphs below MIN_FRONTIER_NODES run the heap
@@ -347,10 +277,8 @@ class TestDispatchers:
         from repro.geodesic import frontier
 
         buckets = obs_context.registry.counter("geodesic.frontier.buckets")
-        g = KeyedGraph()
-        for i in range(7):
-            g.add_edge(i, i + 1, 1.0 + 0.25 * i)
-        csr = g.csr()
+        _builder, g = _path_graphs()
+        csr = g.csr
         before = buckets.value
         small = (
             graph_dijkstra_with_parents(g, 0),

@@ -1,11 +1,16 @@
-"""Unit tests for Dijkstra (cross-checked against networkx)."""
+"""Unit tests for the dict Dijkstra oracle (cross-checked against
+networkx)."""
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.errors import GeodesicError
-from repro.geodesic.dijkstra import dijkstra, dijkstra_with_parents, shortest_path
+from repro.testkit.reference import (
+    dijkstra_reference as dijkstra,
+    dijkstra_with_parents_reference as dijkstra_with_parents,
+    shortest_path_reference as shortest_path,
+)
 
 
 def random_graph(n=60, p=0.08, seed=5):

@@ -25,14 +25,9 @@ import pytest
 from repro.geodesic import frontier as frontier_mod
 from repro.geodesic.csr import (
     astar_csr,
-    csr_from_adjacency,
     dijkstra_csr,
     dijkstra_csr_with_parents,
     multi_source_heap,
-)
-from repro.geodesic.dijkstra import (
-    dijkstra_reference,
-    dijkstra_with_parents_reference,
 )
 from repro.geodesic.frontier import (
     MIN_FRONTIER_NODES,
@@ -43,7 +38,13 @@ from repro.geodesic.frontier import (
 )
 from repro.geodesic.pathnet import build_pathnet
 from repro.testkit.generators import standard_mesh
-from repro.testkit.reference import build_pathnet_reference
+from repro.testkit.reference import (
+    build_pathnet_reference,
+    csr_adjacency,
+    csr_from_adjacency,
+    dijkstra_reference,
+    dijkstra_with_parents_reference,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -260,10 +261,10 @@ class TestBuilderEquivalence:
         assert len(arr) == len(ref)
         for nid in range(len(ref)):
             assert arr.key_of(nid) == ref.key_of(nid)
-            pa, pb = arr.position_of(nid), ref.position_of(nid)
-            assert pa is not None and pb is not None
-            assert tuple(pa) == tuple(pb)
-        assert arr.adjacency == ref.adjacency
+            pb = ref.position_of(nid)
+            assert pb is not None
+            assert tuple(arr.csr.positions[nid]) == tuple(pb)
+        assert csr_adjacency(arr.csr) == ref.adjacency
 
     @pytest.mark.parametrize("spe", [0, 1, 2])
     def test_full_mesh(self, spe):

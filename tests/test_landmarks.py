@@ -16,7 +16,7 @@ import pytest
 from repro.core.batch import shared_bound_cache
 from repro.core.engine import SurfaceKNNEngine
 from repro.errors import GeodesicError, QueryError
-from repro.geodesic import ExactGeodesic, LandmarkIndex, pathnet_distance
+from repro.geodesic import ExactGeodesic, LandmarkIndex
 from repro.testkit import (
     MUTATORS,
     ORACLES,
@@ -167,12 +167,6 @@ class TestEngineIntegration:
             lbs_b = dict(zip(b.object_ids, (lb for lb, _ in b.intervals)))
             for obj, lb_a in lbs_a.items():
                 assert lbs_b[obj] >= lb_a - 1e-9
-
-    def test_pathnet_distance_unchanged_by_alt_heuristic(self, mesh, index):
-        for s, t in ((0, 120), (9, 87), (45, 46)):
-            plain = pathnet_distance(mesh, s, t)
-            guided = pathnet_distance(mesh, s, t, landmarks=index)
-            assert guided == pytest.approx(plain, abs=1e-9)
 
     def test_int_landmarks_param_builds_index(self):
         engine = standard_engine("BH", 13, density=9.5, seed=6)

@@ -291,7 +291,7 @@ class TestFrontierCounters:
         import math
         import random
 
-        from repro.geodesic.csr import csr_from_adjacency
+        from repro.testkit.reference import csr_from_adjacency
 
         rng = random.Random(seed)
         adj = [[] for _ in range(n)]
@@ -354,11 +354,11 @@ class TestFrontierCounters:
         }
 
     def test_small_graphs_emit_no_frontier_counters(self):
-        from repro.geodesic.csr import csr_from_adjacency
         from repro.geodesic.frontier import (
             MIN_FRONTIER_NODES,
             dijkstra_frontier,
         )
+        from repro.testkit.reference import csr_from_adjacency
 
         csr = csr_from_adjacency([[(1, 1.0)], [(0, 1.0), (2, 2.0)], [(1, 2.0)]])
         assert csr.num_nodes < MIN_FRONTIER_NODES

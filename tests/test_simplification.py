@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import SimplificationError
-from repro.geodesic.dijkstra import dijkstra
+from repro.testkit.reference import dijkstra_reference as dijkstra
+from repro.testkit.reference import edge_network_reference
 from repro.simplification.collapse import build_collapse_history
 from repro.simplification.quadric import (
     best_merge_position,
@@ -144,7 +145,7 @@ class TestCollapseHistory:
         """Every recorded DDM distance equals the length of some path
         between the two representatives in the original edge network —
         i.e. it is >= the true network distance between the reps."""
-        adj = rough_mesh.edge_network()
+        adj = edge_network_reference(rough_mesh)
         step = history.step_for_fraction(0.4)
         cut = history.cut_at_step(step)
         checked = 0

@@ -22,7 +22,7 @@ import pytest
 
 from repro.errors import StorageError
 from repro.obs.context import ObsContext
-from repro.storage.pages import BufferPool, PageManager, shared_buffer_pool
+from repro.storage.pages import BufferPool, PageManager
 from repro.storage.stats import IOStatistics, ThreadLocalIOStatistics
 
 THREADS = 8
@@ -189,7 +189,6 @@ class TestSharedBufferPool:
         assert b.stats.physical_reads == before
 
     def test_shared_pool_singleton_and_validation(self):
-        assert shared_buffer_pool() is shared_buffer_pool()
         with pytest.raises(StorageError):
             BufferPool(capacity=0)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import MeshError, TerrainError
+from repro.geodesic.csr import edge_network_csr
 from repro.terrain.dem import DemGrid
 from repro.terrain.mesh import TriangleMesh
 from repro.terrain.synthetic import fractal_dem
@@ -121,10 +122,9 @@ class TestTopologyQueries:
 
 class TestNetworkViews:
     def test_edge_network_shape(self, flat_mesh):
-        adj = flat_mesh.edge_network()
-        assert len(adj) == flat_mesh.num_vertices
-        degree_sum = sum(len(n) for n in adj)
-        assert degree_sum == 2 * flat_mesh.num_edges
+        csr = edge_network_csr(flat_mesh)
+        assert csr.num_nodes == flat_mesh.num_vertices
+        assert csr.num_edges == 2 * flat_mesh.num_edges
 
     def test_submesh_faces_full_region(self, rough_mesh):
         faces = rough_mesh.submesh_faces(rough_mesh.xy_bounds())

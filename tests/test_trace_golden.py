@@ -31,8 +31,9 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 UPDATE = os.environ.get("UPDATE_GOLDENS") == "1"
 
 
-def _golden_result():
-    """The pinned query: fresh engine, fixed terrain/objects/query.
+def _golden_result(obs: ObsContext | None = None):
+    """The pinned query: fresh engine, fixed terrain/objects/query,
+    reporting into ``obs`` (a fresh tracing context by default).
 
     A fresh engine (not a session fixture) keeps physical page counts
     deterministic: nothing else has touched the buffer pool.
@@ -41,7 +42,7 @@ def _golden_result():
         standard_mesh("BH", 17),
         density=10.0,
         seed=3,
-        obs=ObsContext(tracing=True),
+        obs=obs if obs is not None else ObsContext(tracing=True),
     )
     qv = engine.mesh.nearest_vertex(engine.mesh.xy_bounds().center)
     return engine.query(qv, 3, step_length=2)
@@ -55,8 +56,9 @@ def reference_components():
     0 rebuilt per call), ``add_edge`` cut networks over node walks
     searched as keyed graphs, record-id page charging, object-walk
     MSDN bounds and dummy-lb screens, and one upper-bound search per
-    anchor.  None of those
-    graphs is compiled, so every search takes the dict kernel.
+    anchor.  All of those graphs are builder graphs, and the search
+    the DMTM and Kanai–Suzuki bind is the testkit twin, so every
+    search takes the dict kernel.
 
     Patches classes and modules for the whole process while the block
     runs, so it is for single-threaded tests only."""
@@ -73,6 +75,11 @@ def reference_components():
             kanai_suzuki, "_round0_pathnet",
             lambda mesh: ref.build_pathnet_reference(mesh, 0),
         )
+        for module in (dmtm, kanai_suzuki):
+            patch.setattr(
+                module, "graph_dijkstra_with_parents",
+                ref.graph_dijkstra_with_parents_reference,
+            )
         patch.setattr(dmtm.DMTM, "_extract_cut", ref.dmtm_cut_reference)
         patch.setattr(dmtm.DMTM, "_upper_bound_cut", ref.dmtm_upper_bound_cut_reference)
         patch.setattr(
@@ -170,3 +177,26 @@ class TestTraceRecordGolden:
         # Normalization must not touch the original record.
         assert record["metrics"]["total_seconds"] >= 0.0
         assert record["spans"]["duration_seconds"] > 0.0
+
+
+class TestReferenceLeg:
+    def test_searches_run_on_dict_kernels_only(self, monkeypatch):
+        """Under :func:`reference_components` the pinned query's 35
+        searches are all dict searches with parents: its context
+        counts no other kernel call and no bucket."""
+        from repro.testkit import reference as ref
+
+        dict_kernel = ref.dijkstra_with_parents_reference
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return dict_kernel(*args, **kwargs)
+
+        ctx = ObsContext(tracing=True)
+        with reference_components():
+            monkeypatch.setattr(ref, "dijkstra_with_parents_reference", counted)
+            _golden_result(ctx)
+        assert len(calls) == 35
+        assert ctx.registry.counter("geodesic.dijkstra.calls").value == 35
+        assert ctx.registry.counter("geodesic.frontier.buckets").value == 0
