@@ -125,7 +125,7 @@ def main(argv=None) -> int:
 
         # One context for the whole run: the drivers reuse it (they
         # prefer an ambient profiling context over a local one), so
-        # every finished query profile lands in obs.profiler.
+        # every finished query profile lands in obs.
         obs = ObsContext("bench", profiling=True)
     records = []
     for name in names:
@@ -152,7 +152,7 @@ def main(argv=None) -> int:
         from repro.obs.export import write_jsonl
         from repro.obs.profile import profile_record
 
-        profiles = obs.profiler.take()
+        profiles = obs.take_profiles()
         count = write_jsonl(
             args.profile_out, [profile_record(p) for p in profiles]
         )

@@ -382,7 +382,7 @@ def _run_series(engine, queries, k) -> dict:
     Alongside the timing/page metrics, each label carries the mean
     per-query Dijkstra kernel work (calls / settled nodes /
     relaxations), measured as registry counter deltas around each
-    query, plus the mean self-seconds of every profiler phase
+    query, plus the mean self-seconds of every profiled phase
     (``phase_*`` columns) — the ``--metrics-out`` view of how much
     search the kernels actually did and where the wall time went.
 
@@ -395,7 +395,7 @@ def _run_series(engine, queries, k) -> dict:
     ambient = current()
     ctx = (
         ambient
-        if ambient.profiler.enabled
+        if ambient.profiling
         else ObsContext("bench", profiling=True)
     )
     counters = [ctx.registry.counter(name) for name in _DIJKSTRA_COUNTERS]

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 from repro.core.budget import QueryBudget
 from repro.errors import QueryError, StorageError, SurfKnnError
-from repro.obs.context import ObsContext, active_profiler, active_registry, current
+from repro.obs.context import ObsContext, active_registry, current
 from repro.storage.stats import ThreadLocalIOStatistics
 
 _MISSING = object()
@@ -87,17 +87,19 @@ class BoundCache:
         self.network_misses = 0
 
     def lookup(self, key) -> tuple[bool, object]:
-        """(found, value); value may legitimately be None."""
-        profiler = active_profiler()
+        """(found, value); value may legitimately be None.  Hits and
+        misses count on the caller's profile frame only: one lookup
+        per bound is too hot for a registry counter."""
+        obs = current()
         with self._lock:
             value = self._values.get(key, _MISSING)
             if value is _MISSING:
                 self.misses += 1
-                profiler.count("bound_cache_misses", 1)
+                obs.tally("bound_cache_misses")
                 return False, None
             self._values.move_to_end(key)
             self.hits += 1
-            profiler.count("bound_cache_hits", 1)
+            obs.tally("bound_cache_hits")
             return True, value
 
     def store(self, key, value) -> None:
@@ -108,16 +110,16 @@ class BoundCache:
                 self._values.popitem(last=False)
 
     def lookup_network(self, key) -> tuple[bool, object]:
-        profiler = active_profiler()
+        obs = current()
         with self._lock:
             value = self._networks.get(key, _MISSING)
             if value is _MISSING:
                 self.network_misses += 1
-                profiler.count("network_cache_misses", 1)
+                obs.tally("network_cache_misses")
                 return False, None
             self._networks.move_to_end(key)
             self.network_hits += 1
-            profiler.count("network_cache_hits", 1)
+            obs.tally("network_cache_hits")
             return True, value
 
     def store_network(self, key, network) -> None:
@@ -410,10 +412,8 @@ class BatchQueryExecutor:
         bit-identical to calling ``engine.query`` in a loop.
     bound_cache:
         Shared :class:`BoundCache`; default a fresh private cache.
-        Pass :func:`shared_bound_cache` to share across executors, or
-        ``None`` explicitly via ``share_bounds=False`` to disable.
-    share_bounds:
-        Disable bound sharing entirely when False.
+        Pass :func:`shared_bound_cache` to share one cache across
+        executors.
     cold_cache:
         Forwarded to ``engine.query`` (default True, the paper's
         per-query cold-start measurement).
@@ -441,7 +441,7 @@ class BatchQueryExecutor:
         Pass a profiling context (``ObsContext(profiling=True)``) to
         collect per-query phase profiles for the whole batch, and a
         tracing one (``ObsContext(tracing=True)``) to give every query
-        its own tracer and span tree (``result.root_span``).
+        its own span tree (``result.root_span``).
     """
 
     def __init__(
@@ -449,7 +449,6 @@ class BatchQueryExecutor:
         engine,
         workers: int = 1,
         bound_cache: BoundCache | None = None,
-        share_bounds: bool = True,
         cold_cache: bool = True,
         budget: QueryBudget | None = None,
         circuit_threshold: int = 8,
@@ -471,12 +470,9 @@ class BatchQueryExecutor:
         health = getattr(engine, "health", None)
         if health is not None:
             health.attach_breaker(self.circuit_breaker)
-        if not share_bounds:
-            self.bound_cache = None
-        else:
-            self.bound_cache = (
-                bound_cache if bound_cache is not None else BoundCache()
-            )
+        self.bound_cache = (
+            bound_cache if bound_cache is not None else BoundCache()
+        )
         self._install_thread_local_stats()
 
     def _install_thread_local_stats(self) -> None:
@@ -536,8 +532,8 @@ class BatchQueryExecutor:
                     "batch.degraded_admissions_total"
                 ).add(1)
         # Each query gets its own child context: concurrent queries
-        # never share mutable telemetry (a tracing batch context gives
-        # every query its own tracer, so span trees never mix), and
+        # never share mutable telemetry (every query gets its own
+        # frame stack, so span trees never mix), and
         # the finished child is merged back into the batch context
         # below (counters add, profiles aggregate) — so batch totals
         # still reconcile.
@@ -588,9 +584,7 @@ class BatchQueryExecutor:
             latencies=[t for _r, t, _e in outcomes],
             wall_seconds=wall,
             workers=self.workers,
-            cache_stats=(
-                self.bound_cache.stats() if self.bound_cache is not None else {}
-            ),
+            cache_stats=self.bound_cache.stats(),
             errors=[e for _r, _t, e in outcomes if e is not None],
             engine_health=health.as_dict() if health is not None else {},
         )

@@ -40,7 +40,6 @@ from repro.msdn.msdn import MSDN
 from repro.multires.dmtm import DMTM
 from repro.obs.context import ObsContext, current
 from repro.obs.profile import Profile
-from repro.obs.tracing import Span
 from repro.storage.pages import PageManager
 from repro.storage.stats import DiskModel, IOStatistics
 from repro.terrain.mesh import TriangleMesh
@@ -82,8 +81,9 @@ class SurfaceKNNEngine:
         that context *active*: its metrics land in ``obs.registry``
         (not the process-wide default); with ``tracing=True`` every
         result carries its span tree (``QueryResult.root_span``, also
-        in ``obs.tracer.finished()``), and with ``profiling=True`` a
-        phase profile (``QueryResult.profile()``).  Without ``obs``
+        in ``obs.finished_spans()``), and with ``profiling=True`` a
+        phase profile (``QueryResult.profile()``, also in
+        ``obs.finished_profiles()``).  Without ``obs``
         the engine reports into whatever context is active at call
         time (the process-wide default when none is).
     buffer_pool:
@@ -252,30 +252,31 @@ class SurfaceKNNEngine:
                 f"[0, {self.mesh.num_vertices})"
             )
 
-    def _scoped(self, run, obs, vertex, cold_cache, label, span) -> QueryResult:
+    def _scoped(
+        self, run, obs, vertex, cold_cache, label, entry, attributes
+    ) -> QueryResult:
         """Run ``run()``, the body of one query entry point, under the
         query's telemetry scope.  Every entry point goes through here.
 
         Rejects an out-of-range ``vertex``, then activates the per-call
         ``obs``, else the engine's, else keeps the ambient context.  A
         ``cold_cache`` query drops the buffer first.  The body runs
-        under the ``query`` root phase and the entry point's root
-        ``span`` (a ``(name, attributes)`` pair); both are attached to
-        the result, which then feeds :meth:`_observe`."""
+        under one ``query`` frame carrying the ``entry`` point's name,
+        its ``attributes`` and the answered query vertex; the frame's
+        span and profile are attached to the result, which then feeds
+        :meth:`_observe`."""
         self._validate_query_args(vertex, None)
         ctx = obs if obs is not None else self.obs
         with ctx.activate() if ctx is not None else _NULL_SCOPE:
             active = current()
             if cold_cache and self.pages is not None:
                 self.pages.drop_buffer()
-            name, attributes = span
-            with active.profiler.phase("query") as phase_root:
-                with active.tracer.span(name, **attributes) as root:
-                    result = run()
-            if isinstance(root, Span):
-                result.root_span = root
-            if phase_root is not None:
-                result.profile_data = Profile(phase_root, label=label)
+            with active.phase("query", entry=entry, **attributes) as frame:
+                result = run()
+                frame.set_attribute("query_vertex", result.query_vertex)
+            result.root_span = frame.span
+            if frame.node is not None:
+                result.profile_data = Profile(frame.node, label=label)
             self._observe(result, active.registry)
         return result
 
@@ -330,7 +331,6 @@ class SurfaceKNNEngine:
         attributes = {"method": method, "k": k}
         if method == "exact":
             name = "exact"
-            attributes["query_vertex"] = query_vertex
             run = partial(
                 self._exact, name, query_vertex, k,
                 exact_knn, self.mesh, self.objects, query_vertex, k,
@@ -341,6 +341,7 @@ class SurfaceKNNEngine:
             )
             name = method if method == "ea" else f"mr3/{schedule.name}"
             attributes["cold_cache"] = cold_cache
+            attributes["schedule"] = schedule.name
             options = RankerOptions(
                 integrate_io=integrate_io,
                 use_refined_region=use_refined_region,
@@ -358,7 +359,7 @@ class SurfaceKNNEngine:
             )
         return self._scoped(
             run, obs, query_vertex, cold_cache, f"{name}/k={k}",
-            ("engine.query", attributes),
+            "query", attributes,
         )
 
     def _observe(self, result: QueryResult, registry) -> None:
@@ -422,9 +423,9 @@ class SurfaceKNNEngine:
             return result
 
         return self._scoped(
-            run, None, None, cold_cache, f"embedded/k={k}",
-            ("engine.query",
-             {"method": method, "k": k, "cold_cache": cold_cache}),
+            run, None, None, cold_cache, f"embedded/k={k}", "query_point",
+            {"method": method, "k": k, "cold_cache": cold_cache,
+             "schedule": schedule.name},
         )
 
     def _exact(self, method, query_vertex, k, search, *args) -> QueryResult:
@@ -474,13 +475,12 @@ class SurfaceKNNEngine:
                 query_vertex, candidates, radius,
                 storage_fallback=self.degraded_mode,
             )
-            metrics = QueryMetrics(cpu_seconds=time.process_time() - cpu_start)
-            delta = self.stats.delta_since(io_before)
-            metrics.pages_accessed = delta.physical_reads
-            metrics.logical_reads = delta.logical_reads
-            metrics.reads_by_class = delta.physical_by_class
-            metrics.io_seconds = self.disk.io_seconds(delta)
-            metrics.candidates_examined = len(candidates)
+            cpu_seconds = time.process_time() - cpu_start
+            metrics = QueryMetrics.from_io(
+                self.stats.delta_since(io_before), self.disk,
+                cpu_seconds=cpu_seconds,
+                candidates_examined=len(candidates),
+            )
             return QueryResult(
                 query_vertex=query_vertex,
                 k=len(inside),
@@ -493,8 +493,7 @@ class SurfaceKNNEngine:
 
         return self._scoped(
             run, None, query_vertex, cold_cache, f"surface-range/r={radius:g}",
-            ("engine.range_query",
-             {"radius": radius, "query_vertex": query_vertex}),
+            "range_query", {"radius": radius},
         )
 
     def closest_pair(self, step_length: int = 2) -> tuple[tuple[int, int], tuple[float, float]]:
@@ -536,7 +535,7 @@ class SurfaceKNNEngine:
         # The search runs on the mesh alone and reads no pages.
         return self._scoped(
             run, None, query_vertex, False, f"obstacle/k={k}",
-            ("engine.obstacle_query", {"k": k, "query_vertex": query_vertex}),
+            "obstacle_query", {"k": k},
         )
 
     # ------------------------------------------------------------------

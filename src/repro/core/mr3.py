@@ -58,6 +58,20 @@ class QueryMetrics:
     iterations_ranking: int = 0
     candidates_examined: int = 0
 
+    @classmethod
+    def from_io(cls, delta: IOStatistics, disk: DiskModel, **fields) -> "QueryMetrics":
+        """Metrics whose I/O fields come from one query's
+        :class:`~repro.storage.stats.IOStatistics` delta: pages
+        accessed, logical reads, physical reads by class and the
+        simulated I/O time ``disk`` charges for them."""
+        return cls(
+            pages_accessed=delta.physical_reads,
+            logical_reads=delta.logical_reads,
+            reads_by_class=delta.physical_by_class,
+            io_seconds=disk.io_seconds(delta),
+            **fields,
+        )
+
     @property
     def total_seconds(self) -> float:
         """Total cost = CPU + simulated disk time (Figs 10-11 (a)/(d))."""
@@ -88,7 +102,8 @@ class QueryResult:
     filter_trace: list = field(default_factory=list)
     ranking_trace: list = field(default_factory=list)
     # Root tracing span of the query (repro.obs.tracing.Span) when it
-    # ran under a tracing ObsContext; None otherwise.
+    # ran under a tracing ObsContext; None otherwise.  Set by the
+    # engine entry point that opened the query's root frame.
     root_span: Span | None = None
     # Anytime contract: True when a query budget stopped refinement
     # early.  The answer is then the best-known top-k by upper bound
@@ -209,33 +224,27 @@ class MR3QueryProcessor:
             else nullcontext()
         )
         obs = current()
-        tracer, profiler = obs.tracer, obs.profiler
-        with tracer.span(
-            "mr3.query", query_vertex=query_vertex, k=k,
-            schedule=self.schedule.name,
-        ) as root, scope:
+        with scope:
             q_pos, anchors = source_of(self.mesh, query)
             q_xy = q_pos[:2]
 
             # Step 1: 2D k-NN filter.
-            with tracer.span("mr3.knn_2d", k=k) as sp:
-                with profiler.phase("spatial-filter"):
-                    c1_ids = self.objects.knn_2d(q_xy, k)
-                sp.set_attribute("candidates", len(c1_ids))
+            with obs.phase("spatial-filter", step=1, k=k) as frame:
+                c1_ids = self.objects.knn_2d(q_xy, k)
+                frame.set_attribute("candidates", len(c1_ids))
 
             # Step 2: rank C1 to get a tight ub for the k-th neighbour.
-            with tracer.span("mr3.filter", candidates=len(c1_ids)):
-                cands1 = self.ranker.make_candidates(c1_ids, self.objects)
-                out1 = self.ranker.rank(
-                    query,
-                    cands1,
-                    k,
-                    tighten_kth=self.ranker.options.filter_tighten,
-                    phase="filter",
-                    budget=tracker,
-                    min_levels=1,
-                    storage_fallback=self.degraded_mode,
-                )
+            cands1 = self.ranker.make_candidates(c1_ids, self.objects)
+            out1 = self.ranker.rank(
+                query,
+                cands1,
+                k,
+                tighten_kth=self.ranker.options.filter_tighten,
+                phase="filter",
+                budget=tracker,
+                min_levels=1,
+                storage_fallback=self.degraded_mode,
+            )
             radius = out1.kth_ub
             if not math.isfinite(radius):
                 if not (self.degraded_mode and out1.storage_degraded):
@@ -246,40 +255,36 @@ class MR3QueryProcessor:
                 radius = self._conservative_radius(anchors, cands1, k)
 
             # Step 3: 2D range query with the step-2 radius.
-            with tracer.span("mr3.range_2d", radius=radius) as sp:
-                with profiler.phase("spatial-filter"):
-                    c2_ids = self.objects.range_2d(q_xy, radius)
-                sp.set_attribute("candidates", len(c2_ids))
+            with obs.phase("spatial-filter", step=3, radius=radius) as frame:
+                c2_ids = self.objects.range_2d(q_xy, radius)
+                frame.set_attribute("candidates", len(c2_ids))
 
             # Step 4: rank C2, reusing the intervals from step 2.
-            with tracer.span("mr3.ranking", candidates=len(c2_ids)):
-                known: dict[int, Candidate] = {
-                    c.object_id: c for c in cands1
-                }
-                cands2 = [
-                    known.get(obj)
-                    or self.ranker.make_candidates([obj], self.objects)[0]
-                    for obj in c2_ids
-                ]
-                out2 = self.ranker.rank(
-                    query, cands2, k, phase="ranking",
-                    budget=tracker, min_levels=0,
-                    storage_fallback=self.degraded_mode,
-                )
+            known: dict[int, Candidate] = {c.object_id: c for c in cands1}
+            cands2 = [
+                known.get(obj)
+                or self.ranker.make_candidates([obj], self.objects)[0]
+                for obj in c2_ids
+            ]
+            out2 = self.ranker.rank(
+                query, cands2, k, phase="ranking",
+                budget=tracker, min_levels=0,
+                storage_fallback=self.degraded_mode,
+            )
 
-        cpu_seconds = time.process_time() - cpu_start
-        metrics = QueryMetrics(
-            cpu_seconds=cpu_seconds,
+        fields = dict(
+            cpu_seconds=time.process_time() - cpu_start,
             iterations_filter=out1.iterations,
             iterations_ranking=out2.iterations,
             candidates_examined=len(cands2),
         )
-        if io_before is not None:
-            delta = self.stats.delta_since(io_before)
-            metrics.pages_accessed = delta.physical_reads
-            metrics.logical_reads = delta.logical_reads
-            metrics.reads_by_class = delta.physical_by_class
-            metrics.io_seconds = self.disk.io_seconds(delta)
+        metrics = (
+            QueryMetrics.from_io(
+                self.stats.delta_since(io_before), self.disk, **fields
+            )
+            if io_before is not None
+            else QueryMetrics(**fields)
+        )
 
         winners = out2.winners
         budget_degraded = (
@@ -323,7 +328,6 @@ class MR3QueryProcessor:
             converged=out2.converged,
             filter_trace=out1.trace or [],
             ranking_trace=out2.trace or [],
-            root_span=root if isinstance(root, Span) else None,
             degraded=degraded,
             max_error=max_error,
             budget_reason=tracker.exhausted_reason if tracker else None,

@@ -35,7 +35,7 @@ from repro.errors import QueryError, StorageError
 from repro.geodesic.deadline import DeadlineExceeded
 from repro.geometry.ellipse import EllipseRegion
 from repro.geometry.primitives import BoundingBox
-from repro.obs.context import active_profiler, active_registry, current
+from repro.obs.context import active_registry, current
 from repro.obs.events import LevelEvent
 
 
@@ -150,9 +150,9 @@ class DistanceRanker:
     """Ranks candidates by surface-distance intervals over a schedule.
 
     Telemetry goes to the active :class:`~repro.obs.ObsContext`: each
-    level runs in a ``rank.level`` span and an ``interval-ranking``
-    phase, the DMTM/MSDN bound updates under ``bound-composition``,
-    the Kanai-Suzuki polish under ``refinement``.
+    level runs in one ``interval-ranking`` frame, the DMTM/MSDN bound
+    updates under ``bound-composition``, the Kanai-Suzuki polish under
+    ``refinement``.
     """
 
     def __init__(
@@ -279,7 +279,7 @@ class DistanceRanker:
             # can legitimately undercut it).  Gating, by contrast, is
             # identity-safe by construction: a skipped refinement
             # leaves a stale-but-sound bound behind.
-            with obs.profiler.phase("landmark-bounds"):
+            with obs.phase("landmark-bounds"):
                 landmark_kth = self.landmarks.kth_upper_bound(
                     anchors, [c.vertex for c in candidates], k
                 )
@@ -356,11 +356,10 @@ class DistanceRanker:
         final = classify_candidates(candidates, k)
         if not final.done and self.options.final_polish and not exhausted:
             try:
-                with obs.tracer.span(
-                    "rank.polish", phase=phase, ambiguous=len(final.active)
+                with obs.phase(
+                    "refinement", phase=phase, ambiguous=len(final.active)
                 ):
-                    with obs.profiler.phase("refinement"):
-                        self._polish_boundary(anchors, candidates, final, k)
+                    self._polish_boundary(anchors, candidates, final, k)
             except DeadlineExceeded:
                 exhausted = True
                 if budget is not None:
@@ -410,37 +409,36 @@ class DistanceRanker:
         """One refinement level: plan regions, tighten both bound
         families, classify.  Returns (verdict, level I/O deltas)."""
         obs = current()
-        with obs.tracer.span(
-            "rank.level", phase=phase, level=level,
+        with obs.phase(
+            "interval-ranking", phase=phase, level=level,
             dmtm_resolution=res_u, msdn_resolution=res_l,
-        ) as span:
-            with obs.profiler.phase("interval-ranking"):
-                # At the final level the ub becomes the ranking key
-                # when ranges still overlap, so estimate it over
-                # the full ellipse rather than the refined corridor.
-                plan = self._plan_regions(
-                    q_pos, active, level, refined=level < last_level
+        ) as frame:
+            # At the final level the ub becomes the ranking key
+            # when ranges still overlap, so estimate it over
+            # the full ellipse rather than the refined corridor.
+            plan = self._plan_regions(
+                q_pos, active, level, refined=level < last_level
+            )
+            with obs.phase("bound-composition"):
+                self._update_upper_bounds(
+                    anchors, active, plan, res_u, fallback=fallback
                 )
-                with obs.profiler.phase("bound-composition"):
-                    self._update_upper_bounds(
-                        anchors, active, plan, res_u, fallback=fallback
-                    )
-                    self._update_lower_bounds(
-                        q_pos, active, plan, res_l, kth_ub_estimate,
-                        landmark_lbs=landmark_lbs, fallback=fallback,
-                    )
-                verdict = classify_candidates(candidates, k)
-            if io_before is not None:
-                io_delta = self.stats.delta_since(io_before)
-                logical = io_delta.logical_reads
-                physical = io_delta.physical_reads
-                by_class = io_delta.physical_by_class
-            else:
-                logical = physical = 0
-                by_class = {}
-            span.set_attribute("active_before", active_before)
-            span.set_attribute("active_after", len(verdict.active))
-            span.set_attribute("physical_reads", physical)
+                self._update_lower_bounds(
+                    q_pos, active, plan, res_l, kth_ub_estimate,
+                    landmark_lbs=landmark_lbs, fallback=fallback,
+                )
+            verdict = classify_candidates(candidates, k)
+        if io_before is not None:
+            io_delta = self.stats.delta_since(io_before)
+            logical = io_delta.logical_reads
+            physical = io_delta.physical_reads
+            by_class = io_delta.physical_by_class
+        else:
+            logical = physical = 0
+            by_class = {}
+        frame.set_attribute("active_before", active_before)
+        frame.set_attribute("active_after", len(verdict.active))
+        frame.set_attribute("physical_reads", physical)
         return verdict, logical, physical, by_class
 
     def rank_within(
@@ -470,7 +468,7 @@ class DistanceRanker:
             raise QueryError("radius must be non-negative")
         if not candidates:
             return [], True
-        profiler = active_profiler()
+        obs = current()
         q_pos, anchors = source_of(self.mesh, query)
         for cand in candidates:
             euclid = float(np.linalg.norm(q_pos - np.asarray(cand.position)))
@@ -486,11 +484,11 @@ class DistanceRanker:
         for level, (res_u, res_l) in enumerate(self.schedule.levels()):
             if not active:
                 break
-            with profiler.phase("interval-ranking"):
+            with obs.phase("interval-ranking"):
                 plan = self._plan_regions(
                     q_pos, active, level, refined=level < last_level
                 )
-                with profiler.phase("bound-composition"):
+                with obs.phase("bound-composition"):
                     self._update_upper_bounds(
                         anchors, active, plan, res_u, fallback=fallback
                     )
@@ -504,7 +502,7 @@ class DistanceRanker:
         if active and self.options.final_polish:
             # Straddling candidates get the Kanai-Suzuki polish so the
             # in/out decision is made with ~3 %-accurate upper bounds.
-            with profiler.phase("refinement"):
+            with obs.phase("refinement"):
                 for cand in active:
                     best = cand.ub
                     for anchor_vertex, offset in anchors:
@@ -782,7 +780,7 @@ class DistanceRanker:
         ``{id(candidate): bound}`` so :meth:`_update_lower_bounds` can
         prune full MSDN passes the landmark bound already decides.
         """
-        with active_profiler().phase("landmark-bounds"):
+        with current().phase("landmark-bounds"):
             vertices = [c.vertex for c in candidates]
             bounds = self.landmarks.anchored_lower_bounds(anchors, vertices)
             hits = 0

@@ -54,7 +54,7 @@ from repro.geodesic.deadline import (
     DeadlineExceeded,
     current_deadline,
 )
-from repro.obs.context import active_profiler, active_registry
+from repro.obs.context import current
 from repro.obs.profile import kernel_phase
 
 # ----------------------------------------------------------------------
@@ -142,17 +142,12 @@ def edge_network_csr(mesh) -> CSRGraph:
 
 
 def _report(settled: int, relaxations: int) -> None:
-    reg = active_registry()
-    reg.counter("geodesic.dijkstra.calls").add(1)
-    reg.counter("geodesic.dijkstra.settled").add(settled)
-    reg.counter("geodesic.dijkstra.relaxations").add(relaxations)
     # Under a profiling context the same deltas land on the open
-    # "graph-kernel" phase frame (see repro.obs.profile.kernel_phase).
-    profiler = active_profiler()
-    if profiler.enabled:
-        profiler.count("kernel_calls", 1)
-        profiler.count("settled", settled)
-        profiler.count("relaxations", relaxations)
+    # "graph-kernel" frame (see repro.obs.profile.kernel_phase).
+    obs = current()
+    obs.count("geodesic.dijkstra.calls")
+    obs.count("geodesic.dijkstra.settled", settled)
+    obs.count("geodesic.dijkstra.relaxations", relaxations)
 
 
 # ----------------------------------------------------------------------

@@ -49,7 +49,7 @@ import math
 import numpy as np
 
 from repro.errors import GeodesicError
-from repro.obs.context import active_profiler, active_registry
+from repro.obs.context import current
 
 _EPS = 1e-9
 _ANGLE_EPS = 1e-7
@@ -489,15 +489,9 @@ class ExactGeodesic:
             self._counter = counter
             self.windows_created = created
             if vertices_settled or windows_propagated:
-                reg = active_registry()
-                reg.counter("geodesic.exact.vertices_settled").add(vertices_settled)
-                reg.counter("geodesic.exact.windows_propagated").add(
-                    windows_propagated
-                )
-                profiler = active_profiler()
-                if profiler.enabled:
-                    profiler.count("exact_vertices_settled", vertices_settled)
-                    profiler.count("exact_windows_propagated", windows_propagated)
+                obs = current()
+                obs.count("geodesic.exact.vertices_settled", vertices_settled)
+                obs.count("geodesic.exact.windows_propagated", windows_propagated)
 
     # ------------------------------------------------------------------
     # queries

@@ -63,7 +63,7 @@ from repro.geodesic.csr import (
     multi_source_heap,
 )
 from repro.geodesic.deadline import DeadlineExceeded, current_deadline
-from repro.obs.context import active_profiler, active_registry
+from repro.obs.context import current
 from repro.obs.profile import kernel_phase_named
 
 frontier_phase = kernel_phase_named("frontier-relaxation")
@@ -89,15 +89,10 @@ def _report_frontier(buckets: int, batch_relaxations: int, max_frontier: int) ->
     ``max_frontier`` accumulates each call's largest bucket, so
     ``buckets <= max_frontier <= settled`` over any window.
     """
-    reg = active_registry()
-    reg.counter("geodesic.frontier.buckets").add(buckets)
-    reg.counter("geodesic.frontier.batch_relaxations").add(batch_relaxations)
-    reg.counter("geodesic.frontier.max_frontier").add(max_frontier)
-    profiler = active_profiler()
-    if profiler.enabled:
-        profiler.count("frontier_buckets", buckets)
-        profiler.count("frontier_batch_relaxations", batch_relaxations)
-        profiler.count("frontier_max_frontier", max_frontier)
+    obs = current()
+    obs.count("geodesic.frontier.buckets", buckets)
+    obs.count("geodesic.frontier.batch_relaxations", batch_relaxations)
+    obs.count("geodesic.frontier.max_frontier", max_frontier)
 
 
 def _frontier_state(csr: CSRGraph):

@@ -40,7 +40,7 @@ import numpy as np
 from repro.errors import GeodesicError
 from repro.geodesic.csr import edge_network_csr, multi_source_dijkstra_csr
 from repro.geodesic.exact import ExactGeodesic
-from repro.obs.context import active_profiler, active_registry
+from repro.obs.context import active_registry, current
 
 
 def mesh_fingerprint(mesh) -> str:
@@ -109,7 +109,7 @@ class LandmarkIndex:
         if count < 1:
             raise GeodesicError(f"landmark count must be >= 1, got {count}")
         count = min(int(count), mesh.num_vertices)
-        with active_profiler().phase("landmark-build"):
+        with current().phase("landmark-build"):
             landmarks = _select_landmarks(mesh, count, seed)
             surface = np.vstack(
                 [ExactGeodesic(mesh, l).distances() for l in landmarks]

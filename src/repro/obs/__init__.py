@@ -1,20 +1,20 @@
-"""Observability layer: tracing spans, metrics, scoped contexts,
-phase profiling and per-query trace export.
+"""Observability layer: metrics, scoped contexts, one instrumentation
+seam feeding phase profiles and tracing spans, and per-query trace
+export.
 
 Everything here is zero-dependency and optional.  Telemetry is
-scoped through :class:`ObsContext` (registry + tracer + profiler): the
-engines and the batch executor take ``obs=`` and activate it, and
-every layer reads its instruments from the active context
-(:func:`current`), falling back to the process-wide default context,
-whose :data:`~repro.obs.tracing.NULL_TRACER` and
-:data:`~repro.obs.profile.NULL_PROFILER` spans/phases are no-ops.  See
-docs/observability.md for the concepts, the phase catalog and the
-measured overhead.
+scoped through :class:`ObsContext` (a registry and a frame stack):
+the engines and the batch executor take ``obs=`` and activate it,
+and every layer opens its frames and counts through the active
+context (:func:`current`) — ``ctx.phase(name, **attrs)`` and
+``ctx.count(name, n)`` — falling back to the process-wide default
+context, which neither traces nor profiles, so its frames are one
+shared no-op.  See docs/observability.md for the concepts, the phase
+catalog and the measured overhead.
 """
 
 from repro.obs.context import (
     ObsContext,
-    active_profiler,
     active_registry,
     current,
     default_context,
@@ -35,14 +35,12 @@ from repro.obs.metrics import (
     default_registry,
 )
 from repro.obs.profile import (
-    NULL_PROFILER,
     PHASES,
     Profile,
-    Profiler,
     profile_from_record,
     profile_record,
 )
-from repro.obs.tracing import NULL_TRACER, Span, Tracer
+from repro.obs.tracing import Span
 
 __all__ = [
     "Counter",
@@ -50,16 +48,11 @@ __all__ = [
     "Histogram",
     "LevelEvent",
     "MetricsRegistry",
-    "NULL_PROFILER",
-    "NULL_TRACER",
     "ObsContext",
     "PHASES",
     "Profile",
-    "Profiler",
     "QueryTrace",
     "Span",
-    "Tracer",
-    "active_profiler",
     "active_registry",
     "current",
     "default_context",

@@ -14,6 +14,12 @@ import json
 
 from repro.obs.events import LevelEvent, QueryTrace
 
+#: Schema tag of the per-query trace record.  v2: the span tree is
+#: named by the phase catalog (``query`` / ``spatial-filter`` /
+#: ``interval-ranking`` ...) instead of ``engine.query`` / ``mr3.*`` /
+#: ``rank.*``.
+QUERY_TRACE_SCHEMA = "repro.query_trace/v2"
+
 
 def metrics_dict(metrics) -> dict:
     """JSON-ready view of a ``QueryMetrics``-shaped object."""
@@ -54,7 +60,7 @@ def query_record(result) -> dict:
     built from them — are byte-identical to the pre-budget format.
     """
     record = query_trace(result).to_dict()
-    record["schema"] = "repro.query_trace/v1"
+    record["schema"] = QUERY_TRACE_SCHEMA
     if getattr(result, "degraded", False):
         record["degraded"] = True
         record["max_error"] = result.max_error
@@ -66,7 +72,7 @@ def query_record(result) -> dict:
 
 
 def normalize_record(record: dict) -> dict:
-    """Copy of a ``repro.query_trace/v1`` record with every wall-clock
+    """Copy of a ``repro.query_trace/v2`` record with every wall-clock
     quantity zeroed (metrics seconds, per-event CPU, span durations).
 
     Page counts, candidate counts and bound values are deterministic

@@ -1,27 +1,28 @@
-"""Phase profiler: deterministic, low-overhead cost attribution.
+"""Phase profiles: deterministic, low-overhead cost attribution.
 
 PR 4's lesson was that a 43× kernel win moved the end-to-end needle
 only 1.11× — the cost had migrated, and nothing could say *where*.
-The profiler answers that question per query: a tree of named
+A profile answers that question per query: a tree of named
 **phases** (see :data:`PHASES`), each carrying wall time, invocation
 count and counter deltas (settled nodes, relaxations, logical and
 physical page reads by page class).
 
 Design:
 
-* A :class:`Profiler` keeps a *thread-local* stack of open
-  :class:`PhaseNode` frames, exactly like the tracer's span stack.
-  ``profiler.phase(name)`` opens a frame; frames with the same name
-  under the same parent **aggregate** (flamegraph semantics: the tree
-  is a call tree keyed by phase path, not one node per invocation).
-* ``profiler.count(name, n)`` attributes a counter delta to the
-  innermost open frame — the page manager and the graph kernels call
-  it at the same points they feed the metrics registry, so the
-  profile's counter totals reconcile with ``QueryMetrics`` exactly.
-* A disabled profiler hands out a shared no-op phase and ``count``
-  returns immediately, so un-profiled queries pay one attribute check
-  per instrumented boundary (measured in CI: within 10 % of the
-  fully uninstrumented latency, bit-identical results).
+* The frames come from the one instrumentation seam,
+  :meth:`repro.obs.context.ObsContext.phase`: under a profiling
+  context each frame bills the :class:`PhaseNode` at its path, and
+  frames with the same name under the same parent **aggregate**
+  (flamegraph semantics: the tree is a call tree keyed by phase path,
+  not one node per invocation).
+* ``ObsContext.count(name, n)`` adds a counter delta to the registry
+  and to the innermost open frame under the same name — the page
+  manager and the graph kernels call it where they count, so the
+  profile's counter totals reconcile with ``QueryMetrics`` and with
+  the registry exactly.
+* Without profiling no node is built, so un-profiled queries pay one
+  attribute check per instrumented boundary (measured in CI: within
+  10 % of the fully uninstrumented latency, bit-identical results).
 
 The finished tree is exposed as :class:`Profile` —
 ``QueryResult.profile()`` — with a flamegraph-style
@@ -32,26 +33,35 @@ The finished tree is exposed as :class:`Profile` —
 
 from __future__ import annotations
 
-import threading
-import time
-
 #: Schema tag of the JSON profile record.
 PROFILE_SCHEMA = "repro.profile/v1"
 
 #: The phase catalog (see docs/observability.md for the boundaries):
-#: where each phase starts and ends in the MR3 stack.
-PHASES = (
-    "query",            # engine.query root
-    "spatial-filter",   # MR3 steps 1 & 3: R-tree knn_2d / range_2d
-    "interval-ranking", # one per DistanceRanker resolution level
-    "bound-composition",# DMTM ub + MSDN lb updates within a level
-    "graph-kernel",     # one per Dijkstra/A* kernel invocation
-    "frontier-relaxation",  # one per frontier-batched kernel invocation
-    "refinement",       # Kanai-Suzuki selective polish
-    "landmark-bounds",  # landmark lower bounds and k-th ub seed per query
-    "landmark-build",   # LandmarkIndex.build: selection + exact rows
-    "shard-routing",    # ShardedEngine window choice and certification
-    "page-io",          # physical page fetches (buffer-pool misses)
+#: where each phase starts and ends in the MR3 stack, and whether a
+#: tracing context records it as a span.  The leaves (``False``) run
+#: once per kernel call or page miss, so they are profiled but never
+#: traced: a span per call would bloat every trace, and the dict
+#: kernels of the testkit's reference leg would give it a different
+#: span tree from the production kernels.
+PHASES = {
+    "query": True,                 # every engine entry point's root
+    "spatial-filter": True,        # MR3 steps 1 & 3: R-tree knn_2d / range_2d
+    "interval-ranking": True,      # one per DistanceRanker resolution level
+    "bound-composition": True,     # DMTM ub + MSDN lb updates within a level
+    "graph-kernel": False,         # one per Dijkstra/A* kernel invocation
+    "frontier-relaxation": False,  # one per frontier-batched kernel invocation
+    "refinement": True,            # Kanai-Suzuki selective polish
+    "landmark-bounds": True,       # landmark lower bounds and k-th ub seed per query
+    "landmark-build": True,        # LandmarkIndex.build: selection + exact rows
+    "shard-query": True,           # ShardedEngine.query root
+    "shard-routing": True,         # ShardedEngine window choice and certification
+    "shard-build": True,           # one tile-span window engine build
+    "page-io": False,              # physical page fetches (buffer-pool misses)
+}
+
+#: The leaf phases: profiled, never traced.
+UNTRACED_PHASES = frozenset(
+    name for name, traced in PHASES.items() if not traced
 )
 
 
@@ -111,163 +121,6 @@ class PhaseNode:
         for child in data.get("children", []):
             node.children[child["name"]] = cls.from_dict(child)
         return node
-
-
-class _NoopPhase:
-    """Shared do-nothing phase handed out by disabled profilers."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-NOOP_PHASE = _NoopPhase()
-
-
-class _PhaseContext:
-    """Context manager binding one phase entry to a profiler stack."""
-
-    __slots__ = ("_profiler", "_name", "_node", "_t0")
-
-    def __init__(self, profiler: "Profiler", name: str):
-        self._profiler = profiler
-        self._name = name
-
-    def __enter__(self) -> PhaseNode:
-        stack = self._profiler._stack()
-        if stack:
-            parent = stack[-1]
-            node = parent.children.get(self._name)
-            if node is None:
-                node = PhaseNode(self._name)
-                parent.children[self._name] = node
-        else:
-            node = PhaseNode(self._name)
-        node._open += 1
-        stack.append(node)
-        self._node = node
-        self._t0 = time.perf_counter()
-        return node
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        elapsed = time.perf_counter() - self._t0
-        node = self._node
-        stack = self._profiler._stack()
-        # Exception safety: the frame is always popped, like spans.
-        if stack and stack[-1] is node:
-            stack.pop()
-        node._open -= 1
-        if node._open == 0:
-            # Re-entrant phases (a kernel phase inside a kernel phase)
-            # only bill the outermost entry, so seconds never exceed
-            # real wall time.
-            node.seconds += elapsed
-        node.calls += 1
-        if not stack:
-            self._profiler._record_root(node)
-        return False  # never swallow the exception
-
-
-class Profiler:
-    """Collects per-query phase trees; disabled profilers are no-ops.
-
-    One profiler per :class:`~repro.obs.context.ObsContext`.  The
-    engine opens the ``"query"`` root phase around each query; nested
-    instrumented sections (ranker levels, kernels, the page manager)
-    open child phases through the *active* context, so the tree
-    composes without plumbing a handle through every call.
-    """
-
-    def __init__(self, enabled: bool = True, max_profiles: int = 4096):
-        self.enabled = enabled
-        self.max_profiles = max_profiles
-        self._local = threading.local()
-        self._lock = threading.Lock()
-        self._finished: list[Profile] = []
-
-    def _stack(self) -> list[PhaseNode]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def phase(self, name: str):
-        """Open a (possibly aggregated) phase; use as a context manager."""
-        if not self.enabled:
-            return NOOP_PHASE
-        return _PhaseContext(self, name)
-
-    def leaf(self, name: str) -> PhaseNode | None:
-        """The aggregated node of phase ``name`` under the innermost
-        open phase, created on first use, or None when the profiler
-        is disabled or no phase is open.
-
-        For a hot leaf phase inside which nothing opens a phase or
-        counts: the caller adds its seconds, calls and counters to the
-        node itself, which records what opening the phase per call
-        records without pushing a frame each time."""
-        if not self.enabled:
-            return None
-        stack = self._stack()
-        if not stack:
-            return None
-        children = stack[-1].children
-        node = children.get(name)
-        if node is None:
-            node = children[name] = PhaseNode(name)
-        return node
-
-    def count(self, name: str, amount: float = 1) -> None:
-        """Attribute a counter delta to the innermost open phase."""
-        if not self.enabled:
-            return
-        stack = self._stack()
-        if stack:
-            counters = stack[-1].counters
-            counters[name] = counters.get(name, 0) + amount
-
-    def current(self) -> PhaseNode | None:
-        """The innermost open phase on this thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
-    def _record_root(self, node: PhaseNode) -> None:
-        with self._lock:
-            self._finished.append(Profile(node))
-            if len(self._finished) > self.max_profiles:
-                del self._finished[: -self.max_profiles]
-
-    def finished(self) -> list["Profile"]:
-        """Finished root profiles, oldest first."""
-        with self._lock:
-            return list(self._finished)
-
-    def take(self) -> list["Profile"]:
-        """Return finished root profiles and clear the buffer."""
-        with self._lock:
-            profiles, self._finished = self._finished, []
-        return profiles
-
-    def adopt(self, profiles) -> None:
-        """Absorb finished profiles from a child context's profiler."""
-        with self._lock:
-            self._finished.extend(profiles)
-            if len(self._finished) > self.max_profiles:
-                del self._finished[: -self.max_profiles]
-
-    def reset(self) -> None:
-        with self._lock:
-            self._finished.clear()
-        self._stack().clear()
-
-
-#: Shared disabled profiler — the default everywhere profiling is
-#: optional.  ``phase()`` on it costs one ``if``.
-NULL_PROFILER = Profiler(enabled=False)
 
 
 class Profile:
@@ -376,27 +229,27 @@ def profile_from_record(record: dict) -> Profile:
 
 
 def kernel_phase_named(phase: str):
-    """Decorator factory wrapping a graph-search kernel in ``phase``
-    on the *active* context's profiler.
+    """Decorator factory wrapping a graph-search kernel in the leaf
+    frame ``phase`` of the *active* context.
 
     Kernels are free functions without an engine handle, so they find
-    the profiler through :func:`repro.obs.context.active_profiler`;
-    with profiling disabled (the default) the wrapper costs one
-    context lookup and one attribute check per kernel call — the
-    kernels themselves batch counters once per call, so the hot loops
-    stay untouched.
+    the context through :func:`repro.obs.context.current`; without
+    profiling (the default) the wrapper costs one context lookup and
+    one attribute check per kernel call.  The frame only profiles —
+    kernel phases are leaves, never traced — and the kernels count
+    once per call into it, so the hot loops stay untouched.
     """
     import functools
 
     def decorate(fn):
+        from repro.obs.context import current
+
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            from repro.obs.context import active_profiler
-
-            profiler = active_profiler()
-            if not profiler.enabled:
+            ctx = current()
+            if not ctx.profiling:
                 return fn(*args, **kwargs)
-            with profiler.phase(phase):
+            with ctx.phase(phase):
                 return fn(*args, **kwargs)
 
         return wrapper

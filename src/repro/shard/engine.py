@@ -30,9 +30,10 @@ results, unconverged rankings and budgeted queries always escalate to
 the full window.  Reported intervals are adjusted to globally sound
 bounds before a sub-window answer is returned.
 
-Shard routing shows up in observability as the ``shard-routing``
-profiler phase, ``shard.*`` metrics counters and a ``shard.query``
-tracing span carrying the expansion count.
+Shard routing shows up in observability as one ``shard-query`` root
+frame per query — profiled and traced like every phase, carrying the
+expansion count — over ``shard-routing``, ``shard-build`` and the
+window engines' ``query`` frames, plus ``shard.*`` metrics counters.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from repro.core.mr3 import QueryResult
 from repro.core.objects import ObjectSet
 from repro.errors import QueryError, SurfKnnError
 from repro.obs.context import ObsContext, active_registry, current
+from repro.obs.profile import Profile
 from repro.shard.stitch import border_offsets, detour_lower_bounds, stitch_into
 from repro.shard.tiles import TileGrid, TileSpan
 from repro.storage.pages import BufferPool
@@ -250,15 +252,15 @@ class ShardedEngine:
             return win
 
     def _window_under(self, parent, span: TileSpan) -> _Window:
-        """:meth:`_window` on a pool thread, its spans nested under
+        """:meth:`_window` on a pool thread, its frames nested under
         ``parent``."""
-        with current().tracer.nested_under(parent):
+        with current().nested_under(parent):
             return self._window(span)
 
     def _build_window(self, span: TileSpan) -> _Window:
         r0, r1, c0, c1 = self.grid.span_window(span)
-        with current().tracer.span(
-            "shard.build_window",
+        with current().phase(
+            "shard-build",
             span=(span.t_r0, span.t_r1, span.t_c0, span.t_c1),
         ):
             dem_w = self.grid.window_dem(span)
@@ -340,8 +342,6 @@ class ShardedEngine:
             )
         with self._scope(obs):
             active = current()
-            tracer = active.tracer
-            profiler = active.profiler
             registry = active.registry
             qr, qc = divmod(vertex, self.dem.cols)
             cell = self.dem.cell_size
@@ -354,10 +354,10 @@ class ShardedEngine:
             )
             full_span = self.grid.full_span()
             d3 = np.linalg.norm(self._obj_xyz - q_xyz[None, :], axis=1)
-            with tracer.span(
-                "shard.query", query_vertex=vertex, k=k
+            with active.phase(
+                "shard-query", query_vertex=vertex, k=k
             ) as root:
-                with profiler.phase("shard-routing"):
+                with active.phase("shard-routing"):
                     span = self.grid.tile_span(self.grid.home_tile(*q_xy))
                     if budget is not None:
                         # Budget accounting spans the whole monolithic
@@ -399,14 +399,14 @@ class ShardedEngine:
                         break
                     final = None
                     if result.converged and not result.degraded:
-                        with profiler.phase("shard-routing"):
+                        with active.phase("shard-routing"):
                             final = self._certify(
                                 window, result, d3, q_xy, k
                             )
                     if final is not None:
                         break
                     expansions += 1
-                    with profiler.phase("shard-routing"):
+                    with active.phase("shard-routing"):
                         nxt = None
                         if not stitched:
                             stitched = True
@@ -434,6 +434,13 @@ class ShardedEngine:
                     "span", (span.t_r0, span.t_r1, span.t_c0, span.t_c1)
                 )
                 root.set_attribute("tiles", span.tile_count)
+            # The sharded query's own root, not the last window query's.
+            final.root_span = root.span
+            final.profile_data = (
+                Profile(root.node, label=f"shard/{final.method}/k={k}")
+                if root.node is not None
+                else None
+            )
         return final
 
     def _grow_for_objects(self, span: TileSpan, k: int) -> TileSpan:
@@ -554,9 +561,9 @@ class ShardedEngine:
                 # Pool threads start with an empty context; each build
                 # runs in its own copy of this one, so its spans and
                 # counters land in the query's ObsContext, its spans
-                # under the span waiting here.
+                # under the frame waiting here.
                 contexts = [contextvars.copy_context() for _ in populated]
-                parent = current().tracer.current()
+                parent = current().current_frame()
                 with ThreadPoolExecutor(
                     max_workers=self._max_workers
                 ) as pool:

@@ -21,8 +21,10 @@ verifies it and retries transient faults and detected corruption
 under a :class:`~repro.storage.faults.RetryPolicy`, surfacing
 :class:`~repro.errors.PageReadError` /
 :class:`~repro.errors.PageCorruptionError` only once the policy is
-exhausted.  Each retry runs in a ``storage.retry`` span on the active
-context's tracer (a clean read emits none).  With no
+exhausted.  Retries are counters, not frames: the manager's
+``FaultStats.retries_total`` and the active context's
+``storage.retries_total`` count them, and the injector's fault log
+names each page and attempt (a clean read moves none).  With no
 :class:`~repro.storage.faults.FaultInjector` attached the read path
 is behaviourally identical to the pre-fault code: the CRC always
 matches and no retry/fault counter moves.
@@ -42,7 +44,7 @@ from repro.errors import (
     QuarantinedPageError,
     StorageError,
 )
-from repro.obs.context import active_profiler, active_registry, current
+from repro.obs.context import active_registry, current
 from repro.storage.faults import (
     FAULT_CORRUPT,
     FAULT_TRANSIENT,
@@ -282,7 +284,7 @@ class PageManager:
         refreshes its LRU position), and a miss passes the quarantine
         gate, is fetched with CRC check and retries, then inserted,
         evicting least-recently-used pages beyond capacity.  What a
-        run pays once instead of per page is the profiler lookup, the
+        run pays once instead of per page is the context lookup, the
         lock acquisitions, the quarantine gate while the quarantine is
         empty, and the statistics update — one
         per-class flush, which also runs when a read raises part-way
@@ -296,7 +298,7 @@ class PageManager:
         Holding both for the run keeps hit/miss accounting exact under
         threads (``logical_reads == hits + physical_reads``).
         """
-        profiler = active_profiler()
+        obs = current()
         owner = self._owner
         pool = self._buffer
         entries = pool._entries
@@ -314,7 +316,7 @@ class PageManager:
                     key = (owner, page_id)
                     data = entries.get(key)
                     if data is None:
-                        data = self._read_miss(page_id, gated, profiler)
+                        data = self._read_miss(page_id, gated, obs)
                         missed.append(page_id)
                         entries[key] = data
                         while len(entries) > pool.capacity:
@@ -324,21 +326,24 @@ class PageManager:
                     out.append(data)
             finally:
                 if out:
-                    self._flush_run(page_ids, len(out), missed, profiler)
+                    self._flush_run(page_ids, len(out), missed, obs)
         return out
 
-    def _read_miss(self, page_id: int, gated: bool, profiler) -> bytes:
+    def _read_miss(self, page_id: int, gated: bool, obs) -> bytes:
         """A buffer miss of :meth:`read_pages`: the quarantine gate
         (while ``gated``), then the verified fetch.
 
         A buffer miss is the query's page-I/O moment: the physical
         fetch (plus CRC/retry machinery) is billed to the "page-io"
         phase, with per-class read attribution.  Nothing inside a
-        fetch opens a phase or counts, so under an open phase the
-        miss bills the phase's node directly (:meth:`Profiler.leaf`);
-        a failed fetch bills its time and call but no reads."""
+        fetch opens a frame or counts, so under an open frame the
+        miss bills the phase's node directly (:meth:`ObsContext.leaf`);
+        a failed fetch bills its time and call but no reads.  Page
+        reads count on profile frames only: about 1,570 misses per
+        knnbench ``rugged_knn`` query are too hot for registry
+        counters."""
         verdict = self._gate(page_id) if gated else QUARANTINE_CLEAR
-        page_io = profiler.leaf("page-io") if profiler.enabled else None
+        page_io = obs.leaf("page-io") if obs.profiling else None
         if page_io is not None:
             t0 = time.perf_counter()
             try:
@@ -349,13 +354,14 @@ class PageManager:
             page_io.count("logical_reads", 1)
             page_io.count("physical_reads", 1)
             page_io.count("physical." + self.page_class_of(page_id), 1)
-        elif profiler.enabled:
-            # No phase is open: the miss is a profile of its own.
-            with profiler.phase("page-io") as phase:
+        elif obs.profiling:
+            # No profiled frame is open: the miss is a profile of its
+            # own (or of nothing, under ObsContext.nested_under).
+            with obs.phase("page-io"):
                 data = self._fetch_verified(page_id, verdict)
-                phase.count("logical_reads", 1)
-                phase.count("physical_reads", 1)
-                phase.count("physical." + self.page_class_of(page_id), 1)
+                obs.tally("logical_reads")
+                obs.tally("physical_reads")
+                obs.tally("physical." + self.page_class_of(page_id))
         else:
             data = self._fetch_verified(page_id, verdict)
         if verdict == QUARANTINE_PROBE:
@@ -385,10 +391,10 @@ class PageManager:
             active_registry().counter("storage.quarantine_probes_total").add(1)
         return verdict
 
-    def _flush_run(self, page_ids, done: int, missed: list, profiler) -> None:
+    def _flush_run(self, page_ids, done: int, missed: list, obs) -> None:
         """Account the first ``done`` pages of a run in one per-class
         update; ``missed`` lists the ones fetched from disk.  Hits bill
-        ``logical_reads`` to the caller's phase (misses did so inside
+        ``logical_reads`` to the caller's frame (misses did so inside
         their ``page-io`` phase)."""
         classes = self._page_class
         logical = Counter(
@@ -400,7 +406,7 @@ class PageManager:
         self.stats.record_reads(logical, physical)
         hits = done - len(missed)
         if hits:
-            profiler.count("logical_reads", hits)
+            obs.tally("logical_reads", hits)
 
     def _fetch_verified(self, page_id: int, verdict: str) -> bytes:
         """Fetch a page from the simulated disk, verifying its CRC and
@@ -417,13 +423,7 @@ class PageManager:
         attempt = 1
         while True:
             try:
-                if attempt == 1:
-                    data, latency = self._disk.read(page_id)
-                else:
-                    with current().tracer.span(
-                        "storage.retry", page_id=page_id, attempt=attempt
-                    ):
-                        data, latency = self._disk.read(page_id)
+                data, latency = self._disk.read(page_id)
             except _TransientFault as exc:
                 self.fault_stats.transient_faults_total += 1
                 active_registry().counter("storage.transient_faults_total").add(1)

@@ -128,9 +128,8 @@ from repro.multires.dmtm import NetworkView, UpperBoundResult
 from repro.simplification.collapse import CollapseHistory, CollapseNode
 from repro.simplification.quadric import best_merge_position, face_quadric
 from repro.spatial.zorder import zorder_key_normalized
-from repro.obs.context import active_profiler, active_registry, current
+from repro.obs.context import active_registry, current
 from repro.obs.profile import kernel_phase
-from repro.obs.tracing import NOOP_SPAN
 from repro.storage.faults import (
     FAULT_CORRUPT,
     FAULT_TRANSIENT,
@@ -253,16 +252,11 @@ def edge_network_reference(mesh) -> Adjacency:
 
 def _report_dict(settled: int, relaxations: int) -> None:
     # Batched once per call so the hot loop carries no registry cost;
-    # the registry names and profiler counts of the production kernels.
-    reg = active_registry()
-    reg.counter("geodesic.dijkstra.calls").add(1)
-    reg.counter("geodesic.dijkstra.settled").add(settled)
-    reg.counter("geodesic.dijkstra.relaxations").add(relaxations)
-    profiler = active_profiler()
-    if profiler.enabled:
-        profiler.count("kernel_calls", 1)
-        profiler.count("settled", settled)
-        profiler.count("relaxations", relaxations)
+    # the counter names of the production kernels.
+    obs = current()
+    obs.count("geodesic.dijkstra.calls")
+    obs.count("geodesic.dijkstra.settled", settled)
+    obs.count("geodesic.dijkstra.relaxations", relaxations)
 
 
 @kernel_phase
@@ -1436,23 +1430,23 @@ def mesh_adjacency_mismatches(mesh) -> list[str]:
 
 def read_page_reference(manager, page_id: int) -> bytes:
     """One page through ``manager``'s buffer pool, paying every step
-    per page: profiler lookup, manager lock, pool probe and insert
+    per page: context lookup, manager lock, pool probe and insert
     (each under the pool lock), quarantine gate, verified fetch and
     one statistics update.  A run of
     :meth:`~repro.storage.pages.PageManager.read_pages` must equal
     one call of this per page, in order — bytes, errors, statistics,
-    fault and quarantine state, registry counters and profiler
-    phases.  The fetch is :func:`_fetch_verified_reference`; the
+    fault and quarantine state, registry counters and profile
+    frames.  The fetch is :func:`_fetch_verified_reference`; the
     quarantine admission of a read that exhausts its retries happens
     here."""
     page_class = manager._page_class.get(page_id, PAGE_CLASS_OTHER)
     owner = manager._owner
-    profiler = active_profiler()
+    obs = current()
     with manager._lock:
         cached = manager._buffer.get(owner, page_id)
         if cached is not None:
             manager.stats.record_read(page_class, physical=False)
-            profiler.count("logical_reads", 1)
+            obs.tally("logical_reads")
             return cached
         verdict = manager.quarantine.gate(owner, page_id)
         if verdict == QUARANTINE_BLOCKED:
@@ -1466,7 +1460,7 @@ def read_page_reference(manager, page_id: int) -> bytes:
         if verdict == QUARANTINE_PROBE:
             manager.fault_stats.quarantine_probes_total += 1
             active_registry().counter("storage.quarantine_probes_total").add(1)
-        with profiler.phase("page-io"):
+        with obs.phase("page-io"):
             try:
                 data = _fetch_verified_reference(manager, page_id)
             except (PageReadError, PageCorruptionError) as exc:
@@ -1488,9 +1482,9 @@ def read_page_reference(manager, page_id: int) -> bytes:
                         "storage.pages_quarantined_total"
                     ).add(1)
                 raise
-            profiler.count("logical_reads", 1)
-            profiler.count("physical_reads", 1)
-            profiler.count("physical." + page_class, 1)
+            obs.tally("logical_reads")
+            obs.tally("physical_reads")
+            obs.tally("physical." + page_class)
         if verdict == QUARANTINE_PROBE:
             manager.quarantine.probe_succeeded(owner, page_id)
             manager.fault_stats.pages_readmitted_total += 1
@@ -1515,14 +1509,8 @@ def _fetch_verified_reference(manager, page_id: int) -> bytes:
             registry = active_registry()
             registry.counter("storage.retries_total").add(1)
             registry.counter("storage.retry_backoff_seconds").add(backoff)
-        span_cm = (
-            current().tracer.span("storage.retry", page_id=page_id, attempt=attempt)
-            if attempt > 1
-            else NOOP_SPAN
-        )
         try:
-            with span_cm:
-                data, latency = manager._disk.read(page_id)
+            data, latency = manager._disk.read(page_id)
         except _TransientFault as exc:
             manager.fault_stats.transient_faults_total += 1
             active_registry().counter("storage.transient_faults_total").add(1)
@@ -1897,15 +1885,9 @@ class ExactGeodesicReference:
                     self._propagate(w)
         finally:
             if vertices_settled or windows_propagated:
-                reg = active_registry()
-                reg.counter("geodesic.exact.vertices_settled").add(vertices_settled)
-                reg.counter("geodesic.exact.windows_propagated").add(
-                    windows_propagated
-                )
-                profiler = active_profiler()
-                if profiler.enabled:
-                    profiler.count("exact_vertices_settled", vertices_settled)
-                    profiler.count("exact_windows_propagated", windows_propagated)
+                obs = current()
+                obs.count("geodesic.exact.vertices_settled", vertices_settled)
+                obs.count("geodesic.exact.windows_propagated", windows_propagated)
 
     def distance_to(self, target: int) -> float:
         """Exact surface distance from the source to ``target``."""

@@ -118,21 +118,6 @@ class TestIdentity:
         _assert_identical(seq, first.results)
         _assert_identical(seq, second.results)
 
-    def test_share_bounds_false_disables_cache(self, batch_engine):
-        executor = BatchQueryExecutor(
-            batch_engine, workers=2, share_bounds=False
-        )
-        assert executor.bound_cache is None
-        specs = _mixed_specs(batch_engine, 4)
-        seq = [
-            batch_engine.query(s.vertex, s.k, step_length=s.step_length)
-            for s in specs
-        ]
-        report = executor.run(specs)
-        _assert_identical(seq, report.results)
-        assert report.cache_stats == {}
-
-
 class TestIsolation:
     def test_no_trace_cross_talk(self, batch_engine):
         """Every result's span tree contains exactly its own query."""
@@ -142,10 +127,9 @@ class TestIsolation:
         ).run(specs)
         for spec, result in zip(specs, report.results):
             root = result.root_span
-            assert root is not None and root.name == "engine.query"
-            mr3_spans = root.find("mr3.query")
-            assert len(mr3_spans) == 1, "foreign query spans leaked in"
-            attrs = mr3_spans[0].attributes
+            assert root is not None and root.name == "query"
+            assert len(root.find("query")) == 1, "foreign query spans leaked in"
+            attrs = root.attributes
             assert attrs["query_vertex"] == spec.vertex
             assert attrs["k"] == spec.k
             # The whole tree is finished and consistent.
@@ -160,8 +144,8 @@ class TestIsolation:
         ctx = ObsContext(tracing=True)
         specs = _mixed_specs(engine, 4)
         report = BatchQueryExecutor(engine, workers=2, obs=ctx).run(specs)
-        roots = ctx.tracer.finished()
-        assert [root.name for root in roots] == ["engine.query"] * len(specs)
+        roots = ctx.finished_spans()
+        assert [root.name for root in roots] == ["query"] * len(specs)
         assert {id(root) for root in roots} == {
             id(result.root_span) for result in report.results
         }

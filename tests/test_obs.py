@@ -1,14 +1,16 @@
 """Observability stack: tracing spans, metrics, trace export.
 
 Covers the contracts docs/observability.md promises: span nesting and
-exception safety, histogram quantile accuracy (error bounded by one
-bucket width), JSONL round-trips, and the per-query trace invariants —
-trace rounds match the iteration counters, and the per-level physical
-page reads sum to the query's ``pages_accessed``.
+exception safety on the one frame stack of ``ObsContext``, histogram
+quantile accuracy (error bounded by one bucket width), JSONL
+round-trips, and the per-query trace invariants — trace rounds match
+the iteration counters, and the per-level physical page reads sum to
+the query's ``pages_accessed``.
 """
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -21,70 +23,149 @@ from repro.obs.export import (
     render,
     write_jsonl,
 )
-from repro.obs.context import ObsContext, active_registry
+from repro.obs.context import NOOP_FRAME, ObsContext, active_registry
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.tracing import NOOP_SPAN, Span, Tracer
+from repro.obs.profile import UNTRACED_PHASES
+from repro.obs.tracing import Span
 
 
 class TestTracing:
+    """The span side of the seam: frames of a tracing context."""
+
     def test_nesting(self):
-        tracer = Tracer()
-        with tracer.span("outer", k=5) as outer:
-            with tracer.span("inner") as inner:
-                assert tracer.current() is inner
-            with tracer.span("inner"):
+        ctx = ObsContext(tracing=True)
+        with ctx.phase("outer", k=5) as frame:
+            with ctx.phase("inner") as inner:
+                assert ctx.current_frame() is inner
+            with ctx.phase("inner"):
                 pass
-        roots = tracer.finished()
+        roots = ctx.finished_spans()
         assert [s.name for s in roots] == ["outer"]
+        outer = frame.span
+        assert roots[0] is outer
         assert outer.attributes == {"k": 5}
         assert [c.name for c in outer.children] == ["inner", "inner"]
         assert len(outer.find("inner")) == 2
         assert all(s.finished and s.duration >= 0 for s in outer.walk())
 
     def test_exception_safety(self):
-        tracer = Tracer()
+        ctx = ObsContext(tracing=True)
         with pytest.raises(ValueError):
-            with tracer.span("outer"):
-                with tracer.span("inner"):
+            with ctx.phase("outer"):
+                with ctx.phase("inner"):
                     raise ValueError("boom")
-        # Both spans were popped and recorded despite the raise.
-        assert tracer.current() is None
-        (outer,) = tracer.finished()
+        # Both frames were popped and recorded despite the raise.
+        assert ctx.current_frame() is None
+        (outer,) = ctx.finished_spans()
         assert outer.status == "error"
         assert "boom" in outer.error
         (inner,) = outer.children
         assert inner.status == "error"
-        # The tracer is reusable afterwards.
-        with tracer.span("again"):
+        # The context is reusable afterwards.
+        with ctx.phase("again"):
             pass
-        assert len(tracer.finished()) == 2
+        assert len(ctx.finished_spans()) == 2
 
     def test_disabled_tracer_is_noop(self):
-        tracer = Tracer(enabled=False)
-        span = tracer.span("anything", k=1)
-        assert span is NOOP_SPAN
-        with span as sp:
-            sp.set_attribute("ignored", 1)  # must not raise
-        assert tracer.finished() == []
+        ctx = ObsContext()
+        frame = ctx.phase("anything", k=1)
+        assert frame is NOOP_FRAME
+        with frame as f:
+            f.set_attribute("ignored", 1)  # must not raise
+            assert f.span is None and f.node is None
+        assert ctx.current_frame() is None
+        assert ctx.finished_spans() == [] and ctx.take_spans() == []
+        # No frame state at all: the batch executor builds one child
+        # context per query.
+        assert not hasattr(ctx, "_local")
 
     def test_take_clears(self):
-        tracer = Tracer()
-        with tracer.span("a"):
+        ctx = ObsContext(tracing=True)
+        with ctx.phase("a"):
             pass
-        assert [s.name for s in tracer.take()] == ["a"]
-        assert tracer.finished() == []
+        assert [s.name for s in ctx.take_spans()] == ["a"]
+        assert ctx.finished_spans() == []
 
     def test_span_to_dict(self):
-        tracer = Tracer()
-        with tracer.span("outer", k=3):
-            with tracer.span("inner"):
+        ctx = ObsContext(tracing=True)
+        with ctx.phase("outer", k=3):
+            with ctx.phase("inner"):
                 pass
-        d = tracer.finished()[0].to_dict()
+        d = ctx.finished_spans()[0].to_dict()
         assert d["name"] == "outer"
         assert d["status"] == "ok"
         assert d["attributes"] == {"k": 3}
         assert d["children"][0]["name"] == "inner"
         json.dumps(d)  # JSON-ready
+
+    def test_leaf_phases_are_profiled_never_traced(self):
+        assert UNTRACED_PHASES == {
+            "graph-kernel", "frontier-relaxation", "page-io",
+        }
+        traced = ObsContext(tracing=True)
+        assert traced.phase("graph-kernel") is NOOP_FRAME
+        both = ObsContext(tracing=True, profiling=True)
+        with both.phase("query") as root:
+            with both.phase("graph-kernel") as kernel:
+                assert kernel.span is None and kernel.node is not None
+                with both.phase("bound-composition"):
+                    pass
+        # A traced frame under a leaf nests under the leaf's enclosing
+        # span; the leaf itself shows up in the profile only.
+        assert [c.name for c in root.span.children] == ["bound-composition"]
+        assert list(root.node.children) == ["graph-kernel"]
+
+    def test_one_timestamp_pair_feeds_both_outputs(self):
+        ctx = ObsContext(tracing=True, profiling=True)
+        with ctx.phase("query") as root:
+            with ctx.phase("spatial-filter"):
+                pass
+        (span,) = ctx.finished_spans()
+        (profile,) = ctx.finished_profiles()
+        assert span is root.span and profile.root is root.node
+        assert profile.total_seconds == span.duration
+
+    def test_adopt_appends_each_kind_it_records(self):
+        child = ObsContext(tracing=True, profiling=True)
+        with child.phase("query"):
+            pass
+        spans, profiles = child.take_spans(), child.take_profiles()
+        traced = ObsContext(tracing=True)
+        traced.adopt(spans, profiles)
+        assert traced.finished_spans() == spans
+        assert traced.finished_profiles() == []
+        assert child.finished_spans() == [] == child.finished_profiles()
+
+    def test_nested_under_joins_the_waiting_span_without_profiling(self):
+        """A pool task's frames nest under the frame that waits for
+        it: their spans join that span's tree, and they add no
+        profile node or root of their own."""
+        ctx = ObsContext(tracing=True, profiling=True)
+        with ctx.phase("shard-query") as root:
+            with ctx.phase("shard-routing") as waiting:
+
+                def task():
+                    with ctx.nested_under(waiting):
+                        with ctx.phase("shard-build"):
+                            with ctx.phase("landmark-build"):
+                                pass
+
+                worker = threading.Thread(target=task)
+                worker.start()
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+        (span,) = ctx.finished_spans()
+        assert span is root.span
+        (routing,) = span.children
+        assert [s.name for s in routing.walk()] == [
+            "shard-routing", "shard-build", "landmark-build",
+        ]
+        (profile,) = ctx.finished_profiles()
+        assert [n.name for n in profile.root.walk()] == [
+            "shard-query", "shard-routing",
+        ]
+        with ctx.nested_under(None):  # a no-op without a frame
+            assert ctx.current_frame() is None
 
 
 class TestMetrics:
@@ -196,10 +277,10 @@ class TestTracedQuery:
         ctx = ObsContext(tracing=True)
         qv = small_engine.snap(700.0, 700.0)
         result = small_engine.query(qv, 3, step_length=2, obs=ctx)
-        return result, ctx.tracer
+        return result, ctx
 
     def test_trace_rounds_match_iterations(self, traced):
-        result, _tracer = traced
+        result, _ctx = traced
         m = result.metrics
         assert len(result.filter_trace) == m.iterations_filter
         assert len(result.ranking_trace) == m.iterations_ranking
@@ -210,7 +291,7 @@ class TestTracedQuery:
         """The acceptance invariant: per-level physical page deltas
         account for every page the query touched (steps 1 and 3 are
         in-memory R-tree work)."""
-        result, _tracer = traced
+        result, _ctx = traced
         events = result.filter_trace + result.ranking_trace
         assert sum(e.physical_reads for e in events) == (
             result.metrics.pages_accessed
@@ -225,37 +306,45 @@ class TestTracedQuery:
         assert by_class == result.metrics.reads_by_class
 
     def test_span_tree_shape(self, traced):
-        result, tracer = traced
+        result, ctx = traced
         root = result.root_span
         assert isinstance(root, Span)
-        assert root.name == "engine.query"
-        assert root in tracer.finished()
-        (mr3,) = root.find("mr3.query")
-        for step in ("mr3.knn_2d", "mr3.filter", "mr3.range_2d", "mr3.ranking"):
-            assert mr3.find(step), f"missing {step} span"
-        levels = root.find("rank.level")
+        assert root.name == "query"
+        assert root.attributes["entry"] == "query"
+        assert root.attributes["query_vertex"] == result.query_vertex
+        assert root.attributes["schedule"] == "s=2"
+        assert root in ctx.finished_spans()
+        steps = root.find("spatial-filter")
+        assert [s.attributes["step"] for s in steps] == [1, 3]
+        assert "k" in steps[0].attributes and "radius" in steps[1].attributes
+        assert all("candidates" in s.attributes for s in steps)
+        levels = root.find("interval-ranking")
+        assert [e.phase for e in result.filter_trace + result.ranking_trace] == [
+            s.attributes["phase"] for s in levels
+        ]
         assert len(levels) == (
             result.metrics.iterations_filter
             + result.metrics.iterations_ranking
         )
+        assert not any(s.name in UNTRACED_PHASES for s in root.walk())
 
     def test_jsonl_round_trip(self, traced, tmp_path):
-        result, _tracer = traced
+        result, _ctx = traced
         record = query_record(result)
-        assert record["schema"] == "repro.query_trace/v1"
+        assert record["schema"] == "repro.query_trace/v2"
         path = tmp_path / "trace.jsonl"
         assert write_jsonl(path, [record]) == 1
         (loaded,) = read_jsonl(path)
         assert loaded == record
         trace = QueryTrace.from_dict(loaded)
         assert trace.events == result.filter_trace + result.ranking_trace
-        assert trace.spans["name"] == "engine.query"
+        assert trace.spans["name"] == "query"
         assert trace.metrics["pages_accessed"] == (
             result.metrics.pages_accessed
         )
 
     def test_render_is_explain(self, traced):
-        result, _tracer = traced
+        result, _ctx = traced
         text = result.explain()
         assert text == render(result)
         assert "step 2 (filter C1)" in text

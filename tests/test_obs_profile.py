@@ -1,4 +1,4 @@
-"""Phase profiler, scoped ObsContexts and perf-diff attribution.
+"""Phase profiles, scoped ObsContexts and perf-diff attribution.
 
 Pins the PR's acceptance invariants:
 
@@ -9,7 +9,7 @@ Pins the PR's acceptance invariants:
   end-to-end delta with no unexplained residue;
 * profile counter totals reconcile with ``QueryMetrics`` (logical /
   physical reads, per-class reads) and with the registry's kernel
-  counters (settled / relaxations);
+  counters, under the registry's names;
 * ObsContexts isolate: two engines profiling concurrently never see
   each other's counters, and nobody resets a global to get there.
 """
@@ -24,8 +24,8 @@ import pytest
 from repro.core.batch import BatchQuery, BatchQueryExecutor
 from repro.core.engine import SurfaceKNNEngine
 from repro.obs.context import (
+    NOOP_FRAME,
     ObsContext,
-    active_profiler,
     current,
     default_context,
 )
@@ -33,13 +33,11 @@ from repro.obs.diff import attribute, load_run
 from repro.obs.diff import main as diff_main
 from repro.obs.export import write_jsonl
 from repro.obs.profile import (
-    NOOP_PHASE,
-    NULL_PROFILER,
     PHASES,
     PROFILE_SCHEMA,
+    UNTRACED_PHASES,
     PhaseNode,
     Profile,
-    Profiler,
     profile_from_record,
     profile_record,
 )
@@ -48,21 +46,21 @@ from repro.terrain.synthetic import fractal_dem
 
 
 # ----------------------------------------------------------------------
-# Profiler unit behaviour
+# Profile side of the seam: frames of a profiling context
 # ----------------------------------------------------------------------
 
 
 class TestProfiler:
     def test_phases_aggregate_by_path(self):
-        prof = Profiler()
-        with prof.phase("query"):
+        ctx = ObsContext(profiling=True)
+        with ctx.phase("query"):
             for _ in range(3):
-                with prof.phase("graph-kernel"):
+                with ctx.phase("graph-kernel"):
                     pass
-            with prof.phase("page-io"):
-                with prof.phase("graph-kernel"):
+            with ctx.phase("page-io"):
+                with ctx.phase("graph-kernel"):
                     pass
-        (profile,) = prof.take()
+        (profile,) = ctx.take_profiles()
         root = profile.root
         assert root.name == "query" and root.calls == 1
         assert root.children["graph-kernel"].calls == 3
@@ -70,17 +68,18 @@ class TestProfiler:
         assert root.children["page-io"].children["graph-kernel"].calls == 1
 
     def test_leaf_is_the_aggregated_child_of_the_open_phase(self):
-        prof = Profiler()
-        assert prof.leaf("page-io") is None  # no phase open
-        assert Profiler(enabled=False).leaf("page-io") is None
-        with prof.phase("query") as root:
-            node = prof.leaf("page-io")
-            assert node is root.children["page-io"]
-            assert prof.leaf("page-io") is node
-            assert prof.current() is root  # nothing was pushed
+        ctx = ObsContext(profiling=True)
+        assert ctx.leaf("page-io") is None  # no frame open
+        assert ObsContext().leaf("page-io") is None
+        assert ObsContext(tracing=True).leaf("page-io") is None
+        with ctx.phase("query") as root:
+            node = ctx.leaf("page-io")
+            assert node is root.node.children["page-io"]
+            assert ctx.leaf("page-io") is node
+            assert ctx.current_frame() is root  # nothing was pushed
             node.calls += 1
             node.count("physical_reads", 1)
-        (profile,) = prof.take()
+        (profile,) = ctx.take_profiles()
         assert profile.root.children["page-io"].calls == 1
         assert profile.counters_by_phase()["page-io"] == {"physical_reads": 1}
 
@@ -89,71 +88,85 @@ class TestProfiler:
         dijkstra_with_parents) nests graph-kernel inside graph-kernel;
         the aggregated self-seconds must still equal the outer
         frame's wall time, not twice it."""
-        prof = Profiler()
-        with prof.phase("query"):
-            with prof.phase("graph-kernel") as outer:
-                with prof.phase("graph-kernel") as inner:
+        ctx = ObsContext(profiling=True)
+        with ctx.phase("query"):
+            with ctx.phase("graph-kernel") as outer:
+                with ctx.phase("graph-kernel") as inner:
                     pass
-        (profile,) = prof.take()
-        assert inner is outer.children["graph-kernel"]
+        (profile,) = ctx.take_profiles()
+        assert inner.node is outer.node.children["graph-kernel"]
         by_phase = profile.self_seconds_by_phase()
         assert by_phase["graph-kernel"] == pytest.approx(
-            outer.seconds, abs=1e-12
+            outer.node.seconds, abs=1e-12
         )
         assert sum(by_phase.values()) == pytest.approx(
             profile.total_seconds, abs=1e-12
         )
 
     def test_self_seconds_partition_wall_time(self):
-        prof = Profiler()
-        with prof.phase("query"):
-            with prof.phase("interval-ranking"):
-                with prof.phase("graph-kernel"):
+        ctx = ObsContext(profiling=True)
+        with ctx.phase("query"):
+            with ctx.phase("interval-ranking"):
+                with ctx.phase("graph-kernel"):
                     pass
-            with prof.phase("refinement"):
+            with ctx.phase("refinement"):
                 pass
-        (profile,) = prof.take()
+        (profile,) = ctx.take_profiles()
         by_phase = profile.self_seconds_by_phase()
         assert sum(by_phase.values()) == pytest.approx(
             profile.total_seconds, abs=1e-12
         )
 
     def test_count_attributes_to_innermost(self):
-        prof = Profiler()
-        prof.count("orphan", 5)  # no open phase: silently dropped
-        with prof.phase("query"):
-            prof.count("a", 1)
-            with prof.phase("graph-kernel"):
-                prof.count("a", 2)
-        (profile,) = prof.take()
+        """``count`` feeds the registry and the innermost frame under
+        one name; ``tally`` feeds the frame only."""
+        ctx = ObsContext(profiling=True)
+        ctx.count("orphan", 5)  # no open frame: registry only
+        ctx.tally("dropped", 2)  # no open frame: silently dropped
+        with ctx.phase("query"):
+            ctx.count("a", 1)
+            with ctx.phase("graph-kernel"):
+                ctx.count("a", 2)
+                ctx.tally("hits", 4)
+        (profile,) = ctx.take_profiles()
         assert profile.root.counters == {"a": 1}
-        assert profile.root.children["graph-kernel"].counters == {"a": 2}
+        assert profile.root.children["graph-kernel"].counters == {
+            "a": 2, "hits": 4,
+        }
         assert profile.counter("a") == 3
         assert profile.counter("orphan") == 0
+        registry = ctx.registry.collect()
+        assert registry["a"]["value"] == 3 and registry["orphan"]["value"] == 5
+        assert "hits" not in registry and "dropped" not in registry
 
     def test_disabled_profiler_is_noop(self):
-        assert NULL_PROFILER.phase("query") is NOOP_PHASE
-        NULL_PROFILER.count("settled", 9)
-        with NULL_PROFILER.phase("query") as node:
-            assert node is None
-        assert NULL_PROFILER.finished() == []
+        ctx = ObsContext()
+        assert ctx.phase("query") is NOOP_FRAME
+        ctx.count("geodesic.dijkstra.settled", 9)  # registry still counts
+        ctx.tally("logical_reads", 9)
+        with ctx.phase("query") as frame:
+            assert frame.node is None
+        assert ctx.finished_profiles() == [] and ctx.take_profiles() == []
+        assert ctx.registry.counter("geodesic.dijkstra.settled").value == 9
+        # Tracing alone opens no frame for a leaf phase.
+        assert ObsContext(tracing=True).phase("page-io") is NOOP_FRAME
 
     def test_exception_pops_frame_and_propagates(self):
-        prof = Profiler()
+        ctx = ObsContext(profiling=True)
         with pytest.raises(RuntimeError):
-            with prof.phase("query"):
+            with ctx.phase("query"):
                 raise RuntimeError("boom")
-        assert prof.current() is None
-        (profile,) = prof.take()  # the root still finished
+        assert ctx.current_frame() is None
+        (profile,) = ctx.take_profiles()  # the root still finished
         assert profile.root.calls == 1
 
     def test_record_round_trip(self):
-        prof = Profiler()
-        with prof.phase("query"):
-            prof.count("settled", 7)
-            with prof.phase("page-io"):
-                prof.count("physical.dmtm", 2)
-        (profile,) = prof.take()
+        ctx = ObsContext(profiling=True)
+        with ctx.phase("query"):
+            ctx.count("geodesic.dijkstra.settled", 7)
+            with ctx.phase("page-io"):
+                ctx.tally("physical.dmtm", 2)
+        (profile,) = ctx.take_profiles()
         record = profile_record(profile, label="t/k=3")
         assert record["schema"] == PROFILE_SCHEMA
         again = profile_from_record(json.loads(json.dumps(record)))
@@ -164,7 +177,7 @@ class TestProfiler:
             profile.self_seconds_by_phase()
         )
         with pytest.raises(ValueError):
-            profile_from_record({"schema": "repro.query_trace/v1"})
+            profile_from_record({"schema": "repro.query_trace/v2"})
 
 
 # ----------------------------------------------------------------------
@@ -196,31 +209,45 @@ class TestQueryProfile:
             plain.metrics.pages_accessed
         )
 
-    def test_phase_names_come_from_catalog(self, profiled, small_engine):
-        result, _ctx = profiled
-        profile = result.profile()
-        names = {node.name for node in profile.root.walk()}
-        assert names <= set(PHASES)
-        assert profile.root.name == "query"
-        assert "interval-ranking" in names
-
-        # A landmark engine and a sharded engine open phases of their
-        # own; they must come from the catalog too.
-        ctx = ObsContext("t-extensions", profiling=True)
+    def test_phase_names_come_from_catalog(self, small_engine):
+        """Every frame of every entry point, traced and profiled, is
+        named from the catalog; no leaf phase shows up as a span, and
+        every other profiled phase does."""
+        ctx = ObsContext("t-catalog", tracing=True, profiling=True)
+        qv = small_engine.snap(700.0, 700.0)
+        x, y = small_engine.mesh.vertices[qv][:2] + 7.0  # inside a facet
+        small_engine.query(qv, 3, step_length=2, obs=ctx)
         with ctx.activate():
+            small_engine.query_point(x, y, 3, step_length=2)
+            small_engine.range_query(qv, 400.0)
+            small_engine.obstacle_query(qv, 3, max_slope_deg=55.0)
+            # A landmark engine and a sharded engine open phases of
+            # their own.
             lm_engine = small_engine.with_landmarks(3)
-        lm_engine.query(small_engine.snap(700.0, 700.0), 3, obs=ctx)
+        lm_engine.query(qv, 3, obs=ctx)
         dem = fractal_dem(17, 90.0, 500.0, 0.65, seed=7)
         sharded = ShardedEngine(
             dem, objects=uniform_grid_objects(dem, 24, seed=2), grid=(2, 2),
             obs=ctx,
         )
         sharded.query(2 * dem.cols + 2, 3)
-        profiles = ctx.profiler.take()
-        assert "landmark-build" in {p.root.name for p in profiles}
-        names = {node.name for p in profiles for node in p.root.walk()}
-        assert {"landmark-bounds", "shard-routing"} <= names
-        assert names <= set(PHASES)
+        profiles = ctx.take_profiles()
+        spans = ctx.take_spans()
+        assert [p.root.name for p in profiles] == [
+            "query", "query", "query", "query", "landmark-build", "query",
+            "shard-query",
+        ]
+        assert [s.name for s in spans] == [p.root.name for p in profiles]
+        profiled = {node.name for p in profiles for node in p.root.walk()}
+        traced = {s.name for root in spans for s in root.walk()}
+        assert {
+            "spatial-filter", "interval-ranking", "bound-composition",
+            "refinement", "landmark-bounds", "shard-routing", "shard-build",
+            "page-io",
+        } <= profiled
+        assert profiled <= set(PHASES) and traced <= set(PHASES)
+        assert not traced & UNTRACED_PHASES
+        assert profiled - traced <= UNTRACED_PHASES
 
     def test_tree_sum_equals_root_time(self, profiled):
         result, _ctx = profiled
@@ -256,9 +283,8 @@ class TestQueryProfile:
             small_engine.snap(700.0, 700.0), 3, step_length=2, obs=ctx
         )
         totals = result.profile().total_counters()
-        assert totals.get("kernel_calls", 0) == calls.value - before[0]
-        assert totals.get("settled", 0) == settled.value - before[1]
-        assert totals.get("relaxations", 0) == relax.value - before[2]
+        for counter, start in zip((calls, settled, relax), before):
+            assert totals.get(counter.name, 0) == counter.value - start
 
     def test_profiler_collects_finished_roots(self, small_engine):
         ctx = ObsContext("t", profiling=True)
@@ -266,9 +292,9 @@ class TestQueryProfile:
             small_engine.query(
                 small_engine.snap(700.0, 700.0), k, step_length=2, obs=ctx
             )
-        profiles = ctx.profiler.take()
+        profiles = ctx.take_profiles()
         assert len(profiles) == 2
-        assert ctx.profiler.take() == []  # drained
+        assert ctx.take_profiles() == []  # drained
 
     def test_render_tree_is_presentable(self, profiled):
         result, _ctx = profiled
@@ -280,7 +306,7 @@ class TestQueryProfile:
 
 class TestFrontierCounters:
     """The ``geodesic.frontier.*`` counters reconcile with the shared
-    kernel counters and with the profiler's phase-attributed counts.
+    kernel counters and with the profile's phase-attributed counts.
 
     The graph must clear ``MIN_FRONTIER_NODES`` — smaller searches
     delegate to the heap kernels and emit no frontier counters (that
@@ -329,7 +355,7 @@ class TestFrontierCounters:
         counters = [ctx.registry.counter(name) for name in names]
         before = [c.value for c in counters]
         with ctx.activate():
-            with ctx.profiler.phase("query"):
+            with ctx.phase("query"):
                 found = multi_source_frontier(csr, [(0, 0.5), (3, 0.0)])
         buckets, batches, max_frontier, settled = (
             c.value - b for c, b in zip(counters, before)
@@ -342,13 +368,11 @@ class TestFrontierCounters:
         assert 0 < buckets <= settled
         assert 0 < batches <= buckets
         assert 0 < max_frontier <= settled
-        # The same deltas land on the profiler's open phase frame.
-        (profile,) = ctx.profiler.take()
+        # The same deltas land on the open frames, under the same names.
+        (profile,) = ctx.take_profiles()
         totals = profile.total_counters()
-        assert totals.get("frontier_buckets", 0) == buckets
-        assert totals.get("frontier_batch_relaxations", 0) == batches
-        assert totals.get("frontier_max_frontier", 0) == max_frontier
-        assert totals.get("settled", 0) == settled
+        for name, delta in zip(names, (buckets, batches, max_frontier, settled)):
+            assert totals.get(name, 0) == delta
         assert "frontier-relaxation" in {
             node.name for node in profile.root.walk()
         }
@@ -390,20 +414,22 @@ class TestObsContext:
         assert current() is base
 
     def test_default_profiler_is_disabled(self):
-        assert not current().profiler.enabled
-        assert not active_profiler().enabled
+        assert not current().profiling and not current().tracing
+        assert current().phase("query") is NOOP_FRAME
 
     def test_child_inherits_enablement_and_absorb_merges(self):
-        parent = ObsContext("p", profiling=True)
+        parent = ObsContext("p", tracing=True, profiling=True)
         child = parent.child("q0")
-        assert child.profiler.enabled
+        assert child.profiling and child.tracing
         assert child.registry is not parent.registry
         child.registry.counter("settled").add(4)
-        with child.profiler.phase("query"):
+        with child.phase("query"):
             pass
         parent.absorb(child)
         assert parent.registry.counter("settled").value == 4
-        assert len(parent.profiler.finished()) == 1
+        assert len(parent.finished_profiles()) == 1
+        assert len(parent.finished_spans()) == 1
+        assert child.finished_profiles() == [] == child.finished_spans()
 
     def test_two_engines_profile_concurrently_without_crosstalk(
         self, small_engine, ep_engine
@@ -435,8 +461,8 @@ class TestObsContext:
         for t in threads:
             t.join()
         assert not errors
-        assert len(ctx_a.profiler.finished()) == 2
-        assert len(ctx_b.profiler.finished()) == 3
+        assert len(ctx_a.finished_profiles()) == 2
+        assert len(ctx_b.finished_profiles()) == 3
         for ctx in (ctx_a, ctx_b):
             assert ctx.registry.counter("geodesic.dijkstra.calls").value > 0
         # Nothing leaked into the process default registry.
@@ -447,8 +473,9 @@ class TestObsContext:
     )
     def test_entry_points_report_into_engine_context(self, bh_mesh, entry):
         """Every entry point of an engine built with ``obs=ctx`` runs
-        under ctx: its kernel counters, one ``query``-rooted profile
-        and one root span, all reachable from the result."""
+        under ctx: its kernel counters, and one ``query`` root frame —
+        one profile and one span naming the entry point — reachable
+        from the result."""
         ctx = ObsContext("engine", tracing=True, profiling=True)
         engine = SurfaceKNNEngine(bh_mesh, density=10.0, seed=3, obs=ctx)
         qv = engine.snap(700.0, 700.0)
@@ -469,15 +496,15 @@ class TestObsContext:
         assert default_calls.value == default_before
         assert ctx.registry.counter("geodesic.dijkstra.calls").value > 0
         assert any(name.startswith("engine.queries.") for name in ctx.collect())
-        (profile,) = ctx.profiler.finished()
+        (profile,) = ctx.finished_profiles()
         assert profile.root.name == "query"
         assert profile.root is result.profile().root
-        (root,) = ctx.tracer.finished()
-        assert root.name == {
-            "range_query": "engine.range_query",
-            "obstacle_query": "engine.obstacle_query",
-        }.get(entry, "engine.query")
+        (root,) = ctx.finished_spans()
+        assert root.name == "query"
+        assert root.attributes["entry"] == entry
+        assert root.attributes["query_vertex"] == result.query_vertex
         assert root is result.root_span
+        assert profile.total_seconds == root.duration
 
     def test_embedded_query_labelled_like_query(self, bh_mesh):
         """An embedded-point query reports ``mr3/s=N`` as ``query``
@@ -502,7 +529,7 @@ class TestObsContext:
         specs = [BatchQuery(vertex=qv, k=k, step_length=2) for k in (2, 3, 4)]
         report = BatchQueryExecutor(engine, workers=2, obs=ctx).run(specs)
         assert not report.errors
-        assert len(ctx.profiler.finished()) == len(specs)
+        assert len(ctx.finished_profiles()) == len(specs)
         assert ctx.registry.counter("geodesic.dijkstra.calls").value > 0
 
 
@@ -518,7 +545,10 @@ def _synthetic_record(query_s, kernel_s, io_s, reads_dmtm):
     kernel = PhaseNode("graph-kernel")
     kernel.calls = 4
     kernel.seconds = kernel_s
-    kernel.counters = {"settled": 100, "relaxations": 400}
+    kernel.counters = {
+        "geodesic.dijkstra.settled": 100,
+        "geodesic.dijkstra.relaxations": 400,
+    }
     io = PhaseNode("page-io")
     io.calls = reads_dmtm
     io.seconds = io_s

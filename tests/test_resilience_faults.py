@@ -152,18 +152,24 @@ class TestPageManagerRecovery:
         assert pm.fault_stats.latency_events_total == 1
         assert pm.fault_stats.latency_seconds_total == pytest.approx(0.25)
 
-    def test_retry_spans_emitted(self):
-        inj = FaultInjector(seed=1, transient_rate=1.0, max_faults=1)
+    def test_retries_counted_in_query_context(self):
+        """Retries are counters, not frames: the active context's
+        ``storage.retries_total`` equals the manager's ``FaultStats``
+        delta, and a traced read records no retry span."""
+        inj = FaultInjector(seed=1, transient_rate=1.0, max_faults=3)
         ctx = ObsContext(tracing=True)
-        tracer = ctx.tracer
         pm = PageManager(fault_injector=inj)
-        pm.allocate(b"spanful")
-        with ctx.activate(), tracer.span("test.root"):
+        for i in range(2):
+            pm.allocate(b"retryful%d" % i)
+        before = pm.fault_stats.retries_total
+        with ctx.activate(), ctx.phase("query"):
             pm.read(0)
-        (root,) = tracer.finished()
-        retries = root.find("storage.retry")
-        assert len(retries) == 1
-        assert retries[0].attributes["attempt"] == 2
+            pm.read(1)
+        delta = pm.fault_stats.retries_total - before
+        assert delta == 3
+        assert ctx.registry.counter("storage.retries_total").value == delta
+        (root,) = ctx.finished_spans()
+        assert [s.name for s in root.walk()] == ["query"]
 
     def test_no_injector_means_no_counters(self):
         pm = make_manager(None)

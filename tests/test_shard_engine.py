@@ -162,11 +162,10 @@ class TestObservability:
         snap = obs.registry.collect()
         assert snap["shard.queries_total"]["value"] == 1
         assert snap["shard.windows_built_total"]["value"] >= 1
-        phases = set()
-        for profile in obs.profiler.finished():
-            for node in profile.root.walk():
-                phases.add(node.name)
-        assert "shard-routing" in phases
+        (profile,) = obs.finished_profiles()
+        assert profile.root.name == "shard-query"
+        phases = {node.name for node in profile.root.walk()}
+        assert {"shard-routing", "shard-build", "query"} <= phases
 
     def test_trace_span_emitted(self, dem, object_vids):
         obs = ObsContext(tracing=True)
@@ -178,11 +177,11 @@ class TestObservability:
                 yield span
                 yield from walk(span.children)
 
-        names = [s.name for s in walk(obs.tracer.finished())]
-        assert "shard.query" in names
-        assert "shard.build_window" in names
+        names = [s.name for s in walk(obs.finished_spans())]
+        assert "shard-query" in names
+        assert "shard-build" in names
         root = next(
-            s for s in obs.tracer.finished() if s.name == "shard.query"
+            s for s in obs.finished_spans() if s.name == "shard-query"
         )
         assert "expansions" in root.attributes
         assert "tiles" in root.attributes
@@ -190,7 +189,7 @@ class TestObservability:
     def test_stitched_builds_report_into_query_context(self):
         """Window builds on the stitching pool count and trace into
         the query's context, not the pool threads' empty one, and
-        their spans sit in the ``shard.query`` tree."""
+        their spans sit in the ``shard-query`` tree."""
         dem = fractal_dem(25, 90.0, 500.0, 0.7)
         obs = ObsContext(tracing=True)
         engine = ShardedEngine(
@@ -200,10 +199,45 @@ class TestObservability:
         engine.query(28, 3)
         built = len(engine.windows_built)
         assert obs.registry.counter("shard.windows_built_total").value == built
-        roots = obs.tracer.finished()
+        roots = obs.finished_spans()
         # Builds on pool threads nest under the query that waits.
-        assert [root.name for root in roots] == ["shard.query"]
-        assert len(roots[0].find("shard.build_window")) == built
+        assert [root.name for root in roots] == ["shard-query"]
+        assert len(roots[0].find("shard-build")) == built
+
+    def test_one_root_frame_per_sharded_query(self):
+        """The stitching case: each sharded query leaves exactly one
+        root span and one root profile, both the result's, from one
+        pair of timestamps; the stitched pool builds are
+        ``shard-build`` spans under the root and no profile root."""
+        dem = fractal_dem(25, 90.0, 500.0, 0.7)
+        obs = ObsContext(tracing=True, profiling=True)
+        engine = ShardedEngine(
+            dem, objects=uniform_grid_objects(dem, 64, seed=0), grid=(3, 3),
+            max_workers=2, obs=obs,
+        )
+        stitched = 0
+        for vertex in (28, 30):
+            built = len(engine.windows_built)
+            result = engine.query(vertex, 3)
+            (span,) = obs.take_spans()
+            (profile,) = obs.take_profiles()
+            assert span.name == profile.root.name == "shard-query"
+            assert result.root_span is span
+            assert result.profile().root is profile.root
+            assert profile.total_seconds == span.duration
+            assert span.attributes["query_vertex"] == vertex
+            assert len(span.find("shard-build")) == (
+                len(engine.windows_built) - built
+            )
+            # Pool builds nest under the waiting shard-routing span and
+            # bill nothing: the routing node's time covers the wait.
+            routing = profile.root.children["shard-routing"]
+            assert "shard-build" not in routing.children
+            stitched += sum(
+                len(s.find("shard-build")) for s in span.children
+                if s.name == "shard-routing"
+            )
+        assert stitched >= 2
 
 
 class TestValidation:

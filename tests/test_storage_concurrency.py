@@ -242,9 +242,9 @@ class TestRunsOnSharedPool:
 
         def worker(manager, seed):
             ctx = ObsContext(f"worker-{seed}", profiling=True)
-            with ctx.activate(), ctx.profiler.phase("worker"):
+            with ctx.activate(), ctx.phase("worker"):
                 _hammer(manager, ids[manager], 300, seed)
-            (profiles[seed],) = ctx.profiler.finished()
+            (profiles[seed],) = ctx.finished_profiles()
 
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -162,7 +162,7 @@ def _replay(pm: PageManager, runs, read_run) -> dict:
     outcomes = []
     with ctx.activate():
         for run in runs:
-            with ctx.profiler.phase("query"):
+            with ctx.phase("query"):
                 try:
                     outcomes.append(read_run(pm, run))
                 except StorageError as exc:
@@ -188,13 +188,13 @@ def _replay(pm: PageManager, runs, read_run) -> dict:
             dataclasses.replace(entry, owner=0) for entry in pm.quarantine.entries()
         ],
         "registry": ctx.registry.collect(),
-        "spans": [(s.name, s.attributes) for s in ctx.tracer.finished()],
+        "spans": [(s.name, s.attributes) for s in ctx.finished_spans()],
         "profiles": [
             (
                 p.counters_by_phase(),
                 [(n.name, n.calls, n.counters) for n in p.root.walk()],
             )
-            for p in ctx.profiler.finished()
+            for p in ctx.finished_profiles()
         ],
     }
 

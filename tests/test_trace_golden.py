@@ -1,8 +1,9 @@
 """Golden regression tests for the query-trace surface.
 
-``QueryResult.explain()`` and the ``repro.query_trace/v1`` JSONL
+``QueryResult.explain()`` and the ``repro.query_trace/v2`` JSONL
 record are consumed downstream (humans, jq pipelines), so their shape
-and deterministic content are pinned against golden files.  Wall-clock
+and deterministic content are pinned against golden files; the
+query's phase profile tree (names, nesting, calls) is pinned inline.  Wall-clock
 fields are normalized to zero first
 (:func:`repro.obs.export.normalize_record`); page counts, candidate
 counts, bound values and span structure must reproduce exactly on a
@@ -161,7 +162,7 @@ class TestTraceRecordGolden:
 
     def test_schema_and_normalization(self, golden_result):
         record = query_record(golden_result)
-        assert record["schema"] == "repro.query_trace/v1"
+        assert record["schema"] == "repro.query_trace/v2"
         normalized = normalize_record(record)
         assert normalized["metrics"]["cpu_seconds"] == 0.0
         assert normalized["metrics"]["io_seconds"] == 0.0
@@ -177,6 +178,67 @@ class TestTraceRecordGolden:
         # Normalization must not touch the original record.
         assert record["metrics"]["total_seconds"] >= 0.0
         assert record["spans"]["duration_seconds"] > 0.0
+
+
+#: The golden query's profile tree as ``[name, calls, children]``, per
+#: leg: the tree every change to the instrumentation must leave alone.
+#: The legs differ only in their kernel leaves (the reference leg runs
+#: dict kernels only, so no frontier-relaxation).
+GOLDEN_PROFILES = {
+    "csr": [
+        "query", 1, [
+            ["spatial-filter", 2, []],
+            ["interval-ranking", 8, [
+                ["bound-composition", 8, [
+                    ["page-io", 380, []],
+                    ["frontier-relaxation", 16, [["graph-kernel", 16, []]]],
+                    ["graph-kernel", 5, []],
+                ]],
+            ]],
+            ["refinement", 1, [
+                ["frontier-relaxation", 14, [["graph-kernel", 14, []]]],
+            ]],
+        ],
+    ],
+    "reference": [
+        "query", 1, [
+            ["spatial-filter", 2, []],
+            ["interval-ranking", 8, [
+                ["bound-composition", 8, [
+                    ["page-io", 380, []],
+                    ["graph-kernel", 21, []],
+                ]],
+            ]],
+            ["refinement", 1, [["graph-kernel", 14, []]]],
+        ],
+    ],
+}
+
+
+class TestProfileGolden:
+    def test_profile_tree_matches_golden(self, kernel):
+        def tree(node):
+            return [
+                node.name, node.calls,
+                [tree(child) for child in node.children.values()],
+            ]
+
+        ctx = ObsContext(profiling=True)
+        result = _golden_result(ctx)
+        assert tree(result.profile().root) == GOLDEN_PROFILES[kernel]
+        (profile,) = ctx.finished_profiles()
+        assert profile.root is result.profile().root
+        # Page reads reconcile with the metrics; kernel counts carry
+        # the registry's names and values.
+        counters = profile.total_counters()
+        assert counters["physical_reads"] == result.metrics.pages_accessed
+        assert counters["logical_reads"] == result.metrics.logical_reads
+        for name in (
+            "geodesic.dijkstra.calls",
+            "geodesic.dijkstra.settled",
+            "geodesic.dijkstra.relaxations",
+        ):
+            assert counters[name] == ctx.registry.counter(name).value
 
 
 class TestReferenceLeg:
