@@ -31,7 +31,6 @@ from repro.core.batch import (
     BatchQueryExecutor,
     BatchReport,
     BoundCache,
-    CircuitBreaker,
     shared_bound_cache,
 )
 
@@ -63,6 +62,5 @@ __all__ = [
     "BatchQueryExecutor",
     "BatchReport",
     "BoundCache",
-    "CircuitBreaker",
     "shared_bound_cache",
 ]

@@ -27,6 +27,11 @@ Three pieces cooperate:
   its own counters; per-query deltas stay exact under concurrency and
   still sum to the global aggregate.
 
+Failures stay per query: a member's library error becomes a
+:class:`BatchError` record, and while the engine's health reads
+``failed`` the remaining specs are skipped unrun.  Storage faults reach
+neither path — queries degrade on them (``degraded_reason="storage"``).
+
 Example
 -------
 >>> from repro import bearhead_like
@@ -48,8 +53,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.core.budget import QueryBudget
-from repro.errors import QueryError, StorageError, SurfKnnError
-from repro.obs.context import ObsContext, active_registry, current
+from repro.errors import QueryError, SurfKnnError
+from repro.obs.context import ObsContext, current
 from repro.storage.stats import ThreadLocalIOStatistics
 
 _MISSING = object()
@@ -208,119 +213,16 @@ class BatchError:
 
     The batch never aborts on a member failure: the slot in
     ``BatchReport.results`` holds ``None`` and this record explains
-    why.  ``skipped`` marks queries the circuit breaker refused to
-    admit (they never ran).
+    why.  ``skipped`` marks queries refused admission because the
+    engine's health read ``failed`` (they never ran).
     """
 
     index: int
     vertex: int
     k: int
-    kind: str  # exception class name, or "CircuitOpen" for skipped
+    kind: str  # exception class name, or "EngineUnhealthy" for skipped
     message: str
     skipped: bool = False
-
-
-class CircuitBreaker:
-    """Stops admitting batch queries after ``threshold`` *consecutive*
-    storage failures, with half-open recovery probes.
-
-    A storage failure that survives the page manager's retries means
-    the simulated disk is persistently unhealthy; hammering it with
-    the rest of the batch just burns the retry budget.  Any success
-    closes the circuit again (failures must be consecutive).
-
-    Recovery: an open circuit is not forever.  After ``cooldown``
-    refused admissions the breaker goes *half-open* and admits exactly
-    one probe query.  If the probe succeeds the circuit closes (the
-    disk — or the quarantine's salvage of it — recovered); if it fails
-    the circuit re-opens for another cooldown.  The cooldown is
-    counted in denials, not wall clock, so behaviour is deterministic
-    under test.  All transitions take the breaker lock, so concurrent
-    workers see a consistent state.
-    """
-
-    def __init__(self, threshold: int = 8, registry=None, cooldown: int = 16):
-        if threshold < 1:
-            raise QueryError(f"breaker threshold must be >= 1, got {threshold}")
-        if cooldown < 1:
-            raise QueryError(f"breaker cooldown must be >= 1, got {cooldown}")
-        self.threshold = threshold
-        self.cooldown = cooldown
-        # Trip counters land in this registry (the executor passes its
-        # ObsContext's); None falls back to the active context's.
-        self.registry = registry
-        self._lock = threading.Lock()
-        self._consecutive_failures = 0
-        self._denials_since_open = 0
-        self._half_open = False
-        self.trips = 0  # times the circuit went from closed to open
-        self.recoveries = 0  # half-open probes that closed the circuit
-        self.reopens = 0  # half-open probes that failed
-
-    def _registry(self):
-        return self.registry if self.registry is not None else active_registry()
-
-    @property
-    def open(self) -> bool:
-        with self._lock:
-            return (
-                self._consecutive_failures >= self.threshold
-                and not self._half_open
-            )
-
-    @property
-    def half_open(self) -> bool:
-        with self._lock:
-            return self._half_open
-
-    def allow(self) -> bool:
-        """May the next query run?
-
-        False while the circuit is open — except that every
-        ``cooldown``-th denial flips the breaker half-open and grants
-        one probe admission (True).
-        """
-        with self._lock:
-            if self._consecutive_failures < self.threshold:
-                return True
-            if self._half_open:
-                # One probe is already in flight; hold the rest.
-                return False
-            self._denials_since_open += 1
-            if self._denials_since_open >= self.cooldown:
-                self._half_open = True
-                self._denials_since_open = 0
-                return True
-            return False
-
-    def record_success(self) -> None:
-        with self._lock:
-            was_half_open = self._half_open
-            self._consecutive_failures = 0
-            self._denials_since_open = 0
-            self._half_open = False
-            if was_half_open:
-                self.recoveries += 1
-                self._registry().counter(
-                    "batch.circuit_recoveries_total"
-                ).add(1)
-
-    def record_failure(self) -> None:
-        with self._lock:
-            if self._half_open:
-                # Failed probe: re-open for another cooldown.
-                self._half_open = False
-                self._denials_since_open = 0
-                self.reopens += 1
-                self._consecutive_failures = max(
-                    self._consecutive_failures + 1, self.threshold
-                )
-                self._registry().counter("batch.circuit_reopens_total").add(1)
-                return
-            self._consecutive_failures += 1
-            if self._consecutive_failures == self.threshold:
-                self.trips += 1
-                self._registry().counter("batch.circuit_trips_total").add(1)
 
 
 @dataclass
@@ -329,7 +231,7 @@ class BatchReport:
 
     ``results`` is in submission order regardless of worker
     interleaving; ``latencies`` are per-query wall seconds.  A query
-    that failed (or was refused by the circuit breaker) leaves
+    that failed (or was refused admission by the health gate) leaves
     ``None`` in its ``results`` slot and a :class:`BatchError` in
     ``errors`` — per-query faults are isolated, the batch always
     completes.
@@ -420,15 +322,6 @@ class BatchQueryExecutor:
     budget:
         Batch-wide default :class:`~repro.core.budget.QueryBudget`
         applied to every query (a spec's own ``budget`` wins).
-    circuit_threshold:
-        Consecutive storage failures before the circuit breaker stops
-        admitting queries (remaining specs are reported as skipped,
-        not run).  The breaker only reacts to
-        :class:`~repro.errors.StorageError` — query-shaped failures
-        (bad k etc.) are isolated but don't open the circuit.
-    circuit_cooldown:
-        Refused admissions before an open breaker goes half-open and
-        admits one probe query (see :class:`CircuitBreaker`).
     obs:
         Batch-level :class:`~repro.obs.ObsContext`.  Every query runs
         under a fresh per-query **child** context (so concurrent
@@ -451,8 +344,6 @@ class BatchQueryExecutor:
         bound_cache: BoundCache | None = None,
         cold_cache: bool = True,
         budget: QueryBudget | None = None,
-        circuit_threshold: int = 8,
-        circuit_cooldown: int = 16,
         obs: ObsContext | None = None,
     ):
         if workers < 1:
@@ -462,14 +353,6 @@ class BatchQueryExecutor:
         self.cold_cache = cold_cache
         self.budget = budget
         self.obs = obs if obs is not None else current()
-        self.circuit_breaker = CircuitBreaker(
-            circuit_threshold,
-            registry=self.obs.registry,
-            cooldown=circuit_cooldown,
-        )
-        health = getattr(engine, "health", None)
-        if health is not None:
-            health.attach_breaker(self.circuit_breaker)
         self.bound_cache = (
             bound_cache if bound_cache is not None else BoundCache()
         )
@@ -492,29 +375,14 @@ class BatchQueryExecutor:
         Returns ``(result_or_None, latency, BatchError_or_None)``.  A
         library failure (:class:`~repro.errors.SurfKnnError`) becomes
         an error record instead of poisoning the pool; programming
-        errors still propagate.  Storage failures feed the circuit
-        breaker; once it opens, remaining specs are refused without
-        running.
+        errors still propagate.  While the engine's health reads
+        ``failed`` the spec is refused without running.
         """
         index, spec = item
-        breaker = self.circuit_breaker
-        # Breaker first: allow() may grant a half-open recovery probe,
-        # which must run even while the health verdict says FAILED
-        # (the probe is how the verdict gets revised).
-        if not breaker.allow():
-            return None, 0.0, BatchError(
-                index=index, vertex=spec.vertex, k=spec.k,
-                kind="CircuitOpen",
-                message=(
-                    f"circuit breaker open after {breaker.threshold} "
-                    "consecutive storage failures; query not admitted"
-                ),
-                skipped=True,
-            )
         health = getattr(self.engine, "health", None)
         if health is not None:
             state = health.state()
-            if state == "failed" and health.cause_kind != "breaker":
+            if state == "failed":
                 self.obs.registry.counter(
                     "batch.health_rejections_total"
                 ).add(1)
@@ -553,8 +421,6 @@ class BatchQueryExecutor:
         except SurfKnnError as exc:
             latency = time.perf_counter() - start
             self.obs.absorb(ctx)
-            if isinstance(exc, StorageError):
-                breaker.record_failure()
             self.obs.registry.counter("batch.query_failures_total").add(1)
             return None, latency, BatchError(
                 index=index, vertex=spec.vertex, k=spec.k,
@@ -562,7 +428,6 @@ class BatchQueryExecutor:
             )
         latency = time.perf_counter() - start
         self.obs.absorb(ctx)
-        breaker.record_success()
         return result, latency, None
 
     def run(self, queries) -> BatchReport:

@@ -95,10 +95,13 @@ class SurfaceKNNEngine:
         Optional :class:`repro.storage.FaultInjector` attached to the
         simulated disk — reads then see the injector's seeded schedule
         of transient errors, corruption and latency spikes, and the
-        page manager's CRC + retry machinery recovers (or surfaces
-        :class:`repro.errors.PageReadError` /
-        :class:`repro.errors.PageCorruptionError`).  With no injector
-        the read path is byte-identical to a fault-free engine.
+        page manager's CRC + retry machinery recovers.  A read that
+        still fails does not fail ``query``, ``query_point`` or
+        ``range_query``: the ranker skips that bound pass, and the
+        answer comes back ``degraded=True`` with
+        ``degraded_reason="storage"`` (a range result comes back
+        unconverged).  With no injector the read path is
+        byte-identical to a fault-free engine.
     retry_policy:
         :class:`repro.storage.RetryPolicy` governing fault retries
         (default: 4 attempts, exponential simulated backoff).
@@ -134,14 +137,8 @@ class SurfaceKNNEngine:
         fault_injector=None,
         retry_policy=None,
         landmarks=None,
-        degraded_mode: bool = True,
     ):
         self.mesh = mesh
-        # With degraded_mode on (default), storage faults that exhaust
-        # the retry policy degrade answers (redundant bound fallback,
-        # sound intervals, degraded_reason="storage") instead of
-        # raising StorageError; off restores fail-stop queries.
-        self.degraded_mode = bool(degraded_mode)
         self.obs = obs
         self.objects = (
             objects
@@ -292,7 +289,6 @@ class SurfaceKNNEngine:
             disk=self.disk,
             bound_cache=bound_cache,
             landmarks=self.landmarks,
-            degraded_mode=self.degraded_mode,
         )
 
     def query(
@@ -472,8 +468,7 @@ class SurfaceKNNEngine:
             candidate_ids = self.objects.range_2d(q_xy, radius)
             candidates = ranker.make_candidates(candidate_ids, self.objects)
             inside, certain = ranker.rank_within(
-                query_vertex, candidates, radius,
-                storage_fallback=self.degraded_mode,
+                query_vertex, candidates, radius
             )
             cpu_seconds = time.process_time() - cpu_start
             metrics = QueryMetrics.from_io(

@@ -2,26 +2,25 @@
 
 An engine that keeps answering queries while its simulated disk rots
 needs a single place where "how bad is it?" is decided.
-:class:`EngineHealth` folds the page quarantine, the fault counters
-and (when a batch executor attaches one) the circuit breaker into a
-three-state verdict:
+:class:`EngineHealth` folds the page quarantine and the fault
+counters into a three-state verdict:
 
 * ``HEALTHY`` — no storage trouble observed; every answer is exact.
 * ``DEGRADED`` — some reads have failed past the retry policy (pages
   are quarantined, or ``reads_failed_total`` is non-zero).  Queries
   still run; answers may come back ``degraded=True`` with
   ``degraded_reason="storage"`` and a sound ``max_error``.
-* ``FAILED`` — the substrate is effectively gone: the circuit breaker
-  is open, or the quarantined fraction of the page file crossed
-  ``failed_quarantine_fraction``.  Batch executors stop admitting new
-  queries (fail fast) instead of burning retry budget.
+* ``FAILED`` — the substrate is effectively gone: the quarantined
+  fraction of the page file crossed ``failed_quarantine_fraction``.
+  Batch executors stop admitting new queries (fail fast) instead of
+  returning answers that are mostly fallback.
 
 The verdict is *evaluated on read* — ``state()`` recomputes from the
-live quarantine/fault/breaker state, so readmissions and breaker
-recovery move the engine back toward ``HEALTHY`` without anyone
-having to push events into this object.  Transitions are recorded
-(``transitions`` and the ``engine.health_transitions_total`` counter)
-so tests and benchmarks can assert the trajectory.
+live quarantine and fault state, so readmissions move the engine
+back toward ``HEALTHY`` without anyone having to push events into
+this object.  Transitions are recorded (``transitions`` and the
+``engine.health_transitions_total`` counter) so tests and benchmarks
+can assert the trajectory.
 """
 
 from __future__ import annotations
@@ -51,26 +50,14 @@ class EngineHealth:
             )
         self.engine = engine
         self.failed_quarantine_fraction = failed_quarantine_fraction
-        self._breaker = None
         self._last_state = HEALTH_HEALTHY
         self.cause: str = ""
         self.cause_kind: str = ""
         # (from_state, to_state, cause) triples, in observation order.
         self.transitions: list[tuple[str, str, str]] = []
 
-    def attach_breaker(self, breaker) -> None:
-        """Let a batch executor's circuit breaker feed the verdict
-        (an open breaker is a ``FAILED`` cause of kind "breaker")."""
-        self._breaker = breaker
-
     def _evaluate(self) -> tuple[str, str, str]:
         """(state, cause, cause_kind) from live substrate state."""
-        if self._breaker is not None and self._breaker.open:
-            return (
-                HEALTH_FAILED,
-                "circuit breaker open after consecutive storage failures",
-                "breaker",
-            )
         pages = self.engine.pages
         if pages is None:
             return HEALTH_HEALTHY, "", ""

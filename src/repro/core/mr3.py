@@ -20,6 +20,7 @@ same ranker over overlapping candidate sets).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from contextlib import nullcontext
@@ -46,7 +47,7 @@ class QueryMetrics:
     observable); ``logical_reads`` counts every page request, so warm
     runs (``cold_cache=False``) are distinguishable from cold ones
     through ``buffer_hit_rate``.  ``reads_by_class`` splits the
-    physical reads per structure (dmtm / msdn / objects / index).
+    physical reads per structure (dmtm / msdn).
     """
 
     cpu_seconds: float = 0.0
@@ -71,6 +72,23 @@ class QueryMetrics:
             io_seconds=disk.io_seconds(delta),
             **fields,
         )
+
+    @classmethod
+    def total(cls, parts) -> "QueryMetrics":
+        """The costs of several queries answered as one (the window
+        queries of a sharded query): every field is the sum over
+        ``parts``, ``reads_by_class`` class by class."""
+        out = cls()
+        for part in parts:
+            for item in dataclasses.fields(cls):
+                mine = getattr(out, item.name)
+                theirs = getattr(part, item.name)
+                if isinstance(mine, dict):
+                    for key, value in theirs.items():
+                        mine[key] = mine.get(key, 0) + value
+                else:
+                    setattr(out, item.name, mine + theirs)
+        return out
 
     @property
     def total_seconds(self) -> float:
@@ -168,17 +186,10 @@ class MR3QueryProcessor:
         disk: DiskModel | None = None,
         bound_cache=None,
         landmarks=None,
-        degraded_mode: bool = True,
     ):
         self.mesh = mesh
         self.objects = objects
         self.schedule = schedule
-        # With degraded_mode on (the default), storage faults that
-        # survive the retry policy degrade the answer (redundant bound
-        # fallback, degraded_reason="storage") instead of raising; off
-        # restores fail-stop semantics for circuit-breaker style
-        # supervision.
-        self.degraded_mode = bool(degraded_mode)
         self.ranker = DistanceRanker(
             mesh, dmtm, msdn, schedule, options, stats=stats,
             bound_cache=bound_cache, landmarks=landmarks,
@@ -243,11 +254,10 @@ class MR3QueryProcessor:
                 phase="filter",
                 budget=tracker,
                 min_levels=1,
-                storage_fallback=self.degraded_mode,
             )
             radius = out1.kth_ub
             if not math.isfinite(radius):
-                if not (self.degraded_mode and out1.storage_degraded):
+                if not out1.storage_degraded:
                     raise QueryError(
                         "could not bound the k-th neighbour; "
                         "is the terrain connected?"
@@ -269,7 +279,6 @@ class MR3QueryProcessor:
             out2 = self.ranker.rank(
                 query, cands2, k, phase="ranking",
                 budget=tracker, min_levels=0,
-                storage_fallback=self.degraded_mode,
             )
 
         fields = dict(

@@ -118,10 +118,9 @@ class RankingOutcome:
 class _StorageFallback:
     """Per-rank record of region fetches lost to storage faults.
 
-    Passed down into the bound-update helpers; its presence enables
-    the catch-and-skip fallback (a ``None`` fallback preserves the
-    historical raise-through behaviour for ``degraded_mode=False``
-    engines).
+    Passed down into the bound-update helpers, which catch a
+    :class:`~repro.errors.StorageError`, note it here and skip or
+    salvage the bound pass it hit.
     """
 
     __slots__ = ("events", "salvaged")
@@ -215,7 +214,6 @@ class DistanceRanker:
         phase: str = "rank",
         budget=None,
         min_levels: int = 1,
-        storage_fallback: bool = True,
     ) -> RankingOutcome:
         """Run the multiresolution ranking loop.
 
@@ -243,14 +241,11 @@ class DistanceRanker:
         answer both need one), the ranking phase passes 0 because its
         candidates inherit step-2 intervals.
 
-        ``storage_fallback`` (default True) turns region fetches lost
-        to :class:`~repro.errors.StorageError` into degraded-mode
-        events: the group's bound-tightening pass is skipped (stale
-        intervals stay sound), individual candidates are salvaged
-        through their own smaller regions where possible, and the
-        outcome is flagged ``storage_degraded``.  With it off, the
-        first storage failure propagates — the pre-degraded-mode
-        behaviour the circuit breaker watches for.
+        Region fetches lost to :class:`~repro.errors.StorageError`
+        never propagate: the group's bound-tightening pass is skipped
+        (stale intervals stay sound), individual candidates are
+        salvaged through their own smaller regions where possible,
+        and the outcome is flagged ``storage_degraded``.
         """
         if k < 1:
             raise QueryError("k must be >= 1")
@@ -289,7 +284,7 @@ class DistanceRanker:
         iterations = 0
         converged = False
         exhausted = False
-        fallback = _StorageFallback() if storage_fallback else None
+        fallback = _StorageFallback()
         trace: list[LevelEvent] = []
         last_level = len(self.schedule) - 1
         for level, (res_u, res_l) in enumerate(self.schedule.levels()):
@@ -381,7 +376,7 @@ class DistanceRanker:
             )
             winners.extend(pool[: k - len(winners)])
             winners.sort(key=lambda c: (c.ub, c.object_id))
-        storage_degraded = fallback is not None and fallback.triggered
+        storage_degraded = fallback.triggered
         if storage_degraded:
             registry = active_registry()
             registry.counter("ranking.storage_fallbacks_total").add(
@@ -446,7 +441,6 @@ class DistanceRanker:
         query,
         candidates: list[Candidate],
         radius: float,
-        storage_fallback: bool = True,
     ) -> tuple[list[Candidate], bool]:
         """Surface *range query* classification: which candidates have
         ``dS(q, p) <= radius``?
@@ -461,8 +455,7 @@ class DistanceRanker:
         schedule was exhausted with candidates still straddling the
         radius (those are classified by upper bound, the paper's
         at-max-resolution convention), or when a storage fault made
-        the loop skip a bound source (``storage_fallback``, same
-        semantics as :meth:`rank`).
+        the loop skip a bound source (as in :meth:`rank`).
         """
         if radius < 0:
             raise QueryError("radius must be non-negative")
@@ -478,7 +471,7 @@ class DistanceRanker:
         if self.landmarks is not None:
             landmark_lbs = self._apply_landmark_bounds(anchors, candidates)
 
-        fallback = _StorageFallback() if storage_fallback else None
+        fallback = _StorageFallback()
         active = [c for c in candidates if c.lb <= radius]
         last_level = len(self.schedule) - 1
         for level, (res_u, res_l) in enumerate(self.schedule.levels()):
@@ -514,7 +507,7 @@ class DistanceRanker:
                     cand.interval.refine_ub(best)
             active = [c for c in active if c.lb <= radius < c.ub]
         inside = [c for c in candidates if c.ub <= radius]
-        certain = not active and not (fallback is not None and fallback.triggered)
+        certain = not active and not fallback.triggered
         return sorted(inside, key=lambda c: (c.ub, c.object_id)), certain
 
     def _polish_boundary(self, anchors, candidates, verdict, k: int) -> None:
@@ -576,7 +569,7 @@ class DistanceRanker:
         active: list[Candidate],
         plan: _IterationPlan,
         res_u: float,
-        fallback: _StorageFallback | None = None,
+        fallback: _StorageFallback,
     ) -> None:
         """Tighten upper bounds for the active candidates.
 
@@ -592,8 +585,6 @@ class DistanceRanker:
             try:
                 self.dmtm.touch_region(res_u, group_box)
             except StorageError as exc:
-                if fallback is None:
-                    raise
                 # The group's region is unreadable: skip its ub pass
                 # (stale upper bounds remain genuine path lengths, so
                 # the intervals stay sound) and try each member's own
@@ -807,8 +798,8 @@ class DistanceRanker:
         plan: _IterationPlan,
         res_l: float,
         kth_ub_estimate: float,
-        landmark_lbs: dict | None = None,
-        fallback: _StorageFallback | None = None,
+        landmark_lbs: dict | None,
+        fallback: _StorageFallback,
     ) -> None:
         opts = self.options
         prunes = screens = skips = 0
@@ -825,8 +816,6 @@ class DistanceRanker:
             try:
                 self.msdn.touch_region(res_l, group_box, axes=axes)
             except StorageError as exc:
-                if fallback is None:
-                    raise
                 # Skipping an MSDN pass leaves the Euclidean/landmark
                 # lower bounds in place — lower bounds only ever
                 # tighten, so a stale one is still admissible.

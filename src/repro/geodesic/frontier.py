@@ -36,7 +36,10 @@ then cut the output at the last target's ``(value, node)`` pair.
 (no positive window exists) delegate to the heap twin, as do searches
 on graphs below :data:`MIN_FRONTIER_NODES` nodes, too small to
 amortise numpy call overhead.  Graph size is the only rule: every
-graph production searches is a compiled :class:`CSRGraph`.
+graph production searches is a compiled :class:`CSRGraph`.  The rule
+is applied before any profiler frame opens, so each search bills one
+frame named for the kernel that ran: ``frontier-relaxation`` for a
+bucketed search, the heap twin's ``graph-kernel`` for a delegated one.
 
 :func:`build_pathnet_arrays` is the companion construction kernel
 behind :func:`repro.geodesic.pathnet.build_pathnet`: the Steiner
@@ -126,6 +129,7 @@ def _margin(scale: float) -> float:
 # ----------------------------------------------------------------------
 
 
+@frontier_phase
 def _single_source_frontier(
     csr, source, targets, max_dist, want_parents, region=None, wmin=None
 ):
@@ -285,7 +289,6 @@ def _single_source_frontier(
     return out, parent_out
 
 
-@frontier_phase
 def dijkstra_frontier(
     csr: CSRGraph,
     source: int,
@@ -301,7 +304,6 @@ def dijkstra_frontier(
     return _single_source_frontier(csr, source, targets, max_dist, False)
 
 
-@frontier_phase
 def dijkstra_frontier_with_parents(
     csr: CSRGraph,
     source: int,
@@ -336,7 +338,6 @@ def dijkstra_frontier_with_parents(
 # ----------------------------------------------------------------------
 
 
-@frontier_phase
 def multi_source_frontier(
     csr: CSRGraph,
     sources: list[tuple[int, float]],
@@ -351,14 +352,22 @@ def multi_source_frontier(
     lexicographic minimum over the batched candidates, so values
     compose as ``fl(offset ⊕ fl(raw ⊕ w))`` and cross-anchor ties
     settle toward the lowest rank exactly like the reference."""
+    if sources:
+        _, wmin = _frontier_state(csr)
+        if csr.num_nodes < MIN_FRONTIER_NODES or not wmin > 0.0:
+            return multi_source_heap(csr, sources, targets, max_dist)
+    return _multi_source_frontier(csr, sources, targets, max_dist)
+
+
+@frontier_phase
+def _multi_source_frontier(csr, sources, targets, max_dist):
+    """The bucketed search behind :func:`multi_source_frontier`."""
     n = csr.num_nodes
     if not sources:
         _report(0, 0)
         _report_frontier(0, 0, 0)
         return MultiSourceResult({}, {}, {}, {})
     (indptr, indices, weights), wmin = _frontier_state(csr)
-    if n < MIN_FRONTIER_NODES or not wmin > 0.0:
-        return multi_source_heap(csr, sources, targets, max_dist)
 
     offsets = np.empty(len(sources))
     value = np.full(n, np.inf)

@@ -1,8 +1,8 @@
 """repro.resilience — one import for the fault-tolerance surface.
 
-The pieces live where they act (the injector and retry policy in
-:mod:`repro.storage`, budgets and the circuit breaker in
-:mod:`repro.core`), but hardening an engine touches all of them at
+The pieces live where they act (the injector, retry policy and
+quarantine in :mod:`repro.storage`, budgets, health and batch
+isolation in :mod:`repro.core`), but hardening an engine touches all of them at
 once, so this module re-exports the whole contract:
 
 * **Fault model** — :class:`FaultInjector` (seeded schedule of
@@ -20,22 +20,24 @@ once, so this module re-exports the whole contract:
   stops refinement at the current resolution and the
   ``QueryResult`` comes back ``degraded=True`` with sound intervals
   and a per-query ``max_error`` bound, never an exception.
-* **Batch isolation** — :class:`BatchQueryExecutor` confines each
-  member failure to a :class:`BatchError` record, and its
-  :class:`CircuitBreaker` stops admitting queries after consecutive
-  storage failures (and probes for recovery half-open, after a
-  cooldown of refused admissions).
-* **Degraded-mode execution** — when a read exhausts the retry
-  policy, the page enters :class:`PageQuarantine` (later reads
-  fail fast with :class:`QuarantinedPageError` until a probation
-  probe readmits it) and the ranker substitutes redundant bound
-  sources — stale-but-sound intervals, landmark bounds,
-  per-candidate salvage — so queries come back ``degraded=True``
-  with ``degraded_reason="storage"`` instead of raising.
+* **Degraded-mode execution** — the one response to a storage
+  fault.  When a read exhausts the retry policy, the page enters
+  :class:`PageQuarantine` (later reads fail fast with
+  :class:`QuarantinedPageError` until a probation probe readmits
+  it) and the ranker substitutes redundant bound sources —
+  stale-but-sound intervals, landmark bounds, per-candidate
+  salvage — so ``query``, ``query_point`` and ``range_query`` come
+  back ``degraded=True`` with ``degraded_reason="storage"`` (range
+  results unconverged) instead of raising.
   :func:`kill_random_pages` builds persistent-fault (kill-list)
   schedules for chaos testing; :class:`EngineHealth` folds the
-  quarantine, fault counters and breaker into a
-  healthy/degraded/failed verdict that batch admission consults.
+  quarantine and fault counters into a healthy/degraded/failed
+  verdict, ``failed`` once the quarantined fraction of the page
+  file crosses its threshold.
+* **Batch isolation** — :class:`BatchQueryExecutor` confines each
+  member failure to a :class:`BatchError` record, and refuses
+  admission (a skipped ``EngineUnhealthy`` record) while the
+  engine's health reads ``failed``.
   ``QueryBudget.max_seconds`` is additionally enforced inside the
   CSR kernels (:class:`DeadlineExceeded` is caught at level
   boundaries), so one pathological search cannot blow far past its
@@ -56,7 +58,7 @@ Example
 (True, True)
 """
 
-from repro.core.batch import BatchError, CircuitBreaker
+from repro.core.batch import BatchError
 from repro.core.budget import BudgetTracker, QueryBudget
 from repro.core.health import (
     HEALTH_DEGRADED,
@@ -95,7 +97,6 @@ __all__ = [
     "HEALTH_HEALTHY",
     "BatchError",
     "BudgetTracker",
-    "CircuitBreaker",
     "DeadlineExceeded",
     "EngineHealth",
     "FaultEvent",

@@ -47,7 +47,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.engine import SurfaceKNNEngine
-from repro.core.mr3 import QueryResult
+from repro.core.mr3 import QueryMetrics, QueryResult
 from repro.core.objects import ObjectSet
 from repro.errors import QueryError, SurfKnnError
 from repro.obs.context import ObsContext, active_registry, current
@@ -380,6 +380,7 @@ class ShardedEngine:
                     span = self._grow_for_objects(span, k)
                 expansions = 0
                 stitched = False
+                spent = []
                 while True:
                     window = self._window(span)
                     local_q = window.local_vertex(qr, qc)
@@ -392,6 +393,7 @@ class ShardedEngine:
                         bound_cache=bound_cache,
                         budget=budget,
                     )
+                    spent.append(result.metrics)
                     if span == full_span:
                         # Local ids == global ids: the monolithic
                         # answer, byte for byte.
@@ -434,12 +436,17 @@ class ShardedEngine:
                     "span", (span.t_r0, span.t_r1, span.t_c0, span.t_c1)
                 )
                 root.set_attribute("tiles", span.tile_count)
-            # The sharded query's own root, not the last window query's.
-            final.root_span = root.span
-            final.profile_data = (
-                Profile(root.node, label=f"shard/{final.method}/k={k}")
-                if root.node is not None
-                else None
+            # The sharded query's own root and costs, not the last
+            # window query's.
+            final = replace(
+                final,
+                metrics=QueryMetrics.total(spent),
+                root_span=root.span,
+                profile_data=(
+                    Profile(root.node, label=f"shard/{final.method}/k={k}")
+                    if root.node is not None
+                    else None
+                ),
             )
         return final
 

@@ -1,13 +1,13 @@
 """A dynamic R-tree (Guttman) with range and best-first k-NN search.
 
-Serves two roles in the reproduction:
+The reproduction's one 2D index.  It serves:
 
 * the index over ``Dxy`` (xy-projections of the object points) used
   by MR3's 2D k-NN filter (step 1) and 2D range query (step 3);
-* the spatial index over MSDN crossing-line segments, which the paper
-  stores "in a spatial database ... efficiently supported by most
-  commercial spatial database systems (using a conventional spatial
-  index)".
+* the tile grid of :class:`~repro.shard.tiles.TileGrid`, which maps a
+  point or box to the tiles it meets;
+* the Euclidean browse of the IER baseline
+  (:mod:`repro.core.network_baselines`).
 
 k-NN uses the classic Hjaltason–Samet best-first traversal with a
 priority queue ordered by MBR min-distance, which the paper cites as

@@ -2,10 +2,12 @@
 
 Interleaving the bits of quantized x and y coordinates yields a 1D
 key under which spatially close points usually get close keys — the
-standard trick for *clustering* spatial records in a B+-tree, which
-is how the paper stores DMTM nodes ("a clustering B+ tree index is
-used").  Fetching an I/O region then touches a small number of
-contiguous key ranges, i.e. few disk pages.
+standard trick for *clustering* spatial records on disk pages.  The
+paper clusters DMTM nodes under a B+-tree index ("a clustering B+ tree
+index is used"); here the DMTM's node and face records are laid out
+in z-order by :class:`~repro.storage.locator.LocatorStore`.  Fetching
+an I/O region then touches a small number of contiguous key ranges,
+i.e. few disk pages.
 """
 
 from __future__ import annotations

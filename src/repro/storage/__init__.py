@@ -9,6 +9,11 @@ serialized onto fixed-size pages, reads go through an LRU buffer
 pool, and every buffer miss counts as one page access.  A configurable
 per-page latency converts page counts into the simulated I/O seconds
 that enter "total time" in Figures 10–11.
+
+One record store, :class:`LocatorStore`, holds every structure the
+queries read, clustered on its pages and addressed by record id:
+DMTM nodes and faces in z-order, MSDN chunks by plane and position
+along the plane.
 """
 
 from repro.storage.stats import IOStatistics, DiskModel, ThreadLocalIOStatistics
@@ -23,9 +28,6 @@ from repro.storage.faults import (
     FaultStats,
     RetryPolicy,
 )
-from repro.storage.records import RecordCodec, pack_floats, unpack_floats
-from repro.storage.clustered import ClusteredRecordStore
-from repro.storage.segstore import SpatialRecordStore
 from repro.storage.locator import LocatorStore
 
 __all__ = [
@@ -39,10 +41,5 @@ __all__ = [
     "FaultInjector",
     "FaultStats",
     "RetryPolicy",
-    "RecordCodec",
-    "pack_floats",
-    "unpack_floats",
-    "ClusteredRecordStore",
-    "SpatialRecordStore",
     "LocatorStore",
 ]

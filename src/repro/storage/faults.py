@@ -437,11 +437,10 @@ def kill_random_pages(
     """Permanently kill a seeded random fraction of a manager's pages.
 
     Picks ``floor(fraction * len(eligible))`` pages whose page class is
-    in ``classes`` (by default the DMTM/MSDN bound sources — object and
-    index pages stay readable, matching the chaos-benchmark contract)
-    and adds them to the manager's injector kill-list, installing a
-    zero-rate :class:`FaultInjector` if none is attached.  Returns the
-    sorted killed page ids.
+    in ``classes`` (by default the DMTM/MSDN bound sources, which are
+    all the pages an engine writes) and adds them to the manager's
+    injector kill-list, installing a zero-rate :class:`FaultInjector`
+    if none is attached.  Returns the sorted killed page ids.
     """
     if not 0.0 <= fraction <= 1.0:
         raise StorageError(f"fraction must be in [0, 1], got {fraction}")

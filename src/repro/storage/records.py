@@ -1,17 +1,12 @@
 """Record serialization onto pages.
 
 Records are variable-length byte strings; a page holds a 2-byte
-record count followed by (2-byte length, payload) entries.  Stores
-describe their record layout with a :class:`RecordCodec` pair of
-encode/decode callables; two struct-based helpers cover the common
-"tuple of floats" case.
+record count followed by (2-byte length, payload) entries.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -19,26 +14,6 @@ from repro.errors import StorageError
 
 _COUNT = struct.Struct("<H")
 _LEN = struct.Struct("<H")
-
-
-@dataclass(frozen=True)
-class RecordCodec:
-    """Encode/decode a record object to/from bytes."""
-
-    encode: Callable[[object], bytes]
-    decode: Callable[[bytes], object]
-
-
-def pack_floats(values) -> bytes:
-    """Encode a sequence of floats (count-prefixed)."""
-    vals = [float(v) for v in values]
-    return struct.pack(f"<H{len(vals)}d", len(vals), *vals)
-
-
-def unpack_floats(data: bytes) -> tuple[float, ...]:
-    """Decode a float sequence written by :func:`pack_floats`."""
-    (count,) = struct.unpack_from("<H", data, 0)
-    return struct.unpack_from(f"<{count}d", data, 2)
 
 
 def pack_page(records: list[bytes], page_size: int) -> bytes:

@@ -8,8 +8,6 @@ from dataclasses import dataclass, field
 #: Well-known page classes; free-form strings are also accepted.
 PAGE_CLASS_DMTM = "dmtm"
 PAGE_CLASS_MSDN = "msdn"
-PAGE_CLASS_OBJECTS = "objects"
-PAGE_CLASS_INDEX = "index"
 PAGE_CLASS_OTHER = "other"
 
 
@@ -20,7 +18,7 @@ class IOStatistics:
     ``physical_reads`` is the paper's "pages accessed": logical page
     requests that missed the buffer pool and had to be fetched.  The
     ``*_by_class`` dicts attribute the same counts to the structure
-    the page belongs to (dmtm / msdn / objects / index), so a query's
+    the page belongs to (dmtm / msdn / other), so a query's
     page bill can be split per structure.
     """
 

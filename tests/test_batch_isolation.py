@@ -1,54 +1,12 @@
-"""Batch fault isolation: failed queries become error records, the
-pool never crashes, and the circuit breaker stops admission when the
-disk is persistently broken."""
+"""Batch fault isolation: failed queries become error records and
+the pool never crashes."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.batch import (
-    BatchError,
-    BatchQuery,
-    BatchQueryExecutor,
-    CircuitBreaker,
-)
+from repro.core.batch import BatchError, BatchQuery, BatchQueryExecutor
 from repro.core.budget import QueryBudget
 from repro.core.engine import SurfaceKNNEngine
-from repro.errors import QueryError
 from repro.storage.faults import FaultInjector, RetryPolicy
-
-
-def faulted_engine(
-    mesh, degraded_mode: bool = True, **fault_kwargs
-) -> SurfaceKNNEngine:
-    return SurfaceKNNEngine(
-        mesh, density=10.0, seed=3,
-        degraded_mode=degraded_mode,
-        fault_injector=FaultInjector(**fault_kwargs),
-        retry_policy=RetryPolicy(max_attempts=2),
-    )
-
-
-class TestCircuitBreaker:
-    def test_threshold_validated(self):
-        with pytest.raises(QueryError):
-            CircuitBreaker(threshold=0)
-
-    def test_opens_after_consecutive_failures(self):
-        breaker = CircuitBreaker(threshold=3)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.allow()
-        breaker.record_failure()
-        assert not breaker.allow()
-        assert breaker.trips == 1
-
-    def test_success_resets_the_streak(self):
-        breaker = CircuitBreaker(threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.allow()
 
 
 class TestBatchIsolation:
@@ -66,13 +24,11 @@ class TestBatchIsolation:
         summary = report.summary()
         assert summary["failed"] == 1 and summary["skipped"] == 0
 
-    def test_query_errors_do_not_trip_the_breaker(self, small_engine):
-        executor = BatchQueryExecutor(
-            small_engine, workers=1, circuit_threshold=2
-        )
+    def test_query_errors_do_not_stop_admission(self, small_engine):
+        executor = BatchQueryExecutor(small_engine, workers=1)
         report = executor.run([(1, 999), (2, 999), (3, 999), (4, 2)])
-        # Three QueryErrors in a row, but the circuit only watches
-        # StorageError — the healthy query still runs.
+        # Three QueryErrors in a row, but failed queries never stop
+        # admission — the healthy query still runs.
         assert report.results[3] is not None
         assert report.summary()["skipped"] == 0
 
@@ -102,24 +58,6 @@ class TestBatchIsolation:
             injector.injected_total - stats.reads_failed_total
         )
         assert injector.injected_total > 0
-
-    def test_breaker_stops_admission_on_dead_disk(self, bh_mesh):
-        # degraded_mode=False restores fail-stop queries: storage
-        # faults crash the query and feed the breaker (with it on,
-        # queries degrade instead and the circuit never opens).
-        engine = faulted_engine(
-            bh_mesh, degraded_mode=False, seed=1, transient_rate=1.0
-        )
-        executor = BatchQueryExecutor(
-            engine, workers=2, circuit_threshold=3
-        )
-        report = executor.run([(v, 2) for v in range(12)])
-        summary = report.summary()
-        assert summary["failed"] >= 3
-        assert summary["skipped"] > 0
-        assert executor.circuit_breaker.trips >= 1
-        skipped = [e for e in report.errors if e.skipped]
-        assert all(e.kind == "CircuitOpen" for e in skipped)
 
     def test_batch_wide_budget_and_per_spec_override(self, small_engine):
         executor = BatchQueryExecutor(

@@ -4,9 +4,9 @@ Contract under test: with a kill-list of permanently dead DMTM/MSDN
 pages, every query either answers exactly or comes back
 ``degraded=True`` with ``degraded_reason == "storage"`` and intervals
 that still sandwich the exact surface distances — never a crash.
-Engine health tracks the storage substrate, the circuit breaker
-recovers through half-open probes, and wall-clock budgets reach into
-the CSR kernels.
+Degrading is the only response to a storage fault: under every fault
+regime, no query entry point raises.  Engine health tracks the
+storage substrate, and wall-clock budgets reach into the CSR kernels.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.core.baseline import exact_knn
-from repro.core.batch import BatchQueryExecutor, CircuitBreaker
+from repro.core.batch import BatchQueryExecutor
 from repro.core.budget import QueryBudget
 from repro.core.engine import SurfaceKNNEngine
 from repro.core.health import (
@@ -26,11 +26,13 @@ from repro.core.health import (
     HEALTH_HEALTHY,
     EngineHealth,
 )
-from repro.errors import QueryError, StorageError
+from repro.errors import QueryError
 from repro.geodesic.csr import dijkstra_csr
 from repro.geodesic.deadline import DeadlineExceeded, deadline_scope
 from repro.obs.export import query_record
-from repro.storage.faults import kill_random_pages
+from repro.shard import ShardedEngine, uniform_grid_objects
+from repro.storage.faults import FaultInjector, RetryPolicy, kill_random_pages
+from repro.terrain.synthetic import fractal_dem
 from repro.testkit.reference import csr_from_adjacency
 
 KILL_FRACTION = 0.10
@@ -91,28 +93,76 @@ class TestStorageFallbackSoundness:
         assert stats["quarantined"] > 0
         assert stats["fast_fails_total"] > 0
 
-    def test_degraded_mode_off_restores_fail_stop(self, bh_mesh):
-        # Find a query the degraded engine survives only by fallback,
-        # then replay it against a fail-stop twin with the same
-        # kill-list: it must raise instead.
-        soft, _ = killed_engine(bh_mesh)
-        degraded_qv = next(
-            qv for qv in QUERY_VERTICES if soft.query(qv, 3).degraded
-        )
-        hard, _ = killed_engine(bh_mesh, degraded_mode=False)
-        with pytest.raises(StorageError):
-            hard.query(degraded_qv, 3)
 
-    def test_degraded_mode_off_fails_range_queries_too(self, bh_mesh):
-        """A fail-stop engine's range query raises where ``query``
-        does, instead of answering with a skipped bound source."""
+#: Fault regimes under which every page read fails, as injectors over
+#: a store of ``pages`` pages: all pages dead, every read attempt
+#: failing transiently, every read attempt corrupt.
+FAULT_REGIMES = {
+    "dead": lambda pages: FaultInjector(dead_pages=range(pages)),
+    "transient": lambda pages: FaultInjector(seed=1, transient_rate=1.0),
+    "corrupt": lambda pages: FaultInjector(seed=1, corrupt_rate=1.0),
+}
+
+
+class TestStorageFaultsNeverRaise:
+    """Degrading is the only response to a storage fault: with every
+    page read failing, no query entry point raises, every k-NN answer
+    comes back degraded for storage, range results come back
+    unconverged, and a batch records no error."""
+
+    K = 3
+
+    def engine(self, mesh, regime) -> SurfaceKNNEngine:
         engine = SurfaceKNNEngine(
-            bh_mesh, density=10.0, seed=3, degraded_mode=False
+            mesh, density=8.0, seed=3, retry_policy=RetryPolicy(max_attempts=2)
         )
-        kill_random_pages(engine.pages, 0.3)
+        engine.pages.fault_injector = FAULT_REGIMES[regime](
+            engine.pages.num_pages
+        )
+        return engine
+
+    def assert_storage_degraded(self, result):
+        assert len(result.object_ids) == self.K
+        assert result.degraded
+        assert result.degraded_reason == "storage"
+
+    @pytest.mark.parametrize("regime", sorted(FAULT_REGIMES))
+    def test_every_entry_point_degrades(self, bh_mesh, regime):
+        # A fresh engine per entry point: each starts with an empty
+        # quarantine and a healthy verdict.
+        for method in ("mr3", "ea"):
+            engine = self.engine(bh_mesh, regime)
+            self.assert_storage_degraded(engine.query(40, self.K, method=method))
+        engine = self.engine(bh_mesh, regime)
+        a, b, c = bh_mesh.face_points(20)
+        x, y = (a[:2] + b[:2] + c[:2]) / 3.0
+        self.assert_storage_degraded(engine.query_point(x, y, self.K))
+        engine = self.engine(bh_mesh, regime)
         centre = bh_mesh.nearest_vertex(bh_mesh.xy_bounds().center)
-        with pytest.raises(StorageError):
-            engine.range_query(centre, 400.0)
+        assert not engine.range_query(centre, 400.0).converged
+
+        engine = self.engine(bh_mesh, regime)
+        report = BatchQueryExecutor(engine, workers=2).run(
+            [(qv, self.K) for qv in QUERY_VERTICES]
+        )
+        assert report.errors == []
+        for result in report.results:
+            self.assert_storage_degraded(result)
+
+        dem = fractal_dem(25, 90.0, 500.0, 0.7)
+        max_pages = 4096
+        sharded = ShardedEngine(
+            dem, objects=uniform_grid_objects(dem, 64, seed=0), grid=(3, 3),
+            fault_injector_factory=lambda span: FAULT_REGIMES[regime](max_pages),
+            retry_policy=RetryPolicy(max_attempts=2), max_workers=2,
+        )
+        for vertex in (28, 312):
+            self.assert_storage_degraded(sharded.query(vertex, self.K))
+        # The dead regime's kill-list covered every window's pages.
+        assert all(
+            sharded.window_engine(span).pages.num_pages <= max_pages
+            for span in sharded.windows_built
+        )
 
 
 class TestDegradedReasonThreading:
@@ -175,67 +225,6 @@ class TestEngineHealth:
             engine.query(qv, 3)
         assert engine.health.state() == HEALTH_FAILED
         assert engine.health.cause_kind == "quarantine"
-
-    def test_open_breaker_fails_the_engine(self, bh_mesh):
-        engine = SurfaceKNNEngine(bh_mesh, density=10.0, seed=3)
-        breaker = CircuitBreaker(threshold=2)
-        engine.health.attach_breaker(breaker)
-        breaker.record_failure()
-        assert engine.health.state() == HEALTH_HEALTHY
-        breaker.record_failure()
-        assert engine.health.state() == HEALTH_FAILED
-        assert engine.health.cause_kind == "breaker"
-        breaker.record_success()
-        assert engine.health.state() == HEALTH_HEALTHY
-
-
-class TestCircuitBreakerHalfOpen:
-    def tripped(self, threshold=2, cooldown=3) -> CircuitBreaker:
-        breaker = CircuitBreaker(threshold=threshold, cooldown=cooldown)
-        for _ in range(threshold):
-            breaker.record_failure()
-        assert breaker.open
-        return breaker
-
-    def test_cooldown_validated(self):
-        with pytest.raises(QueryError):
-            CircuitBreaker(cooldown=0)
-
-    def test_probe_granted_after_cooldown_denials(self):
-        breaker = self.tripped(cooldown=3)
-        assert not breaker.allow()
-        assert not breaker.allow()
-        assert breaker.allow()  # third denial becomes the probe
-        assert breaker.half_open
-        # Only one probe in flight: concurrent callers stay denied.
-        assert not breaker.allow()
-
-    def test_probe_success_closes_and_counts_recovery(self):
-        breaker = self.tripped(cooldown=3)
-        for _ in range(2):
-            breaker.allow()
-        assert breaker.allow()
-        breaker.record_success()
-        assert not breaker.open
-        assert not breaker.half_open
-        assert breaker.recoveries == 1
-        assert breaker.allow()
-
-    def test_probe_failure_reopens_and_counts(self):
-        breaker = self.tripped(cooldown=3)
-        for _ in range(2):
-            breaker.allow()
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.reopens == 1
-        assert breaker.open
-        assert not breaker.half_open
-        assert not breaker.allow()
-        # The cycle repeats: another cooldown's worth of denials earns
-        # another probe.
-        assert not breaker.allow()
-        assert breaker.allow()
-        assert breaker.half_open
 
 
 class TestBatchUnderPersistentFaults:

@@ -391,9 +391,17 @@ class TestFrontierCounters:
         settled = ctx.registry.counter("geodesic.dijkstra.settled")
         before = (buckets.value, settled.value)
         with ctx.activate():
-            dijkstra_frontier(csr, 0)
+            with ctx.phase("query"):
+                dijkstra_frontier(csr, 0)
         assert buckets.value == before[0]  # delegated: no bucket counters
         assert settled.value == before[1] + 3  # heap twin still reports
+        # The kernel is chosen before any frame opens: the search
+        # bills one frame, the heap twin's, and no frontier frame.
+        (profile,) = ctx.take_profiles()
+        assert [node.name for node in profile.root.walk()] == [
+            "query", "graph-kernel",
+        ]
+        assert profile.root.children["graph-kernel"].calls == 1
 
 
 # ----------------------------------------------------------------------

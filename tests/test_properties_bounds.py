@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounds import Candidate, classify_candidates
-from repro.spatial.bplustree import BPlusTree
 from repro.spatial.rtree import RTree
 
 
@@ -90,18 +89,3 @@ class TestIndexEquivalence:
         got_d = [float(np.hypot(*pts[i])) for i in got]
         want_d = [float(np.hypot(*pts[i])) for i in brute]
         assert got_d == pytest.approx(want_d)
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=200),
-        st.integers(min_value=0, max_value=500),
-        st.integers(min_value=0, max_value=500),
-    )
-    @settings(max_examples=80)
-    def test_bplustree_range_equals_sorted_filter(self, keys, lo, hi):
-        lo, hi = min(lo, hi), max(lo, hi)
-        tree = BPlusTree(order=6)
-        for i, key in enumerate(keys):
-            tree.insert(key, i)
-        got = sorted(v for _k, v in tree.range_scan(lo, hi))
-        want = sorted(i for i, key in enumerate(keys) if lo <= key <= hi)
-        assert got == want

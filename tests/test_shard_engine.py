@@ -239,6 +239,30 @@ class TestObservability:
             )
         assert stitched >= 2
 
+    def test_metrics_sum_over_every_window_query(self):
+        """The stitching case escalates, so one sharded query runs
+        several window queries; its metrics are the whole query's,
+        summed over them, and so equal its root profile's reads."""
+        dem = fractal_dem(25, 90.0, 500.0, 0.7)
+        obs = ObsContext(profiling=True)
+        engine = ShardedEngine(
+            dem, objects=uniform_grid_objects(dem, 64, seed=0), grid=(3, 3),
+            max_workers=2, obs=obs,
+        )
+        result = engine.query(28, 3)
+        profile = result.profile()
+        window_queries = sum(
+            node.calls for node in profile.root.walk() if node.name == "query"
+        )
+        assert window_queries >= 2
+        metrics = result.metrics
+        assert metrics.pages_accessed == profile.counter("physical_reads")
+        assert metrics.logical_reads == profile.counter("logical_reads")
+        assert metrics.reads_by_class == {
+            cls: profile.counter(f"physical.{cls}") for cls in ("dmtm", "msdn")
+        }
+        assert metrics.iterations_filter >= window_queries
+
 
 class TestValidation:
     def test_k_bounds_checked(self, sharded, object_vids):

@@ -3,22 +3,7 @@
 import pytest
 
 from repro.errors import StorageError
-from repro.storage.records import (
-    pack_floats,
-    pack_page,
-    paginate,
-    unpack_floats,
-    unpack_page,
-)
-
-
-class TestFloatCodec:
-    def test_roundtrip(self):
-        values = (1.5, -2.25, 3e9, 0.0)
-        assert unpack_floats(pack_floats(values)) == values
-
-    def test_empty(self):
-        assert unpack_floats(pack_floats([])) == ()
+from repro.storage.records import pack_page, paginate, unpack_page
 
 
 class TestPageCodec:

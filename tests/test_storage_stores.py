@@ -1,79 +1,17 @@
-"""Unit tests for the clustered, spatial and locator record stores."""
+"""Unit tests for the locator record store."""
 
 import numpy as np
 import pytest
 
 from repro.errors import StorageError
-from repro.geometry.primitives import BoundingBox
-from repro.storage.clustered import ClusteredRecordStore
 from repro.storage.locator import LocatorStore
 from repro.storage.pages import PageManager
-from repro.storage.records import RecordCodec, pack_floats, unpack_floats
-from repro.storage.segstore import SpatialRecordStore
 from repro.storage.stats import IOStatistics
 
 
 @pytest.fixture()
 def pm():
     return PageManager(page_size=256, buffer_pages=4, stats=IOStatistics())
-
-
-CODEC = RecordCodec(encode=pack_floats, decode=unpack_floats)
-
-
-class TestClusteredStore:
-    def test_fetch_range(self, pm):
-        store = ClusteredRecordStore(
-            [((i,), (float(i),)) for i in range(100)], CODEC, pm
-        )
-        recs = store.fetch_range((10,), (19,))
-        assert [r[0] for r in recs] == [float(i) for i in range(10, 20)]
-
-    def test_scan_all_sorted(self, pm):
-        items = [((i % 7, i), (float(i),)) for i in range(50)]
-        store = ClusteredRecordStore(items, CODEC, pm)
-        values = [int(r[0]) for r in store.scan_all()]
-        want = [i for _k, (v,) in sorted(items, key=lambda kv: kv[0]) for i in [int(v)]]
-        assert values == want
-
-    def test_keys_only_no_io(self, pm):
-        store = ClusteredRecordStore(
-            [((i,), (float(i),)) for i in range(50)], CODEC, pm
-        )
-        before = pm.stats.snapshot()
-        keys = store.fetch_keys_range((5,), (9,))
-        assert keys == [(i,) for i in range(5, 10)]
-        assert pm.stats.delta_since(before).physical_reads == 0
-
-    def test_contiguous_range_few_pages(self, pm):
-        store = ClusteredRecordStore(
-            [((i,), (float(i),)) for i in range(500)], CODEC, pm
-        )
-        pm.drop_buffer()
-        before = pm.stats.snapshot()
-        store.fetch_range((0,), (24,))
-        narrow = pm.stats.delta_since(before).physical_reads
-        assert narrow < store.num_pages / 3
-
-
-class TestSpatialStore:
-    def test_fetch_region(self, pm):
-        items = [
-            (BoundingBox((float(x), float(y)), (x + 1.0, y + 1.0)), (float(x), float(y)))
-            for x in range(10)
-            for y in range(10)
-        ]
-        store = SpatialRecordStore(items, CODEC, pm)
-        region = BoundingBox((2.5, 2.5), (4.5, 4.5))
-        got = sorted(store.fetch_region(region))
-        want = sorted(
-            rec for mbr, rec in items if mbr.xy().intersects(region)
-        )
-        assert got == want
-
-    def test_empty_store(self, pm):
-        store = SpatialRecordStore([], CODEC, pm)
-        assert store.fetch_region(BoundingBox((0, 0), (1, 1))) == []
 
 
 class TestLocatorStore:
