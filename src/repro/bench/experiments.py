@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 
@@ -845,7 +846,15 @@ def kernels(
     runs of a fixed set of queries on a storage-attached engine
     (:func:`_page_io_runs`) with a cold buffer per query, once one
     page at a time through the per-page oracle and once as runs
-    through :meth:`~repro.storage.pages.PageManager.read_pages`.  Four
+    through :meth:`~repro.storage.pages.PageManager.read_pages`;
+    ``region charging`` replays the same queries' region touches
+    (:meth:`~repro.msdn.msdn.MSDN.touch_region` and
+    :meth:`~repro.multires.dmtm.DMTM.touch_region`) the same way,
+    once through the record-id twins
+    (:func:`~repro.testkit.reference.msdn_touch_region_reference`,
+    and the DMTM with its ``_touch_nodes`` / ``_touch_faces`` seams
+    swapped for the record-id twins) and once through production,
+    identical in page ids, per-class read counts and LRU order.  Four
     more time structure builds on BH ``BUILD_SIZE``: ``msdn build``,
     the object MSDN build (:class:`~repro.testkit.reference.MSDNReference`)
     against the column-wise one, each including ``attach_storage`` on
@@ -898,11 +907,14 @@ def kernels(
         dmtm_attach_mismatches,
         dmtm_attach_reference,
         dmtm_cut_per_region,
+        dmtm_touch_faces_reference,
+        dmtm_touch_nodes_reference,
         dmtm_upper_bound_cut_reference,
         lower_bound_via_planes_broadcast,
         mesh_adjacency_mismatches,
         mesh_adjacency_reference,
         msdn_build_mismatches,
+        msdn_touch_region_reference,
         read_page_reference,
         upper_bound_bits,
     )
@@ -1073,7 +1085,7 @@ def kernels(
     io_size = 17 if quick else 25
     io_engine = build_engine("BH", size=io_size, density=10.0)
     pages = io_engine.pages
-    io_runs, io_bill = _page_io_runs(io_engine, 8 if quick else 16)
+    io_runs, io_touches, io_bill = _page_io_runs(io_engine, 8 if quick else 16)
 
     def replay(read_run):
         """Every query's runs from a cold buffer: payloads, per-class
@@ -1105,6 +1117,62 @@ def kernels(
     io_ref_seconds, _ = best_of(lambda: replay(per_page))
     io_new_seconds, _ = best_of(lambda: replay(pages.read_pages))
     io_pages = sum(len(run) for runs in io_runs for run in runs)
+
+    io_msdn, io_dmtm = io_engine.msdn, io_engine.dmtm
+
+    def replay_touches(touch_msdn, log=None):
+        """Every query's region touches from a cold buffer, each page
+        id read appended to ``log``: per-class read counts and the
+        buffer's final LRU order."""
+        if log is not None:
+            read_pages = pages.read_pages
+
+            def logged(page_ids):
+                log.extend(page_ids)
+                return read_pages(page_ids)
+
+            pages.read_pages = logged
+        before = pages.stats.snapshot()
+        try:
+            for touches in io_touches:
+                pages.drop_buffer()
+                for kind, resolution, roi, axes in touches:
+                    if kind == "msdn":
+                        touch_msdn(resolution, roi, axes=axes)
+                    else:
+                        io_dmtm.touch_region(resolution, roi)
+        finally:
+            if log is not None:
+                del pages.read_pages
+        delta = pages.stats.delta_since(before)
+        return (
+            (delta.logical_by_class, delta.physical_by_class),
+            list(pages.buffer._entries),
+        )
+
+    def record_id_touches(log=None):
+        io_dmtm._touch_nodes = partial(dmtm_touch_nodes_reference, io_dmtm)
+        io_dmtm._touch_faces = partial(dmtm_touch_faces_reference, io_dmtm)
+        try:
+            return replay_touches(partial(msdn_touch_region_reference, io_msdn), log)
+        finally:
+            del io_dmtm._touch_nodes, io_dmtm._touch_faces
+
+    def segment_touches(log=None):
+        return replay_touches(io_msdn.touch_region, log)
+
+    touch_ref_log: list[int] = []
+    touch_new_log: list[int] = []
+    touch_ref = record_id_touches(touch_ref_log)
+    touch_new = segment_touches(touch_new_log)
+    if touch_ref != touch_new or touch_ref_log != touch_new_log or not touch_new_log:
+        raise AssertionError(
+            "region charging divergence: segment and record-id touches "
+            "differ in page ids, order, per-class counts or LRU order"
+        )
+    touch_ref_seconds, _ = best_of(record_id_touches)
+    touch_new_seconds, _ = best_of(segment_touches)
+    touch_count = sum(len(touches) for touches in io_touches)
 
     build_mesh = mesh_for("BH", BUILD_SIZE)
 
@@ -1344,6 +1412,24 @@ def kernels(
             "identical": True,
         },
         {
+            "comparison": "region charging",
+            "kernel": "record-id twins",
+            "searches": touch_count,
+            "seconds": touch_ref_seconds,
+            "speedup": 1.0,
+            "identical": True,
+        },
+        {
+            "comparison": "region charging",
+            "kernel": "page segments",
+            "searches": touch_count,
+            "seconds": touch_new_seconds,
+            "speedup": (
+                touch_ref_seconds / touch_new_seconds if touch_new_seconds > 0 else None
+            ),
+            "identical": True,
+        },
+        {
             "comparison": "msdn build",
             "kernel": "reference objects",
             "searches": msdn_chunks,
@@ -1477,6 +1563,8 @@ def kernels(
                 "page_io_size": io_size,
                 "page_io_queries": len(io_runs),
                 "page_io_pages": io_pages,
+                "region_touches": touch_count,
+                "region_touch_pages": len(touch_new_log),
                 "build_size": BUILD_SIZE,
                 "build_page_size": BUILD_PAGE_SIZE,
                 "exact_sweep_sources": len(sweep_sources),
@@ -1590,26 +1678,42 @@ def _refined_cut_calls(engine, num_queries: int) -> list[tuple]:
     return [call for call in captured if call[2]]
 
 
-def _page_io_runs(engine, num_queries: int) -> tuple[list, int]:
-    """The page runs a fixed set of k=3 queries reads, per query, and
-    the pages those queries were billed (cold cache each)."""
-    pages = engine.pages
-    captured: list[list[list[int]]] = []
+def _page_io_runs(engine, num_queries: int) -> tuple[list, list, int]:
+    """The page runs a fixed set of k=3 queries reads, per query; the
+    region touches they make, per query, as ``(kind, resolution, roi,
+    axes)`` with kind ``"msdn"`` for
+    :meth:`~repro.msdn.msdn.MSDN.touch_region` and ``"dmtm"`` (axes
+    None) for :meth:`~repro.multires.dmtm.DMTM.touch_region`; and the
+    pages those queries were billed (cold cache each)."""
+    pages, msdn, dmtm = engine.pages, engine.msdn, engine.dmtm
+    runs: list[list[list[int]]] = []
+    touches: list[list[tuple]] = []
     read_pages = pages.read_pages
+    msdn_touch, dmtm_touch = msdn.touch_region, dmtm.touch_region
 
     def logged(page_ids):
-        captured[-1].append(list(page_ids))
+        runs[-1].append(list(page_ids))
         return read_pages(page_ids)
+
+    def logged_msdn(resolution, roi=None, axes=(0, 1)):
+        touches[-1].append(("msdn", resolution, roi, axes))
+        return msdn_touch(resolution, roi, axes=axes)
+
+    def logged_dmtm(resolution, roi=None):
+        touches[-1].append(("dmtm", resolution, roi, None))
+        return dmtm_touch(resolution, roi)
 
     bill = 0
     pages.read_pages = logged
+    msdn.touch_region, dmtm.touch_region = logged_msdn, logged_dmtm
     try:
         for vertex in query_vertices(engine.mesh, num_queries, seed=23):
-            captured.append([])
+            runs.append([])
+            touches.append([])
             bill += engine.query(vertex, 3).metrics.pages_accessed
     finally:
-        del pages.read_pages
-    return captured, bill
+        del pages.read_pages, msdn.touch_region, dmtm.touch_region
+    return runs, touches, bill
 
 
 # ----------------------------------------------------------------------

@@ -137,10 +137,7 @@ class MSDN:
             for res, family in zip(resolutions, families):
                 self._families[(axis, res)] = family
         self._store: LocatorStore | None = None
-        # Per resolution, chunk key -> xy MBR row for
-        # corridor_from_path; built on first use, published by one
-        # dict store (concurrent first uses at worst build it twice).
-        self._corridor_index: dict[float, dict[tuple, list]] = {}
+        self._pages: PageManager | None = None
 
     # ------------------------------------------------------------------
     # storage
@@ -152,8 +149,9 @@ class MSDN:
 
         The families hold their rows in cluster-key order (axis,
         resolution, plane, first segment), so the records are written
-        as one array in row order and each row's page id is resolved
-        here, once."""
+        as one array in row order, and each family's rows are cut here,
+        once, into the (plane, page) segments that accesses charge
+        (:meth:`~repro.msdn.sdn.SdnFamily.attach_pages`)."""
         records = np.concatenate(
             [
                 family.records(axis, self._planes[axis], res)
@@ -163,9 +161,10 @@ class MSDN:
         store = LocatorStore.from_records(records, pages, page_class=PAGE_CLASS_MSDN)
         start = 0
         for family in self._families.values():
-            family.pages = store.row_pages[start : start + len(family)]
+            family.attach_pages(store.row_pages[start : start + len(family)])
             start += len(family)
         self._store = store
+        self._pages = pages
 
     # ------------------------------------------------------------------
     # resolution policy
@@ -208,34 +207,24 @@ class MSDN:
         """Charge page I/O for the chunks a lower-bound estimation
         over ``roi`` would fetch (integrated I/O regions call this
         once per merged region, then estimate with
-        ``charge_io=False``).  The ROI mask is computed once per axis
-        over the whole family; the planes of all axes are then the
-        runs of one run read, which reads each plane's distinct pages
-        in ascending order, plane by plane."""
-        store = self._store
-        if store is None:
+        ``charge_io=False``): each plane's distinct pages holding a
+        chunk inside ``roi``, in ascending order, plane by plane and
+        axis by axis, as one run read.  The ROI mask is computed once
+        per axis over the whole family and reduced to the family's
+        (plane, page) segments, so the pages come out deduplicated and
+        in order without sorting."""
+        if self._pages is None:
             return
         resolution = self.nearest_resolution(resolution)
         roi = region_boxes(roi)
-        runs: list[np.ndarray] = []
-        bounds: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-        total = 0
+        needed: list[int] = []
         for axis in axes:
             family = self._families[(axis, resolution)]
-            pages = family.pages
-            offsets = family.offsets
-            if roi is not None:
-                mask = rows_meeting_boxes(family.xy, roi)
-                pages = pages[mask]
-                # Kept rows before each plane's first row.
-                kept_before = np.zeros(mask.size + 1, dtype=np.int64)
-                np.cumsum(mask, out=kept_before[1:])
-                offsets = kept_before[offsets]
-            runs.append(pages)
-            bounds.append(offsets[1:] + total)
-            total += pages.size
-        if runs:
-            store.touch_pages(np.concatenate(runs), np.concatenate(bounds))
+            needed += family.segment_pages(
+                None if roi is None else rows_meeting_boxes(family.xy, roi)
+            )
+        if needed:
+            self._pages.read_pages(needed)
 
     def lower_bound(
         self,
@@ -406,8 +395,10 @@ class MSDN:
     ) -> LowerBoundResult:
         """Shared implementation: arguments already normalized.
 
-        Selects the layers (:meth:`_layers`), charges the kept planes'
-        pages as one run, plane by plane in plane order, and runs
+        Selects the layers (:meth:`_layers`), charges the segments of
+        the kept planes' kept rows as one run, plane by plane in plane
+        order (rows of the planes ``plane_stride`` skips are not
+        charged), and runs
         :func:`repro.msdn.sdn.lower_bound_via_planes_arrays`, which is
         bit-identical to the broadcast object-walk oracle
         :func:`repro.testkit.reference.lower_bound_via_planes`."""
@@ -415,14 +406,11 @@ class MSDN:
             pa, pb, resolution, roi, corridor_boxes
         )
         family = self._families[(axis, resolution)]
-        bounds = [0]  # run offsets: kept rows up to each kept plane
-        for start, stop in runs:
-            bounds.append(bounds[-1] + stop - start)
-        if charge_io and runs and family.pages is not None:
-            pages = family.pages if rows is None else family.pages[rows]
-            self._store.touch_pages(
-                np.concatenate([pages[start:stop] for start, stop in runs]), bounds
-            )
+        if charge_io and runs and self._pages is not None:
+            kept = np.zeros(len(family), dtype=bool)
+            for start, stop in runs:
+                kept[slice(start, stop) if rows is None else rows[start:stop]] = True
+            self._pages.read_pages(family.segment_pages(kept))
         value, picks = lower_bound_via_planes_arrays(pa, pb, layer_boxes)
         path_keys = []
         for (start, _stop), pick in zip(runs, picks):
@@ -434,7 +422,7 @@ class MSDN:
             value=value,
             path_keys=path_keys,
             resolution=resolution,
-            chunks_used=bounds[-1],
+            chunks_used=sum(stop - start for start, stop in runs),
         )
 
     def corridor_from_path(
@@ -442,33 +430,23 @@ class MSDN:
     ) -> list[BoundingBox]:
         """Build the dummy-lower-bound envelope around a previous lb
         path: each path chunk's xy MBR thickened by ``thickness``
-        (default: twice the plane spacing).  Keys that name no chunk
-        of this resolution are skipped."""
+        (default: twice the plane spacing), in path order.  Keys that
+        name no chunk of this resolution are skipped.
+
+        Each key resolves to its family row with one integer search
+        over the family's (plane, first) pairs
+        (:meth:`~repro.msdn.sdn.SdnFamily.row_of`), so no per-key index
+        is built or kept."""
         if thickness is None:
             thickness = 2.0 * self.spacing
         resolution = self.nearest_resolution(resolution)
-        # The key -> xy row index is memoized per resolution: the
-        # families are immutable after construction and the ranking
-        # loop rebuilds a corridor for every surviving candidate at
-        # every level.
-        index = self._corridor_index.get(resolution)
-        if index is None:
-            index = {}
-            for axis in (0, 1):
-                family = self._families[(axis, resolution)]
-                for plane, first, last, xy in zip(
-                    family.plane.tolist(),
-                    family.first.tolist(),
-                    family.last.tolist(),
-                    family.xy.tolist(),
-                ):
-                    index[("c", axis, plane, first, last)] = xy
-            self._corridor_index[resolution] = index
         boxes = []
         for key in path_keys:
-            xy = index.get(key)
-            if xy is not None:
-                box = BoundingBox((xy[0], xy[1]), (xy[2], xy[3]))
+            family = self._families.get((key[1], resolution))
+            row = None if family is None else family.row_of(*key[2:])
+            if row is not None:
+                lo_x, lo_y, hi_x, hi_y = family.xy[row].tolist()
+                box = BoundingBox((lo_x, lo_y), (hi_x, hi_y))
                 boxes.append(box.expanded(thickness))
         return boxes
 

@@ -62,11 +62,19 @@ class SdnFamily:
     same boxes' xy projection laid out ``[lo_x, lo_y, hi_x, hi_y]``
     (ROI filtering), ``plane`` / ``first`` / ``last`` each row's plane
     index and first and last original segment (chunk keys and page
-    records).  ``pages`` is each row's page id once storage is
-    attached, else None.
+    records).
+
+    Once storage is attached (:meth:`attach_pages`), the rows are cut
+    into *segments*, maximal row runs of one plane on one page:
+    ``seg_start`` holds each segment's first row and ``seg_page`` its
+    page id, else both are None.  Rows are paged in row order, so each
+    plane's segments list its distinct pages in ascending order.
     """
 
-    __slots__ = ("lo", "hi", "xy", "offsets", "plane", "first", "last", "pages")
+    __slots__ = (
+        "lo", "hi", "xy", "offsets", "plane", "first", "last",
+        "seg_start", "seg_page", "_code_base", "_codes",
+    )
 
     def __init__(self, lo, hi, offsets, plane, first, last):
         self.lo = lo
@@ -78,7 +86,13 @@ class SdnFamily:
         self.plane = plane
         self.first = first
         self.last = last
-        self.pages: np.ndarray | None = None
+        self.seg_start: np.ndarray | None = None
+        self.seg_page: np.ndarray | None = None
+        # Rows are in (plane, first) order and ``first`` stays below
+        # ``_code_base``, so ``plane * _code_base + first`` ascends
+        # strictly: a chunk key's row is one searchsorted away (row_of).
+        self._code_base = int(first.max()) + 1 if first.size else 1
+        self._codes = plane * self._code_base + first
 
     def __len__(self) -> int:
         return int(self.lo.shape[0])
@@ -92,6 +106,33 @@ class SdnFamily:
             int(self.first[row]),
             int(self.last[row]),
         )
+
+    def row_of(self, plane: int, first: int, last: int) -> int | None:
+        """The row of chunk ``(plane, first, last)``, or None when no
+        row has that key."""
+        if not 0 <= first < self._code_base:
+            return None
+        code = plane * self._code_base + first
+        row = int(self._codes.searchsorted(code))
+        if row < len(self) and self._codes[row] == code and self.last[row] == last:
+            return row
+        return None
+
+    def attach_pages(self, pages: np.ndarray) -> None:
+        """Cut the rows into (plane, page) segments, given each row's
+        page id (non-decreasing in row order)."""
+        start = np.ones(len(pages), dtype=bool)
+        start[1:] = (self.plane[1:] != self.plane[:-1]) | (pages[1:] != pages[:-1])
+        self.seg_start = np.flatnonzero(start)
+        self.seg_page = pages[self.seg_start]
+
+    def segment_pages(self, mask=None) -> list[int]:
+        """The page ids of the segments holding a row of ``mask`` (one
+        bool per row; None keeps every row), in row order: each
+        plane's distinct pages ascending, plane after plane."""
+        if mask is None:
+            return self.seg_page.tolist()
+        return self.seg_page[np.logical_or.reduceat(mask, self.seg_start)].tolist()
 
     def records(self, axis: int, plane_values, resolution: float) -> np.ndarray:
         """The rows as :data:`CHUNK_RECORD` page records, in row order."""

@@ -108,27 +108,18 @@ class LocatorStore:
         """Page id holding a record."""
         return self._page_ids[self._locator(record_id)[0]]
 
-    def touch_pages(self, page_ids, bounds=None) -> int:
+    def touch_pages(self, page_ids) -> int:
         """Read pre-resolved pages as one run through the buffer pool
-        (:meth:`~repro.storage.pages.PageManager.read_pages`).
-
-        ``bounds`` (offsets, length runs + 1, from 0 to
-        ``len(page_ids)``) cuts ``page_ids`` into runs; None makes it
-        one run.  Runs may hold duplicates and be empty.  Each run's
-        distinct pages are read in ascending order, runs in order — the
-        reads that charging each run's records one page at a time
-        issues (:func:`repro.testkit.reference.touch_records_reference`)
-        — so a page in two runs is read once per run.  Returns the
-        number of pages read.
+        (:meth:`~repro.storage.pages.PageManager.read_pages`): the
+        distinct pages of ``page_ids`` (any order, repeats allowed) in
+        ascending order — the reads that charging the records one page
+        at a time issues
+        (:func:`repro.testkit.reference.touch_records_reference`).
+        Returns the number of pages read.
         """
-        pages = np.asarray(page_ids, dtype=np.int64)
-        if bounds is None:
-            bounds = (0, pages.size)
-        runs = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-        order = np.lexsort((pages, runs))
-        pages, runs = pages[order], runs[order]
+        pages = np.sort(np.asarray(page_ids, dtype=np.int64))
         first = np.ones(pages.size, dtype=bool)
-        first[1:] = (pages[1:] != pages[:-1]) | (runs[1:] != runs[:-1])
+        first[1:] = pages[1:] != pages[:-1]
         needed = pages[first].tolist()
         if needed:
             self._pages.read_pages(needed)

@@ -289,9 +289,17 @@ class PageManager:
         empty, and the statistics update — one
         per-class flush, which also runs when a read raises part-way
         (the pages before it are counted, the failing one is not).
-        With profiling on, each miss opens its own ``page-io`` phase
-        and hits count ``logical_reads`` in the caller's phase, as
-        single reads do.
+        With profiling on, each miss bills one call and its reads to
+        the ``page-io`` phase under the caller's frame, and hits count
+        ``logical_reads`` in the caller's phase, as single reads do.
+
+        While the disk has no fault injector and the quarantine is
+        empty, a miss is *clean*: its block is fetched and its CRC
+        checked right here, one dictionary probe and one CRC per page.
+        A clean miss whose block is missing or fails its CRC goes the
+        way of every other miss, :meth:`_read_miss`, which re-reads it
+        with the retries, errors and quarantine admission of a faulted
+        read.
 
         Lock order: the manager lock, then the pool lock (held for the
         whole run), then the quarantine's or the injector's lock.
@@ -303,6 +311,11 @@ class PageManager:
         pool = self._buffer
         entries = pool._entries
         quarantine = self.quarantine
+        blocks = self._disk._blocks
+        crcs = self._crc
+        crc32 = zlib.crc32
+        profiling = obs.profiling
+        page_io = None  # the run's page-io node, looked up on its first miss
         out: list[bytes] = []
         missed: list[int] = []
         with self._lock, pool._lock:
@@ -311,12 +324,32 @@ class PageManager:
             # quarantine that is empty now holds none of them for the
             # whole run, and the gate of an absent entry is a no-op.
             gated = len(quarantine) > 0
+            clean = not gated and self._disk.fault_injector is None
             try:
                 for page_id in page_ids:
                     key = (owner, page_id)
                     data = entries.get(key)
                     if data is None:
-                        data = self._read_miss(page_id, gated, obs)
+                        if clean and profiling and page_io is None:
+                            page_io = obs.leaf("page-io")
+                            # No profiled frame is open: every miss
+                            # opens a phase of its own (_read_miss).
+                            clean = page_io is not None
+                        if clean:
+                            t0 = time.perf_counter() if profiling else 0.0
+                            data = blocks.get(page_id)
+                            if data is None or crc32(data) != crcs.get(page_id):
+                                data = self._read_miss(page_id, gated, obs)
+                            elif profiling:
+                                page_io.seconds += time.perf_counter() - t0
+                                page_io.calls += 1
+                                page_io.count("logical_reads", 1)
+                                page_io.count("physical_reads", 1)
+                                page_io.count(
+                                    "physical." + self.page_class_of(page_id), 1
+                                )
+                        else:
+                            data = self._read_miss(page_id, gated, obs)
                         missed.append(page_id)
                         entries[key] = data
                         while len(entries) > pool.capacity:
@@ -330,8 +363,12 @@ class PageManager:
         return out
 
     def _read_miss(self, page_id: int, gated: bool, obs) -> bytes:
-        """A buffer miss of :meth:`read_pages`: the quarantine gate
-        (while ``gated``), then the verified fetch.
+        """A buffer miss of :meth:`read_pages` that is not read
+        inline: every miss while a fault injector is attached or the
+        quarantine holds pages, and a clean miss whose block is
+        missing or fails its CRC.  The quarantine gate (while
+        ``gated``), then the verified fetch with retries
+        (:meth:`_fetch_verified`).
 
         A buffer miss is the query's page-I/O moment: the physical
         fetch (plus CRC/retry machinery) is billed to the "page-io"

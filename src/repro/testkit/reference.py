@@ -1163,9 +1163,9 @@ def msdn_build_mismatches(msdn, pages, ref: MSDNReference, ref_pages) -> list[st
     """What differs between an array-built MSDN paged out on ``pages``
     and the object build ``ref`` paged out on ``ref_pages`` (both
     fresh managers of one page size): the family arrays by bytes, the
-    chunk keys, the page id of every chunk, ``stats()``, and every
-    page's bytes, CRC and class.  Empty when the builds are
-    identical."""
+    chunk keys, the (plane, page) segments the page id of every chunk
+    gives, ``stats()``, and every page's bytes, CRC and class.  Empty
+    when the builds are identical."""
     if list(msdn._families) != list(ref.chunks):
         return ["families"]
     out = []
@@ -1182,7 +1182,16 @@ def msdn_build_mismatches(msdn, pages, ref: MSDNReference, ref_pages) -> list[st
         keys = [chunk.key for layer in ref.chunks[key] for chunk in layer]
         if [family.key(key[0], row) for row in range(len(family))] != keys:
             out.append(f"{key} keys")
-        if family.pages.tolist() != ref.family_pages(*key).tolist():
+        # Each (plane, page) segment as (first row, page id).
+        planes = [c.plane_index for layer in ref.chunks[key] for c in layer]
+        chunk_pages = ref.family_pages(*key).tolist()
+        segments = [
+            (row, page)
+            for row, page in enumerate(chunk_pages)
+            if row == 0
+            or (planes[row], page) != (planes[row - 1], chunk_pages[row - 1])
+        ]
+        if list(zip(family.seg_start.tolist(), family.seg_page.tolist())) != segments:
             out.append(f"{key} pages")
     if msdn.stats() != ref.stats(msdn.spacing):
         out.append("stats")

@@ -1,14 +1,14 @@
 """Concurrent first touches of the lazily built shared structures.
 
-MSDN chunk arrays and the MSDN and DMTM page arrays are built with the
-structures and storage; what is still built on first use and shared
-afterwards is the DDM record arrays, the DDM's compiled cut per
-collapse step (every cut-level extraction of every worker searches
-it in place), the CSR list mirrors, the MSDN corridor index and the
-round-0 pathnet cached on the mesh.  Eight workers start on a fresh
-engine at once, with the interpreter switching threads as often as
-it can, so those first touches race.  The answers must still match a
-sequential run on another fresh engine.
+MSDN chunk arrays, their chunk-key codes and page segments, and the
+DMTM page arrays are built with the structures and storage; what is
+still built on first use and shared afterwards is the DDM record
+arrays, the DDM's compiled cut per collapse step (every cut-level
+extraction of every worker searches it in place), the CSR list
+mirrors and the round-0 pathnet cached on the mesh.  Eight workers
+start on a fresh engine at once, with the interpreter switching
+threads as often as it can, so those first touches race.  The
+answers must still match a sequential run on another fresh engine.
 
 The lazy builds that publish several arrays, or one index, are also
 raced deterministically: the building thread is held right after its
@@ -26,7 +26,6 @@ import numpy as np
 from repro.core.batch import BatchQueryExecutor
 from repro.core.engine import SurfaceKNNEngine
 from repro.geodesic.csr import CSRGraph
-from repro.msdn.msdn import MSDN
 from repro.multires.ddm import DistanceDirectMesh
 from repro.terrain.synthetic import bearhead_like
 
@@ -158,20 +157,6 @@ class _HeldDict(dict):
         if threading.get_ident() == hold.builder and not hold.stored.is_set():
             hold.stored.set()
             hold.release.wait(TIMEOUT_S)
-
-
-def test_msdn_corridor_index_publishes_whole(rough_mesh):
-    plain = MSDN(rough_mesh)
-    res = plain.resolutions[-1]
-    pa, pb = rough_mesh.vertices[0], rough_mesh.vertices[-1]
-    keys = plain.lower_bound(pa, pb, res).path_keys
-    want = plain.corridor_from_path(keys, res)
-    assert want
-    hold = _Hold()
-    msdn = MSDN(rough_mesh)
-    msdn._corridor_index = _HeldDict(hold)
-    for got in _race(msdn, hold, lambda m: m.corridor_from_path(keys, res)):
-        assert got == want
 
 
 def test_ddm_cut_graph_publish_whole(rough_mesh):

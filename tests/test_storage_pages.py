@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import StorageError
+from repro.errors import PageCorruptionError, StorageError
 from repro.obs.context import ObsContext
 from repro.storage.faults import FaultInjector, PageQuarantine, RetryPolicy
 from repro.storage.pages import PageManager
@@ -118,11 +118,17 @@ CLASSES = ("dmtm", "msdn", "other")
 @st.composite
 def fault_setups(draw) -> dict:
     return {
+        # No injector is the path production takes: clean misses are
+        # fetched and CRC-checked inline.
+        "injector": draw(st.booleans()),
         "seed": draw(st.integers(0, 2**16)),
         "transient_rate": draw(st.sampled_from([0.0, 0.1, 0.3])),
         "corrupt_rate": draw(st.sampled_from([0.0, 0.1, 0.3])),
         "latency_rate": draw(st.sampled_from([0.0, 0.2])),
         "dead_pages": draw(st.sets(st.integers(0, NUM_PAGES - 1), max_size=3)),
+        # Blocks overwritten on the disk after allocation: every read
+        # of one fails its CRC, with or without an injector.
+        "rewritten": draw(st.sets(st.integers(0, NUM_PAGES - 1), max_size=2)),
         "buffer_pages": draw(st.integers(2, 8)),
         "attempts": draw(st.integers(1, 3)),
         "cooldown": draw(st.integers(1, 3)),
@@ -136,29 +142,35 @@ page_runs = st.lists(
 
 def _twin(setup: dict) -> PageManager:
     """A manager built from ``setup`` alone, so two calls give twins."""
-    pm = PageManager(
-        page_size=128,
-        buffer_pages=setup["buffer_pages"],
-        fault_injector=FaultInjector(
+    injector = None
+    if setup["injector"]:
+        injector = FaultInjector(
             seed=setup["seed"],
             transient_rate=setup["transient_rate"],
             corrupt_rate=setup["corrupt_rate"],
             latency_rate=setup["latency_rate"],
             dead_pages=setup["dead_pages"],
-        ),
+        )
+    pm = PageManager(
+        page_size=128,
+        buffer_pages=setup["buffer_pages"],
+        fault_injector=injector,
         retry_policy=RetryPolicy(max_attempts=setup["attempts"]),
         quarantine=PageQuarantine(cooldown_reads=setup["cooldown"],
                                   max_cooldown_reads=4),
     )
     for i in range(NUM_PAGES):
         pm.allocate(f"page-{i}".encode() * 3, page_class=CLASSES[i % 3])
+    for page_id in sorted(setup["rewritten"]):
+        pm._disk.write(page_id, b"rewritten")
     return pm
 
 
-def _replay(pm: PageManager, runs, read_run) -> dict:
-    """Every run read by ``read_run`` inside its own profiled phase;
-    the outcome of each run and everything the manager exposes."""
-    ctx = ObsContext("differential", tracing=True, profiling=True)
+def _replay(pm: PageManager, runs, read_run, profiling: bool) -> dict:
+    """Every run read by ``read_run`` inside its own phase; the outcome
+    of each run and everything the manager exposes, with the profiles
+    when ``profiling``."""
+    ctx = ObsContext("differential", tracing=True, profiling=profiling)
     outcomes = []
     with ctx.activate():
         for run in runs:
@@ -168,7 +180,7 @@ def _replay(pm: PageManager, runs, read_run) -> dict:
                 except StorageError as exc:
                     outcomes.append((type(exc), str(exc)))
     stats = pm.stats
-    return {
+    outcome = {
         "outcomes": outcomes,
         "stats": (
             stats.logical_reads,
@@ -179,7 +191,7 @@ def _replay(pm: PageManager, runs, read_run) -> dict:
         ),
         "buffer": [page_id for _owner, page_id in pm.buffer._entries],
         "fault_stats": pm.fault_stats.as_dict(),
-        "injector_log": list(pm.fault_injector.log),
+        "injector_log": list(pm.fault_injector.log) if pm.fault_injector else [],
         "quarantine_history": {
             page_id: h for (_owner, page_id), h in pm.quarantine.history().items()
         },
@@ -189,14 +201,16 @@ def _replay(pm: PageManager, runs, read_run) -> dict:
         ],
         "registry": ctx.registry.collect(),
         "spans": [(s.name, s.attributes) for s in ctx.finished_spans()],
-        "profiles": [
+    }
+    if profiling:
+        outcome["profiles"] = [
             (
                 p.counters_by_phase(),
                 [(n.name, n.calls, n.counters) for n in p.root.walk()],
             )
             for p in ctx.finished_profiles()
-        ],
-    }
+        ]
+    return outcome
 
 
 def _by_page(pm: PageManager, run) -> list[bytes]:
@@ -211,10 +225,35 @@ class TestRunRead:
     @given(setup=fault_setups(), runs=page_runs)
     @settings(max_examples=150, deadline=None)
     def test_run_equals_pages_read_one_by_one(self, setup, runs):
-        want = _replay(_twin(setup), runs, _by_page)
-        got = _replay(_twin(setup), runs, _as_run)
-        for field, value in want.items():
-            assert got[field] == value, field
+        for profiling in (True, False):
+            want = _replay(_twin(setup), runs, _by_page, profiling)
+            got = _replay(_twin(setup), runs, _as_run, profiling)
+            for field, value in want.items():
+                assert got[field] == value, (profiling, field)
+
+    def test_rewritten_block_without_injector_fails_its_crc(self):
+        """No injector and an empty quarantine: misses are read inline.
+        A block rewritten after allocation still fails its CRC on every
+        attempt, raises PageCorruptionError once the retries are spent
+        and is quarantined, exactly as page-at-a-time reads do."""
+        setup = {
+            "injector": False,
+            "rewritten": {3},
+            "buffer_pages": 4,
+            "attempts": 3,
+            "cooldown": 2,
+        }
+        runs = [[0, 3, 1], [3], [2, 3], [3, 0]]
+        for profiling in (True, False):
+            want = _replay(_twin(setup), runs, _by_page, profiling)
+            got = _replay(_twin(setup), runs, _as_run, profiling)
+            assert got == want
+            error, message = got["outcomes"][0]
+            assert error is PageCorruptionError and "page 3" in message
+            faults = got["fault_stats"]
+            assert faults["corruptions_total"] >= 3
+            assert faults["pages_quarantined_total"] == 1
+            assert [entry.page_id for entry in got["quarantine_entries"]] == [3]
 
     def test_failing_page_ends_run_after_flushing_the_pages_before_it(self):
         stats = IOStatistics()

@@ -90,16 +90,20 @@ class TestLocatorStore:
     @pytest.mark.parametrize(
         "page_ids, bounds",
         [
-            # Pages shared by adjacent runs, unsorted within runs.
+            # Pages shared by adjacent touches, unsorted within touches.
             ([5, 3, 3, 9, 3, 5, 5, 1, 9, 9], [0, 4, 7, 10]),
-            # Empty runs at the start, in the middle and at the end.
+            # Empty touches at the start, in the middle and at the end.
             ([2, 2, 7, 0, 7], [0, 0, 3, 3, 5, 5]),
-            # One run (no bounds) and nothing at all.
+            # One touch (no bounds) and nothing at all.
             ([8, 1, 8, 4, 1], None),
             ([], [0, 0]),
         ],
     )
     def test_touch_pages_dedupes_each_run(self, pm, monkeypatch, page_ids, bounds):
+        """``bounds`` cuts ``page_ids`` into successive touches: each
+        touch is one run read of its own distinct pages, ascending, so
+        a page two touches share is read by both; an empty touch reads
+        nothing."""
         store = LocatorStore([((i,), i, b"r" * 40) for i in range(60)], pm)
         assert store.num_pages >= 10
         runs: list[list[int]] = []
@@ -112,11 +116,8 @@ class TestLocatorStore:
         monkeypatch.setattr(pm, "read_pages", logged)
         pages = np.array(page_ids, dtype=np.int64)
         cuts = [0, len(page_ids)] if bounds is None else bounds
-        want = [
-            page
-            for start, stop in zip(cuts, cuts[1:])
-            for page in np.unique(pages[start:stop]).tolist()
-        ]
-        assert store.touch_pages(pages, bounds) == len(want)
-        # One run read for the whole call, none when nothing is read.
-        assert runs == ([want] if want else [])
+        for start, stop in zip(cuts, cuts[1:]):
+            runs.clear()
+            want = np.unique(pages[start:stop]).tolist()
+            assert store.touch_pages(pages[start:stop]) == len(want)
+            assert runs == ([want] if want else [])
