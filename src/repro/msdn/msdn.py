@@ -150,7 +150,8 @@ class MSDN:
         The families hold their rows in cluster-key order (axis,
         resolution, plane, first segment), so the records are written
         as one array in row order, and each family's rows are cut here,
-        once, into the (plane, page) segments that accesses charge
+        once, into the (plane, page) segments that accesses charge,
+        and each plane's extent along its axis is taken
         (:meth:`~repro.msdn.sdn.SdnFamily.attach_pages`)."""
         records = np.concatenate(
             [
@@ -160,8 +161,8 @@ class MSDN:
         )
         store = LocatorStore.from_records(records, pages, page_class=PAGE_CLASS_MSDN)
         start = 0
-        for family in self._families.values():
-            family.attach_pages(store.row_pages[start : start + len(family)])
+        for (axis, _res), family in self._families.items():
+            family.attach_pages(store.row_pages[start : start + len(family)], axis)
             start += len(family)
         self._store = store
         self._pages = pages
@@ -209,20 +210,33 @@ class MSDN:
         once per merged region, then estimate with
         ``charge_io=False``): each plane's distinct pages holding a
         chunk inside ``roi``, in ascending order, plane by plane and
-        axis by axis, as one run read.  The ROI mask is computed once
-        per axis over the whole family and reduced to the family's
-        (plane, page) segments, so the pages come out deduplicated and
-        in order without sorting."""
+        axis by axis, as one run read.  Per axis, only the planes
+        whose extent meets the ROI's joint extent along that axis can
+        hold such a chunk (:meth:`~repro.msdn.sdn.SdnFamily.planes_meeting`);
+        their rows are masked once and reduced to their (plane, page)
+        segments, so the pages come out deduplicated and in order
+        without sorting."""
         if self._pages is None:
             return
         resolution = self.nearest_resolution(resolution)
         roi = region_boxes(roi)
+        if roi is not None and not roi:
+            return
         needed: list[int] = []
         for axis in axes:
             family = self._families[(axis, resolution)]
-            needed += family.segment_pages(
-                None if roi is None else rows_meeting_boxes(family.xy, roi)
+            if roi is None:
+                needed += family.segment_pages(0, len(family.offsets) - 1)
+                continue
+            # The joint extent as rows_meeting_boxes takes it: fmin /
+            # fmax skip a NaN corner, which meets no row anyway.
+            p0, p1 = family.planes_meeting(
+                np.fmin.reduce([box.lo[axis] for box in roi]),
+                np.fmax.reduce([box.hi[axis] for box in roi]),
             )
+            if p0 < p1:
+                xy = family.xy[family.offsets[p0] : family.offsets[p1]]
+                needed += family.segment_pages(p0, p1, rows_meeting_boxes(xy, roi))
         if needed:
             self._pages.read_pages(needed)
 
@@ -407,10 +421,19 @@ class MSDN:
         )
         family = self._families[(axis, resolution)]
         if charge_io and runs and self._pages is not None:
-            kept = np.zeros(len(family), dtype=bool)
-            for start, stop in runs:
-                kept[slice(start, stop) if rows is None else rows[start:stop]] = True
-            self._pages.read_pages(family.segment_pages(kept))
+            # The kept rows, marked within the planes from the first
+            # kept row's to the last's.
+            kept = np.concatenate(
+                [
+                    np.arange(start, stop) if rows is None else rows[start:stop]
+                    for start, stop in runs
+                ]
+            )
+            p0, p1 = int(family.plane[kept[0]]), int(family.plane[kept[-1]]) + 1
+            base = family.offsets[p0]
+            mask = np.zeros(family.offsets[p1] - base, dtype=bool)
+            mask[kept - base] = True
+            self._pages.read_pages(family.segment_pages(p0, p1, mask))
         value, picks = lower_bound_via_planes_arrays(pa, pb, layer_boxes)
         path_keys = []
         for (start, _stop), pick in zip(runs, picks):

@@ -66,14 +66,20 @@ class SdnFamily:
 
     Once storage is attached (:meth:`attach_pages`), the rows are cut
     into *segments*, maximal row runs of one plane on one page:
-    ``seg_start`` holds each segment's first row and ``seg_page`` its
-    page id, else both are None.  Rows are paged in row order, so each
-    plane's segments list its distinct pages in ascending order.
+    ``seg_start`` holds each segment's first row, ``seg_page`` its page
+    id and ``plane_seg`` each plane's first segment (plane ``i`` owns
+    segments ``plane_seg[i]:plane_seg[i + 1]``), else all are None.
+    Rows are paged in row order, so each plane's segments list its
+    distinct pages in ascending order.  ``plane_lo`` / ``plane_hi``
+    then hold each plane's extent along the plane axis: the least low
+    and greatest high coordinate of its rows, which interpolated
+    crossing points can leave an ulp off the nominal plane value.
     """
 
     __slots__ = (
         "lo", "hi", "xy", "offsets", "plane", "first", "last",
-        "seg_start", "seg_page", "_code_base", "_codes",
+        "seg_start", "seg_page", "plane_seg", "plane_lo", "plane_hi",
+        "_code_base", "_codes",
     )
 
     def __init__(self, lo, hi, offsets, plane, first, last):
@@ -88,6 +94,9 @@ class SdnFamily:
         self.last = last
         self.seg_start: np.ndarray | None = None
         self.seg_page: np.ndarray | None = None
+        self.plane_seg: np.ndarray | None = None
+        self.plane_lo: np.ndarray | None = None
+        self.plane_hi: np.ndarray | None = None
         # Rows are in (plane, first) order and ``first`` stays below
         # ``_code_base``, so ``plane * _code_base + first`` ascends
         # strictly: a chunk key's row is one searchsorted away (row_of).
@@ -118,21 +127,43 @@ class SdnFamily:
             return row
         return None
 
-    def attach_pages(self, pages: np.ndarray) -> None:
+    def attach_pages(self, pages: np.ndarray, axis: int) -> None:
         """Cut the rows into (plane, page) segments, given each row's
-        page id (non-decreasing in row order)."""
+        page id (non-decreasing in row order), and take each plane's
+        extent along ``axis``, the family's plane axis."""
         start = np.ones(len(pages), dtype=bool)
         start[1:] = (self.plane[1:] != self.plane[:-1]) | (pages[1:] != pages[:-1])
         self.seg_start = np.flatnonzero(start)
         self.seg_page = pages[self.seg_start]
+        self.plane_seg = np.searchsorted(self.seg_start, self.offsets)
+        # Every plane holds a row (a crossing line has a segment), so
+        # each reduceat slice is exactly one plane's rows.
+        heads = self.offsets[:-1]
+        self.plane_lo = np.fmin.reduceat(self.xy[:, axis], heads)
+        self.plane_hi = np.fmax.reduceat(self.xy[:, axis + 2], heads)
 
-    def segment_pages(self, mask=None) -> list[int]:
-        """The page ids of the segments holding a row of ``mask`` (one
-        bool per row; None keeps every row), in row order: each
-        plane's distinct pages ascending, plane after plane."""
+    def planes_meeting(self, lo: float, hi: float) -> tuple[int, int]:
+        """The planes ``p0:p1`` from the first to the last whose extent
+        meets ``[lo, hi]`` along the plane axis (``p0 == p1`` when none
+        does, or a bound is NaN): only their rows can meet a box that
+        lies within ``[lo, hi]`` on that axis."""
+        meets = np.flatnonzero((self.plane_lo <= hi) & (self.plane_hi >= lo))
+        if meets.size == 0:
+            return 0, 0
+        return int(meets[0]), int(meets[-1]) + 1
+
+    def segment_pages(self, p0: int, p1: int, mask=None) -> list[int]:
+        """The page ids of the segments of planes ``p0:p1`` holding a
+        row of ``mask`` (one bool per row of those planes, rows
+        ``offsets[p0]:offsets[p1]``; None keeps every row), in row
+        order: each plane's distinct pages ascending, plane after
+        plane."""
+        s0, s1 = self.plane_seg[p0], self.plane_seg[p1]
+        pages = self.seg_page[s0:s1]
         if mask is None:
-            return self.seg_page.tolist()
-        return self.seg_page[np.logical_or.reduceat(mask, self.seg_start)].tolist()
+            return pages.tolist()
+        heads = self.seg_start[s0:s1] - self.offsets[p0]
+        return pages[np.logical_or.reduceat(mask, heads)].tolist()
 
     def records(self, axis: int, plane_values, resolution: float) -> np.ndarray:
         """The rows as :data:`CHUNK_RECORD` page records, in row order."""

@@ -16,12 +16,17 @@ windows share one this way).  Pool entries are keyed by
 ``(owner, page_id)`` so managers sharing a pool never alias each
 other's page ids.
 
-Resilience: every allocated page carries a CRC-32; a physical read
-verifies it and retries transient faults and detected corruption
-under a :class:`~repro.storage.faults.RetryPolicy`, surfacing
+Resilience: every allocated page carries a CRC-32, taken once when
+:meth:`PageManager.allocate` writes it.  Blocks are immutable bytes
+and only :meth:`SimulatedDisk.write` replaces one, so a clean read of
+a block no later write replaced returns the very bytes that were
+checksummed and runs no second CRC; a replaced block
+(:attr:`SimulatedDisk.rewritten`) and every attempt under a fault
+injector are checked against it.  Failed checks and transient faults
+are retried under a :class:`~repro.storage.faults.RetryPolicy`, and
 :class:`~repro.errors.PageReadError` /
-:class:`~repro.errors.PageCorruptionError` only once the policy is
-exhausted.  Retries are counters, not frames: the manager's
+:class:`~repro.errors.PageCorruptionError` surface only once the
+policy is exhausted.  Retries are counters, not frames: the manager's
 ``FaultStats.retries_total`` and the active context's
 ``storage.retries_total`` count them, and the injector's fault log
 names each page and attempt (a clean read moves none).  With no
@@ -36,6 +41,7 @@ import itertools
 import threading
 import time
 import zlib
+from bisect import bisect_right
 from collections import Counter, OrderedDict
 
 from repro.errors import (
@@ -78,6 +84,9 @@ class SimulatedDisk:
     def __init__(self, fault_injector: FaultInjector | None = None):
         self.fault_injector = fault_injector
         self._blocks: dict[int, bytes] = {}
+        #: Ids whose block a later write replaced: the only blocks that
+        #: can differ from the bytes their first write stored.
+        self.rewritten: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._blocks)
@@ -86,6 +95,8 @@ class SimulatedDisk:
         return page_id in self._blocks
 
     def write(self, page_id: int, data: bytes) -> None:
+        if page_id in self._blocks:
+            self.rewritten.add(page_id)
         self._blocks[page_id] = bytes(data)
 
     def read(self, page_id: int) -> tuple[bytes, float]:
@@ -222,7 +233,11 @@ class PageManager:
         )
         self.fault_stats = FaultStats()
         self._crc: dict[int, int] = {}
-        self._page_class: dict[int, str] = {}
+        # Page classes as allocation spans: ids are handed out in
+        # order, so span i holds ids _span_start[i] up to the next
+        # span's start (or _next_id), all of class _span_class[i].
+        self._span_start: list[int] = []
+        self._span_class: list[str] = []
         self._next_id = 0
 
     @property
@@ -248,8 +263,9 @@ class PageManager:
 
         ``page_class`` labels the structure the page belongs to
         (dmtm / msdn / objects / index) so reads can be attributed
-        per structure in :class:`IOStatistics`.  Every page gets a
-        CRC-32 of its payload, verified on each physical read.
+        per structure in :class:`IOStatistics`; consecutive pages of
+        one class form one class span.  Every page gets a CRC-32 of
+        its payload, the one a physical read checks it against.
         """
         if len(data) > self.page_size:
             raise StorageError(
@@ -258,17 +274,27 @@ class PageManager:
             )
         with self._lock:
             page_id = self._next_id
-            self._next_id += 1
             self._disk.write(page_id, data)
             self._crc[page_id] = zlib.crc32(data)
-            if page_class != PAGE_CLASS_OTHER:
-                self._page_class[page_id] = page_class
+            if not self._span_class or self._span_class[-1] != page_class:
+                self._span_start.append(page_id)
+                self._span_class.append(page_class)
+            self._next_id = page_id + 1
             self.stats.record_write()
         return page_id
 
     def page_class_of(self, page_id: int) -> str:
-        """The class a page was allocated under."""
-        return self._page_class.get(page_id, PAGE_CLASS_OTHER)
+        """The class a page was allocated under (``other`` for an id
+        never allocated)."""
+        span = self._span_of(page_id)
+        return PAGE_CLASS_OTHER if span is None else self._span_class[span]
+
+    def _span_of(self, page_id: int) -> int | None:
+        """The index of the class span holding ``page_id``, None for an
+        id never allocated: one bisect over the span starts."""
+        if not 0 <= page_id < self._next_id:
+            return None
+        return bisect_right(self._span_start, page_id) - 1
 
     def read(self, page_id: int) -> bytes:
         """Fetch one page through the buffer pool: the one-page run of
@@ -294,12 +320,16 @@ class PageManager:
         ``logical_reads`` in the caller's phase, as single reads do.
 
         While the disk has no fault injector and the quarantine is
-        empty, a miss is *clean*: its block is fetched and its CRC
-        checked right here, one dictionary probe and one CRC per page.
-        A clean miss whose block is missing or fails its CRC goes the
-        way of every other miss, :meth:`_read_miss`, which re-reads it
-        with the retries, errors and quarantine admission of a faulted
-        read.
+        empty, a miss is *clean*: its block is fetched right here, one
+        dictionary probe per page.  Its CRC is checked only when a
+        later write replaced the block (``SimulatedDisk.rewritten``):
+        any other block is still the bytes :meth:`allocate`
+        checksummed.  A clean miss whose block is missing or fails its
+        CRC goes the way of every other miss, :meth:`_read_miss`,
+        which re-reads it with the retries, errors and quarantine
+        admission of a faulted read.  The statistics flush bills a run
+        inside one class span with one update per counter
+        (:meth:`_flush_run`).
 
         Lock order: the manager lock, then the pool lock (held for the
         whole run), then the quarantine's or the injector's lock.
@@ -312,6 +342,7 @@ class PageManager:
         entries = pool._entries
         quarantine = self.quarantine
         blocks = self._disk._blocks
+        rewritten = self._disk.rewritten
         crcs = self._crc
         crc32 = zlib.crc32
         profiling = obs.profiling
@@ -338,7 +369,10 @@ class PageManager:
                         if clean:
                             t0 = time.perf_counter() if profiling else 0.0
                             data = blocks.get(page_id)
-                            if data is None or crc32(data) != crcs.get(page_id):
+                            if data is None or (
+                                page_id in rewritten
+                                and crc32(data) != crcs.get(page_id)
+                            ):
                                 data = self._read_miss(page_id, gated, obs)
                             elif profiling:
                                 page_io.seconds += time.perf_counter() - t0
@@ -430,16 +464,22 @@ class PageManager:
 
     def _flush_run(self, page_ids, done: int, missed: list, obs) -> None:
         """Account the first ``done`` pages of a run in one per-class
-        update; ``missed`` lists the ones fetched from disk.  Hits bill
-        ``logical_reads`` to the caller's frame (misses did so inside
-        their ``page-io`` phase)."""
-        classes = self._page_class
-        logical = Counter(
-            [classes.get(page_id, PAGE_CLASS_OTHER) for page_id in page_ids[:done]]
-        )
-        physical = Counter(
-            [classes.get(page_id, PAGE_CLASS_OTHER) for page_id in missed]
-        )
+        update; ``missed`` lists the ones fetched from disk.  A run
+        inside one class span (every production run) bills its class
+        once per counter; only a run that straddles spans is classified
+        page by page.  Hits bill ``logical_reads`` to the caller's
+        frame (misses did so inside their ``page-io`` phase)."""
+        run = page_ids[:done]
+        span = self._span_of(min(run))
+        # Spans are id intervals, so a run whose least and greatest ids
+        # share one lies inside it.
+        if span is not None and span == self._span_of(max(run)):
+            page_class = self._span_class[span]
+            logical = {page_class: done}
+            physical = {page_class: len(missed)} if missed else {}
+        else:
+            logical = Counter(map(self.page_class_of, run))
+            physical = Counter(map(self.page_class_of, missed))
         self.stats.record_reads(logical, physical)
         hits = done - len(missed)
         if hits:

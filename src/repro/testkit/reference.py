@@ -139,7 +139,7 @@ from repro.storage.faults import (
 )
 from repro.storage.locator import LocatorStore
 from repro.storage.pages import PageManager
-from repro.storage.stats import PAGE_CLASS_DMTM, PAGE_CLASS_MSDN, PAGE_CLASS_OTHER
+from repro.storage.stats import PAGE_CLASS_DMTM, PAGE_CLASS_MSDN
 
 # ----------------------------------------------------------------------
 # graphs grown edge by edge, and the dict kernels that search them
@@ -1448,7 +1448,7 @@ def read_page_reference(manager, page_id: int) -> bytes:
     frames.  The fetch is :func:`_fetch_verified_reference`; the
     quarantine admission of a read that exhausts its retries happens
     here."""
-    page_class = manager._page_class.get(page_id, PAGE_CLASS_OTHER)
+    page_class = manager.page_class_of(page_id)
     owner = manager._owner
     obs = current()
     with manager._lock:

@@ -131,13 +131,40 @@ class TestMSDNLowerBound:
                 assert got_pages == page_log
 
 
+def _edge_rois(msdn, mesh) -> list:
+    """ROIs at the edges of plane slicing, each with whether it reads
+    pages: box edges exactly on a plane's row coordinate, a box off the
+    terrain, two corner boxes whose joint extent spans planes neither
+    meets, the empty ROI and NaN corners."""
+    (x0, y0), (x1, y1) = mesh.vertices[:, :2].min(0), mesh.vertices[:, :2].max(0)
+    family = msdn._families[(0, msdn.resolutions[0])]
+    plane = len(family.offsets) // 2
+    rows = family.xy[family.offsets[plane] : family.offsets[plane + 1]]
+    low, high = float(rows[:, 0].min()), float(rows[:, 2].max())
+    step = 3.0 * msdn.spacing
+    nan = float("nan")
+    return [
+        # Closed intervals: a box whose edge is the plane's least or
+        # greatest row coordinate still meets that plane's rows.
+        (BoundingBox((low - step, y0), (low, y1)), True),
+        (BoundingBox((high, y0), (high + step, y1)), True),
+        (BoundingBox((-1e9, -1e9), (-1e9 + 1.0, -1e9 + 1.0)), False),
+        ([BoundingBox((x0, y0), (x0 + step, y0 + step)),
+          BoundingBox((x1 - step, y1 - step), (x1, y1))], True),
+        ([], False),
+        (BoundingBox((nan, y0), (x1, y1)), False),
+        ([BoundingBox((x0, nan), (x1, y1)), BoundingBox((x0, y0), (x1, y1))], True),
+    ]
+
+
 class TestMSDNTouchRegion:
     def test_matches_record_id_charging(self, engine, page_log):
         msdn = engine.msdn
         mesh = engine.mesh
         box = BoundingBox.of_points(mesh.vertices[[0, mesh.num_vertices // 2], :2])
+        rois = [(None, True), (box, True), ([box, box.expanded(msdn.spacing)], True)]
         for res in msdn.resolutions:
-            for roi in (None, box, [box, box.expanded(msdn.spacing)]):
+            for roi, reads in rois + _edge_rois(msdn, mesh):
                 for axes in ((0, 1), (0,), (1,)):
                     page_log.clear()
                     msdn.touch_region(res, roi, axes=axes)
@@ -145,7 +172,7 @@ class TestMSDNTouchRegion:
                     page_log.clear()
                     msdn_touch_region_reference(msdn, res, roi, axes=axes)
                     assert got_pages == page_log
-                    assert got_pages
+                    assert bool(got_pages) == reads
 
 
 def _cut_view_graph(view):

@@ -129,6 +129,28 @@ def fault_setups(draw) -> dict:
         # Blocks overwritten on the disk after allocation: every read
         # of one fails its CRC, with or without an injector.
         "rewritten": draw(st.sets(st.integers(0, NUM_PAGES - 1), max_size=2)),
+        # After run i: whether the buffer is dropped (as a cold query
+        # does) and the blocks overwritten, with other bytes or with
+        # the bytes they held (True).  A page read cleanly before must
+        # still fail its CRC once a write changed it.  Page NUM_PAGES
+        # gets a block here without ever being allocated.
+        "between": draw(
+            st.lists(
+                st.tuples(
+                    st.booleans(),
+                    st.lists(st.tuples(st.integers(0, NUM_PAGES), st.booleans()),
+                             max_size=3),
+                ),
+                max_size=6,
+            )
+        ),
+        # Page classes in allocation order: scattered, or sorted into
+        # at most three spans so that runs fall inside one span.
+        "classes": draw(
+            st.lists(st.sampled_from(CLASSES), min_size=NUM_PAGES,
+                     max_size=NUM_PAGES).flatmap(
+                lambda c: st.sampled_from([c, sorted(c)]))
+        ),
         "buffer_pages": draw(st.integers(2, 8)),
         "attempts": draw(st.integers(1, 3)),
         "cooldown": draw(st.integers(1, 3)),
@@ -138,6 +160,10 @@ def fault_setups(draw) -> dict:
 page_runs = st.lists(
     st.lists(st.integers(0, NUM_PAGES), max_size=8), min_size=1, max_size=12
 )
+
+
+def _payload(page_id: int) -> bytes:
+    return f"page-{page_id}".encode() * 3
 
 
 def _twin(setup: dict) -> PageManager:
@@ -159,26 +185,34 @@ def _twin(setup: dict) -> PageManager:
         quarantine=PageQuarantine(cooldown_reads=setup["cooldown"],
                                   max_cooldown_reads=4),
     )
-    for i in range(NUM_PAGES):
-        pm.allocate(f"page-{i}".encode() * 3, page_class=CLASSES[i % 3])
+    scattered = [CLASSES[i % 3] for i in range(NUM_PAGES)]
+    for i, page_class in enumerate(setup.get("classes", scattered)):
+        pm.allocate(_payload(i), page_class=page_class)
     for page_id in sorted(setup["rewritten"]):
         pm._disk.write(page_id, b"rewritten")
     return pm
 
 
-def _replay(pm: PageManager, runs, read_run, profiling: bool) -> dict:
-    """Every run read by ``read_run`` inside its own phase; the outcome
-    of each run and everything the manager exposes, with the profiles
-    when ``profiling``."""
+def _replay(pm: PageManager, runs, read_run, profiling: bool, between=()) -> dict:
+    """Every run read by ``read_run`` inside its own phase, followed by
+    ``between[i]`` after run ``i``; the outcome of each run and
+    everything the manager exposes, with the profiles when
+    ``profiling``."""
     ctx = ObsContext("differential", tracing=True, profiling=profiling)
     outcomes = []
     with ctx.activate():
-        for run in runs:
+        for i, run in enumerate(runs):
             with ctx.phase("query"):
                 try:
                     outcomes.append(read_run(pm, run))
                 except StorageError as exc:
                     outcomes.append((type(exc), str(exc)))
+            if i < len(between):
+                drop, rewrites = between[i]
+                if drop:
+                    pm.drop_buffer()
+                for page_id, same in rewrites:
+                    pm._disk.write(page_id, _payload(page_id) if same else b"rewritten")
     stats = pm.stats
     outcome = {
         "outcomes": outcomes,
@@ -226,10 +260,16 @@ class TestRunRead:
     @settings(max_examples=150, deadline=None)
     def test_run_equals_pages_read_one_by_one(self, setup, runs):
         for profiling in (True, False):
-            want = _replay(_twin(setup), runs, _by_page, profiling)
-            got = _replay(_twin(setup), runs, _as_run, profiling)
+            want = _replay(_twin(setup), runs, _by_page, profiling, setup["between"])
+            got = _replay(_twin(setup), runs, _as_run, profiling, setup["between"])
             for field, value in want.items():
                 assert got[field] == value, (profiling, field)
+        # Both sides classify through the class spans; pin those to
+        # the allocations themselves.
+        pm = _twin(setup)
+        assert [pm.page_class_of(i) for i in range(-1, NUM_PAGES + 1)] == (
+            ["other"] + setup["classes"] + ["other"]
+        )
 
     def test_rewritten_block_without_injector_fails_its_crc(self):
         """No injector and an empty quarantine: misses are read inline.
@@ -263,3 +303,60 @@ class TestRunRead:
             pm.read_pages([a, a, 99, a])
         assert (stats.logical_reads, stats.physical_reads) == (2, 1)
         assert stats.logical_by_class == {"dmtm": 2}
+
+
+def _two_spans() -> PageManager:
+    """Pages 0-1 of class dmtm and 2-3 of class msdn: two class spans."""
+    pm = PageManager(page_size=128, buffer_pages=8)
+    for i, page_class in enumerate(("dmtm", "dmtm", "msdn", "msdn")):
+        pm.allocate(_payload(i), page_class=page_class)
+    return pm
+
+
+def _flushed(runs, read_run, reset_after: int | None = None) -> tuple:
+    """The statistics of a :func:`_two_spans` manager after ``runs``,
+    the ``*_by_class`` dicts in insertion order; they are reset after
+    run ``reset_after``."""
+    pm = _two_spans()
+    for i, run in enumerate(runs):
+        try:
+            read_run(pm, run)
+        except StorageError:
+            pass
+        if i == reset_after:
+            pm.stats.reset()
+    stats = pm.stats
+    return (
+        stats.logical_reads,
+        stats.physical_reads,
+        list(stats.logical_by_class.items()),
+        list(stats.physical_by_class.items()),
+    )
+
+
+class TestRunFlush:
+    """A run inside one class span is billed at once, any other run
+    page by page; both equal one read per page, key order included."""
+
+    @pytest.mark.parametrize(
+        "runs, reset_after, want",
+        [
+            # Straddles the spans: ids 1 and 2 sit on either side of
+            # the boundary.
+            ([[1, 2, 3, 0, 2]], None,
+             (5, 4, [("dmtm", 2), ("msdn", 3)], [("dmtm", 2), ("msdn", 2)])),
+            # Inside one span, after a run in the other.
+            ([[2], [0, 1, 0]], None,
+             (4, 3, [("msdn", 1), ("dmtm", 3)], [("msdn", 1), ("dmtm", 2)])),
+            # All hits after a reset: no physical key at all.
+            ([[3, 2], [2, 3, 2]], 0, (3, 0, [("msdn", 3)], [])),
+            # Fails part-way on an id never allocated: the pages before
+            # it are billed, straddling or not.
+            ([[0, 2, 99, 1]], None,
+             (2, 2, [("dmtm", 1), ("msdn", 1)], [("dmtm", 1), ("msdn", 1)])),
+            ([[3, 3, 99, 0]], None, (2, 1, [("msdn", 2)], [("msdn", 1)])),
+        ],
+    )
+    def test_flush_equals_pages_read_one_by_one(self, runs, reset_after, want):
+        assert _flushed(runs, _by_page, reset_after) == want
+        assert _flushed(runs, _as_run, reset_after) == want
