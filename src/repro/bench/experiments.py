@@ -864,7 +864,7 @@ def kernels(
     for node; ``dmtm attach``, the by-record DMTM attach
     (:func:`~repro.testkit.reference.dmtm_attach_reference`) against
     the array attach on a fresh ``BUILD_PAGE_SIZE`` page manager,
-    identical in page arrays, page bytes, CRCs and classes; and
+    identical in page arrays, page lengths and classes; and
     ``mesh adjacency``, the adjacency loops
     (:func:`~repro.testkit.reference.mesh_adjacency_reference`)
     against the array passes of a fresh unvalidated mesh, identical
@@ -1088,27 +1088,26 @@ def kernels(
     io_runs, io_touches, io_bill = _page_io_runs(io_engine, 8 if quick else 16)
 
     def replay(read_run):
-        """Every query's runs from a cold buffer: payloads, per-class
-        read counts and the buffer's final LRU order."""
+        """Every query's runs from a cold buffer: per-class read counts
+        and the buffer's final LRU order."""
         before = pages.stats.snapshot()
-        payloads = []
         for runs in io_runs:
             pages.drop_buffer()
             for run in runs:
-                payloads.extend(read_run(run))
+                read_run(run)
         delta = pages.stats.delta_since(before)
         return (
-            payloads,
             (delta.logical_by_class, delta.physical_by_class),
             list(pages.buffer._entries),
         )
 
     def per_page(run):
-        return [read_page_reference(pages, page_id) for page_id in run]
+        for page_id in run:
+            read_page_reference(pages, page_id)
 
     io_ref = replay(per_page)
     io_new = replay(pages.read_pages)
-    _payloads, (_logical, physical), _lru = io_new
+    (_logical, physical), _lru = io_new
     if io_ref != io_new or sum(physical.values()) != io_bill:
         raise AssertionError(
             "page io divergence: runs and single reads differ in pages, "

@@ -143,6 +143,7 @@ class _IterationPlan:
 
     io_regions: list  # MBR per active candidate (None = whole terrain)
     search_regions: list  # list-of-boxes per candidate (None = whole)
+    io_groups: list  # (region or None, member indices) per I/O fetch
 
 
 class DistanceRanker:
@@ -557,7 +558,11 @@ class DistanceRanker:
                 search_regions.append(boxes)
             else:
                 search_regions.append([io_box])
-        return _IterationPlan(io_regions=io_regions, search_regions=search_regions)
+        return _IterationPlan(
+            io_regions=io_regions,
+            search_regions=search_regions,
+            io_groups=self._group_for_io(io_regions),
+        )
 
     # ------------------------------------------------------------------
     # upper bounds
@@ -577,8 +582,7 @@ class DistanceRanker:
         the query source (a single (v, 0) for a vertex query; the
         facet vertices with in-facet offsets for an embedded point).
         """
-        groups = self._group_for_io(active, plan.io_regions)
-        for group_box, members in groups:
+        for group_box, members in plan.io_groups:
             # One fetch per integrated region (page I/O is charged
             # here unconditionally — a bound-cache hit below never
             # changes the read accounting).
@@ -803,8 +807,7 @@ class DistanceRanker:
     ) -> None:
         opts = self.options
         prunes = screens = skips = 0
-        groups = self._group_for_io(active, plan.io_regions)
-        for group_box, members in groups:
+        for group_box, members in plan.io_groups:
             axes = tuple(
                 sorted(
                     {
@@ -978,8 +981,9 @@ class DistanceRanker:
     # I/O grouping
     # ------------------------------------------------------------------
 
-    def _group_for_io(self, active, io_regions):
-        """Group candidate indices by integrated I/O region.
+    def _group_for_io(self, io_regions):
+        """Group candidate indices by integrated I/O region, once per
+        level: both bound passes fetch the same groups.
 
         Returns a list of (region_or_None, member_indices).
         Candidates without a finite region (first iteration) share the

@@ -38,8 +38,8 @@ class PageReadError(StorageError):
 
 
 class PageCorruptionError(StorageError):
-    """A page's payload failed its CRC check on every retry — the
-    stored data no longer matches what was written."""
+    """A page read came back corrupt on every retry — a failed CRC
+    check: the stored data no longer matches what was written."""
 
 
 class QuarantinedPageError(StorageError):

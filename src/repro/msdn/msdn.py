@@ -34,6 +34,7 @@ from repro.msdn.crossing import (
     supersample_polyline,
 )
 from repro.msdn.sdn import (
+    CHUNK_RECORD_BYTES,
     SdnFamily,
     build_sdn_families,
     chain_upper_bound,
@@ -148,18 +149,18 @@ class MSDN:
         position along the plane) for I/O accounting.
 
         The families hold their rows in cluster-key order (axis,
-        resolution, plane, first segment), so the records are written
-        as one array in row order, and each family's rows are cut here,
-        once, into the (plane, page) segments that accesses charge,
-        and each plane's extent along its axis is taken
+        resolution, plane, first segment), so the records, each
+        :data:`~repro.msdn.sdn.CHUNK_RECORD_BYTES` long, are laid out
+        as one store in row order, and each family's rows are cut
+        here, once, into the (plane, page) segments that accesses
+        charge, and each plane's extent along its axis is taken
         (:meth:`~repro.msdn.sdn.SdnFamily.attach_pages`)."""
-        records = np.concatenate(
-            [
-                family.records(axis, self._planes[axis], res)
-                for (axis, res), family in self._families.items()
-            ]
+        store = LocatorStore.from_records(
+            sum(map(len, self._families.values())),
+            CHUNK_RECORD_BYTES,
+            pages,
+            page_class=PAGE_CLASS_MSDN,
         )
-        store = LocatorStore.from_records(records, pages, page_class=PAGE_CLASS_MSDN)
         start = 0
         for (axis, _res), family in self._families.items():
             family.attach_pages(store.row_pages[start : start + len(family)], axis)

@@ -25,32 +25,15 @@ running the DP.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from repro.errors import GeometryError
 from repro.geometry.polyline import Polyline
 
-#: One chunk record on an MSDN page: axis, plane index, plane value,
-#: resolution in per mille, first and last segment, then the MBR's lo
-#: and hi corners (71 bytes).
-_CHUNK_STRUCT = struct.Struct("<BIdHII6d")
-
-#: :data:`_CHUNK_STRUCT` as a packed structured dtype, so a family's
-#: records are written as one array instead of one ``pack`` per chunk.
-CHUNK_RECORD = np.dtype(
-    [
-        ("axis", "u1"),
-        ("plane", "<u4"),
-        ("value", "<f8"),
-        ("res_pm", "<u2"),
-        ("first", "<u4"),
-        ("last", "<u4"),
-        ("lo", "<f8", (3,)),
-        ("hi", "<f8", (3,)),
-    ]
-)
+#: Bytes of one chunk record on an MSDN page: axis, plane index, plane
+#: value, resolution in per mille, first and last segment, then the
+#: MBR's lo and hi corners (``<BIdHII6d``).
+CHUNK_RECORD_BYTES = 71
 
 
 class SdnFamily:
@@ -61,8 +44,7 @@ class SdnFamily:
     ``lo`` / ``hi`` are the 3D chunk MBRs (the DP input), ``xy`` the
     same boxes' xy projection laid out ``[lo_x, lo_y, hi_x, hi_y]``
     (ROI filtering), ``plane`` / ``first`` / ``last`` each row's plane
-    index and first and last original segment (chunk keys and page
-    records).
+    index and first and last original segment (chunk keys).
 
     Once storage is attached (:meth:`attach_pages`), the rows are cut
     into *segments*, maximal row runs of one plane on one page:
@@ -164,19 +146,6 @@ class SdnFamily:
             return pages.tolist()
         heads = self.seg_start[s0:s1] - self.offsets[p0]
         return pages[np.logical_or.reduceat(mask, heads)].tolist()
-
-    def records(self, axis: int, plane_values, resolution: float) -> np.ndarray:
-        """The rows as :data:`CHUNK_RECORD` page records, in row order."""
-        out = np.empty(len(self), dtype=CHUNK_RECORD)
-        out["axis"] = axis
-        out["plane"] = self.plane
-        out["value"] = np.asarray(plane_values, dtype=float)[self.plane]
-        out["res_pm"] = int(round(resolution * 1000))
-        out["first"] = self.first
-        out["last"] = self.last
-        out["lo"] = self.lo
-        out["hi"] = self.hi
-        return out
 
 
 def build_sdn_families(lines: list[Polyline], resolutions) -> list[SdnFamily]:

@@ -18,9 +18,7 @@ the "pages accessed" observable of Figures 9–11.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -39,6 +37,15 @@ from repro.storage.pages import PageManager
 from repro.storage.stats import PAGE_CLASS_DMTM
 
 RESOLUTION_PATHNET = 2.0
+
+#: Record sizes on DMTM pages.  A node record is a head of id,
+#: representative vertex, birth step, error and position
+#: (``<qqqd3dH``, 58 bytes) and one ``<qd`` (16 bytes) per
+#: neighbour record; a face record is its id, three vertex ids and
+#: nine coordinates (``<q3q9d``, 104 bytes).
+NODE_RECORD_HEAD_BYTES = 58
+NODE_RECORD_ENTRY_BYTES = 16
+FACE_RECORD_BYTES = 104
 
 
 @dataclass(eq=False)
@@ -138,73 +145,33 @@ class DMTM:
         extractions are charged page I/O.
 
         Node and face keys come from one :func:`zorder_keys` pass
-        each.  Nodes are id-addressed records of one ``struct.pack``
-        each; faces are equal-size records, written as one structured
-        array in key order (a stable argsort, the order ``sorted``
-        gives the keys) and addressed through ``_face_pages``."""
+        each, and each store cuts its pages from its record sizes
+        (:data:`NODE_RECORD_HEAD_BYTES` plus
+        :data:`NODE_RECORD_ENTRY_BYTES` per neighbour record for a
+        node, :data:`FACE_RECORD_BYTES` for a face).  Records are
+        listed by id, so each store's row pages are its id -> page
+        array."""
         world = self.mesh.xy_bounds()
         nodes = self.ddm.history.nodes
-        node_keys = zorder_keys(self.ddm.node_positions(), world).tolist()
+        node_sizes = NODE_RECORD_HEAD_BYTES + NODE_RECORD_ENTRY_BYTES * np.fromiter(
+            (len(node.records) for node in nodes), dtype=np.int64, count=len(nodes)
+        )
         self._node_store = LocatorStore(
-            zip(node_keys, range(len(nodes)), map(self._encode_node, nodes)),
+            zorder_keys(self.ddm.node_positions(), world),
+            node_sizes,
             pages,
             page_class=PAGE_CLASS_DMTM,
         )
-        # Items were listed by node id, so the store's row pages are
-        # its id -> page array.
         self._node_pages = self._node_store.row_pages
-        faces = self.mesh.faces
-        points = self.mesh.vertices[faces]
+        points = self.mesh.vertices[self.mesh.faces]
         centroids = (points[:, 0] + points[:, 1] + points[:, 2]) / 3.0
-        order = np.argsort(zorder_keys(centroids, world), kind="stable")
-        records = np.empty(
-            len(faces),
-            dtype=[("face", "<i8"), ("vertices", "<i8", 3), ("points", "<f8", 9)],
+        self._face_store = LocatorStore(
+            zorder_keys(centroids, world),
+            np.full(len(points), FACE_RECORD_BYTES),
+            pages,
+            page_class=PAGE_CLASS_DMTM,
         )
-        records["face"] = np.arange(len(faces))
-        records["vertices"] = faces
-        records["points"] = points.reshape(-1, 9)
-        self._face_store = LocatorStore.from_records(
-            records[order], pages, page_class=PAGE_CLASS_DMTM
-        )
-        self._face_pages = np.empty(len(faces), dtype=np.int64)
-        self._face_pages[order] = self._face_store.row_pages
-
-    @staticmethod
-    def _encode_node(node) -> bytes:
-        """``<qqqd3dH`` head, then one ``<qd`` per record."""
-        count = len(node.records)
-        return struct.pack(
-            "<qqqd3dH" + "qd" * count,
-            node.node_id,
-            node.rep,
-            node.birth_step,
-            node.error,
-            *map(float, node.position),
-            count,
-            *chain.from_iterable(node.records),
-        )
-
-    @staticmethod
-    def decode_node(blob: bytes) -> dict:
-        """Decode a node record (used by tests to verify round trips)."""
-        node_id, rep, birth, error, x, y, z, count = struct.unpack_from(
-            "<qqqd3dH", blob, 0
-        )
-        offset = struct.calcsize("<qqqd3dH")
-        records = []
-        for _ in range(count):
-            nbr, d = struct.unpack_from("<qd", blob, offset)
-            offset += struct.calcsize("<qd")
-            records.append((nbr, d))
-        return {
-            "node_id": node_id,
-            "rep": rep,
-            "birth_step": birth,
-            "error": error,
-            "position": (x, y, z),
-            "records": records,
-        }
+        self._face_pages = self._face_store.row_pages
 
     def _touch_nodes(self, node_ids) -> None:
         store = self._node_store

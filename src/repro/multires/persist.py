@@ -71,8 +71,8 @@ def validate(data: bytes, source="<bytes>") -> None:
     :class:`MultiresError` naming ``source`` and the offending frame.
     A file that passes cannot make :func:`load_history` run off the
     end of the buffer or mis-frame a node (a flipped byte inside a
-    float payload is indistinguishable from data, which is why pages
-    additionally carry CRCs in the storage layer).
+    float payload is indistinguishable from data, which framing
+    checks cannot catch).
     """
 
     def need(offset: int, size: int, what: str) -> None:

@@ -9,8 +9,9 @@ once, so this module re-exports the whole contract:
   transient read errors, silent corruption, latency spikes) attached
   to an engine's simulated disk; :class:`FaultEvent` / ``injector.log``
   is the ground-truth record of what was injected.
-* **Detection & retry** — every page carries a CRC-32;
-  :class:`RetryPolicy` bounds re-attempts with deterministic
+* **Detection & retry** — a corrupt attempt is reported as a failed
+  CRC check (pages are ids, so corruption is a drawn fault, not
+  flipped bytes); :class:`RetryPolicy` bounds re-attempts with deterministic
   (simulated, never slept) backoff; :class:`FaultStats` on the page
   manager counts what was detected, retried and given up on;
   :class:`PageReadError` / :class:`PageCorruptionError` surface only

@@ -5,15 +5,17 @@ The paper measures "number of disk pages accessed" against an Oracle
 have a better control and understanding of the query execution
 performance. All spatial indexes used in our experiments are
 implemented by us").  This package recreates that setup: records are
-serialized onto fixed-size pages, reads go through an LRU buffer
-pool, and every buffer miss counts as one page access.  A configurable
-per-page latency converts page counts into the simulated I/O seconds
-that enter "total time" in Figures 10–11.
+laid out on fixed-size pages, reads go through an LRU buffer pool,
+and every buffer miss counts as one page access.  A page is an id
+with a class and a byte length; no query decodes a page, so none
+holds bytes.  A configurable per-page latency converts page counts
+into the simulated I/O seconds that enter "total time" in Figures
+10–11.
 
-One record store, :class:`LocatorStore`, holds every structure the
-queries read, clustered on its pages and addressed by record id:
-DMTM nodes and faces in z-order, MSDN chunks by plane and position
-along the plane.
+One record store, :class:`LocatorStore`, lays out every structure
+the queries read, clustered on its pages, with each record's page
+resolved at layout: DMTM nodes and faces in z-order, MSDN chunks by
+plane and position along the plane.
 """
 
 from repro.storage.stats import IOStatistics, DiskModel, ThreadLocalIOStatistics

@@ -16,10 +16,10 @@ three so the rest of the stack can be hardened against them:
 The injector sits on the read path of
 :class:`~repro.storage.pages.SimulatedDisk`: a transient fault raises
 :class:`~repro.errors.PageReadError` for that attempt, a corruption
-fault flips bytes in the returned payload (detected downstream by the
-page CRC), a latency fault reports simulated extra seconds.  With no
-injector attached the read path is byte-for-byte the pre-fault
-behaviour.
+fault reports the attempt corrupt (the manager treats it as a failed
+CRC check; pages are ids, so no bytes are flipped), a latency fault
+reports simulated extra seconds.  With no injector attached the read
+path is exactly the pre-fault behaviour.
 """
 
 from __future__ import annotations
@@ -208,12 +208,16 @@ class FaultInjector:
         hard = self.counts[FAULT_TRANSIENT] + self.counts[FAULT_CORRUPT]
         return hard < self.max_faults
 
-    def on_read(self, page_id: int, data: bytes) -> tuple[bytes, float]:
-        """One physical read attempt: returns (payload, extra seconds).
+    def on_read(self, page_id: int, length: int) -> tuple[bool, float]:
+        """One physical read attempt of a page of ``length`` payload
+        bytes: returns (corrupt, extra seconds).
 
         Raises the internal transient marker when this attempt fails;
-        may return a corrupted payload (the caller's CRC check detects
-        it); may report simulated latency alongside a clean payload.
+        may report the attempt corrupt (the caller treats it as a
+        failed CRC check); may report simulated latency alongside a
+        clean read.  A corrupt draw on a non-empty page also draws the
+        offset of the byte it stands for, ``randrange(length)``, so the
+        schedule after it is the one a flipped payload byte draws.
         """
         with self._lock:
             if page_id in self.dead_pages:
@@ -239,17 +243,10 @@ class FaultInjector:
                     and self._rng.random() < self.corrupt_rate
                 ):
                     self._record(FAULT_CORRUPT, page_id)
-                    return self._corrupt(data), latency
-            return data, latency
-
-    def _corrupt(self, data: bytes) -> bytes:
-        """Flip one byte at a schedule-chosen offset (empty pages get
-        a phantom byte appended so the corruption is still visible)."""
-        if not data:
-            return b"\xff"
-        index = self._rng.randrange(len(data))
-        flipped = bytes([data[index] ^ 0xFF])
-        return data[:index] + flipped + data[index + 1:]
+                    if length:
+                        self._rng.randrange(length)
+                    return True, latency
+            return False, latency
 
     # ------------------------------------------------------------------
 

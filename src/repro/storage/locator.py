@@ -1,14 +1,20 @@
-"""A record store addressed by record id, clustered by a sort key.
+"""A record store clustered by a sort key, its pages cut from record
+sizes.
 
 DM's connectivity encoding lets query processing jump straight to the
 node records it needs instead of walking the tree from the root; on
 disk that means: records are *clustered* (sorted by z-order of their
 position so spatial neighbours share pages) but *addressed* by id.
 :class:`LocatorStore` models exactly that access path: the store
-resolves every record's page while it writes them
+resolves every record's page while it lays the records out
 (:attr:`LocatorStore.row_pages`) and callers charge the buffer pool
 for the pages of each access as one run
 (:meth:`LocatorStore.touch_pages`).
+
+Pages are ids with byte lengths (:mod:`repro.storage.pages`), so a
+store never packs its records: it cuts pages from their sizes in the
+page format's framing, a 2-byte record count per page and a 2-byte
+length before each record.
 """
 
 from __future__ import annotations
@@ -17,23 +23,27 @@ import numpy as np
 
 from repro.errors import StorageError
 from repro.storage.pages import PageManager
-from repro.storage.records import (
-    pack_page,
-    pack_uniform_pages,
-    paginate,
-    unpack_page,
-)
 from repro.storage.stats import PAGE_CLASS_OTHER
+
+#: Framing bytes: the record count heading a page, and the length
+#: prefix heading each record on it.
+PAGE_HEADER_BYTES = 2
+RECORD_HEADER_BYTES = 2
 
 
 class LocatorStore:
-    """Immutable id-addressed record store.
+    """Immutable record store laid out on pages in cluster-key order.
 
     Parameters
     ----------
-    items:
-        Iterable of ``(cluster_key, record_id, blob)``; blobs are laid
-        out on pages in cluster-key order.
+    keys:
+        One cluster key per record (integers, a z-order code say);
+        records are laid out in ascending key order, ties in input
+        order.
+    sizes:
+        Each record's byte size.  Pages are filled greedily in
+        cluster order: a record opens a new page when it does not fit
+        the current one.
     pages:
         Shared :class:`PageManager`.
     page_class:
@@ -41,59 +51,82 @@ class LocatorStore:
         for per-structure read attribution (e.g. "dmtm", "msdn").
 
     :attr:`row_pages` holds the page id of every record in input
-    order, resolved while the pages are written, so callers charge
-    I/O by page array from the start instead of resolving record ids
-    on first use.
+    order, resolved while the pages are cut, so callers charge I/O by
+    page array.
     """
 
-    def __init__(self, items, pages: PageManager, page_class: str = PAGE_CLASS_OTHER):
-        items = list(items)
-        order = sorted(range(len(items)), key=lambda i: items[i][0])
-        batches = paginate([items[i][2] for i in order], pages.page_size)
-        page_index = np.empty(len(items), dtype=np.int64)
-        self._locators: dict[object, tuple[int, int]] = {}
-        cursor = 0
-        for index, batch in enumerate(batches):
-            for slot in range(len(batch)):
-                row = order[cursor]
-                rid = items[row][1]
-                if rid in self._locators:
-                    raise StorageError(f"duplicate record id {rid!r}")
-                self._locators[rid] = (index, slot)
-                page_index[row] = index
-                cursor += 1
-        images = [pack_page(batch, pages.page_size) for batch in batches]
-        self._allocate(images, page_index, pages, page_class)
+    def __init__(
+        self, keys, sizes, pages: PageManager, page_class: str = PAGE_CLASS_OTHER
+    ):
+        sizes = np.asarray(sizes, dtype=np.int64)
+        order = np.argsort(np.asarray(keys), kind="stable")
+        need = sizes[order] + RECORD_HEADER_BYTES
+        capacity = pages.page_size - PAGE_HEADER_BYTES
+        if need.size and need.max() > capacity:
+            raise StorageError(
+                f"a single record of {int(sizes.max())} bytes cannot fit a "
+                f"{pages.page_size}-byte page"
+            )
+        # Greedy fill, one search per page: the page opened by record
+        # ``first`` takes every record whose running size ends within
+        # ``capacity`` of the page's start.
+        ends = np.cumsum(need)
+        firsts, lengths = [], []
+        first = 0
+        while first < len(ends):
+            base = int(ends[first - 1]) if first else 0
+            stop = int(ends.searchsorted(base + capacity, side="right"))
+            firsts.append(first)
+            lengths.append(PAGE_HEADER_BYTES + int(ends[stop - 1]) - base)
+            first = stop
+        page_index = np.empty(len(sizes), dtype=np.int64)
+        page_index[order] = (
+            np.searchsorted(firsts, np.arange(len(sizes)), side="right") - 1
+        )
+        self._allocate(lengths, page_index, pages, page_class)
 
     @classmethod
     def from_records(
-        cls, records: np.ndarray, pages: PageManager, page_class: str = PAGE_CLASS_OTHER
+        cls,
+        count: int,
+        record_size: int,
+        pages: PageManager,
+        page_class: str = PAGE_CLASS_OTHER,
     ) -> "LocatorStore":
-        """A store of equal-size records given as one array already in
-        cluster-key order, addressed by row: row ``i`` lives on page
-        ``row_pages[i]``.  The pages are byte for byte those of the
-        item constructor over the same payloads in the same order
-        (:func:`~repro.storage.records.pack_uniform_pages`); the
-        records carry no ids, so only page runs are read."""
-        images, per_page = pack_uniform_pages(records, pages.page_size)
+        """A store of ``count`` records of ``record_size`` bytes each,
+        already in cluster-key order: row ``i`` lives on page
+        ``row_pages[i]``.  Its pages are those of the keyed
+        constructor over the same sizes: full pages of
+        ``(page_size - 2) // (2 + record_size)`` records, then the
+        remainder."""
+        need = record_size + RECORD_HEADER_BYTES
+        if count and PAGE_HEADER_BYTES + need > pages.page_size:
+            raise StorageError(
+                f"a single record of {record_size} bytes cannot fit a "
+                f"{pages.page_size}-byte page"
+            )
+        per_page = max((pages.page_size - PAGE_HEADER_BYTES) // need, 1)
+        full, rest = divmod(count, per_page)
+        lengths = [PAGE_HEADER_BYTES + per_page * need] * full
+        if rest:
+            lengths.append(PAGE_HEADER_BYTES + rest * need)
         store = cls.__new__(cls)
-        store._locators = {}
-        page_index = np.arange(len(records), dtype=np.int64) // max(per_page, 1)
-        store._allocate(images, page_index, pages, page_class)
+        store._allocate(
+            lengths, np.arange(count, dtype=np.int64) // per_page, pages, page_class
+        )
         return store
 
     def _allocate(
-        self, images, page_index, pages: PageManager, page_class: str
+        self, lengths, page_index, pages: PageManager, page_class: str
     ) -> None:
         self._pages = pages
         self._page_ids = [
-            pages.allocate(image, page_class=page_class) for image in images
+            pages.allocate(length, page_class=page_class) for length in lengths
         ]
         self.row_pages = np.asarray(self._page_ids, dtype=np.int64)[page_index]
-        self._count = len(page_index)
 
     def __len__(self) -> int:
-        return self._count
+        return len(self.row_pages)
 
     @property
     def num_pages(self) -> int:
@@ -103,10 +136,6 @@ class LocatorStore:
     def page_ids(self) -> list[int]:
         """The store's page ids, in cluster-key order."""
         return list(self._page_ids)
-
-    def page_of(self, record_id) -> int:
-        """Page id holding a record."""
-        return self._page_ids[self._locator(record_id)[0]]
 
     def touch_pages(self, page_ids) -> int:
         """Read pre-resolved pages as one run through the buffer pool
@@ -124,14 +153,3 @@ class LocatorStore:
         if needed:
             self._pages.read_pages(needed)
         return len(needed)
-
-    def fetch(self, record_id) -> bytes:
-        """Read and return one record's blob."""
-        index, slot = self._locator(record_id)
-        return unpack_page(self._pages.read(self._page_ids[index]))[slot]
-
-    def _locator(self, record_id) -> tuple[int, int]:
-        loc = self._locators.get(record_id)
-        if loc is None:
-            raise StorageError(f"unknown record id {record_id!r}")
-        return loc

@@ -1,9 +1,11 @@
 """Fixed-size pages behind a thread-safe LRU buffer pool.
 
-The "disk" is a :class:`SimulatedDisk` of immutable byte blocks;
-reads go through a :class:`BufferPool` and misses increment
-``IOStatistics.physical_reads`` — the paper's *pages accessed*
-observable.  Pages are read in runs
+A page is an id with a class and a byte length: the paper's *pages
+accessed* observable counts page fetches that miss the buffer, and no
+query decodes what a page holds, so the "disk" is a
+:class:`SimulatedDisk` of allocated ids and their lengths.  Reads go
+through a :class:`BufferPool` and misses increment
+``IOStatistics.physical_reads``.  Pages are read in runs
 (:meth:`PageManager.read_pages`): one call per structure access,
 observably the same as one read per page.
 
@@ -16,14 +18,12 @@ windows share one this way).  Pool entries are keyed by
 ``(owner, page_id)`` so managers sharing a pool never alias each
 other's page ids.
 
-Resilience: every allocated page carries a CRC-32, taken once when
-:meth:`PageManager.allocate` writes it.  Blocks are immutable bytes
-and only :meth:`SimulatedDisk.write` replaces one, so a clean read of
-a block no later write replaced returns the very bytes that were
-checksummed and runs no second CRC; a replaced block
-(:attr:`SimulatedDisk.rewritten`) and every attempt under a fault
-injector are checked against it.  Failed checks and transient faults
-are retried under a :class:`~repro.storage.faults.RetryPolicy`, and
+Resilience: a read attempt under a fault injector may fail
+transiently or come back corrupt.  Corruption is a drawn fault, not
+flipped bytes: the injector draws it per attempt and the manager
+reports it as the CRC mismatch a checked page would show.  Failed
+attempts are retried under a
+:class:`~repro.storage.faults.RetryPolicy`, and
 :class:`~repro.errors.PageReadError` /
 :class:`~repro.errors.PageCorruptionError` surface only once the
 policy is exhausted.  Retries are counters, not frames: the manager's
@@ -31,8 +31,8 @@ policy is exhausted.  Retries are counters, not frames: the manager's
 ``storage.retries_total`` count them, and the injector's fault log
 names each page and attempt (a clean read moves none).  With no
 :class:`~repro.storage.faults.FaultInjector` attached the read path
-is behaviourally identical to the pre-fault code: the CRC always
-matches and no retry/fault counter moves.
+is behaviourally identical to the pre-fault code: no attempt fails
+and no retry/fault counter moves.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-import zlib
 from bisect import bisect_right
 from collections import Counter, OrderedDict
 
@@ -71,51 +70,53 @@ _owner_tokens = itertools.count()
 
 
 class SimulatedDisk:
-    """The byte blocks behind a :class:`PageManager`, with an optional
-    fault injector on the read path.
+    """The allocated page ids behind a :class:`PageManager`, each with
+    its byte length, and an optional fault injector on the read path.
 
-    A read attempt asks the injector first: it may raise a transient
-    fault (the manager retries), hand back a corrupted payload (the
-    manager's CRC check catches it) or report a simulated latency
-    spike alongside clean data.  Without an injector, reads return the
-    stored block and zero latency — the exact pre-fault behaviour.
+    A read attempt asks the injector: it may raise a transient fault
+    (the manager retries), report the attempt corrupt (the manager
+    treats it as a failed CRC check) or report a simulated latency
+    spike alongside a clean read.  Without an injector, every attempt
+    on an allocated id is clean with zero latency — the exact
+    pre-fault behaviour.
     """
 
     def __init__(self, fault_injector: FaultInjector | None = None):
         self.fault_injector = fault_injector
-        self._blocks: dict[int, bytes] = {}
-        #: Ids whose block a later write replaced: the only blocks that
-        #: can differ from the bytes their first write stored.
-        self.rewritten: set[int] = set()
+        self._lengths: dict[int, int] = {}
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        return len(self._lengths)
 
     def __contains__(self, page_id: int) -> bool:
-        return page_id in self._blocks
+        return page_id in self._lengths
 
-    def write(self, page_id: int, data: bytes) -> None:
-        if page_id in self._blocks:
-            self.rewritten.add(page_id)
-        self._blocks[page_id] = bytes(data)
+    def add(self, page_id: int, length: int) -> None:
+        """Record an allocated page of ``length`` payload bytes."""
+        self._lengths[page_id] = length
 
-    def read(self, page_id: int) -> tuple[bytes, float]:
-        """One read attempt: (payload, simulated extra seconds).
+    def length(self, page_id: int) -> int:
+        """The payload length of an allocated page."""
+        length = self._lengths.get(page_id)
+        if length is None:
+            raise StorageError(f"page {page_id} does not exist")
+        return length
+
+    def read(self, page_id: int) -> tuple[bool, float]:
+        """One read attempt: (corrupt, simulated extra seconds).
 
         Raises :class:`~repro.errors.StorageError` for a page that was
-        never written, or the injector's transient marker for an
+        never allocated, or the injector's transient marker for an
         attempt the schedule failed.
         """
-        data = self._blocks.get(page_id)
-        if data is None:
-            raise StorageError(f"page {page_id} does not exist")
+        length = self.length(page_id)
         if self.fault_injector is None:
-            return data, 0.0
-        return self.fault_injector.on_read(page_id, data)
+            return False, 0.0
+        return self.fault_injector.on_read(page_id, length)
 
 
 class BufferPool:
-    """A thread-safe LRU cache of pages, shareable across managers.
+    """A thread-safe LRU cache of page ids, shareable across managers.
 
     Entries are keyed by ``(owner, page_id)``; each
     :class:`PageManager` passes its own owner token, so several
@@ -132,25 +133,26 @@ class BufferPool:
             raise StorageError("buffer pool capacity must be >= 1")
         self.capacity = capacity
         self._lock = threading.RLock()
-        self._entries: OrderedDict[tuple, bytes] = OrderedDict()
+        self._entries: OrderedDict[tuple, None] = OrderedDict()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def get(self, owner: int, page_id: int) -> bytes | None:
-        """The cached page, refreshed to most-recently-used; None on miss."""
+    def get(self, owner: int, page_id: int) -> bool:
+        """Whether the page is cached; a hit is refreshed to
+        most-recently-used."""
         key = (owner, page_id)
         with self._lock:
-            data = self._entries.get(key)
-            if data is not None:
-                self._entries.move_to_end(key)
-            return data
+            if key not in self._entries:
+                return False
+            self._entries.move_to_end(key)
+            return True
 
-    def put(self, owner: int, page_id: int, data: bytes) -> None:
+    def put(self, owner: int, page_id: int) -> None:
         """Insert a page, evicting least-recently-used beyond capacity."""
         with self._lock:
-            self._entries[(owner, page_id)] = data
+            self._entries[(owner, page_id)] = None
             self._entries.move_to_end((owner, page_id))
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -232,7 +234,6 @@ class PageManager:
             quarantine if quarantine is not None else PageQuarantine()
         )
         self.fault_stats = FaultStats()
-        self._crc: dict[int, int] = {}
         # Page classes as allocation spans: ids are handed out in
         # order, so span i holds ids _span_start[i] up to the next
         # span's start (or _next_id), all of class _span_class[i].
@@ -258,30 +259,33 @@ class PageManager:
     def fault_injector(self, injector: FaultInjector | None) -> None:
         self._disk.fault_injector = injector
 
-    def allocate(self, data: bytes, page_class: str = PAGE_CLASS_OTHER) -> int:
-        """Write a new page to disk; returns its page id.
+    def allocate(self, length: int, page_class: str = PAGE_CLASS_OTHER) -> int:
+        """Allocate a new page of ``length`` payload bytes; returns its
+        page id.
 
         ``page_class`` labels the structure the page belongs to
         (dmtm / msdn / objects / index) so reads can be attributed
         per structure in :class:`IOStatistics`; consecutive pages of
-        one class form one class span.  Every page gets a CRC-32 of
-        its payload, the one a physical read checks it against.
+        one class form one class span.
         """
-        if len(data) > self.page_size:
+        if not 0 <= length <= self.page_size:
             raise StorageError(
-                f"page payload of {len(data)} bytes exceeds page size "
+                f"page payload of {length} bytes does not fit page size "
                 f"{self.page_size}"
             )
         with self._lock:
             page_id = self._next_id
-            self._disk.write(page_id, data)
-            self._crc[page_id] = zlib.crc32(data)
+            self._disk.add(page_id, length)
             if not self._span_class or self._span_class[-1] != page_class:
                 self._span_start.append(page_id)
                 self._span_class.append(page_class)
             self._next_id = page_id + 1
             self.stats.record_write()
         return page_id
+
+    def page_length(self, page_id: int) -> int:
+        """The payload length a page was allocated with."""
+        return self._disk.length(page_id)
 
     def page_class_of(self, page_id: int) -> str:
         """The class a page was allocated under (``other`` for an id
@@ -296,40 +300,37 @@ class PageManager:
             return None
         return bisect_right(self._span_start, page_id) - 1
 
-    def read(self, page_id: int) -> bytes:
-        """Fetch one page through the buffer pool: the one-page run of
+    def read(self, page_id: int) -> None:
+        """Read one page through the buffer pool: the one-page run of
         :meth:`read_pages`."""
-        return self.read_pages((page_id,))[0]
+        self.read_pages((page_id,))
 
-    def read_pages(self, page_ids) -> list[bytes]:
-        """Fetch a *run* of pages through the buffer pool, in order.
+    def read_pages(self, page_ids) -> None:
+        """Read a *run* of pages through the buffer pool, in order.
 
-        ``page_ids`` is an ordered sequence (repeats allowed); the
-        payloads come back in the same order.  The run is observably
-        one read per page: each page is probed in the pool (a hit
-        refreshes its LRU position), and a miss passes the quarantine
-        gate, is fetched with CRC check and retries, then inserted,
-        evicting least-recently-used pages beyond capacity.  What a
-        run pays once instead of per page is the context lookup, the
-        lock acquisitions, the quarantine gate while the quarantine is
-        empty, and the statistics update — one
-        per-class flush, which also runs when a read raises part-way
-        (the pages before it are counted, the failing one is not).
-        With profiling on, each miss bills one call and its reads to
-        the ``page-io`` phase under the caller's frame, and hits count
-        ``logical_reads`` in the caller's phase, as single reads do.
+        ``page_ids`` is an ordered sequence (repeats allowed).  The run
+        is observably one read per page: each page is probed in the
+        pool (a hit refreshes its LRU position), and a miss passes the
+        quarantine gate, is fetched with retries, then inserted,
+        evicting least-recently-used pages beyond capacity.  A read
+        charges the pool and the statistics; it hands back nothing,
+        since no caller decodes a page.  What a run pays once instead
+        of per page is the context lookup, the lock acquisitions, the
+        quarantine gate while the quarantine is empty, and the
+        statistics update — one per-class flush, which also runs when a
+        read raises part-way (the pages before it are counted, the
+        failing one is not).  With profiling on, each miss bills one
+        call and its reads to the ``page-io`` phase under the caller's
+        frame, and hits count ``logical_reads`` in the caller's phase,
+        as single reads do.
 
         While the disk has no fault injector and the quarantine is
-        empty, a miss is *clean*: its block is fetched right here, one
-        dictionary probe per page.  Its CRC is checked only when a
-        later write replaced the block (``SimulatedDisk.rewritten``):
-        any other block is still the bytes :meth:`allocate`
-        checksummed.  A clean miss whose block is missing or fails its
-        CRC goes the way of every other miss, :meth:`_read_miss`,
-        which re-reads it with the retries, errors and quarantine
-        admission of a faulted read.  The statistics flush bills a run
-        inside one class span with one update per counter
-        (:meth:`_flush_run`).
+        empty, a miss is *clean*: it is fetched right here, one
+        dictionary probe per page for the id's allocation.  A clean
+        miss of an id never allocated goes the way of every other miss,
+        :meth:`_read_miss`, which raises the error a faulted read of
+        it raises.  The statistics flush bills a run inside one class
+        span with one update per counter (:meth:`_flush_run`).
 
         Lock order: the manager lock, then the pool lock (held for the
         whole run), then the quarantine's or the injector's lock.
@@ -341,13 +342,10 @@ class PageManager:
         pool = self._buffer
         entries = pool._entries
         quarantine = self.quarantine
-        blocks = self._disk._blocks
-        rewritten = self._disk.rewritten
-        crcs = self._crc
-        crc32 = zlib.crc32
+        allocated = self._disk._lengths
         profiling = obs.profiling
         page_io = None  # the run's page-io node, looked up on its first miss
-        out: list[bytes] = []
+        done = 0
         missed: list[int] = []
         with self._lock, pool._lock:
             # Only this manager admits its own pages (an admission
@@ -359,53 +357,43 @@ class PageManager:
             try:
                 for page_id in page_ids:
                     key = (owner, page_id)
-                    data = entries.get(key)
-                    if data is None:
+                    if key in entries:
+                        entries.move_to_end(key)
+                    else:
                         if clean and profiling and page_io is None:
                             page_io = obs.leaf("page-io")
                             # No profiled frame is open: every miss
                             # opens a phase of its own (_read_miss).
                             clean = page_io is not None
-                        if clean:
-                            t0 = time.perf_counter() if profiling else 0.0
-                            data = blocks.get(page_id)
-                            if data is None or (
-                                page_id in rewritten
-                                and crc32(data) != crcs.get(page_id)
-                            ):
-                                data = self._read_miss(page_id, gated, obs)
-                            elif profiling:
-                                page_io.seconds += time.perf_counter() - t0
-                                page_io.calls += 1
-                                page_io.count("logical_reads", 1)
-                                page_io.count("physical_reads", 1)
-                                page_io.count(
-                                    "physical." + self.page_class_of(page_id), 1
-                                )
-                        else:
-                            data = self._read_miss(page_id, gated, obs)
+                        if not clean or page_id not in allocated:
+                            self._read_miss(page_id, gated, obs)
+                        elif profiling:
+                            # A clean fetch is one dictionary probe:
+                            # it bills its call and reads, no seconds.
+                            page_io.calls += 1
+                            page_io.count("logical_reads", 1)
+                            page_io.count("physical_reads", 1)
+                            page_io.count(
+                                "physical." + self.page_class_of(page_id), 1
+                            )
                         missed.append(page_id)
-                        entries[key] = data
+                        entries[key] = None
                         while len(entries) > pool.capacity:
                             entries.popitem(last=False)
-                    else:
-                        entries.move_to_end(key)
-                    out.append(data)
+                    done += 1
             finally:
-                if out:
-                    self._flush_run(page_ids, len(out), missed, obs)
-        return out
+                if done:
+                    self._flush_run(page_ids, done, missed, obs)
 
-    def _read_miss(self, page_id: int, gated: bool, obs) -> bytes:
+    def _read_miss(self, page_id: int, gated: bool, obs) -> None:
         """A buffer miss of :meth:`read_pages` that is not read
         inline: every miss while a fault injector is attached or the
-        quarantine holds pages, and a clean miss whose block is
-        missing or fails its CRC.  The quarantine gate (while
-        ``gated``), then the verified fetch with retries
-        (:meth:`_fetch_verified`).
+        quarantine holds pages, and a clean miss of an id never
+        allocated.  The quarantine gate (while ``gated``), then the
+        verified fetch with retries (:meth:`_fetch_verified`).
 
         A buffer miss is the query's page-I/O moment: the physical
-        fetch (plus CRC/retry machinery) is billed to the "page-io"
+        fetch (plus retry machinery) is billed to the "page-io"
         phase, with per-class read attribution.  Nothing inside a
         fetch opens a frame or counts, so under an open frame the
         miss bills the phase's node directly (:meth:`ObsContext.leaf`);
@@ -418,7 +406,7 @@ class PageManager:
         if page_io is not None:
             t0 = time.perf_counter()
             try:
-                data = self._fetch_verified(page_id, verdict)
+                self._fetch_verified(page_id, verdict)
             finally:
                 page_io.seconds += time.perf_counter() - t0
                 page_io.calls += 1
@@ -429,22 +417,21 @@ class PageManager:
             # No profiled frame is open: the miss is a profile of its
             # own (or of nothing, under ObsContext.nested_under).
             with obs.phase("page-io"):
-                data = self._fetch_verified(page_id, verdict)
+                self._fetch_verified(page_id, verdict)
                 obs.tally("logical_reads")
                 obs.tally("physical_reads")
                 obs.tally("physical." + self.page_class_of(page_id))
         else:
-            data = self._fetch_verified(page_id, verdict)
+            self._fetch_verified(page_id, verdict)
         if verdict == QUARANTINE_PROBE:
             self.quarantine.probe_succeeded(self._owner, page_id)
             self.fault_stats.pages_readmitted_total += 1
             active_registry().counter("storage.pages_readmitted_total").add(1)
-        return data
 
     def _gate(self, page_id: int) -> str:
         """The quarantine's verdict on a miss.
 
-        A buffered copy is valid data, so the quarantine only gates
+        A buffered page reads clean, so the quarantine only gates
         disk access: known-bad pages fail fast here instead of
         re-running the retry storm, except for the periodic probation
         read that checks whether the page has healed."""
@@ -485,22 +472,21 @@ class PageManager:
         if hits:
             obs.tally("logical_reads", hits)
 
-    def _fetch_verified(self, page_id: int, verdict: str) -> bytes:
-        """Fetch a page from the simulated disk, verifying its CRC and
-        retrying transient faults / detected corruption under the
-        retry policy.
+    def _fetch_verified(self, page_id: int, verdict: str) -> None:
+        """Fetch a page from the simulated disk, retrying transient
+        faults and corrupt attempts (each reported as a failed CRC
+        check) under the retry policy.
 
         Once attempts are exhausted the page is quarantined (a failed
         probe instead keeps it there with a doubled cooldown) and the
         *last* failure raises, so a final corrupted attempt surfaces
         as :class:`PageCorruptionError`, a final transient as
         :class:`PageReadError`."""
-        expected_crc = self._crc.get(page_id)
         policy = self.retry_policy
         attempt = 1
         while True:
             try:
-                data, latency = self._disk.read(page_id)
+                corrupt, latency = self._disk.read(page_id)
             except _TransientFault as exc:
                 self.fault_stats.transient_faults_total += 1
                 active_registry().counter("storage.transient_faults_total").add(1)
@@ -512,8 +498,8 @@ class PageManager:
                     registry = active_registry()
                     registry.counter("storage.fault_latency_events_total").add(1)
                     registry.counter("storage.fault_latency_seconds").add(latency)
-                if expected_crc is None or zlib.crc32(data) == expected_crc:
-                    return data
+                if not corrupt:
+                    return
                 self.fault_stats.corruptions_total += 1
                 active_registry().counter("storage.corruptions_total").add(1)
                 error = PageCorruptionError(f"page {page_id} failed its CRC check")

@@ -7,7 +7,7 @@ straightforward object-walk versions it replaced live here, for tests
 and the testkit ``oracle`` leg to call directly: each must agree with
 its production twin exactly — same graph node for node and edge for
 edge, same bound value, path keys and chunk count, same arrays and
-page bytes, same pages read in the same order.
+page layout, same pages read in the same order.
 
 * :func:`build_pathnet_reference` — the per-face Python loop behind
   :func:`repro.geodesic.pathnet.build_pathnet`;
@@ -45,10 +45,10 @@ page bytes, same pages read in the same order.
   :meth:`~repro.msdn.msdn.MSDN.corridor_reaches`;
 * :class:`MSDNReference` — the object MSDN build: one
   :class:`SdnChunk` per chunk (:func:`build_sdn_chunks` over the
-  crossing lines) and a record-id
-  :class:`~repro.storage.locator.LocatorStore` of encoded records, the
-  twin of the column-wise families of :class:`repro.msdn.msdn.MSDN`
-  and their one-array page write; :func:`msdn_reference` keeps one
+  crossing lines) and a record-id :class:`RecordStoreReference` of
+  its encoded records' sizes, the twin of the column-wise families of
+  :class:`repro.msdn.msdn.MSDN` and their one-store layout;
+  :func:`msdn_reference` keeps one
   per production MSDN for the chunk walks above and
   :func:`msdn_corridor_reference`;
 * :func:`build_collapse_history_reference` — QEM contraction with
@@ -58,8 +58,10 @@ page bytes, same pages read in the same order.
   :func:`repro.simplification.collapse.build_collapse_history` and
   its one fused merge-cost call per collapse;
 * :func:`dmtm_attach_reference` — the DMTM laid out record by record,
-  scalar z-order keys and one id-addressed store each for nodes and
-  faces, the twin of :meth:`repro.multires.dmtm.DMTM.attach_storage`;
+  scalar z-order keys, record sizes from packed records and one
+  id-addressed :class:`RecordStoreReference` (cut by the per-record
+  :func:`paginate_reference`) each for nodes and faces, the twin of
+  :meth:`repro.multires.dmtm.DMTM.attach_storage`;
   :func:`dmtm_reference_stores` keeps one per production DMTM for
   the record-id charging above;
 * :func:`mesh_adjacency_reference` and :func:`dem_faces_reference` —
@@ -99,7 +101,6 @@ import itertools
 import math
 import struct
 import weakref
-import zlib
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -123,7 +124,7 @@ from repro.msdn.msdn import (
     LowerBoundResult,
     crossing_lines,
 )
-from repro.msdn.sdn import _CHUNK_STRUCT, _point_to_boxes
+from repro.msdn.sdn import _point_to_boxes
 from repro.multires.dmtm import NetworkView, UpperBoundResult
 from repro.simplification.collapse import CollapseHistory, CollapseNode
 from repro.simplification.quadric import best_merge_position, face_quadric
@@ -137,7 +138,6 @@ from repro.storage.faults import (
     QUARANTINE_PROBE,
     _TransientFault,
 )
-from repro.storage.locator import LocatorStore
 from repro.storage.pages import PageManager
 from repro.storage.stats import PAGE_CLASS_DMTM, PAGE_CLASS_MSDN
 
@@ -434,17 +434,96 @@ def build_pathnet_reference(
     return graph
 
 
+#: The page framing: a record count heading each page, and a length
+#: heading each record on it.
+_PAGE_COUNT = struct.Struct("<H")
+_RECORD_LENGTH = struct.Struct("<H")
+
+
+def paginate_reference(sizes, page_size: int) -> list[list[int]]:
+    """Greedily group records of the given byte sizes into page-sized
+    batches of record positions, preserving order (clustering!): one
+    decision per record, the twin of the per-page cut of
+    :class:`~repro.storage.locator.LocatorStore`.  A page spends
+    :data:`_PAGE_COUNT` on its record count and each record
+    :data:`_RECORD_LENGTH` on its length."""
+    pages: list[list[int]] = []
+    current: list[int] = []
+    used = _PAGE_COUNT.size
+    for position, size in enumerate(sizes):
+        need = _RECORD_LENGTH.size + int(size)
+        if used + need > page_size and current:
+            pages.append(current)
+            current = []
+            used = _PAGE_COUNT.size
+        if _PAGE_COUNT.size + need > page_size:
+            raise StorageError(
+                f"a single record of {int(size)} bytes cannot fit a "
+                f"{page_size}-byte page"
+            )
+        current.append(position)
+        used += need
+    if current:
+        pages.append(current)
+    return pages
+
+
+class RecordStoreReference:
+    """A record store laid out record by record and addressed by
+    record id: ``items`` of ``(cluster_key, record_id, size)`` sorted
+    by key (ties in input order), cut by :func:`paginate_reference`
+    and allocated on ``pages`` page by page, each page as long as its
+    framed records — the twin of
+    :class:`~repro.storage.locator.LocatorStore`: page ids, lengths
+    and :attr:`row_pages` must equal the production store's."""
+
+    def __init__(self, items, pages: PageManager, page_class: str):
+        items = list(items)
+        order = sorted(range(len(items)), key=lambda i: items[i][0])
+        self.page_ids: list[int] = []
+        self.row_pages = np.empty(len(items), dtype=np.int64)
+        self._slots: dict = {}
+        for slot, batch in enumerate(
+            paginate_reference([items[i][2] for i in order], pages.page_size)
+        ):
+            rows = [order[position] for position in batch]
+            length = _PAGE_COUNT.size + sum(
+                _RECORD_LENGTH.size + items[row][2] for row in rows
+            )
+            page_id = pages.allocate(length, page_class=page_class)
+            self.page_ids.append(page_id)
+            for row in rows:
+                record_id = items[row][1]
+                if record_id in self._slots:
+                    raise StorageError(f"duplicate record id {record_id!r}")
+                self._slots[record_id] = slot
+                self.row_pages[row] = page_id
+        self._pages = pages
+
+    def page_slot(self, record_id) -> int:
+        """The index, among this store's pages, of a record's page."""
+        slot = self._slots.get(record_id)
+        if slot is None:
+            raise StorageError(f"unknown record id {record_id!r}")
+        return slot
+
+    def page_of(self, record_id) -> int:
+        """Page id holding a record."""
+        return self.page_ids[self.page_slot(record_id)]
+
+
 def touch_records_reference(store, ref_store, record_ids) -> int:
     """Record-id page charging on a
     :class:`~repro.storage.locator.LocatorStore`: every page holding
     one of the records, read one page at a time in ascending page
     order — the twin of one run of
     :meth:`~repro.storage.locator.LocatorStore.touch_pages`.  Record
-    ids resolve through ``ref_store``, the by-record layout of the
-    same records, whose k-th page is ``store``'s k-th page.  Returns
-    the number of distinct pages."""
+    ids resolve through ``ref_store``, the by-record layout
+    (:class:`RecordStoreReference`) of the same records, whose k-th
+    page is ``store``'s k-th page.  Returns the number of distinct
+    pages."""
     page_ids = store.page_ids
-    needed = {page_ids[ref_store._locator(rid)[0]] for rid in record_ids}
+    needed = {page_ids[ref_store.page_slot(rid)] for rid in record_ids}
     for page_id in sorted(needed):
         store._pages.read(page_id)
     return len(needed)
@@ -474,13 +553,16 @@ def _encode_face_reference(mesh, fi: int) -> bytes:
     )
 
 
-def dmtm_attach_reference(dmtm, pages: PageManager) -> tuple[LocatorStore, LocatorStore]:
-    """The by-record DMTM attach: one ``(z-order key, id, blob)`` item
+def dmtm_attach_reference(
+    dmtm, pages: PageManager
+) -> tuple[RecordStoreReference, RecordStoreReference]:
+    """The by-record DMTM attach: one ``(z-order key, id, size)`` item
     per node and per face, each key from
     :func:`~repro.spatial.zorder.zorder_key_normalized` (a face's at
-    its ``mean`` centroid) and each blob packed field by field, laid
-    out on ``pages`` as two id-addressed stores ``(nodes, faces)`` —
-    the twin of :meth:`repro.multires.dmtm.DMTM.attach_storage`."""
+    its ``mean`` centroid) and each size the length of the record
+    packed field by field, laid out on ``pages`` as two id-addressed
+    stores ``(nodes, faces)`` — the twin of
+    :meth:`repro.multires.dmtm.DMTM.attach_storage`."""
     mesh = dmtm.mesh
     world = mesh.xy_bounds()
     node_items = []
@@ -488,14 +570,14 @@ def dmtm_attach_reference(dmtm, pages: PageManager) -> tuple[LocatorStore, Locat
         key = zorder_key_normalized(
             float(node.position[0]), float(node.position[1]), world
         )
-        node_items.append((key, node.node_id, _encode_node_reference(node)))
-    node_store = LocatorStore(node_items, pages, page_class=PAGE_CLASS_DMTM)
+        node_items.append((key, node.node_id, len(_encode_node_reference(node))))
+    node_store = RecordStoreReference(node_items, pages, page_class=PAGE_CLASS_DMTM)
     face_items = []
     for fi in range(mesh.num_faces):
         centroid = mesh.face_points(fi).mean(axis=0)
         key = zorder_key_normalized(float(centroid[0]), float(centroid[1]), world)
-        face_items.append((key, fi, _encode_face_reference(mesh, fi)))
-    face_store = LocatorStore(face_items, pages, page_class=PAGE_CLASS_DMTM)
+        face_items.append((key, fi, len(_encode_face_reference(mesh, fi))))
+    face_store = RecordStoreReference(face_items, pages, page_class=PAGE_CLASS_DMTM)
     return node_store, face_store
 
 
@@ -503,7 +585,7 @@ def dmtm_attach_mismatches(dmtm, pages, ref_pages) -> list[str]:
     """What differs between ``dmtm`` attached to ``pages`` and
     :func:`dmtm_attach_reference` on ``ref_pages`` (both fresh
     managers of one page size): the node and face page arrays, and
-    every page's bytes, CRC and class.  Empty when the layouts are
+    every page's length and class.  Empty when the layouts are
     identical."""
     nodes, faces = dmtm_attach_reference(dmtm, ref_pages)
     out = []
@@ -519,7 +601,9 @@ def dmtm_attach_mismatches(dmtm, pages, ref_pages) -> list[str]:
 _dmtm_references: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def dmtm_reference_stores(dmtm) -> tuple[LocatorStore, LocatorStore]:
+def dmtm_reference_stores(
+    dmtm,
+) -> tuple[RecordStoreReference, RecordStoreReference]:
     """``(nodes, faces)`` of :func:`dmtm_attach_reference` for an
     attached ``dmtm`` (built once per instance): the record-id stores
     through which the touch twins resolve ids.  Each store's k-th
@@ -751,6 +835,12 @@ def dmtm_upper_bounds_multi_reference(dmtm, anchors, target_vertices, network):
     return best
 
 
+#: One chunk record as the object build packs it: axis, plane index,
+#: plane value, resolution in per mille, first and last segment, then
+#: the MBR's lo and hi corners — ``CHUNK_RECORD_BYTES`` long.
+_CHUNK_STRUCT = struct.Struct("<BIdHII6d")
+
+
 @dataclass(frozen=True)
 class SdnChunk:
     """One SDN node of the object build: a run of crossing-line
@@ -823,9 +913,9 @@ class MSDNReference:
     """The object build of an MSDN: one :class:`SdnChunk` per chunk of
     every (axis, resolution) family, by :func:`build_sdn_chunks` over
     the crossing lines, flattened into the family arrays the array
-    build must equal; :meth:`attach_storage` pages out the encoded
-    chunk records through a record-id
-    :class:`~repro.storage.locator.LocatorStore`.
+    build must equal; :meth:`attach_storage` lays out the chunk
+    records, sized by their encoding, through a record-id
+    :class:`RecordStoreReference`.
 
     ``chunks[(axis, res)]`` lists each plane's chunks; ``chunk_xy``
     the per-plane xy-MBR arrays; ``family_xy``, ``boxes3d`` and
@@ -863,7 +953,7 @@ class MSDNReference:
                     np.array([c.mbr.lo for c in flat], dtype=float).reshape(-1, 3),
                     np.array([c.mbr.hi for c in flat], dtype=float).reshape(-1, 3),
                 )
-        self.store: LocatorStore | None = None
+        self.store: RecordStoreReference | None = None
 
     @classmethod
     def of(cls, msdn) -> "MSDNReference":
@@ -891,19 +981,21 @@ class MSDNReference:
         return cls(planes, lines, resolutions)
 
     def record_items(self) -> list:
-        """``(cluster_key, record_id, blob)`` per chunk, in generation
-        order."""
+        """``(cluster_key, record_id, size)`` per chunk, in generation
+        order, each size the length of the encoded chunk."""
         items = []
         for (axis, res), per_plane in self.chunks.items():
             for chunks in per_plane:
                 for chunk in chunks:
                     cluster = (axis, round(res * 1000), chunk.plane_index, chunk.first)
-                    items.append((cluster, ("chunk",) + cluster, chunk.encode()))
+                    items.append(
+                        (cluster, ("chunk",) + cluster, len(chunk.encode()))
+                    )
         return items
 
-    def attach_storage(self, pages: PageManager) -> LocatorStore:
-        """Page out every encoded chunk record by record id."""
-        self.store = LocatorStore(
+    def attach_storage(self, pages: PageManager) -> RecordStoreReference:
+        """Lay out every chunk record by record id."""
+        self.store = RecordStoreReference(
             self.record_items(), pages, page_class=PAGE_CLASS_MSDN
         )
         return self.store
@@ -1036,7 +1128,7 @@ def _touch_chunks(msdn, chunks, resolution: float) -> None:
     production = msdn._store.page_ids
     rk = round(resolution * 1000)
     needed = {
-        production[store.page_of(("chunk", c.axis, rk, c.plane_index, c.first))]
+        production[store.page_slot(("chunk", c.axis, rk, c.plane_index, c.first))]
         for c in chunks
     }
     for page_id in sorted(needed):
@@ -1164,7 +1256,7 @@ def msdn_build_mismatches(msdn, pages, ref: MSDNReference, ref_pages) -> list[st
     and the object build ``ref`` paged out on ``ref_pages`` (both
     fresh managers of one page size): the family arrays by bytes, the
     chunk keys, the (plane, page) segments the page id of every chunk
-    gives, ``stats()``, and every page's bytes, CRC and class.  Empty
+    gives, ``stats()``, and every page's length and class.  Empty
     when the builds are identical."""
     if list(msdn._families) != list(ref.chunks):
         return ["families"]
@@ -1199,14 +1291,13 @@ def msdn_build_mismatches(msdn, pages, ref: MSDNReference, ref_pages) -> list[st
 
 
 def _page_mismatches(pages, ref_pages) -> list[str]:
-    """Pages of two managers that differ in bytes, CRC or class."""
+    """Pages of two managers that differ in length or class."""
     if pages.num_pages != ref_pages.num_pages:
         return ["page count"]
     return [
         f"page {page_id}"
         for page_id in range(ref_pages.num_pages)
-        if pages._disk.read(page_id)[0] != ref_pages._disk.read(page_id)[0]
-        or pages._crc[page_id] != ref_pages._crc[page_id]
+        if pages.page_length(page_id) != ref_pages.page_length(page_id)
         or pages.page_class_of(page_id) != ref_pages.page_class_of(page_id)
     ]
 
@@ -1437,14 +1528,14 @@ def mesh_adjacency_mismatches(mesh) -> list[str]:
     return out
 
 
-def read_page_reference(manager, page_id: int) -> bytes:
+def read_page_reference(manager, page_id: int) -> None:
     """One page through ``manager``'s buffer pool, paying every step
     per page: context lookup, manager lock, pool probe and insert
     (each under the pool lock), quarantine gate, verified fetch and
     one statistics update.  A run of
     :meth:`~repro.storage.pages.PageManager.read_pages` must equal
-    one call of this per page, in order — bytes, errors, statistics,
-    fault and quarantine state, registry counters and profile
+    one call of this per page, in order — errors, statistics, LRU
+    order, fault and quarantine state, registry counters and profile
     frames.  The fetch is :func:`_fetch_verified_reference`; the
     quarantine admission of a read that exhausts its retries happens
     here."""
@@ -1452,11 +1543,10 @@ def read_page_reference(manager, page_id: int) -> bytes:
     owner = manager._owner
     obs = current()
     with manager._lock:
-        cached = manager._buffer.get(owner, page_id)
-        if cached is not None:
+        if manager._buffer.get(owner, page_id):
             manager.stats.record_read(page_class, physical=False)
             obs.tally("logical_reads")
-            return cached
+            return
         verdict = manager.quarantine.gate(owner, page_id)
         if verdict == QUARANTINE_BLOCKED:
             manager.fault_stats.quarantine_fastfails_total += 1
@@ -1471,7 +1561,7 @@ def read_page_reference(manager, page_id: int) -> bytes:
             active_registry().counter("storage.quarantine_probes_total").add(1)
         with obs.phase("page-io"):
             try:
-                data = _fetch_verified_reference(manager, page_id)
+                _fetch_verified_reference(manager, page_id)
             except (PageReadError, PageCorruptionError) as exc:
                 if verdict == QUARANTINE_PROBE:
                     manager.quarantine.probe_failed(owner, page_id)
@@ -1499,16 +1589,15 @@ def read_page_reference(manager, page_id: int) -> bytes:
             manager.fault_stats.pages_readmitted_total += 1
             active_registry().counter("storage.pages_readmitted_total").add(1)
         manager.stats.record_read(page_class, physical=True)
-        manager._buffer.put(owner, page_id, data)
-        return data
+        manager._buffer.put(owner, page_id)
 
 
-def _fetch_verified_reference(manager, page_id: int) -> bytes:
-    """One page from ``manager``'s simulated disk, CRC-checked, with
-    transient faults and detected corruption retried under its retry
-    policy; raises the *last* failure once attempts are exhausted."""
+def _fetch_verified_reference(manager, page_id: int) -> None:
+    """One page from ``manager``'s simulated disk, with transient
+    faults and corrupt attempts (failed CRC checks) retried under its
+    retry policy; raises the *last* failure once attempts are
+    exhausted."""
     policy = manager.retry_policy
-    expected_crc = manager._crc.get(page_id)
     last_error: StorageError | None = None
     for attempt in range(1, policy.max_attempts + 1):
         if attempt > 1:
@@ -1519,7 +1608,7 @@ def _fetch_verified_reference(manager, page_id: int) -> bytes:
             registry.counter("storage.retries_total").add(1)
             registry.counter("storage.retry_backoff_seconds").add(backoff)
         try:
-            data, latency = manager._disk.read(page_id)
+            corrupt, latency = manager._disk.read(page_id)
         except _TransientFault as exc:
             manager.fault_stats.transient_faults_total += 1
             active_registry().counter("storage.transient_faults_total").add(1)
@@ -1531,12 +1620,12 @@ def _fetch_verified_reference(manager, page_id: int) -> bytes:
             registry = active_registry()
             registry.counter("storage.fault_latency_events_total").add(1)
             registry.counter("storage.fault_latency_seconds").add(latency)
-        if expected_crc is not None and zlib.crc32(data) != expected_crc:
+        if corrupt:
             manager.fault_stats.corruptions_total += 1
             active_registry().counter("storage.corruptions_total").add(1)
             last_error = PageCorruptionError(f"page {page_id} failed its CRC check")
             continue
-        return data
+        return
     manager.fault_stats.reads_failed_total += 1
     active_registry().counter("storage.read_failures_total").add(1)
     assert last_error is not None

@@ -2,7 +2,8 @@
 builds they replaced.
 
 :class:`repro.testkit.reference.MSDNReference` is the object build
-(one chunk object per chunk, a record-id store of encoded records),
+(one chunk object per chunk, a record-id store sized by encoded
+records),
 :func:`repro.testkit.reference.build_collapse_history_reference` the
 per-pair collapse loop, :func:`~repro.testkit.reference.dmtm_attach_reference`
 the by-record DMTM attach, :func:`~repro.testkit.reference.mesh_adjacency_reference`
@@ -10,8 +11,9 @@ and :func:`~repro.testkit.reference.dem_faces_reference` the mesh
 loops, :func:`~repro.testkit.reference.edge_network_reference` the
 edge network by one append per edge and direction, and
 :meth:`~repro.terrain.mesh.TriangleMesh.vertex_total_angle` the
-scalar saddle angle.  Arrays, pages and floats are compared as
-bytes (:func:`~repro.testkit.reference.msdn_build_mismatches`,
+scalar saddle angle.  Arrays and floats are compared as bytes, and
+pages by length and class
+(:func:`~repro.testkit.reference.msdn_build_mismatches`,
 :func:`~repro.testkit.reference.collapse_history_bits`,
 :func:`~repro.testkit.reference.dmtm_attach_mismatches`,
 :func:`~repro.testkit.reference.mesh_adjacency_mismatches`), so a

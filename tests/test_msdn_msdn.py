@@ -110,8 +110,12 @@ class TestResolutions:
         twice.attach_storage(pages_twice)
         once.attach_storage(pages_once)
         assert pages_twice.num_pages == pages_once.num_pages
-        assert [pages_twice._disk.read(i) for i in range(pages_twice.num_pages)] == [
-            pages_once._disk.read(i) for i in range(pages_once.num_pages)
+        assert [
+            (pages_twice.page_length(i), pages_twice.page_class_of(i))
+            for i in range(pages_twice.num_pages)
+        ] == [
+            (pages_once.page_length(i), pages_once.page_class_of(i))
+            for i in range(pages_once.num_pages)
         ]
 
 

@@ -140,26 +140,18 @@ class TestStorage:
 
     def test_pages_resolved_at_attach(self, request):
         """Node and face pages are known once storage is attached, and
-        are the pages their record ids land on (faces carry no ids in
-        the store: theirs resolve through the by-record attach, whose
-        k-th face page is the store's k-th)."""
+        are the pages their record ids land on in the by-record attach
+        (whose k-th node or face page is the store's k-th)."""
         mesh = request.getfixturevalue("rough_mesh")
         dmtm = DMTM(mesh)
         dmtm.attach_storage(PageManager(page_size=1024))
-        nodes = dmtm._node_store
-        _ref_nodes, ref_faces = dmtm_reference_stores(dmtm)
+        ref_nodes, ref_faces = dmtm_reference_stores(dmtm)
+        node_pages = dmtm._node_store.page_ids
         face_pages = dmtm._face_store.page_ids
         assert dmtm._node_pages.tolist() == [
-            nodes.page_of(n.node_id) for n in dmtm.ddm.history.nodes
+            node_pages[ref_nodes.page_slot(n.node_id)]
+            for n in dmtm.ddm.history.nodes
         ]
         assert dmtm._face_pages.tolist() == [
-            face_pages[ref_faces.page_ids.index(ref_faces.page_of(fi))]
-            for fi in range(mesh.num_faces)
+            face_pages[ref_faces.page_slot(fi)] for fi in range(mesh.num_faces)
         ]
-
-    def test_node_record_roundtrip(self, dmtm):
-        node = dmtm.ddm.history.nodes[10]
-        decoded = DMTM.decode_node(dmtm._encode_node(node))
-        assert decoded["node_id"] == node.node_id
-        assert decoded["rep"] == node.rep
-        assert decoded["records"] == [(n, pytest.approx(d)) for n, d in node.records]

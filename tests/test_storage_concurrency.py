@@ -70,7 +70,7 @@ class TestPageManagerHammer:
     def test_hit_miss_accounting_is_atomic(self):
         manager = PageManager(page_size=256, buffer_pages=4)
         page_ids = [
-            manager.allocate(bytes([i]) * 32, page_class="dmtm")
+            manager.allocate(32, page_class="dmtm")
             for i in range(16)
         ]
         barrier = threading.Barrier(THREADS)
@@ -93,21 +93,17 @@ class TestPageManagerHammer:
         assert stats.logical_by_class == {"dmtm": total}
         assert sum(stats.physical_by_class.values()) == stats.physical_reads
 
-    def test_reads_return_correct_bytes_under_contention(self):
+    def test_reads_bill_their_page_under_contention(self):
+        """Eight pages, each its own class span: under contention every
+        read is billed to the page it asked for."""
         manager = PageManager(page_size=256, buffer_pages=2)
-        expected = {
-            manager.allocate(bytes([i]) * 64): bytes([i]) * 64
-            for i in range(8)
-        }
+        ids = [manager.allocate(64, page_class=f"c{i}") for i in range(8)]
         errors: list = []
 
         def worker(seed: int):
             try:
-                ids = list(expected)
                 for i in range(200):
-                    pid = ids[(seed + i) % len(ids)]
-                    if manager.read(pid) != expected[pid]:
-                        errors.append(pid)
+                    manager.read(ids[(seed + i) % len(ids)])
             except Exception as exc:  # pragma: no cover - fail loudly
                 errors.append(exc)
 
@@ -116,11 +112,16 @@ class TestPageManagerHammer:
         ]
         _run_threads(threads)
         assert errors == []
+        # Worker s reads page (s + i) % 8 for i < 200: every page
+        # 200 times over the eight workers.
+        assert manager.stats.logical_by_class == {
+            f"c{i}": THREADS * 200 // len(ids) for i in range(8)
+        }
 
     def test_thread_local_router_sums_across_threads(self):
         router = ThreadLocalIOStatistics()
         manager = PageManager(page_size=256, buffer_pages=4, stats=router)
-        page_ids = [manager.allocate(b"x" * 16) for i in range(8)]
+        page_ids = [manager.allocate(16) for i in range(8)]
         barrier = threading.Barrier(4)
 
         def worker(seed: int):
@@ -135,35 +136,36 @@ class TestPageManagerHammer:
 
 class TestSharedBufferPool:
     def test_owners_do_not_alias_page_ids(self):
-        """Two managers over one pool: same page ids, different bytes,
-        concurrent readers — nobody reads the other's data."""
+        """Two managers over one pool: same page ids, concurrent
+        readers — a page one manager cached is never a hit for the
+        other, so each misses every one of its pages at least once,
+        and each bills only its own class."""
         pool = BufferPool(capacity=32)
         a = PageManager(page_size=128, buffer_pages=8, buffer=pool)
         b = PageManager(page_size=128, buffer_pages=8, buffer=pool)
-        ids_a = [a.allocate(b"A" * 32) for _ in range(6)]
-        ids_b = [b.allocate(b"B" * 32) for _ in range(6)]
+        ids_a = [a.allocate(32, page_class="A") for _ in range(6)]
+        ids_b = [b.allocate(32, page_class="B") for _ in range(6)]
         assert ids_a == ids_b  # same numeric ids on purpose
-        mismatches: list = []
 
-        def worker(manager, want):
+        def worker(manager):
             for _ in range(150):
                 for pid in ids_a:
-                    if manager.read(pid) != want:
-                        mismatches.append(pid)
+                    manager.read(pid)
 
         threads = [
-            threading.Thread(target=worker, args=(a, b"A" * 32)),
-            threading.Thread(target=worker, args=(b, b"B" * 32)),
-            threading.Thread(target=worker, args=(a, b"A" * 32)),
-            threading.Thread(target=worker, args=(b, b"B" * 32)),
+            threading.Thread(target=worker, args=(manager,))
+            for manager in (a, b, a, b)
         ]
         _run_threads(threads)
-        assert mismatches == []
+        for manager, page_class in ((a, "A"), (b, "B")):
+            assert manager.stats.logical_by_class == {page_class: 2 * 150 * 6}
+            assert manager.stats.physical_by_class[page_class] >= len(ids_a)
+        assert {owner for owner, _pid in pool._entries} <= {a._owner, b._owner}
 
     def test_capacity_respected_under_threads(self):
         pool = BufferPool(capacity=5)
         manager = PageManager(page_size=128, buffer_pages=8, buffer=pool)
-        page_ids = [manager.allocate(b"p" * 16) for _ in range(20)]
+        page_ids = [manager.allocate(16) for _ in range(20)]
 
         def worker(seed: int):
             _hammer(manager, page_ids, 300, seed)
@@ -176,8 +178,8 @@ class TestSharedBufferPool:
         pool = BufferPool(capacity=16)
         a = PageManager(page_size=128, buffer_pages=4, buffer=pool)
         b = PageManager(page_size=128, buffer_pages=4, buffer=pool)
-        pa = a.allocate(b"A" * 8)
-        pb = b.allocate(b"B" * 8)
+        pa = a.allocate(8)
+        pb = b.allocate(8)
         a.read(pa)
         b.read(pb)
         assert len(pool) == 2
@@ -198,8 +200,8 @@ class TestSharedBufferPool:
         sa, sb = IOStatistics(), IOStatistics()
         a = PageManager(page_size=128, buffer_pages=4, stats=sa, buffer=pool)
         b = PageManager(page_size=128, buffer_pages=4, stats=sb, buffer=pool)
-        ids_a = [a.allocate(b"a" * 8) for _ in range(4)]
-        ids_b = [b.allocate(b"b" * 8) for _ in range(4)]
+        ids_a = [a.allocate(8) for _ in range(4)]
+        ids_b = [b.allocate(8) for _ in range(4)]
 
         def worker(manager, ids, seed):
             _hammer(manager, ids, 200, seed)
@@ -234,7 +236,7 @@ class TestRunsOnSharedPool:
         ids = {}
         for manager in managers:
             ids[manager] = [
-                manager.allocate(bytes([i]) * 16, page_class=classes[i % 3])
+                manager.allocate(16, page_class=classes[i % 3])
                 for i in range(12)
             ]
         jobs = [(managers[s % 2], s) for s in range(4)]

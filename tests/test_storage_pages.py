@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PageCorruptionError, StorageError
+from repro.errors import StorageError
 from repro.obs.context import ObsContext
 from repro.storage.faults import FaultInjector, PageQuarantine, RetryPolicy
 from repro.storage.pages import PageManager
@@ -17,14 +17,18 @@ from repro.testkit.reference import read_page_reference
 class TestAllocation:
     def test_ids_sequential(self):
         pm = PageManager(page_size=128)
-        assert pm.allocate(b"a") == 0
-        assert pm.allocate(b"b") == 1
+        assert pm.allocate(1) == 0
+        assert pm.allocate(7) == 1
         assert pm.num_pages == 2
+        assert (pm.page_length(0), pm.page_length(1)) == (1, 7)
 
     def test_oversize_rejected(self):
         pm = PageManager(page_size=64)
         with pytest.raises(StorageError):
-            pm.allocate(b"x" * 65)
+            pm.allocate(65)
+        with pytest.raises(StorageError):
+            pm.allocate(-1)
+        assert pm.num_pages == 0
 
     def test_bad_geometry(self):
         with pytest.raises(StorageError):
@@ -37,8 +41,8 @@ class TestBufferPool:
     def test_miss_then_hit(self):
         stats = IOStatistics()
         pm = PageManager(page_size=128, buffer_pages=4, stats=stats)
-        pid = pm.allocate(b"hello")
-        assert pm.read(pid) == b"hello"
+        pid = pm.allocate(5)
+        pm.read(pid)
         assert stats.physical_reads == 1
         pm.read(pid)
         assert stats.physical_reads == 1  # buffer hit
@@ -47,7 +51,7 @@ class TestBufferPool:
     def test_lru_eviction(self):
         stats = IOStatistics()
         pm = PageManager(page_size=128, buffer_pages=2, stats=stats)
-        pids = [pm.allocate(bytes([i])) for i in range(3)]
+        pids = [pm.allocate(1) for i in range(3)]
         pm.read(pids[0])
         pm.read(pids[1])
         pm.read(pids[2])  # evicts pids[0]
@@ -57,7 +61,7 @@ class TestBufferPool:
     def test_lru_recency_updated(self):
         stats = IOStatistics()
         pm = PageManager(page_size=128, buffer_pages=2, stats=stats)
-        pids = [pm.allocate(bytes([i])) for i in range(3)]
+        pids = [pm.allocate(1) for i in range(3)]
         pm.read(pids[0])
         pm.read(pids[1])
         pm.read(pids[0])  # refresh 0; 1 becomes LRU
@@ -68,7 +72,7 @@ class TestBufferPool:
     def test_drop_buffer(self):
         stats = IOStatistics()
         pm = PageManager(page_size=128, buffer_pages=4, stats=stats)
-        pid = pm.allocate(b"z")
+        pid = pm.allocate(1)
         pm.read(pid)
         pm.drop_buffer()
         pm.read(pid)
@@ -84,8 +88,8 @@ class TestStatistics:
     def test_snapshot_delta(self):
         stats = IOStatistics()
         pm = PageManager(page_size=128, buffer_pages=1, stats=stats)
-        a = pm.allocate(b"a")
-        b = pm.allocate(b"b")
+        a = pm.allocate(1)
+        b = pm.allocate(1)
         before = stats.snapshot()
         pm.read(a)
         pm.read(b)
@@ -119,31 +123,16 @@ CLASSES = ("dmtm", "msdn", "other")
 def fault_setups(draw) -> dict:
     return {
         # No injector is the path production takes: clean misses are
-        # fetched and CRC-checked inline.
+        # fetched inline.
         "injector": draw(st.booleans()),
         "seed": draw(st.integers(0, 2**16)),
         "transient_rate": draw(st.sampled_from([0.0, 0.1, 0.3])),
         "corrupt_rate": draw(st.sampled_from([0.0, 0.1, 0.3])),
         "latency_rate": draw(st.sampled_from([0.0, 0.2])),
         "dead_pages": draw(st.sets(st.integers(0, NUM_PAGES - 1), max_size=3)),
-        # Blocks overwritten on the disk after allocation: every read
-        # of one fails its CRC, with or without an injector.
-        "rewritten": draw(st.sets(st.integers(0, NUM_PAGES - 1), max_size=2)),
         # After run i: whether the buffer is dropped (as a cold query
-        # does) and the blocks overwritten, with other bytes or with
-        # the bytes they held (True).  A page read cleanly before must
-        # still fail its CRC once a write changed it.  Page NUM_PAGES
-        # gets a block here without ever being allocated.
-        "between": draw(
-            st.lists(
-                st.tuples(
-                    st.booleans(),
-                    st.lists(st.tuples(st.integers(0, NUM_PAGES), st.booleans()),
-                             max_size=3),
-                ),
-                max_size=6,
-            )
-        ),
+        # does).
+        "between": draw(st.lists(st.booleans(), max_size=6)),
         # Page classes in allocation order: scattered, or sorted into
         # at most three spans so that runs fall inside one span.
         "classes": draw(
@@ -162,8 +151,10 @@ page_runs = st.lists(
 )
 
 
-def _payload(page_id: int) -> bytes:
-    return f"page-{page_id}".encode() * 3
+def _length(page_id: int) -> int:
+    """Page lengths in 0..23: empty pages too, whose corrupt draws
+    draw no byte offset."""
+    return 2 * page_id % 24
 
 
 def _twin(setup: dict) -> PageManager:
@@ -187,16 +178,14 @@ def _twin(setup: dict) -> PageManager:
     )
     scattered = [CLASSES[i % 3] for i in range(NUM_PAGES)]
     for i, page_class in enumerate(setup.get("classes", scattered)):
-        pm.allocate(_payload(i), page_class=page_class)
-    for page_id in sorted(setup["rewritten"]):
-        pm._disk.write(page_id, b"rewritten")
+        pm.allocate(_length(i), page_class=page_class)
     return pm
 
 
 def _replay(pm: PageManager, runs, read_run, profiling: bool, between=()) -> dict:
-    """Every run read by ``read_run`` inside its own phase, followed by
-    ``between[i]`` after run ``i``; the outcome of each run and
-    everything the manager exposes, with the profiles when
+    """Every run read by ``read_run`` inside its own phase, the buffer
+    dropped after run ``i`` when ``between[i]``; the outcome of each
+    run and everything the manager exposes, with the profiles when
     ``profiling``."""
     ctx = ObsContext("differential", tracing=True, profiling=profiling)
     outcomes = []
@@ -207,12 +196,8 @@ def _replay(pm: PageManager, runs, read_run, profiling: bool, between=()) -> dic
                     outcomes.append(read_run(pm, run))
                 except StorageError as exc:
                     outcomes.append((type(exc), str(exc)))
-            if i < len(between):
-                drop, rewrites = between[i]
-                if drop:
-                    pm.drop_buffer()
-                for page_id, same in rewrites:
-                    pm._disk.write(page_id, _payload(page_id) if same else b"rewritten")
+            if i < len(between) and between[i]:
+                pm.drop_buffer()
     stats = pm.stats
     outcome = {
         "outcomes": outcomes,
@@ -247,12 +232,13 @@ def _replay(pm: PageManager, runs, read_run, profiling: bool, between=()) -> dic
     return outcome
 
 
-def _by_page(pm: PageManager, run) -> list[bytes]:
-    return [read_page_reference(pm, page_id) for page_id in run]
+def _by_page(pm: PageManager, run) -> None:
+    for page_id in run:
+        read_page_reference(pm, page_id)
 
 
-def _as_run(pm: PageManager, run) -> list[bytes]:
-    return pm.read_pages(run)
+def _as_run(pm: PageManager, run) -> None:
+    pm.read_pages(run)
 
 
 class TestRunRead:
@@ -271,34 +257,10 @@ class TestRunRead:
             ["other"] + setup["classes"] + ["other"]
         )
 
-    def test_rewritten_block_without_injector_fails_its_crc(self):
-        """No injector and an empty quarantine: misses are read inline.
-        A block rewritten after allocation still fails its CRC on every
-        attempt, raises PageCorruptionError once the retries are spent
-        and is quarantined, exactly as page-at-a-time reads do."""
-        setup = {
-            "injector": False,
-            "rewritten": {3},
-            "buffer_pages": 4,
-            "attempts": 3,
-            "cooldown": 2,
-        }
-        runs = [[0, 3, 1], [3], [2, 3], [3, 0]]
-        for profiling in (True, False):
-            want = _replay(_twin(setup), runs, _by_page, profiling)
-            got = _replay(_twin(setup), runs, _as_run, profiling)
-            assert got == want
-            error, message = got["outcomes"][0]
-            assert error is PageCorruptionError and "page 3" in message
-            faults = got["fault_stats"]
-            assert faults["corruptions_total"] >= 3
-            assert faults["pages_quarantined_total"] == 1
-            assert [entry.page_id for entry in got["quarantine_entries"]] == [3]
-
     def test_failing_page_ends_run_after_flushing_the_pages_before_it(self):
         stats = IOStatistics()
         pm = PageManager(page_size=128, buffer_pages=4, stats=stats)
-        a = pm.allocate(b"a", page_class="dmtm")
+        a = pm.allocate(1, page_class="dmtm")
         with pytest.raises(StorageError):
             pm.read_pages([a, a, 99, a])
         assert (stats.logical_reads, stats.physical_reads) == (2, 1)
@@ -309,7 +271,7 @@ def _two_spans() -> PageManager:
     """Pages 0-1 of class dmtm and 2-3 of class msdn: two class spans."""
     pm = PageManager(page_size=128, buffer_pages=8)
     for i, page_class in enumerate(("dmtm", "dmtm", "msdn", "msdn")):
-        pm.allocate(_payload(i), page_class=page_class)
+        pm.allocate(_length(i), page_class=page_class)
     return pm
 
 

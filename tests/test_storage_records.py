@@ -1,38 +1,35 @@
-"""Unit tests for record serialization and pagination."""
+"""Unit tests for record pagination: the per-record greedy
+paginator the stores are checked against, and the store's own cut."""
 
 import pytest
 
 from repro.errors import StorageError
-from repro.storage.records import pack_page, paginate, unpack_page
-
-
-class TestPageCodec:
-    def test_roundtrip(self):
-        records = [b"alpha", b"", b"gamma" * 10]
-        page = pack_page(records, page_size=512)
-        assert unpack_page(page) == records
-
-    def test_overflow_rejected(self):
-        with pytest.raises(StorageError):
-            pack_page([b"x" * 100], page_size=64)
+from repro.storage.locator import LocatorStore
+from repro.storage.pages import PageManager
+from repro.testkit.reference import paginate_reference
 
 
 class TestPaginate:
     def test_preserves_order(self):
-        records = [bytes([i]) * 10 for i in range(50)]
-        pages = paginate(records, page_size=128)
-        flattened = [r for page in pages for r in page]
-        assert flattened == records
+        sizes = [10] * 50
+        pages = paginate_reference(sizes, page_size=128)
+        flattened = [position for page in pages for position in page]
+        assert flattened == list(range(50))
 
     def test_respects_page_size(self):
-        records = [b"x" * 30 for _ in range(40)]
-        for page in paginate(records, page_size=128):
-            packed = pack_page(page, page_size=128)
-            assert len(packed) <= 128
+        sizes = [30] * 40
+        for page in paginate_reference(sizes, page_size=128):
+            assert 2 + sum(2 + sizes[position] for position in page) <= 128
+        pm = PageManager(page_size=128)
+        store = LocatorStore(range(40), sizes, pm)
+        assert all(pm.page_length(p) <= 128 for p in store.page_ids)
 
     def test_single_huge_record_rejected(self):
         with pytest.raises(StorageError):
-            paginate([b"x" * 1000], page_size=128)
+            paginate_reference([1000], page_size=128)
+        with pytest.raises(StorageError):
+            LocatorStore([0], [1000], PageManager(page_size=128))
 
     def test_empty_input(self):
-        assert paginate([], page_size=128) == []
+        assert paginate_reference([], page_size=128) == []
+        assert LocatorStore([], [], PageManager(page_size=128)).num_pages == 0
