@@ -838,11 +838,21 @@ def kernels(
     kernel on the layers of a fixed set of lower-bound calls (see
     :func:`_msdn_dp_calls`), and ``msdn screen`` the dummy-lb screen
     as its definition (the corridor bound's DP against the threshold,
-    the oracle) against
-    :meth:`~repro.msdn.msdn.MSDN.corridor_reaches`, on the screens a
-    fixed set of queries makes (:func:`_screen_calls`); its row
-    reports the ``witness_rate``, the share of screens decided without
-    the DP.  A fifth, ``page io``, replays the page
+    the oracle) and as the screen that masked every row before its
+    witness chain
+    (:func:`~repro.testkit.reference.msdn_screen_masked_witness`)
+    against :meth:`~repro.msdn.msdn.MSDN.corridor_reaches`, on the
+    screens a fixed set of queries makes (:func:`_screen_calls`); its
+    row reports the ``witness_rate``, the share of screens decided
+    without the DP, and the ``crossing_rate``, the share decided
+    without a mask.  ``ks polish`` replays the Kanai–Suzuki polishes
+    of a fixed set of queries (:func:`_polish_calls`) once per pair
+    (:func:`~repro.testkit.reference.kanai_suzuki_distances_reference`)
+    and once from one round-0 search per anchor
+    (:func:`~repro.geodesic.kanai_suzuki.kanai_suzuki_distances`),
+    identical as float bits; its rows' ``searches`` are the Dijkstra
+    searches (``geodesic.dijkstra.calls``, round 0 and refinement
+    rounds) one replay makes.  A fifth, ``page io``, replays the page
     runs of a fixed set of queries on a storage-attached engine
     (:func:`_page_io_runs`) with a cold buffer per query, once one
     page at a time through the per-page oracle and once as runs
@@ -882,12 +892,16 @@ def kernels(
     (:meth:`~repro.multires.dmtm.DMTM.extract_network`), identical in
     value bytes, path keys and unreachable results.
     Every comparison first asserts the values are identical — a
-    speedup over different answers would be meaningless.  When
+    speedup over different answers would be meaningless.  A row's
+    ``seconds`` is the best of ``repeats`` rounds, each round running
+    every kernel of its comparison once, so a drift in machine speed
+    reaches all of them alike.  When
     ``out`` is set, the rows are merged into the ``repro.bench/v1``
     JSON document there (the checked-in ``BENCH_GEODESIC.json``).
     """
     from repro.geodesic.csr import astar_csr, dijkstra_csr, multi_source_heap
     from repro.geodesic.frontier import dijkstra_frontier, multi_source_frontier
+    from repro.geodesic.kanai_suzuki import kanai_suzuki_distances
     from repro.geodesic.pathnet import vertex_key
     from repro.msdn.msdn import MSDN
     from repro.msdn.sdn import lower_bound_via_planes_arrays
@@ -910,10 +924,12 @@ def kernels(
         dmtm_touch_faces_reference,
         dmtm_touch_nodes_reference,
         dmtm_upper_bound_cut_reference,
+        kanai_suzuki_distances_reference,
         lower_bound_via_planes_broadcast,
         mesh_adjacency_mismatches,
         mesh_adjacency_reference,
         msdn_build_mismatches,
+        msdn_screen_masked_witness,
         msdn_touch_region_reference,
         read_page_reference,
         upper_bound_bits,
@@ -945,14 +961,19 @@ def kernels(
     target_ids = [graph.node_id(vertex_key(v)) for v in target_vs]
     sources = [(nid, 0.37 * (i + 1)) for i, nid in enumerate(anchor_ids)]
 
-    def best_of(fn):
-        best = float("inf")
-        value = None
+    def best_of(*fns):
+        """The best time of each of ``fns`` (the kernels of one
+        comparison) over ``repeats`` rounds, and each one's last
+        value.  Each round runs every kernel once, so a drift in the
+        machine's speed reaches every kernel of the comparison alike."""
+        best = [float("inf")] * len(fns)
+        values = [None] * len(fns)
         for _ in range(repeats):
-            t0 = time.perf_counter()
-            value = fn()
-            best = min(best, time.perf_counter() - t0)
-        return best, value
+            for i, fn in enumerate(fns):
+                t0 = time.perf_counter()
+                values[i] = fn()
+                best[i] = min(best[i], time.perf_counter() - t0)
+        return best, values
 
     def ref_per_pair():
         best: dict[int, float] = {}
@@ -987,27 +1008,35 @@ def kernels(
         found = multi_source_frontier(csr, sources, targets=set(target_ids))
         return {tid: found.value[tid] for tid in target_ids if tid in found.value}
 
-    pair_seconds, pair_values = best_of(ref_per_pair)
-    anchor_seconds, anchor_values = best_of(ref_per_anchor)
-    multi_seconds, multi_values = best_of(csr_multi_source)
-    frontier_seconds, frontier_values = best_of(frontier_multi_source)
+    (pair_seconds, anchor_seconds, multi_seconds, frontier_seconds), (
+        pair_values,
+        anchor_values,
+        multi_values,
+        frontier_values,
+    ) = best_of(ref_per_pair, ref_per_anchor, csr_multi_source, frontier_multi_source)
     if not (pair_values == anchor_values == multi_values == frontier_values):
         raise AssertionError(
             "kernel divergence: multi-source values differ from reference"
         )
 
     src = anchor_ids[0]
-    sweep_ref_seconds, sweep_ref = best_of(lambda: dijkstra_reference(adjacency, src))
-    sweep_csr_seconds, sweep_csr = best_of(lambda: dijkstra_csr(csr, src))
-    sweep_fro_seconds, sweep_fro = best_of(lambda: dijkstra_frontier(csr, src))
+    (sweep_ref_seconds, sweep_csr_seconds, sweep_fro_seconds), (
+        sweep_ref,
+        sweep_csr,
+        sweep_fro,
+    ) = best_of(
+        lambda: dijkstra_reference(adjacency, src),
+        lambda: dijkstra_csr(csr, src),
+        lambda: dijkstra_frontier(csr, src),
+    )
     if not (sweep_ref == sweep_csr == sweep_fro):
         raise AssertionError("kernel divergence: full single-source sweep differs")
 
     tgt = target_ids[-1]
-    astar_ref_seconds, astar_ref = best_of(
-        lambda: dijkstra_reference(adjacency, src, targets={tgt}).get(tgt)
+    (astar_ref_seconds, astar_csr_seconds), (astar_ref, astar_value) = best_of(
+        lambda: dijkstra_reference(adjacency, src, targets={tgt}).get(tgt),
+        lambda: astar_csr(csr, src, tgt),
     )
-    astar_csr_seconds, astar_value = best_of(lambda: astar_csr(csr, src, tgt))
     if astar_ref != astar_value:
         raise AssertionError("kernel divergence: A* value differs from Dijkstra")
 
@@ -1023,8 +1052,10 @@ def kernels(
         (np.float64(v).tobytes(), p) for v, p in dp_new
     ]:
         raise AssertionError("kernel divergence: MSDN DP bound or picks differ")
-    dp_ref_seconds, _ = best_of(lambda: run_dp(lower_bound_via_planes_broadcast))
-    dp_new_seconds, _ = best_of(lambda: run_dp(lower_bound_via_planes_arrays))
+    (dp_ref_seconds, dp_new_seconds), _ = best_of(
+        lambda: run_dp(lower_bound_via_planes_broadcast),
+        lambda: run_dp(lower_bound_via_planes_arrays),
+    )
 
     msdn = engine.msdn
     screens = _screen_calls(engine, num_anchors)
@@ -1038,17 +1069,48 @@ def kernels(
             for pa, pb, res, threshold, roi, corridor in screens
         ]
 
+    def masked_screens():
+        return [msdn_screen_masked_witness(msdn, *screen) for screen in screens]
+
     def witness_screens():
         return [msdn.corridor_reaches(*screen) for screen in screens]
 
     screen_ctx = ObsContext("bench-screen")
     with screen_ctx.activate():
         decisions = witness_screens()
-    if decisions != dp_screens():
+    if not decisions == dp_screens() == masked_screens():
         raise AssertionError("msdn screen divergence: decisions differ from the DP")
     fallbacks = screen_ctx.registry.counter("msdn.screen_dp_fallbacks").value
-    screen_ref_seconds, _ = best_of(dp_screens)
-    screen_new_seconds, _ = best_of(witness_screens)
+    masked = screen_ctx.registry.counter("msdn.screen_masked").value
+    (screen_ref_seconds, screen_masked_seconds, screen_new_seconds), _ = best_of(
+        dp_screens, masked_screens, witness_screens
+    )
+
+    polishes = _polish_calls(engine, num_anchors)
+
+    def run_polishes(distances):
+        return [
+            np.float64(distances(mesh, source, targets, tolerance=tolerance)).tobytes()
+            for mesh, source, targets, tolerance in polishes
+        ]
+
+    # Each path's Dijkstra searches (round 0 and the refinement
+    # rounds), counted on one run: the work the shared round 0 removes.
+    polish_values, polish_searches = [], []
+    for distances in (kanai_suzuki_distances_reference, kanai_suzuki_distances):
+        polish_ctx = ObsContext("bench-polish")
+        with polish_ctx.activate():
+            polish_values.append(run_polishes(distances))
+        polish_searches.append(
+            polish_ctx.registry.counter("geodesic.dijkstra.calls").value
+        )
+    if polish_values[0] != polish_values[1]:
+        raise AssertionError("ks polish divergence: shared round 0 differs per pair")
+    (polish_ref_seconds, polish_new_seconds), _ = best_of(
+        lambda: run_polishes(kanai_suzuki_distances_reference),
+        lambda: run_polishes(kanai_suzuki_distances),
+    )
+    polish_pairs = sum(len(targets) for _m, _s, targets, _t in polishes)
 
     dmtm = engine.dmtm
     cut_calls = _refined_cut_calls(engine, num_anchors)
@@ -1078,8 +1140,7 @@ def kernels(
         raise AssertionError(
             "dmtm cut divergence: in-place bounds differ from per-region builds"
         )
-    cut_ref_seconds, _ = best_of(per_region_cuts)
-    cut_new_seconds, _ = best_of(in_place_cuts)
+    (cut_ref_seconds, cut_new_seconds), _ = best_of(per_region_cuts, in_place_cuts)
     cut_bound_count = sum(len(pairs) for _res, _region, pairs in cut_calls)
 
     io_size = 17 if quick else 25
@@ -1113,8 +1174,9 @@ def kernels(
             "page io divergence: runs and single reads differ in pages, "
             "order or per-class counts, or miss the queries' page bill"
         )
-    io_ref_seconds, _ = best_of(lambda: replay(per_page))
-    io_new_seconds, _ = best_of(lambda: replay(pages.read_pages))
+    (io_ref_seconds, io_new_seconds), _ = best_of(
+        lambda: replay(per_page), lambda: replay(pages.read_pages)
+    )
     io_pages = sum(len(run) for runs in io_runs for run in runs)
 
     io_msdn, io_dmtm = io_engine.msdn, io_engine.dmtm
@@ -1169,8 +1231,9 @@ def kernels(
             "region charging divergence: segment and record-id touches "
             "differ in page ids, order, per-class counts or LRU order"
         )
-    touch_ref_seconds, _ = best_of(record_id_touches)
-    touch_new_seconds, _ = best_of(segment_touches)
+    (touch_ref_seconds, touch_new_seconds), _ = best_of(
+        record_id_touches, segment_touches
+    )
     touch_count = sum(len(touches) for touches in io_touches)
 
     build_mesh = mesh_for("BH", BUILD_SIZE)
@@ -1190,8 +1253,9 @@ def kernels(
     mismatches = msdn_build_mismatches(*msdn_array_build(), *msdn_object_build())
     if mismatches:
         raise AssertionError(f"msdn build divergence: {mismatches[:5]}")
-    msdn_ref_seconds, (ref_msdn, _) = best_of(msdn_object_build)
-    msdn_new_seconds, _ = best_of(msdn_array_build)
+    (msdn_ref_seconds, msdn_new_seconds), ((ref_msdn, _), _) = best_of(
+        msdn_object_build, msdn_array_build
+    )
     msdn_chunks = sum(len(family) for family in ref_msdn.family_xy.values())
 
     history = build_collapse_history(build_mesh)
@@ -1199,8 +1263,10 @@ def kernels(
         build_collapse_history_reference(build_mesh)
     ):
         raise AssertionError("qem collapse divergence: histories differ")
-    qem_ref_seconds, _ = best_of(lambda: build_collapse_history_reference(build_mesh))
-    qem_new_seconds, _ = best_of(lambda: build_collapse_history(build_mesh))
+    (qem_ref_seconds, qem_new_seconds), _ = best_of(
+        lambda: build_collapse_history_reference(build_mesh),
+        lambda: build_collapse_history(build_mesh),
+    )
 
     build_dmtm = DMTM(build_mesh, ddm=DistanceDirectMesh(build_mesh, history))
 
@@ -1219,8 +1285,7 @@ def kernels(
     )
     if mismatches:
         raise AssertionError(f"dmtm attach divergence: {mismatches[:5]}")
-    attach_ref_seconds, _ = best_of(record_attach)
-    attach_new_seconds, _ = best_of(array_attach)
+    (attach_ref_seconds, attach_new_seconds), _ = best_of(record_attach, array_attach)
     attach_records = len(history.nodes) + build_mesh.num_faces
 
     def array_adjacency():
@@ -1229,10 +1294,9 @@ def kernels(
     mismatches = mesh_adjacency_mismatches(array_adjacency())
     if mismatches:
         raise AssertionError(f"mesh adjacency divergence: {mismatches}")
-    adjacency_ref_seconds, _ = best_of(
-        lambda: mesh_adjacency_reference(build_mesh)
+    (adjacency_ref_seconds, adjacency_new_seconds), _ = best_of(
+        lambda: mesh_adjacency_reference(build_mesh), array_adjacency
     )
-    adjacency_new_seconds, _ = best_of(array_adjacency)
 
     sweep_sources = query_vertices(build_mesh, 2 if quick else 4, seed=37)
 
@@ -1248,8 +1312,10 @@ def kernels(
         raise AssertionError(
             "exact sweep divergence: distances or window counts differ"
         )
-    exact_ref_seconds, _ = best_of(lambda: exact_sweeps(ExactGeodesicReference))
-    exact_new_seconds, _ = best_of(lambda: exact_sweeps(ExactGeodesic))
+    (exact_ref_seconds, exact_new_seconds), _ = best_of(
+        lambda: exact_sweeps(ExactGeodesicReference),
+        lambda: exact_sweeps(ExactGeodesic),
+    )
 
     searches = len(sources) * len(target_ids)
     kernel_rows = [
@@ -1365,6 +1431,18 @@ def kernels(
         },
         {
             "comparison": "msdn screen",
+            "kernel": "masked witness",
+            "searches": len(screens),
+            "seconds": screen_masked_seconds,
+            "speedup": (
+                screen_ref_seconds / screen_masked_seconds
+                if screen_masked_seconds > 0
+                else None
+            ),
+            "identical": True,
+        },
+        {
+            "comparison": "msdn screen",
             "kernel": "witness chain",
             "searches": len(screens),
             "seconds": screen_new_seconds,
@@ -1375,6 +1453,27 @@ def kernels(
             ),
             "identical": True,
             "witness_rate": 1.0 - fallbacks / len(screens) if screens else None,
+            "crossing_rate": 1.0 - masked / len(screens) if screens else None,
+        },
+        {
+            "comparison": "ks polish",
+            "kernel": "per-pair",
+            "searches": polish_searches[0],
+            "seconds": polish_ref_seconds,
+            "speedup": 1.0,
+            "identical": True,
+        },
+        {
+            "comparison": "ks polish",
+            "kernel": "shared round 0",
+            "searches": polish_searches[1],
+            "seconds": polish_new_seconds,
+            "speedup": (
+                polish_ref_seconds / polish_new_seconds
+                if polish_new_seconds > 0
+                else None
+            ),
+            "identical": True,
         },
         {
             "comparison": "dmtm cut",
@@ -1538,6 +1637,7 @@ def kernels(
                 "speedup",
                 "identical",
                 "witness_rate",
+                "crossing_rate",
                 "windows",
             ],
             kernel_rows,
@@ -1557,6 +1657,8 @@ def kernels(
                 "num_targets": len(target_ids),
                 "msdn_dp_calls": len(dp_calls),
                 "msdn_screens": len(screens),
+                "ks_polishes": len(polishes),
+                "ks_polish_pairs": polish_pairs,
                 "dmtm_cut_regions": len(cut_calls),
                 "dmtm_cut_bounds": cut_bound_count,
                 "page_io_size": io_size,
@@ -1633,6 +1735,30 @@ def _screen_calls(engine, num_queries: int) -> list[tuple]:
             engine.query(vertex, 5)
     finally:
         del msdn.corridor_reaches
+    return captured
+
+
+def _polish_calls(engine, num_queries: int) -> list[tuple]:
+    """The Kanai–Suzuki polishes a fixed set of k=5 queries makes, one
+    per anchor, as ``(mesh, source, targets, tolerance)`` argument
+    tuples of
+    :func:`~repro.geodesic.kanai_suzuki.kanai_suzuki_distances`,
+    captured by wrapping it where the ranking loop looks it up."""
+    from repro.geodesic import kanai_suzuki
+
+    captured: list[tuple] = []
+    polish = kanai_suzuki.kanai_suzuki_distances
+
+    def logged(mesh, source, targets, tolerance=0.03, **kwargs):
+        captured.append((mesh, source, list(targets), tolerance))
+        return polish(mesh, source, targets, tolerance=tolerance, **kwargs)
+
+    kanai_suzuki.kanai_suzuki_distances = logged
+    try:
+        for vertex in query_vertices(engine.mesh, num_queries, seed=37):
+            engine.query(vertex, 5)
+    finally:
+        kanai_suzuki.kanai_suzuki_distances = polish
     return captured
 
 

@@ -77,6 +77,10 @@ class Candidate:
     ub_path_keys: list = field(default_factory=list)
     lb_path_keys: list = field(default_factory=list)
     lb_path_resolution: float | None = None
+    # The dummy-lb corridor around ``lb_path_keys`` as an (m, 4)
+    # corner array, resolved at the first screen after the path was
+    # set; None until then.
+    lb_corridor: "np.ndarray | None" = None
 
     @property
     def lb(self) -> float:

@@ -45,6 +45,16 @@ def _anchors_key(anchors) -> tuple:
     return tuple((int(v), float(off)) for v, off in anchors)
 
 
+def _take_lower_bound(cand: Candidate, result) -> None:
+    """Fold a full MSDN pass into ``cand``: its bound, and its path,
+    which replaces the path (and drops the corridor) the next screen
+    reads."""
+    cand.interval.refine_lb(result.value)
+    cand.lb_path_keys = result.path_keys
+    cand.lb_path_resolution = result.resolution
+    cand.lb_corridor = None
+
+
 def _structure_scope(mesh, dmtm, msdn) -> tuple:
     """Identity token for the structures a cached bound was computed
     from.
@@ -497,15 +507,7 @@ class DistanceRanker:
             # Straddling candidates get the Kanai-Suzuki polish so the
             # in/out decision is made with ~3 %-accurate upper bounds.
             with obs.phase("refinement"):
-                for cand in active:
-                    best = cand.ub
-                    for anchor_vertex, offset in anchors:
-                        best = min(
-                            best,
-                            offset
-                            + self._ks_distance(anchor_vertex, cand.vertex),
-                        )
-                    cand.interval.refine_ub(best)
+                self._polish(anchors, active)
             active = [c for c in active if c.lb <= radius < c.ub]
         inside = [c for c in candidates if c.ub <= radius]
         certain = not active and not fallback.triggered
@@ -525,12 +527,19 @@ class DistanceRanker:
         targets = list(verdict.active) + [
             c for c in verdict.winners if c.interval.accuracy < 0.9
         ]
-        for cand in targets:
-            best = cand.ub
-            for anchor_vertex, offset in anchors:
-                value = offset + self._ks_distance(anchor_vertex, cand.vertex)
-                best = min(best, value)
-            cand.interval.refine_ub(best)
+        self._polish(anchors, targets)
+
+    def _polish(self, anchors, targets: list[Candidate]) -> None:
+        """Refine each target's ub by, per anchor in order, the
+        anchor's offset plus the Kanai-Suzuki distance from it
+        (:meth:`_ks_distances`, one round-0 search per anchor for all
+        targets).  Each anchor's distances are folded in as soon as
+        its call returns, so a deadline in a later anchor keeps them."""
+        vertices = [cand.vertex for cand in targets]
+        for anchor_vertex, offset in anchors:
+            distances = self._ks_distances(anchor_vertex, vertices)
+            for cand, distance in zip(targets, distances):
+                cand.interval.refine_ub(offset + distance)
 
     # ------------------------------------------------------------------
     # region planning
@@ -855,9 +864,10 @@ class DistanceRanker:
                     and math.isfinite(kth_ub_estimate)
                 ):
                     screens += 1
-                    corridor = self.msdn.corridor_from_path(
-                        cand.lb_path_keys, cand.lb_path_resolution
-                    )
+                    if cand.lb_corridor is None:
+                        cand.lb_corridor = self.msdn.corridor_corners(
+                            cand.lb_path_keys, cand.lb_path_resolution
+                        )
                     # Even the optimistic corridor bound cannot reach
                     # the rejection threshold: the true lb (which is
                     # smaller) cannot either, so skip the full pass.
@@ -867,16 +877,14 @@ class DistanceRanker:
                         res_l,
                         kth_ub_estimate,
                         roi=roi_arg,
-                        corridor=corridor,
+                        corridor=cand.lb_corridor,
                     ):
                         skips += 1
                         continue
                 pending.append((cand, roi))
             results = self._lower_bounds_batch(q_pos, pending, res_l)
             for (cand, _roi), result in zip(pending, results):
-                cand.interval.refine_lb(result.value)
-                cand.lb_path_keys = result.path_keys
-                cand.lb_path_resolution = result.resolution
+                _take_lower_bound(cand, result)
         registry = active_registry()
         if prunes:
             registry.counter("landmark.prunes").add(prunes)
@@ -900,11 +908,8 @@ class DistanceRanker:
                 self.msdn.touch_region(res_l, roi, axes=axes)
             except StorageError:
                 continue
-            results = self._lower_bounds_batch(q_pos, [(cand, roi)], res_l)
-            result = results[0]
-            cand.interval.refine_lb(result.value)
-            cand.lb_path_keys = result.path_keys
-            cand.lb_path_resolution = result.resolution
+            (result,) = self._lower_bounds_batch(q_pos, [(cand, roi)], res_l)
+            _take_lower_bound(cand, result)
             fallback.salvaged += 1
 
     def _lb_cache_key(self, q_pos, position, res_l: float, roi):
@@ -956,26 +961,40 @@ class DistanceRanker:
                 results[i] = result
         return results
 
-    def _ks_distance(self, anchor_vertex: int, vertex: int) -> float:
-        """Kanai-Suzuki polish distance, memoized per (pair, tolerance)
-        — the single most expensive repeated computation in a batch of
-        overlapping queries."""
-        from repro.geodesic.kanai_suzuki import kanai_suzuki_distance
+    def _ks_distances(self, anchor_vertex: int, vertices) -> list[float]:
+        """Kanai-Suzuki polish distances from ``anchor_vertex`` to each
+        of ``vertices``, memoized per (pair, tolerance) — the single
+        most expensive repeated computation in a batch of overlapping
+        queries.  The pairs the cache misses are computed in one
+        :func:`~repro.geodesic.kanai_suzuki.kanai_suzuki_distances`
+        call and stored pair by pair."""
+        from repro.geodesic.kanai_suzuki import kanai_suzuki_distances
 
         tolerance = self.options.polish_tolerance
         cache = self.bound_cache
         if cache is None:
-            return kanai_suzuki_distance(
-                self.mesh, anchor_vertex, vertex, tolerance=tolerance
+            return kanai_suzuki_distances(
+                self.mesh, anchor_vertex, vertices, tolerance=tolerance
             )
-        key = ("ks", self._scope, int(anchor_vertex), int(vertex), tolerance)
-        found, value = cache.lookup(key)
-        if not found:
-            value = kanai_suzuki_distance(
-                self.mesh, anchor_vertex, vertex, tolerance=tolerance
+        keys = [
+            ("ks", self._scope, int(anchor_vertex), int(vertex), tolerance)
+            for vertex in vertices
+        ]
+        values = {}
+        for key in dict.fromkeys(keys):
+            found, value = cache.lookup(key)
+            if found:
+                values[key] = value
+        missing = [key for key in dict.fromkeys(keys) if key not in values]
+        if missing:
+            computed = kanai_suzuki_distances(
+                self.mesh, anchor_vertex, [key[3] for key in missing],
+                tolerance=tolerance,
             )
-            cache.store(key, value)
-        return value
+            for key, value in zip(missing, computed):
+                cache.store(key, value)
+                values[key] = value
+        return [values[key] for key in keys]
 
     # ------------------------------------------------------------------
     # I/O grouping

@@ -43,7 +43,7 @@ from repro.geodesic.pathnet import (
     steiner_key,
 )
 from repro.geodesic.exact import ExactGeodesic, exact_surface_distance
-from repro.geodesic.kanai_suzuki import kanai_suzuki_distance
+from repro.geodesic.kanai_suzuki import kanai_suzuki_distance, kanai_suzuki_distances
 from repro.geodesic.landmarks import LandmarkIndex, mesh_fingerprint
 
 __all__ = [
@@ -65,6 +65,7 @@ __all__ = [
     "ExactGeodesic",
     "exact_surface_distance",
     "kanai_suzuki_distance",
+    "kanai_suzuki_distances",
     "LandmarkIndex",
     "mesh_fingerprint",
 ]

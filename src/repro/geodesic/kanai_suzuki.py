@@ -67,6 +67,12 @@ def _route(graph, source_key, target_key) -> tuple[float, list[tuple]]:
     s = graph.node_id(source_key)
     t = graph.node_id(target_key)
     dist, parent = graph_dijkstra_with_parents(graph, s, targets={t})
+    return _path_to(graph, dist, parent, s, t)
+
+
+def _path_to(graph, dist, parent, s: int, t: int) -> tuple[float, list[tuple]]:
+    """The distance to ``t`` and the keys of its route from ``s`` in
+    one search's labels and parents."""
     if t not in dist:
         raise GeodesicError("pathnet route not found")
     node = t
@@ -105,19 +111,65 @@ def kanai_suzuki_distance(
         building the refined region.
 
     Returns an upper bound of ``dS`` within roughly ``tolerance`` of
-    the optimum on well-behaved meshes.
+    the optimum on well-behaved meshes.  The one-target case of
+    :func:`kanai_suzuki_distances`.
     """
-    if source == target:
-        return 0.0
+    (value,) = kanai_suzuki_distances(
+        mesh, source, [target], tolerance, max_steiner, corridor_rings
+    )
+    return value
+
+
+def kanai_suzuki_distances(
+    mesh,
+    source: int,
+    targets,
+    tolerance: float = 0.03,
+    max_steiner: int = 16,
+    corridor_rings: int = 1,
+) -> list[float]:
+    """:func:`kanai_suzuki_distance` from ``source`` to each of
+    ``targets``, in order, bit for bit, with round 0 searched once.
+
+    Round 0 is one search of the cached whole-mesh edge network from
+    ``source`` that runs until every target has settled.  A settled
+    node's label and parent do not depend on the target set (the
+    kernels stop only after the last target's pop, and a settled
+    label never changes), so each target's round-0 distance and route
+    are those of its own search.  The refinement rounds then run per
+    target, exactly as in the one-target case; a target listed twice
+    is refined once.  The source itself is at 0.0.
+    """
+    targets = [int(t) for t in targets]
+    distinct = list(dict.fromkeys(t for t in targets if t != source))
+    if not distinct:
+        return [0.0] * len(targets)
     if tolerance <= 0.0:
         raise GeodesicError("tolerance must be positive")
     src_key = vertex_key(source)
-    dst_key = vertex_key(target)
 
     # Round 0: the bare edge network (pathnet with 0 Steiner points).
     graph = _round0_pathnet(mesh)
-    best, keys = _route(graph, src_key, dst_key)
+    s = graph.node_id(src_key)
+    nodes = [graph.node_id(vertex_key(t)) for t in distinct]
+    dist, parent = graph_dijkstra_with_parents(graph, s, targets=set(nodes))
+    values = {source: 0.0}
+    for target, node in zip(distinct, nodes):
+        best, keys = _path_to(graph, dist, parent, s, node)
+        values[target] = _refine(
+            mesh, src_key, vertex_key(target), best, keys,
+            tolerance, max_steiner, corridor_rings,
+        )
+    return [values[t] for t in targets]
 
+
+def _refine(
+    mesh, src_key, dst_key, best: float, keys, tolerance, max_steiner, corridor_rings
+) -> float:
+    """The refinement rounds after round 0's distance ``best`` and
+    route ``keys``: Steiner points per edge double inside the faces
+    around the current route until a round improves by less than
+    ``tolerance``."""
     steiner = 1
     while steiner <= max_steiner:
         corridor = _corridor_faces(mesh, keys, rings=corridor_rings)

@@ -204,31 +204,52 @@ def region_boxes(region) -> "list[BoundingBox] | None":
     return list(region)
 
 
+def box_corners(boxes) -> np.ndarray:
+    """The xy corners of ``boxes`` (2D or 3D) as an ``(m, 4)`` array
+    laid out ``[lo_x, lo_y, hi_x, hi_y]``; a corner array is returned
+    as it is."""
+    if isinstance(boxes, np.ndarray):
+        return boxes
+    return np.array(
+        [(b.lo[0], b.lo[1], b.hi[0], b.hi[1]) for b in boxes], dtype=np.float64
+    ).reshape(-1, 4)
+
+
+def corner_boxes(corners: np.ndarray) -> "list[BoundingBox]":
+    """The 2D boxes of an ``(m, 4)`` corner array, in row order."""
+    return [
+        BoundingBox((lo_x, lo_y), (hi_x, hi_y))
+        for lo_x, lo_y, hi_x, hi_y in corners.tolist()
+    ]
+
+
 def rows_meeting_boxes(rows: np.ndarray, boxes) -> np.ndarray:
     """Mask of the xy-MBR rows that meet any of ``boxes``.
 
     ``rows`` is an ``(n, 4)`` array laid out ``[lo_x, lo_y, hi_x,
     hi_y]``; ``boxes`` is a sequence of 2D or 3D boxes, of which only
-    x and y count.  Intervals are closed, so a row that only touches a
-    box meets it and a point box selects the rows it lies in; a NaN
-    coordinate meets nothing.  With several boxes, rows outside their
-    joint extent are dropped first and the rest are tested against
-    every box at once.
+    x and y count, or their corners laid out like ``rows``
+    (:func:`box_corners`).  Intervals are closed, so a row that only
+    touches a box meets it and a point box selects the rows it lies
+    in; a NaN coordinate meets nothing.  With several boxes, rows
+    outside their joint extent are dropped first and the rest are
+    tested against every box at once.
     """
-    if not boxes:
+    if len(boxes) == 0:
         return np.zeros(rows.shape[0], dtype=bool)
     if len(boxes) == 1:
-        (box,) = boxes
-        return (
-            (rows[:, 0] <= box.hi[0])
-            & (rows[:, 2] >= box.lo[0])
-            & (rows[:, 1] <= box.hi[1])
-            & (rows[:, 3] >= box.lo[1])
+        lo_x, lo_y, hi_x, hi_y = (
+            boxes[0].tolist()
+            if isinstance(boxes, np.ndarray)
+            else (boxes[0].lo[0], boxes[0].lo[1], boxes[0].hi[0], boxes[0].hi[1])
         )
-    corners = np.array(
-        [(b.lo[0], b.lo[1], b.hi[0], b.hi[1]) for b in boxes], dtype=np.float64
-    )
-    lo_x, lo_y, hi_x, hi_y = corners.T
+        return (
+            (rows[:, 0] <= hi_x)
+            & (rows[:, 2] >= lo_x)
+            & (rows[:, 1] <= hi_y)
+            & (rows[:, 3] >= lo_y)
+        )
+    lo_x, lo_y, hi_x, hi_y = box_corners(boxes).T
     # fmin/fmax skip NaN corners, so the joint extent still covers
     # every box that can meet a row.
     near = np.flatnonzero(

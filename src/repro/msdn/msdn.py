@@ -15,7 +15,7 @@ Responsibilities:
 * answer lower-bound queries restricted to a region of interest, with
   optional *dummy lower bound* corridors (§4.2.2), and decide the
   dummy-lb skip test itself (:meth:`MSDN.corridor_reaches`), mostly
-  without running the DP;
+  without masking a row or running the DP;
 * when storage is attached, charge page I/O for the chunks fetched.
 """
 
@@ -25,8 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import QueryError
-from repro.geometry.primitives import BoundingBox, region_boxes, rows_meeting_boxes
+from repro.errors import GeometryError, QueryError
+from repro.geometry.primitives import (
+    BoundingBox,
+    corner_boxes,
+    region_boxes,
+    rows_meeting_boxes,
+)
 from repro.msdn.crossing import (
     adaptive_plane_positions,
     crossing_line,
@@ -37,7 +42,7 @@ from repro.msdn.sdn import (
     CHUNK_RECORD_BYTES,
     SdnFamily,
     build_sdn_families,
-    chain_upper_bound,
+    chain_length,
     lower_bound_via_planes_arrays,
 )
 from repro.obs.context import active_registry
@@ -77,6 +82,16 @@ def crossing_lines(
             lines.append(supersample_polyline(line, supersample))
             kept_values.append(float(value))
     return np.asarray(kept_values), lines
+
+
+def corridor_region(corridor) -> "list[BoundingBox] | np.ndarray | None":
+    """A corridor argument: its ``(m, 4)`` corner array
+    (:meth:`MSDN.corridor_corners`) as it is, which the corridor masks
+    (:func:`~repro.geometry.primitives.rows_meeting_boxes`) take as
+    they take boxes; anything else as :func:`region_boxes` makes it."""
+    if isinstance(corridor, np.ndarray):
+        return corridor
+    return region_boxes(corridor)
 
 
 class MSDN:
@@ -264,7 +279,8 @@ class MSDN:
             bound projects inside the ellipse region the caller
             supplies.
         corridor:
-            Optional list of boxes forming a *dummy lower bound*
+            Optional list of boxes, or their ``(m, 4)`` corner array
+            (:meth:`corridor_corners`), forming a *dummy lower bound*
             envelope (§4.2.2): restrict chunks to the corridor; the
             result then *over*-estimates the true SDN lower bound and
             may only be used for the skip test, which
@@ -278,7 +294,7 @@ class MSDN:
             np.asarray(point_b, dtype=float),
             self.nearest_resolution(resolution),
             region_boxes(roi),
-            region_boxes(corridor),
+            corridor_region(corridor),
             charge_io,
         )
 
@@ -332,46 +348,55 @@ class MSDN:
         """The dummy-lower-bound screen (§4.2.2): exactly
         ``lower_bound(point_a, point_b, resolution, roi=roi,
         corridor=corridor, charge_io=False).value >= threshold``.
+        ``corridor`` may also be given as its ``(m, 4)`` corner array
+        (:meth:`corridor_corners`).
 
-        It decides without the min-plus DP where it can: True when the
-        straight line alone reaches ``threshold`` (the bound is clamped
-        below by it), False when the
-        :func:`~repro.msdn.sdn.chain_upper_bound` of one witness chain
-        through the same layers stays below it (the DP's bound never
-        exceeds a chain's length).  Only otherwise does it run the DP,
-        counting ``msdn.screen_dp_fallbacks``.  No pages are charged
-        and no path keys are built.
+        It decides without masks or the min-plus DP where it can: True
+        when the straight line alone reaches ``threshold`` (the bound
+        is clamped below by it).  Otherwise each selected plane's
+        crossing row is picked among all of its rows
+        (:meth:`~repro.msdn.sdn.SdnFamily.crossing_rows`); when every
+        one meets ``roi`` and the corridor, every plane keeps a row,
+        so the DP's layers are exactly these planes and the picked
+        chain is one of its chains, and a
+        :func:`~repro.msdn.sdn.chain_length` below ``threshold``
+        answers False (the DP's bound never exceeds a chain's
+        length).  Only otherwise does it mask the rows
+        (``msdn.screen_masked``) and run the DP
+        (``msdn.screen_dp_fallbacks``).  No pages are charged and no
+        path keys are built.
         """
         pa = np.asarray(point_a, dtype=float)
         pb = np.asarray(point_b, dtype=float)
         if float(np.linalg.norm(pa - pb)) >= threshold:
             return True
-        axis, pa, pb, layer_boxes, _rows, _runs = self._layers(
-            pa,
-            pb,
-            self.nearest_resolution(resolution),
-            region_boxes(roi),
-            region_boxes(corridor),
-        )
-        if chain_upper_bound(pa, pb, axis, layer_boxes) < threshold:
+        resolution = self.nearest_resolution(resolution)
+        roi = region_boxes(roi)
+        corridor = corridor_region(corridor)
+        axis, pa, pb, family, planes = self._selection(pa, pb, resolution)
+        rows = family.crossing_rows(planes, axis, pa, pb)
+        xy = family.xy[rows]
+        if (
+            (roi is None or rows_meeting_boxes(xy, roi).all())
+            and (corridor is None or rows_meeting_boxes(xy, corridor).all())
+            and chain_length(pa, pb, family.lo[rows], family.hi[rows]) < threshold
+        ):
             return False
-        active_registry().counter("msdn.screen_dp_fallbacks").add(1)
+        registry = active_registry()
+        registry.counter("msdn.screen_masked").add(1)
+        layer_boxes, _rows, _runs = self._masked_layers(family, planes, roi, corridor)
+        if not layer_boxes:
+            # The bound is the straight line, already below threshold.
+            return False
+        registry.counter("msdn.screen_dp_fallbacks").add(1)
         value, _picks = lower_bound_via_planes_arrays(pa, pb, layer_boxes)
         return value >= threshold
 
-    def _layers(self, pa, pb, resolution: float, roi, corridor_boxes) -> tuple:
-        """The DP input of a bound between ``pa`` and ``pb``, arguments
-        already normalized: the family rows of the planes between the
-        endpoints, kept where they meet ``roi`` and ``corridor_boxes``
-        (both masks computed once, over those planes' rows), empty
-        planes dropped — which only loosens the bound.
-
-        Returns ``(axis, pa, pb, layer_boxes, rows, runs)``: the
-        endpoints ordered along the plane axis, each kept plane's
-        ``(lo, hi)`` boxes in plane order, and where they sit in the
-        family: kept plane ``i`` is rows ``runs[i][0]:runs[i][1]`` of
-        the family, or of ``rows`` (family row indices) when a region
-        filtered them."""
+    def _selection(self, pa, pb, resolution: float) -> tuple:
+        """The planes a bound between ``pa`` and ``pb`` crosses:
+        ``(axis, pa, pb, family, planes)``, the endpoints ordered
+        along the plane axis and the planes strictly between them,
+        thinned by :meth:`plane_stride`, in ascending order."""
         axis = self.choose_axis(pa, pb)
         lo = min(pa[axis], pb[axis])
         hi = max(pa[axis], pb[axis])
@@ -379,6 +404,20 @@ class MSDN:
             pa, pb = pb, pa
         family = self._families[(axis, resolution)]
         planes = self._planes_between(axis, lo, hi, self.plane_stride(resolution))
+        return axis, pa, pb, family, planes
+
+    @staticmethod
+    def _masked_layers(family: SdnFamily, planes, roi, corridor_boxes) -> tuple:
+        """The rows of ``planes`` kept where they meet ``roi`` and
+        ``corridor_boxes`` (both masks computed once, over those
+        planes' rows), empty planes dropped — which only loosens the
+        bound.
+
+        Returns ``(layer_boxes, rows, runs)``: each kept plane's
+        ``(lo, hi)`` boxes in plane order, and where they sit in the
+        family: kept plane ``i`` is rows ``runs[i][0]:runs[i][1]`` of
+        the family, or of ``rows`` (family row indices) when a region
+        filtered them."""
         starts = family.offsets[planes]
         stops = family.offsets[planes + 1]
         lo3, hi3 = family.lo, family.hi
@@ -403,24 +442,24 @@ class MSDN:
             if stop > start
         ]
         layer_boxes = [(lo3[start:stop], hi3[start:stop]) for start, stop in runs]
-        return axis, pa, pb, layer_boxes, rows, runs
+        return layer_boxes, rows, runs
 
     def _lower_bound_at(
         self, pa, pb, resolution: float, roi, corridor_boxes, charge_io: bool
     ) -> LowerBoundResult:
         """Shared implementation: arguments already normalized.
 
-        Selects the layers (:meth:`_layers`), charges the segments of
-        the kept planes' kept rows as one run, plane by plane in plane
-        order (rows of the planes ``plane_stride`` skips are not
-        charged), and runs
+        Selects the layers (:meth:`_selection`, :meth:`_masked_layers`),
+        charges the segments of the kept planes' kept rows as one run,
+        plane by plane in plane order (rows of the planes
+        ``plane_stride`` skips are not charged), and runs
         :func:`repro.msdn.sdn.lower_bound_via_planes_arrays`, which is
         bit-identical to the broadcast object-walk oracle
         :func:`repro.testkit.reference.lower_bound_via_planes`."""
-        axis, pa, pb, layer_boxes, rows, runs = self._layers(
-            pa, pb, resolution, roi, corridor_boxes
+        axis, pa, pb, family, planes = self._selection(pa, pb, resolution)
+        layer_boxes, rows, runs = self._masked_layers(
+            family, planes, roi, corridor_boxes
         )
-        family = self._families[(axis, resolution)]
         if charge_io and runs and self._pages is not None:
             # The kept rows, marked within the planes from the first
             # kept row's to the last's.
@@ -455,7 +494,17 @@ class MSDN:
         """Build the dummy-lower-bound envelope around a previous lb
         path: each path chunk's xy MBR thickened by ``thickness``
         (default: twice the plane spacing), in path order.  Keys that
-        name no chunk of this resolution are skipped.
+        name no chunk of this resolution are skipped.  The boxes of
+        :meth:`corridor_corners`."""
+        return corner_boxes(self.corridor_corners(path_keys, resolution, thickness))
+
+    def corridor_corners(
+        self, path_keys, resolution: float, thickness: float | None = None
+    ) -> np.ndarray:
+        """:meth:`corridor_from_path` as an ``(m, 4)`` corner array
+        laid out ``[lo_x, lo_y, hi_x, hi_y]``, which the screen and
+        the DP masks take as they are; the ranking loop keeps one per
+        lower-bound path.
 
         Each key resolves to its family row with one integer search
         over the family's (plane, first) pairs
@@ -463,16 +512,21 @@ class MSDN:
         is built or kept."""
         if thickness is None:
             thickness = 2.0 * self.spacing
+        if thickness < 0:
+            raise GeometryError("margin must be non-negative")
         resolution = self.nearest_resolution(resolution)
-        boxes = []
+        corners = np.empty((len(path_keys), 4))
+        count = 0
         for key in path_keys:
             family = self._families.get((key[1], resolution))
             row = None if family is None else family.row_of(*key[2:])
             if row is not None:
-                lo_x, lo_y, hi_x, hi_y = family.xy[row].tolist()
-                box = BoundingBox((lo_x, lo_y), (hi_x, hi_y))
-                boxes.append(box.expanded(thickness))
-        return boxes
+                corners[count] = family.xy[row]
+                count += 1
+        corners = corners[:count]
+        corners[:, :2] -= thickness
+        corners[:, 2:] += thickness
+        return corners
 
     def stats(self) -> dict:
         """Structure sizes (for DESIGN/EXPERIMENTS reporting)."""

@@ -18,9 +18,9 @@ monotonically tighter.
 
 The other direction bounds the DP itself: any one chain through the
 layers, priced with the DP's own float steps, is at least the DP's
-minimum.  :func:`chain_upper_bound` prices one such *witness chain*,
-which lets the dummy-lb screen answer "below the threshold" without
-running the DP.
+minimum.  :meth:`SdnFamily.crossing_rows` picks one such *witness
+chain* and :func:`chain_length` prices it, which lets the dummy-lb
+screen answer "below the threshold" without running the DP.
 """
 
 from __future__ import annotations
@@ -134,6 +134,34 @@ class SdnFamily:
             return 0, 0
         return int(meets[0]), int(meets[-1]) + 1
 
+    def crossing_rows(self, planes: np.ndarray, axis: int, pa, pb) -> list[int]:
+        """The witness chain's row on each of ``planes`` (ascending
+        plane indices between ``pa`` and ``pb``, which are ordered
+        along ``axis``, the plane axis), picked among all of the
+        plane's rows: the row nearest, along the other horizontal
+        axis, to where the straight segment ``pa``-``pb`` crosses the
+        plane, taken at the plane's first row's coordinate on
+        ``axis``; where the crossing lies inside several rows, the
+        one it lies deepest in; ties to the lowest row.  Which chain
+        is taken only decides how tight the witness is, never whether
+        it is sound."""
+        other = 1 - axis
+        a_axis, a_other = float(pa[axis]), float(pa[other])
+        # The planes lie strictly between the endpoints: a positive span.
+        span = float(pb[axis]) - a_axis
+        rise = float(pb[other]) - a_other
+        lo_axis = self.xy[:, axis]
+        lo_other = self.xy[:, other]
+        hi_other = self.xy[:, other + 2]
+        rows = []
+        for start, stop in zip(
+            self.offsets[planes].tolist(), self.offsets[planes + 1].tolist()
+        ):
+            cross = a_other + (float(lo_axis[start]) - a_axis) / span * rise
+            miss = np.maximum(lo_other[start:stop] - cross, cross - hi_other[start:stop])
+            rows.append(start + int(np.argmin(miss)))
+        return rows
+
     def segment_pages(self, p0: int, p1: int, mask=None) -> list[int]:
         """The page ids of the segments of planes ``p0:p1`` holding a
         row of ``mask`` (one bool per row of those planes, rows
@@ -206,7 +234,7 @@ def _box_distances(lo1, hi1, lo2, hi2, shape) -> np.ndarray:
     lo1 - hi2)``; the squares are summed x, then y, then z, and the
     square root taken.  This is the one float recipe of an MSDN hop:
     the DP's hop matrices (:func:`_hop_totals`) and the witness chain
-    (:func:`chain_upper_bound`) both price hops with it, on ``shape``
+    (:func:`chain_length`) both price hops with it, on ``shape``
     arrays filled by in-place ufuncs.
     """
     acc = np.empty(shape)
@@ -313,64 +341,34 @@ def lower_bound_via_planes_arrays(
     return max(bound, euclid), indices
 
 
-def witness_chain(point_a, point_b, axis: int, layer_boxes) -> list[int]:
-    """One concrete chain through ``layer_boxes``: a row index per
-    layer, for :func:`chain_upper_bound` to price.
+def chain_length(point_a, point_b, lo: np.ndarray, hi: np.ndarray) -> float:
+    """The length of the chain through boxes ``lo[i]`` / ``hi[i]``,
+    one per layer in layer order, clamped below by the straight line
+    as the DP clamps its bound.
 
-    ``point_a`` / ``point_b`` and the layers are ordered as for
-    :func:`lower_bound_via_planes_arrays`, and ``axis`` is the plane
-    axis.  In each layer the chain takes the box nearest, along the
-    other horizontal axis, to where the straight segment a–b crosses
-    that layer's plane (the first box's coordinate on ``axis``); where
-    the crossing lies inside several boxes, the one it lies deepest
-    in.  Ties go to the lowest row.  Which chain is taken only decides
-    how tight the witness is, never whether it is sound.
-    """
-    other = 1 - axis
-    a_axis, a_other = float(point_a[axis]), float(point_a[other])
-    b_axis, b_other = float(point_b[axis]), float(point_b[other])
-    span = b_axis - a_axis
-    picks = []
-    for lo, hi in layer_boxes:
-        t = (float(lo[0, axis]) - a_axis) / span if span else 0.0
-        cross = a_other + t * (b_other - a_other)
-        miss = np.maximum(lo[:, other] - cross, cross - hi[:, other])
-        picks.append(int(np.argmin(miss)))
-    return picks
-
-
-def chain_upper_bound(point_a, point_b, axis: int, layer_boxes) -> float:
-    """The length of the :func:`witness_chain` through ``layer_boxes``,
-    clamped below by the straight line: never below the bound
-    :func:`lower_bound_via_planes_arrays` returns for the same input,
-    and equal to it when every layer holds one box.
-
-    The chain is priced with the DP's own float steps in the DP's
-    order: the distance from ``a`` to the first box (taken from
-    :func:`_point_to_boxes` over the whole first layer, since numpy
-    may sum a one-row slice in another order), each hop by
-    :func:`_box_distances` added to the running prefix, then the
-    distance to ``b`` (likewise over the whole last layer).  Every DP
-    label is a min over chains that include this one, and IEEE
-    addition is monotone, so the DP's bound can never exceed this
-    value; a NaN compares false either way.  O(layers) hops, against
-    the DP's one matrix per pair of layers.
+    The chain is priced with the DP's own kernels in the DP's order:
+    the distances from ``a`` to the first box and from the last box to
+    ``b`` by :func:`_point_to_boxes` (elementwise steps and a row sum,
+    so a row's value does not depend on the rows beside it), each hop
+    by :func:`_box_distances`, added to the running prefix.  When the
+    chain is one of the DP's (a box from each of its layers) it is
+    priced to the bit as the DP prices it; every DP label is a min
+    over chains that include it, and IEEE addition is monotone, so
+    the DP's bound can never exceed this value; a NaN compares false
+    either way.  O(layers) hops, against the DP's one matrix per pair
+    of layers.
     """
     pa = np.asarray(point_a, dtype=float)
     pb = np.asarray(point_b, dtype=float)
     euclid = float(np.linalg.norm(pa - pb))
-    if not layer_boxes:
+    count = lo.shape[0]
+    if count == 0:
         return euclid
-    if any(lo.shape[0] == 0 for lo, _ in layer_boxes):
-        raise GeometryError("empty chunk layer; caller must drop empty planes")
-    picks = witness_chain(pa, pb, axis, layer_boxes)
-    (lo0, hi0), (lo_n, hi_n) = layer_boxes[0], layer_boxes[-1]
-    total = float(_point_to_boxes(pa, lo0, hi0)[picks[0]])
-    if len(picks) > 1:
-        lo = np.array([box_lo[row] for (box_lo, _), row in zip(layer_boxes, picks)])
-        hi = np.array([box_hi[row] for (_, box_hi), row in zip(layer_boxes, picks)])
-        hops = _box_distances(lo[:-1].T, hi[:-1].T, lo[1:].T, hi[1:].T, len(picks) - 1)
+    ends = [0, count - 1]
+    first, last = _point_to_boxes(np.stack((pa, pb)), lo[ends], hi[ends]).tolist()
+    total = first
+    if count > 1:
+        hops = _box_distances(lo[:-1].T, hi[:-1].T, lo[1:].T, hi[1:].T, count - 1)
         for hop in hops.tolist():
             total += hop
-    total += float(_point_to_boxes(pb, lo_n, hi_n)[picks[-1]])
-    return max(total, euclid)
+    return max(total + last, euclid)

@@ -114,7 +114,13 @@ class FaultStats:
 
 class _TransientFault(Exception):
     """Internal marker raised by the injector for one failed attempt
-    (converted to PageReadError once retries are exhausted)."""
+    (converted to PageReadError once retries are exhausted).
+    ``latency`` carries the simulated seconds the attempt drew before
+    it failed, which the caller bills like a clean attempt's."""
+
+    def __init__(self, message: str, latency: float = 0.0):
+        super().__init__(message)
+        self.latency = latency
 
 
 class FaultInjector:
@@ -212,12 +218,13 @@ class FaultInjector:
         """One physical read attempt of a page of ``length`` payload
         bytes: returns (corrupt, extra seconds).
 
-        Raises the internal transient marker when this attempt fails;
-        may report the attempt corrupt (the caller treats it as a
-        failed CRC check); may report simulated latency alongside a
-        clean read.  A corrupt draw on a non-empty page also draws the
-        offset of the byte it stands for, ``randrange(length)``, so the
-        schedule after it is the one a flipped payload byte draws.
+        Raises the internal transient marker when this attempt fails,
+        carrying the latency the attempt drew first; may report the
+        attempt corrupt (the caller treats it as a failed CRC check);
+        may report simulated latency alongside either outcome.  A
+        corrupt draw on a non-empty page also draws the offset of the
+        byte it stands for, ``randrange(length)``, so the schedule
+        after it is the one a flipped payload byte draws.
         """
         with self._lock:
             if page_id in self.dead_pages:
@@ -236,7 +243,7 @@ class FaultInjector:
                 ):
                     self._record(FAULT_TRANSIENT, page_id)
                     raise _TransientFault(
-                        f"injected transient fault on page {page_id}"
+                        f"injected transient fault on page {page_id}", latency
                     )
                 if (
                     self.corrupt_rate

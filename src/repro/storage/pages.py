@@ -488,16 +488,12 @@ class PageManager:
             try:
                 corrupt, latency = self._disk.read(page_id)
             except _TransientFault as exc:
+                self._bill_latency(exc.latency)
                 self.fault_stats.transient_faults_total += 1
                 active_registry().counter("storage.transient_faults_total").add(1)
                 error: StorageError = PageReadError(f"page {page_id}: {exc}")
             else:
-                if latency:
-                    self.fault_stats.latency_events_total += 1
-                    self.fault_stats.latency_seconds_total += latency
-                    registry = active_registry()
-                    registry.counter("storage.fault_latency_events_total").add(1)
-                    registry.counter("storage.fault_latency_seconds").add(latency)
+                self._bill_latency(latency)
                 if not corrupt:
                     return
                 self.fault_stats.corruptions_total += 1
@@ -530,6 +526,16 @@ class PageManager:
             self.fault_stats.pages_quarantined_total += 1
             active_registry().counter("storage.pages_quarantined_total").add(1)
         raise error
+
+    def _bill_latency(self, latency: float) -> None:
+        """Bill the simulated latency one read attempt drew, whatever
+        became of the attempt."""
+        if latency:
+            self.fault_stats.latency_events_total += 1
+            self.fault_stats.latency_seconds_total += latency
+            registry = active_registry()
+            registry.counter("storage.fault_latency_events_total").add(1)
+            registry.counter("storage.fault_latency_seconds").add(latency)
 
     def drop_buffer(self) -> None:
         """Evict this manager's pages (cold-cache experiment runs)."""

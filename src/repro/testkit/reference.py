@@ -43,6 +43,13 @@ page layout, same pages read in the same order.
   :func:`msdn_screen_reference` — the dummy-lb screen as its
   definition, that bound against the threshold, the twin of
   :meth:`~repro.msdn.msdn.MSDN.corridor_reaches`;
+  :func:`msdn_screen_masked_witness` — the screen that masked every
+  row before pricing a :func:`witness_chain` through the masked
+  layers (:func:`chain_upper_bound`), the bench baseline of the
+  screen that prices the crossing rows before any mask;
+* :func:`kanai_suzuki_distances_reference` — one round-0 search per
+  (source, target) pair, the twin of the shared round-0 search of
+  :func:`repro.geodesic.kanai_suzuki.kanai_suzuki_distances`;
 * :class:`MSDNReference` — the object MSDN build: one
   :class:`SdnChunk` per chunk (:func:`build_sdn_chunks` over the
   crossing lines) and a record-id :class:`RecordStoreReference` of
@@ -118,13 +125,18 @@ from repro.geodesic.csr import CSRGraph, graph_dijkstra_with_parents
 from repro.geodesic.graph import KeyedGraph
 from repro.geodesic.pathnet import steiner_key, vertex_key
 from repro.geometry.polyline import Polyline, simplify_with_enclosure
-from repro.geometry.primitives import BoundingBox, region_boxes
+from repro.geometry.primitives import BoundingBox, corner_boxes, region_boxes
 from repro.msdn.msdn import (
     DEFAULT_RESOLUTIONS,
     LowerBoundResult,
+    corridor_region,
     crossing_lines,
 )
-from repro.msdn.sdn import _point_to_boxes
+from repro.msdn.sdn import (
+    _point_to_boxes,
+    chain_length,
+    lower_bound_via_planes_arrays,
+)
 from repro.multires.dmtm import NetworkView, UpperBoundResult
 from repro.simplification.collapse import CollapseHistory, CollapseNode
 from repro.simplification.quadric import best_merge_position, face_quadric
@@ -1140,14 +1152,17 @@ def msdn_layers_reference(
 ) -> tuple:
     """The chunk layers :meth:`MSDN.lower_bound` hands its DP, by
     walking chunk objects: each selected plane's chunks inside ``roi``
-    and ``corridor``, empty layers dropped.  Returns
-    ``(pa, pb, resolution, layers)`` with the endpoints ordered along
-    the plane axis and the resolution snapped."""
+    and ``corridor`` (boxes, or their corner array), empty layers
+    dropped.  Returns ``(pa, pb, resolution, layers)`` with the
+    endpoints ordered along the plane axis and the resolution
+    snapped."""
     pa = np.asarray(point_a, dtype=float)
     pb = np.asarray(point_b, dtype=float)
     resolution = msdn.nearest_resolution(resolution)
     roi = region_boxes(roi)
-    corridor = region_boxes(corridor)
+    corridor = region_boxes(
+        corner_boxes(corridor) if isinstance(corridor, np.ndarray) else corridor
+    )
     axis = msdn.choose_axis(pa, pb)
     lo = min(pa[axis], pb[axis])
     hi = max(pa[axis], pb[axis])
@@ -1212,6 +1227,103 @@ def msdn_screen_reference(
         ).value
         >= threshold
     )
+
+
+def witness_chain(point_a, point_b, axis: int, layer_boxes) -> list[int]:
+    """The masked screen's witness chain through ``layer_boxes``: a
+    row index per layer, for :func:`chain_upper_bound` to price.
+
+    ``point_a`` / ``point_b`` and the layers are ordered as for
+    :func:`repro.msdn.sdn.lower_bound_via_planes_arrays`, and ``axis``
+    is the plane axis.  In each layer the chain takes the box nearest,
+    along the other horizontal axis, to where the straight segment
+    a–b crosses that layer's plane (the first box's coordinate on
+    ``axis``); where the crossing lies inside several boxes, the one
+    it lies deepest in.  Ties go to the lowest row.
+    """
+    other = 1 - axis
+    a_axis, a_other = float(point_a[axis]), float(point_a[other])
+    b_axis, b_other = float(point_b[axis]), float(point_b[other])
+    span = b_axis - a_axis
+    picks = []
+    for lo, hi in layer_boxes:
+        t = (float(lo[0, axis]) - a_axis) / span if span else 0.0
+        cross = a_other + t * (b_other - a_other)
+        miss = np.maximum(lo[:, other] - cross, cross - hi[:, other])
+        picks.append(int(np.argmin(miss)))
+    return picks
+
+
+def chain_upper_bound(point_a, point_b, axis: int, layer_boxes) -> float:
+    """The length of the :func:`witness_chain` through ``layer_boxes``,
+    priced by :func:`repro.msdn.sdn.chain_length`: never below the
+    bound :func:`repro.msdn.sdn.lower_bound_via_planes_arrays` returns
+    for the same input, and equal to it when every layer holds one
+    box."""
+    if any(lo.shape[0] == 0 for lo, _ in layer_boxes):
+        raise GeometryError("empty chunk layer; caller must drop empty planes")
+    picks = witness_chain(point_a, point_b, axis, layer_boxes)
+    lo = np.array([box_lo[row] for (box_lo, _), row in zip(layer_boxes, picks)])
+    hi = np.array([box_hi[row] for (_, box_hi), row in zip(layer_boxes, picks)])
+    return chain_length(point_a, point_b, lo.reshape(-1, 3), hi.reshape(-1, 3))
+
+
+def msdn_screen_masked_witness(
+    msdn, point_a, point_b, resolution: float, threshold: float, roi=None, corridor=None
+) -> bool:
+    """:meth:`MSDN.corridor_reaches` as production decided it before
+    it screened crossing rows first: mask every selected plane's rows
+    against ``roi`` and ``corridor``, then price the
+    :func:`witness_chain` through the masked layers
+    (:func:`chain_upper_bound`) and run the DP only when that chain
+    reaches ``threshold``.  The bench baseline of the crossing-row
+    screen; it counts nothing."""
+    pa = np.asarray(point_a, dtype=float)
+    pb = np.asarray(point_b, dtype=float)
+    if float(np.linalg.norm(pa - pb)) >= threshold:
+        return True
+    axis, pa, pb, family, planes = msdn._selection(
+        pa, pb, msdn.nearest_resolution(resolution)
+    )
+    layer_boxes, _rows, _runs = msdn._masked_layers(
+        family, planes, region_boxes(roi), corridor_region(corridor)
+    )
+    if chain_upper_bound(pa, pb, axis, layer_boxes) < threshold:
+        return False
+    value, _picks = lower_bound_via_planes_arrays(pa, pb, layer_boxes)
+    return value >= threshold
+
+
+def kanai_suzuki_distances_reference(
+    mesh,
+    source: int,
+    targets,
+    tolerance: float = 0.03,
+    max_steiner: int = 16,
+    corridor_rings: int = 1,
+) -> list[float]:
+    """:func:`repro.geodesic.kanai_suzuki.kanai_suzuki_distances` as
+    the per-pair polish: for each target, its own round-0 search of
+    the cached edge network toward that target alone, then the same
+    refinement rounds.  The twin of the shared round-0 search."""
+    from repro.geodesic import kanai_suzuki as ks
+
+    out = []
+    for target in targets:
+        if target == source:
+            out.append(0.0)
+            continue
+        if tolerance <= 0.0:
+            raise GeodesicError("tolerance must be positive")
+        src_key, dst_key = vertex_key(source), vertex_key(target)
+        best, keys = ks._route(ks._round0_pathnet(mesh), src_key, dst_key)
+        out.append(
+            ks._refine(
+                mesh, src_key, dst_key, best, keys,
+                tolerance, max_steiner, corridor_rings,
+            )
+        )
+    return out
 
 
 def msdn_touch_region_reference(msdn, resolution: float, roi=None, axes=(0, 1)) -> None:
@@ -1607,19 +1719,22 @@ def _fetch_verified_reference(manager, page_id: int) -> None:
             registry = active_registry()
             registry.counter("storage.retries_total").add(1)
             registry.counter("storage.retry_backoff_seconds").add(backoff)
+        transient = None
         try:
             corrupt, latency = manager._disk.read(page_id)
         except _TransientFault as exc:
-            manager.fault_stats.transient_faults_total += 1
-            active_registry().counter("storage.transient_faults_total").add(1)
-            last_error = PageReadError(f"page {page_id}: {exc}")
-            continue
+            transient, corrupt, latency = exc, False, exc.latency
         if latency:
             manager.fault_stats.latency_events_total += 1
             manager.fault_stats.latency_seconds_total += latency
             registry = active_registry()
             registry.counter("storage.fault_latency_events_total").add(1)
             registry.counter("storage.fault_latency_seconds").add(latency)
+        if transient is not None:
+            manager.fault_stats.transient_faults_total += 1
+            active_registry().counter("storage.transient_faults_total").add(1)
+            last_error = PageReadError(f"page {page_id}: {transient}")
+            continue
         if corrupt:
             manager.fault_stats.corruptions_total += 1
             active_registry().counter("storage.corruptions_total").add(1)

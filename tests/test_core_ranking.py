@@ -102,3 +102,28 @@ class TestRanking:
             )
             results.append({c.object_id for c in out.winners})
         assert all(r == results[0] for r in results[1:])
+
+
+class TestScreenCorridor:
+    def test_screen_after_a_full_pass_reads_the_new_path(self, stack, monkeypatch):
+        """Every screen reads the corridor of the candidate's current
+        lower-bound path.  Here every screen lets its candidate
+        through, so each level's full pass replaces the path the next
+        level's screen reads; a corridor kept from an earlier path
+        fails the comparison."""
+        mesh, _dmtm, msdn, objects = stack
+        ranker = make_ranker(stack, step=1)
+        cands = ranker.make_candidates(range(len(objects)), objects)
+        by_position = {tuple(c.position): c for c in cands}
+        paths: dict[int, set] = {}
+
+        def screen(pa, pb, resolution, threshold, roi=None, corridor=None):
+            cand = by_position[tuple(pb)]
+            want = msdn.corridor_corners(cand.lb_path_keys, cand.lb_path_resolution)
+            assert corridor.tobytes() == want.tobytes()
+            paths.setdefault(id(cand), set()).add(tuple(cand.lb_path_keys))
+            return True
+
+        monkeypatch.setattr(msdn, "corridor_reaches", screen)
+        ranker.rank(mesh.nearest_vertex(mesh.xy_bounds().center), cands, 3)
+        assert any(len(seen) > 1 for seen in paths.values())

@@ -24,7 +24,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.geodesic.frontier import MIN_FRONTIER_NODES
-from repro.geometry.primitives import BoundingBox, rows_meeting_boxes
+from repro.geometry.primitives import (
+    BoundingBox,
+    box_corners,
+    rows_meeting_boxes,
+)
 from repro.obs.context import ObsContext
 from repro.testkit.differential import CUT_RESOLUTIONS
 from repro.testkit.generators import standard_engine
@@ -305,6 +309,9 @@ class TestRegionKernel:
         got = rows_meeting_boxes(table, boxes)
         assert got.dtype == bool and got.shape == (len(rows),)
         assert np.array_equal(got, rows_meeting_boxes_reference(table, boxes))
+        # The same boxes as a corner array, as the dummy-lb corridor
+        # passes them.
+        assert np.array_equal(rows_meeting_boxes(table, box_corners(boxes)), got)
 
     def test_pathnet_faces_match_per_box_selection(self):
         dmtm = _engine("EP").dmtm

@@ -44,8 +44,8 @@ FAULT_STATS = {
     "retries_total": 83,
     "transient_faults_total": 42,
     "corruptions_total": 43,
-    "latency_events_total": 28,
-    "latency_seconds_total": 0.2800000000000001,
+    "latency_events_total": 29,
+    "latency_seconds_total": 0.2900000000000001,
     "backoff_seconds_total": 0.09700000000000007,
     "reads_failed_total": 2,
     "pages_quarantined_total": 2,
@@ -148,6 +148,15 @@ class TestPinnedFaultSchedule:
     def test_fault_stats(self, faulted_run):
         engine, _injector, _dead, _answers = faulted_run
         assert engine.pages.fault_stats.as_dict() == FAULT_STATS
+
+    def test_every_logged_latency_is_billed(self, faulted_run):
+        """Each latency the injector logs is billed once, including
+        the one drawn by an attempt that then failed transiently."""
+        engine, injector, _dead, _answers = faulted_run
+        stats = engine.pages.fault_stats
+        logged = [e.detail for e in injector.log if e.kind == "latency"]
+        assert stats.latency_events_total == len(logged)
+        assert stats.latency_seconds_total == sum(logged)
 
     def test_answers(self, faulted_run):
         _engine, _injector, _dead, answers = faulted_run

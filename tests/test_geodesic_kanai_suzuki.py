@@ -5,8 +5,10 @@ import pytest
 
 from repro.errors import GeodesicError
 from repro.geodesic.exact import exact_surface_distance
-from repro.geodesic.kanai_suzuki import kanai_suzuki_distance
+from repro.geodesic.kanai_suzuki import kanai_suzuki_distance, kanai_suzuki_distances
 from repro.geodesic.pathnet import pathnet_distance
+from repro.testkit.generators import standard_mesh
+from repro.testkit.reference import kanai_suzuki_distances_reference
 
 
 class TestKanaiSuzuki:
@@ -51,3 +53,39 @@ class TestKanaiSuzuki:
         loose = kanai_suzuki_distance(rough_mesh, a, b, tolerance=0.2)
         tight = kanai_suzuki_distance(rough_mesh, a, b, tolerance=0.005, max_steiner=8)
         assert tight <= loose + 1e-9
+
+
+class TestSharedRoundZero:
+    """One round-0 search for all targets settles each target with the
+    label and route of its own search, so every distance is the
+    per-target one to the bit."""
+
+    @pytest.mark.parametrize("name", ["BH", "EP"])
+    @pytest.mark.parametrize("tolerance", [0.03, 0.01])
+    def test_equals_one_search_per_target(self, name, tolerance):
+        mesh = standard_mesh(name, 17)
+        rng = np.random.default_rng(21)
+        source, *targets = (int(v) for v in rng.choice(mesh.num_vertices, 7, replace=False))
+        # Neither the first nor the last target is the farthest, so a
+        # search stopped at either leaves another unsettled.  Then the
+        # source itself, and a target listed twice.
+        targets = sorted(targets) + [source, targets[2]]
+        got = kanai_suzuki_distances(mesh, source, targets, tolerance=tolerance)
+        per_target = [
+            kanai_suzuki_distance(mesh, source, t, tolerance=tolerance) for t in targets
+        ]
+        per_pair = kanai_suzuki_distances_reference(
+            mesh, source, targets, tolerance=tolerance
+        )
+        bits = [np.float64(v).tobytes() for v in got]
+        assert bits == [np.float64(v).tobytes() for v in per_target]
+        assert bits == [np.float64(v).tobytes() for v in per_pair]
+        assert got[-2] == 0.0
+        assert got[-1] == got[targets.index(targets[-1])]
+        assert max(got) not in (got[0], got[5])
+
+    def test_one_target_is_the_single_distance(self, rough_mesh):
+        assert kanai_suzuki_distances(rough_mesh, 5, [5]) == [0.0]
+        assert kanai_suzuki_distances(rough_mesh, 5, []) == []
+        with pytest.raises(GeodesicError):
+            kanai_suzuki_distances(rough_mesh, 0, [0, 1], tolerance=0.0)

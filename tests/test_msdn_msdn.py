@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import QueryError, StorageError
 from repro.geodesic.exact import ExactGeodesic
@@ -10,6 +12,7 @@ from repro.geometry.primitives import BoundingBox
 from repro.msdn.msdn import MSDN
 from repro.storage.pages import PageManager
 from repro.storage.stats import IOStatistics
+from repro.testkit.reference import msdn_lower_bound_reference, msdn_screen_reference
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +188,7 @@ class TestCorridorScreen:
                 corridors = {
                     "none": None,
                     "path": msdn.corridor_from_path(full.path_keys, res),
+                    "corners": msdn.corridor_corners(full.path_keys, res),
                     "near a": _near(msdn, pa),
                     "empty": [],
                 }
@@ -207,7 +211,25 @@ class TestCorridorScreen:
                             )
                             assert got == (value >= t), (name, res, roi, t)
                             checked += 1
-        assert checked == 6 * len(msdn.resolutions) * 4 * 2 * 6
+        assert checked == 6 * len(msdn.resolutions) * 5 * 2 * 6
+
+    def test_corner_corridor_bounds_as_its_boxes(self, msdn):
+        """A corridor passed as its corner array gives the bound and
+        path its boxes give."""
+        for pa, pb in _screen_pairs(msdn.mesh):
+            for res in msdn.resolutions:
+                keys = msdn.lower_bound(pa, pb, res, charge_io=False).path_keys
+                by_boxes, by_corners = (
+                    msdn.lower_bound(pa, pb, res, corridor=corridor, charge_io=False)
+                    for corridor in (
+                        msdn.corridor_from_path(keys, res),
+                        msdn.corridor_corners(keys, res),
+                    )
+                )
+                assert np.float64(by_corners.value).tobytes() == (
+                    np.float64(by_boxes.value).tobytes()
+                )
+                assert by_corners.path_keys == by_boxes.path_keys
 
     def test_corridors_drop_planes_and_chunks(self, msdn):
         """The corridors above do what their names say: "near a"
@@ -236,3 +258,151 @@ class TestCorridorScreen:
         # settle the screen, so the DP runs once.
         assert msdn.corridor_reaches(pa, pb, 1.0, value)
         assert fallbacks.value == 1
+
+
+def _nan_corner(box: BoundingBox) -> BoundingBox:
+    return BoundingBox((float("nan"), box.lo[1]), tuple(box.hi[:2]))
+
+
+@st.composite
+def _screen_cases(draw, msdn):
+    """``(pa, pb, resolution, roi, corridor)`` of a screen on ``msdn``.
+
+    The endpoints are two mesh vertices, or (a tie) a segment along x
+    at the height, in y, where two consecutive chunks of an x-plane
+    meet, so the crossing lies on the edge of both and the lowest row
+    must win.  Every resolution is drawn, 0.25 (plane stride 2)
+    included.  ROIs and corridors may hold a NaN corner, and both
+    may drop crossing rows and whole planes (random boxes, or boxes
+    near ``pa`` only); corridors also come from a bound's path (as
+    boxes or as corners, whole or with one box dropped), or are
+    empty."""
+    mesh = msdn.mesh
+    res = draw(st.sampled_from(msdn.resolutions))
+    if draw(st.booleans()):
+        family = msdn._families[(0, res)]
+        joints = np.flatnonzero(family.plane[1:] == family.plane[:-1])
+        row = int(joints[draw(st.integers(0, joints.size - 1))])
+        x = float(family.lo[row, 0])
+        y = float(family.hi[row, 1])
+        near = draw(st.floats(0.1, 0.9)) * msdn.spacing
+        far = draw(st.floats(0.1, 6.0)) * msdn.spacing
+        z = draw(st.lists(st.floats(0.0, 700.0), min_size=2, max_size=2))
+        pa = np.array([x - near, y, z[0]])
+        pb = np.array([x + far, y, z[1]])
+    else:
+        a, b = draw(
+            st.lists(
+                st.integers(0, mesh.num_vertices - 1),
+                min_size=2, max_size=2, unique=True,
+            )
+        )
+        pa, pb = mesh.vertices[a], mesh.vertices[b]
+    euclid = float(np.linalg.norm(pa - pb))
+    pair = BoundingBox.of_points(np.array([pa[:2], pb[:2]]))
+    bounds = mesh.xy_bounds()
+
+    def random_box():
+        cx = draw(st.floats(bounds.lo[0], bounds.hi[0]))
+        cy = draw(st.floats(bounds.lo[1], bounds.hi[1]))
+        half = draw(st.floats(0.0, 3.0)) * msdn.spacing
+        return BoundingBox((cx - half, cy - half), (cx + half, cy + half))
+
+    roi = draw(
+        st.sampled_from(["none", "pair", "two", "nan", "random", "near a", "beside"])
+    )
+    grown = pair.expanded(draw(st.floats(0.0, 0.5)) * euclid)
+    # The pair's box moved off the segment across the planes: each
+    # plane keeps rows, but not the ones the segment crosses.
+    other = 1 - MSDN.choose_axis(pa, pb)
+    shift = np.zeros(2)
+    shift[other] = draw(st.sampled_from([-1.0, 1.0])) * (
+        pair.hi[other] - pair.lo[other] + draw(st.floats(0.5, 3.0)) * msdn.spacing
+    )
+    beside = BoundingBox(tuple(pair.lo + shift), tuple(pair.hi + shift))
+    roi = {
+        "none": lambda: None,
+        "pair": lambda: [grown],
+        "two": lambda: [grown, random_box()],
+        "nan": lambda: [_nan_corner(grown), grown],
+        "random": lambda: [random_box()],
+        "near a": lambda: _near(msdn, pa),
+        "beside": lambda: [beside],
+    }[roi]()
+    kind = draw(
+        st.sampled_from(
+            ["none", "path", "corners", "drop one", "random", "near a", "empty", "nan"]
+        )
+    )
+    corridor = None
+    if kind in ("path", "corners", "drop one", "nan"):
+        path = msdn.lower_bound(
+            pa, pb, draw(st.sampled_from(msdn.resolutions)), roi=roi, charge_io=False
+        )
+        corridor = msdn.corridor_from_path(path.path_keys, path.resolution)
+        if kind == "corners":
+            corridor = msdn.corridor_corners(path.path_keys, path.resolution)
+        elif kind == "drop one" and corridor:
+            del corridor[draw(st.integers(0, len(corridor) - 1))]
+        elif kind == "nan" and corridor:
+            corridor[0] = _nan_corner(corridor[0])
+    elif kind == "random":
+        corridor = [random_box() for _ in range(draw(st.integers(1, 3)))]
+    elif kind == "near a":
+        corridor = _near(msdn, pa)
+    elif kind == "empty":
+        corridor = []
+    return pa, pb, res, roi, corridor
+
+
+class TestScreenEqualsReference:
+    """The crossing-row screen against
+    :func:`~repro.testkit.reference.msdn_screen_reference` (the
+    object-walk corridor bound against the threshold) at the bound
+    and an ulp either side, where a chain priced an ulp off, a stale
+    layer set or a wrong tie would flip the answer."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_reference_at_the_bound(self, msdn, data):
+        pa, pb, res, roi, corridor = data.draw(_screen_cases(msdn))
+        value = msdn_lower_bound_reference(
+            msdn, pa, pb, res, roi=roi, corridor=corridor, charge_io=False
+        ).value
+        for t in (value, np.nextafter(value, -np.inf), np.nextafter(value, np.inf)):
+            t = float(t)
+            got = msdn.corridor_reaches(pa, pb, res, t, roi=roi, corridor=corridor)
+            assert got == msdn_screen_reference(msdn, pa, pb, res, t, roi, corridor)
+
+    def test_dropped_crossing_row_masks_and_still_decides(self, msdn, obs_context):
+        """A corridor of every crossing row but one (their own boxes,
+        unthickened) keeps no row of that plane, so the chain is not
+        one of the DP's chains: the screen masks, and the DP decides
+        as the reference does."""
+        masked = obs_context.registry.counter("msdn.screen_masked")
+        checked = 0
+        for pa, pb in _screen_pairs(msdn.mesh):
+            axis, qa, qb, family, planes = msdn._selection(pa, pb, 1.0)
+            rows = family.crossing_rows(planes, axis, qa, qb)
+            if len(rows) < 3:
+                continue
+            corridor = np.delete(family.xy[rows], len(rows) // 2, axis=0)
+            value = msdn_lower_bound_reference(
+                msdn, pa, pb, 1.0, corridor=corridor, charge_io=False
+            ).value
+            before = masked.value
+            for t in (value, float(np.nextafter(value, -np.inf))):
+                got = msdn.corridor_reaches(pa, pb, 1.0, t, corridor=corridor)
+                assert got == msdn_screen_reference(msdn, pa, pb, 1.0, t, None, corridor)
+            assert masked.value == before + 2
+            checked += 1
+        assert checked > 0
+
+    def test_kept_crossing_rows_decide_without_a_mask(self, msdn, obs_context):
+        """With no region every crossing row is kept, so a threshold
+        above the chain's length is refused without a mask."""
+        masked = obs_context.registry.counter("msdn.screen_masked")
+        for pa, pb in _screen_pairs(msdn.mesh):
+            value = msdn.lower_bound(pa, pb, 1.0, charge_io=False).value
+            assert not msdn.corridor_reaches(pa, pb, 1.0, 2 * value)
+        assert masked.value == 0

@@ -11,18 +11,21 @@ from repro.errors import GeometryError
 from repro.geometry.polyline import Polyline
 from repro.geometry.primitives import BoundingBox
 from repro.msdn.sdn import (
+    SdnFamily,
+    _box_distances,
     _hop_totals,
     _point_to_boxes,
-    chain_upper_bound,
+    chain_length,
     lower_bound_via_planes_arrays,
-    witness_chain,
 )
 from repro.testkit.reference import (
     SdnChunk,
     _boxes_to_boxes,
     _layer_boxes,
     build_sdn_chunks,
+    chain_upper_bound,
     lower_bound_via_planes,
+    witness_chain,
 )
 
 
@@ -236,6 +239,23 @@ def _on_axis(axis: int, family):
     return boxes, np.asarray(a, dtype=float)[swap], np.asarray(b, dtype=float)[swap]
 
 
+def _as_family(boxes) -> SdnFamily:
+    """The layers ``boxes`` as the rows of one family, layer ``i`` its
+    plane ``i``."""
+    counts = [lo.shape[0] for lo, _ in boxes]
+    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    plane = np.repeat(np.arange(len(boxes), dtype=np.int64), counts)
+    first = np.arange(offsets[-1], dtype=np.int64) - offsets[plane]
+    return SdnFamily(
+        np.concatenate([lo for lo, _ in boxes]),
+        np.concatenate([hi for _, hi in boxes]),
+        offsets,
+        plane,
+        first,
+        first,
+    )
+
+
 def _priced_by_dp_steps(a, b, boxes, picks) -> float:
     """The chain ``picks`` priced through the DP's own kernels: the
     first layer's :func:`_point_to_boxes` entry, then per hop the
@@ -285,8 +305,69 @@ class TestWitnessChain:
         bound, _picks = lower_bound_via_planes_arrays(a, b, single)
         assert _bits(chain_upper_bound(a, b, axis, single)) == _bits(bound)
 
+    @given(_family(), st.sampled_from([0, 1]))
+    @example(
+        (
+            [_chunks(0, _TIED, _TIED, _TIED), _chunks(1, _TIED, _TIED)],
+            (0.0, 0.0, 0.0),
+            (0.0, 2.0, 0.0),
+        ),
+        1,
+    )
+    @example(  # three non-zero gaps whose squares sum to another
+        # last bit in any other order
+        (
+            [_chunks(0, ((3.0, 10.0, 1.0), (3.0, 10.0, 1.0)))],
+            (0.3, 0.0, 4.2),
+            (3.0, 20.0, 1.0),
+        ),
+        1,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_crossing_chain_priced_as_the_dp_prices_it(self, family, axis):
+        """The screen's chain with every row kept: the layers as one
+        family, the crossing row of each plane picked among all its
+        rows in one pass, priced on those rows alone.  It is the
+        masked witness's chain, priced to the bit as the DP prices it,
+        the end distances and hops on the picked rows equal to the
+        DP's over its whole first and last layers and hop matrices,
+        and never below the DP."""
+        boxes, a, b = _on_axis(axis, family)
+        sdn = _as_family(boxes)
+        rows = sdn.crossing_rows(np.arange(len(boxes)), axis, a, b)
+        picks = (rows - sdn.offsets[:-1]).tolist()
+        assert picks == witness_chain(a, b, axis, boxes)
+        lo, hi = sdn.lo[rows], sdn.hi[rows]
+        (lo0, hi0), (lo_n, hi_n) = boxes[0], boxes[-1]
+        # The end distances as chain_length takes them, both picked
+        # rows in one call, against the DP's over its whole layers.
+        ends = [0, len(rows) - 1]
+        first, last = _point_to_boxes(np.stack((a, b)), lo[ends], hi[ends])
+        assert _bits(first) == _bits(_point_to_boxes(a, lo0, hi0)[picks[0]])
+        assert _bits(last) == _bits(_point_to_boxes(b, lo_n, hi_n)[picks[-1]])
+        hops = _box_distances(lo[:-1].T, hi[:-1].T, lo[1:].T, hi[1:].T, len(rows) - 1)
+        for hop, (lo1, hi1), (lo2, hi2), p1, p2 in zip(
+            hops, boxes, boxes[1:], picks, picks[1:]
+        ):
+            dp_hop = _hop_totals(np.zeros(lo1.shape[0]), lo1, hi1, lo2, hi2)[p2, p1]
+            assert _bits(hop) == _bits(dp_hop)
+        length = chain_length(a, b, lo, hi)
+        assert _bits(length) == _bits(_priced_by_dp_steps(a, b, boxes, picks))
+        assert _bits(length) == _bits(chain_upper_bound(a, b, axis, boxes))
+        assert length >= lower_bound_via_planes_arrays(a, b, boxes)[0]
+
+    def test_crossing_ties_go_to_the_lowest_row(self):
+        """Two chunks of the plane y = 1 meet at x = 4, where the
+        segment crosses: both miss by zero, and the first wins."""
+        lo, hi = boxes(build_sdn_chunks(make_line(1.0), 1, 0, 1.0, 0.25))
+        sdn = _as_family([(lo, hi)])
+        a, b = np.array([4.0, 0.0, 0.0]), np.array([4.0, 2.0, 0.0])
+        assert hi[0, 0] == lo[1, 0] == 4.0
+        assert sdn.crossing_rows(np.array([0]), 1, a, b) == [0]
+
     def test_no_layers_gives_euclid(self):
         assert chain_upper_bound((0, 0, 0), (3, 4, 0), 1, []) == 5.0
+        assert chain_length((0, 0, 0), (3, 4, 0), np.empty((0, 3)), np.empty((0, 3))) == 5.0
 
     def test_empty_layer_rejected(self):
         with pytest.raises(GeometryError):

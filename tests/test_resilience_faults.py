@@ -26,6 +26,7 @@ from repro.obs.context import ObsContext
 from repro.storage.faults import (
     FAULT_CORRUPT,
     FAULT_DEAD,
+    FAULT_LATENCY,
     FAULT_TRANSIENT,
     FaultInjector,
     PageQuarantine,
@@ -163,6 +164,21 @@ class TestPageManagerRecovery:
         pm.read(0)
         assert pm.fault_stats.latency_events_total == 1
         assert pm.fault_stats.latency_seconds_total == pytest.approx(0.25)
+
+    def test_latency_of_transient_attempts_billed(self):
+        """An attempt that draws latency and then fails transiently
+        bills its latency: every logged latency event is billed."""
+        inj = FaultInjector(
+            seed=4, latency_rate=1.0, transient_rate=1.0, latency_seconds=0.25
+        )
+        pm = make_manager(inj, retry_policy=RetryPolicy(max_attempts=3))
+        with pytest.raises(PageReadError):
+            pm.read(0)
+        logged = [e.detail for e in inj.log if e.kind == FAULT_LATENCY]
+        assert len(logged) == 3
+        assert pm.fault_stats.transient_faults_total == 3
+        assert pm.fault_stats.latency_events_total == len(logged)
+        assert pm.fault_stats.latency_seconds_total == sum(logged)
 
     def test_retries_counted_in_query_context(self):
         """Retries are counters, not frames: the active context's

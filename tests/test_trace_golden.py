@@ -56,10 +56,11 @@ def reference_components():
     pathnet builds over per-box face selections (Kanai–Suzuki's round
     0 rebuilt per call), ``add_edge`` cut networks over node walks
     searched as keyed graphs, record-id page charging, object-walk
-    MSDN bounds and dummy-lb screens, and one upper-bound search per
-    anchor.  All of those graphs are builder graphs, and the search
-    the DMTM and Kanai–Suzuki bind is the testkit twin, so every
-    search takes the dict kernel.
+    MSDN bounds and dummy-lb screens, one upper-bound search per
+    anchor, and one round-0 Kanai–Suzuki search per polished pair.
+    All of those graphs are builder graphs, and the search the DMTM
+    and Kanai–Suzuki bind is the testkit twin, so every search takes
+    the dict kernel.
 
     Patches classes and modules for the whole process while the block
     runs, so it is for single-threaded tests only."""
@@ -93,6 +94,10 @@ def reference_components():
         patch.setattr(
             dmtm.DMTM, "upper_bounds_multi",
             ref.dmtm_upper_bounds_multi_reference,
+        )
+        patch.setattr(
+            kanai_suzuki, "kanai_suzuki_distances",
+            ref.kanai_suzuki_distances_reference,
         )
         patch.setattr(MSDN, "_lower_bound_at", ref.msdn_lower_bound_reference)
         patch.setattr(MSDN, "corridor_reaches", ref.msdn_screen_reference)
@@ -180,26 +185,34 @@ class TestTraceRecordGolden:
         assert record["spans"]["duration_seconds"] > 0.0
 
 
-#: The golden query's profile tree as ``[name, calls, children]``: the
-#: tree every change to the instrumentation must leave alone.  Both
-#: legs share it.  Each search opens one frame, named for the kernel
-#: that ran, and the golden query runs no bucketed search, so the csr
-#: leg's heap kernels and the reference leg's dict kernels both bill
-#: ``graph-kernel`` and neither leg opens a ``frontier-relaxation``
-#: frame.
-_GOLDEN_TREE = [
-    "query", 1, [
-        ["spatial-filter", 2, []],
-        ["interval-ranking", 8, [
-            ["bound-composition", 8, [
-                ["page-io", 380, []],
-                ["graph-kernel", 21, []],
+def _golden_tree(polish_searches: int) -> list:
+    """The golden query's profile tree as ``[name, calls, children]``
+    with ``polish_searches`` searches in its Kanai–Suzuki polish."""
+    return [
+        "query", 1, [
+            ["spatial-filter", 2, []],
+            ["interval-ranking", 8, [
+                ["bound-composition", 8, [
+                    ["page-io", 380, []],
+                    ["graph-kernel", 21, []],
+                ]],
             ]],
-        ]],
-        ["refinement", 1, [["graph-kernel", 14, []]]],
-    ],
-]
-GOLDEN_PROFILES = {"csr": _GOLDEN_TREE, "reference": _GOLDEN_TREE}
+            ["refinement", 1, [["graph-kernel", polish_searches, []]]],
+        ],
+    ]
+
+
+#: The golden query's profile tree: the tree every change to the
+#: instrumentation must leave alone.  Each search opens one frame,
+#: named for the kernel that ran, and the golden query runs no
+#: bucketed search, so the csr leg's heap kernels and the reference
+#: leg's dict kernels both bill ``graph-kernel`` and neither leg opens
+#: a ``frontier-relaxation`` frame.  The legs differ only in the
+#: polish: its five targets share one round-0 search in production
+#: and take one each in the reference leg's per-pair polish
+#: (:func:`~repro.testkit.reference.kanai_suzuki_distances_reference`),
+#: before the same nine refinement rounds.
+GOLDEN_PROFILES = {"csr": _golden_tree(10), "reference": _golden_tree(14)}
 
 
 class TestProfileGolden:
