@@ -11,7 +11,7 @@ reporting retry/corruption counters and degraded-answer rates
 recover) and reports availability, storage-degraded rates, quarantine
 activity and engine health — the degraded-mode execution contract.  The ``kernels`` mode times the
 dict reference kernels against the heap CSR kernels and, for the
-multi-source and full-sweep shapes, the bucketed frontier kernels;
+multi-source and full-sweep shapes, the bucketed frontier kernel;
 the broadcast MSDN lower-bound DP against the
 per-coordinate hop kernel, the DP dummy-lb screen against the
 witness-chain screen, per-page reads against run reads of

@@ -830,8 +830,9 @@ def kernels(
     Times the three search shapes on the pathnet-level network: the
     multi-source kernel against one reference Dijkstra per (anchor,
     target) pair and against the per-anchor multi-target loop, and a
-    full single-source sweep, each as the dict reference (the oracle),
-    the heap CSR kernel and the bucketed frontier kernel; and the heap
+    full single-source sweep with parents, each as the dict reference
+    (the oracle), the heap CSR kernel and the bucketed frontier kernel
+    (a single-source sweep as its one-source case); and the heap
     single-target A* against single-target Dijkstra.  A fourth
     comparison, ``msdn dp``, times the MSDN lower-bound DP with
     broadcast hop matrices (the oracle) against the per-coordinate hop
@@ -899,8 +900,12 @@ def kernels(
     ``out`` is set, the rows are merged into the ``repro.bench/v1``
     JSON document there (the checked-in ``BENCH_GEODESIC.json``).
     """
-    from repro.geodesic.csr import astar_csr, dijkstra_csr, multi_source_heap
-    from repro.geodesic.frontier import dijkstra_frontier, multi_source_frontier
+    from repro.geodesic.csr import (
+        astar_csr,
+        dijkstra_csr_with_parents,
+        multi_source_heap,
+    )
+    from repro.geodesic.frontier import multi_source_frontier
     from repro.geodesic.kanai_suzuki import kanai_suzuki_distances
     from repro.geodesic.pathnet import vertex_key
     from repro.msdn.msdn import MSDN
@@ -918,6 +923,7 @@ def kernels(
         collapse_history_bits,
         csr_adjacency,
         dijkstra_reference,
+        dijkstra_with_parents_reference,
         dmtm_attach_mismatches,
         dmtm_attach_reference,
         dmtm_cut_per_region,
@@ -1020,14 +1026,19 @@ def kernels(
         )
 
     src = anchor_ids[0]
+
+    def frontier_sweep():
+        found = multi_source_frontier(csr, [(src, 0.0)])
+        return found.value, found.parent
+
     (sweep_ref_seconds, sweep_csr_seconds, sweep_fro_seconds), (
         sweep_ref,
         sweep_csr,
         sweep_fro,
     ) = best_of(
-        lambda: dijkstra_reference(adjacency, src),
-        lambda: dijkstra_csr(csr, src),
-        lambda: dijkstra_frontier(csr, src),
+        lambda: dijkstra_with_parents_reference(adjacency, src),
+        lambda: dijkstra_csr_with_parents(csr, src),
+        frontier_sweep,
     )
     if not (sweep_ref == sweep_csr == sweep_fro):
         raise AssertionError("kernel divergence: full single-source sweep differs")

@@ -25,7 +25,7 @@ the quantified version of the paper's motivation.
 from __future__ import annotations
 
 from repro.errors import QueryError
-from repro.geodesic.csr import dijkstra_csr, edge_network_csr
+from repro.geodesic.csr import dijkstra_csr_with_parents, edge_network_csr
 from repro.spatial.rtree import RTree
 
 
@@ -90,8 +90,10 @@ def ier_knn(mesh, objects, query_vertex: int, k: int) -> list[tuple[int, float]]
 
     def network_distance(obj: int, cap: float | None) -> float | None:
         target = objects.vertex_of(obj)
-        result = dijkstra_csr(csr, query_vertex, targets={target}, max_dist=cap)
-        return result.get(target)
+        dist, _parent = dijkstra_csr_with_parents(
+            csr, query_vertex, targets={target}, max_dist=cap
+        )
+        return dist.get(target)
 
     browser = tree.nearest_iter(q_pos[:2])
     for euclid_xy, obj in browser:

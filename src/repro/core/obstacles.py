@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import QueryError
-from repro.geodesic.frontier import dijkstra_frontier
+from repro.geodesic.csr import graph_dijkstra_with_parents
 from repro.geodesic.pathnet import build_pathnet, vertex_key
 
 
@@ -68,8 +68,8 @@ def obstacle_knn(
         key = vertex_key(objects.vertex_of(obj))
         if key in graph:
             targets.setdefault(graph.node_id(key), []).append(obj)
-    dist = dijkstra_frontier(
-        graph.csr, graph.node_id(src_key), targets=set(targets)
+    dist, _parent = graph_dijkstra_with_parents(
+        graph, graph.node_id(src_key), targets=set(targets)
     )
     reached = [
         (obj, d)

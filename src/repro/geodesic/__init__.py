@@ -4,11 +4,11 @@ geodesic on a selectively refined pathnet.
 
 Every graph searched here is a :class:`CSRGraph` built from arrays
 (with :class:`KeyedGraph` node keys where nodes mix kinds), and every
-search runs one of two kernels chosen by graph size: the heap kernels
-of :mod:`repro.geodesic.csr` or the bucketed numpy kernels of
-:mod:`repro.geodesic.frontier`.  The dict kernels and the mutable
-graph builder they replaced are oracles in
-:mod:`repro.testkit.reference`.
+search runs one of two kernels chosen by graph size: a heap kernel of
+:mod:`repro.geodesic.csr` or the one bucketed numpy kernel of
+:mod:`repro.geodesic.frontier`, which runs a single-source search as
+its one-source case.  The dict kernels and the mutable graph builder
+they replaced are oracles in :mod:`repro.testkit.reference`.
 
 Terminology (matching the paper):
 
@@ -25,16 +25,12 @@ from repro.geodesic.graph import KeyedGraph
 from repro.geodesic.csr import (
     CSRGraph,
     astar_csr,
-    dijkstra_csr,
     dijkstra_csr_with_parents,
     edge_network_csr,
+    graph_dijkstra_with_parents,
     multi_source_dijkstra_csr,
 )
-from repro.geodesic.frontier import (
-    dijkstra_frontier,
-    dijkstra_frontier_with_parents,
-    multi_source_frontier,
-)
+from repro.geodesic.frontier import multi_source_frontier
 from repro.geodesic.pathnet import (
     build_pathnet,
     pathnet_distance,
@@ -49,13 +45,11 @@ from repro.geodesic.landmarks import LandmarkIndex, mesh_fingerprint
 __all__ = [
     "KeyedGraph",
     "CSRGraph",
-    "dijkstra_csr",
     "dijkstra_csr_with_parents",
+    "graph_dijkstra_with_parents",
     "multi_source_dijkstra_csr",
     "astar_csr",
     "edge_network_csr",
-    "dijkstra_frontier",
-    "dijkstra_frontier_with_parents",
     "multi_source_frontier",
     "build_pathnet",
     "pathnet_distance",

@@ -11,10 +11,12 @@ once per call.
 
 Three search shapes cover every caller:
 
-* :func:`dijkstra_csr` / :func:`dijkstra_csr_with_parents` —
-  single-source (optionally multi-target) searches, with the
-  ``(d, u)`` / ``(d, u, p)`` heap tuples that fix distances, parents
-  and early-exit behaviour;
+* :func:`graph_dijkstra_with_parents` — single-source (optionally
+  multi-target, region-restricted) searches returning distances and
+  the shortest-path tree, whose ``(d, u, p)`` heap tuple fixes
+  distances, parents and early-exit behaviour
+  (:func:`dijkstra_csr_with_parents`); :func:`tree_path` walks a
+  route out of the tree;
 * :func:`multi_source_dijkstra_csr` — all anchors of a ranking level
   settle in ONE search.  Each source carries an additive offset; the
   priority is recomposed as ``offset + raw`` at every relaxation, and
@@ -30,14 +32,17 @@ Three search shapes cover every caller:
   Dijkstra on tie-heavy meshes, so it is only wired where the path is
   not consumed.
 
-Two kernels serve each search, chosen by graph size alone, never by
-process state (:func:`graph_dijkstra_with_parents`,
-:func:`multi_source_dijkstra_csr`): a graph below
-:data:`~repro.geodesic.frontier.MIN_FRONTIER_NODES` nodes (or with a
-zero-weight edge) runs the heap kernel here, anything larger the
-bucketed numpy kernel of :mod:`repro.geodesic.frontier`.  Both return
-identical answers; their oracles, dict kernels over adjacency lists,
-live in :mod:`repro.testkit.reference`.
+Two kernels serve each Dijkstra shape, chosen by graph size alone,
+never by process state, once per shape in
+:func:`graph_dijkstra_with_parents` and
+:func:`multi_source_dijkstra_csr`: a graph (or ``region`` subgraph)
+below :data:`~repro.geodesic.frontier.MIN_FRONTIER_NODES` nodes, or
+with a zero-weight edge, runs the heap kernel here, anything larger
+the one bucketed numpy kernel,
+:func:`repro.geodesic.frontier.multi_source_frontier` — a
+single-source search as its one-source case ``[(source, 0.0)]``.
+Both return identical answers; their oracles, dict kernels over
+adjacency lists, live in :mod:`repro.testkit.reference`.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ class CSRGraph:
             np.asarray(positions, dtype=np.float64) if positions is not None else None
         )
         self._lists = None
-        self._wmin = None  # smallest edge weight, for the bucket kernels
+        self._wmin = None  # smallest edge weight, for the bucket kernel
 
     @property
     def num_nodes(self) -> int:
@@ -156,58 +161,6 @@ def _report(settled: int, relaxations: int) -> None:
 
 
 @kernel_phase
-def dijkstra_csr(
-    csr: CSRGraph,
-    source: int,
-    targets: set[int] | None = None,
-    max_dist: float | None = None,
-) -> dict[int, float]:
-    """Flat-array single-source Dijkstra: ``(d, u)`` heap tuples,
-    neighbours in CSR order, a stop once every target settled or the
-    frontier passed ``max_dist``.  Returns settled node -> distance."""
-    n = csr.num_nodes
-    if not 0 <= source < n:
-        raise GeodesicError(f"source {source} out of range")
-    indptr, indices, weights = csr.lists()
-    visited = bytearray(n)
-    out: dict[int, float] = {}
-    remaining = set(targets) if targets is not None else None
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    relaxations = 0
-    deadline = current_deadline()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if visited[u]:
-            continue
-        if max_dist is not None and d > max_dist:
-            break
-        visited[u] = 1
-        out[u] = d
-        if (
-            deadline is not None
-            and len(out) % DEADLINE_CHECK_INTERVAL == 0
-            and time.perf_counter() >= deadline
-        ):
-            raise DeadlineExceeded(
-                f"dijkstra_csr passed its deadline after {len(out)} "
-                "settled nodes"
-            )
-        if remaining is not None:
-            remaining.discard(u)
-            if not remaining:
-                break
-        for e in range(indptr[u], indptr[u + 1]):
-            v = indices[e]
-            if not visited[v]:
-                nd = d + weights[e]
-                if max_dist is None or nd <= max_dist:
-                    heapq.heappush(heap, (nd, v))
-                    relaxations += 1
-    _report(len(out), relaxations)
-    return out
-
-
-@kernel_phase
 def dijkstra_csr_with_parents(
     csr: CSRGraph,
     source: int,
@@ -215,9 +168,11 @@ def dijkstra_csr_with_parents(
     max_dist: float | None = None,
     region: np.ndarray | None = None,
 ) -> tuple[dict[int, float], dict[int, int]]:
-    """:func:`dijkstra_csr` that also returns the shortest-path tree
-    (settled node -> predecessor, the source excluded); the
-    ``(d, u, p)`` heap tuple breaks ties between equal-length parents.
+    """Flat-array single-source Dijkstra: ``(d, u, p)`` heap tuples,
+    neighbours in CSR order, a stop once every target settled or the
+    frontier passed ``max_dist``.  Returns settled node -> distance
+    and the shortest-path tree (settled node -> predecessor, the
+    source excluded); ``p`` breaks ties between equal-length parents.
 
     ``region`` (a boolean node mask holding ``source``) searches the
     subgraph the mask induces, in place: the nodes outside it start
@@ -287,11 +242,18 @@ class MultiSourceResult:
 
     def path_to(self, node: int) -> list[int]:
         """Node sequence from the winning source to ``node``."""
-        path = [node]
-        while path[-1] in self.parent:
-            path.append(self.parent[path[-1]])
-        path.reverse()
-        return path
+        return tree_path(self.parent, node)
+
+
+def tree_path(parent: dict[int, int], node: int) -> list[int]:
+    """Node sequence from the root of a shortest-path tree to
+    ``node``: the ``parent`` links followed back to a node without
+    one (the search's source), then reversed."""
+    path = [node]
+    while path[-1] in parent:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
 
 
 def multi_source_dijkstra_csr(
@@ -305,14 +267,18 @@ def multi_source_dijkstra_csr(
 
     Replaces one Dijkstra per anchor: with M anchors and N
     targets, one wavefront serves all M·N pairs.  Graphs of
-    ``MIN_FRONTIER_NODES`` nodes or more run the bucketed twin
-    :func:`repro.geodesic.frontier.multi_source_frontier`, smaller
-    ones the heap kernel :func:`multi_source_heap`; both return the
-    same labels.
+    ``MIN_FRONTIER_NODES`` nodes or more with positive edge weights
+    run the bucket kernel
+    :func:`repro.geodesic.frontier.multi_source_frontier`, the rest
+    the heap kernel :func:`multi_source_heap`; both return the same
+    labels.
     """
     from repro.geodesic import frontier
 
-    if csr.num_nodes >= frontier.MIN_FRONTIER_NODES:
+    if (
+        csr.num_nodes >= frontier.MIN_FRONTIER_NODES
+        and frontier.min_weight(csr) > 0.0
+    ):
         return frontier.multi_source_frontier(csr, sources, targets, max_dist)
     return multi_source_heap(csr, sources, targets, max_dist)
 
@@ -467,7 +433,7 @@ def astar_csr(
 
 
 # ----------------------------------------------------------------------
-# dispatcher for keyed-graph call sites
+# single-source dispatcher
 # ----------------------------------------------------------------------
 
 
@@ -475,13 +441,24 @@ def graph_dijkstra_with_parents(
     graph, source, targets=None, max_dist=None, region=None
 ) -> tuple[dict[int, float], dict[int, int]]:
     """Single-source search with parents on a
-    :class:`~repro.geodesic.graph.KeyedGraph` or a :class:`CSRGraph`,
-    through :func:`repro.geodesic.frontier.dijkstra_frontier_with_parents`
-    (heap kernel below ``MIN_FRONTIER_NODES`` nodes, buckets above).
-    ``region`` (a boolean node mask) restricts the search to the
-    subgraph the mask induces; the kernel is then chosen by that
-    subgraph, as if it had been compiled on its own."""
-    from repro.geodesic.frontier import dijkstra_frontier_with_parents
+    :class:`~repro.geodesic.graph.KeyedGraph` or a :class:`CSRGraph`:
+    :func:`dijkstra_csr_with_parents` below ``MIN_FRONTIER_NODES``
+    nodes (or with a zero-weight edge), else the one-source case
+    ``[(source, 0.0)]`` of the bucket kernel
+    :func:`repro.geodesic.frontier.multi_source_frontier`, whose
+    values and parents equal the heap kernel's.  ``region`` (a
+    boolean node mask) restricts the search to the subgraph the mask
+    induces; the kernel is then chosen by that subgraph's node count
+    and smallest edge weight, as if it had been compiled on its own."""
+    from repro.geodesic import frontier
 
     csr = graph if isinstance(graph, CSRGraph) else graph.csr
-    return dijkstra_frontier_with_parents(csr, source, targets, max_dist, region)
+    nodes = csr.num_nodes if region is None else int(np.count_nonzero(region))
+    if nodes >= frontier.MIN_FRONTIER_NODES:
+        wmin = frontier.min_weight(csr, region)
+        if wmin > 0.0:
+            found = frontier.multi_source_frontier(
+                csr, [(source, 0.0)], targets, max_dist, region, wmin
+            )
+            return found.value, found.parent
+    return dijkstra_csr_with_parents(csr, source, targets, max_dist, region)

@@ -1,10 +1,12 @@
-"""Frontier-batched numpy kernels: whole frontiers settle per step.
+"""The bucketed numpy search kernel: whole frontiers settle per step.
 
 The heap kernels in :mod:`repro.geodesic.csr` relax one node per pop
-in CPython.  The kernels here settle a whole *bucket* of nodes per
-step and relax all their out-edges in a handful of vectorised numpy
-operations — the array-first discipline that in-memory road-network
-studies show dominates pointer-chasing implementations.
+in CPython.  :func:`multi_source_frontier` settles a whole *bucket*
+of nodes per step and relaxes all their out-edges in a handful of
+vectorised numpy operations — the array-first discipline that
+in-memory road-network studies show dominates pointer-chasing
+implementations.  It is the one bucket kernel: a single-source
+search is its one-source case ``[(source, 0.0)]``.
 
 **Bucketing rule (threshold stepping).**  With ``wmin`` the smallest
 (strictly positive) edge weight, every labeled-but-unsettled node
@@ -19,27 +21,31 @@ composed in floating point can never round below the threshold; if
 the margin swallows ``wmin`` the bucket degenerates to the single
 lexicographic minimum — exactly one reference heap pop, always safe.
 
-**Identity contract.**  Each kernel reproduces its reference heap
-twin bit for bit: same distances, same parents, same tie-breaks, and
-the same settled set under ``targets`` early exit and ``max_dist``
-cutoffs.  Ties resolve by emulating the reference heap tuples —
-``(d, u)``, ``(d, u, p)``, ``(value, node, rank, parent, raw)`` — as
-lexicographic minima over the batched candidate columns, and values
-compose with the same float operations (``raw + w`` then
-``offset + raw``), so the heap twins stay their identity oracles.
-The reference's
-early-exit settled set is a prefix of the ``(value, node)``-sorted
-pop order; the kernels compute buckets until every target settles,
-then cut the output at the last target's ``(value, node)`` pair.
+**Identity contract.**  The kernel reproduces its heap twins bit for
+bit: :func:`~repro.geodesic.csr.multi_source_heap` for any source
+list, and :func:`~repro.geodesic.csr.dijkstra_csr_with_parents` for
+one source at offset 0.0 — same values, same parents, same
+tie-breaks, and the same settled set under ``targets`` early exit and
+``max_dist`` cutoffs.  Ties resolve by emulating the reference heap
+tuple ``(value, node, rank, parent, raw)`` as lexicographic minima
+over the batched candidate columns, and values compose with the same
+float operations (``raw + w`` then ``offset + raw``); with one source
+at offset 0.0 the rank never differs, ``offset + raw`` is ``raw``,
+and the tuple orders as the single-source ``(d, u, p)``.  The
+reference's early-exit settled set is a prefix of the
+``(value, node)``-sorted pop order; the kernel computes buckets until
+every target settles, then cuts the output at the last target's
+``(value, node)`` pair.
 
-**When the heap kernels still win.**  Graphs with a zero-weight edge
-(no positive window exists) delegate to the heap twin, as do searches
-on graphs below :data:`MIN_FRONTIER_NODES` nodes, too small to
-amortise numpy call overhead.  Graph size is the only rule: every
-graph production searches is a compiled :class:`CSRGraph`.  The rule
-is applied before any profiler frame opens, so each search bills one
-frame named for the kernel that ran: ``frontier-relaxation`` for a
-bucketed search, the heap twin's ``graph-kernel`` for a delegated one.
+**When the heap kernels still win.**  The kernel does not choose:
+:func:`~repro.geodesic.csr.graph_dijkstra_with_parents` and
+:func:`~repro.geodesic.csr.multi_source_dijkstra_csr` apply the size
+rule, once each, before any profiler frame opens.  Graphs (or
+``region`` subgraphs) below :data:`MIN_FRONTIER_NODES` nodes, too
+small to amortise numpy call overhead, and graphs with a zero-weight
+edge (no positive window exists) run the heap twin.  So each search
+bills one frame named for the kernel that ran: ``frontier-relaxation``
+for a bucketed search, the heap twin's ``graph-kernel`` otherwise.
 
 :func:`build_pathnet_arrays` is the companion construction kernel
 behind :func:`repro.geodesic.pathnet.build_pathnet`: the Steiner
@@ -57,14 +63,7 @@ import time
 import numpy as np
 
 from repro.errors import GeodesicError
-from repro.geodesic.csr import (
-    CSRGraph,
-    MultiSourceResult,
-    _report,
-    dijkstra_csr,
-    dijkstra_csr_with_parents,
-    multi_source_heap,
-)
+from repro.geodesic.csr import CSRGraph, MultiSourceResult, _report
 from repro.geodesic.deadline import DeadlineExceeded, current_deadline
 from repro.obs.context import current
 from repro.obs.profile import kernel_phase_named
@@ -74,11 +73,11 @@ frontier_phase = kernel_phase_named("frontier-relaxation")
 _EPS = float(np.finfo(np.float64).eps)
 
 # Below this node count the numpy per-bucket overhead loses to the
-# CPython heap; the dispatchable kernels delegate.  Measured crossover
-# on corridor pathnets is ~400-900 nodes (the heap wins 2x at ~300,
-# the buckets win 1.5x at ~900); the kernels stay bit-identical either
-# side, so the cutoff is purely a speed knob.  Full-terrain pathnet
-# and ranking-level networks sit well above it.
+# CPython heap, and the dispatchers run the heap kernels.  Measured
+# crossover on corridor pathnets is ~400-900 nodes (the heap wins 2x
+# at ~300, the buckets win 1.5x at ~900); the kernels stay
+# bit-identical either side, so the cutoff is purely a speed knob.
+# Full-terrain pathnet and ranking-level networks sit well above it.
 MIN_FRONTIER_NODES = 512
 
 
@@ -98,21 +97,19 @@ def _report_frontier(buckets: int, batch_relaxations: int, max_frontier: int) ->
     obs.count("geodesic.frontier.max_frontier", max_frontier)
 
 
-def _frontier_state(csr: CSRGraph):
-    """``((indptr, indices, weights), wmin)`` with the smallest edge
-    weight memoized on the graph."""
-    wmin = csr._wmin
-    if wmin is None:
-        weights = csr.weights
-        wmin = csr._wmin = float(weights.min()) if weights.size else math.inf
-    return (csr.indptr, csr.indices, csr.weights), wmin
-
-
-def _region_wmin(csr: CSRGraph, region: np.ndarray) -> float:
-    """The smallest edge weight of the subgraph ``region`` induces."""
-    indptr, indices, weights = csr.indptr, csr.indices, csr.weights
+def min_weight(csr: CSRGraph, region: np.ndarray | None = None) -> float:
+    """The smallest edge weight of ``csr`` (memoized on the graph), or
+    of the subgraph a boolean node mask ``region`` induces — the
+    ``wmin`` of the bucketing rule."""
+    if region is None:
+        wmin = csr._wmin
+        if wmin is None:
+            weights = csr.weights
+            wmin = csr._wmin = float(weights.min()) if weights.size else math.inf
+        return wmin
+    indptr, indices = csr.indptr, csr.indices
     inside = np.repeat(region, np.diff(indptr)) & region[indices]
-    kept = weights[inside]
+    kept = csr.weights[inside]
     return float(kept.min()) if kept.size else math.inf
 
 
@@ -124,250 +121,41 @@ def _margin(scale: float) -> float:
     return 32.0 * _EPS * max(scale, 1.0)
 
 
-# ----------------------------------------------------------------------
-# single-source
-# ----------------------------------------------------------------------
-
-
 @frontier_phase
-def _single_source_frontier(
-    csr, source, targets, max_dist, want_parents, region=None, wmin=None
-):
-    """The bucketed search; ``region`` searches the subgraph it
-    induces in place (its complement starts out settled), with
-    ``wmin`` that subgraph's smallest edge weight."""
-    n = csr.num_nodes
-    if not 0 <= source < n:
-        raise GeodesicError(f"source {source} out of range")
-    (indptr, indices, weights), graph_wmin = _frontier_state(csr)
-    if wmin is None:
-        wmin = graph_wmin
-
-    dist = np.full(n, np.inf)
-    parent = np.full(n, -1, dtype=np.int64)
-    settled = np.zeros(n, dtype=bool) if region is None else ~region
-    in_pool = np.zeros(n, dtype=bool)
-    dist[source] = 0.0
-    in_pool[source] = True
-    pool = np.array([source], dtype=np.int64)
-
-    remaining = {int(t) for t in targets} if targets is not None else None
-    target_list = list(remaining) if remaining is not None else None
-    batches: list[np.ndarray] = []
-    cutoff = None  # (value, node) of the reference's final settling pop
-    buckets = 0
-    batch_relaxations = 0
-    relaxations = 0
-    max_frontier = 0
-    settled_count = 0
-    deadline = current_deadline()
-
-    while pool.size:
-        dvals = dist[pool]
-        tmin = float(dvals.min())
-        if max_dist is not None and tmin > max_dist:
-            break
-        threshold = tmin + wmin - _margin(tmin + wmin)
-        if threshold > tmin:
-            take = dvals < threshold
-        else:
-            # Degenerate window: settle exactly one reference pop —
-            # the lexicographic minimum (value, node).
-            at_min = pool[dvals == tmin]
-            take = pool == int(at_min.min())
-        batch = pool[take]
-        in_pool[batch] = False
-        pool = pool[~take]
-        bvals = dist[batch]
-        if max_dist is not None:
-            keep = bvals <= max_dist
-            # Nodes inside the window but past max_dist: the reference
-            # stops before popping them — drop them entirely.
-            batch = batch[keep]
-            bvals = bvals[keep]
-            if batch.size == 0:
-                continue
-        # Reference pop order within the bucket: (value, node).
-        order = np.lexsort((batch, bvals))
-        batch = batch[order]
-        settled[batch] = True
-        batches.append(batch)
-        settled_count += int(batch.size)
-        buckets += 1
-        if batch.size > max_frontier:
-            max_frontier = int(batch.size)
-        if deadline is not None and time.perf_counter() >= deadline:
-            raise DeadlineExceeded(
-                f"dijkstra_frontier passed its deadline after "
-                f"{settled_count} settled nodes"
-            )
-        if remaining is not None:
-            remaining.difference_update(batch.tolist())
-            if not remaining:
-                # The reference stops at its last target's pop — at its
-                # first pop when ``targets`` is empty.
-                cutoff = max(
-                    ((float(dist[t]), int(t)) for t in target_list if settled[t]),
-                    default=(float(dist[batch[0]]), int(batch[0])),
-                )
-                break
-
-        # Batched relaxation of every out-edge of the bucket.
-        starts = indptr[batch]
-        counts = indptr[batch + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        prev = np.cumsum(counts) - counts
-        edge_ids = np.repeat(starts - prev, counts) + np.arange(total)
-        src = np.repeat(batch, counts)
-        tgt = indices[edge_ids]
-        if region is not None and not region[tgt].any():
-            # Every edge leaves the region: the induced subgraph has
-            # no out-edge here.
-            continue
-        batch_relaxations += 1
-        nd = dist[src] + weights[edge_ids]
-        ok = ~settled[tgt]
-        if max_dist is not None:
-            ok &= nd <= max_dist
-        if not ok.any():
-            continue
-        src = src[ok]
-        tgt = tgt[ok]
-        nd = nd[ok]
-        relaxations += int(src.size)
-        # Per-target winner inside the batch: the reference heap tuple
-        # is (d, u, p) — for a fixed target the first pop is the
-        # lexicographic minimum over (d, parent).
-        order = np.lexsort((src, nd, tgt))
-        src = src[order]
-        tgt = tgt[order]
-        nd = nd[order]
-        first = np.empty(tgt.size, dtype=bool)
-        first[0] = True
-        first[1:] = tgt[1:] != tgt[:-1]
-        src = src[first]
-        tgt = tgt[first]
-        nd = nd[first]
-        # Cross-batch winner: replace the current label when the
-        # candidate tuple (d, parent) is lexicographically smaller.
-        cur_d = dist[tgt]
-        better = (nd < cur_d) | ((nd == cur_d) & (src < parent[tgt]))
-        if not better.any():
-            continue
-        upd = tgt[better]
-        dist[upd] = nd[better]
-        parent[upd] = src[better]
-        fresh = upd[~in_pool[upd]]
-        if fresh.size:
-            in_pool[fresh] = True
-            pool = np.concatenate((pool, fresh))
-
-    _report(settled_count, relaxations)
-    _report_frontier(buckets, batch_relaxations, max_frontier)
-
-    if batches:
-        nodes = np.concatenate(batches)
-    else:
-        nodes = np.empty(0, dtype=np.int64)
-    values = dist[nodes]
-    if cutoff is not None:
-        cut_value, cut_node = cutoff
-        keep = (values < cut_value) | ((values == cut_value) & (nodes <= cut_node))
-        nodes = nodes[keep]
-        values = values[keep]
-    out = dict(zip(nodes.tolist(), values.tolist()))
-    if not want_parents:
-        return out
-    parents = parent[nodes]
-    parent_out = {
-        int(node): int(par)
-        for node, par in zip(nodes.tolist(), parents.tolist())
-        if par >= 0
-    }
-    return out, parent_out
-
-
-def dijkstra_frontier(
-    csr: CSRGraph,
-    source: int,
-    targets: set[int] | None = None,
-    max_dist: float | None = None,
-) -> dict[int, float]:
-    """Bucketed single-source Dijkstra, bit-identical to
-    :func:`repro.geodesic.csr.dijkstra_csr` (distances, settled set,
-    early-exit behaviour)."""
-    _, wmin = _frontier_state(csr)
-    if csr.num_nodes < MIN_FRONTIER_NODES or not wmin > 0.0:
-        return dijkstra_csr(csr, source, targets, max_dist)
-    return _single_source_frontier(csr, source, targets, max_dist, False)
-
-
-def dijkstra_frontier_with_parents(
-    csr: CSRGraph,
-    source: int,
-    targets: set[int] | None = None,
-    max_dist: float | None = None,
-    region: np.ndarray | None = None,
-) -> tuple[dict[int, float], dict[int, int]]:
-    """Bucketed variant of
-    :func:`repro.geodesic.csr.dijkstra_csr_with_parents` — identical
-    distances AND identical tie-broken shortest-path trees.
-
-    With a ``region`` mask the search runs on the subgraph the mask
-    induces, in place, and the heap/bucket rule reads that subgraph:
-    its node count and its smallest edge weight.  Buckets, counters
-    and results are then those of the same search over the subgraph
-    compiled on its own."""
-    if region is None:
-        nodes = csr.num_nodes
-        _, wmin = _frontier_state(csr)
-    else:
-        nodes = int(np.count_nonzero(region))
-        wmin = _region_wmin(csr, region) if nodes >= MIN_FRONTIER_NODES else None
-    if nodes < MIN_FRONTIER_NODES or not wmin > 0.0:
-        return dijkstra_csr_with_parents(csr, source, targets, max_dist, region)
-    return _single_source_frontier(
-        csr, source, targets, max_dist, True, region, wmin
-    )
-
-
-# ----------------------------------------------------------------------
-# multi-source
-# ----------------------------------------------------------------------
-
-
 def multi_source_frontier(
     csr: CSRGraph,
     sources: list[tuple[int, float]],
     targets: set[int] | None = None,
     max_dist: float | None = None,
+    region: np.ndarray | None = None,
+    wmin: float | None = None,
 ) -> MultiSourceResult:
     """Bucketed multi-source relaxation, bit-identical to
-    :func:`repro.geodesic.csr.multi_source_heap`.
+    :func:`repro.geodesic.csr.multi_source_heap` (and, for
+    ``[(source, 0.0)]``, to
+    :func:`repro.geodesic.csr.dijkstra_csr_with_parents`).
 
     Labels carry the full reference heap tuple — ``(value, rank,
     parent, raw)`` per node — and every update takes the
     lexicographic minimum over the batched candidates, so values
     compose as ``fl(offset ⊕ fl(raw ⊕ w))`` and cross-anchor ties
-    settle toward the lowest rank exactly like the reference."""
-    if sources:
-        _, wmin = _frontier_state(csr)
-        if csr.num_nodes < MIN_FRONTIER_NODES or not wmin > 0.0:
-            return multi_source_heap(csr, sources, targets, max_dist)
-    return _multi_source_frontier(csr, sources, targets, max_dist)
+    settle toward the lowest rank exactly like the reference.
 
-
-@frontier_phase
-def _multi_source_frontier(csr, sources, targets, max_dist):
-    """The bucketed search behind :func:`multi_source_frontier`."""
+    ``region`` (a boolean node mask holding the sources) searches the
+    subgraph the mask induces, in place: the nodes outside it start
+    out settled, and a bucket whose out-edges all leave the region
+    runs no batch.  ``wmin`` is the smallest edge weight of the graph
+    searched (:func:`min_weight`, computed when omitted), so buckets,
+    counters and results are those of the same search over the
+    subgraph compiled on its own."""
     n = csr.num_nodes
     if not sources:
         _report(0, 0)
         _report_frontier(0, 0, 0)
         return MultiSourceResult({}, {}, {}, {})
-    (indptr, indices, weights), wmin = _frontier_state(csr)
+    indptr, indices, weights = csr.indptr, csr.indices, csr.weights
+    if wmin is None:
+        wmin = min_weight(csr, region)
 
     offsets = np.empty(len(sources))
     value = np.full(n, np.inf)
@@ -390,14 +178,14 @@ def _multi_source_frontier(csr, sources, targets, max_dist):
             labelled[node] = True
     off_scale = float(np.abs(offsets).max())
 
-    settled = np.zeros(n, dtype=bool)
+    settled = np.zeros(n, dtype=bool) if region is None else ~region
     in_pool = labelled
     pool = np.nonzero(labelled)[0].astype(np.int64)
 
     remaining = {int(t) for t in targets} if targets is not None else None
     target_list = list(remaining) if remaining is not None else None
     batches: list[np.ndarray] = []
-    cutoff = None
+    cutoff = None  # (value, node) of the reference's final settling pop
     buckets = 0
     batch_relaxations = 0
     relaxations = 0
@@ -414,6 +202,8 @@ def _multi_source_frontier(csr, sources, targets, max_dist):
         if threshold > tmin:
             take = dvals < threshold
         else:
+            # Degenerate window: settle exactly one reference pop —
+            # the lexicographic minimum (value, node).
             at_min = pool[dvals == tmin]
             take = pool == int(at_min.min())
         batch = pool[take]
@@ -422,10 +212,13 @@ def _multi_source_frontier(csr, sources, targets, max_dist):
         bvals = value[batch]
         if max_dist is not None:
             keep = bvals <= max_dist
+            # Nodes inside the window but past max_dist: the reference
+            # stops before popping them — drop them entirely.
             batch = batch[keep]
             bvals = bvals[keep]
             if batch.size == 0:
                 continue
+        # Reference pop order within the bucket: (value, node).
         order = np.lexsort((batch, bvals))
         batch = batch[order]
         settled[batch] = True
@@ -450,16 +243,21 @@ def _multi_source_frontier(csr, sources, targets, max_dist):
                 )
                 break
 
+        # Batched relaxation of every out-edge of the bucket.
         starts = indptr[batch]
         counts = indptr[batch + 1] - starts
         total = int(counts.sum())
         if total == 0:
             continue
-        batch_relaxations += 1
         prev = np.cumsum(counts) - counts
         edge_ids = np.repeat(starts - prev, counts) + np.arange(total)
         src = np.repeat(batch, counts)
         tgt = indices[edge_ids]
+        if region is not None and not region[tgt].any():
+            # Every edge leaves the region: the induced subgraph has
+            # no out-edge here.
+            continue
+        batch_relaxations += 1
         # Same float composition as the reference: raw ⊕ w first,
         # then offset ⊕ raw — never accumulated in value space.
         nraw = raw[src] + weights[edge_ids]
@@ -492,6 +290,8 @@ def _multi_source_frontier(csr, sources, targets, max_dist):
         nraw = nraw[first]
         nrank = nrank[first]
         nval = nval[first]
+        # Cross-batch winner: replace the current label when the
+        # candidate tuple is lexicographically smaller.
         cur_v = value[tgt]
         cur_r = rank[tgt]
         cur_p = parent[tgt]

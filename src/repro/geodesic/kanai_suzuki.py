@@ -18,7 +18,7 @@ from repro.geodesic.pathnet import (
     build_pathnet,
     vertex_key,
 )
-from repro.geodesic.csr import graph_dijkstra_with_parents
+from repro.geodesic.csr import graph_dijkstra_with_parents, tree_path
 
 
 def _round0_pathnet(mesh):
@@ -67,21 +67,15 @@ def _route(graph, source_key, target_key) -> tuple[float, list[tuple]]:
     s = graph.node_id(source_key)
     t = graph.node_id(target_key)
     dist, parent = graph_dijkstra_with_parents(graph, s, targets={t})
-    return _path_to(graph, dist, parent, s, t)
+    return _path_to(graph, dist, parent, t)
 
 
-def _path_to(graph, dist, parent, s: int, t: int) -> tuple[float, list[tuple]]:
-    """The distance to ``t`` and the keys of its route from ``s`` in
-    one search's labels and parents."""
+def _path_to(graph, dist, parent, t: int) -> tuple[float, list[tuple]]:
+    """The distance to ``t`` and the keys of its route from the
+    search's source in one search's labels and parents."""
     if t not in dist:
         raise GeodesicError("pathnet route not found")
-    node = t
-    keys = [graph.key_of(node)]
-    while node != s:
-        node = parent[node]
-        keys.append(graph.key_of(node))
-    keys.reverse()
-    return dist[t], keys
+    return dist[t], [graph.key_of(n) for n in tree_path(parent, t)]
 
 
 def kanai_suzuki_distance(
@@ -155,7 +149,7 @@ def kanai_suzuki_distances(
     dist, parent = graph_dijkstra_with_parents(graph, s, targets=set(nodes))
     values = {source: 0.0}
     for target, node in zip(distinct, nodes):
-        best, keys = _path_to(graph, dist, parent, s, node)
+        best, keys = _path_to(graph, dist, parent, node)
         values[target] = _refine(
             mesh, src_key, vertex_key(target), best, keys,
             tolerance, max_steiner, corridor_rings,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GeodesicError
-from repro.geodesic.csr import astar_csr, graph_dijkstra_with_parents
+from repro.geodesic.csr import astar_csr, graph_dijkstra_with_parents, tree_path
 from repro.geodesic.frontier import build_pathnet_arrays
 from repro.geodesic.graph import KeyedGraph
 
@@ -112,8 +112,4 @@ def pathnet_shortest_path(
     dist, parent = graph_dijkstra_with_parents(graph, s, targets={t})
     if t not in dist:
         raise GeodesicError(f"no path from {s} to {t}")
-    node_path = [t]
-    while node_path[-1] != s:
-        node_path.append(parent[node_path[-1]])
-    node_path.reverse()
-    return dist[t], [graph.key_of(n) for n in node_path]
+    return dist[t], [graph.key_of(n) for n in tree_path(parent, t)]

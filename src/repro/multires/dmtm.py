@@ -26,6 +26,7 @@ from repro.errors import MultiresError
 from repro.geodesic.csr import (
     graph_dijkstra_with_parents,
     multi_source_dijkstra_csr,
+    tree_path,
 )
 from repro.geodesic.graph import KeyedGraph
 from repro.geodesic.pathnet import build_pathnet, vertex_key
@@ -311,14 +312,10 @@ class DMTM:
         )
         if tid not in dist:
             return None
-        path = [tid]
-        while path[-1] != sid:
-            path.append(parent[path[-1]])
-        path.reverse()
         ids = cut.id_list
         return UpperBoundResult(
             value=off_a + dist[tid] + off_b,
-            path_keys=[("n", ids[n]) for n in path],
+            path_keys=[("n", ids[n]) for n in tree_path(parent, tid)],
             resolution=network.resolution,
         )
 
@@ -335,13 +332,9 @@ class DMTM:
         dist, parent = graph_dijkstra_with_parents(graph, sid, targets={tid})
         if tid not in dist:
             return None
-        path = [tid]
-        while path[-1] != sid:
-            path.append(parent[path[-1]])
-        path.reverse()
         return UpperBoundResult(
             value=dist[tid],
-            path_keys=[graph.key_of(n) for n in path],
+            path_keys=[graph.key_of(n) for n in tree_path(parent, tid)],
             resolution=network.resolution,
         )
 
@@ -384,13 +377,9 @@ class DMTM:
             if tid not in dist:
                 results[v] = None
                 continue
-            path = [tid]
-            while path[-1] != sid:
-                path.append(parent[path[-1]])
-            path.reverse()
             results[v] = UpperBoundResult(
                 value=dist[tid],
-                path_keys=[graph.key_of(n) for n in path],
+                path_keys=[graph.key_of(n) for n in tree_path(parent, tid)],
                 resolution=network.resolution,
             )
         return results
@@ -434,13 +423,9 @@ class DMTM:
             if tid not in dist:
                 results[v] = None
                 continue
-            path = [tid]
-            while path[-1] != sid:
-                path.append(parent[path[-1]])
-            path.reverse()
             results[v] = UpperBoundResult(
                 value=extra + dist[tid],
-                path_keys=[("n", ids[n]) for n in path],
+                path_keys=[("n", ids[n]) for n in tree_path(parent, tid)],
                 resolution=network.resolution,
             )
         return results

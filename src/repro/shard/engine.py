@@ -7,7 +7,7 @@ store, object-index slice — per rectangular *tile span* it actually
 needs, and answers queries through the smallest window it can
 *certify*:
 
-1. route the query to its home tile through the tile R-tree;
+1. route the query to its home tile (:meth:`~repro.shard.tiles.TileGrid.home_tile`);
 2. answer inside the window engine and run the **separation test**:
    the answer is accepted iff every object outside the answer set has
    a globally sound lower bound strictly above the k-th upper bound.

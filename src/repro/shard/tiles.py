@@ -2,8 +2,8 @@
 
 A :class:`TileGrid` cuts a DEM into a small grid of overlapping tiles
 (adjacent tiles share their border row/column of grid points) and
-routes horizontal positions to their owning tile through an R-tree of
-tile rectangles.  Any rectangular *span* of tiles defines a window —
+routes horizontal positions to their owning tile by bisecting the
+tiles' edges.  Any rectangular *span* of tiles defines a window —
 a contiguous sub-DEM — which is what :class:`~repro.shard.engine.ShardedEngine`
 builds per-tile engines over.
 
@@ -20,14 +20,12 @@ origin even.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import TerrainError
-from repro.geometry.primitives import BoundingBox
-from repro.spatial.rtree import RTree
 from repro.terrain.dem import DemGrid
 
 
@@ -82,7 +80,7 @@ class TileSpan:
 
 
 class TileGrid:
-    """The tile layout of one DEM plus the routing index over it."""
+    """The tile layout of one DEM."""
 
     def __init__(self, dem: DemGrid, tiles=(2, 2)):
         self.dem = dem
@@ -92,22 +90,12 @@ class TileGrid:
         self.col_cuts = tile_cuts(dem.cols, tiles[1])
         self.tiles_rows = len(self.row_cuts) - 1
         self.tiles_cols = len(self.col_cuts) - 1
-        # The router: an R-tree of tile xy rectangles.  Positions on a
-        # shared border hit several rectangles; the lowest (row, col)
-        # wins so routing is deterministic.
-        self._index = RTree(max_entries=8)
+        # The tiles' float edges, the coordinates their windows start
+        # and end at.
         cell = dem.cell_size
         ox, oy = dem.origin
-        for i in range(self.tiles_rows):
-            for j in range(self.tiles_cols):
-                box = BoundingBox(
-                    (ox + self.col_cuts[j] * cell, oy + self.row_cuts[i] * cell),
-                    (
-                        ox + self.col_cuts[j + 1] * cell,
-                        oy + self.row_cuts[i + 1] * cell,
-                    ),
-                )
-                self._index.insert(box, (i, j))
+        self._row_edges = [oy + cut * cell for cut in self.row_cuts]
+        self._col_edges = [ox + cut * cell for cut in self.col_cuts]
 
     # -- routing --------------------------------------------------------
 
@@ -116,19 +104,16 @@ class TileGrid:
         return (self.tiles_rows, self.tiles_cols)
 
     def home_tile(self, x: float, y: float) -> tuple[int, int]:
-        """The owning ``(tile_row, tile_col)`` of an xy position."""
-        probe = BoundingBox((float(x), float(y)), (float(x), float(y)))
-        hits = self._index.range_query(probe)
-        if hits:
-            return min(hits)
-        # Numerical edge (position marginally outside every
-        # rectangle): fall back to cut arithmetic on clamped indices.
-        cell = self.dem.cell_size
-        r = (float(y) - self.dem.origin[1]) / cell
-        c = (float(x) - self.dem.origin[0]) / cell
-        i = min(bisect_right(self.row_cuts, r) - 1, self.tiles_rows - 1)
-        j = min(bisect_right(self.col_cuts, c) - 1, self.tiles_cols - 1)
-        return (max(i, 0), max(j, 0))
+        """The owning ``(tile_row, tile_col)`` of an xy position: per
+        axis, the first tile whose far edge is not below it, clamped
+        to the grid, so a position on a shared border belongs to the
+        lower tile, inside the terrain or beyond it."""
+        i = bisect_left(self._row_edges, float(y)) - 1
+        j = bisect_left(self._col_edges, float(x)) - 1
+        return (
+            min(max(i, 0), self.tiles_rows - 1),
+            min(max(j, 0), self.tiles_cols - 1),
+        )
 
     def tile_span(self, tile: tuple[int, int]) -> TileSpan:
         return TileSpan(tile[0], tile[0], tile[1], tile[1])

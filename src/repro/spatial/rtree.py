@@ -4,8 +4,6 @@ The reproduction's one 2D index.  It serves:
 
 * the index over ``Dxy`` (xy-projections of the object points) used
   by MR3's 2D k-NN filter (step 1) and 2D range query (step 3);
-* the tile grid of :class:`~repro.shard.tiles.TileGrid`, which maps a
-  point or box to the tiles it meets;
 * the Euclidean browse of the IER baseline
   (:mod:`repro.core.network_baselines`).
 
@@ -212,7 +210,6 @@ class RTree:
         if radius < 0:
             raise SpatialIndexError("radius must be non-negative")
         c = tuple(float(v) for v in center)
-        region = BoundingBox.around(c, radius)
         result = []
         stack = [self._root] if self._size else []
         while stack:
@@ -226,8 +223,6 @@ class RTree:
                     result.append(item)
                 else:
                     stack.append(item)
-        # region kept for clarity of intent; exact filter already applied
-        del region
         return result
 
     def knn(self, point, k: int) -> list:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import TerrainError
-from repro.geodesic.csr import dijkstra_csr, edge_network_csr
+from repro.geodesic.csr import dijkstra_csr_with_parents, edge_network_csr
 from repro.geometry.vectors import dist
 
 
@@ -41,7 +41,8 @@ def surface_to_euclid_ratio(mesh, num_pairs: int = 32, seed: int = 0) -> float:
         euclid = float(dist(mesh.vertices[a], mesh.vertices[b]))
         if euclid == 0.0:
             continue
-        network = dijkstra_csr(csr, int(a), targets={int(b)}).get(int(b))
+        settled, _parent = dijkstra_csr_with_parents(csr, int(a), targets={int(b)})
+        network = settled.get(int(b))
         if network is None:
             continue
         ratios.append(network / euclid)

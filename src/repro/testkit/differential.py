@@ -91,6 +91,7 @@ from repro.testkit.reference import (
     dmtm_upper_bound_cut_reference,
     dmtm_upper_bounds_from_cut_reference,
     edge_network_reference,
+    induced_adjacency,
     msdn_lower_bound_reference,
     upper_bound_bits,
 )
@@ -266,8 +267,10 @@ def component_mismatches(engine, query_vertices) -> list[tuple[int, str]]:
 
     Checks the pathnet builder once, then per query vertex: a full
     exact window propagation (distance bytes and window count), full
-    and early-exit single-source searches on the pathnet, a two-anchor
-    multi-source search toward the objects, the MSDN lower bound
+    and early-exit single-source searches on the pathnet, one
+    restricted to a region (against the dict kernel over the subgraph
+    the region induces), a two-anchor multi-source search toward the
+    objects, the MSDN lower bound
     to every object at every resolution, without and with an ROI box,
     with the dummy-lb screen beside it, and the cut-level upper bounds
     to every object at every cut resolution, without and with an ROI
@@ -312,6 +315,31 @@ def component_mismatches(engine, query_vertices) -> list[tuple[int, str]]:
             dijkstra_with_parents_reference(adjacency, src, targets=set(targets))
         ):
             out.append((index, "early-exit single-source search diverged"))
+        # The region: the pathnet without the box of the one-ring of
+        # the object farthest from the query (in place on the compiled
+        # pathnet, by the dict kernel on the subgraph the region
+        # induces, numbered in the same order); targets inside it.
+        gaps = mesh.vertices[object_vertices] - mesh.vertices[qv]
+        far = object_vertices[int(np.argmax(np.einsum("ij,ij->i", gaps, gaps)))]
+        ring = [far] + [v for v, _w in edge_network[far]]
+        hole = BoundingBox.of_points(mesh.vertices[ring, :2])
+        region = ~(
+            (positions[:, :2] >= hole.lo) & (positions[:, :2] <= hole.hi)
+        ).all(axis=1)
+        region[src] = True
+        induced, sub_id = induced_adjacency(adjacency, region)
+        inside = list(sub_id)
+        in_region = {t for t in targets if region[t]}
+        got_dist, got_parent = graph_dijkstra_with_parents(
+            graph, src, targets=in_region, region=region
+        )
+        ref_dist, ref_parent = dijkstra_with_parents_reference(
+            induced, sub_id[src], targets={sub_id[t] for t in in_region}
+        )
+        if list(got_dist.items()) != [
+            (inside[u], d) for u, d in ref_dist.items()
+        ] or got_parent != {inside[u]: inside[p] for u, p in ref_parent.items()}:
+            out.append((index, "region-restricted single-source search diverged"))
         # Second anchor: a mesh neighbour offset by the edge length
         # (an embedded point's multi-anchor shape).
         sources = [(src, 0.0)] + [

@@ -88,15 +88,18 @@ The graph form and kernels production dropped complete the set:
 * :class:`KeyedGraphBuilder` — a keyed graph grown by ``add_node`` /
   ``add_edge`` into an adjacency list, the form
   :func:`build_pathnet_reference` and :func:`dmtm_cut_reference`
-  build; :func:`csr_from_adjacency` compiles an adjacency list and
-  :func:`csr_adjacency` reads one back out of a CSR graph;
+  build; :func:`csr_from_adjacency` compiles an adjacency list,
+  :func:`csr_adjacency` reads one back out of a CSR graph and
+  :func:`induced_adjacency` cuts out the subgraph a region induces;
 * :func:`edge_network_reference` — the mesh edge network by one
   ``append`` per edge and direction, the twin of
   :func:`repro.geodesic.csr.edge_network_csr`;
 * :func:`dijkstra_reference`, :func:`dijkstra_with_parents_reference`
   and :func:`shortest_path_reference` — the dict kernels over
-  adjacency lists, twins of the heap and bucket kernels, reporting
-  the same ``geodesic.dijkstra.*`` counters;
+  adjacency lists, reporting the same ``geodesic.dijkstra.*``
+  counters: the with-parents kernel is the twin of the heap kernel
+  and of the bucket kernel's one-source case, the distance-only one
+  the distance oracle;
   :func:`graph_dijkstra_with_parents_reference` runs them on builder
   graphs and the production kernels on compiled ones.
 """
@@ -250,6 +253,16 @@ def csr_adjacency(csr: CSRGraph) -> Adjacency:
     ]
 
 
+def induced_adjacency(adj: Adjacency, region) -> tuple[Adjacency, dict[int, int]]:
+    """The subgraph the boolean node mask ``region`` induces on an
+    adjacency list, numbered in node id order with neighbour order
+    kept, and the map from each kept node's id to its new one (its
+    keys list the kept nodes in order) — the graph a search
+    restricted to ``region`` in place must behave as."""
+    ids = {u: i for i, u in enumerate(np.flatnonzero(region).tolist())}
+    return [[(ids[v], w) for v, w in adj[u] if v in ids] for u in ids], ids
+
+
 def edge_network_reference(mesh) -> Adjacency:
     """The mesh edge network by one ``append`` per edge and direction:
     ``adj[v]`` lists ``(neighbour, edge length)`` in edge id order —
@@ -278,9 +291,9 @@ def dijkstra_reference(
     targets: set[int] | None = None,
     max_dist: float | None = None,
 ) -> dict[int, float]:
-    """Lazy-deletion binary-heap Dijkstra over an adjacency list, the
-    twin of :func:`repro.geodesic.csr.dijkstra_csr` and
-    :func:`repro.geodesic.frontier.dijkstra_frontier`.
+    """Lazy-deletion binary-heap Dijkstra over an adjacency list: the
+    distance oracle of every search shape (no production kernel
+    returns distances alone).
 
     ``adj[u]`` iterates ``(v, weight)`` pairs with non-negative
     weights.  The search stops once every node of ``targets`` is
@@ -323,7 +336,9 @@ def dijkstra_with_parents_reference(
 ) -> tuple[dict[int, float], dict[int, int]]:
     """:func:`dijkstra_reference` that also returns the shortest-path
     tree (settled node -> predecessor, the source excluded), the twin
-    of :func:`repro.geodesic.csr.dijkstra_csr_with_parents`."""
+    of :func:`repro.geodesic.csr.dijkstra_csr_with_parents` and of
+    the one-source case of
+    :func:`repro.geodesic.frontier.multi_source_frontier`."""
     if not 0 <= source < len(adj):
         raise GeodesicError(f"source {source} out of range")
     dist: dict[int, float] = {}

@@ -27,8 +27,9 @@ from repro.core.health import (
     EngineHealth,
 )
 from repro.errors import QueryError
-from repro.geodesic.csr import dijkstra_csr
+from repro.geodesic.csr import dijkstra_csr_with_parents, graph_dijkstra_with_parents
 from repro.geodesic.deadline import DeadlineExceeded, deadline_scope
+from repro.geodesic.frontier import MIN_FRONTIER_NODES
 from repro.obs.export import query_record
 from repro.shard import ShardedEngine, uniform_grid_objects
 from repro.storage.faults import FaultInjector, RetryPolicy, kill_random_pages
@@ -264,11 +265,17 @@ class TestKernelDeadline:
         csr = self.chain_csr()
         with deadline_scope(time.perf_counter() - 1.0):
             with pytest.raises(DeadlineExceeded):
-                dijkstra_csr(csr, 0)
+                dijkstra_csr_with_parents(csr, 0)
+
+    def test_bucket_kernel_notices_expired_deadline(self):
+        csr = self.chain_csr(MIN_FRONTIER_NODES + 8)
+        with deadline_scope(time.perf_counter() - 1.0):
+            with pytest.raises(DeadlineExceeded, match="multi_source_frontier"):
+                graph_dijkstra_with_parents(csr, 0)
 
     def test_no_deadline_no_interference(self):
         csr = self.chain_csr(64)
-        dist = dijkstra_csr(csr, 0)
+        dist, _parent = dijkstra_csr_with_parents(csr, 0)
         assert dist[63] == pytest.approx(63.0)
 
     def test_zero_second_budget_degrades_not_crashes(self, small_engine):

@@ -19,7 +19,6 @@ from repro.errors import GeodesicError
 from repro.geodesic.csr import (
     CSRGraph,
     astar_csr,
-    dijkstra_csr,
     dijkstra_csr_with_parents,
     graph_dijkstra_with_parents,
     multi_source_dijkstra_csr,
@@ -83,7 +82,7 @@ class TestCSRStructure:
         csr = csr_from_adjacency([[], [], []])
         assert csr.num_nodes == 3
         assert csr.num_edges == 0
-        assert dijkstra_csr(csr, 1) == {1: 0.0}
+        assert dijkstra_csr_with_parents(csr, 1) == ({1: 0.0}, {})
 
     def test_heuristic_requires_positions(self):
         csr = csr_from_adjacency([[(1, 1.0)], [(0, 1.0)]])
@@ -93,7 +92,9 @@ class TestCSRStructure:
     def test_source_out_of_range(self):
         csr = csr_from_adjacency([[(1, 1.0)], [(0, 1.0)]])
         with pytest.raises(GeodesicError, match="out of range"):
-            dijkstra_csr(csr, 7)
+            dijkstra_csr_with_parents(csr, 7)
+        with pytest.raises(GeodesicError, match="out of range"):
+            graph_dijkstra_with_parents(csr, -1)
         with pytest.raises(GeodesicError, match="out of range"):
             multi_source_dijkstra_csr(csr, [(7, 0.0)])
 
@@ -114,7 +115,8 @@ class TestDifferentialSingleSource:
         adj, _pos = random_geometric_graph(rng)
         csr = csr_from_adjacency(adj)
         src = rng.randrange(len(adj))
-        assert dijkstra_csr(csr, src) == dijkstra_reference(adj, src)
+        dist, _parent = dijkstra_csr_with_parents(csr, src)
+        assert dist == dijkstra_reference(adj, src)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_targets_and_max_dist(self, seed):
@@ -125,9 +127,11 @@ class TestDifferentialSingleSource:
         src = rng.randrange(n)
         targets = {rng.randrange(n) for _ in range(rng.randint(1, 3))}
         max_dist = rng.choice([None, rng.uniform(1.0, 12.0)])
-        assert dijkstra_csr(
+        assert dijkstra_csr_with_parents(
             csr, src, targets=set(targets), max_dist=max_dist
-        ) == dijkstra_reference(adj, src, targets=set(targets), max_dist=max_dist)
+        ) == dijkstra_with_parents_reference(
+            adj, src, targets=set(targets), max_dist=max_dist
+        )
 
     @pytest.mark.parametrize("seed", range(8))
     def test_with_parents_identical_trees(self, seed):
@@ -273,7 +277,7 @@ class TestDispatchers:
 
     def test_compiled_kernel_follows_graph_size(self, obs_context, monkeypatch):
         """Compiled graphs below MIN_FRONTIER_NODES run the heap
-        kernels, larger ones the bucket kernels — same answers."""
+        kernels, larger ones the bucket kernel — same answers."""
         from repro.geodesic import frontier
 
         buckets = obs_context.registry.counter("geodesic.frontier.buckets")
@@ -301,7 +305,7 @@ class TestCounters:
         settled = reg.counter("geodesic.dijkstra.settled")
         before = (calls.value, settled.value)
         csr = csr_from_adjacency([[(1, 1.0)], [(0, 1.0)]])
-        dijkstra_csr(csr, 0)
+        dijkstra_csr_with_parents(csr, 0)
         assert calls.value == before[0] + 1
         assert settled.value == before[1] + 2
 

@@ -1,17 +1,19 @@
-"""Property tests for the frontier-batched numpy kernels.
+"""Property tests for the frontier-batched numpy kernel.
 
-The bucketed kernels (:mod:`repro.geodesic.frontier`) are a pure
-performance change with the same contract as the CSR kernels: every
-search shape must return exactly (``==``, not approx) what the dict
-reference kernels return — distances, parents, tie-broken winners,
-early-exit settled sets — across 200 random-graph seeds.  The
-vectorised pathnet builder must likewise reproduce the reference
-per-face builder's graph node for node, edge for edge, bit for bit.
+The bucket kernel (:func:`repro.geodesic.frontier.multi_source_frontier`)
+is a pure performance change with the same contract as the heap
+kernels: every search shape — one source at offset 0.0 included —
+must return exactly (``==``, not approx) what the dict reference
+kernels return — distances, parents, tie-broken winners, early-exit
+settled sets — across 200 random-graph seeds.  The vectorised pathnet
+builder must likewise reproduce the reference per-face builder's
+graph node for node, edge for edge, bit for bit.
 
-The dispatchable entry points delegate to the heap kernels below
-``MIN_FRONTIER_NODES`` (and on zero-weight graphs), so these tests
-pin the cutoff to 0 to force the bucket path onto small graphs where
-brute-force comparison is cheap.
+The dispatchers run the heap kernels below ``MIN_FRONTIER_NODES``
+(and on zero-weight graphs), so most tests here pin the cutoff to 0
+to force the bucket path onto small graphs where brute-force
+comparison is cheap; :class:`TestOneSourceDifferential` keeps the
+real cutoff and graphs above it.
 """
 
 from __future__ import annotations
@@ -22,20 +24,20 @@ import random
 import numpy as np
 import pytest
 
+from repro.errors import GeodesicError
 from repro.geodesic import frontier as frontier_mod
 from repro.geodesic.csr import (
     astar_csr,
-    dijkstra_csr,
     dijkstra_csr_with_parents,
+    graph_dijkstra_with_parents,
     multi_source_heap,
 )
 from repro.geodesic.frontier import (
     MIN_FRONTIER_NODES,
     build_pathnet_arrays,
-    dijkstra_frontier,
-    dijkstra_frontier_with_parents,
     multi_source_frontier,
 )
+from repro.obs.context import ObsContext
 from repro.geodesic.pathnet import build_pathnet
 from repro.testkit.generators import standard_mesh
 from repro.testkit.reference import (
@@ -44,14 +46,15 @@ from repro.testkit.reference import (
     csr_from_adjacency,
     dijkstra_reference,
     dijkstra_with_parents_reference,
+    induced_adjacency,
 )
 
 
 @pytest.fixture(autouse=True)
 def force_bucket_path(monkeypatch):
-    """Remove the small-graph delegation so the bucket kernels run on
-    every test graph (they are bit-identical either side of the
-    cutoff; the cutoff is purely a speed knob)."""
+    """Remove the small-graph rule so the dispatchers run the bucket
+    kernel on every test graph (the kernels are bit-identical either
+    side of the cutoff; the cutoff is purely a speed knob)."""
     monkeypatch.setattr(frontier_mod, "MIN_FRONTIER_NODES", 0)
 
 
@@ -95,7 +98,8 @@ def tie_heavy_graph(rng, n=None):
 
 
 class TestSingleSource:
-    """60 seeds: full sweeps vs the dict reference."""
+    """60 seeds: full sweeps of the one-source bucket path vs the dict
+    reference."""
 
     @pytest.mark.parametrize("seed", range(60))
     def test_full_sweep_identical(self, seed):
@@ -103,7 +107,8 @@ class TestSingleSource:
         adj, _pos = random_geometric_graph(rng)
         csr = csr_from_adjacency(adj)
         src = rng.randrange(len(adj))
-        assert dijkstra_frontier(csr, src) == dijkstra_reference(adj, src)
+        dist, _parent = graph_dijkstra_with_parents(csr, src)
+        assert dist == dijkstra_reference(adj, src)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_targets_and_max_dist_identical(self, seed):
@@ -116,9 +121,9 @@ class TestSingleSource:
         src = rng.randrange(n)
         targets = {rng.randrange(n) for _ in range(rng.randint(1, 3))}
         max_dist = rng.choice([None, rng.uniform(1.0, 12.0)])
-        assert dijkstra_frontier(
+        assert graph_dijkstra_with_parents(
             csr, src, targets=set(targets), max_dist=max_dist
-        ) == dijkstra_reference(
+        ) == dijkstra_with_parents_reference(
             adj, src, targets=set(targets), max_dist=max_dist
         )
 
@@ -130,7 +135,7 @@ class TestSingleSource:
         adj = tie_heavy_graph(rng)
         csr = csr_from_adjacency(adj)
         src = rng.randrange(len(adj))
-        d1, p1 = dijkstra_frontier_with_parents(csr, src)
+        d1, p1 = graph_dijkstra_with_parents(csr, src)
         d2, p2 = dijkstra_with_parents_reference(adj, src)
         assert d1 == d2
         assert p1 == p2
@@ -175,7 +180,7 @@ class TestMultiSource:
 
 class TestEmptyTargets:
     """An empty ``targets`` set stops the heap kernels at their first
-    pop; the bucket kernels must return the same on a graph above the
+    pop; the bucket kernel must return the same on a graph above the
     real cutoff (they used to raise on ``max()`` of no settled
     target)."""
 
@@ -192,10 +197,7 @@ class TestEmptyTargets:
     def test_single_source(self, path_csr):
         assert path_csr.num_nodes >= MIN_FRONTIER_NODES
         for source in (0, 7, path_csr.num_nodes - 1):
-            assert dijkstra_frontier(path_csr, source, targets=set()) == dijkstra_csr(
-                path_csr, source, targets=set()
-            )
-            assert dijkstra_frontier_with_parents(
+            assert graph_dijkstra_with_parents(
                 path_csr, source, targets=set()
             ) == dijkstra_csr_with_parents(path_csr, source, targets=set())
 
@@ -209,10 +211,155 @@ class TestEmptyTargets:
             assert len(got.value) == 1
 
 
+def connected_tie_heavy_graph(rng, n, weights=(1, 1, 2, 3)):
+    """A connected graph over ``n`` nodes (a random spanning tree plus
+    ``n`` chords) whose integer weights tie exactly and often."""
+    adj = [[] for _ in range(n)]
+
+    def link(u, v):
+        w = float(rng.choice(weights))
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+
+    for u in range(1, n):
+        link(u, rng.randrange(u))
+    for _ in range(n):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            link(u, v)
+    return adj
+
+
+def frontier_counters(ctx):
+    return {
+        name: value["value"]
+        for name, value in ctx.registry.collect().items()
+        if name.startswith(("geodesic.frontier.", "geodesic.dijkstra."))
+    }
+
+
+class TestOneSourceDifferential:
+    """The one-source bucket path at the real cutoff: tie-heavy graphs
+    of at least ``MIN_FRONTIER_NODES`` nodes, region masks, targets and
+    ``max_dist``, against the heap twin and the dict reference."""
+
+    @pytest.fixture(autouse=True)
+    def force_bucket_path(self):
+        """Keep the real cutoff; every search here clears it."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_heap_twin_and_reference(self, seed):
+        rng = random.Random(6000 + seed)
+        n = rng.randint(MIN_FRONTIER_NODES + 88, 900)
+        adj = connected_tie_heavy_graph(rng, n)
+        csr = csr_from_adjacency(adj)
+        src = rng.randrange(n)
+        if rng.random() < 0.75:
+            region = np.array([rng.random() < 0.93 for _ in range(n)])
+            region[src] = True
+        else:
+            region = np.ones(n, dtype=bool)
+        inside = np.flatnonzero(region).tolist()
+        assert len(inside) >= MIN_FRONTIER_NODES
+        targets = rng.choice(
+            [None, set(), set(rng.sample(inside, rng.randint(1, 5)))]
+        )
+        max_dist = rng.choice([None, float(rng.randint(2, 12))])
+        search_region = None if region.all() else region
+        ctx = ObsContext("one-source")
+        with ctx.activate():
+            dist, parent = graph_dijkstra_with_parents(
+                csr, src, targets, max_dist, search_region
+            )
+        assert ctx.registry.counter("geodesic.frontier.buckets").value > 0
+        heap_dist, heap_parent = dijkstra_csr_with_parents(
+            csr, src, targets, max_dist, search_region
+        )
+        assert list(dist.items()) == list(heap_dist.items())
+        assert parent == heap_parent
+        sub, ids = induced_adjacency(adj, region)
+        back = list(ids)
+        ref_dist, ref_parent = dijkstra_with_parents_reference(
+            sub,
+            ids[src],
+            None if targets is None else {ids[t] for t in targets},
+            max_dist,
+        )
+        assert [(back[u], d) for u, d in ref_dist.items()] == list(dist.items())
+        assert {back[u]: back[p] for u, p in ref_parent.items()} == parent
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_region_wmin_matches_induced_subgraph(self, seed):
+        """A region that leaves out every lightest edge: its buckets
+        are as wide as the subgraph's own smallest weight allows, so
+        labels and every kernel counter equal those of the subgraph
+        compiled on its own."""
+        rng = random.Random(7000 + seed)
+        n = rng.randint(MIN_FRONTIER_NODES + 120, 900)
+        adj = connected_tie_heavy_graph(rng, n, weights=(2, 2, 3, 4))
+        outside = set(rng.sample(range(n), n // 10))
+        for u in sorted(outside):
+            # Light edges, each with an end outside the region.
+            v = rng.randrange(n)
+            if v != u:
+                adj[u].append((v, 1.0))
+                adj[v].append((u, 1.0))
+        region = np.array([u not in outside for u in range(n)])
+        csr = csr_from_adjacency(adj)
+        sub, ids = induced_adjacency(adj, region)
+        sub_csr = csr_from_adjacency(sub)
+        assert frontier_mod.min_weight(csr) == 1.0
+        assert frontier_mod.min_weight(csr, region) == 2.0
+        assert sub_csr.num_nodes >= MIN_FRONTIER_NODES
+        inside = list(ids)
+        src = rng.choice(inside)
+        targets = rng.choice([None, set(rng.sample(inside, 3))])
+        max_dist = rng.choice([None, float(rng.randint(6, 16))])
+        in_place, alone = ObsContext("in-place"), ObsContext("alone")
+        with in_place.activate():
+            got = graph_dijkstra_with_parents(csr, src, targets, max_dist, region)
+        with alone.activate():
+            want = graph_dijkstra_with_parents(
+                sub_csr,
+                ids[src],
+                None if targets is None else {ids[t] for t in targets},
+                max_dist,
+            )
+        back = list(ids)
+        assert list(got[0].items()) == [(back[u], d) for u, d in want[0].items()]
+        assert got[1] == {back[u]: back[p] for u, p in want[1].items()}
+        counters = frontier_counters(in_place)
+        assert counters["geodesic.frontier.buckets"] > 0
+        assert counters == frontier_counters(alone)
+
+    def test_source_cut_off_by_the_region_runs_no_batch(self):
+        """A source whose every edge leaves the region settles alone;
+        its bucket runs no batched relaxation, as on the subgraph
+        compiled on its own, where it has no edge at all."""
+        rng = random.Random(7100)
+        n = MIN_FRONTIER_NODES + 100
+        adj = connected_tie_heavy_graph(rng, n)
+        src = 0
+        region = np.ones(n, dtype=bool)
+        region[[v for v, _w in adj[src]]] = False
+        sub, ids = induced_adjacency(adj, region)
+        in_place, alone = ObsContext("in-place"), ObsContext("alone")
+        with in_place.activate():
+            got = graph_dijkstra_with_parents(
+                csr_from_adjacency(adj), src, region=region
+            )
+        with alone.activate():
+            want = graph_dijkstra_with_parents(csr_from_adjacency(sub), ids[src])
+        assert got == want == ({src: 0.0}, {})
+        counters = frontier_counters(in_place)
+        assert counters["geodesic.frontier.batch_relaxations"] == 0
+        assert counters == frontier_counters(alone)
+
+
 class TestAStar:
     """40 seeds: the heap A* that ``pathnet_distance`` runs (there is
     no bucketed A*) vs the dict reference on the same random graphs
-    as the bucket kernels above."""
+    as the bucket kernel above."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_value_identical(self, seed):
@@ -236,14 +383,31 @@ class TestDispatchDelegation:
         adj, _pos = random_geometric_graph(random.Random(5))
         csr = csr_from_adjacency(adj)
         assert csr.num_nodes < MIN_FRONTIER_NODES
-        assert dijkstra_frontier(csr, 0) == dijkstra_reference(adj, 0)
+        ctx = ObsContext("small")
+        with ctx.activate():
+            got = graph_dijkstra_with_parents(csr, 0)
+        assert got == dijkstra_with_parents_reference(adj, 0)
+        assert ctx.registry.counter("geodesic.frontier.buckets").value == 0
 
     def test_zero_weight_graph_delegates(self):
         """No positive bucket window exists with a zero-weight edge;
         the dispatcher must fall back, not loop or drift."""
         adj = [[(1, 0.0), (2, 1.0)], [(0, 0.0)], [(0, 1.0)]]
         csr = csr_from_adjacency(adj)
-        assert dijkstra_frontier(csr, 0) == dijkstra_reference(adj, 0)
+        ctx = ObsContext("zero-weight")
+        with ctx.activate():
+            got = graph_dijkstra_with_parents(csr, 0)
+        assert got == dijkstra_with_parents_reference(adj, 0)
+        assert ctx.registry.counter("geodesic.frontier.buckets").value == 0
+
+    def test_source_out_of_range(self):
+        """The bucket path rejects a bad source like the heap kernel."""
+        csr = csr_from_adjacency([[(1, 1.0)], [(0, 1.0)]])
+        for source in (-1, 2):
+            with pytest.raises(GeodesicError, match="out of range"):
+                graph_dijkstra_with_parents(csr, source)
+            with pytest.raises(GeodesicError, match="out of range"):
+                multi_source_frontier(csr, [(source, 0.0)])
 
 
 class TestBuilderEquivalence:

@@ -309,7 +309,7 @@ class TestFrontierCounters:
     kernel counters and with the profile's phase-attributed counts.
 
     The graph must clear ``MIN_FRONTIER_NODES`` — smaller searches
-    delegate to the heap kernels and emit no frontier counters (that
+    run the heap kernels and emit no frontier counters (that
     delegation is itself pinned here).
     """
 
@@ -377,11 +377,33 @@ class TestFrontierCounters:
             node.name for node in profile.root.walk()
         }
 
+    def test_single_source_bills_one_frontier_frame(self):
+        """A bucketed single-source search is the bucket kernel's
+        one-source case: one ``frontier-relaxation`` frame, no heap
+        frame, and counters that reconcile as above."""
+        from repro.geodesic.csr import graph_dijkstra_with_parents
+
+        _adj, csr = self._big_graph()
+        ctx = ObsContext("frontier", profiling=True)
+        with ctx.activate():
+            with ctx.phase("query"):
+                dist, _parent = graph_dijkstra_with_parents(csr, 0)
+        assert len(dist) == csr.num_nodes
+        (profile,) = ctx.take_profiles()
+        assert [node.name for node in profile.root.walk()] == [
+            "query", "frontier-relaxation",
+        ]
+        frame = profile.root.children["frontier-relaxation"]
+        assert frame.calls == 1
+        totals = profile.total_counters()
+        assert totals["geodesic.dijkstra.settled"] == csr.num_nodes
+        assert 0 < totals["geodesic.frontier.batch_relaxations"] <= (
+            totals["geodesic.frontier.buckets"]
+        ) <= csr.num_nodes
+
     def test_small_graphs_emit_no_frontier_counters(self):
-        from repro.geodesic.frontier import (
-            MIN_FRONTIER_NODES,
-            dijkstra_frontier,
-        )
+        from repro.geodesic.csr import graph_dijkstra_with_parents
+        from repro.geodesic.frontier import MIN_FRONTIER_NODES
         from repro.testkit.reference import csr_from_adjacency
 
         csr = csr_from_adjacency([[(1, 1.0)], [(0, 1.0), (2, 2.0)], [(1, 2.0)]])
@@ -392,7 +414,7 @@ class TestFrontierCounters:
         before = (buckets.value, settled.value)
         with ctx.activate():
             with ctx.phase("query"):
-                dijkstra_frontier(csr, 0)
+                graph_dijkstra_with_parents(csr, 0)
         assert buckets.value == before[0]  # delegated: no bucket counters
         assert settled.value == before[1] + 3  # heap twin still reports
         # The kernel is chosen before any frame opens: the search

@@ -81,6 +81,19 @@ class TestRouting:
         homes = {grid.home_tile(*corner) for _ in range(10)}
         assert homes == {(0, 0)}
 
+    def test_border_just_outside_routes_like_inside(self, dem, grid):
+        # One ulp outside the terrain, a point on a shared cut line
+        # belongs to the same (lower) tile as the cut's end on the
+        # terrain edge.
+        cell = dem.cell_size
+        ox, oy = dem.origin
+        cut_y = oy + grid.row_cuts[1] * cell
+        cut_x = ox + grid.col_cuts[1] * cell
+        west = float(np.nextafter(ox, -np.inf))
+        south = float(np.nextafter(oy, -np.inf))
+        assert grid.home_tile(west, cut_y) == grid.home_tile(ox, cut_y) == (0, 0)
+        assert grid.home_tile(cut_x, south) == grid.home_tile(cut_x, oy) == (0, 0)
+
     def test_far_outside_point_clamps(self, dem, grid):
         assert grid.home_tile(-1e9, -1e9) == (0, 0)
         assert grid.home_tile(1e9, 1e9) == (
