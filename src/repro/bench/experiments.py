@@ -190,7 +190,10 @@ def batch(
     The executor must be *observationally identical* to the loop —
     same result sets, same intervals, same per-query logical reads —
     so each row records those checks alongside throughput and latency
-    percentiles."""
+    percentiles.  An executor row also carries its bound cache's hit
+    rate and ``cache_by_kind``, the hits and misses of each kind of
+    cached computation (``ub``, ``ubr``, ``lb``, ``ks``, ``screen``;
+    see :meth:`~repro.core.batch.BoundCache.stats`)."""
     from repro.core.batch import BatchQuery, BatchQueryExecutor, BoundCache
 
     if size is None:
@@ -232,6 +235,7 @@ def batch(
             "identical_results": True,
             "identical_logical_reads": True,
             "cache_hit_rate": None,
+            "cache_by_kind": None,
         }
     ]
     for nworkers in (1, workers):
@@ -264,6 +268,7 @@ def batch(
                 "identical_results": same_results,
                 "identical_logical_reads": same_reads,
                 "cache_hit_rate": summary["bound_cache"]["hit_rate"],
+                "cache_by_kind": summary["bound_cache"]["by_kind"],
             }
         )
     table = format_table(
@@ -1730,22 +1735,24 @@ def _msdn_dp_calls(msdn, mesh, num_pairs: int) -> list[tuple]:
 def _screen_calls(engine, num_queries: int) -> list[tuple]:
     """The dummy-lb screens a fixed set of k=5 queries makes, as
     ``(pa, pb, resolution, threshold, roi, corridor)`` argument tuples
-    of :meth:`~repro.msdn.msdn.MSDN.corridor_reaches`, captured by
-    wrapping it on the engine's MSDN."""
+    of :meth:`~repro.msdn.msdn.MSDN.corridor_interval` (the method the
+    ranking loop calls; :meth:`~repro.msdn.msdn.MSDN.corridor_reaches`
+    takes the same), captured by wrapping it on the engine's MSDN.
+    The queries run without a bound cache, so every screen runs."""
     msdn = engine.msdn
     captured: list[tuple] = []
-    screen = msdn.corridor_reaches
+    screen = msdn.corridor_interval
 
     def logged(pa, pb, resolution, threshold, roi=None, corridor=None):
         captured.append((pa, pb, resolution, threshold, roi, corridor))
         return screen(pa, pb, resolution, threshold, roi=roi, corridor=corridor)
 
-    msdn.corridor_reaches = logged
+    msdn.corridor_interval = logged
     try:
         for vertex in query_vertices(engine.mesh, num_queries, seed=29):
             engine.query(vertex, 5)
     finally:
-        del msdn.corridor_reaches
+        del msdn.corridor_interval
     return captured
 
 

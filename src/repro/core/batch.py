@@ -4,19 +4,25 @@ Road-network k-NN experience says simple, cache-friendly batch
 execution beats clever per-query indexing at scale: nearby queries in
 a batch repeat most of each other's work.  For MR3 that repeated work
 is the per-level bound estimation — DMTM network extractions and
-Dijkstra passes for upper bounds, MSDN plane sweeps for lower bounds,
-Kanai-Suzuki polishing for the stragglers.  All of it is a *pure
-function* of (structures, source, target, resolution, region), which
-makes it safely memoizable across queries.
+Dijkstra passes for upper bounds, MSDN plane sweeps for lower bounds
+and the dummy-lb screens that skip them, Kanai-Suzuki polishing for
+the stragglers.  All of it is a *pure function* of (structures,
+source, target, resolution, region; a screen also of its corridor),
+which makes it safely memoizable across queries.  A screen keeps the
+interval it learned on its corridor bound, not its yes/no, so a later
+query decides its own threshold from it where it can.
 
 Three pieces cooperate:
 
-* :class:`BoundCache` — a process-wide, thread-safe LRU memo of those
-  pure computations.  The transparency contract: a cache hit returns
-  exactly the value the miss path would compute, so reuse changes CPU
-  cost only — never results, bounds, or logical page accounting
-  (page charging happens per integrated region *before* candidates
-  consult the cache).  ``BatchQueryExecutor(workers=1)`` is therefore
+* :class:`BoundCache` — a thread-safe LRU memo of those pure
+  computations, one per executor unless the caller passes one (the
+  process-wide one is :func:`shared_bound_cache`).  The transparency
+  contract: a cache hit returns exactly the value the miss path would
+  compute (a screen's hit, an interval holding the same bound, which
+  decides as the screen would), so reuse changes CPU cost only —
+  never results, bounds, or logical page accounting (page charging
+  happens per integrated region *before* candidates consult the
+  cache).  ``BatchQueryExecutor(workers=1)`` is therefore
   bit-identical to a plain ``engine.query`` loop.
 * a shared :class:`~repro.storage.pages.BufferPool` — the engines'
   page managers already cache through a pool object, which one
@@ -88,6 +94,9 @@ class BoundCache:
         self._networks: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
+        # [hits, misses] per key kind: a tuple key's first item (the
+        # ranker's "ub", "ubr", "lb", "ks", "screen"), else "other".
+        self._by_kind: dict[str, list[int]] = {}
         self.network_hits = 0
         self.network_misses = 0
 
@@ -96,14 +105,20 @@ class BoundCache:
         misses count on the caller's profile frame only: one lookup
         per bound is too hot for a registry counter."""
         obs = current()
+        kind = key[0] if isinstance(key, tuple) else "other"
         with self._lock:
+            counts = self._by_kind.get(kind)
+            if counts is None:
+                counts = self._by_kind[kind] = [0, 0]
             value = self._values.get(key, _MISSING)
             if value is _MISSING:
                 self.misses += 1
+                counts[1] += 1
                 obs.tally("bound_cache_misses")
                 return False, None
             self._values.move_to_end(key)
             self.hits += 1
+            counts[0] += 1
             obs.tally("bound_cache_hits")
             return True, value
 
@@ -144,7 +159,9 @@ class BoundCache:
             return len(self._values)
 
     def stats(self) -> dict:
-        """JSON-ready counters (for bench reports)."""
+        """JSON-ready counters (for bench reports): ``hits``,
+        ``misses`` and ``hit_rate`` over every lookup, and
+        ``by_kind``, the hits and misses of each key kind."""
         with self._lock:
             return {
                 "entries": len(self._values),
@@ -152,6 +169,10 @@ class BoundCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "hit_rate": self.hit_rate,
+                "by_kind": {
+                    kind: {"hits": hits, "misses": misses}
+                    for kind, (hits, misses) in sorted(self._by_kind.items())
+                },
                 "network_hits": self.network_hits,
                 "network_misses": self.network_misses,
             }

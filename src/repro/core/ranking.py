@@ -14,7 +14,7 @@ schedule; at every iteration
 3. tighten ``ub`` from the DMTM network (running min — the monotone
    improvement property) and ``lb`` from the MSDN (running max),
    using the *dummy lower bound* corridor test
-   (:meth:`~repro.msdn.msdn.MSDN.corridor_reaches`) to skip full SDN
+   (:meth:`~repro.msdn.msdn.MSDN.corridor_interval`) to skip full SDN
    passes that provably cannot change the classification;
 4. classify candidates (VA-file rule); stop when the k-th neighbour
    is certain or the schedule is exhausted.
@@ -194,7 +194,8 @@ class DistanceRanker:
         self.stats = stats
         # Optional repro.core.batch.BoundCache.  Every bound the loop
         # computes is a pure function of (structures, anchors, target,
-        # resolution, region); the cache memoizes those computations
+        # resolution, region), the dummy-lb screen's interval also of
+        # its corridor; the cache memoizes those computations
         # across queries.  Page charging (touch_region) is never
         # skipped on a hit, so cached and uncached runs are identical
         # in results AND logical reads — the cache only saves CPU.
@@ -845,7 +846,6 @@ class DistanceRanker:
             for idx in members:
                 cand = active[idx]
                 roi = plan.io_regions[idx]
-                roi_arg = [roi] if roi is not None else None
                 if (
                     landmark_lbs is not None
                     and math.isfinite(kth_ub_estimate)
@@ -864,20 +864,11 @@ class DistanceRanker:
                     and math.isfinite(kth_ub_estimate)
                 ):
                     screens += 1
-                    if cand.lb_corridor is None:
-                        cand.lb_corridor = self.msdn.corridor_corners(
-                            cand.lb_path_keys, cand.lb_path_resolution
-                        )
                     # Even the optimistic corridor bound cannot reach
                     # the rejection threshold: the true lb (which is
                     # smaller) cannot either, so skip the full pass.
-                    if not self.msdn.corridor_reaches(
-                        q_pos,
-                        cand.position,
-                        res_l,
-                        kth_ub_estimate,
-                        roi=roi_arg,
-                        corridor=cand.lb_corridor,
+                    if not self._corridor_reaches(
+                        q_pos, cand, res_l, kth_ub_estimate, roi
                     ):
                         skips += 1
                         continue
@@ -911,6 +902,55 @@ class DistanceRanker:
             (result,) = self._lower_bounds_batch(q_pos, [(cand, roi)], res_l)
             _take_lower_bound(cand, result)
             fallback.salvaged += 1
+
+    def _corridor_reaches(self, q_pos, cand, res_l: float, threshold, roi) -> bool:
+        """The dummy-lb screen of ``cand`` against ``threshold``, over
+        the corridor of its current lower-bound path
+        (:meth:`~repro.msdn.msdn.MSDN.corridor_interval`).
+
+        With a bound cache, the screen's interval is kept under a key
+        holding every input of the corridor bound but the threshold;
+        a kept interval that decides ``threshold`` answers before the
+        corridor corners are resolved, and one that does not is
+        narrowed by the screen it lets run.  Every kept interval holds
+        the bound, so an answer never depends on which screens ran
+        before it."""
+        cache = self.bound_cache
+        key = known = None
+        if cache is not None:
+            key = (
+                "screen",
+                self._scope,
+                tuple(float(c) for c in q_pos),
+                tuple(float(c) for c in cand.position),
+                res_l,
+                roi,
+                tuple(cand.lb_path_keys),
+                cand.lb_path_resolution,
+            )
+            found, known = cache.lookup(key)
+            if found:
+                if known[0] >= threshold:
+                    return True
+                if known[1] < threshold:
+                    return False
+        if cand.lb_corridor is None:
+            cand.lb_corridor = self.msdn.corridor_corners(
+                cand.lb_path_keys, cand.lb_path_resolution
+            )
+        lo, hi = self.msdn.corridor_interval(
+            q_pos,
+            cand.position,
+            res_l,
+            threshold,
+            roi=[roi] if roi is not None else None,
+            corridor=cand.lb_corridor,
+        )
+        if key is not None:
+            if known is not None:
+                lo, hi = max(lo, known[0]), min(hi, known[1])
+            cache.store(key, (lo, hi))
+        return lo >= threshold
 
     def _lb_cache_key(self, q_pos, position, res_l: float, roi):
         return (

@@ -174,9 +174,10 @@ def dijkstra_csr_with_parents(
     and the shortest-path tree (settled node -> predecessor, the
     source excluded); ``p`` breaks ties between equal-length parents.
 
-    ``region`` (a boolean node mask holding ``source``) searches the
-    subgraph the mask induces, in place: the nodes outside it start
-    out visited, so no edge reaches them, and the search settles,
+    ``region`` (a boolean node mask) searches the subgraph the mask
+    induces, in place: the nodes outside it start out visited, so no
+    edge reaches them and a source outside it settles nothing, and
+    the search settles,
     relaxes and breaks ties as it would on that subgraph compiled on
     its own with its nodes numbered in the same order."""
     n = csr.num_nodes

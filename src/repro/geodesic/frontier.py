@@ -141,10 +141,11 @@ def multi_source_frontier(
     compose as ``fl(offset ⊕ fl(raw ⊕ w))`` and cross-anchor ties
     settle toward the lowest rank exactly like the reference.
 
-    ``region`` (a boolean node mask holding the sources) searches the
-    subgraph the mask induces, in place: the nodes outside it start
-    out settled, and a bucket whose out-edges all leave the region
-    runs no batch.  ``wmin`` is the smallest edge weight of the graph
+    ``region`` (a boolean node mask) searches the subgraph the mask
+    induces, in place: the nodes outside it start out settled, a
+    source outside it is never labelled (so with none inside, nothing
+    settles), and a bucket whose out-edges all leave the region runs
+    no batch.  ``wmin`` is the smallest edge weight of the graph
     searched (:func:`min_weight`, computed when omitted), so buckets,
     counters and results are those of the same search over the
     subgraph compiled on its own."""
@@ -168,6 +169,9 @@ def multi_source_frontier(
             raise GeodesicError(f"source {node} out of range")
         offset = float(offset)
         offsets[idx] = offset
+        if region is not None and not region[node]:
+            # Not a node of the subgraph searched: no label.
+            continue
         # Initial heap entries are (offset, node, rank, -1, 0.0); for
         # a node listed twice the lower (value, rank) wins.
         if (offset < value[node]) or (offset == value[node] and idx < rank[node]):

@@ -14,13 +14,15 @@ Responsibilities:
   that actually separates the two points);
 * answer lower-bound queries restricted to a region of interest, with
   optional *dummy lower bound* corridors (§4.2.2), and decide the
-  dummy-lb skip test itself (:meth:`MSDN.corridor_reaches`), mostly
-  without masking a row or running the DP;
+  dummy-lb skip test itself (:meth:`MSDN.corridor_interval`, read as
+  a yes/no by :meth:`MSDN.corridor_reaches`), mostly without masking a
+  row or running the DP;
 * when storage is attached, charge page I/O for the chunks fetched.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,7 +286,7 @@ class MSDN:
             envelope (§4.2.2): restrict chunks to the corridor; the
             result then *over*-estimates the true SDN lower bound and
             may only be used for the skip test, which
-            :meth:`corridor_reaches` decides against a threshold.
+            :meth:`corridor_interval` decides against a threshold.
 
         The result is always >= the Euclidean distance and always a
         valid lower bound of ``dS`` when ``corridor`` is None.
@@ -347,50 +349,74 @@ class MSDN:
     ) -> bool:
         """The dummy-lower-bound screen (§4.2.2): exactly
         ``lower_bound(point_a, point_b, resolution, roi=roi,
-        corridor=corridor, charge_io=False).value >= threshold``.
-        ``corridor`` may also be given as its ``(m, 4)`` corner array
-        (:meth:`corridor_corners`).
+        corridor=corridor, charge_io=False).value >= threshold``,
+        read off the low end of :meth:`corridor_interval`."""
+        lo, _hi = self.corridor_interval(
+            point_a, point_b, resolution, threshold, roi, corridor
+        )
+        return lo >= threshold
 
-        It decides without masks or the min-plus DP where it can: True
-        when the straight line alone reaches ``threshold`` (the bound
-        is clamped below by it).  Otherwise each selected plane's
-        crossing row is picked among all of its rows
-        (:meth:`~repro.msdn.sdn.SdnFamily.crossing_rows`); when every
-        one meets ``roi`` and the corridor, every plane keeps a row,
-        so the DP's layers are exactly these planes and the picked
-        chain is one of its chains, and a
-        :func:`~repro.msdn.sdn.chain_length` below ``threshold``
-        answers False (the DP's bound never exceeds a chain's
+    def corridor_interval(
+        self,
+        point_a,
+        point_b,
+        resolution: float,
+        threshold: float,
+        roi=None,
+        corridor=None,
+    ) -> tuple[float, float]:
+        """What the dummy-lower-bound screen (§4.2.2) learns about the
+        corridor bound ``V = lower_bound(point_a, point_b, resolution,
+        roi=roi, corridor=corridor, charge_io=False).value``: an
+        interval ``(lo, hi)`` holding ``V`` that decides ``threshold``
+        (``lo >= threshold`` exactly when ``V >= threshold``, else
+        ``hi < threshold``).  ``corridor`` may also be given as its
+        ``(m, 4)`` corner array (:meth:`corridor_corners`).
+
+        It decides without masks or the min-plus DP where it can:
+        ``(euclid, inf)`` when the straight line alone reaches
+        ``threshold`` (the bound is clamped below by it).  Otherwise
+        each selected plane's crossing row is picked among all of its
+        rows (:meth:`~repro.msdn.sdn.SdnFamily.crossing_rows`); when
+        every one meets ``roi`` and the corridor, every plane keeps a
+        row, so the DP's layers are exactly these planes and the
+        picked chain is one of its chains, and a
+        :func:`~repro.msdn.sdn.chain_length` below ``threshold`` gives
+        ``(euclid, chain)`` (the DP's bound never exceeds a chain's
         length).  Only otherwise does it mask the rows
-        (``msdn.screen_masked``) and run the DP
-        (``msdn.screen_dp_fallbacks``).  No pages are charged and no
-        path keys are built.
+        (``msdn.screen_masked``): ``(euclid, euclid)`` when no layer
+        survives the masks, else the DP runs
+        (``msdn.screen_dp_fallbacks``) and gives ``(V, V)``.  No pages
+        are charged and no path keys are built.  Which interval comes
+        back depends on ``threshold``, but each one holds ``V``, so a
+        caller may keep it and decide other thresholds from it.
         """
         pa = np.asarray(point_a, dtype=float)
         pb = np.asarray(point_b, dtype=float)
-        if float(np.linalg.norm(pa - pb)) >= threshold:
-            return True
+        euclid = float(np.linalg.norm(pa - pb))
+        if euclid >= threshold:
+            return euclid, math.inf
         resolution = self.nearest_resolution(resolution)
         roi = region_boxes(roi)
         corridor = corridor_region(corridor)
         axis, pa, pb, family, planes = self._selection(pa, pb, resolution)
         rows = family.crossing_rows(planes, axis, pa, pb)
         xy = family.xy[rows]
-        if (
-            (roi is None or rows_meeting_boxes(xy, roi).all())
-            and (corridor is None or rows_meeting_boxes(xy, corridor).all())
-            and chain_length(pa, pb, family.lo[rows], family.hi[rows]) < threshold
+        if (roi is None or rows_meeting_boxes(xy, roi).all()) and (
+            corridor is None or rows_meeting_boxes(xy, corridor).all()
         ):
-            return False
+            chain = chain_length(pa, pb, family.lo[rows], family.hi[rows])
+            if chain < threshold:
+                return euclid, chain
         registry = active_registry()
         registry.counter("msdn.screen_masked").add(1)
         layer_boxes, _rows, _runs = self._masked_layers(family, planes, roi, corridor)
         if not layer_boxes:
             # The bound is the straight line, already below threshold.
-            return False
+            return euclid, euclid
         registry.counter("msdn.screen_dp_fallbacks").add(1)
         value, _picks = lower_bound_via_planes_arrays(pa, pb, layer_boxes)
-        return value >= threshold
+        return value, value
 
     def _selection(self, pa, pb, resolution: float) -> tuple:
         """The planes a bound between ``pa`` and ``pb`` crosses:

@@ -383,8 +383,9 @@ def component_mismatches(engine, query_vertices) -> list[tuple[int, str]]:
                         )
                     # The dummy-lb screen, without and with the corridor
                     # around the bound's path, at thresholds an ulp
-                    # either side of the reference value: the answer
-                    # of msdn_screen_reference, from one reference run.
+                    # either side of the reference value: an interval
+                    # holding the bound that decides as
+                    # msdn_screen_reference, from one reference run.
                     corridor = msdn.corridor_from_path(ref_lb.path_keys, res)
                     screened = msdn_lower_bound_reference(
                         msdn, pq, po, res, roi=roi, corridor=corridor,
@@ -393,15 +394,16 @@ def component_mismatches(engine, query_vertices) -> list[tuple[int, str]]:
                     for cor, value in ((None, ref_lb.value), (corridor, screened)):
                         for t in (float(np.nextafter(value, -np.inf)), value,
                                   float(np.nextafter(value, np.inf))):
-                            reaches = msdn.corridor_reaches(
+                            lo, hi = msdn.corridor_interval(
                                 pq, po, res, t, roi=roi, corridor=cor
                             )
-                            if reaches != (value >= t):
+                            if not (lo <= value <= hi and (lo >= t or hi < t)):
                                 out.append(
                                     (index, f"MSDN screen to vertex {ov} at "
                                             f"r={res} (roi={roi is not None}, "
                                             f"corridor={cor is not None}) "
-                                            f"diverged at threshold {t!r}")
+                                            f"gave ({lo!r}, {hi!r}) at "
+                                            f"threshold {t!r}, bound {value!r}")
                                 )
         # The ROI: the box of the query and the nearer half of the
         # objects (by vertex id order, a fixed but uneven region).

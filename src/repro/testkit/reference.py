@@ -40,9 +40,11 @@ page layout, same pages read in the same order.
   charging, the twins of
   :meth:`repro.msdn.msdn.MSDN.lower_bound` and
   :meth:`~repro.msdn.msdn.MSDN.touch_region`;
-  :func:`msdn_screen_reference` — the dummy-lb screen as its
-  definition, that bound against the threshold, the twin of
-  :meth:`~repro.msdn.msdn.MSDN.corridor_reaches`;
+  :func:`msdn_screen_interval_reference` — the dummy-lb screen's
+  interval as its definition, that bound as an exact interval, the
+  twin of :meth:`~repro.msdn.msdn.MSDN.corridor_interval`, and
+  :func:`msdn_screen_reference`, that bound against the threshold,
+  the twin of :meth:`~repro.msdn.msdn.MSDN.corridor_reaches`;
   :func:`msdn_screen_masked_witness` — the screen that masked every
   row before pricing a :func:`witness_chain` through the masked
   layers (:func:`chain_upper_bound`), the bench baseline of the
@@ -1230,18 +1232,29 @@ def msdn_lower_bound_reference(
     )
 
 
+def msdn_screen_interval_reference(
+    msdn, point_a, point_b, resolution: float, threshold: float, roi=None, corridor=None
+) -> tuple[float, float]:
+    """:meth:`MSDN.corridor_interval` by its definition: the exact
+    interval ``(V, V)`` of the object-walk corridor bound
+    (:func:`msdn_lower_bound_reference`, no pages charged), which
+    decides every threshold."""
+    value = msdn_lower_bound_reference(
+        msdn, point_a, point_b, resolution, roi, corridor, charge_io=False
+    ).value
+    return value, value
+
+
 def msdn_screen_reference(
     msdn, point_a, point_b, resolution: float, threshold: float, roi=None, corridor=None
 ) -> bool:
     """:meth:`MSDN.corridor_reaches` by its definition: whether the
     object-walk corridor bound (:func:`msdn_lower_bound_reference`,
     no pages charged) reaches ``threshold``."""
-    return (
-        msdn_lower_bound_reference(
-            msdn, point_a, point_b, resolution, roi, corridor, charge_io=False
-        ).value
-        >= threshold
+    value, _value = msdn_screen_interval_reference(
+        msdn, point_a, point_b, resolution, threshold, roi, corridor
     )
+    return value >= threshold
 
 
 def witness_chain(point_a, point_b, axis: int, layer_boxes) -> list[int]:

@@ -118,6 +118,52 @@ class TestIdentity:
         _assert_identical(seq, first.results)
         _assert_identical(seq, second.results)
 
+    def test_second_run_through_one_cache_computes_no_screen(
+        self, batch_engine, monkeypatch
+    ):
+        """A stream run again through the cache it filled decides
+        every dummy-lb screen from the kept intervals: no screen runs
+        and none masks, the screens and skips stay those of a run
+        without a cache, and so do ids, intervals and logical reads."""
+        specs = _mixed_specs(batch_engine, 12)
+        plain = ObsContext("plain")
+        with plain.activate():
+            seq = [
+                batch_engine.query(s.vertex, s.k, step_length=s.step_length)
+                for s in specs
+            ]
+        screens = []
+        screen = batch_engine.msdn.corridor_interval
+
+        def counted(*args, **kwargs):
+            screens.append(args)
+            return screen(*args, **kwargs)
+
+        monkeypatch.setattr(batch_engine.msdn, "corridor_interval", counted)
+        cache = BoundCache()
+        runs = []
+        for name in ("first", "second"):
+            ctx = ObsContext(name)
+            before = len(screens)
+            report = BatchQueryExecutor(
+                batch_engine, workers=1, bound_cache=cache, obs=ctx
+            ).run(specs)
+            _assert_identical(seq, report.results)
+            runs.append((ctx, len(screens) - before))
+        (first, first_computed), (second, second_computed) = runs
+
+        def counter(ctx, name):
+            return ctx.registry.counter(name).value
+
+        assert counter(plain, "ranking.dummy_screens") > 0
+        for name in ("ranking.dummy_screens", "ranking.dummy_skips"):
+            assert counter(first, name) == counter(second, name) == counter(plain, name)
+        assert first_computed > 0 and second_computed == 0
+        assert counter(second, "msdn.screen_masked") == 0
+        kinds = cache.stats()["by_kind"]
+        assert kinds["screen"]["hits"] >= counter(second, "ranking.dummy_screens")
+
+
 class TestIsolation:
     def test_no_trace_cross_talk(self, batch_engine):
         """Every result's span tree contains exactly its own query."""
@@ -228,6 +274,16 @@ class TestApi:
         assert len(cache) == 2
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
+        # Tuple keys count under their first item, the rest as "other".
+        cache.store(("screen", 1), (0.0, 1.0))
+        cache.lookup(("screen", 1))
+        cache.lookup(("screen", 2))
+        stats = cache.stats()
+        assert stats["by_kind"] == {
+            "other": {"hits": 1, "misses": 1},
+            "screen": {"hits": 1, "misses": 1},
+        }
+        assert stats["hits"] == 2 and stats["misses"] == 2
         cache.clear()
         assert len(cache) == 0
         with pytest.raises(QueryError):

@@ -1,14 +1,21 @@
 """Unit tests for the multiresolution distance ranker."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.core.batch import BoundCache
+from repro.core.bounds import Candidate
 from repro.core.objects import ObjectSet
 from repro.core.ranking import DistanceRanker, RankerOptions
 from repro.core.schedule import ResolutionSchedule
 from repro.geodesic.exact import ExactGeodesic
+from repro.geometry.primitives import BoundingBox
 from repro.msdn.msdn import MSDN
 from repro.multires.dmtm import DMTM
+from repro.testkit.generators import standard_mesh
+from repro.testkit.reference import msdn_screen_interval_reference
 
 
 @pytest.fixture(scope="module")
@@ -122,8 +129,109 @@ class TestScreenCorridor:
             want = msdn.corridor_corners(cand.lb_path_keys, cand.lb_path_resolution)
             assert corridor.tobytes() == want.tobytes()
             paths.setdefault(id(cand), set()).add(tuple(cand.lb_path_keys))
-            return True
+            return threshold, math.inf
 
-        monkeypatch.setattr(msdn, "corridor_reaches", screen)
+        monkeypatch.setattr(msdn, "corridor_interval", screen)
         ranker.rank(mesh.nearest_vertex(mesh.xy_bounds().center), cands, 3)
         assert any(len(seen) > 1 for seen in paths.values())
+
+
+class TestScreenCache:
+    @pytest.fixture(scope="class")
+    def bh25(self):
+        """A terrain whose corridors are thin beside its pairs, so a
+        corridor of fewer chunks gives a different bound."""
+        mesh = standard_mesh("BH", 25)
+        return (
+            mesh, DMTM(mesh), MSDN(mesh),
+            ObjectSet.uniform(mesh, density=12.0, seed=3),
+        )
+
+    def test_replayed_thresholds_match_the_reference(self, bh25, monkeypatch):
+        """Screens of one input set, replayed through one bound cache
+        at falling and then rising thresholds, answer as
+        ``msdn_screen_reference`` does (the reference corridor bound
+        against the threshold) at every one.  The inputs come in
+        pairs that differ only in their ROI or only in their corridor
+        and have different bounds, and some crossing chains price
+        above the bound, so a key without the ROI or the corridor, or
+        a chain price kept as the bound itself, answers wrongly."""
+        mesh, dmtm, msdn, objects = bh25
+        ranker = DistanceRanker(
+            mesh, dmtm, msdn, ResolutionSchedule.preset(1), bound_cache=BoundCache()
+        )
+        q_pos = mesh.vertices[mesh.nearest_vertex(mesh.xy_bounds().center)]
+        inputs = []  # (candidate, res_l, roi, reference bound, its chain)
+        for obj in range(5):
+            position = tuple(objects.position_of(obj))
+            # The box of the query's half of the pair: chunks past it
+            # are out of the ROI, and a path found inside it is short.
+            half = BoundingBox.of_points(
+                np.array([q_pos[:2], (q_pos[:2] + np.asarray(position[:2])) / 2])
+            )
+            paths = [
+                msdn.lower_bound(q_pos, position, 1.0, roi=roi, charge_io=False)
+                for roi in (None, [half])
+            ]
+            for res_l in (0.75, 1.0):
+                for roi in (None, half):
+                    for path in paths:
+                        cand = Candidate(
+                            object_id=obj,
+                            vertex=objects.vertex_of(obj),
+                            position=position,
+                            lb_path_keys=path.path_keys,
+                            lb_path_resolution=path.resolution,
+                        )
+                        args = (
+                            q_pos, position, res_l, 0.0,
+                            None if roi is None else [roi],
+                            msdn.corridor_corners(path.path_keys, path.resolution),
+                        )
+                        value, _ = msdn_screen_interval_reference(msdn, *args)
+                        # What the crossing chain prices, read where it
+                        # decides (well above the bound).
+                        _lo, chain = msdn.corridor_interval(
+                            *args[:3], 2.0 * value, *args[4:]
+                        )
+                        inputs.append((cand, res_l, roi, value, chain))
+
+        def bounds_differ(same):
+            groups: dict = {}
+            for cand, res_l, roi, value, _chain in inputs:
+                groups.setdefault(same(cand, res_l, roi), set()).add(value)
+            return any(len(values) > 1 for values in groups.values())
+
+        assert bounds_differ(lambda c, r, roi: (c.object_id, r, tuple(c.lb_path_keys)))
+        assert bounds_differ(lambda c, r, roi: (c.object_id, r, roi))
+        assert any(value < chain < math.inf for *_rest, value, chain in inputs)
+        thresholds = set()
+        for cand, _res_l, _roi, value, chain in inputs:
+            thresholds.update((
+                value,
+                float(np.nextafter(value, -np.inf)),
+                float(np.nextafter(value, np.inf)),
+                float(np.linalg.norm(q_pos - np.asarray(cand.position))),
+                2.0 * value,
+            ))
+            if chain < math.inf:
+                thresholds.update((chain, 0.5 * (value + chain)))
+
+        computed = []
+        screen = msdn.corridor_interval
+
+        def counted(*args, **kwargs):
+            computed.append(args)
+            return screen(*args, **kwargs)
+
+        monkeypatch.setattr(msdn, "corridor_interval", counted)
+        order = sorted(thresholds, reverse=True)
+        decisions = 0
+        for t in order + order[::-1]:
+            for cand, res_l, roi, value, _chain in inputs:
+                got = ranker._corridor_reaches(q_pos, cand, res_l, t, roi)
+                assert got == (value >= t), (cand.object_id, res_l, roi, t, value)
+                decisions += 1
+        stats = ranker.bound_cache.stats()["by_kind"]["screen"]
+        assert stats["hits"] + stats["misses"] == decisions
+        assert len(computed) < decisions

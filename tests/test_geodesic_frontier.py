@@ -356,6 +356,25 @@ class TestOneSourceDifferential:
         assert counters == frontier_counters(alone)
 
 
+    @pytest.mark.parametrize("n", [MIN_FRONTIER_NODES // 2, 600])
+    def test_source_outside_the_region_settles_nothing(self, n):
+        """A source the region leaves out is no node of the subgraph
+        the region induces: the heap kernel, the bucket kernel and the
+        dispatcher, on either side of its size rule, label nothing."""
+        adj = [[] for _ in range(n)]
+        for u in range(n - 1):
+            adj[u].append((u + 1, 1.0))
+            adj[u + 1].append((u, 1.0))
+        csr = csr_from_adjacency(adj)
+        region = np.ones(n, dtype=bool)
+        region[0] = False
+        assert (n - 1 >= MIN_FRONTIER_NODES) == (n == 600)
+        assert graph_dijkstra_with_parents(csr, 0, region=region) == ({}, {})
+        assert dijkstra_csr_with_parents(csr, 0, region=region) == ({}, {})
+        found = multi_source_frontier(csr, [(0, 0.0)], region=region)
+        assert (found.value, found.parent) == ({}, {})
+
+
 class TestAStar:
     """40 seeds: the heap A* that ``pathnet_distance`` runs (there is
     no bucketed A*) vs the dict reference on the same random graphs

@@ -374,6 +374,30 @@ class TestScreenEqualsReference:
             got = msdn.corridor_reaches(pa, pb, res, t, roi=roi, corridor=corridor)
             assert got == msdn_screen_reference(msdn, pa, pb, res, t, roi, corridor)
 
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_interval_holds_the_bound_and_decides(self, msdn, data):
+        """``corridor_interval`` holds the reference corridor bound
+        and decides its threshold, whichever of the straight line,
+        the crossing chain, the masks or the DP settled it."""
+        pa, pb, res, roi, corridor = data.draw(_screen_cases(msdn))
+        value = msdn_lower_bound_reference(
+            msdn, pa, pb, res, roi=roi, corridor=corridor, charge_io=False
+        ).value
+        drawn = data.draw(st.floats(0.0, 2.0 * value, allow_nan=False))
+        for t in (
+            value,
+            np.nextafter(value, -np.inf),
+            np.nextafter(value, np.inf),
+            float(np.linalg.norm(pa - pb)),
+            2.0 * value,
+            drawn,
+        ):
+            t = float(t)
+            lo, hi = msdn.corridor_interval(pa, pb, res, t, roi=roi, corridor=corridor)
+            assert lo <= value <= hi, (lo, value, hi, t)
+            assert lo >= t or hi < t, (lo, hi, t)
+
     def test_dropped_crossing_row_masks_and_still_decides(self, msdn, obs_context):
         """A corridor of every crossing row but one (their own boxes,
         unthickened) keeps no row of that plane, so the chain is not

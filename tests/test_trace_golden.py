@@ -100,7 +100,7 @@ def reference_components():
             ref.kanai_suzuki_distances_reference,
         )
         patch.setattr(MSDN, "_lower_bound_at", ref.msdn_lower_bound_reference)
-        patch.setattr(MSDN, "corridor_reaches", ref.msdn_screen_reference)
+        patch.setattr(MSDN, "corridor_interval", ref.msdn_screen_interval_reference)
         patch.setattr(MSDN, "touch_region", ref.msdn_touch_region_reference)
         yield
     finally:
