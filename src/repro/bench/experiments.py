@@ -844,14 +844,17 @@ def kernels(
     kernel on the layers of a fixed set of lower-bound calls (see
     :func:`_msdn_dp_calls`), and ``msdn screen`` the dummy-lb screen
     as its definition (the corridor bound's DP against the threshold,
-    the oracle) and as the screen that masked every row before its
+    the oracle), as the screen that masked every row before its
     witness chain
-    (:func:`~repro.testkit.reference.msdn_screen_masked_witness`)
+    (:func:`~repro.testkit.reference.msdn_screen_masked_witness`) and
+    as the screen that priced its crossing chain with arrays and had
+    no spine chain (:func:`~repro.testkit.reference.msdn_screen_arrays`)
     against :meth:`~repro.msdn.msdn.MSDN.corridor_reaches`, on the
     screens a fixed set of queries makes (:func:`_screen_calls`); its
     row reports the ``witness_rate``, the share of screens decided
-    without the DP, and the ``crossing_rate``, the share decided
-    without a mask.  ``ks polish`` replays the Kanai–Suzuki polishes
+    without the DP, the ``crossing_rate``, the share decided without
+    a mask, and the ``spine_rate``, the share of masked screens the
+    spine chain decided.  ``ks polish`` replays the Kanai–Suzuki polishes
     of a fixed set of queries (:func:`_polish_calls`) once per pair
     (:func:`~repro.testkit.reference.kanai_suzuki_distances_reference`)
     and once from one round-0 search per anchor
@@ -940,6 +943,7 @@ def kernels(
         mesh_adjacency_mismatches,
         mesh_adjacency_reference,
         msdn_build_mismatches,
+        msdn_screen_arrays,
         msdn_screen_masked_witness,
         msdn_touch_region_reference,
         read_page_reference,
@@ -1088,19 +1092,28 @@ def kernels(
     def masked_screens():
         return [msdn_screen_masked_witness(msdn, *screen) for screen in screens]
 
+    def array_screens():
+        return [
+            msdn_screen_arrays(msdn, *screen)[0] >= screen[3] for screen in screens
+        ]
+
     def witness_screens():
         return [msdn.corridor_reaches(*screen) for screen in screens]
 
     screen_ctx = ObsContext("bench-screen")
     with screen_ctx.activate():
         decisions = witness_screens()
-    if not decisions == dp_screens() == masked_screens():
+    if not decisions == dp_screens() == masked_screens() == array_screens():
         raise AssertionError("msdn screen divergence: decisions differ from the DP")
     fallbacks = screen_ctx.registry.counter("msdn.screen_dp_fallbacks").value
     masked = screen_ctx.registry.counter("msdn.screen_masked").value
-    (screen_ref_seconds, screen_masked_seconds, screen_new_seconds), _ = best_of(
-        dp_screens, masked_screens, witness_screens
-    )
+    spined = screen_ctx.registry.counter("msdn.screen_spine").value
+    (
+        screen_ref_seconds,
+        screen_masked_seconds,
+        screen_array_seconds,
+        screen_new_seconds,
+    ), _ = best_of(dp_screens, masked_screens, array_screens, witness_screens)
 
     polishes = _polish_calls(engine, num_anchors)
 
@@ -1459,6 +1472,18 @@ def kernels(
         },
         {
             "comparison": "msdn screen",
+            "kernel": "array witness",
+            "searches": len(screens),
+            "seconds": screen_array_seconds,
+            "speedup": (
+                screen_ref_seconds / screen_array_seconds
+                if screen_array_seconds > 0
+                else None
+            ),
+            "identical": True,
+        },
+        {
+            "comparison": "msdn screen",
             "kernel": "witness chain",
             "searches": len(screens),
             "seconds": screen_new_seconds,
@@ -1470,6 +1495,7 @@ def kernels(
             "identical": True,
             "witness_rate": 1.0 - fallbacks / len(screens) if screens else None,
             "crossing_rate": 1.0 - masked / len(screens) if screens else None,
+            "spine_rate": spined / masked if masked else None,
         },
         {
             "comparison": "ks polish",
@@ -1654,6 +1680,7 @@ def kernels(
                 "identical",
                 "witness_rate",
                 "crossing_rate",
+                "spine_rate",
                 "windows",
             ],
             kernel_rows,

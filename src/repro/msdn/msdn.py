@@ -23,6 +23,7 @@ Responsibilities:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ import numpy as np
 from repro.errors import GeometryError, QueryError
 from repro.geometry.primitives import (
     BoundingBox,
+    box_corners,
     corner_boxes,
     region_boxes,
     rows_meeting_boxes,
@@ -46,6 +48,7 @@ from repro.msdn.sdn import (
     build_sdn_families,
     chain_length,
     lower_bound_via_planes_arrays,
+    nearest_row,
 )
 from repro.obs.context import active_registry
 from repro.storage.locator import LocatorStore
@@ -94,6 +97,36 @@ def corridor_region(corridor) -> "list[BoundingBox] | np.ndarray | None":
     if isinstance(corridor, np.ndarray):
         return corridor
     return region_boxes(corridor)
+
+
+def _all_meet(rows: list, region) -> bool:
+    """Whether every one of ``rows`` (xy MBRs laid out ``[lo_x, lo_y,
+    hi_x, hi_y]``) meets ``region`` (None: no restriction): exactly
+    ``rows_meeting_boxes(rows, region).all()``, its closed-interval
+    comparisons made in Python on the few rows of a witness chain."""
+    if region is None:
+        return True
+    corners = box_corners(region).tolist()
+    for lo_x, lo_y, hi_x, hi_y in rows:
+        for box_lo_x, box_lo_y, box_hi_x, box_hi_y in corners:
+            if (
+                lo_x <= box_hi_x
+                and hi_x >= box_lo_x
+                and lo_y <= box_hi_y
+                and hi_y >= box_lo_y
+            ):
+                break
+        else:
+            return False
+    return True
+
+
+def _chain_price(family: SdnFamily, rows: list[int], ends, euclid: float) -> float:
+    """:func:`~repro.msdn.sdn.chain_length` of the chain through
+    ``family``'s ``rows`` between ``ends``, the endpoints as lists."""
+    lo = family.lo.take(rows, 0).tolist()
+    hi = family.hi.take(rows, 0).tolist()
+    return chain_length(*ends, lo, hi, euclid)
 
 
 class MSDN:
@@ -145,12 +178,14 @@ class MSDN:
         # (axis, resolution) family as row arrays (see SdnFamily),
         # built in page-record order: axis, resolution, plane, first.
         self._planes: dict[int, np.ndarray] = {}
+        self._plane_values: dict[int, list[float]] = {}
         self._lines: dict[int, list] = {}
         self._families: dict[tuple[int, float], SdnFamily] = {}
         for axis in (0, 1):
             self._planes[axis], self._lines[axis] = crossing_lines(
                 mesh, spacing, axis, supersample, self.adaptive_planes
             )
+            self._plane_values[axis] = self._planes[axis].tolist()
             families = build_sdn_families(self._lines[axis], resolutions)
             for res, family in zip(resolutions, families):
                 self._families[(axis, res)] = family
@@ -194,6 +229,9 @@ class MSDN:
         return max(1, int(round(0.5 / resolution)))
 
     def nearest_resolution(self, resolution: float) -> float:
+        for res in self.resolutions:
+            if res == resolution:
+                return res
         return min(self.resolutions, key=lambda r: abs(r - resolution))
 
     # ------------------------------------------------------------------
@@ -217,10 +255,12 @@ class MSDN:
         self, axis: int, lo: float, hi: float, stride: int
     ) -> np.ndarray:
         """Indices of the planes strictly between ``lo`` and ``hi``,
-        thinned by ``stride``, in ascending order."""
-        planes = self._planes[axis]
-        inside = np.nonzero((planes > lo) & (planes < hi))[0]
-        return inside[:: max(1, stride)]
+        thinned by ``stride``, in ascending order.  Plane values
+        ascend, so the planes are a bisection away (none when a bound
+        is NaN)."""
+        values = self._plane_values[axis]
+        first = bisect_right(values, lo)
+        return np.arange(first, max(first, bisect_left(values, hi)), max(1, stride))
 
     def touch_region(self, resolution: float, roi=None, axes=(0, 1)) -> None:
         """Charge page I/O for the chunks a lower-bound estimation
@@ -373,23 +413,38 @@ class MSDN:
         ``hi < threshold``).  ``corridor`` may also be given as its
         ``(m, 4)`` corner array (:meth:`corridor_corners`).
 
-        It decides without masks or the min-plus DP where it can:
-        ``(euclid, inf)`` when the straight line alone reaches
-        ``threshold`` (the bound is clamped below by it).  Otherwise
-        each selected plane's crossing row is picked among all of its
-        rows (:meth:`~repro.msdn.sdn.SdnFamily.crossing_rows`); when
-        every one meets ``roi`` and the corridor, every plane keeps a
-        row, so the DP's layers are exactly these planes and the
-        picked chain is one of its chains, and a
-        :func:`~repro.msdn.sdn.chain_length` below ``threshold`` gives
-        ``(euclid, chain)`` (the DP's bound never exceeds a chain's
-        length).  Only otherwise does it mask the rows
-        (``msdn.screen_masked``): ``(euclid, euclid)`` when no layer
-        survives the masks, else the DP runs
-        (``msdn.screen_dp_fallbacks``) and gives ``(V, V)``.  No pages
-        are charged and no path keys are built.  Which interval comes
-        back depends on ``threshold``, but each one holds ``V``, so a
-        caller may keep it and decide other thresholds from it.
+        It decides without masks or the min-plus DP where it can, in
+        this order:
+
+        1. ``(euclid, inf)`` when the straight line alone reaches
+           ``threshold`` (the bound is clamped below by it).
+        2. The crossing chain: each selected plane's crossing row,
+           picked among all of its rows
+           (:meth:`~repro.msdn.sdn.SdnFamily.crossing_rows`).  When
+           every one meets ``roi`` and the corridor, every plane keeps
+           a row, so the DP's layers are exactly these planes and the
+           chain is one of its chains, and a
+           :func:`~repro.msdn.sdn.chain_length` below ``threshold``
+           gives ``(euclid, chain)`` (the DP's bound never exceeds a
+           chain's length).
+        3. Only otherwise, when the crossing chain left ``roi`` or the
+           corridor or was too long, are the rows masked
+           (``msdn.screen_masked``): ``(euclid, euclid)`` when no
+           layer survives.
+        4. The spine chain (:meth:`_spine_rows`), when there is a
+           corridor: on each kept plane the kept row nearest the
+           corridor's spine, again one of the DP's chains, so one
+           priced below ``threshold`` gives ``(euclid, chain)``
+           (``msdn.screen_spine``).
+        5. Else the DP runs (``msdn.screen_dp_fallbacks``) and gives
+           ``(V, V)``.
+
+        Chains are priced in Python floats, and the witness masks are
+        :func:`~repro.geometry.primitives.rows_meeting_boxes`'
+        closed-interval comparisons on the picked rows, in Python.  No
+        pages are charged and no path keys are built.  Which interval
+        comes back depends on ``threshold``, but each one holds ``V``,
+        so a caller may keep it and decide other thresholds from it.
         """
         pa = np.asarray(point_a, dtype=float)
         pb = np.asarray(point_b, dtype=float)
@@ -400,23 +455,62 @@ class MSDN:
         roi = region_boxes(roi)
         corridor = corridor_region(corridor)
         axis, pa, pb, family, planes = self._selection(pa, pb, resolution)
+        ends = pa.tolist(), pb.tolist()
         rows = family.crossing_rows(planes, axis, pa, pb)
-        xy = family.xy[rows]
-        if (roi is None or rows_meeting_boxes(xy, roi).all()) and (
-            corridor is None or rows_meeting_boxes(xy, corridor).all()
-        ):
-            chain = chain_length(pa, pb, family.lo[rows], family.hi[rows])
+        xy = family.xy.take(rows, 0).tolist()
+        if _all_meet(xy, roi) and _all_meet(xy, corridor):
+            chain = _chain_price(family, rows, ends, euclid)
             if chain < threshold:
                 return euclid, chain
         registry = active_registry()
         registry.counter("msdn.screen_masked").add(1)
-        layer_boxes, _rows, _runs = self._masked_layers(family, planes, roi, corridor)
+        layer_boxes, kept, runs = self._masked_layers(family, planes, roi, corridor)
         if not layer_boxes:
             # The bound is the straight line, already below threshold.
             return euclid, euclid
+        if corridor is not None:
+            rows = self._spine_rows(family, axis, corridor, kept, runs)
+            chain = _chain_price(family, rows, ends, euclid)
+            if chain < threshold:
+                registry.counter("msdn.screen_spine").add(1)
+                return euclid, chain
         registry.counter("msdn.screen_dp_fallbacks").add(1)
         value, _picks = lower_bound_via_planes_arrays(pa, pb, layer_boxes)
         return value, value
+
+    @staticmethod
+    def _spine_rows(family: SdnFamily, axis: int, corridor, kept, runs) -> list[int]:
+        """The spine chain's family row on each kept plane: the kept
+        row nearest (:func:`~repro.msdn.sdn.nearest_row`), along the
+        other horizontal axis, to the corridor's spine where it meets
+        the plane.  The spine is the polyline through the corridor
+        boxes' centres in order along ``axis`` (for a corridor built
+        from a lower-bound path, that path), held level beyond its
+        ends, and it meets a plane at the plane's first kept row's
+        coordinate on ``axis``.  ``kept`` and ``runs`` are
+        :meth:`_masked_layers`' rows and runs under a corridor."""
+        other = 1 - axis
+        spine = sorted(
+            ((c[axis] + c[axis + 2]) * 0.5, (c[other] + c[other + 2]) * 0.5)
+            for c in box_corners(corridor).tolist()
+        )
+        along = [x for x, _o in spine]
+        xy = family.xy[kept]
+        at_axis = xy[:, axis].tolist()
+        lo, hi = xy[:, other].tolist(), xy[:, other + 2].tolist()
+        rows = []
+        for start, stop in runs:
+            x = at_axis[start]
+            i = bisect_left(along, x)
+            if i == 0:
+                at = spine[0][1]
+            elif i == len(spine):
+                at = spine[-1][1]
+            else:
+                (x0, o0), (x1, o1) = spine[i - 1], spine[i]
+                at = o0 + (x - x0) / (x1 - x0) * (o1 - o0)
+            rows.append(int(kept[nearest_row(lo, hi, start, stop, at)]))
+        return rows
 
     def _selection(self, pa, pb, resolution: float) -> tuple:
         """The planes a bound between ``pa`` and ``pb`` crosses:
@@ -424,12 +518,12 @@ class MSDN:
         along the plane axis and the planes strictly between them,
         thinned by :meth:`plane_stride`, in ascending order."""
         axis = self.choose_axis(pa, pb)
-        lo = min(pa[axis], pb[axis])
-        hi = max(pa[axis], pb[axis])
         if pa[axis] > pb[axis]:
             pa, pb = pb, pa
         family = self._families[(axis, resolution)]
-        planes = self._planes_between(axis, lo, hi, self.plane_stride(resolution))
+        planes = self._planes_between(
+            axis, float(pa[axis]), float(pb[axis]), self.plane_stride(resolution)
+        )
         return axis, pa, pb, family, planes
 
     @staticmethod

@@ -20,10 +20,17 @@ The other direction bounds the DP itself: any one chain through the
 layers, priced with the DP's own float steps, is at least the DP's
 minimum.  :meth:`SdnFamily.crossing_rows` picks one such *witness
 chain* and :func:`chain_length` prices it, which lets the dummy-lb
-screen answer "below the threshold" without running the DP.
+screen answer "below the threshold" without running the DP.  The DP
+prices on arrays and the chain in Python floats, so there is one
+float recipe of an MSDN hop in two forms: :func:`_box_distances` and
+its scalar twin :func:`_box_distance`, which
+``tests/test_msdn_sdn.py::TestWitnessChain`` holds bit-equal to the
+array kernels (NaN and infinity included).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -134,32 +141,31 @@ class SdnFamily:
             return 0, 0
         return int(meets[0]), int(meets[-1]) + 1
 
-    def crossing_rows(self, planes: np.ndarray, axis: int, pa, pb) -> list[int]:
+    def crossing_rows(self, planes, axis: int, pa, pb) -> list[int]:
         """The witness chain's row on each of ``planes`` (ascending
         plane indices between ``pa`` and ``pb``, which are ordered
         along ``axis``, the plane axis), picked among all of the
-        plane's rows: the row nearest, along the other horizontal
-        axis, to where the straight segment ``pa``-``pb`` crosses the
-        plane, taken at the plane's first row's coordinate on
-        ``axis``; where the crossing lies inside several rows, the
-        one it lies deepest in; ties to the lowest row.  Which chain
-        is taken only decides how tight the witness is, never whether
-        it is sound."""
+        plane's rows by :func:`nearest_row`: the row nearest, along
+        the other horizontal axis, to where the straight segment
+        ``pa``-``pb`` crosses the plane, taken at the plane's first
+        row's coordinate on ``axis``.  Which chain is taken only
+        decides how tight the witness is, never whether it is sound;
+        the argmin over every row of the plane is the testkit's
+        ``crossing_rows_reference``."""
         other = 1 - axis
         a_axis, a_other = float(pa[axis]), float(pa[other])
         # The planes lie strictly between the endpoints: a positive span.
         span = float(pb[axis]) - a_axis
         rise = float(pb[other]) - a_other
-        lo_axis = self.xy[:, axis]
-        lo_other = self.xy[:, other]
-        hi_other = self.xy[:, other + 2]
+        at_axis = memoryview(self.xy[:, axis])
+        lo = memoryview(self.xy[:, other])
+        hi = memoryview(self.xy[:, other + 2])
+        offsets = memoryview(self.offsets)
         rows = []
-        for start, stop in zip(
-            self.offsets[planes].tolist(), self.offsets[planes + 1].tolist()
-        ):
-            cross = a_other + (float(lo_axis[start]) - a_axis) / span * rise
-            miss = np.maximum(lo_other[start:stop] - cross, cross - hi_other[start:stop])
-            rows.append(start + int(np.argmin(miss)))
+        for plane in planes.tolist():
+            start = offsets[plane]
+            cross = a_other + (at_axis[start] - a_axis) / span * rise
+            rows.append(nearest_row(lo, hi, start, offsets[plane + 1], cross))
         return rows
 
     def segment_pages(self, p0: int, p1: int, mask=None) -> list[int]:
@@ -174,6 +180,39 @@ class SdnFamily:
             return pages.tolist()
         heads = self.seg_start[s0:s1] - self.offsets[p0]
         return pages[np.logical_or.reduceat(mask, heads)].tolist()
+
+
+def nearest_row(lo, hi, start: int, stop: int, at: float) -> int:
+    """The row of ``start:stop`` nearest to ``at`` along one axis,
+    given each row's extent ``lo[i]``..``hi[i]`` on it: the row whose
+    miss ``max(lo[i] - at, at - hi[i])`` is least (negative inside a
+    row: the row ``at`` lies deepest in), ties to the lowest row.
+
+    Where ``lo`` and ``hi`` both ascend over the rows, as a crossing
+    line's chunks do along the line, the miss is its high side
+    ``at - hi[i]``, which descends, up to the first row where the low
+    side ``lo[i] - at`` exceeds it, and that low side, which ascends,
+    from there on.  So that row is found by bisection, and the least
+    miss is the row's or the run of rows tied with the one before it:
+    the argmin over every row, to the tie, in ``O(log n)`` reads.
+    Where the rows do not ascend it still returns a row of
+    ``start:stop``."""
+    low, high = start, stop
+    while low < high:
+        mid = (low + high) // 2
+        if lo[mid] - at > at - hi[mid]:
+            high = mid
+        else:
+            low = mid + 1
+    if low == start:
+        return low
+    row = low - 1
+    miss = at - hi[row]
+    if low < stop and lo[low] - at < miss:
+        return low
+    while row > start and at - hi[row - 1] == miss:
+        row -= 1
+    return row
 
 
 def build_sdn_families(lines: list[Polyline], resolutions) -> list[SdnFamily]:
@@ -233,9 +272,9 @@ def _box_distances(lo1, hi1, lo2, hi2, shape) -> np.ndarray:
     the others.  Per coordinate the gap is ``max(max(lo2 - hi1, 0),
     lo1 - hi2)``; the squares are summed x, then y, then z, and the
     square root taken.  This is the one float recipe of an MSDN hop:
-    the DP's hop matrices (:func:`_hop_totals`) and the witness chain
-    (:func:`chain_length`) both price hops with it, on ``shape``
-    arrays filled by in-place ufuncs.
+    the DP's hop matrices (:func:`_hop_totals`) price hops with it, on
+    ``shape`` arrays filled by in-place ufuncs, and the witness chain
+    (:func:`chain_length`) with its scalar twin :func:`_box_distance`.
     """
     acc = np.empty(shape)
     gap = np.empty(shape)
@@ -251,6 +290,27 @@ def _box_distances(lo1, hi1, lo2, hi2, shape) -> np.ndarray:
             np.add(acc, gap, out=acc)
     np.sqrt(acc, out=acc)
     return acc
+
+
+def _box_distance(lo1, hi1, lo2, hi2) -> float:
+    """The min distance between box ``1`` and box ``2`` (corners as
+    sequences of three floats), in Python floats: the scalar twin of
+    :func:`_box_distances`, operation for operation.  Each ``max`` is
+    taken as ``np.maximum`` takes it, the first operand unless the
+    second is greater or NaN, so a NaN gap gives NaN; the squares are
+    multiplied, not raised, so an overflow gives infinity as the
+    arrays do; then summed x, then y, then z, and the square root
+    taken."""
+    acc = 0.0  # 0.0 + the first square is that square, never -0.0
+    for low1, high1, low2, high2 in zip(lo1, hi1, lo2, hi2):
+        gap = low2 - high1
+        if gap < 0.0:
+            gap = 0.0
+        other = low1 - high2
+        if not (gap >= other or gap != gap):
+            gap = other
+        acc += gap * gap
+    return math.sqrt(acc)
 
 
 def _hop_totals(
@@ -341,16 +401,19 @@ def lower_bound_via_planes_arrays(
     return max(bound, euclid), indices
 
 
-def chain_length(point_a, point_b, lo: np.ndarray, hi: np.ndarray) -> float:
-    """The length of the chain through boxes ``lo[i]`` / ``hi[i]``,
-    one per layer in layer order, clamped below by the straight line
-    as the DP clamps its bound.
+def chain_length(pa, pb, lo, hi, euclid: float) -> float:
+    """The length of the chain from ``pa`` through boxes ``lo[i]`` /
+    ``hi[i]``, one per layer in layer order, to ``pb``, clamped below
+    by ``euclid``, the straight line as the DP takes it, as the DP
+    clamps its bound.  Points and corners are sequences of three
+    floats.
 
-    The chain is priced with the DP's own kernels in the DP's order:
-    the distances from ``a`` to the first box and from the last box to
-    ``b`` by :func:`_point_to_boxes` (elementwise steps and a row sum,
-    so a row's value does not depend on the rows beside it), each hop
-    by :func:`_box_distances`, added to the running prefix.  When the
+    The chain is priced in Python floats with the DP's recipe in the
+    DP's order (:func:`_box_distance`, operation for operation what
+    the DP's kernels compute): the distance from ``a`` to the first
+    box (the end terms are the point box ``(p, p)``, which is
+    :func:`_point_to_boxes`), each hop added to the running prefix in
+    layer order, then the last box's distance to ``b``.  When the
     chain is one of the DP's (a box from each of its layers) it is
     priced to the bit as the DP prices it; every DP label is a min
     over chains that include it, and IEEE addition is monotone, so
@@ -358,17 +421,9 @@ def chain_length(point_a, point_b, lo: np.ndarray, hi: np.ndarray) -> float:
     either way.  O(layers) hops, against the DP's one matrix per pair
     of layers.
     """
-    pa = np.asarray(point_a, dtype=float)
-    pb = np.asarray(point_b, dtype=float)
-    euclid = float(np.linalg.norm(pa - pb))
-    count = lo.shape[0]
-    if count == 0:
+    if not lo:
         return euclid
-    ends = [0, count - 1]
-    first, last = _point_to_boxes(np.stack((pa, pb)), lo[ends], hi[ends]).tolist()
-    total = first
-    if count > 1:
-        hops = _box_distances(lo[:-1].T, hi[:-1].T, lo[1:].T, hi[1:].T, count - 1)
-        for hop in hops.tolist():
-            total += hop
-    return max(total + last, euclid)
+    total = _box_distance(pa, pa, lo[0], hi[0])
+    for i in range(1, len(lo)):
+        total += _box_distance(lo[i - 1], hi[i - 1], lo[i], hi[i])
+    return max(total + _box_distance(pb, pb, lo[-1], hi[-1]), euclid)

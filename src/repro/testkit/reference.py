@@ -49,6 +49,16 @@ page layout, same pages read in the same order.
   row before pricing a :func:`witness_chain` through the masked
   layers (:func:`chain_upper_bound`), the bench baseline of the
   screen that prices the crossing rows before any mask;
+  :func:`msdn_screen_arrays` — that screen pricing its crossing
+  chain with arrays (:func:`crossing_rows_reference`, one argmin per
+  plane, and :func:`chain_length_arrays`, the DP's kernels) and
+  without the spine chain, the twin of the plain-float
+  :func:`repro.msdn.sdn.chain_length` and the bisected
+  :meth:`~repro.msdn.sdn.SdnFamily.crossing_rows`;
+  :func:`planes_between_reference` — the plane selection as a mask
+  over every plane value, the twin of its bisection;
+  :func:`spine_chain_reference` — the screen's spine chain by walking
+  chunk objects, one argmin per kept layer;
 * :func:`kanai_suzuki_distances_reference` — one round-0 search per
   (source, target) pair, the twin of the shared round-0 search of
   :func:`repro.geodesic.kanai_suzuki.kanai_suzuki_distances`;
@@ -130,7 +140,13 @@ from repro.geodesic.csr import CSRGraph, graph_dijkstra_with_parents
 from repro.geodesic.graph import KeyedGraph
 from repro.geodesic.pathnet import steiner_key, vertex_key
 from repro.geometry.polyline import Polyline, simplify_with_enclosure
-from repro.geometry.primitives import BoundingBox, corner_boxes, region_boxes
+from repro.geometry.primitives import (
+    BoundingBox,
+    box_corners,
+    corner_boxes,
+    region_boxes,
+    rows_meeting_boxes,
+)
 from repro.msdn.msdn import (
     DEFAULT_RESOLUTIONS,
     LowerBoundResult,
@@ -138,8 +154,8 @@ from repro.msdn.msdn import (
     crossing_lines,
 )
 from repro.msdn.sdn import (
+    _box_distances,
     _point_to_boxes,
-    chain_length,
     lower_bound_via_planes_arrays,
 )
 from repro.multires.dmtm import NetworkView, UpperBoundResult
@@ -1164,6 +1180,31 @@ def _touch_chunks(msdn, chunks, resolution: float) -> None:
         msdn._store._pages.read(page_id)
 
 
+def planes_between_reference(msdn, axis: int, lo: float, hi: float, stride: int):
+    """:meth:`MSDN._planes_between` as a mask over every plane value:
+    the planes strictly between ``lo`` and ``hi``, thinned by
+    ``stride``, the twin of its bisection over the ascending plane
+    values."""
+    planes = msdn._planes[axis]
+    inside = np.nonzero((planes > lo) & (planes < hi))[0]
+    return inside[:: max(1, stride)]
+
+
+def _selection_reference(msdn, pa, pb, resolution: float) -> tuple:
+    """:meth:`MSDN._selection` through :func:`planes_between_reference`:
+    ``(axis, pa, pb, planes)``, the endpoints ordered along the plane
+    axis."""
+    axis = msdn.choose_axis(pa, pb)
+    lo = min(pa[axis], pb[axis])
+    hi = max(pa[axis], pb[axis])
+    if pa[axis] > pb[axis]:
+        pa, pb = pb, pa
+    planes = planes_between_reference(
+        msdn, axis, lo, hi, msdn.plane_stride(resolution)
+    )
+    return axis, pa, pb, planes
+
+
 def msdn_layers_reference(
     msdn, point_a, point_b, resolution: float, roi=None, corridor=None
 ) -> tuple:
@@ -1180,16 +1221,12 @@ def msdn_layers_reference(
     corridor = region_boxes(
         corner_boxes(corridor) if isinstance(corridor, np.ndarray) else corridor
     )
-    axis = msdn.choose_axis(pa, pb)
-    lo = min(pa[axis], pb[axis])
-    hi = max(pa[axis], pb[axis])
-    if pa[axis] > pb[axis]:
-        pa, pb = pb, pa
+    axis, pa, pb, planes = _selection_reference(msdn, pa, pb, resolution)
     ref = msdn_reference(msdn)
     per_plane = ref.chunks[(axis, resolution)]
     bounds = ref.chunk_xy[(axis, resolution)]
     layers = []
-    for pi in msdn._planes_between(axis, lo, hi, msdn.plane_stride(resolution)):
+    for pi in planes:
         layer, xy = per_plane[pi], bounds[pi]
         if roi is None and corridor is None:
             keep = layer
@@ -1284,16 +1321,145 @@ def witness_chain(point_a, point_b, axis: int, layer_boxes) -> list[int]:
 
 def chain_upper_bound(point_a, point_b, axis: int, layer_boxes) -> float:
     """The length of the :func:`witness_chain` through ``layer_boxes``,
-    priced by :func:`repro.msdn.sdn.chain_length`: never below the
-    bound :func:`repro.msdn.sdn.lower_bound_via_planes_arrays` returns
-    for the same input, and equal to it when every layer holds one
-    box."""
+    priced by :func:`chain_length_arrays`: never below the bound
+    :func:`repro.msdn.sdn.lower_bound_via_planes_arrays` returns for
+    the same input, and equal to it when every layer holds one box."""
     if any(lo.shape[0] == 0 for lo, _ in layer_boxes):
         raise GeometryError("empty chunk layer; caller must drop empty planes")
     picks = witness_chain(point_a, point_b, axis, layer_boxes)
     lo = np.array([box_lo[row] for (box_lo, _), row in zip(layer_boxes, picks)])
     hi = np.array([box_hi[row] for (_, box_hi), row in zip(layer_boxes, picks)])
-    return chain_length(point_a, point_b, lo.reshape(-1, 3), hi.reshape(-1, 3))
+    return chain_length_arrays(
+        point_a, point_b, lo.reshape(-1, 3), hi.reshape(-1, 3)
+    )
+
+
+def chain_length_arrays(point_a, point_b, lo: np.ndarray, hi: np.ndarray) -> float:
+    """:func:`repro.msdn.sdn.chain_length` on arrays, with the DP's
+    own kernels: the end distances by one
+    :func:`~repro.msdn.sdn._point_to_boxes` call, the hops by one
+    :func:`~repro.msdn.sdn._box_distances` call, added to the running
+    prefix in layer order, then clamped below by the straight line
+    (``np.linalg.norm``, as the DP takes it).  The twin of the
+    plain-float price, which must equal it to the bit."""
+    pa = np.asarray(point_a, dtype=float)
+    pb = np.asarray(point_b, dtype=float)
+    euclid = float(np.linalg.norm(pa - pb))
+    count = lo.shape[0]
+    if count == 0:
+        return euclid
+    ends = [0, count - 1]
+    first, last = _point_to_boxes(np.stack((pa, pb)), lo[ends], hi[ends]).tolist()
+    total = first
+    if count > 1:
+        hops = _box_distances(lo[:-1].T, hi[:-1].T, lo[1:].T, hi[1:].T, count - 1)
+        for hop in hops.tolist():
+            total += hop
+    return max(total + last, euclid)
+
+
+def crossing_rows_reference(family, planes, axis: int, pa, pb) -> list[int]:
+    """:meth:`repro.msdn.sdn.SdnFamily.crossing_rows` as one argmin
+    over every row of each plane: the row whose miss ``max(lo - cross,
+    cross - hi)`` along the other horizontal axis is least, ties to
+    the lowest row, the twin of its bisection."""
+    other = 1 - axis
+    a_axis, a_other = float(pa[axis]), float(pa[other])
+    span = float(pb[axis]) - a_axis
+    rise = float(pb[other]) - a_other
+    lo_axis = family.xy[:, axis]
+    lo_other = family.xy[:, other]
+    hi_other = family.xy[:, other + 2]
+    rows = []
+    for start, stop in zip(
+        family.offsets[planes].tolist(), family.offsets[planes + 1].tolist()
+    ):
+        cross = a_other + (float(lo_axis[start]) - a_axis) / span * rise
+        miss = np.maximum(lo_other[start:stop] - cross, cross - hi_other[start:stop])
+        rows.append(start + int(np.argmin(miss)))
+    return rows
+
+
+def msdn_screen_arrays(
+    msdn, point_a, point_b, resolution: float, threshold: float, roi=None, corridor=None
+) -> tuple[float, float]:
+    """:meth:`MSDN.corridor_interval` as it priced its witness with
+    arrays: the crossing rows by one argmin per plane
+    (:func:`crossing_rows_reference`), the masks on them by
+    :func:`~repro.geometry.primitives.rows_meeting_boxes`, the chain by
+    :func:`chain_length_arrays`, and no spine chain: a screen the
+    crossing chain cannot decide masks and runs the DP.  The same
+    intervals but for those the spine decides, where it gives ``(V,
+    V)``; the bench baseline of the plain-float screen.  It counts
+    nothing."""
+    pa = np.asarray(point_a, dtype=float)
+    pb = np.asarray(point_b, dtype=float)
+    euclid = float(np.linalg.norm(pa - pb))
+    if euclid >= threshold:
+        return euclid, math.inf
+    resolution = msdn.nearest_resolution(resolution)
+    roi = region_boxes(roi)
+    corridor = corridor_region(corridor)
+    axis, pa, pb, planes = _selection_reference(msdn, pa, pb, resolution)
+    family = msdn._families[(axis, resolution)]
+    rows = crossing_rows_reference(family, planes, axis, pa, pb)
+    xy = family.xy[rows]
+    if (roi is None or rows_meeting_boxes(xy, roi).all()) and (
+        corridor is None or rows_meeting_boxes(xy, corridor).all()
+    ):
+        chain = chain_length_arrays(pa, pb, family.lo[rows], family.hi[rows])
+        if chain < threshold:
+            return euclid, chain
+    layer_boxes, _rows, _runs = msdn._masked_layers(family, planes, roi, corridor)
+    if not layer_boxes:
+        return euclid, euclid
+    value, _picks = lower_bound_via_planes_arrays(pa, pb, layer_boxes)
+    return value, value
+
+
+def spine_chain_reference(
+    msdn, point_a, point_b, resolution: float, roi=None, corridor=None
+) -> float | None:
+    """The price of the screen's spine chain
+    (:meth:`~repro.msdn.msdn.MSDN._spine_rows`) by walking chunk
+    objects: on each layer :func:`msdn_layers_reference` keeps, the
+    chunk whose miss ``max(lo - at, at - hi)`` along the other
+    horizontal axis is least (one argmin, ties to the first), where
+    ``at`` is the corridor's spine interpolated at the layer's first
+    chunk, priced by :func:`chain_length_arrays`.  None when no layer
+    is kept or there is no corridor."""
+    if corridor is None:
+        return None
+    pa, pb, resolution, layers = msdn_layers_reference(
+        msdn, point_a, point_b, resolution, roi, corridor
+    )
+    if not layers:
+        return None
+    axis = msdn.choose_axis(pa, pb)
+    other = 1 - axis
+    corners = box_corners(corridor_region(corridor)).tolist()
+    spine = sorted(
+        ((c[axis] + c[axis + 2]) * 0.5, (c[other] + c[other + 2]) * 0.5)
+        for c in corners
+    )
+    picks = []
+    for layer in layers:
+        lo, hi = _layer_boxes(layer)
+        x = float(lo[0, axis])
+        before = [i for i, (x_i, _o) in enumerate(spine) if x_i < x]
+        if not before:
+            at = spine[0][1]
+        elif len(before) == len(spine):
+            at = spine[-1][1]
+        else:
+            (x0, o0), (x1, o1) = spine[before[-1]], spine[before[-1] + 1]
+            at = o0 + (x - x0) / (x1 - x0) * (o1 - o0)
+        miss = np.maximum(lo[:, other] - at, at - hi[:, other])
+        row = int(np.argmin(miss))
+        picks.append((lo[row], hi[row]))
+    return chain_length_arrays(
+        pa, pb, np.array([lo for lo, _ in picks]), np.array([hi for _, hi in picks])
+    )
 
 
 def msdn_screen_masked_witness(
@@ -1310,11 +1476,13 @@ def msdn_screen_masked_witness(
     pb = np.asarray(point_b, dtype=float)
     if float(np.linalg.norm(pa - pb)) >= threshold:
         return True
-    axis, pa, pb, family, planes = msdn._selection(
-        pa, pb, msdn.nearest_resolution(resolution)
-    )
+    resolution = msdn.nearest_resolution(resolution)
+    axis, pa, pb, planes = _selection_reference(msdn, pa, pb, resolution)
     layer_boxes, _rows, _runs = msdn._masked_layers(
-        family, planes, region_boxes(roi), corridor_region(corridor)
+        msdn._families[(axis, resolution)],
+        planes,
+        region_boxes(roi),
+        corridor_region(corridor),
     )
     if chain_upper_bound(pa, pb, axis, layer_boxes) < threshold:
         return False

@@ -12,7 +12,12 @@ from repro.geometry.primitives import BoundingBox
 from repro.msdn.msdn import MSDN
 from repro.storage.pages import PageManager
 from repro.storage.stats import IOStatistics
-from repro.testkit.reference import msdn_lower_bound_reference, msdn_screen_reference
+from repro.msdn.sdn import SdnFamily
+from repro.testkit.reference import (
+    msdn_lower_bound_reference,
+    msdn_screen_reference,
+    spine_chain_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -430,3 +435,148 @@ class TestScreenEqualsReference:
             value = msdn.lower_bound(pa, pb, 1.0, charge_io=False).value
             assert not msdn.corridor_reaches(pa, pb, 1.0, 2 * value)
         assert masked.value == 0
+
+
+def _off_line_corridors(msdn, count: int = 4):
+    """``(pa, pb, corridor)`` whose corridor lies off the straight
+    line: the corner array of a resolution-1 bound's path through a
+    box that is the pair's own box moved six plane spacings across
+    the planes, so no crossing row of the segment meets it."""
+    mesh = msdn.mesh
+    rng = np.random.default_rng(5)
+    cases = []
+    while len(cases) < count:
+        a, b = rng.integers(0, mesh.num_vertices, size=2).tolist()
+        if a == b:
+            continue
+        pa, pb = mesh.vertices[a], mesh.vertices[b]
+        other = 1 - MSDN.choose_axis(pa, pb)
+        pair = BoundingBox.of_points(np.array([pa[:2], pb[:2]]))
+        for sign in (-1.0, 1.0):
+            shift = np.zeros(2)
+            shift[other] = sign * 6.0 * msdn.spacing
+            beside = BoundingBox(tuple(pair.lo + shift), tuple(pair.hi + shift))
+            path = msdn.lower_bound(
+                pa, pb, 1.0, roi=[beside.expanded(0.5 * msdn.spacing)], charge_io=False
+            )
+            if path.path_keys:
+                cases.append((pa, pb, msdn.corridor_corners(path.path_keys, 1.0)))
+                break
+    return cases
+
+
+class TestSpineChain:
+    """The second witness: when the crossing chain cannot decide, the
+    chain along the corridor's spine is tried before the DP.  It is
+    one of the DP's chains, so it may decide "below" and nothing
+    else."""
+
+    def test_spine_decides_below_without_the_dp(self, msdn, obs_context):
+        registry = obs_context.registry
+        for pa, pb, corridor in _off_line_corridors(msdn):
+            spine = spine_chain_reference(msdn, pa, pb, 1.0, None, corridor)
+            value = msdn_lower_bound_reference(
+                msdn, pa, pb, 1.0, corridor=corridor, charge_io=False
+            ).value
+            euclid = float(np.linalg.norm(pa - pb))
+            assert euclid < value <= spine
+            threshold = float(np.nextafter(spine, np.inf))
+            counts = [
+                registry.counter(name).value
+                for name in (
+                    "msdn.screen_masked",
+                    "msdn.screen_spine",
+                    "msdn.screen_dp_fallbacks",
+                )
+            ]
+            lo, hi = msdn.corridor_interval(pa, pb, 1.0, threshold, corridor=corridor)
+            # The spine chain, priced to the bit as the object walk
+            # prices it: a chain that skipped a kept plane, or picked
+            # a row off the spine, would not be this value.
+            assert (lo, hi) == (euclid, spine)
+            assert not msdn_screen_reference(
+                msdn, pa, pb, 1.0, threshold, None, corridor
+            )
+            assert [
+                registry.counter(name).value
+                for name in (
+                    "msdn.screen_masked",
+                    "msdn.screen_spine",
+                    "msdn.screen_dp_fallbacks",
+                )
+            ] == [counts[0] + 1, counts[1] + 1, counts[2]]
+
+    def test_dp_decides_what_the_spine_cannot(self, msdn, obs_context):
+        registry = obs_context.registry
+        spine_count = registry.counter("msdn.screen_spine")
+        fallbacks = registry.counter("msdn.screen_dp_fallbacks")
+        for pa, pb, corridor in _off_line_corridors(msdn):
+            value = msdn_lower_bound_reference(
+                msdn, pa, pb, 1.0, corridor=corridor, charge_io=False
+            ).value
+            for threshold, reaches in (
+                (value, True),
+                (float(np.nextafter(value, np.inf)), False),
+            ):
+                before = spine_count.value, fallbacks.value
+                lo, hi = msdn.corridor_interval(
+                    pa, pb, 1.0, threshold, corridor=corridor
+                )
+                assert lo == hi == value
+                assert (lo >= threshold) is reaches
+                assert (spine_count.value, fallbacks.value) == (before[0], before[1] + 1)
+
+
+def _unordered(msdn, seed: int = 7):
+    """A copy of ``msdn`` whose families hold each plane's rows in a
+    seeded random order, so they no longer ascend along the crossing
+    line."""
+    rng = np.random.default_rng(seed)
+    copy = object.__new__(MSDN)
+    copy.__dict__.update(msdn.__dict__)
+    copy._families = {}
+    for key, family in msdn._families.items():
+        offsets = family.offsets.tolist()
+        order = np.concatenate(
+            [rng.permutation(np.arange(start, stop)) for start, stop in zip(offsets, offsets[1:])]
+        )
+        copy._families[key] = SdnFamily(
+            family.lo[order],
+            family.hi[order],
+            family.offsets,
+            family.plane[order],
+            family.first[order],
+            family.last[order],
+        )
+    return copy
+
+
+class TestUnorderedRows:
+    """The bisection assumes each plane's rows ascend along its
+    crossing line; where they do not, it still picks one row per
+    plane, which is one of the DP's chains, so the decisions stand."""
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_decisions_equal_the_reference(self, msdn, data):
+        unordered = _unordered(msdn)
+        pa, pb, res, roi, corridor = data.draw(_screen_cases(msdn))
+        value = msdn_lower_bound_reference(
+            msdn, pa, pb, res, roi=roi, corridor=corridor, charge_io=False
+        ).value
+        for t in (value, np.nextafter(value, -np.inf), np.nextafter(value, np.inf)):
+            t = float(t)
+            got = unordered.corridor_reaches(pa, pb, res, t, roi=roi, corridor=corridor)
+            assert got == msdn_screen_reference(msdn, pa, pb, res, t, roi, corridor)
+            lo, hi = unordered.corridor_interval(pa, pb, res, t, roi=roi, corridor=corridor)
+            assert lo <= value <= hi
+
+    def test_rows_do_not_ascend(self, msdn):
+        unordered = _unordered(msdn)
+        family = unordered._families[(0, 1.0)]
+        offsets = family.offsets.tolist()
+        lo_y = family.xy[:, 1]
+        assert any(
+            np.any(np.diff(lo_y[start:stop]) < 0) for start, stop in zip(offsets, offsets[1:])
+        )
+
