@@ -879,8 +879,9 @@ def kernels(
     against the column-wise one, each including ``attach_storage`` on
     a fresh ``BUILD_PAGE_SIZE`` page manager, identical in arrays and
     pages; ``qem collapse``, the per-pair collapse loop against the
-    loop with one fused merge-cost call per collapse, identical node
-    for node; ``dmtm attach``, the by-record DMTM attach
+    collapse rounds with one fused merge-cost call per round,
+    identical node for node (its production row's ``pricing_calls``
+    counts those calls, :func:`_pricing_calls`); ``dmtm attach``, the by-record DMTM attach
     (:func:`~repro.testkit.reference.dmtm_attach_reference`) against
     the array attach on a fresh ``BUILD_PAGE_SIZE`` page manager,
     identical in page arrays, page lengths and classes; and
@@ -1287,7 +1288,7 @@ def kernels(
     )
     msdn_chunks = sum(len(family) for family in ref_msdn.family_xy.values())
 
-    history = build_collapse_history(build_mesh)
+    history, pricing_calls = _pricing_calls(build_mesh)
     if collapse_history_bits(history) != collapse_history_bits(
         build_collapse_history_reference(build_mesh)
     ):
@@ -1604,6 +1605,7 @@ def kernels(
                 qem_ref_seconds / qem_new_seconds if qem_new_seconds > 0 else None
             ),
             "identical": True,
+            "pricing_calls": pricing_calls,
         },
         {
             "comparison": "dmtm attach",
@@ -1682,6 +1684,7 @@ def kernels(
                 "crossing_rate",
                 "spine_rate",
                 "windows",
+                "pricing_calls",
             ],
             kernel_rows,
         ),
@@ -1781,6 +1784,29 @@ def _screen_calls(engine, num_queries: int) -> list[tuple]:
     finally:
         del msdn.corridor_interval
     return captured
+
+
+def _pricing_calls(mesh) -> tuple:
+    """The collapse history of ``mesh`` and the number of
+    :func:`~repro.simplification.quadric.merge_costs` calls its build
+    made, counted by wrapping the function where the collapse loop
+    looks it up."""
+    from repro.simplification import collapse
+
+    calls = 0
+    price = collapse.merge_costs
+
+    def counted(q, pos_a, pos_b):
+        nonlocal calls
+        calls += 1
+        return price(q, pos_a, pos_b)
+
+    collapse.merge_costs = counted
+    try:
+        history = collapse.build_collapse_history(mesh)
+    finally:
+        collapse.merge_costs = price
+    return history, calls
 
 
 def _polish_calls(engine, num_queries: int) -> list[tuple]:

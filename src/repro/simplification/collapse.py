@@ -24,6 +24,11 @@ information that turns DM into DDM:
   ``offset_to_parent_rep = d(a, b)``, letting queries translate any
   original vertex into (ancestor representative, path offset) at any
   cut of the tree.
+
+Collapses are committed in rounds (:func:`build_collapse_history`):
+the cheapest pairwise non-adjacent heap entries are priced together,
+and the round keeps the prefix a one-pair-at-a-time loop would pop in
+the same order, so the tree is that loop's, bit for bit.
 """
 
 from __future__ import annotations
@@ -144,15 +149,93 @@ def build_collapse_history(mesh) -> CollapseHistory:
     Returns the full :class:`CollapseHistory`; runtime is
     O(n log n · average degree) with n mesh vertices.
 
-    Pair costs come from one fused call per batch
-    (:func:`~repro.simplification.quadric.merge_costs`): every mesh
-    edge up front, then after each collapse the merged node against
-    all its neighbours.  A heap entry carries its pair's merge
-    position and representative choice, so a popped pair is never
-    evaluated again.  The history equals the per-pair loop's
+    Collapses run in rounds (:func:`_select`, :func:`_accept`): each
+    round takes the cheapest valid heap entries that are pairwise
+    non-adjacent, prices the new pairs of all their merged nodes in
+    one :func:`~repro.simplification.quadric.merge_costs` call, and
+    commits the longest prefix the one-at-a-time loop would pop in
+    the same order; the rest go back on the heap unchanged.  A heap
+    entry carries its pair's merge position and representative
+    choice, so a popped pair is never evaluated again.  The history
+    equals the per-pair loop's
     (:func:`repro.testkit.reference.build_collapse_history_reference`)
     node for node and bit for bit, heap tie order included.
+
+    That argument needs keys that order: a tuple holding a NaN price
+    is neither less nor greater than another, and ``heapq`` then pops
+    by heap layout, which rounds change.  So once any price is NaN
+    the build starts over with one-entry rounds, which push and pop
+    exactly as the per-pair loop does, op for op.
     """
+    history = _contract(mesh, single=False)
+    if history is None:
+        history = _contract(mesh, single=True)
+    return history
+
+
+def _select(heap: list, active: dict, single: bool) -> tuple[list, list]:
+    """Pop one round's entries off the heap, cheapest first.
+
+    Looking at the heap top until the round stops: an entry that is
+    stale (a node merged, or no longer adjacent) is dropped, as the
+    one-at-a-time loop drops it; one that shares a node with an entry
+    selected this round is set aside (it is stale once that entry
+    commits); one with a node among the selected entries' nodes and
+    their neighbours ends the round and stays on the heap; any other
+    joins the round.  With ``single`` the round ends at its first
+    entry.  Returns ``(selected, set_aside)``, each in pop order.
+    """
+    selected: list = []
+    set_aside: list = []
+    taken: set = set()
+    blocked: set = set()
+    while heap:
+        entry = heap[0]
+        a, b = entry[2], entry[3]
+        if a not in active or b not in active or b not in active[a]:
+            heapq.heappop(heap)
+        elif a in taken or b in taken:
+            set_aside.append(heapq.heappop(heap))
+        elif a in blocked or b in blocked:
+            break
+        else:
+            selected.append(heapq.heappop(heap))
+            if single:
+                break
+            taken.update((a, b))
+            blocked.update(active[a])
+            blocked.update(active[b])
+    return selected, set_aside
+
+
+def _accept(heap: list, selected: list, set_aside: list, prices: list) -> int:
+    """How many leading entries of ``selected`` the one-at-a-time loop
+    pops in this order; pushes the others and every set-aside entry
+    back unchanged.
+
+    ``prices[i]`` are the prices of entry ``i``'s new pairs.  Those
+    pairs' counters exceed every selected entry's, so the loop pops
+    entry ``j`` before all pairs of entries ``0 .. j-1`` exactly when
+    its price is at most theirs; the entries popped in between are
+    stale by then, and no later entry makes an earlier one's pairs
+    stale.  The first entry is always accepted.
+    """
+    accepted = 1
+    low = math.inf
+    for entry, before in zip(selected[1:], prices):
+        low = min(low, min(before, default=low))
+        if not entry[0] <= low:
+            break
+        accepted += 1
+    for entry in itertools.chain(selected[accepted:], set_aside):
+        heapq.heappush(heap, entry)
+    return accepted
+
+
+def _contract(mesh, single: bool) -> CollapseHistory | None:
+    """The collapse loop of :func:`build_collapse_history`, in
+    one-entry rounds with ``single``; without it, None as soon as a
+    price is NaN."""
     n = mesh.num_vertices
     # Quadric and position rows per node id; a collapse adds one node.
     capacity = max(2 * n - 1, n)
@@ -187,75 +270,108 @@ def build_collapse_history(mesh) -> CollapseHistory:
     counter = itertools.count()
     heap: list[tuple] = []
 
-    def push_pairs(us, ws: np.ndarray) -> None:
+    def price(us: np.ndarray, ws: np.ndarray):
+        """Merge positions, prices and keeper flags of the pairs
+        ``(us[i], ws[i])`` from one fused call; None on a NaN price
+        unless ``single``."""
         pos, err, keep_a = merge_costs(
             quadrics[us] + quadrics[ws], positions[us], positions[ws]
         )
-        us = us.tolist() if isinstance(us, np.ndarray) else [us] * len(ws)
-        for e, u, w, p, k in zip(err.tolist(), us, ws.tolist(), pos, keep_a.tolist()):
+        if not single and np.isnan(err).any():
+            return None
+        return pos, err.tolist(), keep_a.tolist()
+
+    def push(us, ws, pos, prices, keeps) -> None:
+        for u, w, p, e, k in zip(us, ws, pos, prices, keeps):
             heapq.heappush(heap, (e, next(counter), u, w, p, k))
 
-    if edges.size:
-        push_pairs(edges[:, 0], edges[:, 1])
+    priced = price(edges[:, 0], edges[:, 1])
+    if priced is None:
+        return None
+    push(edges[:, 0].tolist(), edges[:, 1].tolist(), *priced)
 
     step = 0
     while len(active) > 1:
-        # Pop the cheapest still-valid contraction.
-        while heap:
-            qem_err, _tie, a, b, position, keep_a = heapq.heappop(heap)
-            if a in active and b in active and b in active[a]:
-                break
-        else:
+        selected, set_aside = _select(heap, active, single)
+        if not selected:
             # Disconnected graph: remaining actives become roots.
             break
-        step += 1
-        d_ab = active[a][b]
-        # Errors must be monotone up the tree for clean LOD cuts.
-        error = max(qem_err, nodes[a].error, nodes[b].error)
-        error = math.nextafter(error, math.inf)
-
-        # Representative: keep the child nearer the merged position.
-        keeper, dropper = (a, b) if keep_a else (b, a)
-
-        c = len(nodes)
-        node = CollapseNode(
-            node_id=c,
-            rep=nodes[keeper].rep,
-            position=position,
-            error=error,
-            birth_step=step,
-            children=(a, b),
+        # Each selected entry's merged node, as its commit will make
+        # it: no selected entry's bookkeeping touches another's dicts.
+        base = len(nodes)
+        top = base + len(selected)
+        merges = []
+        for _err, _tie, a, b, _position, keep_a in selected:
+            # Representative: keep the child nearer the merged position.
+            keeper, dropper = (a, b) if keep_a else (b, a)
+            d_ab = active[a][b]
+            # Paper's distance recurrence, phrased around the keeper:
+            # via the keeper's representative directly, or via the
+            # dropped child's representative plus d(a, b).
+            merged: dict[int, float] = {}
+            for w, d in active[keeper].items():
+                if w != dropper:
+                    merged[w] = d
+            for w, d in active[dropper].items():
+                if w != keeper and w not in merged:
+                    merged[w] = d + d_ab
+            merges.append((keeper, dropper, d_ab, merged))
+        quadrics[base:top] = (
+            quadrics[[entry[2] for entry in selected]]
+            + quadrics[[entry[3] for entry in selected]]
         )
-        # Paper's distance recurrence, phrased around the keeper: via
-        # the keeper's representative directly, or via the dropped
-        # child's representative plus d(a, b).
-        merged: dict[int, float] = {}
-        for w, d in active[keeper].items():
-            if w != dropper:
-                merged[w] = d
-        for w, d in active[dropper].items():
-            if w != keeper and w not in merged:
-                merged[w] = d + d_ab
-        node.records = sorted(merged.items())
-        nodes.append(node)
-        np.add(quadrics[a], quadrics[b], out=quadrics[c])
-        positions[c] = position
+        positions[base:top] = [entry[4] for entry in selected]
+        # Every new pair of the round, priced in one call.
+        sizes = [len(merged) for *_, merged in merges]
+        priced = price(
+            np.repeat(np.arange(base, top), sizes),
+            np.fromiter(
+                itertools.chain.from_iterable(merged for *_, merged in merges),
+                dtype=np.int64,
+                count=sum(sizes),
+            ),
+        )
+        if priced is None:
+            return None
+        pos, flat, keeps = priced
+        offsets = [0, *itertools.accumulate(sizes)]
+        prices = [flat[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+        accepted = _accept(heap, selected, set_aside, prices)
 
-        for child, offset in ((keeper, 0.0), (dropper, d_ab)):
-            nodes[child].parent = c
-            nodes[child].death_step = step
-            nodes[child].offset_to_parent_rep = offset
+        for i in range(accepted):
+            qem_err, _tie, a, b, position, _keep = selected[i]
+            keeper, dropper, d_ab, merged = merges[i]
+            step += 1
+            # Errors must be monotone up the tree for clean LOD cuts.
+            error = max(qem_err, nodes[a].error, nodes[b].error)
+            error = math.nextafter(error, math.inf)
+            c = base + i
+            node = CollapseNode(
+                node_id=c,
+                rep=nodes[keeper].rep,
+                position=position,
+                error=error,
+                birth_step=step,
+                children=(a, b),
+            )
+            node.records = sorted(merged.items())
+            nodes.append(node)
 
-        del active[a]
-        del active[b]
-        active[c] = merged
-        for w, d in merged.items():
-            peers = active[w]
-            peers.pop(a, None)
-            peers.pop(b, None)
-            peers[c] = d
-        if merged:
-            push_pairs(c, np.fromiter(merged, dtype=np.int64, count=len(merged)))
+            for child, offset in ((keeper, 0.0), (dropper, d_ab)):
+                nodes[child].parent = c
+                nodes[child].death_step = step
+                nodes[child].offset_to_parent_rep = offset
+
+            del active[a]
+            del active[b]
+            active[c] = merged
+            for w, d in merged.items():
+                peers = active[w]
+                peers.pop(a, None)
+                peers.pop(b, None)
+                peers[c] = d
+            lo, hi = offsets[i], offsets[i + 1]
+            push(itertools.repeat(c), merged, pos[lo:hi], prices[i], keeps[lo:hi])
 
     roots = sorted(active)
     return CollapseHistory(nodes, num_leaves=n, roots=roots)

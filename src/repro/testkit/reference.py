@@ -75,7 +75,7 @@ page layout, same pages read in the same order.
   per pushed and per popped pair over per-face quadrics
   (:func:`vertex_quadrics_reference`), the twin of
   :func:`repro.simplification.collapse.build_collapse_history` and
-  its one fused merge-cost call per collapse;
+  its collapse rounds, one fused merge-cost call per round;
 * :func:`dmtm_attach_reference` — the DMTM laid out record by record,
   scalar z-order keys, record sizes from packed records and one
   id-addressed :class:`RecordStoreReference` (cut by the per-record
@@ -1646,10 +1646,12 @@ def vertex_quadrics_reference(mesh) -> np.ndarray:
 
 
 def build_collapse_history_reference(mesh) -> CollapseHistory:
-    """QEM pair contraction with one
+    """QEM pair contraction one collapse at a time, with one
     :func:`~repro.simplification.quadric.best_merge_position` call per
     pushed pair and again per popped pair — the twin of
-    :func:`repro.simplification.collapse.build_collapse_history`."""
+    :func:`repro.simplification.collapse.build_collapse_history`,
+    which commits several collapses per round and prices a round's
+    pairs in one call.  Its pop order is the one the rounds keep."""
     n = mesh.num_vertices
     quadrics = list(vertex_quadrics_reference(mesh))
     nodes: list[CollapseNode] = []

@@ -22,6 +22,7 @@ last-bit difference or a flipped signed zero shows.
 
 from __future__ import annotations
 
+import heapq
 import math
 import struct
 
@@ -36,7 +37,8 @@ from repro.geometry.primitives import BoundingBox
 from repro.msdn.msdn import DEFAULT_RESOLUTIONS, MSDN
 from repro.multires.dmtm import DMTM
 from repro.shard.tiles import TileGrid, TileSpan
-from repro.simplification.collapse import build_collapse_history
+from repro.simplification import collapse
+from repro.simplification.collapse import _accept, _select, build_collapse_history
 from repro.simplification.quadric import (
     best_merge_position,
     face_quadric,
@@ -256,6 +258,159 @@ class TestCollapse:
         assert any(size > 1 for size in stacked_failures)
         assert got == want
 
+
+def _entry(err, tie, a, b):
+    """A heap entry as the collapse loop pushes it; the unit tests
+    never read its merge position or representative choice."""
+    return (err, tie, a, b, None, True)
+
+
+def _adjacency(edges) -> dict[int, dict[int, float]]:
+    active: dict[int, dict[int, float]] = {}
+    for u, w in edges:
+        active.setdefault(u, {})[w] = 1.0
+        active.setdefault(w, {})[u] = 1.0
+    return active
+
+
+#: The path 0-1-...-7, with 9 hanging off 6.
+_PATH = _adjacency([(i, i + 1) for i in range(7)] + [(6, 9)])
+
+
+class TestCollapseRounds:
+    """A round's selection (:func:`_select`) and acceptance
+    (:func:`_accept`) on hand-built heaps and adjacency, and the
+    rounds of :func:`build_collapse_history` against the per-pair
+    loop where they batch, reject, meet NaN prices and finish
+    several components."""
+
+    def test_stale_entries_are_dropped(self):
+        heap = [
+            _entry(0.1, 0, 42, 1),  # 42 merged away
+            _entry(0.2, 1, 0, 2),  # both alive, not adjacent
+            _entry(0.3, 2, 0, 1),
+            _entry(0.4, 3, 4, 5),
+        ]
+        selected, set_aside = _select(heap, _PATH, single=False)
+        assert selected == [_entry(0.3, 2, 0, 1), _entry(0.4, 3, 4, 5)]
+        assert set_aside == [] and heap == []
+
+    def test_sharing_entries_are_set_aside_and_return_with_a_rejection(self):
+        heap = [
+            _entry(0.1, 0, 0, 1),
+            _entry(0.2, 1, 1, 2),  # shares 1 with the first
+            _entry(0.3, 2, 4, 5),
+            _entry(0.4, 3, 5, 6),  # shares 5 with the second
+            _entry(0.5, 4, 7, 6),  # 6 neighbours 5: ends the round
+        ]
+        selected, set_aside = _select(heap, _PATH, single=False)
+        assert selected == [_entry(0.1, 0, 0, 1), _entry(0.3, 2, 4, 5)]
+        assert set_aside == [_entry(0.2, 1, 1, 2), _entry(0.4, 3, 5, 6)]
+        assert heap == [_entry(0.5, 4, 7, 6)]
+        # The merged node (0, 1) prices a pair below 0.3: the loop pops
+        # that pair before (4, 5), so (4, 5) and the entry set aside
+        # for it go back, with their counters.
+        assert _accept(heap, selected, set_aside, [[0.25], [0.7]]) == 1
+        assert _entry(0.3, 2, 4, 5) in heap
+        assert _entry(0.4, 3, 5, 6) in heap
+        assert heapq.heappop(heap) == _entry(0.2, 1, 1, 2)
+        assert heapq.heappop(heap) == _entry(0.3, 2, 4, 5)
+
+    def test_an_adjacent_entry_ends_the_round(self):
+        heap = [
+            _entry(0.1, 0, 0, 1),
+            _entry(0.2, 1, 2, 3),  # 2 neighbours 1
+            _entry(0.3, 2, 5, 6),
+        ]
+        selected, set_aside = _select(heap, _PATH, single=False)
+        assert selected == [_entry(0.1, 0, 0, 1)] and set_aside == []
+        assert heap[0] == _entry(0.2, 1, 2, 3) and len(heap) == 2
+
+    def test_single_rounds_stop_at_the_first_entry(self):
+        heap = [_entry(0.1, 0, 42, 1), _entry(0.2, 1, 0, 1), _entry(0.3, 2, 4, 5)]
+        selected, set_aside = _select(heap, _PATH, single=True)
+        assert selected == [_entry(0.2, 1, 0, 1)] and set_aside == []
+        assert heap == [_entry(0.3, 2, 4, 5)]
+
+    @pytest.mark.parametrize(
+        "errors, prices",
+        [
+            ([0.1, 0.3, 0.3], [[0.3, 0.5], [0.3], [0.0]]),
+            ([0.0, 0.0], [[-0.0], []]),
+            ([-0.0, 0.0, -0.0], [[0.0], [-0.0], []]),
+            ([0.1, 0.4, 0.2], [[], [0.9, 0.4], []]),  # no pairs: no bound
+        ],
+    )
+    def test_a_price_equal_to_the_entry_accepts(self, errors, prices):
+        selected = [_entry(e, tie, 2 * tie, 2 * tie + 1) for tie, e in enumerate(errors)]
+        heap: list = []
+        assert _accept(heap, selected, [], prices) == len(errors)
+        assert heap == []
+
+    @pytest.mark.parametrize(
+        "errors, prices, accepted",
+        [
+            ([0.1, 0.3, 0.35], [[0.5, 0.2], [0.9], [0.1]], 1),
+            ([0.1, 0.3], [[math.nextafter(0.3, 0.0)], []], 1),
+            # The fourth entry would pass alone: a round commits a prefix.
+            ([0.1, 0.2, 0.3, 0.1], [[0.5], [0.25], [], []], 2),
+            ([0.0, 0.0], [[-5e-324], []], 1),
+        ],
+    )
+    def test_a_smaller_price_rejects(self, errors, prices, accepted):
+        selected = [_entry(e, tie, 2 * tie, 2 * tie + 1) for tie, e in enumerate(errors)]
+        heap: list = []
+        assert _accept(heap, selected, [], prices) == accepted
+        assert sorted(heap) == sorted(selected[accepted:])
+
+    def test_rounds_price_more_pairs_than_they_push(self, monkeypatch):
+        """On BH 25 the rounds batch several collapses per
+        ``merge_costs`` call and reject some entries, so they price
+        pairs they never push (every edge, then each non-leaf node's
+        records, are pushed); the history still equals the per-pair
+        loop's."""
+        mesh = _named_mesh("BH25")
+        rows = []
+
+        def counted(q, pos_a, pos_b):
+            rows.append(len(q))
+            return merge_costs(q, pos_a, pos_b)
+
+        monkeypatch.setattr(collapse, "merge_costs", counted)
+        history = build_collapse_history(mesh)
+        pushed = len(mesh.edge_vertices) + sum(
+            len(node.records) for node in history.nodes[history.num_leaves :]
+        )
+        assert 2 * len(rows) < history.num_steps
+        assert sum(rows) > pushed
+        assert collapse_history_bits(history) == collapse_history_bits(
+            build_collapse_history_reference(mesh)
+        )
+
+    @pytest.mark.parametrize("kind, seed", [("EP", 0), ("EP", 1), ("EP", 2), ("BH", 4)])
+    def test_nan_prices_replay_the_per_pair_loop(self, kind, seed):
+        """Vertices scaled by 1e75 overflow the quadrics, and some pairs
+        price NaN: the heap then pops by layout, and the history
+        still equals the per-pair loop's."""
+        mesh = _mesh(kind, 5, seed)
+        with np.errstate(all="ignore"):
+            mesh = TriangleMesh(mesh.vertices * 1e75, mesh.faces)
+            got = build_collapse_history(mesh)
+            want = build_collapse_history_reference(mesh)
+        assert any(math.isnan(node.error) for node in want.nodes)
+        assert collapse_history_bits(got) == collapse_history_bits(want)
+
+    def test_two_components_give_two_roots(self):
+        first, second = _mesh("BH", 7, 3), _mesh("EP", 5, 1)
+        mesh = TriangleMesh(
+            np.vstack((first.vertices, second.vertices + (1e4, 0.0, 0.0))),
+            np.vstack((first.faces, second.faces + first.num_vertices)),
+        )
+        history = build_collapse_history(mesh)
+        assert len(history.roots) == 2
+        assert collapse_history_bits(history) == collapse_history_bits(
+            build_collapse_history_reference(mesh)
+        )
 
 def _named_mesh(name: str) -> TriangleMesh:
     """BH 25, EP 33, or one of the five windows knnbench ``tiled_scale``
